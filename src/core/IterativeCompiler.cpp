@@ -38,13 +38,28 @@ search::GaConfig core::scaledGaConfig(const search::GaConfig &Base,
 
 // --- RegionEvaluator ----------------------------------------------------------
 
+std::shared_ptr<lir::CompileMemo>
+core::makeCompileMemo(const workloads::Application &App,
+                      const std::vector<CapturedRegion> &Captures,
+                      const PipelineConfig &Config) {
+  lir::TypeProfile Merged;
+  for (const CapturedRegion &C : Captures)
+    Merged.merge(C.Profile);
+  return std::make_shared<lir::CompileMemo>(
+      *App.File, std::move(Merged), Config.Search.CompileSizeBudget);
+}
+
 RegionEvaluator::RegionEvaluator(const workloads::Application &App,
                                  const profiler::HotRegion &Region,
                                  const capture::Capture &Cap,
                                  const replay::VerificationMap &Map,
                                  const lir::TypeProfile &Profile,
-                                 const PipelineConfig &Config)
-    : App(App), Region(Region), Profile(Profile), Config(Config),
+                                 const PipelineConfig &Config,
+                                 std::shared_ptr<lir::CompileMemo> Memo)
+    : App(App), Region(Region), Config(Config),
+      Memo(Memo ? std::move(Memo)
+                : std::make_shared<lir::CompileMemo>(
+                      *App.File, Profile, Config.Search.CompileSizeBudget)),
       Natives(vm::NativeRegistry::standardLibrary()),
       Rep(*App.File, Natives, App.RtConfig, Config.Seed ^ 0xa51f),
       NoiseRng(Config.Seed ^ 0x90153) {
@@ -55,16 +70,18 @@ RegionEvaluator::RegionEvaluator(const workloads::Application &App,
 RegionEvaluator::RegionEvaluator(
     const workloads::Application &App, const profiler::HotRegion &Region,
     const std::vector<CapturedRegion> &Captures,
-    const PipelineConfig &Config)
+    const PipelineConfig &Config, std::shared_ptr<lir::CompileMemo> Memo)
     : App(App), Region(Region), Config(Config),
+      Memo(Memo ? std::move(Memo) : makeCompileMemo(App, Captures, Config)),
       Natives(vm::NativeRegistry::standardLibrary()),
       Rep(*App.File, Natives, App.RtConfig, Config.Seed ^ 0xa51f),
       NoiseRng(Config.Seed ^ 0x90153) {
   assert(!Captures.empty() && "need at least one capture");
-  for (const CapturedRegion &C : Captures) {
+  assert(&this->Memo->file() == App.File.get() &&
+         this->Memo->sizeBudget() == Config.Search.CompileSizeBudget &&
+         "memo built for another region");
+  for (const CapturedRegion &C : Captures)
     Caps.push_back(CaptureRef{&C.Cap, &C.Map});
-    Profile.merge(C.Profile);
-  }
   Rep.setSessionMode(Config.Search.SessionBackends);
 }
 
@@ -157,13 +174,9 @@ search::Evaluation RegionEvaluator::evaluateCache(const vm::CodeCache &Code,
 std::optional<vm::CodeCache>
 RegionEvaluator::compileRegion(const search::Genome &G) {
   ROPT_TRACE_SPAN("compile.region");
-  lir::CompileOptions Options;
-  Options.Pipeline = G.Passes;
-  Options.RegAlloc = G.RegAlloc;
-  Options.SizeBudget = Config.Search.CompileSizeBudget;
   vm::CodeCache Code;
-  lir::CompileStatus Status = lir::compileAllLlvm(
-      *App.File, Region.Methods, Options, Code, &Profile);
+  lir::CompileStatus Status =
+      Memo->compileAll(Region.Methods, G.Passes, G.RegAlloc, Code);
   if (Status != lir::CompileStatus::Ok)
     return std::nullopt;
   return Code;
@@ -393,7 +406,10 @@ IterativeCompiler::optimize(const workloads::Application &App) {
   // Baselines and the final install run on a serial evaluator; the GA's
   // batches run through the engine, which owns one RegionEvaluator per
   // worker and memoizes duplicate genomes/binaries.
-  RegionEvaluator Baselines(App, Report.Region, Captures, Config);
+  // One compile memo serves the baselines and every engine worker.
+  std::shared_ptr<lir::CompileMemo> Memo =
+      makeCompileMemo(App, Captures, Config);
+  RegionEvaluator Baselines(App, Report.Region, Captures, Config, Memo);
   search::EngineOptions EngineOpts;
   EngineOpts.Jobs = Config.Search.Jobs;
   EngineOpts.Memoize = Config.Search.Memoize;
@@ -402,9 +418,9 @@ IterativeCompiler::optimize(const workloads::Application &App) {
   EngineOpts.MaxReplays = Config.Search.MaxReplaysPerEvaluation;
   EngineOpts.RacingAlpha = Config.Search.GA.SignificanceAlpha;
   search::EvaluationEngine Engine(
-      [&App, &Report, &Captures, this]() {
+      [&App, &Report, &Captures, &Memo, this]() {
         return std::make_unique<RegionEvaluator>(App, Report.Region,
-                                                 Captures, Config);
+                                                 Captures, Config, Memo);
       },
       EngineOpts, Config.Seed);
 

@@ -28,6 +28,7 @@
 #include "core/AppInstance.h"
 #include "core/Measurement.h"
 #include "lir/Backend.h"
+#include "lir/CompileMemo.h"
 #include "profiler/HotRegion.h"
 #include "replay/Replayer.h"
 #include "search/EvaluationEngine.h"
@@ -132,28 +133,43 @@ struct CapturedRegion {
   uint64_t Postponements = 0;
 };
 
+/// The compile memo (DESIGN.md §18) for one optimized region: \p App's
+/// DexFile, the type profile merged across \p Captures, and the search's
+/// CompileSizeBudget. One memo is shared by the baselines evaluator and
+/// every engine worker of a region.
+std::shared_ptr<lir::CompileMemo>
+makeCompileMemo(const workloads::Application &App,
+                const std::vector<CapturedRegion> &Captures,
+                const PipelineConfig &Config);
+
 /// Evaluates one optimization decision against one or more captures:
 /// compile, verify through replay (against *every* capture — a binary that
 /// is only right for some inputs is wrong), measure. Implements the
 /// engine's per-worker EvalBackend; the evaluation engine creates one
-/// RegionEvaluator per worker slot, so instances need no locking. Multiple
-/// captures per region are the paper's §5.4 "realistic system" setting and
-/// guard the search against overfitting to a single input.
+/// RegionEvaluator per worker slot, so instances need no locking (the
+/// compile memo they may share locks itself). Multiple captures per region
+/// are the paper's §5.4 "realistic system" setting and guard the search
+/// against overfitting to a single input.
 class RegionEvaluator : public search::EvalBackend {
 public:
-  /// Single-capture constructor (the paper's default configuration).
+  /// Single-capture constructor (the paper's default configuration). A
+  /// null \p Memo gives the evaluator a private one over \p Profile.
   RegionEvaluator(const workloads::Application &App,
                   const profiler::HotRegion &Region,
                   const capture::Capture &Cap,
                   const replay::VerificationMap &Map,
                   const lir::TypeProfile &Profile,
-                  const PipelineConfig &Config);
+                  const PipelineConfig &Config,
+                  std::shared_ptr<lir::CompileMemo> Memo = nullptr);
 
   /// Multi-capture constructor; \p Captures must outlive the evaluator.
+  /// \p Memo must come from makeCompileMemo() over the same app, captures
+  /// and config; null gives the evaluator a private one.
   RegionEvaluator(const workloads::Application &App,
                   const profiler::HotRegion &Region,
                   const std::vector<CapturedRegion> &Captures,
-                  const PipelineConfig &Config);
+                  const PipelineConfig &Config,
+                  std::shared_ptr<lir::CompileMemo> Memo = nullptr);
 
   /// EvalBackend: compile with the genome, hand back hash/size/artifact.
   search::CompiledBinary compileGenome(const search::Genome &G) override;
@@ -214,8 +230,9 @@ private:
   const workloads::Application &App;
   const profiler::HotRegion &Region;
   std::vector<CaptureRef> Caps;
-  lir::TypeProfile Profile; ///< Merged across captures.
   const PipelineConfig &Config;
+  /// Compiles through the memo; its profile is merged across captures.
+  std::shared_ptr<lir::CompileMemo> Memo;
   vm::NativeRegistry Natives;
   replay::Replayer Rep;
   Rng NoiseRng; ///< Serial-path noise stream (evaluate()).

@@ -126,8 +126,12 @@ bool DeviceClassState::setup() {
     return false;
   }
 
-  Baselines =
-      std::make_unique<core::RegionEvaluator>(App, Region, Captures, Config);
+  // One compile memo per class, shared by its baselines and engine; all
+  // class memos draw on one process-wide resident budget.
+  std::shared_ptr<lir::CompileMemo> Memo =
+      core::makeCompileMemo(App, Captures, Config);
+  Baselines = std::make_unique<core::RegionEvaluator>(App, Region, Captures,
+                                                      Config, Memo);
   search::EngineOptions Opts;
   Opts.Jobs = 1; // See the constructor: never nest a multi-thread pool.
   Opts.Memoize = Config.Search.Memoize;
@@ -136,9 +140,9 @@ bool DeviceClassState::setup() {
   Opts.MaxReplays = Config.Search.MaxReplaysPerEvaluation;
   Opts.RacingAlpha = Config.Search.GA.SignificanceAlpha;
   Engine = std::make_unique<search::EvaluationEngine>(
-      [this]() {
+      [this, Memo]() {
         return std::make_unique<core::RegionEvaluator>(App, Region,
-                                                       Captures, Config);
+                                                       Captures, Config, Memo);
       },
       Opts, Config.Seed);
 

@@ -9,35 +9,6 @@ using namespace ropt;
 using namespace ropt::lir;
 using vm::MOpcode;
 
-void lir::forEachOperand(LInsn &I,
-                         const std::function<void(ValueId &)> &Fn) {
-  auto Visit = [&Fn](ValueId &V) {
-    if (V != NoValue)
-      Fn(V);
-  };
-  switch (I.Op) {
-  case MOpcode::MMovImmI:
-  case MOpcode::MMovImmF:
-  case MOpcode::MLoadStatic:
-  case MOpcode::MNewInstance:
-  case MOpcode::MSafepoint:
-  case MOpcode::MNop:
-    break;
-  default:
-    Visit(I.A);
-    Visit(I.B);
-    break;
-  }
-  for (ValueId &V : I.Args)
-    Fn(V);
-}
-
-void lir::forEachOperand(const LInsn &I,
-                         const std::function<void(ValueId)> &Fn) {
-  LInsn Copy = I;
-  forEachOperand(Copy, [&Fn](ValueId &V) { Fn(V); });
-}
-
 DomTree DomTree::compute(const LFunction &Fn) {
   DomTree DT;
   size_t N = Fn.Blocks.size();

@@ -16,9 +16,9 @@
 
 #include "lir/Lir.h"
 
-#include <functional>
 #include <map>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 namespace ropt {
@@ -86,10 +86,31 @@ std::vector<uint32_t> computeDefBlocks(const LFunction &Fn);
 /// Counts uses of every value across instructions, phis, and terminators.
 std::vector<uint32_t> countUses(const LFunction &Fn);
 
-/// Invokes \p Fn over every value operand (mutable) of an instruction.
-void forEachOperand(LInsn &I, const std::function<void(ValueId &)> &Fn);
-void forEachOperand(const LInsn &I,
-                    const std::function<void(ValueId)> &Fn);
+/// Invokes \p Fn over every value operand of an instruction: A and B when
+/// the opcode reads them and they are set, then every call argument. A
+/// mutable \p I hands out `ValueId &`, a const one `const ValueId &`.
+template <typename InsnT, typename Callback>
+void forEachOperand(InsnT &I, Callback &&Fn) {
+  static_assert(std::is_same_v<std::remove_const_t<InsnT>, LInsn>,
+                "forEachOperand visits LInsn operands");
+  switch (I.Op) {
+  case vm::MOpcode::MMovImmI:
+  case vm::MOpcode::MMovImmF:
+  case vm::MOpcode::MLoadStatic:
+  case vm::MOpcode::MNewInstance:
+  case vm::MOpcode::MSafepoint:
+  case vm::MOpcode::MNop:
+    break;
+  default:
+    if (I.A != NoValue)
+      Fn(I.A);
+    if (I.B != NoValue)
+      Fn(I.B);
+    break;
+  }
+  for (auto &V : I.Args)
+    Fn(V);
+}
 
 } // namespace lir
 } // namespace ropt

@@ -628,7 +628,31 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
       << M.string("git", "?") << "\n";
   Out << "seed: " << static_cast<uint64_t>(M.number("seed")) << "   jobs: "
       << static_cast<int>(M.number("jobs"))
-      << "   evaluations: " << Run.Evaluations.size() << "\n\n";
+      << "   evaluations: " << Run.Evaluations.size() << "\n";
+  // Compile-memo reuse (DESIGN.md §18). With --jobs > 1 the counts depend
+  // on which worker computes a state first, so they exist only in
+  // metrics.json, never in the deterministic artifacts.
+  if (const json::Value *C =
+          Run.HasMetrics ? Run.Metrics.find("counters") : nullptr) {
+    double Passes = C->number("compile.memo_transition_hits") +
+                    C->number("compile.memo_transition_misses");
+    double Codegen = C->number("compile.memo_codegen_hits") +
+                     C->number("compile.memo_codegen_misses");
+    auto Share = [&](const char *Hits, double Base) {
+      return format("%.1f", Base > 0 ? 100.0 * C->number(Hits) / Base : 0.0);
+    };
+    if (Passes > 0)
+      Out << "compile memo: " << Share("compile.memo_transition_hits", Passes)
+          << "% of " << format("%.0f", Passes)
+          << " pass applications reused, codegen "
+          << Share("compile.memo_codegen_hits", Codegen) << "% of "
+          << format("%.0f", Codegen) << " verified methods reused, "
+          << format("%.0f", C->number("compile.memo_evictions"))
+          << " evictions, "
+          << format("%.0f", C->number("compile.memo_recomputes"))
+          << " recomputes\n";
+  }
+  Out << "\n";
 
   std::map<std::string, AppRoll> Apps = rollUp(Run);
   for (const std::string &Name : appOrder(Run)) {

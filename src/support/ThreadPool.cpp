@@ -5,6 +5,7 @@
 #include "support/Trace.h"
 
 #include <atomic>
+#include <latch>
 
 using namespace ropt;
 
@@ -17,12 +18,17 @@ ThreadPool::ThreadPool(size_t Threads) {
   if (Threads == 0)
     Threads = defaultThreadCount();
   Workers.reserve(Threads);
+  // Every worker has registered its name before the constructor returns,
+  // so a trace written right after a short parallelFor still names them.
+  std::latch Named(static_cast<std::ptrdiff_t>(Threads));
   for (size_t I = 0; I != Threads; ++I)
-    Workers.emplace_back([this, I] {
+    Workers.emplace_back([this, I, &Named] {
       TraceRecorder::instance().setCurrentThreadName(
           "worker-" + std::to_string(I));
+      Named.count_down();
       workerMain();
     });
+  Named.wait();
 }
 
 ThreadPool::~ThreadPool() {

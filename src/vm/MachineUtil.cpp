@@ -53,95 +53,6 @@ bool vm::definesA(const MInsn &I) {
   }
 }
 
-void vm::forEachUse(const MInsn &I,
-                    const std::function<void(MRegIdx)> &Fn) {
-  MInsn Copy = I;
-  forEachUseMut(Copy, [&Fn](MRegIdx &R) { Fn(R); });
-}
-
-void vm::forEachUseMut(MInsn &I,
-                       const std::function<void(MRegIdx &)> &Fn) {
-  auto Visit = [&Fn](MRegIdx &R) {
-    if (R != MNoReg)
-      Fn(R);
-  };
-  switch (I.Op) {
-  case MOpcode::MNop:
-  case MOpcode::MMovImmI:
-  case MOpcode::MMovImmF:
-  case MOpcode::MGoto:
-  case MOpcode::MSafepoint:
-  case MOpcode::MLoadStatic:
-  case MOpcode::MNewInstance:
-  case MOpcode::MRetVoid:
-    break;
-
-  case MOpcode::MMov:
-  case MOpcode::MNegI:
-  case MOpcode::MNegF:
-  case MOpcode::MSqrtF:
-  case MOpcode::MI2F:
-  case MOpcode::MF2I:
-  case MOpcode::MLoadSlot:
-  case MOpcode::MArrayLen:
-  case MOpcode::MNewArray:
-  case MOpcode::MCheckNull:
-  case MOpcode::MCheckDiv:
-  case MOpcode::MGuardClass:
-    Visit(I.B);
-    break;
-
-  case MOpcode::MAddI: case MOpcode::MSubI: case MOpcode::MMulI:
-  case MOpcode::MDivI: case MOpcode::MRemI: case MOpcode::MAndI:
-  case MOpcode::MOrI: case MOpcode::MXorI: case MOpcode::MShlI:
-  case MOpcode::MShrI:
-  case MOpcode::MAddF: case MOpcode::MSubF: case MOpcode::MMulF:
-  case MOpcode::MDivF: case MOpcode::MCmpF:
-  case MOpcode::MCheckBounds:
-  case MOpcode::MALoad:
-    Visit(I.B);
-    Visit(I.C);
-    break;
-
-  case MOpcode::MIfEq: case MOpcode::MIfNe: case MOpcode::MIfLt:
-  case MOpcode::MIfLe: case MOpcode::MIfGt: case MOpcode::MIfGe:
-  case MOpcode::MIfEqz: case MOpcode::MIfNez: case MOpcode::MIfLtz:
-  case MOpcode::MIfLez: case MOpcode::MIfGtz: case MOpcode::MIfGez:
-    Visit(I.B);
-    Visit(I.C);
-    break;
-
-  case MOpcode::MStoreSlot: // A is the stored value, B the object
-    Visit(I.A);
-    Visit(I.B);
-    break;
-  case MOpcode::MStoreStatic:
-    Visit(I.A);
-    break;
-  case MOpcode::MAStore:
-    Visit(I.A);
-    Visit(I.B);
-    Visit(I.C);
-    break;
-
-  case MOpcode::MCallStatic:
-  case MOpcode::MCallVirtual:
-  case MOpcode::MCallNative:
-  case MOpcode::MIntrinsic:
-    for (unsigned N = 0; N != I.ArgCount; ++N)
-      Fn(I.Args[N]);
-    break;
-
-  case MOpcode::MRet:
-    Visit(I.B);
-    break;
-
-  case MOpcode::MOpcodeCount:
-    assert(false && "invalid opcode");
-    break;
-  }
-}
-
 bool vm::isPureOp(MOpcode Op) {
   switch (Op) {
   case MOpcode::MMovImmI:
@@ -280,13 +191,6 @@ uint16_t vm::allocateRegistersLinearScan(MachineFunction &Fn) {
   // live positions span the loop; an iteration-local value is not.
   size_t Words = (static_cast<size_t>(Fn.NumRegs) + 63) / 64;
   std::vector<uint64_t> LiveIn((N + 1) * Words, 0);
-  auto Bit = [&](size_t Pc, MRegIdx R) -> uint64_t & {
-    return LiveIn[Pc * Words + R / 64];
-  };
-  auto IsLive = [&](size_t Pc, MRegIdx R) {
-    return (Bit(Pc, R) >> (R % 64)) & 1;
-  };
-
   std::vector<uint64_t> Tmp(Words);
   bool Changed = true;
   while (Changed) {
@@ -329,11 +233,27 @@ uint16_t vm::allocateRegistersLinearScan(MachineFunction &Fn) {
   };
   for (MRegIdx P = 0; P != Fn.ParamCount; ++P)
     Touch(P, 0);
+  // Only a register's first and last live pc can move its interval: scan
+  // the live words once forwards and once backwards and touch just the set
+  // bits not seen before, O(N * Words + NumRegs) instead of testing every
+  // register at every pc.
+  std::vector<uint64_t> Seen(Words);
+  auto TouchFirstSeen = [&](size_t Pc) {
+    for (size_t W = 0; W != Words; ++W) {
+      uint64_t New = LiveIn[Pc * Words + W] & ~Seen[W];
+      Seen[W] |= New;
+      for (; New; New &= New - 1)
+        Touch(static_cast<MRegIdx>(W * 64 + __builtin_ctzll(New)),
+              static_cast<int64_t>(Pc));
+    }
+  };
+  for (size_t Pc = 0; Pc != N; ++Pc)
+    TouchFirstSeen(Pc);
+  std::fill(Seen.begin(), Seen.end(), 0);
+  for (size_t Pc = N; Pc-- > 0;)
+    TouchFirstSeen(Pc);
   for (size_t Pc = 0; Pc != N; ++Pc) {
     const MInsn &I = Fn.Code[Pc];
-    for (MRegIdx R = 0; R != Fn.NumRegs; ++R)
-      if (IsLive(Pc, R))
-        Touch(R, static_cast<int64_t>(Pc));
     if (definesA(I) && I.A != MNoReg)
       Touch(I.A, static_cast<int64_t>(Pc));
     forEachUse(I, [&](MRegIdx R) { Touch(R, static_cast<int64_t>(Pc)); });

@@ -16,7 +16,8 @@
 
 #include "vm/Machine.h"
 
-#include <functional>
+#include <cassert>
+#include <string>
 
 namespace ropt {
 namespace vm {
@@ -24,13 +25,100 @@ namespace vm {
 /// True when \p I defines register I.A.
 bool definesA(const MInsn &I);
 
+namespace detail {
+
+/// The use-operand walk behind forEachUse/forEachUseMut; \p InsnT is MInsn
+/// or const MInsn.
+template <typename InsnT, typename Callback>
+void visitUses(InsnT &I, Callback &Fn) {
+  auto Visit = [&Fn](auto &R) {
+    if (R != MNoReg)
+      Fn(R);
+  };
+  switch (I.Op) {
+  case MOpcode::MNop:
+  case MOpcode::MMovImmI:
+  case MOpcode::MMovImmF:
+  case MOpcode::MGoto:
+  case MOpcode::MSafepoint:
+  case MOpcode::MLoadStatic:
+  case MOpcode::MNewInstance:
+  case MOpcode::MRetVoid:
+    break;
+
+  case MOpcode::MMov:
+  case MOpcode::MNegI:
+  case MOpcode::MNegF:
+  case MOpcode::MSqrtF:
+  case MOpcode::MI2F:
+  case MOpcode::MF2I:
+  case MOpcode::MLoadSlot:
+  case MOpcode::MArrayLen:
+  case MOpcode::MNewArray:
+  case MOpcode::MCheckNull:
+  case MOpcode::MCheckDiv:
+  case MOpcode::MGuardClass:
+  case MOpcode::MRet:
+    Visit(I.B);
+    break;
+
+  case MOpcode::MAddI: case MOpcode::MSubI: case MOpcode::MMulI:
+  case MOpcode::MDivI: case MOpcode::MRemI: case MOpcode::MAndI:
+  case MOpcode::MOrI: case MOpcode::MXorI: case MOpcode::MShlI:
+  case MOpcode::MShrI:
+  case MOpcode::MAddF: case MOpcode::MSubF: case MOpcode::MMulF:
+  case MOpcode::MDivF: case MOpcode::MCmpF:
+  case MOpcode::MCheckBounds:
+  case MOpcode::MALoad:
+  case MOpcode::MIfEq: case MOpcode::MIfNe: case MOpcode::MIfLt:
+  case MOpcode::MIfLe: case MOpcode::MIfGt: case MOpcode::MIfGe:
+  case MOpcode::MIfEqz: case MOpcode::MIfNez: case MOpcode::MIfLtz:
+  case MOpcode::MIfLez: case MOpcode::MIfGtz: case MOpcode::MIfGez:
+    Visit(I.B);
+    Visit(I.C);
+    break;
+
+  case MOpcode::MStoreSlot: // A is the stored value, B the object
+    Visit(I.A);
+    Visit(I.B);
+    break;
+  case MOpcode::MStoreStatic:
+    Visit(I.A);
+    break;
+  case MOpcode::MAStore:
+    Visit(I.A);
+    Visit(I.B);
+    Visit(I.C);
+    break;
+
+  case MOpcode::MCallStatic:
+  case MOpcode::MCallVirtual:
+  case MOpcode::MCallNative:
+  case MOpcode::MIntrinsic:
+    for (unsigned N = 0; N != I.ArgCount; ++N)
+      Fn(I.Args[N]);
+    break;
+
+  case MOpcode::MOpcodeCount:
+    assert(false && "invalid opcode");
+    break;
+  }
+}
+
+} // namespace detail
+
 /// Invokes \p Fn for every register the instruction reads (B/C/Args and,
 /// for stores, the stored value in A).
-void forEachUse(const MInsn &I, const std::function<void(MRegIdx)> &Fn);
+template <typename Callback> void forEachUse(const MInsn &I, Callback &&Fn) {
+  auto ByValue = [&Fn](MRegIdx R) { Fn(R); };
+  detail::visitUses(I, ByValue);
+}
 
 /// Invokes \p Fn for a *mutable reference* to every use operand, allowing
 /// passes to rewrite them in place.
-void forEachUseMut(MInsn &I, const std::function<void(MRegIdx &)> &Fn);
+template <typename Callback> void forEachUseMut(MInsn &I, Callback &&Fn) {
+  detail::visitUses(I, Fn);
+}
 
 /// True for instructions with no effect beyond writing I.A and that cannot
 /// trap: immediates, moves, non-div ALU, FP arithmetic, compares,

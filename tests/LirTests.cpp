@@ -1,14 +1,24 @@
 //===- tests/LirTests.cpp - lir/ unit and differential tests -----------------===//
 
+#include "core/IterativeCompiler.h"
 #include "hgraph/Build.h"
 #include "lir/Analysis.h"
 #include "lir/Backend.h"
 #include "lir/Codegen.h"
+#include "lir/CompileMemo.h"
 #include "lir/FromHGraph.h"
 #include "lir/Passes.h"
+#include "search/Genome.h"
 #include "tests/TestPrograms.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <map>
+#include <thread>
 
 using namespace ropt;
 using namespace ropt::dex;
@@ -919,4 +929,354 @@ TEST(RangeBce, DownwardLoopsAreLeftAlone) {
   expectPipelineParity(File, "down", {vm::Value::fromI64(9)},
                        {mk(PassId::SimplifyCfg),
                         mk(PassId::BoundsCheckElim)});
+}
+
+// --- Compile memo ---------------------------------------------------------------
+//
+// CompileMemo (DESIGN.md §18) must be invisible: every status and every
+// emitted machine function equals what the reference path,
+// lir::compileAllLlvm, produces for the same inputs.
+
+namespace {
+
+/// One Table-1 app with its hot region and captured type profile.
+struct RegionFixture {
+  workloads::Application App;
+  profiler::HotRegion Region;
+  core::CapturedRegion Captured;
+};
+
+/// Every Table-1 app's hot region, profiled and captured once per process.
+const std::vector<RegionFixture> &tableOneRegions() {
+  static const std::vector<RegionFixture> Regions = [] {
+    std::vector<RegionFixture> Out;
+    core::PipelineConfig Config;
+    for (workloads::Application &App : workloads::buildSuite()) {
+      core::IterativeCompiler Pipeline(Config);
+      core::IterativeCompiler::ProfiledApp P = Pipeline.profileApp(App);
+      EXPECT_TRUE(P.Region.has_value()) << App.Name;
+      if (!P.Region)
+        continue;
+      std::optional<core::CapturedRegion> C =
+          Pipeline.captureRegion(*P.Instance, *P.Region);
+      EXPECT_TRUE(C.has_value()) << App.Name;
+      if (!C)
+        continue;
+      Out.push_back(RegionFixture{std::move(App), *P.Region, std::move(*C)});
+    }
+    return Out;
+  }();
+  return Regions;
+}
+
+/// A small size budget, so that inlining and unrolling genomes hit it.
+constexpr size_t MemoTestBudget = 400;
+
+/// o3 plus \p Count seeded random genomes with aggressive genes on, so
+/// verifier errors and size-budget failures occur.
+std::vector<search::Genome> memoTestGenomes(uint64_t Salt, int Count) {
+  std::vector<search::Genome> Out;
+  search::Genome O3;
+  O3.Passes = o3Pipeline();
+  Out.push_back(O3);
+  search::GenomeConfig GC;
+  GC.AggressiveProb = 0.7;
+  for (int I = 0; I != Count; ++I) {
+    Rng R(Salt * 1000003 + static_cast<uint64_t>(I));
+    search::Genome G = search::randomGenome(R, GC);
+    for (int M = 0; M != 3; ++M)
+      search::mutate(G, R, GC);
+    Out.push_back(std::move(G));
+  }
+  return Out;
+}
+
+/// The reference compile: lir::compileAllLlvm with the memo's inputs.
+struct Compiled {
+  CompileStatus Status = CompileStatus::Ok;
+  vm::CodeCache Code;
+};
+
+Compiled referenceCompile(const RegionFixture &F, const search::Genome &G) {
+  CompileOptions Options;
+  Options.Pipeline = G.Passes;
+  Options.RegAlloc = G.RegAlloc;
+  Options.SizeBudget = MemoTestBudget;
+  Compiled Out;
+  Out.Status = compileAllLlvm(*F.App.File, F.Region.Methods, Options,
+                              Out.Code, &F.Captured.Profile);
+  return Out;
+}
+
+Compiled memoCompile(CompileMemo &Memo, const RegionFixture &F,
+                     const search::Genome &G) {
+  Compiled Out;
+  Out.Status =
+      Memo.compileAll(F.Region.Methods, G.Passes, G.RegAlloc, Out.Code);
+  return Out;
+}
+
+bool sameMachineInsn(const vm::MInsn &A, const vm::MInsn &B) {
+  return A.Op == B.Op && A.A == B.A && A.B == B.B && A.C == B.C &&
+         A.Target == B.Target && A.Idx == B.Idx && A.Site == B.Site &&
+         A.ImmI == B.ImmI &&
+         std::memcmp(&A.ImmF, &B.ImmF, sizeof(A.ImmF)) == 0 &&
+         A.Hint == B.Hint && A.ArgCount == B.ArgCount &&
+         std::equal(A.Args, A.Args + vm::MMaxArgs, B.Args);
+}
+
+bool sameMachineFunction(const vm::MachineFunction &A,
+                         const vm::MachineFunction &B) {
+  return A.Method == B.Method && A.Name == B.Name &&
+         A.NumRegs == B.NumRegs && A.ParamCount == B.ParamCount &&
+         A.ReturnsValue == B.ReturnsValue &&
+         A.Code.size() == B.Code.size() &&
+         std::equal(A.Code.begin(), A.Code.end(), B.Code.begin(),
+                    sameMachineInsn);
+}
+
+/// Same status and, method by method, identical machine code.
+bool sameCompile(const Compiled &A, const Compiled &B) {
+  if (A.Status != B.Status || A.Code.size() != B.Code.size())
+    return false;
+  for (const auto &KV : A.Code.functions()) {
+    const vm::MachineFunction *Other = B.Code.lookup(KV.first);
+    if (!Other || !sameMachineFunction(*KV.second, *Other))
+      return false;
+  }
+  return true;
+}
+
+std::unique_ptr<CompileMemo> memoFor(const RegionFixture &F) {
+  return std::make_unique<CompileMemo>(*F.App.File, F.Captured.Profile,
+                                       MemoTestBudget);
+}
+
+} // namespace
+
+TEST(CompileMemo, MatchesReferenceOnEveryApp) {
+  const std::vector<RegionFixture> &Regions = tableOneRegions();
+  ASSERT_EQ(Regions.size(), 21u);
+  std::map<CompileStatus, int> Seen;
+  for (const RegionFixture &F : Regions) {
+    std::vector<search::Genome> Genomes = memoTestGenomes(1, 30);
+    std::vector<Compiled> Reference;
+    for (const search::Genome &G : Genomes)
+      Reference.push_back(referenceCompile(F, G));
+
+    std::unique_ptr<CompileMemo> Memo = memoFor(F);
+    for (size_t N = 0; N != Genomes.size(); ++N) {
+      EXPECT_TRUE(sameCompile(memoCompile(*Memo, F, Genomes[N]),
+                              Reference[N]))
+          << F.App.Name << " first pass: " << Genomes[N].name();
+      ++Seen[Reference[N].Status];
+    }
+    // Second pass: the transition table is never evicted, so every pass
+    // application is a table hit.
+    CompileMemoStats First = Memo->stats();
+    for (size_t N = 0; N != Genomes.size(); ++N)
+      EXPECT_TRUE(sameCompile(memoCompile(*Memo, F, Genomes[N]),
+                              Reference[N]))
+          << F.App.Name << " second pass: " << Genomes[N].name();
+    CompileMemoStats Second = Memo->stats();
+    EXPECT_EQ(Second.TransitionMisses, First.TransitionMisses) << F.App.Name;
+    EXPECT_GT(Second.TransitionHits, First.TransitionHits) << F.App.Name;
+    EXPECT_GT(Second.CodegenHits, First.CodegenHits) << F.App.Name;
+  }
+  // The inputs exercise every outcome the memo records.
+  EXPECT_GT(Seen[CompileStatus::Ok], 0);
+  EXPECT_GT(Seen[CompileStatus::VerifierError], 0);
+  EXPECT_GT(Seen[CompileStatus::SizeBudget], 0);
+}
+
+TEST(CompileMemo, EvictsAndRecomputesPastTheBudget) {
+  const std::vector<RegionFixture> &Regions = tableOneRegions();
+  auto FFT = std::find_if(Regions.begin(), Regions.end(),
+                          [](const RegionFixture &F) {
+                            return F.App.Name == "FFT";
+                          });
+  ASSERT_NE(FFT, Regions.end());
+  std::vector<search::Genome> Genomes = memoTestGenomes(2, 400);
+  std::unique_ptr<CompileMemo> Memo = memoFor(*FFT);
+  // Two passes: the second re-walks states the first pass evicted.
+  for (int Pass = 0; Pass != 2; ++Pass)
+    for (const search::Genome &G : Genomes)
+      EXPECT_TRUE(
+          sameCompile(memoCompile(*Memo, *FFT, G), referenceCompile(*FFT, G)))
+          << "pass " << Pass << ": " << G.name();
+  CompileMemoStats S = Memo->stats();
+  EXPECT_GT(S.Evictions, 0u);
+  EXPECT_GT(S.Recomputes, 0u);
+  EXPECT_GT(S.ResidentBytes, 0u);
+  EXPECT_LE(CompileMemo::processResidentBytes(), uint64_t(3) << 20);
+}
+
+TEST(CompileMemo, ConcurrentWorkersShareOneMemo) {
+  constexpr int Threads = 4;
+  for (const RegionFixture &F : tableOneRegions()) {
+    std::vector<search::Genome> Genomes = memoTestGenomes(3, 30);
+    std::vector<Compiled> Reference;
+    for (const search::Genome &G : Genomes)
+      Reference.push_back(referenceCompile(F, G));
+
+    std::unique_ptr<CompileMemo> Memo = memoFor(F);
+    std::atomic<int> Mismatches{0};
+    std::vector<std::thread> Workers;
+    for (int T = 0; T != Threads; ++T)
+      Workers.emplace_back([&, T] {
+        // Each worker starts at its own offset, so the workers race to
+        // create the same states from different sides.
+        for (size_t K = 0; K != Genomes.size(); ++K) {
+          size_t N = (K + static_cast<size_t>(T) * Genomes.size() / Threads) %
+                     Genomes.size();
+          if (!sameCompile(memoCompile(*Memo, F, Genomes[N]), Reference[N]))
+            ++Mismatches;
+        }
+      });
+    for (std::thread &W : Workers)
+      W.join();
+    EXPECT_EQ(Mismatches.load(), 0) << F.App.Name;
+  }
+}
+
+// --- Golden binary hashes ------------------------------------------------------
+//
+// RegionEvaluator::compileGenome(G).BinaryHash for o3 plus ten seeded
+// genomes per Table-1 app, pinned when the compile memo landed. Any pass,
+// codegen or register-allocation edit that changes emitted code changes a
+// hash here; such an edit must update this table on purpose.
+
+TEST(GoldenBinaryHash, MatchesPinnedValues) {
+  struct GoldenRow {
+    const char *App;
+    std::vector<uint64_t> Hashes; ///< o3, then genomes 0..9; 0 = failed.
+  };
+  const std::vector<GoldenRow> Golden = {
+    {"FFT",
+     {0xd4d846918cdc6216ull, 0x2a908166190c2879ull, 0x7cd88732f0286b3cull,
+      0x9efc9b7cc859f285ull, 0xd14c9684fec81c00ull, 0x8a43d6560cc2835eull,
+      0x4996a0624e438ffdull, 0x63d9cd60174828f6ull, 0x2a0a278f7d667cb1ull,
+      0x0000000000000000ull, 0x71fbd7c5411cc153ull}},
+    {"SOR",
+     {0xe035b4fa433a919cull, 0x801eef2194fbaf29ull, 0x6a59015035247250ull,
+      0xa11c9cb828664cb6ull, 0x6e176a7d77cde8a8ull, 0x5d372f5e3bc6052dull,
+      0x8576046e0a92c4d4ull, 0xa7d80b231d3b6746ull, 0xc980326ad0d2bfdaull,
+      0x0000000000000000ull, 0xc6a9ec2e1aa1863dull}},
+    {"MonteCarlo",
+     {0x3a64da4e4d0a0063ull, 0x089b26ca00546527ull, 0x9500024e8e53d909ull,
+      0x7a729ed339f29586ull, 0x089b26ca00546527ull, 0xbf2f1cde262d2197ull,
+      0x154c2dd5ce259afcull, 0x9500024e8e53d909ull, 0xa7d90da5be08aa88ull,
+      0x089b26ca00546527ull, 0x7ffa4438c50fffe3ull}},
+    {"Sparse matmult",
+     {0xbba95c6b8e8661dcull, 0xc6df6211be142a7full, 0x233f2d86da9641f2ull,
+      0x9c6ca92863b9e6f5ull, 0x4a224af4221435c6ull, 0xfd070493f8c1fc8bull,
+      0x0eb6b1679236c0dbull, 0x233f2d86da9641f2ull, 0xeb7f7fcfa2435024ull,
+      0x0000000000000000ull, 0xd98b62211812733eull}},
+    {"LU",
+     {0xb1590e40bac522c6ull, 0x093ea7163f4de83bull, 0xe20d59c8c2cb5421ull,
+      0x5c5181a261f247d1ull, 0x8c39d2082886706eull, 0x0000000000000000ull,
+      0x53018ee0d4bb66e7ull, 0xe20d59c8c2cb5421ull, 0xf895132409041dc9ull,
+      0x093ea7163f4de83bull, 0x0f723b412f5bf372ull}},
+    {"Sieve",
+     {0xf2ff0174cae8631dull, 0x9c7d416228d2068eull, 0x5e49744330a02973ull,
+      0xed2ec69ccf160cbdull, 0xf44812e1213b85eaull, 0x269a6849dda2f9a9ull,
+      0xfd880285f0e75415ull, 0xbab2a870dd268007ull, 0xe244ca9129ce4befull,
+      0xe75622c70a2439adull, 0x20b69548425e7d43ull}},
+    {"BubbleSort",
+     {0xe786f0a0596a9b6bull, 0x769cbc7199d18709ull, 0x8d957ecc3a94fb5dull,
+      0xe9458598ac43f06full, 0x89676f45631b4ea7ull, 0x37ed2bfeb5c9c866ull,
+      0x3200492a39d351f6ull, 0x8a91bef0953e8cbdull, 0x1fabb9b90af49636ull,
+      0x0000000000000000ull, 0x2e7a8f2cd12e4d23ull}},
+    {"SelectionSort",
+     {0x74a31b1b96ef72a7ull, 0x343ded9f5c8f3ef4ull, 0xbdebf36274f9ee8aull,
+      0x92b2ee059fd96511ull, 0xfb170820902395aaull, 0xe54cad7db5adb384ull,
+      0xc180896f3daf506dull, 0x1d557564ae0b5ec8ull, 0xe62f8d7a4339c311ull,
+      0xcac11b6aa5469c51ull, 0xc1227255bc608eedull}},
+    {"Linpack",
+     {0xeb5f79b0580e5adfull, 0x3dae4622867284e2ull, 0xa92af86a6e0ff66dull,
+      0x3c77a9096747001full, 0x16e5f5cea3306d69ull, 0x0000000000000000ull,
+      0xc093435a12821ff8ull, 0x0f3cd818c113afd1ull, 0xd11c56d174cb3adeull,
+      0x9ab21ae011b8a3a6ull, 0x5242c9b0a45d5a82ull}},
+    {"Fibonacci.iter",
+     {0xd514616dd7caf28cull, 0x16467cca6eb4dfd0ull, 0x0b620dba33c9722eull,
+      0x5fcd2d8a62efb6a4ull, 0x16467cca6eb4dfd0ull, 0x78a228311e39644bull,
+      0xb619cbe29e625118ull, 0x715874aec69581edull, 0x9336bc59faec7c13ull,
+      0x5fcd2d8a62efb6a4ull, 0x4484aa43f9d5a1d7ull}},
+    {"Fibonacci.recv",
+     {0xabd32c5200551790ull, 0xcf55ec024099cf7eull, 0xfdee02bd85631a37ull,
+      0x569863f67573aba9ull, 0x8f54a94baceee230ull, 0x6f1eb64d2a09ffbbull,
+      0xfdee02bd85631a37ull, 0xfd0498dca0c07a7bull, 0x0000000000000000ull,
+      0x91df4999e43cdabaull, 0x96372531a2b7e2e8ull}},
+    {"Dhrystone",
+     {0xdbf646482c3e2143ull, 0xa26b05522b20cdabull, 0xbe6161ef58d1eeccull,
+      0x733d972265b238c6ull, 0x1f3af1d91a98d2dfull, 0xfdad29bba95ee4ddull,
+      0x40220deb6770c08dull, 0x5e6fdf1154fe9a0aull, 0xd545d1e958e71fb8ull,
+      0xc463c317feb925c9ull, 0x0fc36f974579662dull}},
+    {"MaterialLife",
+     {0x1fc734dc1144ed71ull, 0xf7701f880f780471ull, 0x478017e1d2a0b2e6ull,
+      0x4dee173778e040c0ull, 0x46f77de7754ab355ull, 0xb88220e418dc6f38ull,
+      0xf438a8f30e4fc4adull, 0xf94ef8f1fa0227dfull, 0x0110d6b8b8d541b2ull,
+      0x0000000000000000ull, 0x27b4e9c73f63686bull}},
+    {"4inaRow",
+     {0xdaab5b2c648e1f01ull, 0xfb15c125ed27f566ull, 0x928dc4659b0f2df8ull,
+      0x353a6eee0826cfabull, 0x6e4eb1df3ab623edull, 0xb0ba0bd332ce7a69ull,
+      0x1d6e349985ff3c49ull, 0x358d5a2cc56c38cfull, 0xa036c52dc249b593ull,
+      0x0000000000000000ull, 0x67f0d6c25330d4edull}},
+    {"DroidFish",
+     {0x033922d0da63e2ffull, 0x83ca94bc7c670ec1ull, 0x0bec94052617e41cull,
+      0x2d99f47d5ffc1539ull, 0x4881f97746d6f6b6ull, 0xe97d1646b7bb6990ull,
+      0x80b7b9e688c7006aull, 0xce909c89df0262deull, 0xf4249d7b47c0571full,
+      0x0000000000000000ull, 0xd847414a93102709ull}},
+    {"ColorOverflow",
+     {0x39ff1c81f2b71354ull, 0x4ac30216692a5f71ull, 0xe0393e963673b837ull,
+      0xe2d96fab3e2e89d4ull, 0xf6cc7c416bfccc80ull, 0xec8ba333be3e9110ull,
+      0x8e9b1aa0d349cf9cull, 0xa66ffd1535bd39b6ull, 0x433a91c251001b59ull,
+      0x0000000000000000ull, 0xe764d109b7d8e25bull}},
+    {"Brainstonz",
+     {0x5e252cb86e760e5cull, 0x447a46a67eba0033ull, 0xf6d0569efadfbab5ull,
+      0xcbff06530e9d241eull, 0x8ee947c73e7ad7e2ull, 0x205e84085d80a93bull,
+      0x7427c1e6dba26944ull, 0xd03d1054087cb930ull, 0x8b0e93544ffbcdf6ull,
+      0xfe43ba246dff366eull, 0x05eea186b4823222ull}},
+    {"Blokish",
+     {0x4ab2168561109187ull, 0xae369100bfefb996ull, 0x45e66b767eae3bb3ull,
+      0x5abb8497f1a96d14ull, 0xae369100bfefb996ull, 0xd27a0c8f4950abcfull,
+      0x8a1d9d938a0926beull, 0xa570bcecbe7c41e4ull, 0x36f761ffb034d648ull,
+      0x0000000000000000ull, 0x7c9bac01a03f9016ull}},
+    {"Svarka Calculator",
+     {0x77115da2e80beef7ull, 0x5a78aac780142575ull, 0xae0704ab04eaa627ull,
+      0x929490e7e3729225ull, 0x844d560d5cfa9599ull, 0x0ea95924f276c06full,
+      0x24447e53443deb72ull, 0xae0704ab04eaa627ull, 0x09083c80bd56cc58ull,
+      0x16d0671b0121f689ull, 0xdec9810dfe517d0cull}},
+    {"Reversi Android",
+     {0xc1eb1451a6cf0047ull, 0x63400f829642fc44ull, 0x93e026464cb94807ull,
+      0x106aeb81db3dbef0ull, 0x12dc1d4fd5c716dbull, 0x1963682d1fc6f670ull,
+      0xc8c2937a076ebdddull, 0x73a4fee7e16bf963ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0xd52414f6a98bdf4bull}},
+    {"Poker Odds (Vitosha)",
+     {0x5602087154a15b30ull, 0x8b46cc44cdafcc87ull, 0x95bcf4a5113cbf68ull,
+      0xfd136f51eb568430ull, 0x14e9e741f4bfd063ull, 0xcc5cf021cc24bd0bull,
+      0x0ecb794169a7f8d6ull, 0x95bcf4a5113cbf68ull, 0x5ee4870bf0fada78ull,
+      0x0000000000000000ull, 0xfaf880e87743ac7eull}},
+  };
+
+  core::PipelineConfig Config;
+  const std::vector<RegionFixture> &Regions = tableOneRegions();
+  ASSERT_EQ(Regions.size(), Golden.size());
+  for (size_t A = 0; A != Regions.size(); ++A) {
+    const RegionFixture &F = Regions[A];
+    const GoldenRow &Row = Golden[A];
+    ASSERT_EQ(F.App.Name, Row.App);
+    core::RegionEvaluator Eval(F.App, F.Region, F.Captured.Cap,
+                               F.Captured.Map, F.Captured.Profile, Config);
+    std::vector<search::Genome> Genomes(1);
+    Genomes[0].Passes = o3Pipeline();
+    for (int I = 0; I != 10; ++I) {
+      Rng R(static_cast<uint64_t>(I) * 7919 + 101);
+      Genomes.push_back(search::randomGenome(R, search::GenomeConfig()));
+    }
+    ASSERT_EQ(Row.Hashes.size(), Genomes.size());
+    for (size_t N = 0; N != Genomes.size(); ++N)
+      EXPECT_EQ(Eval.compileGenome(Genomes[N]).BinaryHash, Row.Hashes[N])
+          << Row.App << " genome " << N << ": " << Genomes[N].name();
+  }
 }

@@ -192,6 +192,29 @@ TEST(RunReport, RoundTripsThroughRunDirectory) {
   EXPECT_NE(Summary.find("report_tests"), std::string::npos);
 }
 
+TEST(RunReport, SummarizeReportsCompileMemoReuse) {
+  report::LoadedRun Run;
+  Run.Dir = "memo-run";
+  Run.Manifest = json::parse("{\"tool\":\"t\",\"seed\":1,\"jobs\":2}").value();
+  Run.Metrics =
+      json::parse("{\"counters\":{\"compile.memo_transition_hits\":75,"
+                  "\"compile.memo_transition_misses\":25,"
+                  "\"compile.memo_codegen_hits\":1,"
+                  "\"compile.memo_codegen_misses\":3,"
+                  "\"compile.memo_evictions\":7,"
+                  "\"compile.memo_recomputes\":2}}")
+          .value();
+  Run.HasMetrics = true;
+  EXPECT_NE(report::summarize(Run).find(
+                "compile memo: 75.0% of 100 pass applications reused, "
+                "codegen 25.0% of 4 verified methods reused, 7 evictions, "
+                "2 recomputes\n"),
+            std::string::npos);
+  // No metrics.json (an observability-off build): no memo line.
+  Run.HasMetrics = false;
+  EXPECT_EQ(report::summarize(Run).find("compile memo"), std::string::npos);
+}
+
 TEST(RunReport, LoadRunFailsOnMissingDirectory) {
   support::Result<report::LoadedRun> R =
       report::loadRun("/nonexistent/run/dir");

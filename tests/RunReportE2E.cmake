@@ -66,6 +66,14 @@ endif()
 if(NOT Out MATCHES "Sieve")
   message(FATAL_ERROR "summary does not mention the app:\n${Out}")
 endif()
+# The compile memo's counters reach metrics.json (and only metrics.json).
+if(NOT Out MATCHES "compile memo: [0-9.]+% of [0-9]+ pass applications")
+  message(FATAL_ERROR "summary has no compile memo line:\n${Out}")
+endif()
+file(READ "${RunA}/evaluations.jsonl" Evals)
+if(Evals MATCHES "memo")
+  message(FATAL_ERROR "compile memo counters leaked into evaluations.jsonl")
+endif()
 
 # The tentpole guarantee: byte-identical provenance at any --jobs.
 execute_process(
