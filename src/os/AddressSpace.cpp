@@ -31,16 +31,37 @@ const char *os::mappingKindName(MappingKind Kind) {
 void AddressSpace::mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
                              MappingKind Kind, const std::string &Name) {
   assert(Size > 0 && "empty mapping");
+  mapPages(Start, roundUpToPage(Size) / PageSize, Prot, nullptr, Kind, Name);
+}
+
+void AddressSpace::mapShared(uint64_t Start,
+                             const std::vector<PhysPageRef> &Backing,
+                             uint8_t Prot, MappingKind Kind,
+                             const std::string &Name) {
+  assert(!Backing.empty() && "empty mapping");
+  mapPages(Start, Backing.size(), Prot, Backing.data(), Kind, Name);
+}
+
+void AddressSpace::mapPages(uint64_t Start, uint64_t NumPages, uint8_t Prot,
+                            const PhysPageRef *Backing, MappingKind Kind,
+                            const std::string &Name) {
   assert(Start == pageBase(Start) && "mapping start must be page aligned");
-  uint64_t Bytes = roundUpToPage(Size);
   uint64_t FirstPage = pageNumber(Start);
-  uint64_t NumPages = Bytes / PageSize;
-  for (uint64_t P = FirstPage; P != FirstPage + NumPages; ++P) {
-    assert(Pages.count(P) == 0 && "mapping overlaps existing pages");
+  for (uint64_t I = 0; I != NumPages; ++I) {
+    assert(Pages.count(FirstPage + I) == 0 &&
+           "mapping overlaps existing pages");
     PageEntry Entry;
-    Entry.Prot = Prot; // backing allocated lazily on first write
-    Pages.emplace(P, std::move(Entry));
+    // Without backing the page materializes lazily on first write; shared
+    // backing is copied by ensurePrivate on the first write while anyone
+    // else still holds the page.
+    if (Backing) {
+      assert(Backing[I] && "shared backing page is null");
+      Entry.Phys = Backing[I];
+    }
+    Entry.Prot = Prot;
+    Pages.emplace(FirstPage + I, std::move(Entry));
   }
+  uint64_t Bytes = NumPages * PageSize;
   Mapping M;
   M.Start = Start;
   M.End = Start + Bytes;

@@ -87,6 +87,14 @@ public:
   void mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
                  MappingKind Kind, const std::string &Name);
 
+  /// Maps one page per entry of \p Backing at \p Start, sharing those
+  /// physical pages instead of allocating new ones — the same sharing
+  /// forkClone() sets up, so the first write to a page copies it through
+  /// the Copy-on-Write path as long as someone else still holds it. The
+  /// range must not overlap an existing mapping.
+  void mapShared(uint64_t Start, const std::vector<PhysPageRef> &Backing,
+                 uint8_t Prot, MappingKind Kind, const std::string &Name);
+
   /// Unmaps every page in [Start, Start+Size). Pages outside any mapping
   /// are ignored. Mappings fully contained in the range are removed;
   /// partial overlap shrinks the mapping bookkeeping conservatively.
@@ -221,6 +229,12 @@ private:
     PhysPageRef Phys;
     uint8_t Prot = ProtNone;
   };
+
+  /// Maps \p NumPages pages at \p Start, backed by \p Backing (one ref
+  /// per page) or, when null, by lazily materialized zero pages.
+  void mapPages(uint64_t Start, uint64_t NumPages, uint8_t Prot,
+                const PhysPageRef *Backing, MappingKind Kind,
+                const std::string &Name);
 
   /// Ensures this space holds a private, materialized copy of page
   /// \p PageNum before writing; records it in the dirty set while a

@@ -2,12 +2,15 @@
 
 #include "replay/Replayer.h"
 
+#include "support/Format.h"
 #include "support/Metrics.h"
 #include "support/Random.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
+#include <optional>
 #include <set>
 
 using namespace ropt;
@@ -47,6 +50,73 @@ uint64_t findFreeArea(const capture::Capture &Cap, uint64_t From,
   }
 }
 
+/// Captures are read back from storage, so the loader assumes nothing a
+/// truncated or bit-flipped file could break: the entry must name a real
+/// method with its arity; mappings must be page-aligned, non-empty, sorted,
+/// disjoint and inside the simulated 4 GiB address space; at most one may
+/// be the runtime image, and it must cover exactly the range the shared
+/// image pages fill; every captured page must be one whole page inside a
+/// mapping. Returns the first violation, naming the offending mapping.
+std::optional<support::Error> checkLayout(const capture::Capture &Cap,
+                                          const dex::DexFile &File) {
+  auto Fail = [](std::string Message) {
+    return support::Error{support::ErrorCode::CaptureFailed,
+                          std::move(Message)};
+  };
+  auto Describe = [](const Mapping &M) {
+    return format("capture mapping '%s' [%#llx, %#llx)", M.Name.c_str(),
+                  static_cast<unsigned long long>(M.Start),
+                  static_cast<unsigned long long>(M.End));
+  };
+
+  if (Cap.Root >= File.methods().size())
+    return Fail(format("capture root method %u is not in the dex file",
+                       Cap.Root));
+  if (Cap.Args.size() != File.method(Cap.Root).ParamCount)
+    return Fail(format("capture passes %zu arguments to method %u, which "
+                       "takes %u",
+                       Cap.Args.size(), Cap.Root,
+                       static_cast<unsigned>(
+                           File.method(Cap.Root).ParamCount)));
+
+  constexpr uint64_t AddressLimit = 1ULL << 32;
+  bool SeenImage = false;
+  uint64_t PrevEnd = 0;
+  for (const Mapping &M : Cap.Mappings) {
+    if (M.Start != os::pageBase(M.Start) || M.End != os::pageBase(M.End) ||
+        M.Start >= M.End || M.End > AddressLimit)
+      return Fail(Describe(M) + " is not a page-aligned range below 4 GiB");
+    if (M.Start < PrevEnd)
+      return Fail(Describe(M) + " overlaps the mapping before it");
+    PrevEnd = M.End;
+    if (M.Kind != MappingKind::RuntimeImage)
+      continue;
+    if (SeenImage)
+      return Fail(Describe(M) + " is a second runtime-image mapping");
+    if (M.Start != vm::Layout::RuntimeImageBase ||
+        M.sizeBytes() != vm::Layout::RuntimeImageSize)
+      return Fail(format(
+          "%s is not the runtime image range [%#llx, %#llx)",
+          Describe(M).c_str(),
+          static_cast<unsigned long long>(vm::Layout::RuntimeImageBase),
+          static_cast<unsigned long long>(vm::Layout::RuntimeImageBase +
+                                          vm::Layout::RuntimeImageSize)));
+    SeenImage = true;
+  }
+
+  for (const capture::PageRecord &P : Cap.Pages) {
+    bool Inside =
+        std::any_of(Cap.Mappings.begin(), Cap.Mappings.end(),
+                    [&P](const Mapping &M) { return M.contains(P.Addr); });
+    if (P.Addr != os::pageBase(P.Addr) || P.Bytes.size() != PageSize ||
+        !Inside)
+      return Fail(format("captured page %#llx is not one whole page inside "
+                         "a capture mapping",
+                         static_cast<unsigned long long>(P.Addr)));
+  }
+  return std::nullopt;
+}
+
 /// Observer that collects the verification map's write set and the type
 /// profile during the interpreted replay.
 class RecordingObserver : public vm::ExecObserver {
@@ -62,29 +132,6 @@ public:
 };
 
 } // namespace
-
-os::AddressSpace &Replayer::bootTemplate(const capture::Capture &Cap) {
-  auto It = BootTemplates.find(Cap.BootId);
-  if (It != BootTemplates.end())
-    return It->second;
-
-  AddressSpace Template;
-  Rng ImageRng(0xb007ULL * 2654435761ULL + Cap.BootId);
-  for (const Mapping &M : Cap.Mappings) {
-    if (M.Kind != MappingKind::RuntimeImage)
-      continue;
-    Template.mapRegion(M.Start, M.sizeBytes(), os::ProtRead, M.Kind,
-                       M.Name);
-    for (uint64_t Offset = 0; Offset < M.sizeBytes(); Offset += 64) {
-      uint64_t Words[8];
-      for (uint64_t &W : Words)
-        W = ImageRng.next();
-      (void)Template.poke(M.Start + Offset, Words, sizeof(Words));
-    }
-  }
-  return BootTemplates.emplace(Cap.BootId, std::move(Template))
-      .first->second;
-}
 
 uint64_t Replayer::captureFingerprint(const capture::Capture &Cap) {
   // FNV-1a over the capture's structure plus a light content sample: a
@@ -122,13 +169,15 @@ uint64_t Replayer::captureFingerprint(const capture::Capture &Cap) {
   return H;
 }
 
-os::AddressSpace Replayer::buildRestoredSpace(const capture::Capture &Cap,
-                                              LoaderStats &Loader) {
-  // Start from the per-boot template: runtime-image pages shared CoW.
-  AddressSpace Space = bootTemplate(Cap).forkClone();
+support::Result<AddressSpace>
+Replayer::buildRestoredSpace(const capture::Capture &Cap,
+                             LoaderStats &Loader) {
+  if (std::optional<support::Error> Bad = checkLayout(Cap, File))
+    return std::move(*Bad);
+  AddressSpace Space;
 
   // --- Stage 0: the loader occupies an ASLR-randomized base, chosen
-  // below the runtime image so it never lands on template pages but can
+  // below the runtime image so it never lands on image pages but can
   // genuinely collide with code/data/heap mappings. --------------------
   uint64_t LoaderBase =
       os::pageBase(0x10000000 + AslrRng.below(0x58000000));
@@ -143,8 +192,12 @@ os::AddressSpace Replayer::buildRestoredSpace(const capture::Capture &Cap,
 
   for (const Mapping &M : Cap.Mappings) {
     if (M.Kind == MappingKind::RuntimeImage) {
+      // The boot's shared image pages, never copied (checkLayout pinned
+      // the range to the image's size).
+      Space.mapShared(M.Start, vm::Runtime::runtimeImage(Cap.BootId),
+                      os::ProtRead, M.Kind, M.Name);
       Loader.CommonPagesMapped += M.pageCount();
-      continue; // mapped via the boot template
+      continue;
     }
     bool CollidesWithLoader =
         M.Start < LoaderBase + LoaderPages * PageSize &&
@@ -241,7 +294,7 @@ static void emitLoaderMetrics(const LoaderStats &L) {
   ROPT_METRIC_ADD("replay.collisions_handled", L.CollidingPages);
 }
 
-ReplayResult Replayer::replayImpl(
+support::Result<ReplayResult> Replayer::replayImpl(
     const capture::Capture &Cap, ReplayCode Mode,
     const vm::CodeCache *Code, vm::ExecObserver *Observer,
     const std::function<void(AddressSpace &, const vm::CallResult &)>
@@ -250,7 +303,10 @@ ReplayResult Replayer::replayImpl(
   ReplayResult Out;
 
   if (!SessionMode) {
-    AddressSpace Space = buildRestoredSpace(Cap, Out.Loader);
+    support::Result<AddressSpace> Built = buildRestoredSpace(Cap, Out.Loader);
+    if (!Built)
+      return Built.error();
+    AddressSpace &Space = Built.value();
     emitLoaderMetrics(Out.Loader);
     runRegion(Space, Cap, Mode, Code, Observer, Out);
     ++SessStats.FreshReplays;
@@ -273,7 +329,10 @@ ReplayResult Replayer::replayImpl(
   }
   if (It == Sessions.end()) {
     Session S;
-    S.Space = buildRestoredSpace(Cap, S.Loader);
+    support::Result<AddressSpace> Built = buildRestoredSpace(Cap, S.Loader);
+    if (!Built)
+      return Built.error();
+    S.Space = std::move(Built).value();
     S.Space.takeSnapshot();
     S.Fingerprint = Fp;
     It = Sessions.emplace(&Cap, std::move(S)).first;
@@ -318,7 +377,13 @@ void Replayer::setSessionMode(bool On) {
 ReplayResult Replayer::replay(const capture::Capture &Cap, ReplayCode Mode,
                               const vm::CodeCache *Code,
                               vm::ExecObserver *Observer) {
-  return replayImpl(Cap, Mode, Code, Observer, nullptr);
+  support::Result<ReplayResult> Out =
+      replayImpl(Cap, Mode, Code, Observer, nullptr);
+  if (Out)
+    return std::move(Out).value();
+  ReplayResult Refused; // the loader refused the layout; nothing ran
+  Refused.Result.Trap = vm::TrapKind::MemoryFault;
+  return Refused;
 }
 
 support::Result<InterpretedReplayResult>
@@ -328,7 +393,7 @@ Replayer::interpretedReplay(const capture::Capture &Cap) {
   InterpretedReplayResult Out;
   RecordingObserver Obs;
 
-  Out.Replay = replayImpl(
+  support::Result<ReplayResult> Replay = replayImpl(
       Cap, ReplayCode::Interpreter, nullptr, &Obs,
       [&Obs, &Out](AddressSpace &Space, const vm::CallResult &Result) {
         (void)Result;
@@ -338,6 +403,9 @@ Replayer::interpretedReplay(const capture::Capture &Cap) {
             Out.Map.Cells[Addr] = Bits;
         }
       });
+  if (!Replay)
+    return Replay.error();
+  Out.Replay = std::move(Replay).value();
   Out.Profile = std::move(Obs.Profile);
 
   if (Out.Replay.Result.Trap == vm::TrapKind::Timeout)
@@ -359,7 +427,7 @@ Replayer::verifiedReplay(const capture::Capture &Cap,
                          const VerificationMap &Map) {
   ROPT_TRACE_SPAN("replay.verified");
   std::map<uint64_t, uint64_t> Observed;
-  ReplayResult Out = replayImpl(
+  support::Result<ReplayResult> Replay = replayImpl(
       Cap, ReplayCode::Compiled, &Code, nullptr,
       [&Map, &Observed](AddressSpace &Space, const vm::CallResult &R) {
         if (R.Trap != vm::TrapKind::None)
@@ -370,6 +438,9 @@ Replayer::verifiedReplay(const capture::Capture &Cap,
             Observed[KV.first] = Bits;
         }
       });
+  if (!Replay)
+    return Replay.error();
+  const ReplayResult &Out = Replay.value();
 
   if (Out.Result.Trap == vm::TrapKind::Timeout)
     return support::Error{support::ErrorCode::ReplayTimeout,
@@ -385,5 +456,5 @@ Replayer::verifiedReplay(const capture::Capture &Cap,
                           "verification map mismatch"};
   }
   ROPT_METRIC_INC("replay.verify_ok");
-  return Out;
+  return Replay;
 }

@@ -15,13 +15,14 @@
 /// pages that collide are staged at a free temporary location, the loader's
 /// break-free stub releases the loader pages, and the staged pages move to
 /// their final addresses — faithfully modelled over the simulated address
-/// space, with every step observable for tests.
+/// space, with every step observable for tests. The runtime image is not
+/// restored at all: every replay maps the boot's shared image pages
+/// (vm::Runtime::runtimeImage, DESIGN.md §19).
 ///
 /// **Replay sessions (fork-server mode, DESIGN.md §16).** With
 /// `setSessionMode(true)`, the Replayer keeps one pristine restored
-/// address space per capture: the boot template is forked once, the
-/// loader runs once, and a snapshot is taken of the final restored
-/// layout. Every replay then executes directly against that space and is
+/// address space per capture: the loader runs once, and a snapshot is
+/// taken of the final restored layout. Every replay then executes directly against that space and is
 /// followed by a dirty-page delta reset (`os::AddressSpace::
 /// resetToSnapshot`) that reverts exactly the pages the region wrote.
 /// Because the reset restores bit-identical pre-region memory and every
@@ -134,21 +135,27 @@ public:
 
   /// Replays \p Cap under \p Code (nullptr or Interpreter mode => pure
   /// interpretation). \p Observer, if given, sees the execution's heap
-  /// writes and dispatches.
+  /// writes and dispatches. A capture whose layout the loader refuses
+  /// (see interpretedReplay) runs nothing and reports a MemoryFault trap.
   ReplayResult replay(const capture::Capture &Cap, ReplayCode Mode,
                       const vm::CodeCache *Code,
                       vm::ExecObserver *Observer = nullptr);
 
   /// The interpreted replay: builds the verification map and the virtual
   /// call-site type profile (Section 3.4). Fails with ReplayCrash /
-  /// ReplayTimeout when the interpretation itself traps.
+  /// ReplayTimeout when the interpretation itself traps, and with
+  /// CaptureFailed, naming the offending mapping, when the capture's
+  /// layout cannot be rebuilt: e.g. a runtime-image mapping other than
+  /// exactly [Layout::RuntimeImageBase, +RuntimeImageSize), or a second
+  /// one, as a truncated or bit-flipped capture file may carry.
   support::Result<InterpretedReplayResult>
   interpretedReplay(const capture::Capture &Cap);
 
   /// Replays \p Cap with \p Code and checks the externally visible
   /// behaviour against \p Map. Succeeds only when behaviour matches (same
   /// written cells, same return value, no trap); otherwise the error code
-  /// says how it diverged: ReplayCrash, ReplayTimeout, or OutputMismatch.
+  /// says how it diverged: ReplayCrash, ReplayTimeout, or OutputMismatch
+  /// (or CaptureFailed for a layout the loader refuses, as above).
   support::Result<ReplayResult>
   verifiedReplay(const capture::Capture &Cap, const vm::CodeCache &Code,
                  const VerificationMap &Map);
@@ -169,6 +176,13 @@ public:
   /// Live sessions currently held (tests/benches).
   size_t liveSessions() const { return Sessions.size(); }
 
+  /// The pristine restored space of \p Cap's live session, or nullptr
+  /// (tests).
+  const os::AddressSpace *sessionSpace(const capture::Capture &Cap) const {
+    auto It = Sessions.find(&Cap);
+    return It == Sessions.end() ? nullptr : &It->second.Space;
+  }
+
 private:
   /// One fork-server process: the restored space snapshot plus the loader
   /// work that built it and a fingerprint to detect capture changes.
@@ -180,16 +194,17 @@ private:
 
   /// Core replay; \p PostRun (optional) observes the address space after
   /// the region finished, before teardown (or before the session reset).
-  ReplayResult
+  support::Result<ReplayResult>
   replayImpl(const capture::Capture &Cap, ReplayCode Mode,
              const vm::CodeCache *Code, vm::ExecObserver *Observer,
              const std::function<void(os::AddressSpace &,
                                       const vm::CallResult &)> &PostRun);
 
-  /// Stages 0-3: fork the boot template and run the loader dance until
-  /// the space holds exactly the captured layout. Fills \p Loader.
-  os::AddressSpace buildRestoredSpace(const capture::Capture &Cap,
-                                      LoaderStats &Loader);
+  /// Stages 0-3: check the captured layout, map the boot's shared runtime
+  /// image, and run the loader dance until the space holds exactly the
+  /// captured layout. Fills \p Loader.
+  support::Result<os::AddressSpace>
+  buildRestoredSpace(const capture::Capture &Cap, LoaderStats &Loader);
 
   /// Stage 4: execute the region in \p Space under the chosen code
   /// version with a fresh vm::Runtime; fills \p Out.Result and emits the
@@ -202,16 +217,10 @@ private:
   /// under a live session.
   static uint64_t captureFingerprint(const capture::Capture &Cap);
 
-  /// Per-boot template space holding the (immutable) runtime image; each
-  /// replay forks it so the 12 MiB of content is shared copy-on-write
-  /// instead of being regenerated per replay.
-  os::AddressSpace &bootTemplate(const capture::Capture &Cap);
-
   const dex::DexFile &File;
   const vm::NativeRegistry &Natives;
   vm::RuntimeConfig Config;
   Rng AslrRng;
-  std::map<uint64_t, os::AddressSpace> BootTemplates;
 
   bool SessionMode = false;
   std::map<const capture::Capture *, Session> Sessions;

@@ -30,7 +30,8 @@ namespace support {
 enum class ErrorCode {
   Unknown,
   CaptureNotReady, ///< takeCapture() before an armed capture completed.
-  CaptureFailed,   ///< The capture protocol never produced a snapshot.
+  CaptureFailed,   ///< The capture protocol never produced a snapshot,
+                   ///< or produced one the replay loader cannot rebuild.
   ReplayCrash,     ///< The replayed region trapped.
   ReplayTimeout,   ///< The replay exhausted its instruction budget.
   OutputMismatch,  ///< Verification-map divergence (wrong output).

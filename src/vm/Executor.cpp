@@ -165,15 +165,16 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       break;
 
     case MOpcode::MAddI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() + R[I.C].asI64());
+      // Java longs wrap: compute on the raw two's-complement bits.
+      R[I.A].Raw = R[I.B].Raw + R[I.C].Raw;
       charge(Costs.AluCycles);
       break;
     case MOpcode::MSubI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() - R[I.C].asI64());
+      R[I.A].Raw = R[I.B].Raw - R[I.C].Raw;
       charge(Costs.AluCycles);
       break;
     case MOpcode::MMulI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() * R[I.C].asI64());
+      R[I.A].Raw = R[I.B].Raw * R[I.C].Raw;
       charge(Costs.MulCycles);
       break;
     case MOpcode::MDivI: {
@@ -221,7 +222,7 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       charge(Costs.AluCycles);
       break;
     case MOpcode::MNegI:
-      R[I.A] = Value::fromI64(-R[I.B].asI64());
+      R[I.A].Raw = 0 - R[I.B].Raw;
       charge(Costs.AluCycles);
       break;
 

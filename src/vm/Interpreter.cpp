@@ -122,15 +122,16 @@ Value Runtime::interpret(const dex::Method &M,
       break;
 
     case Opcode::AddI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() + R[I.C].asI64());
+      // Java longs wrap: compute on the raw two's-complement bits.
+      R[I.A].Raw = R[I.B].Raw + R[I.C].Raw;
       charge(CM.AluCycles);
       break;
     case Opcode::SubI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() - R[I.C].asI64());
+      R[I.A].Raw = R[I.B].Raw - R[I.C].Raw;
       charge(CM.AluCycles);
       break;
     case Opcode::MulI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() * R[I.C].asI64());
+      R[I.A].Raw = R[I.B].Raw * R[I.C].Raw;
       charge(CM.MulCycles);
       break;
     case Opcode::DivI:
@@ -169,7 +170,7 @@ Value Runtime::interpret(const dex::Method &M,
       charge(CM.AluCycles);
       break;
     case Opcode::NegI:
-      R[I.A] = Value::fromI64(-R[I.B].asI64());
+      R[I.A].Raw = 0 - R[I.B].Raw;
       charge(CM.AluCycles);
       break;
 

@@ -7,6 +7,9 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <mutex>
 
 using namespace ropt;
 using namespace ropt::vm;
@@ -40,7 +43,7 @@ void Runtime::mapStandardLayout(os::AddressSpace &Space,
                   MappingKind::Data, "statics");
   Space.mapRegion(Layout::HeapBase, Config.HeapLimitBytes,
                   ProtRead | ProtWrite, MappingKind::Heap, "dalvik-heap");
-  Space.mapRegion(Layout::RuntimeImageBase, Layout::RuntimeImageSize,
+  Space.mapShared(Layout::RuntimeImageBase, runtimeImage(Config.BootId),
                   ProtRead, MappingKind::RuntimeImage, "boot.art");
   Space.mapRegion(Layout::StackBase, Layout::StackSize,
                   ProtRead | ProtWrite, MappingKind::Stack, "stack");
@@ -57,19 +60,33 @@ void Runtime::mapStandardLayout(os::AddressSpace &Space,
   // Heap control block.
   Heap H(Space, Config.HeapLimitBytes, Config.GcThresholdBytes);
   H.initialize();
+}
 
-  // Runtime image: immutable objects identical for every process created
-  // during this boot. Content is a deterministic function of the boot id.
-  Rng ImageRng(0xb007ULL * 2654435761ULL + Config.BootId);
-  for (uint64_t Offset = 0; Offset < Layout::RuntimeImageSize;
-       Offset += 64) {
-    uint64_t Words[8];
-    for (uint64_t &W : Words)
-      W = ImageRng.next();
-    [[maybe_unused]] bool Ok = Space.poke(Layout::RuntimeImageBase + Offset,
-                                          Words, sizeof(Words));
-    assert(Ok && "runtime image mapping too small");
+const std::vector<os::PhysPageRef> &Runtime::runtimeImage(uint64_t BootId) {
+  // Node-based map: a returned vector never moves, and it is complete
+  // before the lock that built it is released.
+  static std::mutex Lock;
+  static std::map<uint64_t, std::vector<os::PhysPageRef>> Images;
+  std::lock_guard<std::mutex> Guard(Lock);
+  auto [It, Inserted] = Images.try_emplace(BootId);
+  std::vector<os::PhysPageRef> &Image = It->second;
+  if (!Inserted)
+    return Image;
+
+  // Consecutive words of the boot's stream fill the image front to back.
+  ROPT_METRIC_INC("vm.runtime_image_builds");
+  Rng ImageRng(0xb007ULL * 2654435761ULL + BootId);
+  Image.reserve(Layout::RuntimeImageSize / os::PageSize);
+  for (uint64_t Page = 0; Page != Layout::RuntimeImageSize / os::PageSize;
+       ++Page) {
+    auto Phys = std::make_shared<os::PhysicalPage>();
+    for (size_t Offset = 0; Offset != os::PageSize; Offset += 8) {
+      uint64_t Word = ImageRng.next();
+      std::memcpy(Phys->Data.data() + Offset, &Word, sizeof(Word));
+    }
+    Image.push_back(std::move(Phys));
   }
+  return Image;
 }
 
 void Runtime::noteBranchSlow(uint64_t Site, bool Taken) {

@@ -108,12 +108,22 @@ public:
           const NativeRegistry &Natives, RuntimeConfig Config);
 
   /// Maps the standard process layout into \p Space and initializes the
-  /// data segment (static fields), heap control block, and the
-  /// boot-deterministic runtime image. Call once for a fresh app process;
-  /// replay loaders restore captured pages instead.
+  /// data segment (static fields) and heap control block. The runtime
+  /// image is mapped shared from runtimeImage(Config.BootId). Call once
+  /// for a fresh app process; replay loaders restore captured pages
+  /// instead.
   static void mapStandardLayout(os::AddressSpace &Space,
                                 const dex::DexFile &Dex,
                                 const RuntimeConfig &Config);
+
+  /// The runtime image of boot \p BootId: Layout::RuntimeImageSize bytes
+  /// of immutable objects, a deterministic function of the boot id and
+  /// identical for every process of that boot. Built once per boot id on
+  /// first use (thread-safe) and kept for the life of the program; every
+  /// address space maps these same physical pages (AddressSpace::
+  /// mapShared). The table's own reference keeps each page shared, so a
+  /// write from any process copies the page instead of changing it.
+  static const std::vector<os::PhysPageRef> &runtimeImage(uint64_t BootId);
 
   /// Invokes \p Method with \p Args. Resets the per-call budget; cycle and
   /// instruction counts accumulate into the lifetime totals too.

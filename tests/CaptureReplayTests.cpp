@@ -1,6 +1,7 @@
 //===- tests/CaptureReplayTests.cpp - capture/ + replay/ tests --------------===//
 
 #include "capture/CaptureManager.h"
+#include "core/AppInstance.h"
 #include "core/IterativeCompiler.h"
 #include "workloads/Workloads.h"
 #include "hgraph/AndroidCompiler.h"
@@ -11,6 +12,8 @@
 #include "tests/TestPrograms.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace ropt;
 using namespace ropt::dex;
@@ -475,6 +478,145 @@ TEST(Replay, VerifiedReplayRejectsWrongBinary) {
   EXPECT_EQ(Bad2.error().Code, support::ErrorCode::OutputMismatch);
 }
 
+// A capture read back from a damaged file can carry any layout. Every
+// runtime-image mapping other than exactly [RuntimeImageBase,
+// +RuntimeImageSize) — shifted, resized, duplicated, or another mapping
+// retagged as the image — must fail with a typed error naming the
+// mapping, in both replay entry points and both loader modes, and never
+// reach an assert or map the shared image at the wrong size.
+TEST(Replay, HostileImageMappingsFailWithTypedError) {
+  StatefulApp App;
+  AppEnv Env(App.File);
+  Capture Cap = captureStep(App, Env, 50, 6);
+  vm::CodeCache Android;
+  hgraph::compileAllAndroid(App.File, {App.Step}, Android);
+
+  auto ImageIndex = [](const Capture &C) {
+    for (size_t I = 0; I != C.Mappings.size(); ++I)
+      if (C.Mappings[I].Kind == os::MappingKind::RuntimeImage)
+        return I;
+    return C.Mappings.size();
+  };
+  size_t Img = ImageIndex(Cap);
+  ASSERT_LT(Img, Cap.Mappings.size());
+  ASSERT_EQ(Cap.Mappings[Img].Name, "boot.art");
+
+  struct Mutation {
+    const char *What;
+    std::function<void(Capture &)> Apply;
+    const char *Named; ///< The mapping the error message must name.
+  };
+  const Mutation Mutations[] = {
+      {"start bit flipped",
+       [Img](Capture &C) {
+         C.Mappings[Img].Start ^= 1ULL << 20;
+         C.Mappings[Img].End ^= 1ULL << 20;
+       },
+       "boot.art"},
+      {"one page short",
+       [Img](Capture &C) { C.Mappings[Img].End -= os::PageSize; },
+       "boot.art"},
+      {"one page long",
+       [Img](Capture &C) { C.Mappings[Img].End += os::PageSize; },
+       "boot.art"},
+      {"second image mapping",
+       [Img](Capture &C) {
+         os::Mapping Extra = C.Mappings[Img];
+         Extra.Name = "boot-2.art";
+         Extra.Start = 0x90000000;
+         Extra.End = Extra.Start + vm::Layout::RuntimeImageSize;
+         C.Mappings.push_back(Extra); // above the stack: still sorted
+       },
+       "boot-2.art"},
+      {"heap retagged as image",
+       [](Capture &C) {
+         for (os::Mapping &M : C.Mappings)
+           if (M.Kind == os::MappingKind::Heap)
+             M.Kind = os::MappingKind::RuntimeImage;
+       },
+       "dalvik-heap"},
+  };
+
+  for (bool SessionMode : {false, true}) {
+    Replayer R(App.File, Env.Natives, Env.Config);
+    R.setSessionMode(SessionMode);
+    InterpretedReplayResult Good = R.interpretedReplay(Cap).value();
+    for (const Mutation &Mut : Mutations) {
+      SCOPED_TRACE(std::string(Mut.What) +
+                   (SessionMode ? " (session)" : " (fresh)"));
+      Capture Bad = Cap;
+      Mut.Apply(Bad);
+
+      support::Result<InterpretedReplayResult> IR = R.interpretedReplay(Bad);
+      ASSERT_FALSE(IR.ok());
+      EXPECT_EQ(IR.error().Code, support::ErrorCode::CaptureFailed);
+      EXPECT_NE(IR.error().Message.find(Mut.Named), std::string::npos)
+          << IR.error().Message;
+
+      support::Result<ReplayResult> VR =
+          R.verifiedReplay(Bad, Android, Good.Map);
+      ASSERT_FALSE(VR.ok());
+      EXPECT_EQ(VR.error().Code, support::ErrorCode::CaptureFailed);
+      EXPECT_NE(VR.error().Message.find(Mut.Named), std::string::npos)
+          << VR.error().Message;
+
+      // The raw entry point runs nothing and reports a memory fault.
+      ReplayResult Raw = R.replay(Bad, ReplayCode::Interpreter, nullptr);
+      EXPECT_EQ(Raw.Result.Trap, vm::TrapKind::MemoryFault);
+      EXPECT_EQ(Raw.Result.Insns, 0u);
+    }
+    // The intact capture still replays on the same Replayer.
+    EXPECT_TRUE(R.verifiedReplay(Cap, Android, Good.Map).ok());
+  }
+}
+
+// The rest of the loader's layout check: a damaged entry point, mapping
+// table or page record is refused the same way instead of asserting or
+// indexing out of range.
+TEST(Replay, HostileLayoutsFailWithTypedError) {
+  StatefulApp App;
+  AppEnv Env(App.File);
+  Capture Cap = captureStep(App, Env, 50, 6);
+  ASSERT_GE(Cap.Mappings.size(), 2u);
+  ASSERT_FALSE(Cap.Pages.empty());
+
+  struct Mutation {
+    const char *What;
+    std::function<void(Capture &)> Apply;
+    const char *Mentions;
+  };
+  const Mutation Mutations[] = {
+      {"root out of range",
+       [](Capture &C) { C.Root = 1u << 30; }, "root method"},
+      {"wrong arity", [](Capture &C) { C.Args.push_back(Value()); },
+       "arguments"},
+      {"unaligned mapping",
+       [](Capture &C) { C.Mappings[0].End += 1; }, "page-aligned"},
+      {"overlapping mappings",
+       [](Capture &C) { C.Mappings[1].Start = C.Mappings[0].Start; },
+       "overlaps"},
+      {"huge mapping",
+       [](Capture &C) { C.Mappings.back().End = 1ULL << 40; },
+       "below 4 GiB"},
+      {"page outside every mapping",
+       [](Capture &C) { C.Pages[0].Addr = 0x90000000; }, "captured page"},
+      {"short page", [](Capture &C) { C.Pages[0].Bytes.resize(100); },
+       "captured page"},
+  };
+  Replayer R(App.File, Env.Natives, Env.Config);
+  for (const Mutation &Mut : Mutations) {
+    SCOPED_TRACE(Mut.What);
+    Capture Bad = Cap;
+    Mut.Apply(Bad);
+    support::Result<InterpretedReplayResult> IR = R.interpretedReplay(Bad);
+    ASSERT_FALSE(IR.ok());
+    EXPECT_EQ(IR.error().Code, support::ErrorCode::CaptureFailed);
+    EXPECT_NE(IR.error().Message.find(Mut.Mentions), std::string::npos)
+        << IR.error().Message;
+  }
+  EXPECT_TRUE(R.interpretedReplay(Cap).ok());
+}
+
 TEST(Replay, TypeProfileFromInterpretedReplay) {
   DexBuilder B;
   testprogs::definePolyShapes(B);
@@ -791,5 +933,35 @@ TEST(Session, BitIdenticalAcrossWorkloads) {
     }
     EXPECT_EQ(Session.sessionStats().SessionsCreated, 1u);
     EXPECT_EQ(Session.sessionStats().SessionReplays, 3u);
+  }
+}
+
+// --- Shared runtime image ------------------------------------------------------
+
+// App processes and replay sessions of one boot map the very same physical
+// image pages: nothing is copied until someone writes.
+TEST(SharedRuntimeImage, ProcessesAndReplayerSessionsSharePages) {
+  workloads::Application Sieve = workloads::buildByName("Sieve");
+  core::AppInstance A(Sieve, /*Seed=*/1), B(Sieve, /*Seed=*/2);
+
+  StatefulApp App;
+  AppEnv Env(App.File);
+  Capture Cap = captureStep(App, Env, 50, 6);
+  Replayer R(App.File, Env.Natives, Env.Config);
+  R.setSessionMode(true);
+  ASSERT_TRUE(R.interpretedReplay(Cap).ok());
+  const os::AddressSpace *Session = R.sessionSpace(Cap);
+  ASSERT_NE(Session, nullptr);
+
+  ASSERT_EQ(Sieve.RtConfig.BootId, Cap.BootId);
+  const std::vector<os::PhysPageRef> &Image =
+      vm::Runtime::runtimeImage(Cap.BootId);
+  for (uint64_t K : {0u, 1u, 511u, 1500u, 3071u}) {
+    SCOPED_TRACE(K);
+    uint64_t Addr = vm::Layout::RuntimeImageBase + K * os::PageSize;
+    EXPECT_EQ(A.process().space().physicalPage(Addr), Image[K]);
+    EXPECT_EQ(B.process().space().physicalPage(Addr), Image[K]);
+    EXPECT_EQ(Session->physicalPage(Addr), Image[K]);
+    EXPECT_EQ(Env.Proc.space().physicalPage(Addr), Image[K]);
   }
 }

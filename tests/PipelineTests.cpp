@@ -8,6 +8,7 @@
 
 #include "core/IterativeCompiler.h"
 #include "core/OnlineEvaluator.h"
+#include "support/Metrics.h"
 #include "support/Statistics.h"
 
 #include <gtest/gtest.h>
@@ -55,6 +56,26 @@ TEST(Pipeline, EndToEndOnFFT) {
   // them: the counters record discarded failures.
   EXPECT_GT(Report.Counters.Ok, 0);
   EXPECT_GT(Report.Counters.total(), 40);
+}
+
+// Profile, capture, install-and-measure processes and every replayer of
+// a whole optimization map one shared runtime image: it is built at most
+// once per boot per process, even with parallel engine workers.
+TEST(Pipeline, RuntimeImageBuiltAtMostOnce) {
+#if ROPT_OBSERVABILITY
+  uint64_t Before =
+      Metrics::instance().snapshot().counter("vm.runtime_image_builds");
+  PipelineConfig Config = fastConfig();
+  Config.Search.Jobs = 2;
+  OptimizationReport Report =
+      IterativeCompiler(Config).optimize(buildByName("FFT"));
+  ASSERT_TRUE(Report.Succeeded) << Report.FailureReason;
+  uint64_t After =
+      Metrics::instance().snapshot().counter("vm.runtime_image_builds");
+  EXPECT_LE(After - Before, 1u);
+#else
+  GTEST_SKIP() << "needs the metrics registry (ROPT_OBSERVABILITY=1)";
+#endif
 }
 
 TEST(Pipeline, EndToEndOnInteractiveApp) {

@@ -1,13 +1,19 @@
 //===- tests/VmTests.cpp - vm/ unit tests ------------------------------------===//
 
 #include "dex/Builder.h"
+#include "hgraph/AndroidCompiler.h"
 #include "vm/Heap.h"
 #include "vm/Runtime.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <latch>
+#include <limits>
 #include <memory>
+#include <thread>
+#include <utility>
 
 using namespace ropt;
 using namespace ropt::dex;
@@ -684,4 +690,180 @@ TEST(Layout, RuntimeImageDependsOnlyOnBootId) {
 
   EXPECT_EQ(ImageBytes(1), ImageBytes(1));
   EXPECT_NE(ImageBytes(1), ImageBytes(2));
+}
+
+// --- Java long arithmetic -----------------------------------------------------
+
+// Java longs wrap on overflow. Both tiers must produce the wrapped two's-
+// complement bits — and without signed-overflow UB in the VM itself.
+TEST(LongArithmetic, OverflowWrapsIdenticallyInBothTiers) {
+  DexBuilder B;
+  auto Binary = [&B](const char *Name, auto Emit) {
+    MethodId M = B.declareFunction(InvalidId, Name, 2, true);
+    FunctionBuilder F = B.beginBody(M);
+    RegIdx D = F.newReg();
+    Emit(F, D, F.param(0), F.param(1));
+    F.ret(D);
+    B.endBody(F);
+    return M;
+  };
+  MethodId Add = Binary("add", [](FunctionBuilder &F, RegIdx D, RegIdx A,
+                                  RegIdx C) { F.addI(D, A, C); });
+  MethodId Sub = Binary("sub", [](FunctionBuilder &F, RegIdx D, RegIdx A,
+                                  RegIdx C) { F.subI(D, A, C); });
+  MethodId Mul = Binary("mul", [](FunctionBuilder &F, RegIdx D, RegIdx A,
+                                  RegIdx C) { F.mulI(D, A, C); });
+  MethodId Neg = Binary("neg", [](FunctionBuilder &F, RegIdx D, RegIdx A,
+                                  RegIdx) { F.negI(D, A); });
+  VmEnv Env(B.build());
+  hgraph::compileAllAndroid(Env.File, {Add, Sub, Mul, Neg},
+                            Env.RT->codeCache());
+
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  struct Case {
+    MethodId Method;
+    int64_t A, B, Expected;
+  };
+  const Case Cases[] = {
+      {Add, Max, 1, Min},  // Long.MAX_VALUE + 1
+      {Sub, Min, 1, Max},  // Long.MIN_VALUE - 1
+      {Mul, Min, -1, Min}, // Long.MIN_VALUE * -1
+      {Mul, Max, 2, -2},
+      {Neg, Min, 0, Min},  // -Long.MIN_VALUE
+  };
+  for (ExecMode Mode : {ExecMode::InterpretOnly, ExecMode::Mixed}) {
+    Env.RT->setMode(Mode);
+    for (const Case &C : Cases) {
+      CallResult R =
+          Env.RT->call(C.Method, {Value::fromI64(C.A), Value::fromI64(C.B)});
+      ASSERT_TRUE(R.ok());
+      EXPECT_EQ(R.Ret.asI64(), C.Expected)
+          << Env.File.method(C.Method).Name << "(" << C.A << ", " << C.B
+          << ") in mode " << static_cast<int>(Mode);
+    }
+  }
+}
+
+// --- Shared runtime image ------------------------------------------------------
+
+namespace {
+
+/// FNV-1a over \p Size bytes.
+uint64_t fnv1a(const uint8_t *Bytes, size_t Size) {
+  uint64_t H = 1469598103934665603ULL;
+  for (size_t I = 0; I != Size; ++I) {
+    H ^= Bytes[I];
+    H *= 1099511628211ULL;
+  }
+  return H;
+}
+
+/// FNV-1a over the image as \p Space maps it.
+uint64_t mappedImageHash(const os::AddressSpace &Space) {
+  std::vector<uint8_t> Bytes(Layout::RuntimeImageSize);
+  EXPECT_TRUE(
+      Space.peek(Layout::RuntimeImageBase, Bytes.data(), Bytes.size()));
+  return fnv1a(Bytes.data(), Bytes.size());
+}
+
+/// Image hashes of boots 1 and 2, computed before the image was shared
+/// (when every process generated a private copy).
+constexpr uint64_t Boot1ImageHash = 0x4d749b1462f10a03ULL;
+constexpr uint64_t Boot2ImageHash = 0xc0749e2be37ad642ULL;
+
+DexFile emptyDex() { return DexBuilder().build(); }
+
+} // namespace
+
+TEST(SharedRuntimeImage, BytesMatchThePrivateCopyGoldens) {
+  DexFile File = emptyDex();
+  for (auto [Boot, Golden] : {std::pair{1ULL, Boot1ImageHash},
+                               std::pair{2ULL, Boot2ImageHash}}) {
+    const std::vector<os::PhysPageRef> &Image = Runtime::runtimeImage(Boot);
+    ASSERT_EQ(Image.size() * os::PageSize, Layout::RuntimeImageSize);
+    std::vector<uint8_t> Bytes;
+    for (const os::PhysPageRef &Page : Image)
+      Bytes.insert(Bytes.end(), Page->Data.begin(), Page->Data.end());
+    EXPECT_EQ(fnv1a(Bytes.data(), Bytes.size()), Golden);
+
+    os::AddressSpace Space;
+    RuntimeConfig Config;
+    Config.BootId = Boot;
+    Runtime::mapStandardLayout(Space, File, Config);
+    EXPECT_EQ(mappedImageHash(Space), Golden);
+  }
+  // One table entry per boot: asking again returns the same pages.
+  EXPECT_EQ(&Runtime::runtimeImage(1), &Runtime::runtimeImage(1));
+}
+
+TEST(SharedRuntimeImage, PokeCopiesOnlyThatPage) {
+  DexFile File = emptyDex();
+  RuntimeConfig Config;
+  os::AddressSpace A, B;
+  Runtime::mapStandardLayout(A, File, Config);
+  Runtime::mapStandardLayout(B, File, Config);
+  const std::vector<os::PhysPageRef> &Image =
+      Runtime::runtimeImage(Config.BootId);
+
+  constexpr uint64_t Page = 5;
+  uint64_t Addr = Layout::RuntimeImageBase + Page * os::PageSize + 16;
+  uint64_t Old = 0;
+  std::memcpy(&Old, Image[Page]->Data.data() + 16, sizeof(Old));
+  uint64_t CowBefore = A.stats().CowCopies;
+  uint64_t New = ~Old;
+  ASSERT_TRUE(A.poke(Addr, &New, sizeof(New)));
+
+  EXPECT_EQ(A.stats().CowCopies, CowBefore + 1);
+  uint64_t Seen = 0;
+  ASSERT_TRUE(A.peek(Addr, &Seen, sizeof(Seen)));
+  EXPECT_EQ(Seen, New);
+  ASSERT_TRUE(B.peek(Addr, &Seen, sizeof(Seen)));
+  EXPECT_EQ(Seen, Old);
+  std::memcpy(&Seen, Image[Page]->Data.data() + 16, sizeof(Seen));
+  EXPECT_EQ(Seen, Old);
+
+  // Only the written page left the shared image.
+  for (uint64_t K = 0; K != Image.size(); ++K) {
+    uint64_t PageAddr = Layout::RuntimeImageBase + K * os::PageSize;
+    EXPECT_EQ(B.physicalPage(PageAddr), Image[K]);
+    if (K == Page)
+      EXPECT_NE(A.physicalPage(PageAddr), Image[K]);
+    else
+      EXPECT_EQ(A.physicalPage(PageAddr), Image[K]);
+  }
+}
+
+// Eight address spaces map and read the image concurrently while one of
+// them writes its own copy; the ctest entry running this case carries the
+// `parallel` label, so the ThreadSanitizer job checks that the shared
+// pages are only ever read.
+TEST(SharedRuntimeImageParallel, EightThreadsMapReadAndOneWrites) {
+  DexFile File = emptyDex();
+  constexpr int Threads = 8;
+  std::latch Start(Threads);
+  std::vector<uint64_t> Hashes(Threads);
+  std::vector<std::thread> Pool;
+  for (int T = 0; T != Threads; ++T)
+    Pool.emplace_back([&, T] {
+      Start.arrive_and_wait();
+      os::AddressSpace Space;
+      Runtime::mapStandardLayout(Space, File, RuntimeConfig());
+      if (T == 0) {
+        uint64_t Word = 0x5eedULL;
+        for (uint64_t K = 0; K != 8; ++K)
+          Space.poke(Layout::RuntimeImageBase + K * 384 * os::PageSize,
+                     &Word, sizeof(Word));
+      }
+      Hashes[T] = mappedImageHash(Space);
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+
+  EXPECT_NE(Hashes[0], Boot1ImageHash);
+  for (int T = 1; T != Threads; ++T)
+    EXPECT_EQ(Hashes[T], Boot1ImageHash) << "thread " << T;
+  os::AddressSpace After;
+  Runtime::mapStandardLayout(After, File, RuntimeConfig());
+  EXPECT_EQ(mappedImageHash(After), Boot1ImageHash);
 }
