@@ -249,6 +249,14 @@ bool AddressSpace::peek(uint64_t Addr, void *Out, uint64_t Size) const {
   return true;
 }
 
+bool AddressSpace::pageBytes(uint64_t Addr, const uint8_t *&Bytes) const {
+  auto It = Pages.find(pageNumber(Addr));
+  if (It == Pages.end())
+    return false;
+  Bytes = It->second.Phys ? It->second.Phys->Data.data() : nullptr;
+  return true;
+}
+
 bool AddressSpace::poke(uint64_t Addr, const void *Data, uint64_t Size) {
   const uint8_t *Buf = static_cast<const uint8_t *>(Data);
   while (Size > 0) {

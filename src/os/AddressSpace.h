@@ -24,7 +24,7 @@
 ///
 /// - **Inline access fast path.** `read`/`write` handle the common case —
 ///   page-local access, permitted protection, (for writes) already-private
-///   backing — entirely in the header against a small multi-entry
+///   backing — entirely in the header against a 64-entry direct-mapped
 ///   translation cache; everything else tails into the out-of-line slow
 ///   path, which also keeps the fault accounting. A private page under an
 ///   armed snapshot is by construction already in the dirty set, so the
@@ -164,6 +164,13 @@ public:
   /// snapshot tooling). Returns false if any page is unmapped.
   bool peek(uint64_t Addr, void *Out, uint64_t Size) const;
 
+  /// Kernel-style view of the page containing \p Addr, ignoring
+  /// protection, for in-place comparisons: false if the page is unmapped;
+  /// otherwise \p Bytes points at its PageSize bytes, or is null for an
+  /// untouched page (which reads as zeros). Valid until the page is next
+  /// written, unmapped or reset.
+  bool pageBytes(uint64_t Addr, const uint8_t *&Bytes) const;
+
   /// Writes bytes ignoring protection, still honouring CoW so snapshots
   /// stay intact. Returns false if any page is unmapped.
   bool poke(uint64_t Addr, const void *Data, uint64_t Size);
@@ -250,40 +257,37 @@ private:
   AccessResult readSlow(uint64_t Addr, void *Out, uint64_t Size);
   AccessResult writeSlow(uint64_t Addr, const void *Data, uint64_t Size);
 
-  // Small fully-associative translation cache in front of the page table.
-  // unordered_map never moves its nodes, so cached PageEntry pointers stay
-  // valid until a page is erased (unmapRegion invalidates the cache).
-  static constexpr size_t TranslationWays = 4;
+  // Direct-mapped translation cache in front of the page table, indexed
+  // by the low page-number bits: one compare per lookup. unordered_map
+  // never moves its nodes, so cached PageEntry pointers stay valid until a
+  // page is erased (unmapRegion invalidates the cache).
+  static constexpr size_t TranslationSlots = 64;
   struct TranslationEntry {
     uint64_t PageNum = ~0ULL;
     PageEntry *Entry = nullptr;
   };
 
+  static size_t translationSlot(uint64_t PageNum) {
+    return PageNum & (TranslationSlots - 1);
+  }
+
   PageEntry *lookupTranslation(uint64_t PageNum) const {
-    for (const TranslationEntry &T : Translations)
-      if (T.PageNum == PageNum)
-        return T.Entry;
-    return nullptr;
+    const TranslationEntry &T = Translations[translationSlot(PageNum)];
+    return T.PageNum == PageNum ? T.Entry : nullptr;
   }
 
   void fillTranslation(uint64_t PageNum, PageEntry *Entry) const {
-    Translations[TranslationVictim] = {PageNum, Entry};
-    TranslationVictim = (TranslationVictim + 1) % TranslationWays;
+    Translations[translationSlot(PageNum)] = {PageNum, Entry};
   }
 
-  void invalidateTranslations() const {
-    for (TranslationEntry &T : Translations)
-      T = TranslationEntry();
-    TranslationVictim = 0;
-  }
+  void invalidateTranslations() const { Translations.fill({}); }
 
   std::unordered_map<uint64_t, PageEntry> Pages;
   std::vector<Mapping> Mappings; ///< Kept sorted by Start.
   FaultHandler OnFault;
   MemoryStats Stats;
 
-  mutable std::array<TranslationEntry, TranslationWays> Translations;
-  mutable size_t TranslationVictim = 0;
+  mutable std::array<TranslationEntry, TranslationSlots> Translations;
 
   // Snapshot/restore state (replay fork-server support).
   std::unordered_map<uint64_t, PageEntry> SnapshotPages;

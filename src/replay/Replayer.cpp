@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <set>
@@ -132,6 +133,36 @@ public:
 };
 
 } // namespace
+
+// Cells is address-ordered, so runs of cells on one page share one
+// page-table lookup.
+bool replay::cellsMatch(const AddressSpace &Space,
+                        const std::map<uint64_t, uint64_t> &Cells) {
+  uint64_t Page = ~0ULL;
+  bool Mapped = false;
+  const uint8_t *Bytes = nullptr;
+  for (const auto &[Addr, Expected] : Cells) {
+    uint64_t Bits = 0;
+    uint64_t Offset = Addr & (PageSize - 1);
+    if (Offset + sizeof(Bits) > PageSize) {
+      // Straddles two pages: only a corrupted map holds such a cell.
+      if (!Space.peek(Addr, &Bits, sizeof(Bits)))
+        return false;
+    } else {
+      if (os::pageNumber(Addr) != Page) {
+        Page = os::pageNumber(Addr);
+        Mapped = Space.pageBytes(Addr, Bytes);
+      }
+      if (!Mapped)
+        return false;
+      if (Bytes)
+        std::memcpy(&Bits, Bytes + Offset, sizeof(Bits));
+    }
+    if (Bits != Expected)
+      return false;
+  }
+  return true;
+}
 
 uint64_t Replayer::captureFingerprint(const capture::Capture &Cap) {
   // FNV-1a over the capture's structure plus a light content sample: a
@@ -348,7 +379,11 @@ support::Result<ReplayResult> Replayer::replayImpl(
   if (PostRun)
     PostRun(S.Space, Out.Result);
 
-  int64_t Reverted = S.Space.resetToSnapshot();
+  int64_t Reverted;
+  {
+    ROPT_TRACE_SPAN("replay.reset");
+    Reverted = S.Space.resetToSnapshot();
+  }
   if (Reverted < 0) {
     // Structural change during the region (never happens for well-formed
     // workloads — the heap never unmaps). Drop the session; the next
@@ -426,17 +461,15 @@ Replayer::verifiedReplay(const capture::Capture &Cap,
                          const vm::CodeCache &Code,
                          const VerificationMap &Map) {
   ROPT_TRACE_SPAN("replay.verified");
-  std::map<uint64_t, uint64_t> Observed;
+  bool Matches = false;
   support::Result<ReplayResult> Replay = replayImpl(
       Cap, ReplayCode::Compiled, &Code, nullptr,
-      [&Map, &Observed](AddressSpace &Space, const vm::CallResult &R) {
+      [&Map, &Matches](AddressSpace &Space, const vm::CallResult &R) {
         if (R.Trap != vm::TrapKind::None)
           return;
-        for (const auto &KV : Map.Cells) {
-          uint64_t Bits = 0;
-          if (Space.peek(KV.first, &Bits, sizeof(Bits)))
-            Observed[KV.first] = Bits;
-        }
+        ROPT_TRACE_SPAN("replay.compare");
+        Matches = !(Map.HasReturn && Map.ReturnBits != R.Ret.Raw) &&
+                  cellsMatch(Space, Map.Cells);
       });
   if (!Replay)
     return Replay.error();
@@ -448,8 +481,6 @@ Replayer::verifiedReplay(const capture::Capture &Cap,
   if (Out.Result.Trap != vm::TrapKind::None)
     return support::Error{support::ErrorCode::ReplayCrash,
                           "verified replay trapped"};
-  bool Matches = !(Map.HasReturn && Map.ReturnBits != Out.Result.Ret.Raw) &&
-                 Observed == Map.Cells;
   if (!Matches) {
     ROPT_METRIC_INC("replay.verify_mismatches");
     return support::Error{support::ErrorCode::OutputMismatch,

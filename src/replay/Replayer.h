@@ -112,6 +112,13 @@ struct VerificationMap {
   bool empty() const { return Cells.empty() && !HasReturn; }
 };
 
+/// True when every cell of \p Cells holds its expected bits in \p Space
+/// (an unmapped cell never does). The verified replay's compare: it reads
+/// each page's backing bytes in place, one page-table lookup per page,
+/// and stops at the first mismatch.
+bool cellsMatch(const os::AddressSpace &Space,
+                const std::map<uint64_t, uint64_t> &Cells);
+
 /// Result of one replay.
 struct ReplayResult {
   vm::CallResult Result;

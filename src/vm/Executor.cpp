@@ -92,7 +92,12 @@ Value Runtime::execMachine(const MachineFunction &Fn,
   // Scratch argument buffer: one allocation per frame, not per call insn.
   std::vector<Value> CallArgs;
 
-  charge(Costs.CallCycles);
+  // Locals, not Runtime members: the VM's simulated stores cannot alias
+  // them, so per-instruction charges need no reloads or write-backs.
+  const CycleCostModel CM = Costs;
+  FrameCost Frame = openFrame();
+
+  Frame.charge(CM.CallCycles);
 
   // Extra cycles per touch of a register that did not fit the physical
   // register file: the regalloc quality dimension. A function whose frame
@@ -111,11 +116,11 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       if (I.Args[N] >= PhysRegCount)
         ++Touches;
     if (Touches)
-      charge(static_cast<uint64_t>(Touches) * Costs.SpillTouchCycles);
+      Frame.charge(static_cast<uint64_t>(Touches) * CM.SpillTouchCycles);
   };
 
   auto TakeBranch = [&](const MInsn &I, size_t Pc, bool Taken) {
-    charge(Costs.BranchCycles);
+    Frame.charge(CM.BranchCycles);
     bool PredictedRight;
     if (I.Hint == BranchHint::Likely)
       PredictedRight = Taken;
@@ -125,7 +130,7 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       PredictedRight = Predictor.predictAndUpdate(
           (static_cast<uint64_t>(Fn.Method) << 20) ^ Pc, Taken);
     if (!PredictedRight)
-      charge(Costs.BranchMispredictPenalty);
+      Frame.charge(CM.BranchMispredictPenalty);
     noteBranch((static_cast<uint64_t>(Fn.Method) << 20) ^ Pc, Taken);
   };
 
@@ -141,7 +146,7 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       break;
     }
     const MInsn &I = Code[Pc];
-    if (!consumeInsn())
+    if (!consumeInsn(Frame))
       break;
     if (MaySpill)
       SpillCost(I);
@@ -153,29 +158,29 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       break;
     case MOpcode::MMovImmI:
       R[I.A] = Value::fromI64(I.ImmI);
-      charge(Costs.MoveCycles);
+      Frame.charge(CM.MoveCycles);
       break;
     case MOpcode::MMovImmF:
       R[I.A] = Value::fromF64(I.ImmF);
-      charge(Costs.MoveCycles);
+      Frame.charge(CM.MoveCycles);
       break;
     case MOpcode::MMov:
       R[I.A] = R[I.B];
-      charge(Costs.MoveCycles);
+      Frame.charge(CM.MoveCycles);
       break;
 
     case MOpcode::MAddI:
       // Java longs wrap: compute on the raw two's-complement bits.
       R[I.A].Raw = R[I.B].Raw + R[I.C].Raw;
-      charge(Costs.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case MOpcode::MSubI:
       R[I.A].Raw = R[I.B].Raw - R[I.C].Raw;
-      charge(Costs.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case MOpcode::MMulI:
       R[I.A].Raw = R[I.B].Raw * R[I.C].Raw;
-      charge(Costs.MulCycles);
+      Frame.charge(CM.MulCycles);
       break;
     case MOpcode::MDivI: {
       // Unchecked: the compiler must have emitted MCheckDiv if the divisor
@@ -186,7 +191,7 @@ Value Runtime::execMachine(const MachineFunction &Fn,
         break;
       }
       R[I.A] = Value::fromI64(safeDiv(R[I.B].asI64(), Divisor));
-      charge(Costs.DivCycles);
+      Frame.charge(CM.DivCycles);
       break;
     }
     case MOpcode::MRemI: {
@@ -196,78 +201,78 @@ Value Runtime::execMachine(const MachineFunction &Fn,
         break;
       }
       R[I.A] = Value::fromI64(safeRem(R[I.B].asI64(), Divisor));
-      charge(Costs.DivCycles);
+      Frame.charge(CM.DivCycles);
       break;
     }
     case MOpcode::MAndI:
       R[I.A] = Value::fromI64(R[I.B].asI64() & R[I.C].asI64());
-      charge(Costs.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case MOpcode::MOrI:
       R[I.A] = Value::fromI64(R[I.B].asI64() | R[I.C].asI64());
-      charge(Costs.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case MOpcode::MXorI:
       R[I.A] = Value::fromI64(R[I.B].asI64() ^ R[I.C].asI64());
-      charge(Costs.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case MOpcode::MShlI:
       R[I.A] = Value::fromI64(R[I.B].asI64()
                                  << (R[I.C].asI64() & 63));
-      charge(Costs.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case MOpcode::MShrI:
       R[I.A] =
           Value::fromI64(R[I.B].asI64() >> (R[I.C].asI64() & 63));
-      charge(Costs.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case MOpcode::MNegI:
       R[I.A].Raw = 0 - R[I.B].Raw;
-      charge(Costs.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
 
     case MOpcode::MAddF:
       R[I.A] = Value::fromF64(R[I.B].asF64() + R[I.C].asF64());
-      charge(Costs.FAddCycles);
+      Frame.charge(CM.FAddCycles);
       break;
     case MOpcode::MSubF:
       R[I.A] = Value::fromF64(R[I.B].asF64() - R[I.C].asF64());
-      charge(Costs.FAddCycles);
+      Frame.charge(CM.FAddCycles);
       break;
     case MOpcode::MMulF:
       R[I.A] = Value::fromF64(R[I.B].asF64() * R[I.C].asF64());
-      charge(Costs.FMulCycles);
+      Frame.charge(CM.FMulCycles);
       break;
     case MOpcode::MDivF:
       R[I.A] = Value::fromF64(R[I.B].asF64() / R[I.C].asF64());
-      charge(Costs.FDivCycles);
+      Frame.charge(CM.FDivCycles);
       break;
     case MOpcode::MNegF:
       R[I.A] = Value::fromF64(-R[I.B].asF64());
-      charge(Costs.FAddCycles);
+      Frame.charge(CM.FAddCycles);
       break;
     case MOpcode::MCmpF: {
       double A = R[I.B].asF64(), B = R[I.C].asF64();
       R[I.A] = Value::fromI64((A < B) ? -1 : (A == B ? 0 : 1));
-      charge(Costs.FAddCycles);
+      Frame.charge(CM.FAddCycles);
       break;
     }
     case MOpcode::MSqrtF:
       R[I.A] = Value::fromF64(std::sqrt(R[I.B].asF64()));
-      charge(Costs.FSqrtCycles);
+      Frame.charge(CM.FSqrtCycles);
       break;
     case MOpcode::MI2F:
       R[I.A] = Value::fromF64(static_cast<double>(R[I.B].asI64()));
-      charge(Costs.ConvCycles);
+      Frame.charge(CM.ConvCycles);
       break;
     case MOpcode::MF2I:
       R[I.A] = Value::fromI64(doubleToInt(R[I.B].asF64()));
-      charge(Costs.ConvCycles);
+      Frame.charge(CM.ConvCycles);
       break;
 
     case MOpcode::MGoto:
       NextPc = static_cast<size_t>(I.Target);
-      charge(Costs.BranchCycles);
+      Frame.charge(CM.BranchCycles);
       break;
     case MOpcode::MIfEq:
     case MOpcode::MIfNe:
@@ -299,15 +304,15 @@ Value Runtime::execMachine(const MachineFunction &Fn,
     }
 
     case MOpcode::MCheckNull:
-      charge(Costs.CheckCycles);
+      Frame.charge(CM.CheckCycles);
       if (R[I.B].isNullRef())
         Trap = TrapKind::NullPointer;
       break;
     case MOpcode::MCheckBounds: {
-      charge(Costs.CheckCycles);
+      Frame.charge(CM.CheckCycles);
       uint64_t Arr = R[I.B].asRef();
       ObjectHeader Header;
-      chargeMemRead(Arr);
+      chargeMemRead(Frame, Arr);
       if (!TheHeap.readHeader(Arr, Header)) {
         Trap = TrapKind::MemoryFault;
         break;
@@ -318,25 +323,25 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       break;
     }
     case MOpcode::MCheckDiv:
-      charge(Costs.CheckCycles);
+      Frame.charge(CM.CheckCycles);
       if (R[I.B].asI64() == 0)
         Trap = TrapKind::DivByZero;
       break;
     case MOpcode::MSafepoint:
-      safepoint();
+      safepoint(Frame);
       break;
     case MOpcode::MGuardClass: {
-      charge(Costs.CheckCycles);
+      Frame.charge(CM.CheckCycles);
       uint64_t Obj = R[I.B].asRef();
       ObjectHeader Header;
-      chargeMemRead(Obj);
+      chargeMemRead(Frame, Obj);
       if (Obj == 0 || !TheHeap.readHeader(Obj, Header)) {
         Trap = TrapKind::MemoryFault;
         break;
       }
       if (Header.ClassOrElem != I.Idx) {
         // Speculation failed: branch to the slow path.
-        charge(Costs.BranchMispredictPenalty);
+        Frame.charge(CM.BranchMispredictPenalty);
         NextPc = static_cast<size_t>(I.Target);
       }
       break;
@@ -344,21 +349,21 @@ Value Runtime::execMachine(const MachineFunction &Fn,
 
     case MOpcode::MLoadSlot: {
       uint64_t Bits = 0;
-      if (memLoad(Heap::slotAddr(R[I.B].asRef(), I.Idx), Bits))
+      if (memLoad(Frame, Heap::slotAddr(R[I.B].asRef(), I.Idx), Bits))
         R[I.A].Raw = Bits;
       break;
     }
     case MOpcode::MStoreSlot:
-      memStore(Heap::slotAddr(R[I.B].asRef(), I.Idx), R[I.A].Raw);
+      memStore(Frame, Heap::slotAddr(R[I.B].asRef(), I.Idx), R[I.A].Raw);
       break;
     case MOpcode::MLoadStatic: {
       uint64_t Bits = 0;
-      if (memLoad(staticSlotAddr(I.Idx), Bits))
+      if (memLoad(Frame, staticSlotAddr(I.Idx), Bits))
         R[I.A].Raw = Bits;
       break;
     }
     case MOpcode::MStoreStatic:
-      memStore(staticSlotAddr(I.Idx), R[I.A].Raw);
+      memStore(Frame, staticSlotAddr(I.Idx), R[I.A].Raw);
       break;
     case MOpcode::MALoad: {
       // Unchecked by design: a wrong index after an unsound bounds-check
@@ -366,20 +371,20 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       uint64_t Addr = Heap::elemAddr(
           R[I.B].asRef(), static_cast<uint64_t>(R[I.C].asI64()));
       uint64_t Bits = 0;
-      if (memLoad(Addr, Bits))
+      if (memLoad(Frame, Addr, Bits))
         R[I.A].Raw = Bits;
       break;
     }
     case MOpcode::MAStore: {
       uint64_t Addr = Heap::elemAddr(
           R[I.B].asRef(), static_cast<uint64_t>(R[I.C].asI64()));
-      memStore(Addr, R[I.A].Raw);
+      memStore(Frame, Addr, R[I.A].Raw);
       break;
     }
     case MOpcode::MArrayLen: {
       uint64_t Arr = R[I.B].asRef();
       ObjectHeader Header;
-      chargeMemRead(Arr);
+      chargeMemRead(Frame, Arr);
       if (!TheHeap.readHeader(Arr, Header)) {
         Trap = TrapKind::MemoryFault;
         break;
@@ -390,8 +395,8 @@ Value Runtime::execMachine(const MachineFunction &Fn,
 
     case MOpcode::MNewInstance: {
       const dex::ClassInfo &Cls = Dex.classAt(I.Idx);
-      charge(Costs.AllocBaseCycles +
-             Costs.AllocPerSlotCycles * Cls.InstanceSlots);
+      Frame.charge(CM.AllocBaseCycles +
+                   CM.AllocPerSlotCycles * Cls.InstanceSlots);
       noteAlloc(Cls.InstanceSlots);
       R[I.A] = Value::fromRef(TheHeap.allocate(
           ObjKind::Object, Cls.Id, Cls.InstanceSlots, Trap));
@@ -403,8 +408,8 @@ Value Runtime::execMachine(const MachineFunction &Fn,
         Trap = TrapKind::OutOfBounds;
         break;
       }
-      charge(Costs.AllocBaseCycles +
-             Costs.AllocPerSlotCycles * static_cast<uint64_t>(Len));
+      Frame.charge(CM.AllocBaseCycles +
+                   CM.AllocPerSlotCycles * static_cast<uint64_t>(Len));
       noteAlloc(static_cast<uint64_t>(Len));
       R[I.A] = Value::fromRef(
           TheHeap.allocate(static_cast<ObjKind>(I.Idx), 0,
@@ -420,14 +425,14 @@ Value Runtime::execMachine(const MachineFunction &Fn,
         CallArgs[N] = R[I.Args[N]];
       Value Ret;
       if (I.Op == MOpcode::MCallNative) {
-        Ret = callNative(I.Idx, CallArgs);
+        Ret = callNativeFrom(Frame, I.Idx, CallArgs);
       } else if (I.Op == MOpcode::MCallStatic) {
-        Ret = invoke(I.Idx, CallArgs);
+        Ret = invokeFrom(Frame, I.Idx, CallArgs);
       } else {
-        charge(Costs.VirtualDispatchCycles);
+        Frame.charge(CM.VirtualDispatchCycles);
         uint64_t Receiver = CallArgs[0].asRef();
         ObjectHeader Header;
-        chargeMemRead(Receiver);
+        chargeMemRead(Frame, Receiver);
         if (Receiver == 0 || !TheHeap.readHeader(Receiver, Header)) {
           Trap = TrapKind::MemoryFault;
           break;
@@ -447,8 +452,8 @@ Value Runtime::execMachine(const MachineFunction &Fn,
           Trap = TrapKind::MemoryFault;
           break;
         }
-        Ret = invoke(
-            ClsInfo.VTable[static_cast<size_t>(Declared.VTableSlot)],
+        Ret = invokeFrom(
+            Frame, ClsInfo.VTable[static_cast<size_t>(Declared.VTableSlot)],
             CallArgs);
       }
       if (Trap != TrapKind::None)
@@ -462,17 +467,19 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       Value ArgVals[MMaxArgs];
       for (unsigned N = 0; N != I.ArgCount; ++N)
         ArgVals[N] = R[I.Args[N]];
-      charge(intrinsicWorkCycles(static_cast<IntrinsicKind>(I.Idx)));
+      Frame.charge(intrinsicWorkCycles(static_cast<IntrinsicKind>(I.Idx)));
       R[I.A] = Value::fromF64(
           runIntrinsic(static_cast<IntrinsicKind>(I.Idx), ArgVals));
       break;
     }
 
     case MOpcode::MRet:
-      charge(Costs.ReturnCycles);
+      Frame.charge(CM.ReturnCycles);
+      flush(Frame);
       return R[I.B];
     case MOpcode::MRetVoid:
-      charge(Costs.ReturnCycles);
+      Frame.charge(CM.ReturnCycles);
+      flush(Frame);
       return Value();
 
     case MOpcode::MOpcodeCount:
@@ -482,5 +489,6 @@ Value Runtime::execMachine(const MachineFunction &Fn,
 
     Pc = NextPc;
   }
+  flush(Frame); // trap exit
   return Value();
 }

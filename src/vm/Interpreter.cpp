@@ -6,12 +6,17 @@
 // The dispatch loop is the single hottest path of the whole system — every
 // offline replay of every genome runs through it at least for the cold
 // methods — so it is shaped for the compiler: the cycle cost model is
-// copied into a local (its fields cannot alias the memory the VM writes,
-// but the compiler cannot prove that through Space stores), the register
-// file is accessed through a raw pointer, and the trap exits are annotated
-// cold so the fall-through path stays straight-line. None of this changes
-// a single charged cycle or the order of observer callbacks: replay
-// digests are byte-identical to the naive loop.
+// copied into a local and cycles and instructions accumulate in a
+// frame-local Runtime::FrameCost (neither can alias the memory the VM
+// writes, but the compiler cannot prove that for Runtime members through
+// Space stores), the register file is accessed through a raw pointer, and
+// the trap exits are annotated cold so the fall-through path stays
+// straight-line. Memory accesses take the address space's inline path
+// over its 64-entry direct-mapped translation cache. The frame flushes its
+// counts before every invoke, native call, return and trap exit, so none
+// of this changes a single charged cycle, the instruction a Timeout fires
+// on, or the order of observer callbacks: replay digests are
+// byte-identical to the naive loop (DESIGN.md §20).
 //
 //===----------------------------------------------------------------------===//
 
@@ -79,11 +84,13 @@ Value Runtime::interpret(const dex::Method &M,
   // Scratch argument buffer: one allocation per frame, not per call insn.
   std::vector<Value> CallArgs;
 
-  // Local copy: lets the per-instruction charges stay in registers.
+  // Locals, not Runtime members: the VM's simulated stores cannot alias
+  // them, so per-instruction charges need no reloads or write-backs.
   const CycleCostModel CM = Costs;
+  FrameCost Frame = openFrame();
 
-  charge(CM.CallCycles);
-  safepoint(); // method-entry poll
+  Frame.charge(CM.CallCycles);
+  safepoint(Frame); // method-entry poll
 
   size_t Pc = 0;
   const dex::Insn *Code = M.Code.data();
@@ -93,9 +100,9 @@ Value Runtime::interpret(const dex::Method &M,
   while (Trap == TrapKind::None) {
     assert(Pc < CodeSize && "fell off the end of verified bytecode");
     const dex::Insn &I = Code[Pc];
-    if (ROPT_UNLIKELY(!consumeInsn()))
+    if (ROPT_UNLIKELY(!consumeInsn(Frame)))
       break;
-    charge(CM.InterpreterDispatchCycles);
+    Frame.charge(CM.InterpreterDispatchCycles);
 
     // Default control flow: fall through. Branches overwrite NextPc.
     size_t NextPc = Pc + 1;
@@ -106,38 +113,38 @@ Value Runtime::interpret(const dex::Method &M,
       break;
     case Opcode::ConstI:
       R[I.A] = Value::fromI64(I.ImmI);
-      charge(CM.MoveCycles);
+      Frame.charge(CM.MoveCycles);
       break;
     case Opcode::ConstF:
       R[I.A] = Value::fromF64(I.ImmF);
-      charge(CM.MoveCycles);
+      Frame.charge(CM.MoveCycles);
       break;
     case Opcode::ConstNull:
       R[I.A] = Value::fromRef(0);
-      charge(CM.MoveCycles);
+      Frame.charge(CM.MoveCycles);
       break;
     case Opcode::Move:
       R[I.A] = R[I.B];
-      charge(CM.MoveCycles);
+      Frame.charge(CM.MoveCycles);
       break;
 
     case Opcode::AddI:
       // Java longs wrap: compute on the raw two's-complement bits.
       R[I.A].Raw = R[I.B].Raw + R[I.C].Raw;
-      charge(CM.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case Opcode::SubI:
       R[I.A].Raw = R[I.B].Raw - R[I.C].Raw;
-      charge(CM.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case Opcode::MulI:
       R[I.A].Raw = R[I.B].Raw * R[I.C].Raw;
-      charge(CM.MulCycles);
+      Frame.charge(CM.MulCycles);
       break;
     case Opcode::DivI:
     case Opcode::RemI: {
       int64_t Divisor = R[I.C].asI64();
-      charge(CM.CheckCycles);
+      Frame.charge(CM.CheckCycles);
       if (ROPT_UNLIKELY(Divisor == 0)) {
         Trap = TrapKind::DivByZero;
         break;
@@ -146,80 +153,80 @@ Value Runtime::interpret(const dex::Method &M,
       R[I.A] = Value::fromI64(I.Op == Opcode::DivI
                                   ? safeDiv(Dividend, Divisor)
                                   : safeRem(Dividend, Divisor));
-      charge(CM.DivCycles);
+      Frame.charge(CM.DivCycles);
       break;
     }
     case Opcode::AndI:
       R[I.A] = Value::fromI64(R[I.B].asI64() & R[I.C].asI64());
-      charge(CM.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case Opcode::OrI:
       R[I.A] = Value::fromI64(R[I.B].asI64() | R[I.C].asI64());
-      charge(CM.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case Opcode::XorI:
       R[I.A] = Value::fromI64(R[I.B].asI64() ^ R[I.C].asI64());
-      charge(CM.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case Opcode::ShlI:
       R[I.A] = Value::fromI64(R[I.B].asI64() << (R[I.C].asI64() & 63));
-      charge(CM.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case Opcode::ShrI:
       R[I.A] = Value::fromI64(R[I.B].asI64() >> (R[I.C].asI64() & 63));
-      charge(CM.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
     case Opcode::NegI:
       R[I.A].Raw = 0 - R[I.B].Raw;
-      charge(CM.AluCycles);
+      Frame.charge(CM.AluCycles);
       break;
 
     case Opcode::AddF:
       R[I.A] = Value::fromF64(R[I.B].asF64() + R[I.C].asF64());
-      charge(CM.FAddCycles);
+      Frame.charge(CM.FAddCycles);
       break;
     case Opcode::SubF:
       R[I.A] = Value::fromF64(R[I.B].asF64() - R[I.C].asF64());
-      charge(CM.FAddCycles);
+      Frame.charge(CM.FAddCycles);
       break;
     case Opcode::MulF:
       R[I.A] = Value::fromF64(R[I.B].asF64() * R[I.C].asF64());
-      charge(CM.FMulCycles);
+      Frame.charge(CM.FMulCycles);
       break;
     case Opcode::DivF:
       R[I.A] = Value::fromF64(R[I.B].asF64() / R[I.C].asF64());
-      charge(CM.FDivCycles);
+      Frame.charge(CM.FDivCycles);
       break;
     case Opcode::NegF:
       R[I.A] = Value::fromF64(-R[I.B].asF64());
-      charge(CM.FAddCycles);
+      Frame.charge(CM.FAddCycles);
       break;
     case Opcode::CmpF: {
       double A = R[I.B].asF64(), B = R[I.C].asF64();
       int64_t Res = (A < B) ? -1 : (A == B ? 0 : 1); // NaN orders as +1
       R[I.A] = Value::fromI64(Res);
-      charge(CM.FAddCycles);
+      Frame.charge(CM.FAddCycles);
       break;
     }
     case Opcode::SqrtF:
       R[I.A] = Value::fromF64(std::sqrt(R[I.B].asF64()));
-      charge(CM.FSqrtCycles);
+      Frame.charge(CM.FSqrtCycles);
       break;
     case Opcode::I2F:
       R[I.A] = Value::fromF64(static_cast<double>(R[I.B].asI64()));
-      charge(CM.ConvCycles);
+      Frame.charge(CM.ConvCycles);
       break;
     case Opcode::F2I:
       R[I.A] = Value::fromI64(doubleToInt(R[I.B].asF64()));
-      charge(CM.ConvCycles);
+      Frame.charge(CM.ConvCycles);
       break;
 
     case Opcode::Goto:
       NextPc = static_cast<size_t>(I.Target);
-      charge(CM.BranchCycles);
+      Frame.charge(CM.BranchCycles);
       // Loop back-edge: poll for GC, as ART's interpreter does.
       if (NextPc <= Pc)
-        safepoint();
+        safepoint(Frame);
       break;
     case Opcode::IfEq:
     case Opcode::IfNe:
@@ -244,7 +251,7 @@ Value Runtime::interpret(const dex::Method &M,
       case Opcode::IfGt: case Opcode::IfGtz: Taken = A > B; break;
       default: Taken = A >= B; break;
       }
-      charge(CM.BranchCycles);
+      Frame.charge(CM.BranchCycles);
       // Same site key the executor feeds its predictor, so the profiled
       // mispredict features line up with the cost model's behavior.
       noteBranch((static_cast<uint64_t>(M.Id) << 20) ^ Pc, Taken);
@@ -252,7 +259,7 @@ Value Runtime::interpret(const dex::Method &M,
         NextPc = static_cast<size_t>(I.Target);
         // Loop back-edge: poll for GC, as ART's interpreter does.
         if (NextPc <= Pc)
-          safepoint();
+          safepoint(Frame);
       }
       break;
     }
@@ -265,14 +272,14 @@ Value Runtime::interpret(const dex::Method &M,
         CallArgs[N] = R[I.Args[N]];
       Value Ret;
       if (I.Op == Opcode::InvokeNative) {
-        Ret = callNative(I.Idx, CallArgs);
+        Ret = callNativeFrom(Frame, I.Idx, CallArgs);
       } else if (I.Op == Opcode::InvokeStatic) {
-        charge(CM.CallCycles);
-        Ret = invoke(I.Idx, CallArgs);
+        Frame.charge(CM.CallCycles);
+        Ret = invokeFrom(Frame, I.Idx, CallArgs);
       } else {
         // Virtual dispatch: read the receiver header for its class.
         uint64_t Receiver = CallArgs[0].asRef();
-        charge(CM.VirtualDispatchCycles);
+        Frame.charge(CM.VirtualDispatchCycles);
         if (ROPT_UNLIKELY(Receiver == 0)) {
           Trap = TrapKind::NullPointer;
           break;
@@ -286,7 +293,8 @@ Value Runtime::interpret(const dex::Method &M,
         if (Observer)
           Observer->onVirtualDispatch(M.Id, static_cast<uint32_t>(Pc),
                                       Cls);
-        Ret = invoke(Dex.resolveVirtual(Cls, I.Idx), CallArgs);
+        Ret = invokeFrom(Frame, Dex.resolveVirtual(Cls, I.Idx),
+                         CallArgs);
       }
       if (Trap != TrapKind::None)
         break;
@@ -296,16 +304,18 @@ Value Runtime::interpret(const dex::Method &M,
     }
 
     case Opcode::Ret:
-      charge(CM.ReturnCycles);
+      Frame.charge(CM.ReturnCycles);
+      flush(Frame);
       return R[I.B];
     case Opcode::RetVoid:
-      charge(CM.ReturnCycles);
+      Frame.charge(CM.ReturnCycles);
+      flush(Frame);
       return Value();
 
     case Opcode::NewInstance: {
       const dex::ClassInfo &Cls = Dex.classAt(I.Idx);
-      charge(CM.AllocBaseCycles +
-             CM.AllocPerSlotCycles * Cls.InstanceSlots);
+      Frame.charge(CM.AllocBaseCycles +
+                   CM.AllocPerSlotCycles * Cls.InstanceSlots);
       noteAlloc(Cls.InstanceSlots);
       R[I.A] = Value::fromRef(TheHeap.allocate(
           ObjKind::Object, Cls.Id, Cls.InstanceSlots, Trap));
@@ -322,8 +332,8 @@ Value Runtime::interpret(const dex::Method &M,
       ObjKind Kind = I.Op == Opcode::NewArrayI   ? ObjKind::ArrayI
                      : I.Op == Opcode::NewArrayF ? ObjKind::ArrayF
                                                  : ObjKind::ArrayR;
-      charge(CM.AllocBaseCycles +
-             CM.AllocPerSlotCycles * static_cast<uint64_t>(Len));
+      Frame.charge(CM.AllocBaseCycles +
+                   CM.AllocPerSlotCycles * static_cast<uint64_t>(Len));
       noteAlloc(static_cast<uint64_t>(Len));
       R[I.A] = Value::fromRef(
           TheHeap.allocate(Kind, 0, static_cast<uint64_t>(Len), Trap));
@@ -339,7 +349,7 @@ Value Runtime::interpret(const dex::Method &M,
       bool IsStore = I.Op == Opcode::AStoreI || I.Op == Opcode::AStoreF ||
                      I.Op == Opcode::AStoreR;
       uint64_t Arr = R[I.B].asRef();
-      charge(CM.CheckCycles * 2);
+      Frame.charge(CM.CheckCycles * 2);
       if (ROPT_UNLIKELY(Arr == 0)) {
         Trap = TrapKind::NullPointer;
         break;
@@ -357,17 +367,17 @@ Value Runtime::interpret(const dex::Method &M,
       }
       uint64_t Addr = Heap::elemAddr(Arr, static_cast<uint64_t>(Index));
       if (IsStore) {
-        memStore(Addr, R[I.A].Raw);
+        memStore(Frame, Addr, R[I.A].Raw);
       } else {
         uint64_t Bits = 0;
-        if (memLoad(Addr, Bits))
+        if (memLoad(Frame, Addr, Bits))
           R[I.A].Raw = Bits;
       }
       break;
     }
     case Opcode::ArrayLen: {
       uint64_t Arr = R[I.B].asRef();
-      charge(CM.CheckCycles);
+      Frame.charge(CM.CheckCycles);
       if (ROPT_UNLIKELY(Arr == 0)) {
         Trap = TrapKind::NullPointer;
         break;
@@ -377,7 +387,7 @@ Value Runtime::interpret(const dex::Method &M,
         Trap = TrapKind::MemoryFault;
         break;
       }
-      charge(CM.LoadCycles);
+      Frame.charge(CM.LoadCycles);
       R[I.A] = Value::fromI64(static_cast<int64_t>(Header.Count));
       break;
     }
@@ -391,7 +401,7 @@ Value Runtime::interpret(const dex::Method &M,
       bool IsPut = I.Op == Opcode::PutFieldI ||
                    I.Op == Opcode::PutFieldF || I.Op == Opcode::PutFieldR;
       uint64_t Obj = R[I.B].asRef();
-      charge(CM.CheckCycles);
+      Frame.charge(CM.CheckCycles);
       if (ROPT_UNLIKELY(Obj == 0)) {
         Trap = TrapKind::NullPointer;
         break;
@@ -399,10 +409,10 @@ Value Runtime::interpret(const dex::Method &M,
       uint64_t Addr =
           Heap::slotAddr(Obj, Dex.field(I.Idx).SlotIndex);
       if (IsPut) {
-        memStore(Addr, R[I.A].Raw);
+        memStore(Frame, Addr, R[I.A].Raw);
       } else {
         uint64_t Bits = 0;
-        if (memLoad(Addr, Bits))
+        if (memLoad(Frame, Addr, Bits))
           R[I.A].Raw = Bits;
       }
       break;
@@ -412,14 +422,14 @@ Value Runtime::interpret(const dex::Method &M,
     case Opcode::GetStaticF:
     case Opcode::GetStaticR: {
       uint64_t Bits = 0;
-      if (memLoad(staticSlotAddr(I.Idx), Bits))
+      if (memLoad(Frame, staticSlotAddr(I.Idx), Bits))
         R[I.A].Raw = Bits;
       break;
     }
     case Opcode::PutStaticI:
     case Opcode::PutStaticF:
     case Opcode::PutStaticR:
-      memStore(staticSlotAddr(I.Idx), R[I.A].Raw);
+      memStore(Frame, staticSlotAddr(I.Idx), R[I.A].Raw);
       break;
 
     case Opcode::OpcodeCount:
@@ -429,5 +439,6 @@ Value Runtime::interpret(const dex::Method &M,
 
     Pc = NextPc;
   }
+  flush(Frame); // trap exit
   return Value();
 }

@@ -105,10 +105,9 @@ void Runtime::noteAllocSlow(uint64_t Slots) {
 Value Runtime::callNative(dex::NativeId Id,
                           const std::vector<Value> &Args) {
   const NativeImpl *Impl = ResolvedNatives.at(Id);
-  // The JNI transition is the caller's cost; the native body's work is
-  // attributed to the native itself (profile slots after the method table)
-  // so the code-breakdown's JNI category sees it.
-  charge(Costs.NativeCallCycles);
+  // The JNI transition was the caller's cost (callNativeFrom); the native
+  // body's work is attributed to the native itself (profile slots after
+  // the method table) so the code-breakdown's JNI category sees it.
   if (Config.AttributeCycles && !AttributionStack.empty()) {
     // Feature attribution goes to the nearest managed caller beneath the
     // native wrapper (the wrapper itself sits outside every compilable
@@ -122,7 +121,9 @@ Value Runtime::callNative(dex::NativeId Id,
   if (Config.AttributeCycles)
     AttributionStack.push_back(
         static_cast<dex::MethodId>(Dex.methods().size() + Id));
-  charge(Impl->WorkCycles);
+  FrameCost Body = openFrame();
+  Body.charge(Impl->WorkCycles);
+  flush(Body);
   if (Config.AttributeCycles)
     AttributionStack.pop_back();
   Env.IoLog = &IoLog;
@@ -166,12 +167,14 @@ Value Runtime::invoke(dex::MethodId MethodId,
     if (!Fn)
       Fn = Cache.lookup(MethodId);
   }
-  if (M.IsNative)
-    Ret = callNative(M.Native, Args);
-  else if (Fn)
+  if (M.IsNative) {
+    FrameCost F = openFrame();
+    Ret = callNativeFrom(F, M.Native, Args);
+  } else if (Fn) {
     Ret = execMachine(*Fn, Args);
-  else
+  } else {
     Ret = interpret(M, Args);
+  }
 
   if (FiredHook) {
     if (Hook.OnExit)

@@ -191,18 +191,62 @@ public:
   Value readStatic(dex::StaticFieldId Id);
 
 private:
-  // --- Shared execution plumbing -----------------------------------------
-  // The per-instruction helpers are defined inline at the bottom of this
-  // header: they sit on the interpreter/executor dispatch hot path and the
-  // call through a separate TU cost roughly a third of replay throughput.
-  void charge(uint64_t Cycles);
-  void chargeMemRead(uint64_t Addr);
-  void chargeMemWrite(uint64_t Addr);
-  bool memLoad(uint64_t Addr, uint64_t &Out);
-  bool memStore(uint64_t Addr, uint64_t ValueBits);
-  bool consumeInsn();
-  void safepoint();
-  // Cold paths stay in Runtime.cpp.
+  // --- Frame-local cost accounting ---------------------------------------
+  /// What one interpreter or executor frame has charged since its last
+  /// flush. The frame keeps it on its own stack, so the per-instruction
+  /// bookkeeping stays in registers or frame slots instead of going
+  /// through Runtime members that every simulated store may alias.
+  struct FrameCost {
+    uint64_t Cycles = 0;
+    uint64_t Insns = 0;
+    /// Instructions the call's budget had left at the last flush.
+    uint64_t InsnsLeft = 0;
+
+    void charge(uint64_t C) { Cycles += C; }
+  };
+
+  /// A fresh frame's accumulator, with the budget left right now.
+  FrameCost openFrame() const {
+    FrameCost F;
+    F.InsnsLeft = insnsLeft();
+    return F;
+  }
+  uint64_t insnsLeft() const {
+    return CallInsns < Config.InsnBudget ? Config.InsnBudget - CallInsns : 0;
+  }
+  /// Moves \p F's counts into the call and lifetime totals and, when
+  /// profiling, into the current method's profile (the frame's method is
+  /// on top of the attribution stack for the frame's whole life). Frames
+  /// flush before every invoke, native call, return and trap exit, so
+  /// everything that can observe the totals sees them exact.
+  void flush(FrameCost &F);
+  /// Counts one instruction; false (Timeout trap) on the one past the
+  /// budget — instruction InsnBudget + 1 of the call, exactly.
+  bool consumeInsn(FrameCost &F);
+  void chargeMemRead(FrameCost &F, uint64_t Addr);
+  void chargeMemWrite(FrameCost &F, uint64_t Addr);
+  bool memLoad(FrameCost &F, uint64_t Addr, uint64_t &Out);
+  bool memStore(FrameCost &F, uint64_t Addr, uint64_t ValueBits);
+  void safepoint(FrameCost &F);
+  /// Calls \p Method from a frame: flushes \p F first and refreshes its
+  /// budget after the callee returns.
+  Value invokeFrom(FrameCost &F, dex::MethodId Method,
+                   const std::vector<Value> &Args) {
+    flush(F);
+    Value Ret = invoke(Method, Args);
+    F.InsnsLeft = insnsLeft();
+    return Ret;
+  }
+  /// Calls native \p Id from a frame: the JNI transition is the caller's
+  /// cost, flushed with the rest of \p F before the body runs.
+  Value callNativeFrom(FrameCost &F, dex::NativeId Id,
+                       const std::vector<Value> &Args) {
+    F.charge(Costs.NativeCallCycles);
+    flush(F);
+    return callNative(Id, Args);
+  }
+  // Cold paths stay in Runtime.cpp. Neither takes a frame's accumulator,
+  // so no FrameCost ever escapes its frame.
   Value callNative(dex::NativeId Id, const std::vector<Value> &Args);
   Value invoke(dex::MethodId Method, const std::vector<Value> &Args);
   /// Feature counting (profiling only, no cycle charge): a conditional
@@ -272,45 +316,62 @@ private:
 };
 
 // --- Hot-path plumbing, inline ------------------------------------------
+// On the interpreter/executor dispatch path: a call through a separate TU
+// costs roughly a third of replay throughput.
 
-inline void Runtime::charge(uint64_t Cycles) {
-  CallCycles += Cycles;
-  TotalCycles += Cycles;
-  if (Config.AttributeCycles && !AttributionStack.empty())
-    MethodCycles[AttributionStack.back()] += Cycles;
+inline void Runtime::flush(FrameCost &F) {
+  CallCycles += F.Cycles;
+  TotalCycles += F.Cycles;
+  CallInsns += F.Insns;
+  TotalInsns += F.Insns;
+  if (Config.AttributeCycles && !AttributionStack.empty()) {
+    MethodCycles[AttributionStack.back()] += F.Cycles;
+    MethodFeatures[AttributionStack.back()].Insns += F.Insns;
+  }
+  F.Cycles = 0;
+  F.Insns = 0;
+  F.InsnsLeft = insnsLeft();
 }
 
-inline void Runtime::chargeMemRead(uint64_t Addr) {
+inline bool Runtime::consumeInsn(FrameCost &F) {
+  if (++F.Insns <= F.InsnsLeft)
+    return true;
+  Trap = TrapKind::Timeout;
+  return false;
+}
+
+inline void Runtime::chargeMemRead(FrameCost &F, uint64_t Addr) {
   uint64_t Cost = Costs.LoadCycles;
   bool Hit = DCache.access(Addr);
   if (!Hit)
     Cost += Costs.CacheMissPenalty;
   if (Config.AttributeCycles && !AttributionStack.empty()) {
-    MethodFeatureCounters &F = MethodFeatures[AttributionStack.back()];
-    ++F.MemReads;
+    MethodFeatureCounters &Features = MethodFeatures[AttributionStack.back()];
+    ++Features.MemReads;
     if (!Hit)
-      ++F.CacheMisses;
+      ++Features.CacheMisses;
   }
-  charge(Cost);
+  F.charge(Cost);
 }
 
-inline void Runtime::chargeMemWrite(uint64_t Addr) {
+inline void Runtime::chargeMemWrite(FrameCost &F, uint64_t Addr) {
   DCache.access(Addr); // stores install the line; latency is absorbed
   if (Config.AttributeCycles && !AttributionStack.empty())
     ++MethodFeatures[AttributionStack.back()].MemWrites;
-  charge(Costs.StoreCycles);
+  F.charge(Costs.StoreCycles);
 }
 
-inline bool Runtime::memLoad(uint64_t Addr, uint64_t &Out) {
-  chargeMemRead(Addr);
+inline bool Runtime::memLoad(FrameCost &F, uint64_t Addr, uint64_t &Out) {
+  chargeMemRead(F, Addr);
   if (Space.loadU64(Addr, Out) == os::AccessResult::Ok)
     return true;
   Trap = TrapKind::MemoryFault;
   return false;
 }
 
-inline bool Runtime::memStore(uint64_t Addr, uint64_t ValueBits) {
-  chargeMemWrite(Addr);
+inline bool Runtime::memStore(FrameCost &F, uint64_t Addr,
+                              uint64_t ValueBits) {
+  chargeMemWrite(F, Addr);
   if (Space.storeU64(Addr, ValueBits) == os::AccessResult::Ok) {
     if (Observer)
       Observer->onCellWrite(Addr);
@@ -320,23 +381,9 @@ inline bool Runtime::memStore(uint64_t Addr, uint64_t ValueBits) {
   return false;
 }
 
-inline bool Runtime::consumeInsn() {
-  ++CallInsns;
-  ++TotalInsns;
-  if (Config.AttributeCycles && !AttributionStack.empty())
-    ++MethodFeatures[AttributionStack.back()].Insns;
-  if (CallInsns > Config.InsnBudget) {
-    Trap = TrapKind::Timeout;
-    return false;
-  }
-  return true;
-}
-
-inline void Runtime::safepoint() {
-  charge(Costs.SafepointCycles);
-  uint64_t GcCost = TheHeap.pollSafepoint(Costs.GcPauseCycles);
-  if (GcCost > 0)
-    charge(GcCost);
+inline void Runtime::safepoint(FrameCost &F) {
+  F.charge(Costs.SafepointCycles);
+  F.charge(TheHeap.pollSafepoint(Costs.GcPauseCycles));
 }
 
 } // namespace vm

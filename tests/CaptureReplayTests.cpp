@@ -8,12 +8,14 @@
 #include "lir/Backend.h"
 #include "profiler/HotRegion.h"
 #include "replay/Replayer.h"
+#include "support/Format.h"
 #include "support/Random.h"
 #include "tests/TestPrograms.h"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 
 using namespace ropt;
 using namespace ropt::dex;
@@ -476,6 +478,134 @@ TEST(Replay, VerifiedReplayRejectsWrongBinary) {
   ASSERT_FALSE(Bad2.ok());
   // The typed error pinpoints the divergence class.
   EXPECT_EQ(Bad2.error().Code, support::ErrorCode::OutputMismatch);
+}
+
+namespace {
+
+/// The compare verifiedReplay used to run: peek every cell into an
+/// observed map (an unmapped cell is left out) and compare the maps.
+bool referenceCellsMatch(const os::AddressSpace &Space,
+                         const std::map<uint64_t, uint64_t> &Cells) {
+  std::map<uint64_t, uint64_t> Observed;
+  for (const auto &[Addr, Expected] : Cells) {
+    uint64_t Bits = 0;
+    if (Space.peek(Addr, &Bits, sizeof(Bits)))
+      Observed[Addr] = Bits;
+  }
+  return Observed == Cells;
+}
+
+} // namespace
+
+// The in-place compare must give the reference compare's verdict on every
+// map: the verification map itself, bit flips, dropped cells, cells at
+// unmapped addresses, cells straddling a page boundary and the empty map
+// — directly on a post-region space, and end to end through
+// verifiedReplay, whose verdict also folds in the return value.
+TEST(Replay, InPlaceCompareMatchesReferenceMap) {
+  for (const char *Name : {"Sieve", "FFT"}) {
+    SCOPED_TRACE(Name);
+    workloads::Application App = workloads::buildByName(Name);
+    core::PipelineConfig Config;
+    core::IterativeCompiler Pipeline(Config);
+    auto P = Pipeline.profileApp(App);
+    ASSERT_TRUE(P.Region.has_value());
+    auto Captured = Pipeline.captureRegion(*P.Instance, *P.Region);
+    ASSERT_TRUE(Captured.has_value());
+    const Capture &Cap = Captured->Cap;
+    const VerificationMap &Map = Captured->Map;
+    ASSERT_GT(Map.Cells.size(), 8u);
+    ASSERT_TRUE(Map.HasReturn);
+
+    vm::NativeRegistry Natives = vm::NativeRegistry::standardLibrary();
+    vm::CodeCache Android;
+    hgraph::compileAllAndroid(*App.File, P.Region->Methods, Android);
+    Replayer Rep(*App.File, Natives, App.RtConfig);
+    Rep.setSessionMode(true);
+    ASSERT_TRUE(Rep.verifiedReplay(Cap, Android, Map).ok());
+
+    // The region's post-run memory: the same replay, run by hand on a
+    // fork of the pristine session space.
+    os::AddressSpace After = Rep.sessionSpace(Cap)->forkClone();
+    vm::Runtime RT(After, *App.File, Natives, App.RtConfig);
+    RT.setSharedCode(&Android);
+    vm::CallResult Run = RT.call(Cap.Root, Cap.Args);
+    ASSERT_TRUE(Run.ok());
+
+    // The map's cells cover more than one page.
+    EXPECT_NE(os::pageNumber(Map.Cells.begin()->first),
+              os::pageNumber(Map.Cells.rbegin()->first));
+
+    std::vector<std::pair<std::string, std::map<uint64_t, uint64_t>>>
+        Variants;
+    Variants.emplace_back("map", Map.Cells);
+    Variants.emplace_back("empty", std::map<uint64_t, uint64_t>());
+    std::vector<uint64_t> Addrs;
+    for (const auto &KV : Map.Cells)
+      Addrs.push_back(KV.first);
+    const size_t Picks[] = {0, 1, Addrs.size() / 2, Addrs.size() - 1};
+    for (size_t K : Picks) {
+      for (unsigned Bit : {0u, 31u, 63u}) {
+        auto Cells = Map.Cells;
+        Cells[Addrs[K]] ^= 1ULL << Bit;
+        Variants.emplace_back(format("flip cell %zu bit %u", K, Bit),
+                              std::move(Cells));
+      }
+      auto Dropped = Map.Cells;
+      Dropped.erase(Addrs[K]);
+      Variants.emplace_back(format("drop cell %zu", K), std::move(Dropped));
+      auto Moved = Map.Cells;
+      uint64_t Bits = Moved[Addrs[K]];
+      Moved.erase(Addrs[K]);
+      Moved[0xdead0000ULL + 8 * K] = Bits;
+      Variants.emplace_back(format("move cell %zu to unmapped", K),
+                            std::move(Moved));
+    }
+    for (uint64_t Unmapped : {0x0ULL, 0xdead0000ULL, 0xfffffff8ULL}) {
+      auto Cells = Map.Cells;
+      Cells[Unmapped] = 0;
+      Variants.emplace_back(format("add unmapped %#llx",
+                                   static_cast<unsigned long long>(Unmapped)),
+                            std::move(Cells));
+    }
+    // A cell straddling a page boundary inside the first cell's mapping,
+    // with its true bits and flipped; and one straddling the end of the
+    // static area into unmapped space.
+    uint64_t Straddle = os::pageBase(Addrs[0]) + os::PageSize - 4;
+    uint64_t StraddleBits = 0;
+    ASSERT_TRUE(After.peek(Straddle, &StraddleBits, sizeof(StraddleBits)));
+    auto Straddled = Map.Cells;
+    Straddled[Straddle] = StraddleBits;
+    Variants.emplace_back("straddle", Straddled);
+    Straddled[Straddle] ^= 1ULL << 40;
+    Variants.emplace_back("straddle flipped", std::move(Straddled));
+    auto IntoUnmapped = Map.Cells;
+    IntoUnmapped[vm::Layout::DataBase + vm::Layout::DataSize - 4] = 0;
+    Variants.emplace_back("straddle into unmapped", std::move(IntoUnmapped));
+
+    int Matching = 0, Mismatching = 0;
+    for (const auto &[Label, Cells] : Variants) {
+      SCOPED_TRACE(Label);
+      bool Reference = referenceCellsMatch(After, Cells);
+      EXPECT_EQ(cellsMatch(After, Cells), Reference);
+      (Reference ? Matching : Mismatching)++;
+      // End to end, with the true return value, none, and a wrong one.
+      for (int Ret = 0; Ret != 3; ++Ret) {
+        VerificationMap M;
+        M.Cells = Cells;
+        M.HasReturn = Ret != 1;
+        M.ReturnBits = Map.ReturnBits ^ (Ret == 2 ? 1 : 0);
+        support::Result<ReplayResult> R = Rep.verifiedReplay(Cap, Android, M);
+        EXPECT_EQ(R.ok(), Reference && Ret != 2) << "return case " << Ret;
+        if (!R.ok()) {
+          EXPECT_EQ(R.error().Code, support::ErrorCode::OutputMismatch);
+        }
+      }
+    }
+    // Both verdicts occur.
+    EXPECT_GE(Matching, 3);
+    EXPECT_GE(Mismatching, 10);
+  }
 }
 
 // A capture read back from a damaged file can carry any layout. Every

@@ -1,6 +1,7 @@
 //===- tests/LirTests.cpp - lir/ unit and differential tests -----------------===//
 
 #include "core/IterativeCompiler.h"
+#include "hgraph/AndroidCompiler.h"
 #include "hgraph/Build.h"
 #include "lir/Analysis.h"
 #include "lir/Backend.h"
@@ -8,7 +9,9 @@
 #include "lir/CompileMemo.h"
 #include "lir/FromHGraph.h"
 #include "lir/Passes.h"
+#include "replay/Replayer.h"
 #include "search/Genome.h"
+#include "support/Format.h"
 #include "tests/TestPrograms.h"
 #include "workloads/Workloads.h"
 
@@ -1146,6 +1149,21 @@ TEST(CompileMemo, ConcurrentWorkersShareOneMemo) {
 // codegen or register-allocation edit that changes emitted code changes a
 // hash here; such an edit must update this table on purpose.
 
+namespace {
+
+/// o3, then ten seeded random genomes with the default gene mix.
+std::vector<search::Genome> goldenGenomes() {
+  std::vector<search::Genome> Genomes(1);
+  Genomes[0].Passes = o3Pipeline();
+  for (int I = 0; I != 10; ++I) {
+    Rng R(static_cast<uint64_t>(I) * 7919 + 101);
+    Genomes.push_back(search::randomGenome(R, search::GenomeConfig()));
+  }
+  return Genomes;
+}
+
+} // namespace
+
 TEST(GoldenBinaryHash, MatchesPinnedValues) {
   struct GoldenRow {
     const char *App;
@@ -1262,21 +1280,439 @@ TEST(GoldenBinaryHash, MatchesPinnedValues) {
   core::PipelineConfig Config;
   const std::vector<RegionFixture> &Regions = tableOneRegions();
   ASSERT_EQ(Regions.size(), Golden.size());
+  const std::vector<search::Genome> Genomes = goldenGenomes();
   for (size_t A = 0; A != Regions.size(); ++A) {
     const RegionFixture &F = Regions[A];
     const GoldenRow &Row = Golden[A];
     ASSERT_EQ(F.App.Name, Row.App);
     core::RegionEvaluator Eval(F.App, F.Region, F.Captured.Cap,
                                F.Captured.Map, F.Captured.Profile, Config);
-    std::vector<search::Genome> Genomes(1);
-    Genomes[0].Passes = o3Pipeline();
-    for (int I = 0; I != 10; ++I) {
-      Rng R(static_cast<uint64_t>(I) * 7919 + 101);
-      Genomes.push_back(search::randomGenome(R, search::GenomeConfig()));
-    }
     ASSERT_EQ(Row.Hashes.size(), Genomes.size());
     for (size_t N = 0; N != Genomes.size(); ++N)
       EXPECT_EQ(Eval.compileGenome(Genomes[N]).BinaryHash, Row.Hashes[N])
           << Row.App << " genome " << N << ": " << Genomes[N].name();
+  }
+}
+
+// --- Golden replays ----------------------------------------------------------------
+//
+// One verified replay of every binary GoldenBinaryHash pins, plus the
+// region's stock Android binary, for each Table-1 app; and one
+// AttributeCycles profiling run per app. Pinned before the VM kept its
+// counters frame-local: the replay hot path may get faster, but no
+// verdict, trap, return value, cycle or instruction count may move, and
+// neither may the per-method profile the counters also feed. An edit
+// that changes these on purpose must update the table; a failure prints
+// the app's measured rows in table syntax.
+
+namespace {
+
+/// One binary's verified replay. Verdict is the support::ErrorCode of a
+/// rejected binary, -1 for a verified one, -2 when compilation failed
+/// (then the other fields are 0).
+struct ReplayRow {
+  int Verdict;
+  int Trap;
+  uint64_t Ret;
+  uint64_t Cycles;
+  uint64_t Insns;
+};
+
+std::string rowsText(const std::vector<ReplayRow> &Rows) {
+  std::string Out;
+  for (const ReplayRow &R : Rows)
+    Out += format("      {%d, %d, 0x%016llxull, %lluull, %lluull},\n",
+                  R.Verdict, R.Trap, static_cast<unsigned long long>(R.Ret),
+                  static_cast<unsigned long long>(R.Cycles),
+                  static_cast<unsigned long long>(R.Insns));
+  return Out;
+}
+
+ReplayRow replayRow(replay::Replayer &Rep, const RegionFixture &F,
+                    const vm::CodeCache &Code) {
+  support::Result<replay::ReplayResult> Verified =
+      Rep.verifiedReplay(F.Captured.Cap, Code, F.Captured.Map);
+  // The verdict hides a rejected replay's CallResult; an unverified replay
+  // of the same binary shows it (replays are deterministic).
+  vm::CallResult R =
+      Rep.replay(F.Captured.Cap, replay::ReplayCode::Compiled, &Code).Result;
+  return ReplayRow{Verified ? -1 : static_cast<int>(Verified.error().Code),
+                   static_cast<int>(R.Trap), R.Ret.Raw, R.Cycles, R.Insns};
+}
+
+/// FNV-1a over a profiling run's per-method cycles and feature counts.
+uint64_t profileHash(const vm::Runtime &RT) {
+  uint64_t H = 1469598103934665603ULL;
+  auto Mix = [&H](uint64_t V) {
+    H ^= V;
+    H *= 1099511628211ULL;
+  };
+  for (uint64_t C : RT.methodCycles())
+    Mix(C);
+  for (const vm::MethodFeatureCounters &F : RT.methodFeatures())
+    for (uint64_t V : {F.Insns, F.Branches, F.Mispredicts, F.MemReads,
+                       F.MemWrites, F.CacheMisses, F.Allocs, F.AllocSlots,
+                       F.NativeCycles})
+      Mix(V);
+  return H;
+}
+
+} // namespace
+
+TEST(GoldenReplay, MatchesPinnedValues) {
+  struct GoldenApp {
+    const char *App;
+    uint64_t ProfileHash; ///< Two AttributeCycles sessions, seed 1.
+    std::vector<ReplayRow> Rows; ///< Android, o3, then genomes 0..9.
+  };
+  const std::vector<GoldenApp> Golden = {
+    {"FFT", 0xcab68a975d79c009ull,
+     {
+      {-1, 0, 0x000000000001faf9ull, 724674ull, 224138ull},
+      {-1, 0, 0x000000000001faf9ull, 571951ull, 237678ull},
+      {-1, 0, 0x000000000001faf9ull, 1292993ull, 397167ull},
+      {-1, 0, 0x000000000001faf9ull, 656864ull, 301034ull},
+      {-1, 0, 0x000000000001faf9ull, 1579235ull, 404338ull},
+      {-1, 0, 0x000000000001faf9ull, 1180033ull, 345263ull},
+      {3, 2, 0x0000000000000000ull, 636573ull, 299845ull},
+      {-1, 0, 0x000000000001faf9ull, 732899ull, 301546ull},
+      {-1, 0, 0x000000000001faf9ull, 674087ull, 310169ull},
+      {-1, 0, 0x000000000001faf9ull, 1384003ull, 337682ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x000000000001faf9ull, 1057545ull, 312437ull},
+     }},
+    {"SOR", 0x991e1dabeb2269dfull,
+     {
+      {-1, 0, 0x0000000000081029ull, 691375ull, 230231ull},
+      {-1, 0, 0x0000000000081029ull, 572551ull, 247233ull},
+      {-1, 0, 0x0000000000081029ull, 1174372ull, 369638ull},
+      {-1, 0, 0x0000000000081029ull, 649340ull, 298630ull},
+      {-1, 0, 0x0000000000081029ull, 1156170ull, 369822ull},
+      {-1, 0, 0x0000000000081029ull, 1098196ull, 318854ull},
+      {3, 2, 0x0000000000000000ull, 178840ull, 74103ull},
+      {5, 0, 0x0000000000081029ull, 683196ull, 315558ull},
+      {-1, 0, 0x0000000000081029ull, 649380ull, 298590ull},
+      {5, 0, 0x0000000000081029ull, 1008776ull, 327280ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x0000000000081029ull, 993943ull, 293229ull},
+     }},
+    {"MonteCarlo", 0xea3670f2da6f90a3ull,
+     {
+      {-1, 0, 0x00000000002fba4full, 420234ull, 211474ull},
+      {-1, 0, 0x00000000002fba4full, 361876ull, 195730ull},
+      {-1, 0, 0x00000000002fba4full, 1044458ull, 302284ull},
+      {-1, 0, 0x00000000002fba4full, 418676ull, 252530ull},
+      {-1, 0, 0x00000000002fba4full, 1158046ull, 359076ull},
+      {-1, 0, 0x00000000002fba4full, 1044458ull, 302284ull},
+      {-1, 0, 0x00000000002fba4full, 376071ull, 238327ull},
+      {-1, 0, 0x00000000002fba4full, 418676ull, 252530ull},
+      {-1, 0, 0x00000000002fba4full, 418676ull, 252530ull},
+      {-1, 0, 0x00000000002fba4full, 638817ull, 302247ull},
+      {-1, 0, 0x00000000002fba4full, 1044458ull, 302284ull},
+      {-1, 0, 0x00000000002fba4full, 1115443ull, 344875ull},
+     }},
+    {"Sparse matmult", 0x94fbca34b4bf7d35ull,
+     {
+      {-1, 0, 0x000000000006e1fcull, 1120308ull, 382871ull},
+      {-1, 0, 0x000000000006e1fcull, 1216308ull, 430861ull},
+      {-1, 0, 0x000000000006e1fcull, 2377759ull, 599648ull},
+      {-1, 0, 0x000000000006e1fcull, 1254143ull, 468696ull},
+      {-1, 0, 0x000000000006e1fcull, 2314801ull, 603858ull},
+      {-1, 0, 0x000000000006e1fcull, 2352559ull, 574448ull},
+      {3, 2, 0x0000000000000000ull, 492734ull, 197512ull},
+      {-1, 0, 0x000000000006e1fcull, 1254143ull, 468696ull},
+      {-1, 0, 0x000000000006e1fcull, 1254143ull, 468696ull},
+      {-1, 0, 0x000000000006e1fcull, 2010156ull, 515017ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x000000000006e1fcull, 1890212ull, 471843ull},
+     }},
+    {"LU", 0x6d52f1a07cee791eull,
+     {
+      {-1, 0, 0x00000000000ada88ull, 287030ull, 104976ull},
+      {-1, 0, 0x00000000000ada88ull, 214341ull, 98577ull},
+      {-1, 0, 0x00000000000ada88ull, 635590ull, 159386ull},
+      {-1, 0, 0x00000000000ada88ull, 292013ull, 136521ull},
+      {-1, 0, 0x00000000000ada88ull, 596742ull, 173084ull},
+      {-1, 0, 0x00000000000ada88ull, 583785ull, 136259ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x00000000000ada88ull, 292013ull, 136521ull},
+      {-1, 0, 0x00000000000ada88ull, 292013ull, 136521ull},
+      {-1, 0, 0x00000000000ada88ull, 509909ull, 123682ull},
+      {-1, 0, 0x00000000000ada88ull, 635590ull, 159386ull},
+      {-1, 0, 0x00000000000ada88ull, 434614ull, 124619ull},
+     }},
+    {"Sieve", 0xa3d04cb65ef122d8ull,
+     {
+      {-1, 0, 0x000000000000030full, 351704ull, 187322ull},
+      {-1, 0, 0x000000000000030full, 439243ull, 225561ull},
+      {-1, 0, 0x000000000000030full, 496333ull, 281053ull},
+      {-1, 0, 0x000000000000030full, 466267ull, 252585ull},
+      {-1, 0, 0x000000000000030full, 497113ull, 281833ull},
+      {-1, 0, 0x000000000000030full, 470901ull, 255621ull},
+      {3, 2, 0x0000000000000000ull, 168624ull, 132535ull},
+      {-1, 0, 0x000000000000030full, 466267ull, 252585ull},
+      {-1, 0, 0x000000000000030full, 467068ull, 251788ull},
+      {-1, 0, 0x000000000000030full, 368054ull, 230162ull},
+      {-1, 0, 0x000000000000030full, 496331ull, 281051ull},
+      {-1, 0, 0x000000000000030full, 215371ull, 180871ull},
+     }},
+    {"BubbleSort", 0xd73d984998c24940ull,
+     {
+      {-1, 0, 0x0000000000005d48ull, 1157170ull, 499093ull},
+      {-1, 0, 0x0000000000005d48ull, 914629ull, 481730ull},
+      {-1, 0, 0x0000000000005d48ull, 1396195ull, 763722ull},
+      {-1, 0, 0x0000000000005d48ull, 1281515ull, 685460ull},
+      {-1, 0, 0x0000000000005d48ull, 1456182ull, 787723ull},
+      {-1, 0, 0x0000000000005d48ull, 1077526ull, 608209ull},
+      {-1, 0, 0x0000000000005d48ull, 562933ull, 397710ull},
+      {-1, 0, 0x0000000000005d48ull, 1281515ull, 685460ull},
+      {-1, 0, 0x0000000000005d48ull, 1281715ull, 685260ull},
+      {-1, 0, 0x0000000000005d48ull, 822004ull, 536181ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x0000000000005d48ull, 760642ull, 524017ull},
+     }},
+    {"SelectionSort", 0xa0c7ed03ceb0eaaaull,
+     {
+      {-1, 0, 0x00000000389cd3aaull, 391798ull, 201455ull},
+      {-1, 0, 0x00000000389cd3aaull, 558152ull, 320070ull},
+      {-1, 0, 0x00000000389cd3aaull, 615084ull, 375028ull},
+      {-1, 0, 0x00000000389cd3aaull, 587295ull, 347239ull},
+      {-1, 0, 0x00000000389cd3aaull, 613832ull, 373776ull},
+      {-1, 0, 0x00000000389cd3aaull, 587264ull, 349182ull},
+      {-1, 0, 0x00000000389cd3aaull, 315537ull, 249107ull},
+      {-1, 0, 0x00000000389cd3aaull, 587295ull, 347239ull},
+      {-1, 0, 0x00000000389cd3aaull, 589422ull, 349366ull},
+      {-1, 0, 0x00000000389cd3aaull, 488906ull, 324408ull},
+      {-1, 0, 0x00000000389cd3aaull, 612956ull, 372900ull},
+      {-1, 0, 0x00000000389cd3aaull, 340723ull, 274343ull},
+     }},
+    {"Linpack", 0x3cc75e5616cfd07aull,
+     {
+      {-1, 0, 0x000000000009af6full, 173326ull, 78299ull},
+      {-1, 0, 0x000000000009af6full, 182221ull, 88100ull},
+      {-1, 0, 0x000000000009af6full, 263542ull, 131951ull},
+      {-1, 0, 0x000000000009af6full, 212095ull, 102722ull},
+      {-1, 0, 0x000000000009af6full, 546820ull, 134431ull},
+      {-1, 0, 0x000000000009af6full, 556958ull, 117551ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x000000000009af6full, 212095ull, 102722ull},
+      {-1, 0, 0x000000000009af6full, 212647ull, 103274ull},
+      {-1, 0, 0x000000000009af6full, 394330ull, 107911ull},
+      {-1, 0, 0x000000000009af6full, 262090ull, 131651ull},
+      {-1, 0, 0x000000000009af6full, 163529ull, 100514ull},
+     }},
+    {"Fibonacci.iter", 0xe27d7020e1a5d486ull,
+     {
+      {-1, 0, 0xbdd7b17092f6e190ull, 153932ull, 119711ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 222334ull, 153911ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 273647ull, 205224ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 222338ull, 153915ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 239447ull, 171024ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 273647ull, 205224ull},
+      {5, 0, 0x212ace0d24229142ull, 70938ull, 70917ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 222338ull, 153915ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 256538ull, 188115ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 273637ull, 205214ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 239447ull, 171024ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 136844ull, 136823ull},
+     }},
+    {"Fibonacci.recv", 0xf7a31bb75348ca93ull,
+     {
+      {-1, 0, 0x0000000000000179ull, 25592ull, 9147ull},
+      {-1, 0, 0x0000000000000179ull, 28084ull, 9599ull},
+      {-1, 0, 0x0000000000000179ull, 36570ull, 17685ull},
+      {-1, 0, 0x0000000000000179ull, 29252ull, 10367ull},
+      {-1, 0, 0x0000000000000179ull, 34621ull, 15936ull},
+      {-1, 0, 0x0000000000000179ull, 36370ull, 17685ull},
+      {-1, 0, 0x0000000000000179ull, 26201ull, 9756ull},
+      {-1, 0, 0x0000000000000179ull, 29252ull, 10367ull},
+      {-1, 0, 0x0000000000000179ull, 30471ull, 11586ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x0000000000000179ull, 35351ull, 16466ull},
+      {-1, 0, 0x0000000000000179ull, 31081ull, 14636ull},
+     }},
+    {"Dhrystone", 0x7c3e23b637c3f8bull,
+     {
+      {-1, 0, 0x000000000080580eull, 225609ull, 114815ull},
+      {-1, 0, 0x000000000080580eull, 254313ull, 123017ull},
+      {-1, 0, 0x000000000080580eull, 401937ull, 217341ull},
+      {-1, 0, 0x000000000080580eull, 352714ull, 168118ull},
+      {-1, 0, 0x000000000080580eull, 332237ull, 188641ull},
+      {-1, 0, 0x000000000080580eull, 315837ull, 184541ull},
+      {5, 0, 0x0000000000823a75ull, 260772ull, 120258ull},
+      {-1, 0, 0x000000000080580eull, 356814ull, 172218ull},
+      {-1, 0, 0x000000000080580eull, 360914ull, 176318ull},
+      {-1, 0, 0x000000000080580eull, 315818ull, 184522ull},
+      {-1, 0, 0x000000000080580eull, 393737ull, 209141ull},
+      {-1, 0, 0x000000000080580eull, 303534ull, 164040ull},
+     }},
+    {"MaterialLife", 0x3888b7f23d9a938cull,
+     {
+      {-1, 0, 0x00000000000000eaull, 1016593ull, 371868ull},
+      {-1, 0, 0x00000000000000eaull, 748522ull, 345767ull},
+      {-1, 0, 0x00000000000000eaull, 1438948ull, 490643ull},
+      {-1, 0, 0x00000000000000eaull, 843967ull, 452774ull},
+      {-1, 0, 0x00000000000000eaull, 1546013ull, 554992ull},
+      {-1, 0, 0x00000000000000eaull, 1396612ull, 448307ull},
+      {3, 2, 0x0000000000000000ull, 607120ull, 340802ull},
+      {-1, 0, 0x00000000000000eaull, 843967ull, 452774ull},
+      {-1, 0, 0x00000000000000eaull, 849295ull, 458030ull},
+      {-1, 0, 0x00000000000000eaull, 1082382ull, 461157ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x00000000000000eaull, 1396260ull, 456861ull},
+     }},
+    {"4inaRow", 0xf9fdf5aff6f5b8b1ull,
+     {
+      {-1, 0, 0x0000000000000ff6ull, 31697ull, 8654ull},
+      {-1, 0, 0x0000000000000ff6ull, 29201ull, 8774ull},
+      {-1, 0, 0x0000000000000ff6ull, 53974ull, 12552ull},
+      {-1, 0, 0x0000000000000ff6ull, 31413ull, 10311ull},
+      {-1, 0, 0x0000000000000ff6ull, 60262ull, 13328ull},
+      {-1, 0, 0x0000000000000ff6ull, 53969ull, 12550ull},
+      {-1, 0, 0x0000000000000ff6ull, 28962ull, 9461ull},
+      {-1, 0, 0x0000000000000ff6ull, 31772ull, 10654ull},
+      {-1, 0, 0x0000000000000ff6ull, 31421ull, 10319ull},
+      {-1, 0, 0x0000000000000ff6ull, 48054ull, 12863ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x0000000000000ff6ull, 57860ull, 12527ull},
+     }},
+    {"DroidFish", 0xb74a7ededa730811ull,
+     {
+      {-1, 0, 0x0000000000003010ull, 78697ull, 27658ull},
+      {-1, 0, 0x0000000000003010ull, 87132ull, 31987ull},
+      {-1, 0, 0x0000000000003010ull, 160449ull, 43364ull},
+      {-1, 0, 0x0000000000003010ull, 92778ull, 37633ull},
+      {-1, 0, 0x0000000000003010ull, 153798ull, 41831ull},
+      {-1, 0, 0x0000000000003010ull, 158401ull, 41316ull},
+      {-1, 0, 0x0000000000003010ull, 74826ull, 29939ull},
+      {-1, 0, 0x0000000000003010ull, 92778ull, 37633ull},
+      {-1, 0, 0x0000000000003010ull, 93034ull, 37377ull},
+      {-1, 0, 0x0000000000003010ull, 116626ull, 40777ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x0000000000003010ull, 141211ull, 34910ull},
+     }},
+    {"ColorOverflow", 0x27359fb2964263efull,
+     {
+      {-1, 0, 0x0000000000000002ull, 99637ull, 57746ull},
+      {-1, 0, 0x0000000000000002ull, 132291ull, 74127ull},
+      {-1, 0, 0x0000000000000002ull, 185168ull, 74858ull},
+      {-1, 0, 0x0000000000000002ull, 132463ull, 74245ull},
+      {-1, 0, 0x0000000000000002ull, 250682ull, 74888ull},
+      {-1, 0, 0x0000000000000002ull, 185109ull, 74814ull},
+      {-1, 0, 0x0000000000000002ull, 26981ull, 26319ull},
+      {-1, 0, 0x0000000000000002ull, 132424ull, 74245ull},
+      {-1, 0, 0x0000000000000002ull, 132471ull, 74253ull},
+      {-1, 0, 0x0000000000000002ull, 135605ull, 66564ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x0000000000000002ull, 152104ull, 50211ull},
+     }},
+    {"Brainstonz", 0x7207460719945782ull,
+     {
+      {-1, 0, 0x000000000000001full, 501913ull, 188777ull},
+      {-1, 0, 0x000000000000001full, 557933ull, 219241ull},
+      {-1, 0, 0x000000000000001full, 641769ull, 287845ull},
+      {-1, 0, 0x000000000000001full, 580824ull, 237854ull},
+      {-1, 0, 0x000000000000001full, 1228348ull, 286840ull},
+      {-1, 0, 0x000000000000001full, 1253270ull, 285074ull},
+      {-1, 0, 0x000000000000001full, 710995ull, 255738ull},
+      {-1, 0, 0x000000000000001full, 594216ull, 251246ull},
+      {-1, 0, 0x000000000000001full, 581234ull, 238264ull},
+      {-1, 0, 0x000000000000001full, 949396ull, 271209ull},
+      {-1, 0, 0x000000000000001full, 645744ull, 287434ull},
+      {-1, 0, 0x000000000000001full, 481892ull, 228861ull},
+     }},
+    {"Blokish", 0x478e78405684ff5full,
+     {
+      {-1, 0, 0x00000000000004ddull, 207769ull, 106268ull},
+      {-1, 0, 0x00000000000004ddull, 254980ull, 137797ull},
+      {-1, 0, 0x00000000000004ddull, 499714ull, 189571ull},
+      {-1, 0, 0x00000000000004ddull, 262018ull, 144835ull},
+      {-1, 0, 0x00000000000004ddull, 494286ull, 195015ull},
+      {-1, 0, 0x00000000000004ddull, 499714ull, 189571ull},
+      {-1, 0, 0x00000000000004ddull, 165918ull, 115693ull},
+      {-1, 0, 0x00000000000004ddull, 262018ull, 144835ull},
+      {-1, 0, 0x00000000000004ddull, 262026ull, 144827ull},
+      {-1, 0, 0x00000000000004ddull, 388284ull, 177683ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x00000000000004ddull, 418529ull, 167466ull},
+     }},
+    {"Svarka Calculator", 0x3366c1f1be29f845ull,
+     {
+      {-1, 0, 0x0000000000006326ull, 189242ull, 46013ull},
+      {-1, 0, 0x0000000000006326ull, 166182ull, 47876ull},
+      {-1, 0, 0x0000000000006326ull, 248460ull, 72587ull},
+      {-1, 0, 0x0000000000006326ull, 186318ull, 62213ull},
+      {-1, 0, 0x0000000000006326ull, 361935ull, 73430ull},
+      {-1, 0, 0x0000000000006326ull, 344846ull, 75051ull},
+      {5, 0, 0x0000000000006632ull, 159080ull, 51832ull},
+      {-1, 0, 0x0000000000006326ull, 203245ull, 63753ull},
+      {-1, 0, 0x0000000000006326ull, 186318ull, 62213ull},
+      {-1, 0, 0x0000000000006326ull, 202956ull, 66005ull},
+      {-1, 0, 0x0000000000006326ull, 351188ull, 72059ull},
+      {-1, 0, 0x0000000000006326ull, 326072ull, 61967ull},
+     }},
+    {"Reversi Android", 0x1c403fba1970b3cfull,
+     {
+      {-1, 0, 0x000000000000004dull, 43538ull, 14512ull},
+      {-1, 0, 0x000000000000004dull, 37697ull, 16271ull},
+      {-1, 0, 0x000000000000004dull, 181428ull, 46696ull},
+      {-1, 0, 0x000000000000004dull, 39738ull, 18312ull},
+      {-1, 0, 0x000000000000004dull, 183329ull, 47049ull},
+      {-1, 0, 0x000000000000004dull, 179266ull, 46176ull},
+      {-1, 0, 0x000000000000004dull, 29357ull, 15443ull},
+      {-1, 0, 0x000000000000004dull, 39438ull, 18682ull},
+      {-1, 0, 0x000000000000004dull, 40351ull, 19595ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x000000000000004dull, 171996ull, 43148ull},
+     }},
+    {"Poker Odds (Vitosha)", 0x7e994f15fbebbc4eull,
+     {
+      {-1, 0, 0x0000000000005a7eull, 271713ull, 99204ull},
+      {-1, 0, 0x0000000000005a7eull, 244737ull, 116346ull},
+      {-1, 0, 0x0000000000005a7eull, 457940ull, 151648ull},
+      {-1, 0, 0x0000000000005a7eull, 262488ull, 137058ull},
+      {-1, 0, 0x0000000000005a7eull, 418918ull, 163202ull},
+      {-1, 0, 0x0000000000005a7eull, 451215ull, 148958ull},
+      {5, 0, 0x00000000001b6ef6ull, 656595ull, 287287ull},
+      {-1, 0, 0x0000000000005a7eull, 264104ull, 137058ull},
+      {-1, 0, 0x0000000000005a7eull, 262488ull, 137058ull},
+      {-1, 0, 0x0000000000005a7eull, 349947ull, 141920ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {-1, 0, 0x0000000000005a7eull, 332538ull, 136301ull},
+     }},
+  };
+
+  core::PipelineConfig Config;
+  const std::vector<RegionFixture> &Regions = tableOneRegions();
+  ASSERT_EQ(Regions.size(), Golden.size());
+  const std::vector<search::Genome> Genomes = goldenGenomes();
+  for (size_t A = 0; A != Regions.size(); ++A) {
+    const RegionFixture &F = Regions[A];
+    const GoldenApp &Row = Golden[A];
+    ASSERT_EQ(F.App.Name, Row.App);
+
+    core::AppInstance Profiled(F.App, /*Seed=*/1, /*AttributeCycles=*/true);
+    for (int I = 0; I != 2; ++I)
+      ASSERT_TRUE(Profiled.runSession(F.App.DefaultParam + I).ok());
+    uint64_t Profile = profileHash(Profiled.runtime());
+
+    core::RegionEvaluator Eval(F.App, F.Region, F.Captured.Cap,
+                               F.Captured.Map, F.Captured.Profile, Config);
+    vm::NativeRegistry Natives = vm::NativeRegistry::standardLibrary();
+    replay::Replayer Rep(*F.App.File, Natives, F.App.RtConfig);
+    std::vector<ReplayRow> Rows;
+    vm::CodeCache Android;
+    hgraph::compileAllAndroid(*F.App.File, F.Region.Methods, Android);
+    Rows.push_back(replayRow(Rep, F, Android));
+    for (const search::Genome &G : Genomes) {
+      std::optional<vm::CodeCache> Code = Eval.compileRegion(G);
+      Rows.push_back(Code ? replayRow(Rep, F, *Code)
+                          : ReplayRow{-2, 0, 0, 0, 0});
+    }
+
+    EXPECT_EQ(Profile, Row.ProfileHash)
+        << Row.App << " profile: 0x" << std::hex << Profile;
+    EXPECT_EQ(rowsText(Rows), rowsText(Row.Rows)) << Row.App;
   }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace ropt;
 using namespace ropt::os;
 
@@ -456,4 +458,46 @@ TEST(TranslationCache, ProtectionChangeIsHonored) {
   uint64_t V = 0;
   EXPECT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
   EXPECT_EQ(V, 3u);
+}
+
+TEST(TranslationCache, PagesSharingASlotStayDistinct) {
+  // The cache is direct-mapped on the low page-number bits: pages 64
+  // apart evict each other's entry and must never be served each other's
+  // bytes or protection.
+  AddressSpace Space = makeSpace(129);
+  const uint64_t Pages[] = {0, 64, 128};
+  for (int Round = 0; Round != 3; ++Round)
+    for (uint64_t P : Pages) {
+      uint64_t X = P * 10 + Round;
+      ASSERT_EQ(Space.write(Base + P * PageSize, &X, 8), AccessResult::Ok);
+    }
+  for (uint64_t P : Pages) {
+    uint64_t V = 0;
+    ASSERT_EQ(Space.read(Base + P * PageSize, &V, 8), AccessResult::Ok);
+    EXPECT_EQ(V, P * 10 + 2);
+  }
+  Space.protectRange(Base + 64 * PageSize, PageSize, ProtRead);
+  uint64_t X = 7;
+  EXPECT_EQ(Space.write(Base, &X, 8), AccessResult::Ok);
+  EXPECT_EQ(Space.write(Base + 64 * PageSize, &X, 8),
+            AccessResult::Violation);
+  EXPECT_EQ(Space.write(Base + 128 * PageSize, &X, 8), AccessResult::Ok);
+}
+
+TEST(PageBytes, ViewsBackingIgnoringProtection) {
+  AddressSpace Space = makeSpace(3);
+  uint64_t X = 0x1234;
+  ASSERT_EQ(Space.write(Base + PageSize + 16, &X, 8), AccessResult::Ok);
+  Space.protectRange(Base, 3 * PageSize, ProtNone);
+
+  const uint8_t *Bytes = nullptr;
+  ASSERT_TRUE(Space.pageBytes(Base + PageSize + 100, Bytes));
+  ASSERT_NE(Bytes, nullptr);
+  uint64_t V = 0;
+  std::memcpy(&V, Bytes + 16, 8);
+  EXPECT_EQ(V, 0x1234u);
+  // An untouched page has no backing yet: it reads as zeros.
+  ASSERT_TRUE(Space.pageBytes(Base, Bytes));
+  EXPECT_EQ(Bytes, nullptr);
+  EXPECT_FALSE(Space.pageBytes(Base + 3 * PageSize, Bytes));
 }

@@ -185,7 +185,14 @@ TEST(RunReport, RoundTripsThroughRunDirectory) {
 
   report::ValidationResult V = report::validateRun(Run);
   EXPECT_TRUE(V.ok());
+#if ROPT_OBSERVABILITY
   EXPECT_TRUE(V.Warnings.empty());
+#else
+  // The manifest records observability:false; validation says why
+  // metrics.json and trace.json are absent, and warns about nothing else.
+  ASSERT_EQ(V.Warnings.size(), 1u);
+  EXPECT_NE(V.Warnings[0].find("ROPT_OBSERVABILITY=0"), std::string::npos);
+#endif
 
   std::string Summary = report::summarize(Run);
   EXPECT_NE(Summary.find("TestApp"), std::string::npos);

@@ -13,9 +13,12 @@
 #      default (sessions-on) run: fork-server replay sessions are a pure
 #      backend optimization with no observable effect on provenance
 #
-# Inputs: -DFIG09=..., -DROPT_REPORT=..., -DWORK_DIR=...
+# Inputs: -DFIG09=..., -DROPT_REPORT=..., -DWORK_DIR=..., and
+# -DOBSERVABILITY=ON|OFF (the build's ropt_observability option: an OFF
+# build writes no metrics.json or trace.json, so the metrics-derived
+# checks flip to checking their absence).
 
-foreach(Var FIG09 ROPT_REPORT WORK_DIR)
+foreach(Var FIG09 ROPT_REPORT WORK_DIR OBSERVABILITY)
   if(NOT DEFINED ${Var})
     message(FATAL_ERROR "missing -D${Var}=...")
   endif()
@@ -43,10 +46,16 @@ if(NOT Rc EQUAL 0)
   message(FATAL_ERROR "fig09 --jobs 4 --report ${RunB} failed (${Rc})")
 endif()
 
-foreach(Artifact manifest.json evaluations.jsonl generations.jsonl
-        metrics.json trace.json)
+foreach(Artifact manifest.json evaluations.jsonl generations.jsonl)
   if(NOT EXISTS "${RunA}/${Artifact}")
     message(FATAL_ERROR "missing artifact ${RunA}/${Artifact}")
+  endif()
+endforeach()
+foreach(Artifact metrics.json trace.json)
+  if(OBSERVABILITY AND NOT EXISTS "${RunA}/${Artifact}")
+    message(FATAL_ERROR "missing artifact ${RunA}/${Artifact}")
+  elseif(NOT OBSERVABILITY AND EXISTS "${RunA}/${Artifact}")
+    message(FATAL_ERROR "observability-off run wrote ${RunA}/${Artifact}")
   endif()
 endforeach()
 
@@ -67,8 +76,11 @@ if(NOT Out MATCHES "Sieve")
   message(FATAL_ERROR "summary does not mention the app:\n${Out}")
 endif()
 # The compile memo's counters reach metrics.json (and only metrics.json).
-if(NOT Out MATCHES "compile memo: [0-9.]+% of [0-9]+ pass applications")
+if(OBSERVABILITY AND
+   NOT Out MATCHES "compile memo: [0-9.]+% of [0-9]+ pass applications")
   message(FATAL_ERROR "summary has no compile memo line:\n${Out}")
+elseif(NOT OBSERVABILITY AND Out MATCHES "compile memo")
+  message(FATAL_ERROR "memo line without metrics.json:\n${Out}")
 endif()
 file(READ "${RunA}/evaluations.jsonl" Evals)
 if(Evals MATCHES "memo")

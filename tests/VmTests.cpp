@@ -604,6 +604,207 @@ TEST(Accounting, DeterministicAcrossRuns) {
   EXPECT_EQ(A.Ret.asI64(), B2.Ret.asI64());
 }
 
+// --- Exact instruction budget ---------------------------------------------------
+//
+// Both tiers keep their cycle and instruction counts in frame-local
+// counters and flush them into the runtime before every invoke, native
+// call, return and trap. These tests pin the observable edges of that
+// rule to values measured when every charge still went straight into the
+// runtime: Timeout fires on instruction InsnBudget + 1 wherever it falls,
+// with the same cycles charged, and a native sees the same clock.
+
+namespace {
+
+/// outer(n) = currentTimeMillis() + fillSum(n): a native call, then a
+/// callee that allocates an n-element array, stores 0..n-1 into it and
+/// sums it back — back-edges, array loads and stores, and an allocation.
+DexFile budgetProgram() {
+  DexBuilder B;
+  NativeId Clock = B.addNative("currentTimeMillis", 0, true);
+  MethodId FillSum = B.declareFunction(InvalidId, "fillSum", 1, true);
+  {
+    FunctionBuilder F = B.beginBody(FillSum);
+    RegIdx Arr = F.newReg(), I = F.newReg(), Sum = F.newReg(),
+           V = F.newReg(), One = F.immI(1);
+    F.newArray(Arr, F.param(0), Type::I64);
+    F.constI(I, 0);
+    auto Fill = F.newLabel(), Filled = F.newLabel();
+    F.bind(Fill);
+    F.ifGe(I, F.param(0), Filled);
+    F.astore(Arr, I, I, Type::I64);
+    F.addI(I, I, One);
+    F.jump(Fill);
+    F.bind(Filled);
+    F.constI(Sum, 0);
+    F.constI(I, 0);
+    auto Add = F.newLabel(), Done = F.newLabel();
+    F.bind(Add);
+    F.ifGe(I, F.param(0), Done);
+    F.aload(V, Arr, I, Type::I64);
+    F.addI(Sum, Sum, V);
+    F.addI(I, I, One);
+    F.jump(Add);
+    F.bind(Done);
+    F.ret(Sum);
+    B.endBody(F);
+  }
+  MethodId Outer = B.declareFunction(InvalidId, "outer", 1, true);
+  {
+    FunctionBuilder F = B.beginBody(Outer);
+    RegIdx T = F.newReg(), S = F.newReg();
+    F.invokeNative(T, Clock, {});
+    F.invokeStatic(S, FillSum, {F.param(0)});
+    F.addI(S, S, T);
+    F.ret(S);
+    B.endBody(F);
+  }
+  return B.build();
+}
+
+constexpr int64_t BudgetProgramArg = 8;
+
+/// A fresh process running budgetProgram() in \p Mode; Mixed compiles
+/// both methods with the stock pipeline first.
+std::unique_ptr<VmEnv> budgetEnv(ExecMode Mode, uint64_t Budget) {
+  RuntimeConfig Config;
+  Config.InsnBudget = Budget;
+  auto Env = std::make_unique<VmEnv>(budgetProgram(), Config);
+  if (Mode == ExecMode::Mixed)
+    hgraph::compileAllAndroid(Env->File,
+                              {Env->File.findMethod("fillSum"),
+                               Env->File.findMethod("outer")},
+                              Env->RT->codeCache());
+  Env->RT->setMode(Mode);
+  return Env;
+}
+
+CallResult runBudgetProgram(ExecMode Mode, uint64_t Budget) {
+  return budgetEnv(Mode, Budget)->run("outer",
+                                      {Value::fromI64(BudgetProgramArg)});
+}
+
+/// Index of the first native call and the first static call in outer's
+/// code for \p Mode's tier. Both sit in outer's branch-free prefix, so
+/// instruction Index + 1 of the call is the one right after it.
+std::pair<uint64_t, uint64_t> outerCallIndices(ExecMode Mode) {
+  std::unique_ptr<VmEnv> Env = budgetEnv(Mode, RuntimeConfig().InsnBudget);
+  MethodId Outer = Env->File.findMethod("outer");
+  uint64_t Native = ~0ULL, Static = ~0ULL;
+  if (Mode == ExecMode::Mixed) {
+    const MachineFunction *Fn = Env->RT->codeCache().lookup(Outer);
+    EXPECT_NE(Fn, nullptr);
+    for (size_t I = 0; Fn && I != Fn->Code.size(); ++I) {
+      if (Fn->Code[I].Op == MOpcode::MCallNative && Native == ~0ULL)
+        Native = I;
+      if (Fn->Code[I].Op == MOpcode::MCallStatic && Static == ~0ULL)
+        Static = I;
+    }
+  } else {
+    const std::vector<Insn> &Code = Env->File.method(Outer).Code;
+    for (size_t I = 0; I != Code.size(); ++I) {
+      if (Code[I].Op == Opcode::InvokeNative && Native == ~0ULL)
+        Native = I;
+      if (Code[I].Op == Opcode::InvokeStatic && Static == ~0ULL)
+        Static = I;
+    }
+  }
+  return {Native, Static};
+}
+
+} // namespace
+
+TEST(ExactBudget, TimeoutMatchesPinnedCyclesAtEveryBudget) {
+  // Runs outer(8) under every budget short of the full run. Each call
+  // times out on instruction Budget + 1; its cycles must equal the values
+  // measured before frame-local counters: in clear where the budget runs
+  // out 20 instructions into fillSum, on fillSum's first instruction and
+  // right after the native call, and as an FNV-1a hash over all budgets.
+  struct TierCase {
+    ExecMode Mode;
+    const char *Name;
+    uint64_t FullInsns;
+    uint64_t CalleeCycles;
+    uint64_t FirstInsnCycles;
+    uint64_t AfterNativeCycles;
+    uint64_t CyclesHash;
+  };
+  const TierCase Tiers[] = {
+      {ExecMode::InterpretOnly, "interpreter", 84, 616, 259, 232,
+       0x97c238d7d4152de6ULL},
+      {ExecMode::Mixed, "compiled", 134, 320, 223, 218,
+       0x91bd94594010153fULL},
+  };
+  for (const TierCase &T : Tiers) {
+    SCOPED_TRACE(T.Name);
+    CallResult Full = runBudgetProgram(T.Mode, RuntimeConfig().InsnBudget);
+    ASSERT_TRUE(Full.ok());
+    ASSERT_EQ(Full.Insns, T.FullInsns);
+    std::vector<uint64_t> Cycles;
+    uint64_t H = 1469598103934665603ULL;
+    for (uint64_t Budget = 0; Budget != Full.Insns; ++Budget) {
+      CallResult R = runBudgetProgram(T.Mode, Budget);
+      ASSERT_EQ(R.Trap, TrapKind::Timeout) << "budget " << Budget;
+      ASSERT_EQ(R.Insns, Budget + 1) << "budget " << Budget;
+      Cycles.push_back(R.Cycles);
+      H ^= R.Cycles;
+      H *= 1099511628211ULL;
+    }
+    // With the whole run's instruction count as budget, nothing times out.
+    EXPECT_TRUE(runBudgetProgram(T.Mode, Full.Insns).ok());
+    EXPECT_EQ(H, T.CyclesHash) << std::hex << "0x" << H;
+
+    auto [NativeIdx, StaticIdx] = outerCallIndices(T.Mode);
+    ASSERT_LT(NativeIdx, StaticIdx);
+    ASSERT_LT(StaticIdx + 21, Cycles.size());
+    EXPECT_EQ(Cycles[StaticIdx + 1 + 20], T.CalleeCycles);
+    EXPECT_EQ(Cycles[StaticIdx + 1], T.FirstInsnCycles);
+    EXPECT_EQ(Cycles[NativeIdx + 1], T.AfterNativeCycles);
+  }
+}
+
+TEST(ExactBudget, NativeClockSeesWorkBeforeTheCall) {
+  // clock(n) runs an n-iteration loop and then reads currentTimeMillis
+  // (total cycles / 10^6) in the same frame: the native must see every
+  // cycle the frame charged before the call.
+  DexBuilder B;
+  NativeId Clock = B.addNative("currentTimeMillis", 0, true);
+  MethodId M = B.declareFunction(InvalidId, "clock", 1, true);
+  FunctionBuilder F = B.beginBody(M);
+  RegIdx Sum = F.newReg(), I = F.newReg(), T = F.newReg(), One = F.immI(1);
+  F.constI(Sum, 0);
+  F.constI(I, 0);
+  auto Head = F.newLabel(), Exit = F.newLabel();
+  F.bind(Head);
+  F.ifGe(I, F.param(0), Exit);
+  F.addI(Sum, Sum, I);
+  F.addI(I, I, One);
+  F.jump(Head);
+  F.bind(Exit);
+  F.invokeNative(T, Clock, {});
+  F.ret(T);
+  B.endBody(F);
+  DexFile File = B.build();
+
+  struct TierCase {
+    ExecMode Mode;
+    const char *Name;
+    int64_t Millis; ///< Measured before frame-local counters.
+  };
+  const TierCase Tiers[] = {{ExecMode::InterpretOnly, "interpreter", 25},
+                            {ExecMode::Mixed, "compiled", 2}};
+  for (const TierCase &T : Tiers) {
+    SCOPED_TRACE(T.Name);
+    VmEnv Env(File);
+    if (T.Mode == ExecMode::Mixed)
+      hgraph::compileAllAndroid(Env.File, {M}, Env.RT->codeCache());
+    Env.RT->setMode(T.Mode);
+    CallResult R = Env.run("clock", {Value::fromI64(400000)});
+    ASSERT_TRUE(R.ok());
+    EXPECT_EQ(R.Ret.asI64(), T.Millis);
+    EXPECT_GT(R.Ret.asI64(), 0);
+  }
+}
+
 // --- Observer hooks -------------------------------------------------------------
 
 namespace {
