@@ -57,11 +57,10 @@ uint64_t AppInstance::runSessionBlock(int Count, int64_t BaseParam) {
 void AppInstance::overrideRegionCode(
     const std::vector<dex::MethodId> &Methods, const vm::CodeCache &Code) {
   for (dex::MethodId Id : Methods) {
-    if (const vm::MachineFunction *Fn = Code.lookup(Id)) {
-      RT->codeCache().install(
-          std::make_shared<vm::MachineFunction>(*Fn));
-    } else {
+    auto It = Code.functions().find(Id);
+    if (It != Code.functions().end())
+      RT->codeCache().install(It->second); // installed code is immutable
+    else
       RT->codeCache().remove(Id); // falls back to the interpreter
-    }
   }
 }

@@ -108,7 +108,7 @@ uint64_t hashCodeCache(const vm::CodeCache &Code) {
   };
   for (const auto &KV : Code.functions()) {
     Mix(KV.first);
-    const vm::MachineFunction &Fn = *KV.second;
+    const vm::MachineFunction &Fn = *KV.second->Source;
     Mix(Fn.NumRegs);
     for (const vm::MInsn &I : Fn.Code) {
       Mix(static_cast<uint64_t>(I.Op));

@@ -261,6 +261,7 @@ void publishResidentGauge() {
 struct CompileMemo::Impl {
   using Lock = std::unique_lock<std::mutex>;
   using MachinePtr = std::shared_ptr<vm::MachineFunction>;
+  using DecodedPtr = std::shared_ptr<const vm::DecodedFunction>;
   using EncodedPtr = std::shared_ptr<const std::string>;
 
   /// One interned IR state. Never deleted: an evicted state keeps its
@@ -277,6 +278,9 @@ struct CompileMemo::Impl {
   /// Machine code of one (state, RegAllocKind).
   struct CodeEntry {
     MachinePtr Fn;
+    /// Fn decoded, while some code cache still holds it: caches that
+    /// install the same code share one decoding.
+    std::weak_ptr<const vm::DecodedFunction> Decoded;
     int64_t Size = 0;
     std::list<uint64_t>::iterator Pos; ///< Into CodeLru.
   };
@@ -356,10 +360,11 @@ struct CompileMemo::Impl {
     }
   }
 
-  void storeCode(uint64_t Key, MachinePtr Fn) {
+  void storeCode(uint64_t Key, MachinePtr Fn, const DecodedPtr &Decoded) {
     CodeEntry &E = Codes[Key];
     E.Size = codeBytes(*Fn);
     E.Fn = std::move(Fn);
+    E.Decoded = Decoded;
     CodeLru.push_front(Key);
     E.Pos = CodeLru.begin();
     CodeBytes += E.Size;
@@ -465,8 +470,19 @@ struct CompileMemo::Impl {
 
   struct MethodResult {
     CompileStatus Status;
-    MachinePtr Fn;
+    DecodedPtr Code;
   };
+
+  /// \p E's code as installed: the live decoding if a cache still holds
+  /// one, else a fresh one.
+  static DecodedPtr decodedCode(CodeEntry &E) {
+    DecodedPtr Decoded = E.Decoded.lock();
+    if (!Decoded) {
+      Decoded = vm::decodeMachineFunction(E.Fn);
+      E.Decoded = Decoded;
+    }
+    return Decoded;
+  }
 
   MethodResult compileMethod(Lock &L, dex::MethodId Id,
                              const std::vector<PassInstance> &Pipeline,
@@ -527,7 +543,7 @@ struct CompileMemo::Impl {
       ++Stats.CodegenHits;
       ROPT_METRIC_INC("compile.memo_codegen_hits");
       CodeLru.splice(CodeLru.begin(), CodeLru, It->second.Pos);
-      return {CompileStatus::Ok, It->second.Fn};
+      return {CompileStatus::Ok, decodedCode(It->second)};
     }
     ++Stats.CodegenMisses;
     ROPT_METRIC_INC("compile.memo_codegen_misses");
@@ -535,11 +551,12 @@ struct CompileMemo::Impl {
       Work = materialize(L, Walk, Pipeline);
     L.unlock();
     MachinePtr Fn = emitMachine(std::move(*Work), RegAlloc);
+    DecodedPtr Decoded = vm::decodeMachineFunction(Fn);
     L.lock();
     if (auto It = Codes.find(Key); It != Codes.end())
-      return {CompileStatus::Ok, It->second.Fn}; // Identical; keep one.
-    storeCode(Key, Fn);
-    return {CompileStatus::Ok, std::move(Fn)};
+      return {CompileStatus::Ok, decodedCode(It->second)}; // Identical.
+    storeCode(Key, std::move(Fn), Decoded);
+    return {CompileStatus::Ok, std::move(Decoded)};
   }
 };
 
@@ -559,7 +576,7 @@ CompileStatus CompileMemo::compileAll(const std::vector<dex::MethodId> &Methods,
   for (dex::MethodId Id : Methods) {
     Impl::MethodResult R = State->compileMethod(L, Id, Pipeline, RegAlloc);
     if (R.Status == CompileStatus::Ok) {
-      Cache.install(std::move(R.Fn));
+      Cache.install(std::move(R.Code));
       continue;
     }
     if (R.Status != CompileStatus::Unsupported && Status == CompileStatus::Ok)

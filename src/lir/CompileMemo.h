@@ -70,7 +70,8 @@ public:
 
   /// lir::compileAllLlvm through the memo: installs every method that
   /// compiles into \p Cache and returns the first non-Ok, non-Unsupported
-  /// status in \p Methods order (Ok if all succeeded).
+  /// status in \p Methods order (Ok if all succeeded). Caches installing
+  /// the same memoized code at the same time share its decoding.
   CompileStatus compileAll(const std::vector<dex::MethodId> &Methods,
                            const std::vector<PassInstance> &Pipeline,
                            hgraph::RegAllocKind RegAlloc,

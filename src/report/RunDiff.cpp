@@ -334,14 +334,24 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
       Problem(Where + ": binary_hash is not a hex string");
   }
 
-  std::map<std::string, int> GenSeen;
+  // One search per app, so within an app the generations strictly
+  // increase; every record counts at least one evaluation.
+  std::map<std::string, int> LastGen;
   for (const GenRecord &G : Run.Generations) {
+    std::string Where =
+        "generations.jsonl " + G.App + " gen " + std::to_string(G.Generation);
+    if (G.Evaluations <= 0)
+      Problem(Where + ": empty generation record");
     if (G.Invalid > G.Evaluations)
-      Problem("generations.jsonl " + G.App + " gen " +
-              std::to_string(G.Generation) + ": invalid > evaluations");
-    ++GenSeen[G.App];
+      Problem(Where + ": invalid > evaluations");
+    auto [It, First] = LastGen.try_emplace(G.App, G.Generation);
+    if (!First) {
+      if (G.Generation <= It->second)
+        Problem(Where + ": out of order (after gen " +
+                std::to_string(It->second) + ")");
+      It->second = G.Generation;
+    }
   }
-  (void)GenSeen;
 
   // --- Fleet artifacts. Their absence is normal for pre-fleet and
   // non-fleet runs, so presence mismatches are warnings; internally

@@ -406,6 +406,15 @@ std::optional<Scored> GeneticSearch::run(double AndroidCycles,
 }
 
 void GeneticSearch::finalizeGenerationStats(GaTrace *Trace) {
+  // record() indexes the log by generation. A search that halts early
+  // never runs some generations, but the hill climb still records as
+  // generation Config.Generations, so the log has zeroed gap rows: drop
+  // them, and publish only generations that evaluated something.
+  GenStats.erase(std::remove_if(GenStats.begin(), GenStats.end(),
+                                [](const GenerationStats &S) {
+                                  return S.Evaluations == 0;
+                                }),
+                 GenStats.end());
   // record() accumulates the valid-genome sum in MeanCycles; turn it
   // into a mean now that the generation populations are final.
   for (GenerationStats &S : GenStats)

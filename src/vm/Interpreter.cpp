@@ -90,7 +90,7 @@ Value Runtime::interpret(const dex::Method &M,
   FrameCost Frame = openFrame();
 
   Frame.charge(CM.CallCycles);
-  safepoint(Frame); // method-entry poll
+  safepoint(Frame.Cycles); // method-entry poll
 
   size_t Pc = 0;
   const dex::Insn *Code = M.Code.data();
@@ -226,7 +226,7 @@ Value Runtime::interpret(const dex::Method &M,
       Frame.charge(CM.BranchCycles);
       // Loop back-edge: poll for GC, as ART's interpreter does.
       if (NextPc <= Pc)
-        safepoint(Frame);
+        safepoint(Frame.Cycles);
       break;
     case Opcode::IfEq:
     case Opcode::IfNe:
@@ -259,7 +259,7 @@ Value Runtime::interpret(const dex::Method &M,
         NextPc = static_cast<size_t>(I.Target);
         // Loop back-edge: poll for GC, as ART's interpreter does.
         if (NextPc <= Pc)
-          safepoint(Frame);
+          safepoint(Frame.Cycles);
       }
       break;
     }
@@ -367,10 +367,10 @@ Value Runtime::interpret(const dex::Method &M,
       }
       uint64_t Addr = Heap::elemAddr(Arr, static_cast<uint64_t>(Index));
       if (IsStore) {
-        memStore(Frame, Addr, R[I.A].Raw);
+        memStore(Frame.Cycles, Addr, R[I.A].Raw);
       } else {
         uint64_t Bits = 0;
-        if (memLoad(Frame, Addr, Bits))
+        if (memLoad(Frame.Cycles, Addr, Bits))
           R[I.A].Raw = Bits;
       }
       break;
@@ -409,10 +409,10 @@ Value Runtime::interpret(const dex::Method &M,
       uint64_t Addr =
           Heap::slotAddr(Obj, Dex.field(I.Idx).SlotIndex);
       if (IsPut) {
-        memStore(Frame, Addr, R[I.A].Raw);
+        memStore(Frame.Cycles, Addr, R[I.A].Raw);
       } else {
         uint64_t Bits = 0;
-        if (memLoad(Frame, Addr, Bits))
+        if (memLoad(Frame.Cycles, Addr, Bits))
           R[I.A].Raw = Bits;
       }
       break;
@@ -422,14 +422,14 @@ Value Runtime::interpret(const dex::Method &M,
     case Opcode::GetStaticF:
     case Opcode::GetStaticR: {
       uint64_t Bits = 0;
-      if (memLoad(Frame, staticSlotAddr(I.Idx), Bits))
+      if (memLoad(Frame.Cycles, staticSlotAddr(I.Idx), Bits))
         R[I.A].Raw = Bits;
       break;
     }
     case Opcode::PutStaticI:
     case Opcode::PutStaticF:
     case Opcode::PutStaticR:
-      memStore(Frame, staticSlotAddr(I.Idx), R[I.A].Raw);
+      memStore(Frame.Cycles, staticSlotAddr(I.Idx), R[I.A].Raw);
       break;
 
     case Opcode::OpcodeCount:

@@ -140,15 +140,73 @@ struct MachineFunction {
   uint64_t sizeBytes() const { return Code.size() * 4; }
 };
 
+/// One instruction as the executor runs it (DESIGN.md §21): everything
+/// its handler reads, inline, in three eighths of an MInsn. Calls and
+/// intrinsics still read their argument registers from the source MInsn.
+struct DecodedInsn {
+  /// Executor handler index (Executor.cpp), with a flag bit on the first
+  /// instruction of each straight-line block.
+  uint8_t Handler = 0;
+  BranchHint Hint = BranchHint::None;
+  MRegIdx A = MNoReg;
+  MRegIdx B = MNoReg;
+  MRegIdx C = MNoReg;
+  /// Static cycles of this instruction and the rest of its block. An
+  /// instruction's static cycles are its opcode's fixed cost (where no
+  /// trap inside the instruction can skip it) plus its spilled-register
+  /// touches.
+  uint32_t BlockCycles = 0;
+  /// Instructions from this one to the end of its block.
+  uint32_t BlockInsns = 0;
+  uint32_t Idx = 0;
+  /// Branch or guard target, checked: an index into the decoded code,
+  /// where an out-of-range MInsn target becomes the fall-off slot.
+  uint32_t Target = 0;
+
+  /// MMovImmI/MMovImmF, which use neither Idx nor Target, keep the
+  /// register's new bits there: low half in Idx, high half in Target.
+  uint64_t imm() const { return static_cast<uint64_t>(Target) << 32 | Idx; }
+  void setImm(uint64_t Bits) {
+    Idx = static_cast<uint32_t>(Bits);
+    Target = static_cast<uint32_t>(Bits >> 32);
+  }
+};
+static_assert(sizeof(DecodedInsn) == 24, "decoded instructions stay small");
+
+/// A MachineFunction decoded once, when it is installed: one DecodedInsn
+/// per MInsn, then the fall-off slot, which faults when control runs off
+/// the end of the code or branches outside it.
+struct DecodedFunction {
+  std::shared_ptr<const MachineFunction> Source;
+  std::vector<DecodedInsn> Code; ///< Source->Code.size() + 1 entries.
+};
+
+/// Decodes \p Fn for the executor (Executor.cpp). Counts vm.decodes.
+std::shared_ptr<const DecodedFunction>
+decodeMachineFunction(std::shared_ptr<const MachineFunction> Fn);
+
 /// The set of compiled methods a runtime executes from. Replays swap whole
-/// caches to compare code versions.
+/// caches to compare code versions. Installing decodes the function, and
+/// copies of a cache share the decoded code; an installed MachineFunction
+/// must not change afterwards.
 class CodeCache {
 public:
   void install(std::shared_ptr<MachineFunction> Fn) {
-    Functions[Fn->Method] = std::move(Fn);
+    install(decodeMachineFunction(std::move(Fn)));
+  }
+  /// Installs an already decoded function, sharing its decoding.
+  void install(std::shared_ptr<const DecodedFunction> Fn) {
+    dex::MethodId Id = Fn->Source->Method;
+    Functions[Id] = std::move(Fn);
   }
 
   const MachineFunction *lookup(dex::MethodId Id) const {
+    const DecodedFunction *Fn = decoded(Id);
+    return Fn ? Fn->Source.get() : nullptr;
+  }
+
+  /// The decoded form of method \p Id, as the executor runs it.
+  const DecodedFunction *decoded(dex::MethodId Id) const {
     auto It = Functions.find(Id);
     return It == Functions.end() ? nullptr : It->second.get();
   }
@@ -160,17 +218,17 @@ public:
   uint64_t totalSizeBytes() const {
     uint64_t Total = 0;
     for (const auto &KV : Functions)
-      Total += KV.second->sizeBytes();
+      Total += KV.second->Source->sizeBytes();
     return Total;
   }
 
-  const std::map<dex::MethodId, std::shared_ptr<MachineFunction>> &
+  const std::map<dex::MethodId, std::shared_ptr<const DecodedFunction>> &
   functions() const {
     return Functions;
   }
 
 private:
-  std::map<dex::MethodId, std::shared_ptr<MachineFunction>> Functions;
+  std::map<dex::MethodId, std::shared_ptr<const DecodedFunction>> Functions;
 };
 
 /// Mnemonic for \p Op.

@@ -158,14 +158,14 @@ Value Runtime::invoke(dex::MethodId MethodId,
   }
 
   Value Ret;
-  const MachineFunction *Fn = nullptr;
+  const DecodedFunction *Fn = nullptr;
   if (!M.IsNative && Mode == ExecMode::Mixed) {
     // The session-shared cache wins: it is the immutable compiled binary
     // under evaluation; the runtime-owned cache serves online installs.
     if (SharedCode)
-      Fn = SharedCode->lookup(MethodId);
+      Fn = SharedCode->decoded(MethodId);
     if (!Fn)
-      Fn = Cache.lookup(MethodId);
+      Fn = Cache.decoded(MethodId);
   }
   if (M.IsNative) {
     FrameCost F = openFrame();

@@ -223,11 +223,13 @@ private:
   /// Counts one instruction; false (Timeout trap) on the one past the
   /// budget — instruction InsnBudget + 1 of the call, exactly.
   bool consumeInsn(FrameCost &F);
-  void chargeMemRead(FrameCost &F, uint64_t Addr);
-  void chargeMemWrite(FrameCost &F, uint64_t Addr);
-  bool memLoad(FrameCost &F, uint64_t Addr, uint64_t &Out);
-  bool memStore(FrameCost &F, uint64_t Addr, uint64_t ValueBits);
-  void safepoint(FrameCost &F);
+  // The charging helpers add to a frame's cycle count (FrameCost::Cycles,
+  // or the executor's register-resident copy of it).
+  void chargeMemRead(uint64_t &Cycles, uint64_t Addr);
+  void chargeMemWrite(uint64_t &Cycles, uint64_t Addr);
+  bool memLoad(uint64_t &Cycles, uint64_t Addr, uint64_t &Out);
+  bool memStore(uint64_t &Cycles, uint64_t Addr, uint64_t ValueBits);
+  void safepoint(uint64_t &Cycles);
   /// Calls \p Method from a frame: flushes \p F first and refreshes its
   /// budget after the callee returns.
   Value invokeFrom(FrameCost &F, dex::MethodId Method,
@@ -268,7 +270,7 @@ private:
   Value interpret(const dex::Method &M, const std::vector<Value> &Args);
 
   // --- Machine executor (Executor.cpp) -------------------------------------
-  Value execMachine(const MachineFunction &Fn,
+  Value execMachine(const DecodedFunction &Fn,
                     const std::vector<Value> &Args);
 
   friend class RuntimeTestPeer;
@@ -277,7 +279,9 @@ private:
   const dex::DexFile &Dex;
   const NativeRegistry &Natives;
   RuntimeConfig Config;
-  CycleCostModel Costs;
+  /// Always the default model: decodeMachineFunction fixes each
+  /// instruction's static cycles from it at install time.
+  const CycleCostModel Costs;
   Heap TheHeap;
   CodeCache Cache;
   const CodeCache *SharedCode = nullptr; ///< Session-shared, immutable.
@@ -340,7 +344,7 @@ inline bool Runtime::consumeInsn(FrameCost &F) {
   return false;
 }
 
-inline void Runtime::chargeMemRead(FrameCost &F, uint64_t Addr) {
+inline void Runtime::chargeMemRead(uint64_t &Cycles, uint64_t Addr) {
   uint64_t Cost = Costs.LoadCycles;
   bool Hit = DCache.access(Addr);
   if (!Hit)
@@ -351,27 +355,28 @@ inline void Runtime::chargeMemRead(FrameCost &F, uint64_t Addr) {
     if (!Hit)
       ++Features.CacheMisses;
   }
-  F.charge(Cost);
+  Cycles += Cost;
 }
 
-inline void Runtime::chargeMemWrite(FrameCost &F, uint64_t Addr) {
+inline void Runtime::chargeMemWrite(uint64_t &Cycles, uint64_t Addr) {
   DCache.access(Addr); // stores install the line; latency is absorbed
   if (Config.AttributeCycles && !AttributionStack.empty())
     ++MethodFeatures[AttributionStack.back()].MemWrites;
-  F.charge(Costs.StoreCycles);
+  Cycles += Costs.StoreCycles;
 }
 
-inline bool Runtime::memLoad(FrameCost &F, uint64_t Addr, uint64_t &Out) {
-  chargeMemRead(F, Addr);
+inline bool Runtime::memLoad(uint64_t &Cycles, uint64_t Addr,
+                             uint64_t &Out) {
+  chargeMemRead(Cycles, Addr);
   if (Space.loadU64(Addr, Out) == os::AccessResult::Ok)
     return true;
   Trap = TrapKind::MemoryFault;
   return false;
 }
 
-inline bool Runtime::memStore(FrameCost &F, uint64_t Addr,
+inline bool Runtime::memStore(uint64_t &Cycles, uint64_t Addr,
                               uint64_t ValueBits) {
-  chargeMemWrite(F, Addr);
+  chargeMemWrite(Cycles, Addr);
   if (Space.storeU64(Addr, ValueBits) == os::AccessResult::Ok) {
     if (Observer)
       Observer->onCellWrite(Addr);
@@ -381,9 +386,9 @@ inline bool Runtime::memStore(FrameCost &F, uint64_t Addr,
   return false;
 }
 
-inline void Runtime::safepoint(FrameCost &F) {
-  F.charge(Costs.SafepointCycles);
-  F.charge(TheHeap.pollSafepoint(Costs.GcPauseCycles));
+inline void Runtime::safepoint(uint64_t &Cycles) {
+  Cycles += Costs.SafepointCycles;
+  Cycles += TheHeap.pollSafepoint(Costs.GcPauseCycles);
 }
 
 } // namespace vm

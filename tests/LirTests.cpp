@@ -1044,7 +1044,7 @@ bool sameCompile(const Compiled &A, const Compiled &B) {
     return false;
   for (const auto &KV : A.Code.functions()) {
     const vm::MachineFunction *Other = B.Code.lookup(KV.first);
-    if (!Other || !sameMachineFunction(*KV.second, *Other))
+    if (!Other || !sameMachineFunction(*KV.second->Source, *Other))
       return false;
   }
   return true;

@@ -467,6 +467,37 @@ TEST(RunDiff, ToleratesPreFleetSchema1RunDirectories) {
   EXPECT_FALSE(report::diffRuns(Run, Run).regressed());
 }
 
+TEST(RunDiff, RejectsEmptyAndOutOfOrderGenerationRecords) {
+  auto Gen = [](const char *App, int G, int Evals) {
+    return std::string("{\"app\":\"") + App + "\",\"gen\":" +
+           std::to_string(G) + ",\"evaluations\":" + std::to_string(Evals) +
+           ",\"invalid\":0,\"best_cycles\":100,\"worst_cycles\":100," +
+           "\"mean_cycles\":100}\n";
+  };
+  auto Validate = [](const std::string &Name, const std::string &Gens) {
+    TempRunDir Dir(Name);
+    synthesizeSchema1Run(Dir.str());
+    writeRawFile(Dir.str() + "/generations.jsonl", Gens);
+    return report::validateRun(report::loadRun(Dir.str()).value());
+  };
+  // Gaps are fine, and each app counts on its own.
+  EXPECT_TRUE(Validate("ropt_gens_ok", Gen("Synth", 0, 2) + Gen("Synth", 3, 1) +
+                                           Gen("Other", 0, 4))
+                  .ok());
+  // A zeroed row, a repeat and a step back are problems.
+  report::ValidationResult Empty =
+      Validate("ropt_gens_empty", Gen("Synth", 0, 2) + Gen("Synth", 0, 0));
+  ASSERT_FALSE(Empty.ok());
+  EXPECT_NE(Empty.Problems.front().find("empty"), std::string::npos);
+  EXPECT_FALSE(
+      Validate("ropt_gens_repeat", Gen("Synth", 1, 2) + Gen("Synth", 1, 2))
+          .ok());
+  report::ValidationResult Back =
+      Validate("ropt_gens_back", Gen("Synth", 2, 2) + Gen("Synth", 1, 2));
+  ASSERT_FALSE(Back.ok());
+  EXPECT_NE(Back.Problems.front().find("out of order"), std::string::npos);
+}
+
 TEST(RunDiff, WarnsButDoesNotFailOnFleetArtifactMismatch) {
   TempRunDir Dir("ropt_fleet_mismatch");
   synthesizeSchema1Run(Dir.str());

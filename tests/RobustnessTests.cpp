@@ -418,8 +418,8 @@ TEST_P(GenomeFuzz, ValidGenomesAreDeterministic) {
   for (const auto &KV : C1->functions()) {
     const vm::MachineFunction *Other = C2->lookup(KV.first);
     ASSERT_NE(Other, nullptr);
-    EXPECT_EQ(KV.second->Code.size(), Other->Code.size());
-    EXPECT_EQ(KV.second->NumRegs, Other->NumRegs);
+    EXPECT_EQ(KV.second->Source->Code.size(), Other->Code.size());
+    EXPECT_EQ(KV.second->Source->NumRegs, Other->NumRegs);
   }
 }
 

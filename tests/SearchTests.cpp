@@ -298,6 +298,21 @@ TEST(GeneticSearch, HaltsOnIdenticalBinaries) {
   // Halts long before 11 generations x 50 evaluations (plus gen-0
   // replacement retries and the hill climb).
   EXPECT_LT(Evaluations, 350);
+  // The generation log skips the generations it never ran: every row
+  // evaluated something, the rows increase, and the hill climb's row
+  // (generation 11) follows the last GA generation directly.
+  ASSERT_GE(Trace.Generations.size(), 2u);
+  int LoggedEvals = 0;
+  for (size_t I = 0; I != Trace.Generations.size(); ++I) {
+    EXPECT_GT(Trace.Generations[I].Evaluations, 0);
+    if (I)
+      EXPECT_GT(Trace.Generations[I].Generation,
+                Trace.Generations[I - 1].Generation);
+    LoggedEvals += Trace.Generations[I].Evaluations;
+  }
+  EXPECT_LT(Trace.Generations.size(), 11u);
+  EXPECT_EQ(Trace.Generations.back().Generation, 11);
+  EXPECT_EQ(LoggedEvals, Evaluations);
 }
 
 TEST(GeneticSearch, AllFailuresYieldNullopt) {

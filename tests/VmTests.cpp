@@ -2,8 +2,10 @@
 
 #include "dex/Builder.h"
 #include "hgraph/AndroidCompiler.h"
+#include "support/Metrics.h"
 #include "vm/Heap.h"
 #include "vm/Runtime.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -944,6 +946,284 @@ TEST(LongArithmetic, OverflowWrapsIdenticallyInBothTiers) {
           << ") in mode " << static_cast<int>(Mode);
     }
   }
+}
+
+// --- Malformed machine code ---------------------------------------------------
+//
+// Hand-built MachineFunctions that no compiler emits: wild branch and
+// guard targets, code that runs off its end and invalid opcodes. The
+// trap, return value, cycles and instructions of each case are pinned to
+// what the switch-dispatched executor produced, so the decoded executor
+// must keep its corner semantics, not only its common path.
+
+namespace {
+
+MInsn mInsn(MOpcode Op, MRegIdx A = MNoReg, MRegIdx B = MNoReg,
+            MRegIdx C = MNoReg, int32_t Target = -1) {
+  MInsn I;
+  I.Op = Op;
+  I.A = A;
+  I.B = B;
+  I.C = C;
+  I.Target = Target;
+  return I;
+}
+
+MInsn mImm(MRegIdx A, int64_t Imm) {
+  MInsn I = mInsn(MOpcode::MMovImmI, A);
+  I.ImmI = Imm;
+  return I;
+}
+
+/// Runs \p Code as the body of f(x) with \p NumRegs registers, x = \p Arg.
+CallResult runHandBuilt(std::vector<MInsn> Code, uint16_t NumRegs,
+                        int64_t Arg,
+                        uint64_t Budget = RuntimeConfig().InsnBudget) {
+  DexBuilder B;
+  MethodId M = B.declareFunction(InvalidId, "f", 1, true);
+  FunctionBuilder F = B.beginBody(M);
+  F.ret(F.param(0));
+  B.endBody(F);
+  RuntimeConfig Config;
+  Config.InsnBudget = Budget;
+  VmEnv Env(B.build(), Config);
+  auto Fn = std::make_shared<MachineFunction>();
+  Fn->Method = M;
+  Fn->Name = "f";
+  Fn->NumRegs = NumRegs;
+  Fn->ParamCount = 1;
+  Fn->ReturnsValue = true;
+  Fn->Code = std::move(Code);
+  Env.RT->codeCache().install(Fn);
+  return Env.run("f", {Value::fromI64(Arg)});
+}
+
+/// r1 = a fresh 2-element long array; its header's class field is 0.
+std::vector<MInsn> newArrayPrefix() {
+  MInsn New = mInsn(MOpcode::MNewArray, 1, 2);
+  New.Idx = static_cast<uint32_t>(ObjKind::ArrayI);
+  return {mImm(2, 2), New};
+}
+
+MInsn guardTo(int32_t Target) {
+  MInsn G = mInsn(MOpcode::MGuardClass, MNoReg, 1, MNoReg, Target);
+  G.Idx = 99; // never the array's class: the guard always branches
+  return G;
+}
+
+struct MalformedCase {
+  const char *Name;
+  std::vector<MInsn> Code;
+  uint16_t NumRegs;
+  int64_t Arg;
+  uint64_t Budget;
+  TrapKind Trap;
+  int64_t Ret;
+  uint64_t Cycles;
+  uint64_t Insns;
+};
+
+std::vector<MalformedCase> malformedCases() {
+  constexpr uint64_t NoLimit = RuntimeConfig().InsnBudget;
+  const MOpcode PastCount =
+      static_cast<MOpcode>(static_cast<uint8_t>(MOpcode::MOpcodeCount) + 3);
+  auto WithPrefix = [](std::vector<MInsn> Tail) {
+    std::vector<MInsn> Code = newArrayPrefix();
+    Code.insert(Code.end(), Tail.begin(), Tail.end());
+    return Code;
+  };
+  MInsn Unknown = mInsn(PastCount, 0, 1, 2);
+  MInsn Invalid = mInsn(MOpcode::MOpcodeCount, 0, 1, 2);
+  MInsn InvalidSpilled = mInsn(MOpcode::MOpcodeCount, 25, 26, 2);
+  return {
+      {"goto-negative", {mImm(1, 7), mInsn(MOpcode::MGoto, MNoReg, MNoReg,
+                                           MNoReg, -1)},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 7, 2},
+      {"goto-min-int", {mInsn(MOpcode::MGoto, MNoReg, MNoReg, MNoReg,
+                              std::numeric_limits<int32_t>::min())},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 6, 1},
+      {"goto-code-size", {mImm(1, 7), mInsn(MOpcode::MGoto, MNoReg, MNoReg,
+                                            MNoReg, 2)},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 7, 2},
+      {"goto-far", {mInsn(MOpcode::MGoto, MNoReg, MNoReg, MNoReg, 1000)},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 6, 1},
+      {"if-taken-negative",
+       {mInsn(MOpcode::MIfEqz, MNoReg, 1, MNoReg, -3),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 19, 1},
+      {"if-taken-past-end",
+       {mInsn(MOpcode::MIfLt, MNoReg, 1, 0, 2),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 19, 1},
+      {"if-untaken-wild-target",
+       {mInsn(MOpcode::MIfNez, MNoReg, 1, MNoReg, -3),
+        mInsn(MOpcode::MIfGe, MNoReg, 1, 0, 77),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::None, 5, 9, 3},
+      {"if-two-reg-without-c", // compares against zero
+       {mInsn(MOpcode::MIfEq, MNoReg, 0, MNoReg, 2),
+        mInsn(MOpcode::MRet, MNoReg, 0), mImm(0, 42),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 0, NoLimit, TrapKind::None, 42, 22, 3},
+      {"if-zero-with-c", // compares against register C
+       {mImm(1, 5), mInsn(MOpcode::MIfEqz, MNoReg, 0, 1, 3),
+        mInsn(MOpcode::MRet, MNoReg, 1), mImm(0, 42),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::None, 42, 23, 4},
+      {"guard-negative", WithPrefix({guardTo(-1), mInsn(MOpcode::MRet, MNoReg,
+                                                          0)}),
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 83, 3},
+      {"guard-past-end", WithPrefix({guardTo(4), mInsn(MOpcode::MRet, MNoReg,
+                                                         0)}),
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 83, 3},
+      {"guard-in-range", WithPrefix({guardTo(4), mInsn(MOpcode::MRet, MNoReg,
+                                                         0),
+                                     mInsn(MOpcode::MRet, MNoReg, 2)}),
+       4, 5, NoLimit, TrapKind::None, 2, 85, 4},
+      {"empty", {}, 4, 5, NoLimit, TrapKind::MemoryFault, 0, 5, 0},
+      {"empty-zero-budget", {}, 4, 5, 0, TrapKind::MemoryFault, 0, 5, 0},
+      {"fall-off", {mImm(1, 7), mImm(2, 8)},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 7, 2},
+      {"fall-off-at-budget", {mImm(1, 7), mImm(2, 8)},
+       4, 5, 2, TrapKind::MemoryFault, 0, 7, 2},
+      {"budget-before-fall-off", {mImm(1, 7), mImm(2, 8)},
+       4, 5, 1, TrapKind::Timeout, 0, 6, 2},
+      {"fall-off-after-branch",
+       {mInsn(MOpcode::MIfEqz, MNoReg, 1, MNoReg, 2),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, 1, TrapKind::MemoryFault, 0, 19, 1},
+      {"opcode-count", {mImm(1, 7), Invalid, mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 6, 2},
+      {"opcode-count-spilled",
+       {InvalidSpilled, mInsn(MOpcode::MRet, MNoReg, 0)},
+       30, 5, NoLimit, TrapKind::MemoryFault, 0, 9, 1},
+      {"opcode-count-at-budget", {mImm(1, 7), Invalid},
+       4, 5, 1, TrapKind::Timeout, 0, 6, 2},
+      {"load-fault-mid-block",
+       {mImm(1, 7), mImm(2, 8), mInsn(MOpcode::MLoadSlot, 3, 1), mImm(1, 9),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::MemoryFault, 0, 38, 3},
+      {"div-by-zero-mid-block",
+       {mImm(1, 0), mInsn(MOpcode::MDivI, 2, 0, 1), mImm(3, 1),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::DivByZero, 0, 6, 2},
+      {"null-check-mid-block",
+       {mImm(1, 7), mInsn(MOpcode::MCheckNull, MNoReg, 2), mImm(3, 1),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::NullPointer, 0, 7, 2},
+      {"budget-mid-block",
+       {mImm(1, 1), mImm(2, 2), mImm(3, 3), mImm(1, 4),
+        mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, 2, TrapKind::Timeout, 0, 7, 3},
+      {"opcode-past-count", {Unknown, mInsn(MOpcode::MRet, MNoReg, 0)},
+       4, 5, NoLimit, TrapKind::None, 5, 7, 2},
+      {"opcode-past-count-spilled",
+       {mInsn(PastCount, 25, 26, 27), mInsn(MOpcode::MRet, MNoReg, 0)},
+       30, 5, NoLimit, TrapKind::None, 5, 13, 2},
+  };
+}
+
+} // namespace
+
+TEST(MalformedCode, PinnedTrapsRetsCyclesAndInsns) {
+  for (const MalformedCase &C : malformedCases()) {
+    SCOPED_TRACE(C.Name);
+    CallResult R = runHandBuilt(C.Code, C.NumRegs, C.Arg, C.Budget);
+    EXPECT_EQ(R.Trap, C.Trap) << trapKindName(R.Trap);
+    EXPECT_EQ(R.Ret.asI64(), C.Ret);
+    EXPECT_EQ(R.Cycles, C.Cycles);
+    EXPECT_EQ(R.Insns, C.Insns);
+  }
+}
+
+// --- Decoded executor ---------------------------------------------------------
+
+TEST(Executor, OutOfFrameOperandsFaultWhenExecuted) {
+  // Registers a handler would touch outside the frame (past NumRegs, past
+  // the 48-entry inline buffer, past a heap frame, or an operand left
+  // empty) make the instruction a counted MemoryFault instead of a host
+  // out-of-bounds access. Cycles: the 5-cycle call plus spill touches.
+  MInsn Call = mInsn(MOpcode::MCallStatic, 0);
+  Call.ArgCount = 1;
+  Call.Args[0] = 99;
+  MInsn TooManyArgs = mInsn(MOpcode::MIntrinsic, 0);
+  TooManyArgs.ArgCount = MMaxArgs + 1;
+  MInsn Ret0 = mInsn(MOpcode::MRet, MNoReg, 0);
+  struct Case {
+    const char *Name;
+    std::vector<MInsn> Code;
+    uint16_t NumRegs;
+    uint64_t Cycles;
+  };
+  const Case Cases[] = {
+      {"past-num-regs", {mInsn(MOpcode::MMov, 0, 4), Ret0}, 4, 5},
+      {"past-inline-buffer", {mInsn(MOpcode::MMov, 0, 200), Ret0}, 4, 5},
+      {"past-heap-frame", {mInsn(MOpcode::MAddI, 0, 1, 70), Ret0}, 60, 7},
+      {"written-past-frame", {mImm(9, 1), Ret0}, 4, 5},
+      {"empty-destination", {mInsn(MOpcode::MAddI, MNoReg, 0, 0), Ret0}, 4,
+       5},
+      {"empty-return", {mInsn(MOpcode::MRet)}, 4, 5},
+      {"empty-store-value",
+       {mInsn(MOpcode::MStoreStatic), Ret0}, 4, 5},
+      {"call-argument", {Call, Ret0}, 4, 5},
+      {"too-many-arguments", {TooManyArgs, Ret0}, 4, 5},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    CallResult R = runHandBuilt(C.Code, C.NumRegs, 5);
+    EXPECT_EQ(R.Trap, TrapKind::MemoryFault) << trapKindName(R.Trap);
+    EXPECT_EQ(R.Insns, 1u);
+    EXPECT_EQ(R.Cycles, C.Cycles);
+  }
+
+  // Faults are per instruction and only when reached; empty operands a
+  // handler tests for (a compare's C, a call's result) are fine.
+  CallResult Unreached =
+      runHandBuilt({Ret0, mInsn(MOpcode::MMov, 0, 200)}, 4, 5);
+  EXPECT_TRUE(Unreached.ok());
+  EXPECT_EQ(Unreached.Ret.asI64(), 5);
+  CallResult Optional = runHandBuilt(
+      {mInsn(MOpcode::MIfLtz, MNoReg, 0, MNoReg, 2), Ret0, Ret0}, 4, 5);
+  EXPECT_TRUE(Optional.ok());
+  EXPECT_EQ(Optional.Insns, 2u);
+}
+
+TEST(Executor, DecodesOncePerInstall) {
+  // fib recurses thousands of times per call; its code is decoded when it
+  // is installed and never again, however often it runs or the cache is
+  // copied.
+  workloads::Application App = workloads::buildByName("Fibonacci.recv");
+  VmEnv Env(*App.File, App.RtConfig);
+  std::vector<MethodId> Region = {Env.File.findMethod("fibRecvKernel"),
+                                  Env.File.findMethod("fib")};
+#if ROPT_OBSERVABILITY
+  auto Decodes = [] {
+    return Metrics::instance().snapshot().counter("vm.decodes");
+  };
+  uint64_t Before = Decodes();
+#endif
+  hgraph::compileAllAndroid(Env.File, Region, Env.RT->codeCache());
+  ASSERT_EQ(Env.RT->codeCache().size(), Region.size());
+#if ROPT_OBSERVABILITY
+  EXPECT_EQ(Decodes() - Before, Region.size());
+#endif
+  const DecodedFunction *Fib = Env.RT->codeCache().decoded(Region[1]);
+  ASSERT_NE(Fib, nullptr);
+  EXPECT_EQ(Fib->Code.size(), Fib->Source->Code.size() + 1);
+
+  uint64_t Insns = 0;
+  for (int64_t Param = 0; Param != 4; ++Param) {
+    CallResult R = Env.run("fibRecvKernel", {Value::fromI64(Param)});
+    ASSERT_TRUE(R.ok());
+    Insns += R.Insns;
+  }
+  CodeCache Copy = Env.RT->codeCache();
+  EXPECT_EQ(Copy.decoded(Region[1]), Fib);
+  EXPECT_EQ(Env.RT->codeCache().decoded(Region[1]), Fib);
+  EXPECT_GT(Insns, 10000u);
+#if ROPT_OBSERVABILITY
+  EXPECT_EQ(Decodes() - Before, Region.size());
+#endif
 }
 
 // --- Shared runtime image ------------------------------------------------------
