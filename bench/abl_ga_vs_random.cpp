@@ -38,11 +38,11 @@ int main(int Argc, char **Argv) {
     core::IterativeCompiler::ProfiledApp P = Pipeline.profileApp(App);
     if (!P.Region)
       continue;
-    auto Cap = Pipeline.captureRegion(*P.Instance, *P.Region);
-    if (!Cap)
+    std::vector<core::CapturedRegion> Captures =
+        Pipeline.captureRegionMulti(*P.Instance, *P.Region, 1);
+    if (Captures.empty())
       continue;
-    core::RegionEvaluator Eval(App, *P.Region, Cap->Cap, Cap->Map,
-                               Cap->Profile, Config);
+    core::RegionEvaluator Eval(App, *P.Region, Captures, Config);
     double Android = Eval.evaluateAndroid().MedianCycles;
     double O3 = Eval.evaluatePipeline(lir::o3Pipeline()).MedianCycles;
 
@@ -50,7 +50,9 @@ int main(int Argc, char **Argv) {
     Report.beginApp(Name);
     search::GaTrace Trace;
     search::FunctionEvaluator GaEval(
-        [&](const search::Genome &G) { return Eval.evaluate(G); });
+        [&](const search::Genome &G) {
+          return Eval.evaluatePipeline(G.Passes, G.RegAlloc);
+        });
     search::GeneticSearch GA(Config.Search.GA, Config.Seed ^ 0x6a5e,
                              GaEval, Report.report());
     std::optional<search::Scored> Best = GA.run(Android, O3, &Trace);
@@ -75,7 +77,7 @@ int main(int Argc, char **Argv) {
     int RndValid = 0;
     for (int I = 0; I != Budget; ++I) {
       search::Genome G = search::randomGenome(R, Config.Search.GA.Genomes);
-      search::Evaluation E = Eval.evaluate(G);
+      search::Evaluation E = Eval.evaluatePipeline(G.Passes, G.RegAlloc);
       if (!E.ok())
         continue;
       ++RndValid;

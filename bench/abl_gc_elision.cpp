@@ -22,13 +22,13 @@ int main(int Argc, char **Argv) {
   workloads::Application App = workloads::buildByName("FFT");
   core::IterativeCompiler Pipeline(Config);
   core::IterativeCompiler::ProfiledApp P = Pipeline.profileApp(App);
-  auto Captured = Pipeline.captureRegion(*P.Instance, *P.Region);
-  if (!Captured) {
+  std::vector<core::CapturedRegion> Captures =
+      Pipeline.captureRegionMulti(*P.Instance, *P.Region, 1);
+  if (Captures.empty()) {
     std::fprintf(stderr, "capture failed\n");
     return 1;
   }
-  core::RegionEvaluator Eval(App, *P.Region, Captured->Cap, Captured->Map,
-                             Captured->Profile, Config);
+  core::RegionEvaluator Eval(App, *P.Region, Captures, Config);
 
   double Android = Eval.evaluateAndroid().MedianCycles;
   auto Mk = [](lir::PassId Id, int Param = 0) {

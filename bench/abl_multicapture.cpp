@@ -67,17 +67,18 @@ int main(int Argc, char **Argv) {
       std::printf("%-18s no region on holdout boot\n", Name.c_str());
       continue;
     }
-    auto Cap = Holdout.captureRegion(*P.Instance, *P.Region,
-                                     /*SessionOffset=*/900);
+    std::optional<core::CapturedRegion> Cap =
+        Holdout.captureRegion(*P.Instance, *P.Region, /*SessionOffset=*/900);
     if (!Cap) {
       std::printf("%-18s holdout capture failed\n", Name.c_str());
       continue;
     }
-    core::RegionEvaluator Eval(App, *P.Region, Cap->Cap, Cap->Map,
-                               Cap->Profile, HoldConfig);
+    std::vector<core::CapturedRegion> Held;
+    Held.push_back(std::move(*Cap));
+    core::RegionEvaluator Eval(App, *P.Region, Held, HoldConfig);
     double Android = Eval.evaluateAndroid().MedianCycles;
     auto HeldoutSpeedup = [&](const search::Genome &G) {
-      search::Evaluation E = Eval.evaluate(G);
+      search::Evaluation E = Eval.evaluatePipeline(G.Passes, G.RegAlloc);
       return E.ok() ? Android / E.MedianCycles : 0.0;
     };
     double Held1 = HeldoutSpeedup(R1.Best.G);

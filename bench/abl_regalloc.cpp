@@ -42,11 +42,11 @@ int main(int Argc, char **Argv) {
     core::IterativeCompiler::ProfiledApp P = Pipeline.profileApp(App);
     if (!P.Region)
       continue;
-    auto Cap = Pipeline.captureRegion(*P.Instance, *P.Region);
-    if (!Cap)
+    std::vector<core::CapturedRegion> Captures =
+        Pipeline.captureRegionMulti(*P.Instance, *P.Region, 1);
+    if (Captures.empty())
       continue;
-    core::RegionEvaluator Eval(App, *P.Region, Cap->Cap, Cap->Map,
-                               Cap->Profile, Config);
+    core::RegionEvaluator Eval(App, *P.Region, Captures, Config);
     double Android = Eval.evaluateAndroid().MedianCycles;
 
     std::printf("%s (android region median %.0f cycles)\n", Name.c_str(),

@@ -40,46 +40,35 @@ int main(int Argc, char **Argv) {
               Profiled.Region->EstimatedCycles / 1e6);
 
   std::printf("\n== one more round: a capture fires on region entry ==\n");
-  auto Captured = Pipeline.captureRegion(*Profiled.Instance,
-                                         *Profiled.Region);
-  if (!Captured) {
-    std::fprintf(stderr, "capture failed\n");
+  support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
+      Pipeline.prepareSearch(App, *Profiled.Instance, *Profiled.Region);
+  if (!Prepared) {
+    std::fprintf(stderr, "%s\n", Prepared.error().Message.c_str());
     return 1;
   }
+  core::RegionSearch &Search = *Prepared.value();
+  const core::CapturedRegion &Captured = Search.Captures.front();
   std::printf("captured %zu pages in %.1f ms (imperceptible); spooled by "
               "the low-priority child\n",
-              Captured->Cap.Pages.size(),
-              Captured->Cap.Overheads.totalMs());
+              Captured.Cap.Pages.size(), Captured.Cap.Overheads.totalMs());
   std::printf("interpreted replay built: %zu-cell verification map, "
               "%zu virtual-call type profiles\n",
-              Captured->Map.Cells.size(), Captured->Profile.siteCount());
+              Captured.Map.Cells.size(), Captured.Profile.siteCount());
 
   std::printf("\n== overnight, idle and charged: the search runs ==\n");
-  core::RegionEvaluator Eval(App, *Profiled.Region, Captured->Cap,
-                             Captured->Map, Captured->Profile, Config);
-  search::Evaluation Android = Eval.evaluateAndroid();
-  search::Evaluation O3 = Eval.evaluatePipeline(lir::o3Pipeline());
   std::printf("baselines (region replays): Android %.0f cycles, "
               "LLVM -O3 %.0f cycles\n",
-              Android.MedianCycles, O3.MedianCycles);
+              Search.Android.MedianCycles, Search.O3.MedianCycles);
 
   // The engine parallelizes the GA's batches across workers (one replay
   // sandbox each) and memoizes duplicate genomes/binaries. Seeded runs
   // are bit-identical at any worker count.
-  search::EngineOptions EngineOpts;
-  EngineOpts.Jobs = Config.Search.Jobs;
-  search::EvaluationEngine Engine(
-      [&]() {
-        return std::make_unique<core::RegionEvaluator>(
-            App, *Profiled.Region, Captured->Cap, Captured->Map,
-            Captured->Profile, Config);
-      },
-      EngineOpts, Config.Seed);
+  search::EvaluationEngine &Engine = Search.Engine;
   std::printf("evaluation engine: %zu workers\n", Engine.jobs());
 
   search::GeneticSearch GA(Config.Search.GA, Config.Seed, Engine);
   search::GaTrace Trace;
-  auto Best = GA.run(Android.MedianCycles, O3.MedianCycles, &Trace);
+  auto Best = GA.run(Search.Android.MedianCycles, Search.o3Bar(), &Trace);
   if (!Best) {
     std::fprintf(stderr, "search failed\n");
     return 1;
@@ -98,11 +87,12 @@ int main(int Argc, char **Argv) {
   std::printf("every failure above was discarded offline — under online "
               "search each one would have hit the user\n");
   std::printf("winner: %.2fx over Android on the region  [%s]\n",
-              Android.MedianCycles / Best->E.MedianCycles,
+              Search.Android.MedianCycles / Best->E.MedianCycles,
               Best->G.name().c_str());
 
   std::printf("\n== morning: the winner is installed; the user plays ==\n");
-  std::optional<vm::CodeCache> BestCode = Eval.compileRegion(Best->G);
+  std::optional<vm::CodeCache> BestCode =
+      Search.Baselines.compileRegion(Best->G);
   core::AppInstance Fresh(App, Config.Seed + 100);
   uint64_t Before = Fresh.runSessionBlock(3, App.DefaultParam);
   core::AppInstance Tuned(App, Config.Seed + 100);

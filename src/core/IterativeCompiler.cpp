@@ -36,6 +36,17 @@ search::GaConfig core::scaledGaConfig(const search::GaConfig &Base,
   return Out;
 }
 
+search::GaConfig core::guidedGaConfig(const search::GaConfig &Base,
+                                      const analysis::RegionReport &R) {
+  // The slack-0 region keeps the full configuration bit-for-bit; cooler
+  // regions search a scaled-down budget with the label's pruned arms
+  // masked out.
+  search::GaConfig Out = scaledGaConfig(Base, R.BudgetScale);
+  if (R.Slack > 0)
+    Out.Genomes.DisabledPassMask |= analysis::prunedPassMask(R.Label);
+  return Out;
+}
+
 // --- RegionEvaluator ----------------------------------------------------------
 
 std::shared_ptr<lir::CompileMemo>
@@ -47,24 +58,6 @@ core::makeCompileMemo(const workloads::Application &App,
     Merged.merge(C.Profile);
   return std::make_shared<lir::CompileMemo>(
       *App.File, std::move(Merged), Config.Search.CompileSizeBudget);
-}
-
-RegionEvaluator::RegionEvaluator(const workloads::Application &App,
-                                 const profiler::HotRegion &Region,
-                                 const capture::Capture &Cap,
-                                 const replay::VerificationMap &Map,
-                                 const lir::TypeProfile &Profile,
-                                 const PipelineConfig &Config,
-                                 std::shared_ptr<lir::CompileMemo> Memo)
-    : App(App), Region(Region), Config(Config),
-      Memo(Memo ? std::move(Memo)
-                : std::make_shared<lir::CompileMemo>(
-                      *App.File, Profile, Config.Search.CompileSizeBudget)),
-      Natives(vm::NativeRegistry::standardLibrary()),
-      Rep(*App.File, Natives, App.RtConfig, Config.Seed ^ 0xa51f),
-      NoiseRng(Config.Seed ^ 0x90153) {
-  Caps.push_back(CaptureRef{&Cap, &Map});
-  Rep.setSessionMode(Config.Search.SessionBackends);
 }
 
 RegionEvaluator::RegionEvaluator(
@@ -223,7 +216,12 @@ RegionEvaluator::extendSamples(const search::Evaluation &E,
                                                  Begin, Count);
 }
 
-search::Evaluation RegionEvaluator::evaluate(const search::Genome &G) {
+search::Evaluation RegionEvaluator::evaluatePipeline(
+    const std::vector<lir::PassInstance> &Pipeline,
+    hgraph::RegAllocKind RegAlloc) {
+  search::Genome G;
+  G.Passes = Pipeline;
+  G.RegAlloc = RegAlloc;
   std::optional<vm::CodeCache> Code = compileRegion(G);
   if (!Code) {
     search::Evaluation E;
@@ -235,19 +233,54 @@ search::Evaluation RegionEvaluator::evaluate(const search::Genome &G) {
   return evaluateCache(*Code, NoiseRng);
 }
 
-search::Evaluation RegionEvaluator::evaluatePipeline(
-    const std::vector<lir::PassInstance> &Pipeline,
-    hgraph::RegAllocKind RegAlloc) {
-  search::Genome G;
-  G.Passes = Pipeline;
-  G.RegAlloc = RegAlloc;
-  return evaluate(G);
-}
-
 search::Evaluation RegionEvaluator::evaluateAndroid() {
   vm::CodeCache Code;
   hgraph::compileAllAndroid(*App.File, Region.Methods, Code);
   return evaluateCache(Code, NoiseRng);
+}
+
+// --- RegionSearch -----------------------------------------------------------
+
+namespace {
+
+search::EngineOptions engineOptions(const SearchOptions &S) {
+  search::EngineOptions O;
+  O.Jobs = S.Jobs;
+  O.Memoize = S.Memoize;
+  O.Racing = S.Racing;
+  O.MinReplays = S.MinReplaysPerEvaluation;
+  O.MaxReplays = S.MaxReplaysPerEvaluation;
+  O.RacingAlpha = S.GA.SignificanceAlpha;
+  return O;
+}
+
+} // namespace
+
+RegionSearch::RegionSearch(const workloads::Application &App,
+                           profiler::HotRegion Region,
+                           std::vector<CapturedRegion> Captures,
+                           const PipelineConfig &Config)
+    : Config(Config), Region(std::move(Region)),
+      Captures(std::move(Captures)),
+      Memo(makeCompileMemo(App, this->Captures, this->Config)),
+      Baselines(App, this->Region, this->Captures, this->Config, Memo),
+      Engine(
+          [this, &App]() {
+            return std::make_unique<RegionEvaluator>(App, this->Region,
+                                                     this->Captures,
+                                                     this->Config,
+                                                     this->Memo);
+          },
+          engineOptions(Config.Search), Config.Seed) {}
+
+double RegionSearch::o3Bar() const {
+  return O3.ok() ? O3.MedianCycles : Android.MedianCycles;
+}
+
+search::ReplayBackendStats RegionSearch::replayBackendStats() const {
+  search::ReplayBackendStats R = Engine.replayBackendStats();
+  R += Baselines.replayStats();
+  return R;
 }
 
 // --- OptimizationReport -----------------------------------------------------------
@@ -349,6 +382,26 @@ IterativeCompiler::captureRegionMulti(AppInstance &Instance,
   return Out;
 }
 
+support::Result<std::unique_ptr<RegionSearch>>
+IterativeCompiler::prepareSearch(const workloads::Application &App,
+                                 AppInstance &Instance,
+                                 const profiler::HotRegion &Region) {
+  std::vector<CapturedRegion> Captures = captureRegionMulti(
+      Instance, Region, std::max(1, Config.Capture.CapturesPerRegion));
+  if (Captures.empty())
+    return support::Error(support::ErrorCode::CaptureFailed,
+                          "capture failed");
+  auto Search = std::make_unique<RegionSearch>(App, Region,
+                                               std::move(Captures), Config);
+  ROPT_TRACE_SPAN("pipeline.baselines");
+  Search->Android = Search->Baselines.evaluateAndroid();
+  if (!Search->Android.ok())
+    return support::Error(Search->Android.Error,
+                          "android baseline replay failed");
+  Search->O3 = Search->Baselines.evaluatePipeline(lir::o3Pipeline());
+  return Search;
+}
+
 OptimizationReport
 IterativeCompiler::optimize(const workloads::Application &App) {
   ROPT_TRACE_SPAN("pipeline.optimize");
@@ -390,83 +443,46 @@ IterativeCompiler::optimize(const workloads::Application &App) {
     return Report;
   }
 
-  // --- Phase 3: transparent capture + interpreted replay (3.2-3.4). ----
-  std::vector<CapturedRegion> Captures = captureRegionMulti(
-      *Profiled.Instance, Report.Region,
-      std::max(1, Config.Capture.CapturesPerRegion));
-  if (Captures.empty()) {
-    Report.FailureReason = "capture failed";
+  // --- Phase 3: transparent capture + interpreted replay (3.2-3.4), and
+  // phase 4's setup: the engine plus the serial baselines evaluator. ----
+  support::Result<std::unique_ptr<RegionSearch>> Prepared =
+      prepareSearch(App, *Profiled.Instance, Report.Region);
+  if (!Prepared) {
+    Report.FailureReason = Prepared.error().Message;
     ROPT_METRIC_INC("pipeline.failures");
     return Report;
   }
-  Report.Cap = Captures.front().Cap;
-  Report.CapturePostponements = Captures.front().Postponements;
+  RegionSearch &Search = *Prepared.value();
+  Report.Cap = Search.Captures.front().Cap;
+  Report.CapturePostponements = Search.Captures.front().Postponements;
+  Report.RegionAndroid = Search.Android.MedianCycles;
+  Report.RegionO3 = Search.O3.ok() ? Search.O3.MedianCycles : 0.0;
 
   // --- Phase 4: the GA over the transformation space (3.6-3.7). --------
-  // Baselines and the final install run on a serial evaluator; the GA's
-  // batches run through the engine, which owns one RegionEvaluator per
-  // worker and memoizes duplicate genomes/binaries.
-  // One compile memo serves the baselines and every engine worker.
-  std::shared_ptr<lir::CompileMemo> Memo =
-      makeCompileMemo(App, Captures, Config);
-  RegionEvaluator Baselines(App, Report.Region, Captures, Config, Memo);
-  search::EngineOptions EngineOpts;
-  EngineOpts.Jobs = Config.Search.Jobs;
-  EngineOpts.Memoize = Config.Search.Memoize;
-  EngineOpts.Racing = Config.Search.Racing;
-  EngineOpts.MinReplays = Config.Search.MinReplaysPerEvaluation;
-  EngineOpts.MaxReplays = Config.Search.MaxReplaysPerEvaluation;
-  EngineOpts.RacingAlpha = Config.Search.GA.SignificanceAlpha;
-  search::EvaluationEngine Engine(
-      [&App, &Report, &Captures, &Memo, this]() {
-        return std::make_unique<RegionEvaluator>(App, Report.Region,
-                                                 Captures, Config, Memo);
-      },
-      EngineOpts, Config.Seed);
-
+  search::GaConfig GaCfg = Config.Search.GA;
+  if (Config.Search.AnalysisGuided) {
+    if (const analysis::RegionReport *R =
+            Report.Analysis.byRoot(Report.Region.Root)) {
+      GaCfg = guidedGaConfig(GaCfg, *R);
+      Report.AppliedBudgetScale = R->BudgetScale;
+      Report.AppliedPassMask = GaCfg.Genomes.DisabledPassMask;
+    }
+  }
   std::optional<search::Scored> Best;
   {
     ROPT_TRACE_SPAN("pipeline.search");
-    search::Evaluation Android = Baselines.evaluateAndroid();
-    search::Evaluation O3 = Baselines.evaluatePipeline(lir::o3Pipeline());
-    if (!Android.ok()) {
-      Report.FailureReason = "android baseline replay failed";
-      ROPT_METRIC_INC("pipeline.failures");
-      return Report;
-    }
-    Report.RegionAndroid = Android.MedianCycles;
-    Report.RegionO3 = O3.ok() ? O3.MedianCycles : 0.0;
-
-    // Criticality-weighted allocation: the slack-0 region keeps the full
-    // configuration bit-for-bit; cooler regions search a scaled-down
-    // budget with the label's pruned arms masked out.
-    search::GaConfig GaCfg = Config.Search.GA;
-    if (Config.Search.AnalysisGuided) {
-      if (const analysis::RegionReport *R =
-              Report.Analysis.byRoot(Report.Region.Root)) {
-        Report.AppliedBudgetScale = R->BudgetScale;
-        GaCfg = scaledGaConfig(GaCfg, R->BudgetScale);
-        if (R->Slack > 0)
-          GaCfg.Genomes.DisabledPassMask |=
-              analysis::prunedPassMask(R->Label);
-        Report.AppliedPassMask = GaCfg.Genomes.DisabledPassMask;
-      }
-    }
-
-    search::GeneticSearch GA(GaCfg, Config.Seed ^ 0x6a5e,
-                             Engine, Config.Provenance);
+    search::GeneticSearch GA(GaCfg, Config.Seed ^ 0x6a5e, Search.Engine,
+                             Config.Provenance);
     if (!Config.Search.WarmStart.empty())
       GA.seedPopulation(Config.Search.WarmStart);
-    Best = GA.run(Android.MedianCycles,
-                  O3.ok() ? O3.MedianCycles : Android.MedianCycles,
+    Best = GA.run(Search.Android.MedianCycles, Search.o3Bar(),
                   &Report.Trace);
   }
-  Report.Counters = Engine.counters();
-  Report.Counters += Baselines.counters();
-  Report.CacheStats = Engine.cacheStats();
-  Report.RacingStats = Engine.racingStats();
-  Report.ReplayBackend = Engine.replayBackendStats();
-  Report.ReplayBackend += Baselines.replayStats();
+  Report.Counters = Search.Engine.counters();
+  Report.Counters += Search.Baselines.counters();
+  Report.CacheStats = Search.Engine.cacheStats();
+  Report.RacingStats = Search.Engine.racingStats();
+  Report.ReplayBackend = Search.replayBackendStats();
   if (!Best) {
     Report.FailureReason = "search produced no valid binary";
     ROPT_METRIC_INC("pipeline.failures");
@@ -478,14 +494,14 @@ IterativeCompiler::optimize(const workloads::Application &App) {
   // --- Phase 5: install + whole-program measurement outside replay. ----
   ROPT_TRACE_SPAN("pipeline.install_measure");
   std::optional<vm::CodeCache> BestCode =
-      Baselines.compileRegion(Best->G);
+      Search.Baselines.compileRegion(Best->G);
   assert(BestCode && "winning genome stopped compiling");
 
   lir::CompileOptions O3Options;
   O3Options.Pipeline = lir::o3Pipeline();
   vm::CodeCache O3Code;
   lir::compileAllLlvm(*App.File, Report.Region.Methods, O3Options, O3Code,
-                      &Captures.front().Profile);
+                      &Search.Captures.front().Profile);
 
   Rng NoiseRng(Config.Seed ^ 0x0911e);
   auto MeasureVariant =

@@ -12,11 +12,14 @@
 /// binary -> measure whole-program speedups outside the replay
 /// environment.
 ///
-/// Fitness runs through search::EvaluationEngine: the pipeline hands the
-/// engine a factory for RegionEvaluator backends (one per worker, each
-/// with its own replay sandbox) and the engine parallelizes and memoizes
-/// the GA's batches. RegionEvaluator remains directly usable as the
-/// serial per-genome evaluator for the ablation experiments.
+/// Phase 4 is set up in one place, IterativeCompiler::prepareSearch: it
+/// captures the region and returns a RegionSearch — one compile memo, a
+/// serial RegionEvaluator for the baselines and the install, and a
+/// search::EvaluationEngine over one RegionEvaluator per worker (each
+/// with its own replay sandbox) that parallelizes and memoizes the GA's
+/// batches. optimize() and every fleet device class search through one.
+/// The ablation harnesses call a RegionEvaluator's serial evaluatePipeline
+/// and evaluateAndroid directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +36,9 @@
 #include "replay/Replayer.h"
 #include "search/EvaluationEngine.h"
 #include "search/GeneticSearch.h"
+#include "support/Result.h"
 
+#include <memory>
 #include <optional>
 
 namespace ropt {
@@ -84,6 +89,14 @@ struct SearchOptions {
 /// untouched — the critical region's search is bit-identical to the
 /// unscaled configuration.
 search::GaConfig scaledGaConfig(const search::GaConfig &Base, double Scale);
+
+/// The observability loop's allocation for one region (DESIGN.md §13):
+/// \p Base scaled by \p R's criticality (scaledGaConfig), with the genome
+/// arms R's bottleneck label rules out disabled unless R is the slack-0
+/// region. optimize() and the fleet classes search with this config when
+/// SearchOptions::AnalysisGuided is on.
+search::GaConfig guidedGaConfig(const search::GaConfig &Base,
+                                const analysis::RegionReport &R);
 
 /// Everything that shapes profiling and capture (phases 1-3).
 struct CaptureOptions {
@@ -152,19 +165,9 @@ makeCompileMemo(const workloads::Application &App,
 /// against overfitting to a single input.
 class RegionEvaluator : public search::EvalBackend {
 public:
-  /// Single-capture constructor (the paper's default configuration). A
-  /// null \p Memo gives the evaluator a private one over \p Profile.
-  RegionEvaluator(const workloads::Application &App,
-                  const profiler::HotRegion &Region,
-                  const capture::Capture &Cap,
-                  const replay::VerificationMap &Map,
-                  const lir::TypeProfile &Profile,
-                  const PipelineConfig &Config,
-                  std::shared_ptr<lir::CompileMemo> Memo = nullptr);
-
-  /// Multi-capture constructor; \p Captures must outlive the evaluator.
-  /// \p Memo must come from makeCompileMemo() over the same app, captures
-  /// and config; null gives the evaluator a private one.
+  /// \p Captures (one, in the paper's default configuration) must outlive
+  /// the evaluator. \p Memo must come from makeCompileMemo() over the same
+  /// app, captures and config; null gives the evaluator a private one.
   RegionEvaluator(const workloads::Application &App,
                   const profiler::HotRegion &Region,
                   const std::vector<CapturedRegion> &Captures,
@@ -193,12 +196,11 @@ public:
   /// (all-zeros when SearchOptions::SessionBackends is off).
   search::ReplayBackendStats replayStats() const override;
 
-  /// Serial convenience: compile + verify + sample in one call, drawing
-  /// noise from this evaluator's own stream (the ablation harnesses'
-  /// entry point).
-  search::Evaluation evaluate(const search::Genome &G);
-
-  /// Evaluates an explicit pipeline (the -O presets).
+  /// Serial evaluation of an explicit pipeline (an -O preset, or a
+  /// genome's passes and allocator): compile + verify + sample in one
+  /// call, drawing noise from this evaluator's own stream. The GA's
+  /// baseline bars come from this stream, so its draws are part of every
+  /// search digest.
   search::Evaluation
   evaluatePipeline(const std::vector<lir::PassInstance> &Pipeline,
                    hgraph::RegAllocKind RegAlloc =
@@ -235,8 +237,39 @@ private:
   std::shared_ptr<lir::CompileMemo> Memo;
   vm::NativeRegistry Natives;
   replay::Replayer Rep;
-  Rng NoiseRng; ///< Serial-path noise stream (evaluate()).
+  Rng NoiseRng; ///< Serial-path noise stream (evaluatePipeline/Android).
   Counters Stats;
+};
+
+/// Phase 4 set up for one region (§3.6-3.7): its captures, one compile
+/// memo shared by a serial RegionEvaluator (the baselines and the install)
+/// and the evaluation engine's per-worker RegionEvaluators, and the stock
+/// Android and -O3 evaluations the GA's fitness is measured against.
+/// IterativeCompiler::prepareSearch builds it. The evaluators refer into
+/// it, so it never moves; the application must outlive it.
+struct RegionSearch {
+  RegionSearch(const workloads::Application &App,
+               profiler::HotRegion Region,
+               std::vector<CapturedRegion> Captures,
+               const PipelineConfig &Config);
+  RegionSearch(const RegionSearch &) = delete;
+  RegionSearch &operator=(const RegionSearch &) = delete;
+
+  const PipelineConfig Config; ///< What the evaluators were built with.
+  const profiler::HotRegion Region;
+  const std::vector<CapturedRegion> Captures;
+  /// One compile memo for Baselines and every engine worker.
+  const std::shared_ptr<lir::CompileMemo> Memo;
+  RegionEvaluator Baselines;
+  search::EvaluationEngine Engine;
+  search::Evaluation Android;
+  search::Evaluation O3;
+
+  /// The GA's -O3 bar: the -O3 median, or Android's when -O3 fails
+  /// verification.
+  double o3Bar() const;
+  /// Fork-server session accounting: engine backends plus Baselines.
+  search::ReplayBackendStats replayBackendStats() const;
 };
 
 /// Everything the pipeline produced for one application.
@@ -319,6 +352,14 @@ public:
   std::vector<CapturedRegion>
   captureRegionMulti(AppInstance &Instance,
                      const profiler::HotRegion &Region, int Count);
+
+  /// ...and set up its search (phase 4): take CapturesPerRegion captures,
+  /// wire the RegionSearch and measure the Android and -O3 baselines. On
+  /// failure the error's message is the pipeline's failure reason.
+  /// \p App must outlive the result.
+  support::Result<std::unique_ptr<RegionSearch>>
+  prepareSearch(const workloads::Application &App, AppInstance &Instance,
+                const profiler::HotRegion &Region);
 
   const PipelineConfig &config() const { return Config; }
 

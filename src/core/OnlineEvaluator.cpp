@@ -17,14 +17,11 @@ OnlineEvaluator::OnlineEvaluator(const workloads::Application &App,
   if (!Profiled.Region)
     return;
   Region = *Profiled.Region;
-  std::optional<IterativeCompiler::CapturedRegion> Captured =
-      Pipeline.captureRegion(*Profiled.Instance, Region);
-  if (!Captured)
+  Captures = Pipeline.captureRegionMulti(*Profiled.Instance, Region, 1);
+  if (Captures.empty())
     return;
-  this->Captured = std::move(*Captured);
-  Evaluator = std::make_unique<RegionEvaluator>(
-      this->App, Region, this->Captured.Cap, this->Captured.Map,
-      this->Captured.Profile, this->Config);
+  Evaluator = std::make_unique<RegionEvaluator>(this->App, Region, Captures,
+                                                this->Config);
   Ready = true;
 }
 
@@ -33,14 +30,15 @@ OutcomeHistogram OnlineEvaluator::classifyRandomSequences(int Count) {
   OutcomeHistogram H;
   for (int I = 0; I != Count; ++I) {
     search::Genome G = search::randomGenome(R, Config.Search.GA.Genomes);
-    search::Evaluation E = Evaluator->evaluate(G);
+    search::Evaluation E =
+        Evaluator->evaluatePipeline(G.Passes, G.RegAlloc);
     switch (E.Kind) {
     case search::EvalKind::Ok: ++H.Correct; break;
     case search::EvalKind::CompileError: ++H.CompilerError; break;
     case search::EvalKind::RuntimeCrash: ++H.RuntimeCrash; break;
     case search::EvalKind::RuntimeTimeout: ++H.RuntimeTimeout; break;
     case search::EvalKind::WrongOutput: ++H.WrongOutput; break;
-    case search::EvalKind::Unevaluated: break; // cannot come from evaluate()
+    case search::EvalKind::Unevaluated: break; // not a serial outcome
     }
   }
   return H;
@@ -58,7 +56,8 @@ OnlineEvaluator::randomCorrectSpeedups(int Count, int MaxAttempts) {
        static_cast<int>(Speedups.size()) < Count;
        ++Attempt) {
     search::Genome G = search::randomGenome(R, Config.Search.GA.Genomes);
-    search::Evaluation E = Evaluator->evaluate(G);
+    search::Evaluation E =
+        Evaluator->evaluatePipeline(G.Passes, G.RegAlloc);
     if (E.ok())
       Speedups.push_back(Android.MedianCycles / E.MedianCycles);
   }
@@ -137,12 +136,11 @@ OnlineEvaluator::convergence(int MaxEvaluations) {
   vm::NativeRegistry Natives = vm::NativeRegistry::standardLibrary();
   replay::Replayer Rep(*App.File, Natives, App.RtConfig,
                        Config.Seed ^ 0x0ff1);
+  const capture::Capture &Cap = Captures.front().Cap;
   double Off0 = static_cast<double>(
-      Rep.replay(Captured.Cap, replay::ReplayCode::Compiled, &*O0Code)
-          .Result.Cycles);
+      Rep.replay(Cap, replay::ReplayCode::Compiled, &*O0Code).Result.Cycles);
   double Off1 = static_cast<double>(
-      Rep.replay(Captured.Cap, replay::ReplayCode::Compiled, &*O1Code)
-          .Result.Cycles);
+      Rep.replay(Cap, replay::ReplayCode::Compiled, &*O1Code).Result.Cycles);
   std::vector<double> OffT0, OffT1;
   for (int I = 0; I != MaxEvaluations; ++I) {
     OffT0.push_back(Config.Measure.Noise.offline(R, Off0));

@@ -70,14 +70,11 @@ public:
   };
   Convergence convergence(int MaxEvaluations);
 
-  const profiler::HotRegion &region() const { return Region; }
-  RegionEvaluator &evaluator() { return *Evaluator; }
-
 private:
   workloads::Application App;
   PipelineConfig Config;
   profiler::HotRegion Region;
-  IterativeCompiler::CapturedRegion Captured;
+  std::vector<CapturedRegion> Captures; ///< The one capture.
   std::unique_ptr<RegionEvaluator> Evaluator;
   Rng R;
   bool Ready = false;

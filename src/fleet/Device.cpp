@@ -2,7 +2,6 @@
 
 #include "fleet/Device.h"
 
-#include "lir/Backend.h"
 #include "support/Metrics.h"
 #include "support/Statistics.h"
 
@@ -100,7 +99,6 @@ bool DeviceClassState::setup() {
     Failure = "no replayable hot region";
     return false;
   }
-  Region = *Profiled.Region;
 
   // Fleet steps inherit the observability loop's allocation: when the
   // coordinator runs analysis-guided, each class derives its own
@@ -109,71 +107,37 @@ bool DeviceClassState::setup() {
   if (Config.Search.AnalysisGuided) {
     analysis::AppAnalysis Analysis =
         analysis::analyzeApp(*App.File, Profiled.Profile, Profiled.RA);
-    if (const analysis::RegionReport *R = Analysis.byRoot(Region.Root)) {
-      Config.Search.GA = core::scaledGaConfig(Config.Search.GA,
-                                              R->BudgetScale);
-      if (R->Slack > 0)
-        Config.Search.GA.Genomes.DisabledPassMask |=
-            analysis::prunedPassMask(R->Label);
-    }
-  }
-
-  Captures = Pipeline.captureRegionMulti(
-      *Profiled.Instance, Region,
-      std::max(1, Config.Capture.CapturesPerRegion));
-  if (Captures.empty()) {
-    Failure = "capture failed";
-    return false;
+    if (const analysis::RegionReport *R =
+            Analysis.byRoot(Profiled.Region->Root))
+      Config.Search.GA = core::guidedGaConfig(Config.Search.GA, *R);
   }
 
   // One compile memo per class, shared by its baselines and engine; all
   // class memos draw on one process-wide resident budget.
-  std::shared_ptr<lir::CompileMemo> Memo =
-      core::makeCompileMemo(App, Captures, Config);
-  Baselines = std::make_unique<core::RegionEvaluator>(App, Region, Captures,
-                                                      Config, Memo);
-  search::EngineOptions Opts;
-  Opts.Jobs = 1; // See the constructor: never nest a multi-thread pool.
-  Opts.Memoize = Config.Search.Memoize;
-  Opts.Racing = Config.Search.Racing;
-  Opts.MinReplays = Config.Search.MinReplaysPerEvaluation;
-  Opts.MaxReplays = Config.Search.MaxReplaysPerEvaluation;
-  Opts.RacingAlpha = Config.Search.GA.SignificanceAlpha;
-  Engine = std::make_unique<search::EvaluationEngine>(
-      [this, Memo]() {
-        return std::make_unique<core::RegionEvaluator>(App, Region,
-                                                       Captures, Config, Memo);
-      },
-      Opts, Config.Seed);
-
-  search::Evaluation Android = Baselines->evaluateAndroid();
-  if (!Android.ok()) {
-    Failure = "android baseline replay failed";
+  support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
+      Pipeline.prepareSearch(App, *Profiled.Instance, *Profiled.Region);
+  if (!Prepared) {
+    Failure = Prepared.error().Message;
     return false;
   }
-  AndroidCycles = Android.MedianCycles;
-  search::Evaluation O3 = Baselines->evaluatePipeline(lir::o3Pipeline());
-  O3Cycles = O3.ok() ? O3.MedianCycles : AndroidCycles;
+  Search = std::move(Prepared).value();
   return true;
 }
 
 const search::EngineCounters &DeviceClassState::counters() const {
-  return Engine->counters();
+  return Search->Engine.counters();
 }
 
 const search::EngineCacheStats &DeviceClassState::cacheStats() const {
-  return Engine->cacheStats();
+  return Search->Engine.cacheStats();
 }
 
 const search::EngineRacingStats &DeviceClassState::racingStats() const {
-  return Engine->racingStats();
+  return Search->Engine.racingStats();
 }
 
 search::ReplayBackendStats DeviceClassState::replayBackendStats() const {
-  search::ReplayBackendStats R = Engine->replayBackendStats();
-  if (Baselines)
-    R += Baselines->replayStats();
-  return R;
+  return Search->replayBackendStats();
 }
 
 Device::Device(std::shared_ptr<DeviceClassState> Class,
@@ -181,7 +145,8 @@ Device::Device(std::shared_ptr<DeviceClassState> Class,
     : Class(std::move(Class)), Prof(Prof), Costs(Costs) {}
 
 double Device::speedupOf(const search::Evaluation &E) const {
-  return E.MedianCycles > 0.0 ? Class->AndroidCycles / E.MedianCycles : 0.0;
+  return E.MedianCycles > 0.0 ? Class->androidMedian() / E.MedianCycles
+                              : 0.0;
 }
 
 GenomeReport Device::reportFor(const search::Scored &S, VirtualTime Now,
@@ -193,7 +158,7 @@ GenomeReport Device::reportFor(const search::Scored &S, VirtualTime Now,
   R.CodeSize = S.E.CodeSize;
   for (double Cycles : S.E.Samples)
     if (Cycles > 0.0)
-      R.SpeedupSamples.push_back(Class->AndroidCycles / Cycles);
+      R.SpeedupSamples.push_back(Class->androidMedian() / Cycles);
   R.SpeedupMedian =
       R.SpeedupSamples.empty() ? speedupOf(S.E) : median(R.SpeedupSamples);
   R.Source = S.Source;
@@ -216,7 +181,7 @@ StepResult Device::step(VirtualTime Now, int StepIndex,
                         const std::vector<Hint> &Hints) {
   StepResult Res;
   DeviceRound &Out = Res.Round;
-  search::EvaluationEngine &Engine = *Class->Engine;
+  search::EvaluationEngine &Engine = Class->Search->Engine;
   Out.Report.Device = Prof.Id;
   Out.Report.Round = StepIndex;
   Out.Report.DeviceClass = Prof.ClassId;
@@ -288,11 +253,10 @@ StepResult Device::step(VirtualTime Now, int StepIndex,
   uint64_t StepSeed =
       Prof.Seed ^ (0x6a5e + 0x9e3779b97f4a7c15ull *
                               (static_cast<uint64_t>(StepIndex) + 1));
-  search::GeneticSearch GA(Class->Config.Search.GA, StepSeed, Engine,
-                           nullptr);
+  search::GeneticSearch GA(Class->gaConfig(), StepSeed, Engine, nullptr);
   GA.seedPopulation(std::move(Seeds));
   std::optional<search::Scored> StepBest =
-      GA.run(Class->AndroidCycles, Class->O3Cycles);
+      GA.run(Class->androidMedian(), Class->o3Median());
 
   if (StepBest && StepBest->E.ok()) {
     bool Better =

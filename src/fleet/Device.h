@@ -15,10 +15,11 @@
 ///
 /// Since the event-loop redesign (DESIGN.md §14) the pipeline state is
 /// split in two. A DeviceClassState is one *hardware/user class* — the
-/// app copy, captured region, baselines and memoized evaluation engine
-/// for one point in the heterogeneity space. A Device is one *member*: a
-/// private search seed, best-so-far and hint bookkeeping on top of its
-/// class's pipeline. A real install base of 10k phones spans a few dozen
+/// app copy and the core::RegionSearch the paper pipeline also searches
+/// through (captures, baselines, memoized evaluation engine), set up by
+/// the same IterativeCompiler::prepareSearch, for one point in the
+/// heterogeneity space. A Device is one *member*: a private search seed,
+/// best-so-far and hint bookkeeping on top of its class's pipeline. A real install base of 10k phones spans a few dozen
 /// SoC/OS/input classes, not 10k unique pipelines (the per-cluster
 /// population treatment in the marnaed exemplar); sharing the class
 /// engine is also what makes the simulation scale — class members hit
@@ -142,12 +143,12 @@ struct StepResult {
   VirtualTime Duration = 1;
 };
 
-/// The shared pipeline of one hardware/user class: app copy, captured
-/// region, baselines, and the memoized evaluation engine every class
-/// member searches through. Built and set up once per class; afterwards
-/// only touched from Device::step, which the event loop serializes
-/// per class (one lane per class), so the engine never sees two
-/// concurrent members.
+/// The shared pipeline of one hardware/user class: app copy and the
+/// core::RegionSearch (captures, baselines, memoized evaluation engine)
+/// every class member searches through. Built and set up once per class;
+/// afterwards only touched from Device::step, which the event loop
+/// serializes per class (one lane per class), so the engine never sees
+/// two concurrent members.
 class DeviceClassState {
 public:
   /// \p Base is the fleet-wide pipeline configuration; the class applies
@@ -159,16 +160,19 @@ public:
                    const core::PipelineConfig &Base,
                    const DeviceProfile &ClassProfile);
 
-  /// Phases 1-3 plus baselines, once per class: profile, capture the hot
-  /// region, measure stock Android and -O3, build the evaluation engine.
-  /// Returns false (see failureReason()) when the app yields no
+  /// Phases 1-3 plus baselines, once per class: profile, then
+  /// IterativeCompiler::prepareSearch on the hot region, as optimize()
+  /// does. Returns false (see failureReason()) when the app yields no
   /// replayable region on this class's hardware.
   bool setup();
 
   const std::string &failureReason() const { return Failure; }
   const DeviceProfile &profile() const { return Prof; }
-  double androidMedian() const { return AndroidCycles; }
-  double o3Median() const { return O3Cycles; }
+  double androidMedian() const { return Search->Android.MedianCycles; }
+  /// The GA's -O3 bar (core::RegionSearch::o3Bar).
+  double o3Median() const { return Search->o3Bar(); }
+  /// The GA configuration every member step searches with.
+  const search::GaConfig &gaConfig() const { return Config.Search.GA; }
   /// Engine statistics accumulated over every member step so far.
   const search::EngineCounters &counters() const;
   const search::EngineCacheStats &cacheStats() const;
@@ -185,14 +189,8 @@ private:
   DeviceProfile Prof; ///< The class's hardware/user point (Id = ClassId).
   std::string Failure;
 
-  // Pipeline state frozen by setup(); Captures must not move afterwards
-  // (the engine's backends hold references into it).
-  profiler::HotRegion Region;
-  std::vector<core::CapturedRegion> Captures;
-  std::unique_ptr<core::RegionEvaluator> Baselines;
-  std::unique_ptr<search::EvaluationEngine> Engine;
-  double AndroidCycles = 0.0;
-  double O3Cycles = 0.0;
+  /// The class's prepared search, built by setup().
+  std::unique_ptr<core::RegionSearch> Search;
 };
 
 /// One fleet member: per-device search state on top of a shared class

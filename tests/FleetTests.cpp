@@ -472,6 +472,45 @@ TEST(FleetDevice, ClassedProfilesShareHardwareNotSeeds) {
   EXPECT_EQ(Solo.ClassId, 3);
 }
 
+// --- One search setup: a fleet class searches what the pipeline searches ---
+
+TEST(FleetDevice, NeutralClassSetsUpThePipelinesSearch) {
+  for (bool Guided : {false, true}) {
+    SCOPED_TRACE(Guided ? "analysis-guided" : "paper configuration");
+    core::PipelineConfig Config = fleetBase(/*Seed=*/1);
+    Config.Search.AnalysisGuided = Guided;
+    core::OptimizationReport Report =
+        core::IterativeCompiler(Config).optimize(
+            workloads::buildByName("Sieve"));
+    ASSERT_TRUE(Report.Succeeded) << Report.FailureReason;
+
+    // Stock hardware, stock input, the pipeline's own seed.
+    fleet::DeviceProfile Neutral;
+    Neutral.Seed = Config.Seed;
+    ASSERT_EQ(Neutral.CostScale, 1.0);
+    ASSERT_EQ(Neutral.NoiseScale, 1.0);
+    ASSERT_EQ(Neutral.SessionShift, 0);
+    fleet::DeviceClassState Class("Sieve", Config, Neutral);
+    ASSERT_TRUE(Class.setup()) << Class.failureReason();
+
+    // The same baselines...
+    ASSERT_GT(Report.RegionO3, 0.0);
+    EXPECT_EQ(Class.androidMedian(), Report.RegionAndroid);
+    EXPECT_EQ(Class.o3Median(), Report.RegionO3);
+
+    // ...and the same GA budget and pass mask.
+    search::GaConfig Expected =
+        core::scaledGaConfig(Config.Search.GA, Report.AppliedBudgetScale);
+    const search::GaConfig &Got = Class.gaConfig();
+    EXPECT_EQ(Got.Generations, Expected.Generations);
+    EXPECT_EQ(Got.PopulationSize, Expected.PopulationSize);
+    EXPECT_EQ(Got.TournamentSize, Expected.TournamentSize);
+    EXPECT_EQ(Got.EliteCount, Expected.EliteCount);
+    EXPECT_EQ(Got.HillClimbRounds, Expected.HillClimbRounds);
+    EXPECT_EQ(Got.Genomes.DisabledPassMask, Report.AppliedPassMask);
+  }
+}
+
 // --- (a) Determinism: bit-identical at any --jobs and across re-runs --------
 
 TEST(FleetCoordinator, ResultsAreIdenticalAcrossJobsAndReruns) {

@@ -946,7 +946,7 @@ namespace {
 struct RegionFixture {
   workloads::Application App;
   profiler::HotRegion Region;
-  core::CapturedRegion Captured;
+  std::vector<core::CapturedRegion> Captures; ///< One capture.
 };
 
 /// Every Table-1 app's hot region, profiled and captured once per process.
@@ -960,12 +960,12 @@ const std::vector<RegionFixture> &tableOneRegions() {
       EXPECT_TRUE(P.Region.has_value()) << App.Name;
       if (!P.Region)
         continue;
-      std::optional<core::CapturedRegion> C =
-          Pipeline.captureRegion(*P.Instance, *P.Region);
-      EXPECT_TRUE(C.has_value()) << App.Name;
-      if (!C)
+      std::vector<core::CapturedRegion> C =
+          Pipeline.captureRegionMulti(*P.Instance, *P.Region, 1);
+      EXPECT_EQ(C.size(), 1u) << App.Name;
+      if (C.empty())
         continue;
-      Out.push_back(RegionFixture{std::move(App), *P.Region, std::move(*C)});
+      Out.push_back(RegionFixture{std::move(App), *P.Region, std::move(C)});
     }
     return Out;
   }();
@@ -1007,7 +1007,7 @@ Compiled referenceCompile(const RegionFixture &F, const search::Genome &G) {
   Options.SizeBudget = MemoTestBudget;
   Compiled Out;
   Out.Status = compileAllLlvm(*F.App.File, F.Region.Methods, Options,
-                              Out.Code, &F.Captured.Profile);
+                              Out.Code, &F.Captures[0].Profile);
   return Out;
 }
 
@@ -1051,7 +1051,7 @@ bool sameCompile(const Compiled &A, const Compiled &B) {
 }
 
 std::unique_ptr<CompileMemo> memoFor(const RegionFixture &F) {
-  return std::make_unique<CompileMemo>(*F.App.File, F.Captured.Profile,
+  return std::make_unique<CompileMemo>(*F.App.File, F.Captures[0].Profile,
                                        MemoTestBudget);
 }
 
@@ -1285,8 +1285,7 @@ TEST(GoldenBinaryHash, MatchesPinnedValues) {
     const RegionFixture &F = Regions[A];
     const GoldenRow &Row = Golden[A];
     ASSERT_EQ(F.App.Name, Row.App);
-    core::RegionEvaluator Eval(F.App, F.Region, F.Captured.Cap,
-                               F.Captured.Map, F.Captured.Profile, Config);
+    core::RegionEvaluator Eval(F.App, F.Region, F.Captures, Config);
     ASSERT_EQ(Row.Hashes.size(), Genomes.size());
     for (size_t N = 0; N != Genomes.size(); ++N)
       EXPECT_EQ(Eval.compileGenome(Genomes[N]).BinaryHash, Row.Hashes[N])
@@ -1330,12 +1329,13 @@ std::string rowsText(const std::vector<ReplayRow> &Rows) {
 
 ReplayRow replayRow(replay::Replayer &Rep, const RegionFixture &F,
                     const vm::CodeCache &Code) {
+  const core::CapturedRegion &C = F.Captures[0];
   support::Result<replay::ReplayResult> Verified =
-      Rep.verifiedReplay(F.Captured.Cap, Code, F.Captured.Map);
+      Rep.verifiedReplay(C.Cap, Code, C.Map);
   // The verdict hides a rejected replay's CallResult; an unverified replay
   // of the same binary shows it (replays are deterministic).
   vm::CallResult R =
-      Rep.replay(F.Captured.Cap, replay::ReplayCode::Compiled, &Code).Result;
+      Rep.replay(C.Cap, replay::ReplayCode::Compiled, &Code).Result;
   return ReplayRow{Verified ? -1 : static_cast<int>(Verified.error().Code),
                    static_cast<int>(R.Trap), R.Ret.Raw, R.Cycles, R.Insns};
 }
@@ -1697,8 +1697,7 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       ASSERT_TRUE(Profiled.runSession(F.App.DefaultParam + I).ok());
     uint64_t Profile = profileHash(Profiled.runtime());
 
-    core::RegionEvaluator Eval(F.App, F.Region, F.Captured.Cap,
-                               F.Captured.Map, F.Captured.Profile, Config);
+    core::RegionEvaluator Eval(F.App, F.Region, F.Captures, Config);
     vm::NativeRegistry Natives = vm::NativeRegistry::standardLibrary();
     replay::Replayer Rep(*F.App.File, Natives, F.App.RtConfig);
     std::vector<ReplayRow> Rows;

@@ -175,8 +175,8 @@ TEST(MultiCapture, EvaluatesAcrossSeveralInputs) {
   // sum of the single-capture fitnesses.
   double SingleSum = 0;
   for (const CapturedRegion &C : Captures) {
-    RegionEvaluator Single(App, *Profiled.Region, C.Cap, C.Map, C.Profile,
-                           Config);
+    std::vector<CapturedRegion> One{C};
+    RegionEvaluator Single(App, *Profiled.Region, One, Config);
     search::Evaluation E = Single.evaluateAndroid();
     ASSERT_TRUE(E.ok());
     SingleSum += E.MedianCycles;
@@ -215,10 +215,10 @@ TEST(Soak, InstalledWinnerSurvivesFiftySessions) {
   // Re-create the winner's code cache.
   auto Profiled = Pipeline.profileApp(App);
   ASSERT_TRUE(Profiled.Region.has_value());
-  auto Cap = Pipeline.captureRegion(*Profiled.Instance, *Profiled.Region);
-  ASSERT_TRUE(Cap.has_value());
-  RegionEvaluator Eval(App, *Profiled.Region, Cap->Cap, Cap->Map,
-                       Cap->Profile, Config);
+  std::vector<CapturedRegion> Captures =
+      Pipeline.captureRegionMulti(*Profiled.Instance, *Profiled.Region, 1);
+  ASSERT_EQ(Captures.size(), 1u);
+  RegionEvaluator Eval(App, *Profiled.Region, Captures, Config);
   std::optional<vm::CodeCache> Winner = Eval.compileRegion(Report.Best.G);
   ASSERT_TRUE(Winner.has_value());
 

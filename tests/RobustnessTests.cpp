@@ -348,17 +348,16 @@ struct FuzzFixture {
   workloads::Application App = workloads::buildByName("FFT");
   core::PipelineConfig Config;
   profiler::HotRegion Region;
-  core::IterativeCompiler::CapturedRegion Captured;
+  std::vector<core::CapturedRegion> Captures;
   std::unique_ptr<core::RegionEvaluator> Eval;
 
   FuzzFixture() {
     core::IterativeCompiler Pipeline(Config);
     auto P = Pipeline.profileApp(App);
     Region = *P.Region;
-    Captured = *Pipeline.captureRegion(*P.Instance, Region);
-    Eval = std::make_unique<core::RegionEvaluator>(
-        App, Region, Captured.Cap, Captured.Map, Captured.Profile,
-        Config);
+    Captures = Pipeline.captureRegionMulti(*P.Instance, Region, 1);
+    Eval = std::make_unique<core::RegionEvaluator>(App, Region, Captures,
+                                                   Config);
   }
 
   static FuzzFixture &get() {
@@ -382,7 +381,7 @@ TEST_P(GenomeFuzz, RandomPipelineClassifiesCleanly) {
   for (int I = 0; I != 3; ++I)
     search::mutate(G, R, GC);
 
-  search::Evaluation E = F.Eval->evaluate(G);
+  search::Evaluation E = F.Eval->evaluatePipeline(G.Passes, G.RegAlloc);
   // Whatever happened, it happened *inside the sandboxed evaluation*: we
   // got a classification, and the evaluator remains usable.
   switch (E.Kind) {
@@ -396,7 +395,7 @@ TEST_P(GenomeFuzz, RandomPipelineClassifiesCleanly) {
   case search::EvalKind::WrongOutput:
     break;
   case search::EvalKind::Unevaluated:
-    FAIL() << "evaluate() returned an unevaluated result";
+    FAIL() << "evaluatePipeline() returned an unevaluated result";
     break;
   }
   // A correct baseline still evaluates correctly afterwards.
