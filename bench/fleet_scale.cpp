@@ -289,6 +289,15 @@ int main(int Argc, char **Argv) {
                     static_cast<unsigned long long>(
                         R.ReplayBackend.FullRebuilds));
 
+      // The cell's verdict memo: verified replays one class answered from
+      // another's (DESIGN.md §22; the split varies with --jobs).
+      if (R.Verdicts.Lookups)
+        std::printf("           verdict memo: %llu of %llu verified replays "
+                    "shared, %.1fM instructions not re-executed\n",
+                    static_cast<unsigned long long>(R.Verdicts.Hits),
+                    static_cast<unsigned long long>(R.Verdicts.Lookups),
+                    static_cast<double>(R.Verdicts.HitInsns) / 1e6);
+
       Summary.HintsPublished += R.HintsPublished;
       Summary.HintsAdopted += R.HintsAdopted;
       Summary.HintsRejected += R.HintsRejected;

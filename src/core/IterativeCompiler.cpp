@@ -60,12 +60,19 @@ core::makeCompileMemo(const workloads::Application &App,
       *App.File, std::move(Merged), Config.Search.CompileSizeBudget);
 }
 
+std::shared_ptr<replay::VerdictMemo>
+core::makeVerdictMemo(const workloads::Application &App) {
+  return std::make_shared<replay::VerdictMemo>(*App.File, App.RtConfig);
+}
+
 RegionEvaluator::RegionEvaluator(
     const workloads::Application &App, const profiler::HotRegion &Region,
     const std::vector<CapturedRegion> &Captures,
-    const PipelineConfig &Config, std::shared_ptr<lir::CompileMemo> Memo)
+    const PipelineConfig &Config, std::shared_ptr<lir::CompileMemo> Memo,
+    std::shared_ptr<replay::VerdictMemo> Verdicts)
     : App(App), Region(Region), Config(Config),
       Memo(Memo ? std::move(Memo) : makeCompileMemo(App, Captures, Config)),
+      Verdicts(std::move(Verdicts)),
       Natives(vm::NativeRegistry::standardLibrary()),
       Rep(*App.File, Natives, App.RtConfig, Config.Seed ^ 0xa51f),
       NoiseRng(Config.Seed ^ 0x90153) {
@@ -73,8 +80,14 @@ RegionEvaluator::RegionEvaluator(
   assert(&this->Memo->file() == App.File.get() &&
          this->Memo->sizeBudget() == Config.Search.CompileSizeBudget &&
          "memo built for another region");
+  assert((!this->Verdicts ||
+          this->Verdicts->boundTo(*App.File, App.RtConfig)) &&
+         "verdict memo built for another app");
   for (const CapturedRegion &C : Captures)
-    Caps.push_back(CaptureRef{&C.Cap, &C.Map});
+    Caps.push_back(CaptureRef{
+        &C.Cap, &C.Map,
+        this->Verdicts ? replay::captureKey(C.Cap, C.Map)
+                       : replay::ContentKey{}});
   Rep.setSessionMode(Config.Search.SessionBackends);
 }
 
@@ -126,22 +139,27 @@ bool RegionEvaluator::verifyCache(const vm::CodeCache &Code,
                                   search::Evaluation &E) {
   E.CodeSize = Code.totalSizeBytes();
   E.BinaryHash = hashCodeCache(Code);
+  replay::ContentKey BinKey;
+  if (Verdicts)
+    BinKey = replay::ContentKey{E.BinaryHash, replay::codeDigest(Code)};
 
   // One verified replay per capture classifies the binary — wrong on any
   // input means wrong. Replays are cycle-exact, so measurement replays
   // become noise draws around the measured cycle count (documented
-  // substitution).
+  // substitution), and a verdict another evaluator already replayed is
+  // taken from the memo.
   double Cycles = 0.0;
   for (const CaptureRef &C : Caps) {
-    support::Result<replay::ReplayResult> R =
-        Rep.verifiedReplay(*C.Cap, Code, *C.Map);
-    if (!R) {
-      E.Kind = search::evalKindForError(R.error().Code);
-      E.Error = R.error().Code;
+    replay::Verdict V =
+        Verdicts ? Verdicts->verify(Rep, *C.Cap, *C.Map, C.Key, Code, BinKey)
+                 : replay::replayVerdict(Rep, *C.Cap, Code, *C.Map);
+    if (!V.Ok) {
+      E.Kind = search::evalKindForError(V.Error);
+      E.Error = V.Error;
       Stats.count(E.Kind);
       return false;
     }
-    Cycles += static_cast<double>(R.value().Result.Cycles);
+    Cycles += static_cast<double>(V.Cycles);
   }
 
   E.Kind = search::EvalKind::Ok;
@@ -259,17 +277,21 @@ search::EngineOptions engineOptions(const SearchOptions &S) {
 RegionSearch::RegionSearch(const workloads::Application &App,
                            profiler::HotRegion Region,
                            std::vector<CapturedRegion> Captures,
-                           const PipelineConfig &Config)
+                           const PipelineConfig &Config,
+                           std::shared_ptr<replay::VerdictMemo> Verdicts)
     : Config(Config), Region(std::move(Region)),
       Captures(std::move(Captures)),
       Memo(makeCompileMemo(App, this->Captures, this->Config)),
-      Baselines(App, this->Region, this->Captures, this->Config, Memo),
+      Verdicts(!Config.Search.Memoize ? nullptr
+               : Verdicts             ? std::move(Verdicts)
+                                      : makeVerdictMemo(App)),
+      Baselines(App, this->Region, this->Captures, this->Config, Memo,
+                this->Verdicts),
       Engine(
           [this, &App]() {
-            return std::make_unique<RegionEvaluator>(App, this->Region,
-                                                     this->Captures,
-                                                     this->Config,
-                                                     this->Memo);
+            return std::make_unique<RegionEvaluator>(
+                App, this->Region, this->Captures, this->Config, this->Memo,
+                this->Verdicts);
           },
           engineOptions(Config.Search), Config.Seed) {}
 
@@ -383,16 +405,17 @@ IterativeCompiler::captureRegionMulti(AppInstance &Instance,
 }
 
 support::Result<std::unique_ptr<RegionSearch>>
-IterativeCompiler::prepareSearch(const workloads::Application &App,
-                                 AppInstance &Instance,
-                                 const profiler::HotRegion &Region) {
+IterativeCompiler::prepareSearch(
+    const workloads::Application &App, AppInstance &Instance,
+    const profiler::HotRegion &Region,
+    std::shared_ptr<replay::VerdictMemo> Verdicts) {
   std::vector<CapturedRegion> Captures = captureRegionMulti(
       Instance, Region, std::max(1, Config.Capture.CapturesPerRegion));
   if (Captures.empty())
     return support::Error(support::ErrorCode::CaptureFailed,
                           "capture failed");
-  auto Search = std::make_unique<RegionSearch>(App, Region,
-                                               std::move(Captures), Config);
+  auto Search = std::make_unique<RegionSearch>(
+      App, Region, std::move(Captures), Config, std::move(Verdicts));
   ROPT_TRACE_SPAN("pipeline.baselines");
   Search->Android = Search->Baselines.evaluateAndroid();
   if (!Search->Android.ok())

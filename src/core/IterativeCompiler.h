@@ -13,11 +13,12 @@
 /// environment.
 ///
 /// Phase 4 is set up in one place, IterativeCompiler::prepareSearch: it
-/// captures the region and returns a RegionSearch — one compile memo, a
-/// serial RegionEvaluator for the baselines and the install, and a
-/// search::EvaluationEngine over one RegionEvaluator per worker (each
-/// with its own replay sandbox) that parallelizes and memoizes the GA's
-/// batches. optimize() and every fleet device class search through one.
+/// captures the region and returns a RegionSearch — one compile memo, one
+/// verdict memo, a serial RegionEvaluator for the baselines and the
+/// install, and a search::EvaluationEngine over one RegionEvaluator per
+/// worker (each with its own replay sandbox) that parallelizes and
+/// memoizes the GA's batches. optimize() and every fleet device class
+/// search through one; a fleet cell's classes share one verdict memo.
 /// The ablation harnesses call a RegionEvaluator's serial evaluatePipeline
 /// and evaluateAndroid directly.
 ///
@@ -34,6 +35,7 @@
 #include "lir/CompileMemo.h"
 #include "profiler/HotRegion.h"
 #include "replay/Replayer.h"
+#include "replay/VerdictMemo.h"
 #include "search/EvaluationEngine.h"
 #include "search/GeneticSearch.h"
 #include "support/Result.h"
@@ -64,7 +66,8 @@ struct SearchOptions {
   size_t CompileSizeBudget = 2000;
   /// Worker threads for the evaluation engine; 0 = hardware concurrency.
   int Jobs = 0;
-  /// The engine's two-level genome/binary cache.
+  /// The engine's two-level genome/binary cache and the verdict memo
+  /// under it (DESIGN.md §22).
   bool Memoize = true;
   /// Genomes injected into generation 0 ahead of the random fill
   /// (search::GenomeSource::Seeded), each carrying the provenance id of
@@ -155,6 +158,12 @@ makeCompileMemo(const workloads::Application &App,
                 const std::vector<CapturedRegion> &Captures,
                 const PipelineConfig &Config);
 
+/// The verdict memo (DESIGN.md §22) for searches over \p App: bound to
+/// its DexFile and runtime configuration. One per RegionSearch, or one per
+/// fleet app cell shared by every device class.
+std::shared_ptr<replay::VerdictMemo>
+makeVerdictMemo(const workloads::Application &App);
+
 /// Evaluates one optimization decision against one or more captures:
 /// compile, verify through replay (against *every* capture — a binary that
 /// is only right for some inputs is wrong), measure. Implements the
@@ -168,11 +177,14 @@ public:
   /// \p Captures (one, in the paper's default configuration) must outlive
   /// the evaluator. \p Memo must come from makeCompileMemo() over the same
   /// app, captures and config; null gives the evaluator a private one.
+  /// \p Verdicts, from makeVerdictMemo() over the same app, answers
+  /// verified replays it already holds; null replays every one.
   RegionEvaluator(const workloads::Application &App,
                   const profiler::HotRegion &Region,
                   const std::vector<CapturedRegion> &Captures,
                   const PipelineConfig &Config,
-                  std::shared_ptr<lir::CompileMemo> Memo = nullptr);
+                  std::shared_ptr<lir::CompileMemo> Memo = nullptr,
+                  std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr);
 
   /// EvalBackend: compile with the genome, hand back hash/size/artifact.
   search::CompiledBinary compileGenome(const search::Genome &G) override;
@@ -219,14 +231,16 @@ public:
 
 private:
   search::Evaluation evaluateCache(const vm::CodeCache &Code, Rng &Noise);
-  /// Verified replay against every capture; fills Kind/Error, hash, size
-  /// and BaseCycles (the deterministic cycle sum noise samples around).
-  /// Returns true when the binary is Ok.
+  /// Verified replay against every capture, through the verdict memo
+  /// when there is one; fills Kind/Error, hash, size and BaseCycles (the
+  /// deterministic cycle sum noise samples around). Returns true when
+  /// the binary is Ok.
   bool verifyCache(const vm::CodeCache &Code, search::Evaluation &E);
 
   struct CaptureRef {
     const capture::Capture *Cap;
     const replay::VerificationMap *Map;
+    replay::ContentKey Key; ///< captureKey(), when there is a verdict memo.
   };
 
   const workloads::Application &App;
@@ -235,6 +249,7 @@ private:
   const PipelineConfig &Config;
   /// Compiles through the memo; its profile is merged across captures.
   std::shared_ptr<lir::CompileMemo> Memo;
+  std::shared_ptr<replay::VerdictMemo> Verdicts; ///< May be null.
   vm::NativeRegistry Natives;
   replay::Replayer Rep;
   Rng NoiseRng; ///< Serial-path noise stream (evaluatePipeline/Android).
@@ -242,16 +257,21 @@ private:
 };
 
 /// Phase 4 set up for one region (§3.6-3.7): its captures, one compile
-/// memo shared by a serial RegionEvaluator (the baselines and the install)
-/// and the evaluation engine's per-worker RegionEvaluators, and the stock
-/// Android and -O3 evaluations the GA's fitness is measured against.
-/// IterativeCompiler::prepareSearch builds it. The evaluators refer into
-/// it, so it never moves; the application must outlive it.
+/// memo and one verdict memo shared by a serial RegionEvaluator (the
+/// baselines and the install) and the evaluation engine's per-worker
+/// RegionEvaluators, and the stock Android and -O3 evaluations the GA's
+/// fitness is measured against. IterativeCompiler::prepareSearch builds
+/// it. The evaluators refer into it, so it never moves; the application
+/// must outlive it.
 struct RegionSearch {
+  /// \p Verdicts is shared with other searches over \p App (a fleet
+  /// cell's classes); null gives the search a private one. Without
+  /// SearchOptions::Memoize the search has none.
   RegionSearch(const workloads::Application &App,
                profiler::HotRegion Region,
                std::vector<CapturedRegion> Captures,
-               const PipelineConfig &Config);
+               const PipelineConfig &Config,
+               std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr);
   RegionSearch(const RegionSearch &) = delete;
   RegionSearch &operator=(const RegionSearch &) = delete;
 
@@ -260,6 +280,9 @@ struct RegionSearch {
   const std::vector<CapturedRegion> Captures;
   /// One compile memo for Baselines and every engine worker.
   const std::shared_ptr<lir::CompileMemo> Memo;
+  /// The verdict memo under Baselines and every engine worker (null
+  /// without SearchOptions::Memoize).
+  const std::shared_ptr<replay::VerdictMemo> Verdicts;
   RegionEvaluator Baselines;
   search::EvaluationEngine Engine;
   search::Evaluation Android;
@@ -356,10 +379,12 @@ public:
   /// ...and set up its search (phase 4): take CapturesPerRegion captures,
   /// wire the RegionSearch and measure the Android and -O3 baselines. On
   /// failure the error's message is the pipeline's failure reason.
-  /// \p App must outlive the result.
+  /// \p App must outlive the result. \p Verdicts is a verdict memo shared
+  /// with other searches over \p App; null gives the search its own.
   support::Result<std::unique_ptr<RegionSearch>>
   prepareSearch(const workloads::Application &App, AppInstance &Instance,
-                const profiler::HotRegion &Region);
+                const profiler::HotRegion &Region,
+                std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr);
 
   const PipelineConfig &config() const { return Config; }
 

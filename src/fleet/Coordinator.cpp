@@ -139,6 +139,11 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
   // so the clustering — like everything else — is --jobs-independent.
   bool UseKMeans = Opt.KMeansClasses && Opt.ProfileClasses > 0 &&
                    Classes < Total;
+  // One app per cell: every class copies it, sharing its read-only
+  // DexFile, and one verdict memo bound to that DexFile answers the
+  // verified replays of every class (DESIGN.md §22).
+  const workloads::Application App = workloads::buildByName(AppName);
+  std::shared_ptr<replay::VerdictMemo> Verdicts = core::makeVerdictMemo(App);
   std::vector<std::shared_ptr<DeviceClassState>> Class(
       static_cast<size_t>(Classes));
   std::vector<DeviceState> States(static_cast<size_t>(Total));
@@ -164,7 +169,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
       CP.NoiseScale = Cen[7];
       CP.SessionShift = static_cast<int64_t>(std::llround(Cen[9]));
       Class[static_cast<size_t>(C)] =
-          std::make_shared<DeviceClassState>(AppName, Base, CP);
+          std::make_shared<DeviceClassState>(App, Base, CP, Verdicts);
     }
     for (int I = 0; I != Total; ++I) {
       DeviceState &DS = States[static_cast<size_t>(I)];
@@ -179,9 +184,10 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
   } else {
     for (int C = 0; C != Classes; ++C)
       Class[static_cast<size_t>(C)] = std::make_shared<DeviceClassState>(
-          AppName, Base,
+          App, Base,
           DeviceProfile::derive(Opt.Seed, C, Opt.CostJitter, Opt.NoiseJitter,
-                                Opt.SessionSpread));
+                                Opt.SessionSpread),
+          Verdicts);
     for (int I = 0; I != Total; ++I) {
       DeviceState &DS = States[static_cast<size_t>(I)];
       DS.Prof = DeviceProfile::deriveClassed(Opt.Seed, I, Opt.ProfileClasses,
@@ -200,8 +206,9 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
 
   ThreadPool Pool(static_cast<size_t>(std::max(0, Opt.Jobs)));
 
-  // Class setup (profile + capture + baselines) is embarrassingly
-  // parallel: classes share nothing, not even the dex file.
+  // Class setup (profile + capture + baselines) runs in parallel: the
+  // classes share only the read-only DexFile and the verdict memo, which
+  // locks itself.
   {
     ROPT_TRACE_SPAN("fleet.setup");
     std::vector<char> SetupOk(static_cast<size_t>(Classes), 0);
@@ -476,6 +483,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
     Out.Racing.TopUps += CS.racingStats().TopUps;
     Out.ReplayBackend += CS.replayBackendStats();
   }
+  Out.Verdicts = Verdicts->stats();
   for (int I = 0; I != Total; ++I) {
     const DeviceState &DS = States[static_cast<size_t>(I)];
     if (DS.LastMergedStep < 0)

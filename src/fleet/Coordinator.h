@@ -193,6 +193,10 @@ struct FleetResult {
   search::EngineRacingStats Racing;
   /// Fork-server replay-session accounting over every class backend.
   search::ReplayBackendStats ReplayBackend;
+  /// The cell's verdict memo: verified replays the classes requested and
+  /// how many another class had already replayed. The split depends on
+  /// lane scheduling at --jobs > 1 (DESIGN.md §22).
+  replay::VerdictMemoStats Verdicts;
   uint64_t HintsPublished = 0; ///< Hints sent to devices (pre-dedup).
   uint64_t HintsAdopted = 0;
   uint64_t HintsRejected = 0;

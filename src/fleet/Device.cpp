@@ -59,11 +59,12 @@ std::vector<double> fleet::profileVector(const DeviceProfile &P) {
   return V;
 }
 
-DeviceClassState::DeviceClassState(const std::string &AppName,
-                                   const core::PipelineConfig &Base,
-                                   const DeviceProfile &ClassProfile)
-    : App(workloads::buildByName(AppName)), Config(Base),
-      Prof(ClassProfile) {
+DeviceClassState::DeviceClassState(
+    const workloads::Application &CellApp, const core::PipelineConfig &Base,
+    const DeviceProfile &ClassProfile,
+    std::shared_ptr<replay::VerdictMemo> Verdicts)
+    : App(CellApp), Config(Base), Prof(ClassProfile),
+      Verdicts(std::move(Verdicts)) {
   Config.Seed = Prof.Seed;
   // The event loop's lanes provide cross-class parallelism; a nested
   // single-job engine runs inline on the loop's worker (a multi-thread
@@ -113,9 +114,12 @@ bool DeviceClassState::setup() {
   }
 
   // One compile memo per class, shared by its baselines and engine; all
-  // class memos draw on one process-wide resident budget.
+  // class memos draw on one process-wide resident budget. The verdict
+  // memo is the cell's: classes whose captures coincide replay each
+  // binary once between them.
   support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
-      Pipeline.prepareSearch(App, *Profiled.Instance, *Profiled.Region);
+      Pipeline.prepareSearch(App, *Profiled.Instance, *Profiled.Region,
+                             Verdicts);
   if (!Prepared) {
     Failure = Prepared.error().Message;
     return false;

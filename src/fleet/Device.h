@@ -15,12 +15,16 @@
 ///
 /// Since the event-loop redesign (DESIGN.md §14) the pipeline state is
 /// split in two. A DeviceClassState is one *hardware/user class* — the
-/// app copy and the core::RegionSearch the paper pipeline also searches
-/// through (captures, baselines, memoized evaluation engine), set up by
-/// the same IterativeCompiler::prepareSearch, for one point in the
-/// heterogeneity space. A Device is one *member*: a private search seed,
-/// best-so-far and hint bookkeeping on top of its class's pipeline. A real install base of 10k phones spans a few dozen
-/// SoC/OS/input classes, not 10k unique pipelines (the per-cluster
+/// app with the class's session input and the core::RegionSearch the
+/// paper pipeline also searches through (captures, baselines, memoized
+/// evaluation engine), set up by the same IterativeCompiler::
+/// prepareSearch, for one point in the heterogeneity space. The classes
+/// of one fleet cell share the app's read-only DexFile and one verdict
+/// memo (DESIGN.md §22), so a (capture, binary) pair is replayed once per
+/// cell, not once per class. A Device is one *member*: a private search
+/// seed, best-so-far and hint bookkeeping on top of its class's pipeline.
+/// A real install base of 10k phones spans a few dozen SoC/OS/input
+/// classes, not 10k unique pipelines (the per-cluster
 /// population treatment in the marnaed exemplar); sharing the class
 /// engine is also what makes the simulation scale — class members hit
 /// each other's memoized evaluations, so per-device wall-clock *falls*
@@ -143,22 +147,27 @@ struct StepResult {
   VirtualTime Duration = 1;
 };
 
-/// The shared pipeline of one hardware/user class: app copy and the
+/// The shared pipeline of one hardware/user class: the app and the
 /// core::RegionSearch (captures, baselines, memoized evaluation engine)
 /// every class member searches through. Built and set up once per class;
 /// afterwards only touched from Device::step, which the event loop
 /// serializes per class (one lane per class), so the engine never sees
-/// two concurrent members.
+/// two concurrent members. What it shares with the other classes of its
+/// cell — the DexFile and the verdict memo — is read-only or locks itself.
 class DeviceClassState {
 public:
-  /// \p Base is the fleet-wide pipeline configuration; the class applies
-  /// its profile on top (seed, cost/noise scaling, session shift) and
-  /// forces the evaluation engine to a single job — parallelism belongs
-  /// to the event loop's lanes, and a nested single-thread engine runs
-  /// inline on the loop's worker.
-  DeviceClassState(const std::string &AppName,
+  /// \p CellApp is the cell's application; the class keeps a copy that
+  /// shares its DexFile. \p Base is the fleet-wide pipeline configuration;
+  /// the class applies its profile on top (seed, cost/noise scaling,
+  /// session shift) and forces the evaluation engine to a single job —
+  /// parallelism belongs to the event loop's lanes, and a nested
+  /// single-thread engine runs inline on the loop's worker. \p Verdicts is
+  /// the cell's verdict memo (core::makeVerdictMemo over \p CellApp); null
+  /// gives the class its own.
+  DeviceClassState(const workloads::Application &CellApp,
                    const core::PipelineConfig &Base,
-                   const DeviceProfile &ClassProfile);
+                   const DeviceProfile &ClassProfile,
+                   std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr);
 
   /// Phases 1-3 plus baselines, once per class: profile, then
   /// IterativeCompiler::prepareSearch on the hot region, as optimize()
@@ -184,10 +193,14 @@ public:
 private:
   friend class Device;
 
-  workloads::Application App; ///< Private copy: no cross-class sharing.
+  /// The cell's app with this class's session input; its DexFile is the
+  /// cell's, shared read-only by every class.
+  workloads::Application App;
   core::PipelineConfig Config;
   DeviceProfile Prof; ///< The class's hardware/user point (Id = ClassId).
   std::string Failure;
+  /// The cell's verdict memo, handed to prepareSearch by setup().
+  std::shared_ptr<replay::VerdictMemo> Verdicts;
 
   /// The class's prepared search, built by setup().
   std::unique_ptr<core::RegionSearch> Search;

@@ -459,7 +459,8 @@ Replayer::interpretedReplay(const capture::Capture &Cap) {
 support::Result<ReplayResult>
 Replayer::verifiedReplay(const capture::Capture &Cap,
                          const vm::CodeCache &Code,
-                         const VerificationMap &Map) {
+                         const VerificationMap &Map,
+                         vm::CallResult *Ran) {
   ROPT_TRACE_SPAN("replay.verified");
   bool Matches = false;
   support::Result<ReplayResult> Replay = replayImpl(
@@ -474,6 +475,8 @@ Replayer::verifiedReplay(const capture::Capture &Cap,
   if (!Replay)
     return Replay.error();
   const ReplayResult &Out = Replay.value();
+  if (Ran)
+    *Ran = Out.Result;
 
   if (Out.Result.Trap == vm::TrapKind::Timeout)
     return support::Error{support::ErrorCode::ReplayTimeout,

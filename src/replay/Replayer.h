@@ -163,9 +163,11 @@ public:
   /// written cells, same return value, no trap); otherwise the error code
   /// says how it diverged: ReplayCrash, ReplayTimeout, or OutputMismatch
   /// (or CaptureFailed for a layout the loader refuses, as above).
+  /// \p Ran, when given, receives the region call's result whatever the
+  /// verdict (left untouched when the loader refused the capture).
   support::Result<ReplayResult>
   verifiedReplay(const capture::Capture &Cap, const vm::CodeCache &Code,
-                 const VerificationMap &Map);
+                 const VerificationMap &Map, vm::CallResult *Ran = nullptr);
 
   /// Fork-server replay sessions: keep one restored address space per
   /// capture and delta-reset dirty pages between replays instead of
@@ -179,6 +181,10 @@ public:
   /// Cross-replay session accounting (see LoaderStats for the
   /// per-replay/per-session split).
   const SessionStats &sessionStats() const { return SessStats; }
+
+  /// What every replay runs (a VerdictMemo checks its binding on these).
+  const dex::DexFile &file() const { return File; }
+  const vm::RuntimeConfig &config() const { return Config; }
 
   /// Live sessions currently held (tests/benches).
   size_t liveSessions() const { return Sessions.size(); }

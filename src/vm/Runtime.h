@@ -75,6 +75,8 @@ struct RuntimeConfig {
   uint64_t GcThresholdBytes = 8 * 1024 * 1024;
   bool AttributeCycles = false; ///< Per-method exclusive cycle profile.
   uint64_t BootId = 1;          ///< Seeds the runtime-image content.
+
+  bool operator==(const RuntimeConfig &) const = default;
 };
 
 /// Result of one top-level call.

@@ -8,14 +8,17 @@
 #include "lir/Backend.h"
 #include "profiler/HotRegion.h"
 #include "replay/Replayer.h"
+#include "replay/VerdictMemo.h"
 #include "support/Format.h"
 #include "support/Random.h"
 #include "tests/TestPrograms.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <map>
+#include <set>
 
 using namespace ropt;
 using namespace ropt::dex;
@@ -478,6 +481,208 @@ TEST(Replay, VerifiedReplayRejectsWrongBinary) {
   ASSERT_FALSE(Bad2.ok());
   // The typed error pinpoints the divergence class.
   EXPECT_EQ(Bad2.error().Code, support::ErrorCode::OutputMismatch);
+}
+
+// --- Verdict memo keys (DESIGN.md §22) ----------------------------------------
+
+namespace {
+
+/// Sabotages \p App's compiled step: its first add becomes a sub.
+vm::CodeCache flippedStep(const StatefulApp &App) {
+  auto Fn = hgraph::compileMethodAndroid(App.File, App.Step);
+  for (vm::MInsn &I : Fn->Code)
+    if (I.Op == vm::MOpcode::MAddI) {
+      I.Op = vm::MOpcode::MSubI;
+      break;
+    }
+  vm::CodeCache Code;
+  Code.install(Fn);
+  return Code;
+}
+
+/// The memo's binary key as a test can form it (the evaluators put their
+/// BinaryHash in the first lane).
+ContentKey binaryKey(const vm::CodeCache &Code) {
+  return ContentKey{0, codeDigest(Code)};
+}
+
+} // namespace
+
+TEST(VerdictMemo, CaptureKeyCoversWhatTheReplayReads) {
+  StatefulApp App;
+  AppEnv Env(App.File);
+  Capture Cap = captureStep(App, Env, 50, 6);
+  Replayer R(App.File, Env.Natives, Env.Config);
+  InterpretedReplayResult IR = R.interpretedReplay(Cap).value();
+  const ContentKey Key = captureKey(Cap, IR.Map);
+  EXPECT_EQ(captureKey(Cap, IR.Map), Key);
+
+  // What differs between device classes and is never replayed — costs,
+  // events, the common-blob size, file paths — does not move the key.
+  Capture Costs = Cap;
+  Costs.Events.CowCopies += 7;
+  Costs.Overheads.ForkMs += 1.5;
+  Costs.CommonBytes += os::PageSize;
+  Costs.FileMaps.push_back(FileMapRecord{0x1000, 4096, "/data/app.odex", 0});
+  EXPECT_EQ(captureKey(Costs, IR.Map), Key);
+
+  // Everything the replay reads moves both lanes.
+  auto Moves = [&](const std::function<void(Capture &, VerificationMap &)>
+                       &Edit) {
+    Capture C = Cap;
+    VerificationMap M = IR.Map;
+    Edit(C, M);
+    ContentKey K = captureKey(C, M);
+    return K.A != Key.A && K.B != Key.B;
+  };
+  EXPECT_TRUE(Moves([](Capture &C, VerificationMap &) { C.Root += 1; }));
+  EXPECT_TRUE(Moves([](Capture &C, VerificationMap &) { C.Args[0].Raw ^= 1; }));
+  EXPECT_TRUE(Moves([](Capture &C, VerificationMap &) { C.BootId += 1; }));
+  EXPECT_TRUE(Moves([](Capture &C, VerificationMap &) {
+    C.Mappings.front().Name += "'";
+  }));
+  EXPECT_TRUE(Moves([](Capture &C, VerificationMap &) {
+    C.Mappings.back().End += os::PageSize;
+  }));
+  EXPECT_TRUE(Moves([](Capture &C, VerificationMap &) {
+    C.Pages.front().Addr += os::PageSize;
+  }));
+  EXPECT_TRUE(Moves([](Capture &, VerificationMap &M) {
+    M.Cells.rbegin()->second ^= 1ULL << 63;
+  }));
+  EXPECT_TRUE(Moves([](Capture &, VerificationMap &M) { M.ReturnBits += 1; }));
+  EXPECT_TRUE(Moves([](Capture &, VerificationMap &M) {
+    M.HasReturn = false;
+  }));
+
+  // Every single-bit flip of a captured page gives its own key.
+  std::set<std::pair<uint64_t, uint64_t>> Seen{{Key.A, Key.B}};
+  Capture Flipped = Cap;
+  std::vector<uint8_t> &Bytes = Flipped.Pages.front().Bytes;
+  for (size_t Byte = 0; Byte < Bytes.size(); Byte += 61)
+    for (int Bit = 0; Bit != 8; ++Bit) {
+      Bytes[Byte] ^= static_cast<uint8_t>(1u << Bit);
+      ContentKey K = captureKey(Flipped, IR.Map);
+      EXPECT_TRUE(Seen.insert({K.A, K.B}).second)
+          << "byte " << Byte << " bit " << Bit;
+      Bytes[Byte] ^= static_cast<uint8_t>(1u << Bit);
+    }
+}
+
+TEST(VerdictMemo, CodeDigestCoversEveryExecutedField) {
+  StatefulApp App;
+  vm::CodeCache Android;
+  hgraph::compileAllAndroid(App.File, {App.Step}, Android);
+  const uint64_t Digest = codeDigest(Android);
+  EXPECT_EQ(codeDigest(Android), Digest);
+  EXPECT_NE(codeDigest(flippedStep(App)), Digest);
+
+  auto Edited = [&](const std::function<void(vm::MachineFunction &)> &Edit) {
+    auto Fn = std::make_shared<vm::MachineFunction>(
+        *Android.lookup(App.Step));
+    Edit(*Fn);
+    vm::CodeCache Code;
+    Code.install(Fn);
+    return codeDigest(Code);
+  };
+  size_t Last = Android.lookup(App.Step)->Code.size() - 1;
+  EXPECT_NE(Edited([&](vm::MachineFunction &F) { F.Code[Last].ImmI += 1; }),
+            Digest);
+  EXPECT_NE(Edited([&](vm::MachineFunction &F) { F.Code[0].Target += 1; }),
+            Digest);
+  EXPECT_NE(Edited([](vm::MachineFunction &F) { F.NumRegs += 1; }), Digest);
+  EXPECT_NE(Edited([](vm::MachineFunction &F) {
+              F.Code.push_back(vm::MInsn());
+            }),
+            Digest);
+  // The bytecode-pc provenance and the name only feed passes and dumps.
+  EXPECT_EQ(Edited([](vm::MachineFunction &F) {
+              F.Code[0].Site ^= 1;
+              F.Name += "'";
+            }),
+            Digest);
+}
+
+TEST(VerdictMemo, AnyChangedInputIsAMiss) {
+  StatefulApp App;
+  AppEnv Env(App.File);
+  Capture Cap = captureStep(App, Env, 50, 6);
+  Replayer R(App.File, Env.Natives, Env.Config);
+  InterpretedReplayResult IR = R.interpretedReplay(Cap).value();
+  vm::CodeCache Android;
+  hgraph::compileAllAndroid(App.File, {App.Step}, Android);
+
+  VerdictMemo Memo(App.File, Env.Config);
+  ASSERT_TRUE(Memo.boundTo(App.File, Env.Config));
+  vm::RuntimeConfig Other = Env.Config;
+  Other.InsnBudget /= 2;
+  EXPECT_FALSE(Memo.boundTo(App.File, Other));
+
+  // A fresh replayer's answer: what a memo answer must equal.
+  auto Fresh = [&](const Capture &C, const vm::CodeCache &Code,
+                   const VerificationMap &M) {
+    Replayer Own(App.File, Env.Natives, Env.Config, /*AslrSeed=*/99);
+    return replayVerdict(Own, C, Code, M);
+  };
+  auto Same = [](const Verdict &A, const Verdict &B) {
+    return A.Ok == B.Ok && (A.Ok || A.Error == B.Error) &&
+           A.Cycles == B.Cycles && A.Insns == B.Insns;
+  };
+  auto Lookup = [&](const Capture &C, const vm::CodeCache &Code,
+                    const VerificationMap &M) {
+    uint64_t HitsBefore = Memo.stats().Hits;
+    Verdict V = Memo.verify(R, C, M, captureKey(C, M), Code, binaryKey(Code));
+    EXPECT_TRUE(Same(V, Fresh(C, Code, M)));
+    return Memo.stats().Hits != HitsBefore;
+  };
+
+  EXPECT_FALSE(Lookup(Cap, Android, IR.Map));
+  EXPECT_TRUE(Lookup(Cap, Android, IR.Map));
+  Verdict Stored = Memo.verify(R, Cap, IR.Map, captureKey(Cap, IR.Map),
+                               Android, binaryKey(Android));
+  EXPECT_TRUE(Stored.Ok);
+  EXPECT_GT(Stored.Insns, 0u);
+
+  // One captured byte: the array element the region reads first.
+  Capture Poked = Cap;
+  bool Changed = false;
+  for (PageRecord &P : Poked.Pages)
+    for (size_t I = 0; I + 8 <= P.Bytes.size() && !Changed; I += 8) {
+      uint64_t Word;
+      std::memcpy(&Word, P.Bytes.data() + I, 8);
+      if (Word == 49 * 49) { // init(50) stored i*i; the last is 2401
+        P.Bytes[I] ^= 1;
+        Changed = true;
+      }
+    }
+  ASSERT_TRUE(Changed);
+  EXPECT_FALSE(Lookup(Poked, Android, IR.Map));
+
+  // One verification cell.
+  VerificationMap Wrong = IR.Map;
+  Wrong.Cells.begin()->second ^= 1;
+  EXPECT_FALSE(Lookup(Cap, Android, Wrong));
+  Verdict Mismatch = Memo.verify(R, Cap, Wrong, captureKey(Cap, Wrong),
+                                 Android, binaryKey(Android));
+  EXPECT_FALSE(Mismatch.Ok);
+  EXPECT_EQ(Mismatch.Error, support::ErrorCode::OutputMismatch);
+
+  // One instruction of the binary.
+  vm::CodeCache Bad = flippedStep(App);
+  EXPECT_FALSE(Lookup(Cap, Bad, IR.Map));
+  Verdict Wrong2 = Memo.verify(R, Cap, IR.Map, captureKey(Cap, IR.Map), Bad,
+                               binaryKey(Bad));
+  EXPECT_EQ(Wrong2.Error, support::ErrorCode::OutputMismatch);
+
+  // Errors are stored with their cycles and instructions too, so hits
+  // account for exactly the work a replay would have done.
+  EXPECT_EQ(Memo.size(), 4u);
+  VerdictMemoStats S = Memo.stats();
+  EXPECT_EQ(S.Lookups, 8u);
+  EXPECT_EQ(S.Hits, 4u);
+  EXPECT_EQ(S.HitInsns, 2 * Stored.Insns + Mismatch.Insns + Wrong2.Insns);
+  EXPECT_EQ(S.HitCycles,
+            2 * Stored.Cycles + Mismatch.Cycles + Wrong2.Cycles);
 }
 
 namespace {

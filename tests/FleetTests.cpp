@@ -490,7 +490,8 @@ TEST(FleetDevice, NeutralClassSetsUpThePipelinesSearch) {
     ASSERT_EQ(Neutral.CostScale, 1.0);
     ASSERT_EQ(Neutral.NoiseScale, 1.0);
     ASSERT_EQ(Neutral.SessionShift, 0);
-    fleet::DeviceClassState Class("Sieve", Config, Neutral);
+    fleet::DeviceClassState Class(workloads::buildByName("Sieve"), Config,
+                                  Neutral);
     ASSERT_TRUE(Class.setup()) << Class.failureReason();
 
     // The same baselines...

@@ -20,9 +20,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 using namespace ropt;
 using namespace ropt::search;
@@ -575,4 +577,97 @@ TEST(ParallelPipeline, SessionBackendsAreSemanticallyInvisible) {
   EXPECT_GT(On.ReplayBackend.SessionsCreated, 0u);
   EXPECT_EQ(Off.ReplayBackend.SessionReplays, 0u);
   EXPECT_GT(Off.ReplayBackend.FreshReplays, 0u);
+}
+
+// --- The verdict memo shared across searches (DESIGN.md §22) ----------------
+
+TEST(VerdictMemo, SharedAcrossThreadsMatchesPrivateMemos) {
+  // Two searches over one app and one set of captures, as two fleet
+  // device classes: different seeds, so different noise draws. Sharing a
+  // verdict memo while both run on their own threads must give every
+  // evaluation exactly what private memos give.
+  // SOR: aggressive genes give it verified binaries, crashes and output
+  // mismatches alike.
+  const workloads::Application App = workloads::buildByName("SOR");
+  core::PipelineConfig ConfigA = fastPipelineConfig(/*Jobs=*/2);
+  core::PipelineConfig ConfigB = ConfigA;
+  ConfigB.Seed = 2;
+  core::IterativeCompiler Pipeline(ConfigA);
+  core::IterativeCompiler::ProfiledApp Profiled = Pipeline.profileApp(App);
+  ASSERT_TRUE(Profiled.Region);
+  std::vector<core::CapturedRegion> Captures =
+      Pipeline.captureRegionMulti(*Profiled.Instance, *Profiled.Region, 2);
+  ASSERT_EQ(Captures.size(), 2u);
+
+  GenomeConfig Aggressive;
+  Aggressive.AggressiveProb = 0.9;
+  Rng R(17);
+  std::vector<Genome> BatchA;
+  for (int I = 0; I != 32; ++I)
+    BatchA.push_back(randomGenome(R, Aggressive));
+  BatchA.push_back(Genome{lir::o3Pipeline(), hgraph::RegAllocKind::LinearScan});
+  std::vector<Genome> BatchB(BatchA.rbegin(), BatchA.rend());
+
+  struct Run {
+    std::vector<Evaluation> A, B;
+    uint64_t Insns = 0; ///< Executed plus memoized.
+  };
+  auto RunPair = [&](std::shared_ptr<replay::VerdictMemo> MemoA,
+                     std::shared_ptr<replay::VerdictMemo> MemoB) {
+    core::RegionSearch SearchA(App, *Profiled.Region, Captures, ConfigA,
+                               std::move(MemoA));
+    core::RegionSearch SearchB(App, *Profiled.Region, Captures, ConfigB,
+                               std::move(MemoB));
+#if ROPT_OBSERVABILITY
+    MetricsSnapshot Before = Metrics::instance().snapshot();
+#endif
+    Run Out;
+    std::thread TA([&] { Out.A = SearchA.Engine.evaluateBatch(BatchA); });
+    std::thread TB([&] { Out.B = SearchB.Engine.evaluateBatch(BatchB); });
+    TA.join();
+    TB.join();
+#if ROPT_OBSERVABILITY
+    MetricsSnapshot After = Metrics::instance().snapshot();
+    auto Delta = [&](const char *Name) {
+      return After.counter(Name) - Before.counter(Name);
+    };
+    Out.Insns = Delta("vm.insns") + Delta("replay.memo_insns");
+#endif
+    return Out;
+  };
+
+  std::shared_ptr<replay::VerdictMemo> OwnA = core::makeVerdictMemo(App);
+  std::shared_ptr<replay::VerdictMemo> OwnB = core::makeVerdictMemo(App);
+  Run Private = RunPair(OwnA, OwnB);
+  std::shared_ptr<replay::VerdictMemo> Shared = core::makeVerdictMemo(App);
+  Run Together = RunPair(Shared, Shared);
+
+  auto Same = [](const Evaluation &X, const Evaluation &Y) {
+    return X.Kind == Y.Kind && X.Error == Y.Error &&
+           X.BaseCycles == Y.BaseCycles && X.Samples == Y.Samples &&
+           X.MedianCycles == Y.MedianCycles && X.BinaryHash == Y.BinaryHash &&
+           X.CodeSize == Y.CodeSize;
+  };
+  std::map<EvalKind, int> Kinds;
+  ASSERT_EQ(Private.A.size(), Together.A.size());
+  ASSERT_EQ(Private.B.size(), Together.B.size());
+  for (size_t I = 0; I != Private.A.size(); ++I) {
+    EXPECT_TRUE(Same(Private.A[I], Together.A[I])) << BatchA[I].name();
+    EXPECT_TRUE(Same(Private.B[I], Together.B[I])) << BatchB[I].name();
+    ++Kinds[Private.A[I].Kind];
+  }
+  EXPECT_GT(Kinds[EvalKind::Ok], 0);
+  EXPECT_GT(Kinds[EvalKind::RuntimeCrash] + Kinds[EvalKind::RuntimeTimeout],
+            0);
+  EXPECT_GT(Kinds[EvalKind::WrongOutput], 0);
+
+  // The same verified replays were asked for; on the shared side one
+  // search's answers came from the other's replays.
+  EXPECT_EQ(Shared->stats().Lookups,
+            OwnA->stats().Lookups + OwnB->stats().Lookups);
+  EXPECT_GT(Shared->stats().Hits, 0u);
+#if ROPT_OBSERVABILITY
+  EXPECT_GT(Private.Insns, 0u);
+  EXPECT_EQ(Together.Insns, Private.Insns);
+#endif
 }
