@@ -126,39 +126,54 @@ DomTree::dominanceFrontiers(const LFunction &Fn) const {
 
 LoopInfo LoopInfo::compute(const LFunction &Fn, const DomTree &DT) {
   LoopInfo LI;
-  std::map<uint32_t, Loop> ByHeader;
-  for (uint32_t Block = 0; Block != Fn.Blocks.size(); ++Block) {
+  size_t N = Fn.Blocks.size();
+  std::vector<uint32_t> LoopOf(N, ~0u); ///< Header -> index in Found.
+  std::vector<Loop> Found;
+  std::vector<uint32_t> Work;
+  for (uint32_t Block = 0; Block != N; ++Block) {
     if (!DT.isReachable(Block))
       continue;
     for (uint32_t Succ : Fn.Blocks[Block].Term.successors()) {
       if (!DT.dominates(Succ, Block))
         continue;
       // Back edge Block -> Succ.
-      Loop &L = ByHeader[Succ];
-      L.Header = Succ;
+      if (LoopOf[Succ] == ~0u) {
+        LoopOf[Succ] = static_cast<uint32_t>(Found.size());
+        Found.emplace_back();
+        Found.back().Header = Succ;
+        Found.back().Member.assign(N, false);
+      }
+      Loop &L = Found[LoopOf[Succ]];
       L.Latches.push_back(Block);
       // Flood backwards from the latch to collect the body.
-      L.Blocks.insert(Succ);
-      std::vector<uint32_t> Work{Block};
+      L.Member[Succ] = true;
+      Work.assign(1, Block);
       while (!Work.empty()) {
         uint32_t Cur = Work.back();
         Work.pop_back();
-        if (!L.Blocks.insert(Cur).second)
+        if (L.Member[Cur])
           continue;
+        L.Member[Cur] = true;
         for (uint32_t Pred : Fn.Blocks[Cur].Preds)
           if (DT.isReachable(Pred))
             Work.push_back(Pred);
       }
     }
   }
-  for (auto &KV : ByHeader) {
-    Loop &L = KV.second;
-    std::set<uint32_t> Exits;
+  // One loop per header, in header order.
+  for (uint32_t Header = 0; Header != N; ++Header) {
+    if (LoopOf[Header] == ~0u)
+      continue;
+    Loop &L = Found[LoopOf[Header]];
+    for (uint32_t Block = 0; Block != N; ++Block)
+      if (L.Member[Block])
+        L.Blocks.push_back(Block);
     for (uint32_t Block : L.Blocks)
       for (uint32_t Succ : Fn.Blocks[Block].Term.successors())
         if (!L.contains(Succ))
-          Exits.insert(Succ);
-    L.Exits.assign(Exits.begin(), Exits.end());
+          L.Exits.push_back(Succ);
+    std::sort(L.Exits.begin(), L.Exits.end());
+    L.Exits.erase(std::unique(L.Exits.begin(), L.Exits.end()), L.Exits.end());
     LI.Loops.push_back(std::move(L));
   }
   return LI;

@@ -17,6 +17,7 @@
 #include "lir/Lir.h"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <type_traits>
 #include <vector>
@@ -62,10 +63,13 @@ private:
 struct Loop {
   uint32_t Header = 0;
   std::vector<uint32_t> Latches; ///< Blocks with a back edge to Header.
-  std::set<uint32_t> Blocks;     ///< Includes Header.
+  std::vector<uint32_t> Blocks;  ///< Ascending; includes Header.
   std::vector<uint32_t> Exits;   ///< Blocks outside reached from inside.
+  std::vector<bool> Member;      ///< Per function block: in Blocks.
 
-  bool contains(uint32_t Block) const { return Blocks.count(Block) != 0; }
+  bool contains(uint32_t Block) const {
+    return Block < Member.size() && Member[Block];
+  }
 };
 
 /// All natural loops (one per header; back edges to the same header merge).
@@ -77,6 +81,34 @@ public:
 
 private:
   std::vector<Loop> Loops;
+};
+
+/// The dominator tree and loop info of one function, computed on first
+/// request and kept until invalidate(). applyPass invalidates them after
+/// every pass that reports a change, so a run of passes that change
+/// nothing computes them once: LLVM's preserved analyses, all or nothing.
+/// A pass that edits the function and then asks again must invalidate
+/// first; a holder that swaps in another function must drop them.
+class FunctionAnalyses {
+public:
+  const DomTree &domTree(const LFunction &Fn) {
+    if (!DT)
+      DT = DomTree::compute(Fn);
+    return *DT;
+  }
+  const LoopInfo &loopInfo(const LFunction &Fn) {
+    if (!LI)
+      LI = LoopInfo::compute(Fn, domTree(Fn));
+    return *LI;
+  }
+  void invalidate() {
+    DT.reset();
+    LI.reset();
+  }
+
+private:
+  std::optional<DomTree> DT;
+  std::optional<LoopInfo> LI;
 };
 
 /// Maps every value to its defining block (params -> entry). NoValue-sized

@@ -19,23 +19,21 @@ const char *lir::compileStatusName(CompileStatus Status) {
   return "unknown";
 }
 
-CompileResult lir::compileMethodLlvm(const dex::DexFile &File,
-                                     dex::MethodId Method,
-                                     const CompileOptions &Options,
-                                     const TypeProfile *Profile) {
+namespace {
+
+/// compileMethodLlvm with the pass context given; \p Ctx.Callees is set.
+CompileResult compileMethod(dex::MethodId Method, const CompileOptions &Options,
+                            const PassContext &Ctx) {
   CompileResult Result;
-  const dex::Method &M = File.method(Method);
+  const dex::Method &M = Ctx.File->method(Method);
   if (M.IsNative || M.isUncompilable()) {
     Result.Status = CompileStatus::Unsupported;
     return Result;
   }
 
-  hgraph::HGraph G = hgraph::buildHGraph(File, Method);
+  hgraph::HGraph G = hgraph::buildHGraph(*Ctx.File, Method);
   LFunction Fn = fromHGraph(G, Options.Translate);
 
-  PassContext Ctx;
-  Ctx.File = &File;
-  Ctx.Profile = Profile;
   if (!runPipeline(Fn, Options.Pipeline, Ctx, Options.SizeBudget)) {
     Result.Status = CompileStatus::SizeBudget;
     return Result;
@@ -53,14 +51,28 @@ CompileResult lir::compileMethodLlvm(const dex::DexFile &File,
   return Result;
 }
 
+} // namespace
+
+CompileResult lir::compileMethodLlvm(const dex::DexFile &File,
+                                     dex::MethodId Method,
+                                     const CompileOptions &Options,
+                                     const TypeProfile *Profile) {
+  CalleeSsa Callees(File);
+  return compileMethod(Method, Options, {&File, Profile, &Callees});
+}
+
 CompileStatus lir::compileAllLlvm(const dex::DexFile &File,
                                   const std::vector<dex::MethodId> &Methods,
                                   const CompileOptions &Options,
                                   vm::CodeCache &Cache,
                                   const TypeProfile *Profile) {
+  // One callee provider for the whole compile: a callee inlined into
+  // several methods is built once.
+  CalleeSsa Callees(File);
+  const PassContext Ctx{&File, Profile, &Callees};
   CompileStatus Status = CompileStatus::Ok;
   for (dex::MethodId Id : Methods) {
-    CompileResult Result = compileMethodLlvm(File, Id, Options, Profile);
+    CompileResult Result = compileMethod(Id, Options, Ctx);
     if (Result.ok()) {
       Cache.install(Result.Fn);
       continue;

@@ -5,6 +5,7 @@
 #include "hgraph/Build.h"
 #include "lir/Codegen.h"
 #include "support/Metrics.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <atomic>
@@ -87,7 +88,9 @@ private:
   size_t Len = 0;
 };
 
-std::string encodeIR(const LFunction &Fn) {
+} // namespace
+
+std::string lir::encodeIR(const LFunction &Fn) {
   Encoder E;
   E.reserve(1);
   E.putId(Fn.Method);
@@ -141,6 +144,8 @@ std::string encodeIR(const LFunction &Fn) {
   }
   return E.take();
 }
+
+namespace {
 
 /// Reads encodeIR()'s output back.
 class Decoder {
@@ -290,9 +295,17 @@ struct CompileMemo::Impl {
     uint32_t Root = 0;
   };
 
-  explicit Impl(CompileMemo &Owner) : Owner(Owner) {
+  /// The IR a walk is working on, with its analyses while passes keep
+  /// them valid.
+  struct WorkingIr {
+    LFunction Fn;
+    FunctionAnalyses Analyses;
+  };
+
+  explicit Impl(CompileMemo &Owner) : Owner(Owner), Callees(Owner.File) {
     Ctx.File = &Owner.File;
     Ctx.Profile = &Owner.Profile;
+    Ctx.Callees = &Callees;
   }
 
   ~Impl() {
@@ -302,6 +315,7 @@ struct CompileMemo::Impl {
   }
 
   CompileMemo &Owner;
+  CalleeSsa Callees; ///< Thread-safe; shared by every walk.
   PassContext Ctx;
 
   std::deque<IrState> States;
@@ -441,8 +455,9 @@ struct CompileMemo::Impl {
   /// walk starts at a pinned root, so one always exists). The recomputed
   /// state becomes resident again: transitions are exact, so the replayed
   /// IR equals the evicted one.
-  LFunction materialize(Lock &L, const std::vector<uint32_t> &Walk,
-                        const std::vector<PassInstance> &Pipeline) {
+  void materialize(Lock &L, const std::vector<uint32_t> &Walk,
+                   const std::vector<PassInstance> &Pipeline,
+                   std::optional<WorkingIr> &Work) {
     size_t To = Walk.size() - 1;
     size_t From = To;
     while (!States[Walk[From]].IR)
@@ -450,20 +465,19 @@ struct CompileMemo::Impl {
     EncodedPtr Base = States[Walk[From]].IR;
     touchIr(States[Walk[From]]);
     L.unlock();
-    LFunction Fn = decodeIR(*Base);
+    Work.emplace(WorkingIr{decodeIR(*Base), {}});
     if (From == To) {
       L.lock();
-      return Fn;
+      return;
     }
     for (size_t I = From; I != To; ++I)
-      applyPass(Fn, Pipeline[I], Ctx);
-    auto Bytes = std::make_shared<const std::string>(encodeIR(Fn));
+      applyPass(Work->Fn, Pipeline[I], Ctx, Work->Analyses);
+    auto Bytes = std::make_shared<const std::string>(encodeIR(Work->Fn));
     L.lock();
     ++Stats.Recomputes;
     ROPT_METRIC_INC("compile.memo_recomputes");
     if (!States[Walk[To]].IR)
       makeResident(Walk[To], std::move(Bytes), /*Pin=*/false);
-    return Fn;
   }
 
   // --- One method -----------------------------------------------------------
@@ -473,13 +487,21 @@ struct CompileMemo::Impl {
     DecodedPtr Code;
   };
 
-  /// \p E's code as installed: the live decoding if a cache still holds
-  /// one, else a fresh one.
-  static DecodedPtr decodedCode(CodeEntry &E) {
-    DecodedPtr Decoded = E.Decoded.lock();
-    if (!Decoded) {
-      Decoded = vm::decodeMachineFunction(E.Fn);
-      E.Decoded = Decoded;
+  /// The code under \p Key as installed: the live decoding if a cache
+  /// still holds one, else a fresh one, decoded with the lock released.
+  DecodedPtr decodedCode(Lock &L, uint64_t Key, CodeEntry &E) {
+    if (DecodedPtr Decoded = E.Decoded.lock())
+      return Decoded;
+    MachinePtr Fn = E.Fn;
+    L.unlock();
+    DecodedPtr Decoded = vm::decodeMachineFunction(Fn);
+    L.lock();
+    // The entry may have been evicted meanwhile, or decoded by another
+    // thread; then only the sharing of this decoding is lost.
+    if (auto It = Codes.find(Key); It != Codes.end() && It->second.Fn == Fn) {
+      if (DecodedPtr Shared = It->second.Decoded.lock())
+        return Shared;
+      It->second.Decoded = Decoded;
     }
     return Decoded;
   }
@@ -493,33 +515,48 @@ struct CompileMemo::Impl {
 
     // Walk the transition table, applying passes only where it has no
     // entry yet. Work holds the IR of Walk.back() whenever a pass was just
-    // applied; a table hit leaves it stale.
+    // applied; a table hit to another state leaves it stale, while a
+    // self-transition keeps it (and its analyses) valid.
     std::vector<uint32_t> Walk;
     Walk.reserve(Pipeline.size() + 1);
     Walk.push_back(Root.Root);
-    std::optional<LFunction> Work;
+    std::optional<WorkingIr> Work;
     for (const PassInstance &P : Pipeline) {
       TransitionKey Key = transitionKey(Walk.back(), P);
       auto It = Next.find(Key);
       if (It != Next.end()) {
         ++Stats.TransitionHits;
         ROPT_METRIC_INC("compile.memo_transition_hits");
+        if (It->second != Walk.back())
+          Work.reset();
         Walk.push_back(It->second);
-        Work.reset();
       } else {
         ++Stats.TransitionMisses;
         ROPT_METRIC_INC("compile.memo_transition_misses");
         if (!Work)
-          Work = materialize(L, Walk, Pipeline);
+          materialize(L, Walk, Pipeline, Work);
         L.unlock();
-        applyPass(*Work, P, Ctx);
-        bool Over = Work->instructionCount() > Owner.SizeBudget;
-        std::string Bytes = encodeIR(*Work);
-        uint64_t Hash = hashBytes(Bytes);
-        L.lock();
-        uint32_t To = intern(std::move(Bytes), Hash, Over);
-        Next.emplace(Key, To);
-        Walk.push_back(To);
+        bool Changed;
+        {
+          ROPT_TRACE_SPAN_V("compile.pass", static_cast<int>(P.Id));
+          Changed = applyPass(Work->Fn, P, Ctx, Work->Analyses);
+        }
+        if (!Changed) {
+          // The IR is byte-identical (applyPass's contract): the state
+          // maps to itself, with nothing to encode, hash or intern.
+          L.lock();
+          ROPT_METRIC_INC("compile.memo_noop_passes");
+          Next.emplace(Key, Walk.back());
+          Walk.push_back(Walk.back());
+        } else {
+          bool Over = Work->Fn.instructionCount() > Owner.SizeBudget;
+          std::string Bytes = encodeIR(Work->Fn);
+          uint64_t Hash = hashBytes(Bytes);
+          L.lock();
+          uint32_t To = intern(std::move(Bytes), Hash, Over);
+          Next.emplace(Key, To);
+          Walk.push_back(To);
+        }
       }
       if (States[Walk.back()].OverBudget)
         return {CompileStatus::SizeBudget, nullptr};
@@ -528,10 +565,10 @@ struct CompileMemo::Impl {
     uint32_t Final = Walk.back();
     if (States[Final].Verified < 0) {
       if (!Work)
-        Work = materialize(L, Walk, Pipeline);
+        materialize(L, Walk, Pipeline, Work);
       L.unlock();
       std::string Error;
-      bool Valid = Work->verify(Error);
+      bool Valid = Work->Fn.verify(Error);
       L.lock();
       States[Final].Verified = Valid ? 1 : 0;
     }
@@ -543,18 +580,18 @@ struct CompileMemo::Impl {
       ++Stats.CodegenHits;
       ROPT_METRIC_INC("compile.memo_codegen_hits");
       CodeLru.splice(CodeLru.begin(), CodeLru, It->second.Pos);
-      return {CompileStatus::Ok, decodedCode(It->second)};
+      return {CompileStatus::Ok, decodedCode(L, Key, It->second)};
     }
     ++Stats.CodegenMisses;
     ROPT_METRIC_INC("compile.memo_codegen_misses");
     if (!Work)
-      Work = materialize(L, Walk, Pipeline);
+      materialize(L, Walk, Pipeline, Work);
     L.unlock();
-    MachinePtr Fn = emitMachine(std::move(*Work), RegAlloc);
+    MachinePtr Fn = emitMachine(std::move(Work->Fn), RegAlloc);
     DecodedPtr Decoded = vm::decodeMachineFunction(Fn);
     L.lock();
     if (auto It = Codes.find(Key); It != Codes.end())
-      return {CompileStatus::Ok, decodedCode(It->second)}; // Identical.
+      return {CompileStatus::Ok, decodedCode(L, Key, It->second)}; // Identical.
     storeCode(Key, std::move(Fn), Decoded);
     return {CompileStatus::Ok, std::move(Decoded)};
   }
@@ -572,17 +609,20 @@ CompileStatus CompileMemo::compileAll(const std::vector<dex::MethodId> &Methods,
                                       hgraph::RegAllocKind RegAlloc,
                                       vm::CodeCache &Cache) {
   CompileStatus Status = CompileStatus::Ok;
+  std::vector<Impl::DecodedPtr> Compiled;
   std::unique_lock<std::mutex> L(Mutex);
   for (dex::MethodId Id : Methods) {
     Impl::MethodResult R = State->compileMethod(L, Id, Pipeline, RegAlloc);
     if (R.Status == CompileStatus::Ok) {
-      Cache.install(std::move(R.Code));
+      Compiled.push_back(std::move(R.Code));
       continue;
     }
     if (R.Status != CompileStatus::Unsupported && Status == CompileStatus::Ok)
       Status = R.Status;
   }
   L.unlock();
+  for (Impl::DecodedPtr &Code : Compiled)
+    Cache.install(std::move(Code));
   publishResidentGauge();
   return Status;
 }

@@ -43,6 +43,10 @@
 namespace ropt {
 namespace lir {
 
+/// The memo's state encoding of \p Fn: lossless, so two functions encode
+/// to the same bytes exactly when they are structurally identical.
+std::string encodeIR(const LFunction &Fn);
+
 /// Lookup and eviction counts of one memo. With several threads sharing a
 /// memo they depend on which thread computes a state first, so they are
 /// diagnostics only (metrics.json), never part of a deterministic artifact.

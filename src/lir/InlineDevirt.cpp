@@ -128,8 +128,17 @@ bool spliceCallee(LFunction &Fn, uint32_t Block, size_t InsnIdx,
 
 } // namespace
 
-bool lir::inlineCalls(LFunction &Fn, const dex::DexFile &File,
-                      int Threshold) {
+const LFunction &CalleeSsa::get(dex::MethodId Method) {
+  std::lock_guard<std::mutex> L(Mutex);
+  std::unique_ptr<const LFunction> &Slot = Built[Method];
+  if (!Slot)
+    Slot = std::make_unique<const LFunction>(
+        fromHGraph(hgraph::buildHGraph(File, Method)));
+  return *Slot;
+}
+
+bool lir::inlineCalls(LFunction &Fn, CalleeSsa &Callees, int Threshold) {
+  const dex::DexFile &File = Callees.file();
   bool Changed = false;
   int InlinesLeft = 40; // hard cap against pathological growth
 
@@ -146,7 +155,7 @@ bool lir::inlineCalls(LFunction &Fn, const dex::DexFile &File,
         if (Callee.IsNative || Callee.isUncompilable() ||
             Callee.Id == Fn.Method)
           continue;
-        LFunction CalleeFn = fromHGraph(hgraph::buildHGraph(File, I.Idx));
+        const LFunction &CalleeFn = Callees.get(I.Idx);
         if (CalleeFn.instructionCount() > static_cast<size_t>(Threshold))
           continue;
         if (!spliceCallee(Fn, Id, Pos, CalleeFn))

@@ -10,20 +10,6 @@
 using namespace ropt;
 using namespace ropt::lir;
 
-std::vector<uint32_t> LTerminator::successors() const {
-  switch (K) {
-  case Kind::Goto:
-    return {Taken};
-  case Kind::Cond:
-  case Kind::Guard:
-    return {Taken, Fall};
-  case Kind::Ret:
-  case Kind::RetVoid:
-    return {};
-  }
-  return {};
-}
-
 void LFunction::computePreds() {
   for (LBlock &B : Blocks)
     B.Preds.clear();
@@ -40,7 +26,7 @@ std::vector<uint32_t> LFunction::reversePostOrder() const {
   State[0] = 1;
   while (!Stack.empty()) {
     auto &[Block, NextSucc] = Stack.back();
-    std::vector<uint32_t> Succs = Blocks[Block].Term.successors();
+    SuccessorList Succs = Blocks[Block].Term.successors();
     if (NextSucc < Succs.size()) {
       uint32_t S = Succs[NextSucc++];
       if (State[S] == 0) {
@@ -113,6 +99,8 @@ bool LFunction::verify(std::string &Error) const {
   }
 
   DomTree DT = DomTree::compute(*this);
+  // VisibleIn[V] == Id once V is defined at the current point of block Id.
+  std::vector<uint32_t> VisibleIn(NumValues, ~0u);
 
   // Uses: defined, and defs dominate uses. Phi uses must be defined in (or
   // dominate) the corresponding predecessor.
@@ -138,14 +126,18 @@ bool LFunction::verify(std::string &Error) const {
 
     // In-block ordering: a value defined later in the same block must not
     // be used earlier. Track what is already visible.
-    std::vector<bool> SeenHere(1, false); // placeholder to avoid O(V) init
-    (void)SeenHere;
-    std::set<ValueId> Visible;
+    auto MakeVisible = [&](ValueId V) {
+      if (V < NumValues)
+        VisibleIn[V] = Id;
+    };
+    auto Visible = [&](ValueId V) {
+      return V < NumValues && VisibleIn[V] == Id;
+    };
     if (Id == 0)
       for (uint32_t P = 0; P != ParamCount; ++P)
-        Visible.insert(P);
+        MakeVisible(P);
     for (const LPhi &P : B.Phis)
-      Visible.insert(P.Dst);
+      MakeVisible(P.Dst);
     for (const LPhi &P : B.Phis)
       for (size_t N = 0; N != P.In.size(); ++N) {
         ValueId V = P.In[N];
@@ -169,7 +161,7 @@ bool LFunction::verify(std::string &Error) const {
       forEachOperand(I, [&](ValueId V) {
         if (!Ok || V == NoValue)
           return;
-        if (DefBlock[V] == Id && !Visible.count(V)) {
+        if (DefBlock[V] == Id && !Visible(V)) {
           Error = format("block %u: use of v%u before its definition", Id,
                          V);
           Ok = false;
@@ -181,13 +173,13 @@ bool LFunction::verify(std::string &Error) const {
       if (!Ok)
         return false;
       if (I.Dst != NoValue)
-        Visible.insert(I.Dst);
+        MakeVisible(I.Dst);
     }
     for (ValueId V : {B.Term.A, B.Term.B}) {
       if (V == NoValue)
         continue;
       if (DefBlock[V] == Id) {
-        if (!Visible.count(V)) {
+        if (!Visible(V)) {
           Error = format("block %u: terminator uses v%u before def", Id, V);
           return false;
         }

@@ -55,6 +55,25 @@ struct LPhi {
   std::vector<ValueId> In;
 };
 
+/// A terminator's successor block ids: at most two, held inline so that
+/// walking a CFG allocates nothing.
+class SuccessorList {
+public:
+  SuccessorList() = default;
+  explicit SuccessorList(uint32_t Only) : Ids{Only, 0}, Count(1) {}
+  SuccessorList(uint32_t First, uint32_t Second)
+      : Ids{First, Second}, Count(2) {}
+
+  const uint32_t *begin() const { return Ids; }
+  const uint32_t *end() const { return Ids + Count; }
+  size_t size() const { return Count; }
+  uint32_t operator[](size_t N) const { return Ids[N]; }
+
+private:
+  uint32_t Ids[2] = {0, 0};
+  uint8_t Count = 0;
+};
+
 /// Block terminator; successor ids are block ids.
 struct LTerminator {
   enum class Kind { Goto, Cond, Guard, Ret, RetVoid };
@@ -67,7 +86,19 @@ struct LTerminator {
   uint32_t Fall = 0;
   uint32_t GuardClass = 0;
 
-  std::vector<uint32_t> successors() const;
+  SuccessorList successors() const {
+    switch (K) {
+    case Kind::Goto:
+      return SuccessorList(Taken);
+    case Kind::Cond:
+    case Kind::Guard:
+      return SuccessorList(Taken, Fall);
+    case Kind::Ret:
+    case Kind::RetVoid:
+      break;
+    }
+    return SuccessorList();
+  }
 };
 
 struct LBlock {

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 using namespace ropt;
 using namespace ropt::lir;
@@ -23,14 +22,77 @@ using vm::MOpcode;
 
 namespace {
 
-/// Value substitution helper.
-ValueId subst(const std::map<ValueId, ValueId> &Map, ValueId V) {
-  auto It = Map.find(V);
-  return It == Map.end() ? V : It->second;
-}
+/// A value substitution whose keys are the values one block defines (its
+/// phi and instruction results), the only values loop restructuring
+/// remaps. Every other value maps to itself. Dense: one slot per def.
+class DefMap {
+public:
+  /// Slots for the values \p Block defines, phis first.
+  class Index {
+  public:
+    Index(const LFunction &Fn, uint32_t Block)
+        : SlotOf(Fn.NumValues, NoSlot) {
+      auto Add = [this](ValueId V) {
+        if (V >= SlotOf.size())
+          SlotOf.resize(size_t(V) + 1, NoSlot);
+        SlotOf[V] = static_cast<uint32_t>(Defs.size());
+        Defs.push_back(V);
+      };
+      for (const LPhi &P : Fn.Blocks[Block].Phis)
+        Add(P.Dst);
+      for (const LInsn &I : Fn.Blocks[Block].Insns)
+        if (I.Dst != NoValue)
+          Add(I.Dst);
+    }
 
-void substInsn(LInsn &I, const std::map<ValueId, ValueId> &Map) {
-  forEachOperand(I, [&Map](ValueId &V) { V = subst(Map, V); });
+    const std::vector<ValueId> &defs() const { return Defs; }
+    uint32_t slot(ValueId V) const {
+      return V < SlotOf.size() ? SlotOf[V] : NoSlot;
+    }
+
+  private:
+    static constexpr uint32_t NoSlot = ~0u;
+    friend class DefMap;
+    std::vector<ValueId> Defs;
+    std::vector<uint32_t> SlotOf;
+  };
+
+  /// The identity over \p Defs.
+  explicit DefMap(const Index &Defs) : Defs(&Defs), To(Defs.Defs) {}
+
+  ValueId operator()(ValueId V) const {
+    uint32_t Slot = Defs->slot(V);
+    return Slot == Index::NoSlot ? V : To[Slot];
+  }
+  /// Maps \p Def, a value the block defines, to \p V.
+  void set(ValueId Def, ValueId V) { To[Defs->slot(Def)] = V; }
+  void remapOperands(LInsn &I) const {
+    forEachOperand(I, [this](ValueId &V) { V = (*this)(V); });
+  }
+
+private:
+  const Index *Defs;
+  std::vector<ValueId> To;
+};
+
+/// Rewrites every use through \p Map, except inside the \p Skip blocks
+/// and in the phis of block \p SkipPhisOf: one sweep for all of a block's
+/// values, which get fresh, distinct replacements.
+void remapUsesOutside(LFunction &Fn, const DefMap &Map,
+                      const std::vector<bool> &Skip, uint32_t SkipPhisOf) {
+  for (uint32_t Id = 0; Id != Fn.Blocks.size(); ++Id) {
+    if (Id < Skip.size() && Skip[Id])
+      continue;
+    LBlock &B = Fn.Blocks[Id];
+    if (Id != SkipPhisOf)
+      for (LPhi &P : B.Phis)
+        for (ValueId &V : P.In)
+          V = Map(V);
+    for (LInsn &I : B.Insns)
+      Map.remapOperands(I);
+    B.Term.A = Map(B.Term.A);
+    B.Term.B = Map(B.Term.B);
+  }
 }
 
 /// Finds the unique outside predecessor of a loop header with a Goto
@@ -51,40 +113,13 @@ uint32_t findPreheader(const LFunction &Fn, const Loop &L) {
   return Preheader;
 }
 
-/// Replaces uses of \p Old with \p New everywhere except inside \p Skip
-/// blocks and except the phi nodes of block \p SkipPhisOf.
-void replaceUsesOutside(LFunction &Fn, ValueId Old, ValueId New,
-                        const std::set<uint32_t> &Skip,
-                        uint32_t SkipPhisOf) {
-  for (uint32_t Id = 0; Id != Fn.Blocks.size(); ++Id) {
-    if (Skip.count(Id))
-      continue;
-    LBlock &B = Fn.Blocks[Id];
-    if (Id != SkipPhisOf)
-      for (LPhi &P : B.Phis)
-        for (ValueId &V : P.In)
-          if (V == Old)
-            V = New;
-    for (LInsn &I : B.Insns)
-      forEachOperand(I, [Old, New](ValueId &V) {
-        if (V == Old)
-          V = New;
-      });
-    if (B.Term.A == Old)
-      B.Term.A = New;
-    if (B.Term.B == Old)
-      B.Term.B = New;
-  }
-}
-
 } // namespace
 
 // --- LICM -------------------------------------------------------------------------
 
-bool lir::licm(LFunction &Fn, bool SpeculateDiv) {
+bool lir::licm(LFunction &Fn, bool SpeculateDiv, FunctionAnalyses &Analyses) {
   bool Changed = false;
-  DomTree DT = DomTree::compute(Fn);
-  LoopInfo LI = LoopInfo::compute(Fn, DT);
+  const LoopInfo &LI = Analyses.loopInfo(Fn);
   std::vector<uint32_t> DefBlock = computeDefBlocks(Fn);
 
   for (const Loop &L : LI.loops()) {
@@ -99,16 +134,16 @@ bool lir::licm(LFunction &Fn, bool SpeculateDiv) {
         if (vm::isStoreOp(I.Op) || vm::isCallOp(I.Op))
           HasStoresOrCalls = true;
 
-    auto IsInvariant = [&](ValueId V, const std::set<ValueId> &Hoisted) {
+    std::vector<bool> Hoisted(Fn.NumValues, false);
+    auto IsInvariant = [&](ValueId V) {
       if (V == NoValue)
         return true;
-      if (Hoisted.count(V))
+      if (V < Hoisted.size() && Hoisted[V])
         return true;
       uint32_t Def = V < DefBlock.size() ? DefBlock[V] : ~0u;
       return Def != ~0u && !L.contains(Def);
     };
 
-    std::set<ValueId> Hoisted;
     bool Fixpoint = false;
     while (!Fixpoint) {
       Fixpoint = true;
@@ -131,13 +166,14 @@ bool lir::licm(LFunction &Fn, bool SpeculateDiv) {
             continue;
           bool OperandsInvariant = true;
           forEachOperand(I, [&](ValueId &V) {
-            if (!IsInvariant(V, Hoisted))
+            if (!IsInvariant(V))
               OperandsInvariant = false;
           });
           if (!OperandsInvariant)
             continue;
           Fn.Blocks[Preheader].Insns.push_back(I);
-          Hoisted.insert(I.Dst);
+          if (I.Dst < Hoisted.size())
+            Hoisted[I.Dst] = true;
           B.Insns.erase(B.Insns.begin() + Pos);
           --Pos;
           Changed = true;
@@ -151,12 +187,13 @@ bool lir::licm(LFunction &Fn, bool SpeculateDiv) {
 
 // --- Loop rotation -----------------------------------------------------------------
 
-bool lir::loopRotate(LFunction &Fn) {
+bool lir::loopRotate(LFunction &Fn, FunctionAnalyses &Analyses) {
   bool Changed = false;
   // Rotating invalidates the analyses; handle one loop per outer round.
   for (int Round = 0; Round != 8; ++Round) {
-    DomTree DT = DomTree::compute(Fn);
-    LoopInfo LI = LoopInfo::compute(Fn, DT);
+    if (Changed)
+      Analyses.invalidate();
+    const LoopInfo &LI = Analyses.loopInfo(Fn);
     bool Rotated = false;
 
     for (const Loop &L : LI.loops()) {
@@ -196,24 +233,23 @@ bool lir::loopRotate(LFunction &Fn) {
       assert(H.Preds[IdxP] == Preheader && H.Preds[IdxL] == Latch &&
              "unexpected header predecessors");
 
-      std::map<ValueId, ValueId> EntryMap, LatchMap;
+      DefMap::Index HeaderDefs(Fn, L.Header);
+      DefMap EntryMap(HeaderDefs), LatchMap(HeaderDefs);
       for (const LPhi &P : H.Phis) {
-        EntryMap[P.Dst] = P.In[IdxP];
-        LatchMap[P.Dst] = P.In[IdxL];
+        EntryMap.set(P.Dst, P.In[IdxP]);
+        LatchMap.set(P.Dst, P.In[IdxL]);
       }
 
       // Guard in the preheader: the header test over entry values.
       LTerminator Guard = H.Term;
-      Guard.A = subst(EntryMap, Guard.A);
-      if (Guard.B != NoValue)
-        Guard.B = subst(EntryMap, Guard.B);
+      Guard.A = EntryMap(Guard.A);
+      Guard.B = EntryMap(Guard.B);
       Fn.Blocks[Preheader].Term = Guard;
 
       // Bottom test in the latch: the header test over next-iter values.
       LTerminator Bottom = H.Term;
-      Bottom.A = subst(LatchMap, Bottom.A);
-      if (Bottom.B != NoValue)
-        Bottom.B = subst(LatchMap, Bottom.B);
+      Bottom.A = LatchMap(Bottom.A);
+      Bottom.B = LatchMap(Bottom.B);
       // Taken/Fall targets keep the same orientation but the in-loop side
       // now re-enters at Body.
       if (TakenInLoop)
@@ -246,34 +282,27 @@ bool lir::loopRotate(LFunction &Fn) {
       EB.Preds.push_back(Latch);
       for (LPhi &P : EB.Phis) {
         ValueId FromH = P.In[IdxE];
-        P.In[IdxE] = subst(EntryMap, FromH);
-        P.In.push_back(subst(LatchMap, FromH));
+        P.In[IdxE] = EntryMap(FromH);
+        P.In.push_back(LatchMap(FromH));
       }
 
       // Direct uses of the old header phis outside the loop (only possible
-      // when the exit had the header as its single predecessor).
+      // when the exit had the header as its single predecessor) read an
+      // exit phi instead; the phis just moved into Body keep the in-loop
+      // uses. The exit block's own phis were already fixed above.
       if (ExitWasSinglePred) {
-        std::set<uint32_t> LoopBlocks = L.Blocks;
+        DefMap ToExit(HeaderDefs);
         for (const LPhi &P : H.Phis) {
           LPhi ExitPhi;
           ExitPhi.Dst = Fn.newValue();
-          ExitPhi.In = {EntryMap[P.Dst], LatchMap[P.Dst]};
-          // Replace uses of P.Dst outside the loop with the exit phi; the
-          // phi we just moved into Body keeps the in-loop uses.
-          replaceUsesOutside(Fn, P.Dst, ExitPhi.Dst, LoopBlocks, Exit);
-          // The exit block's own phis were already fixed above; its body
-          // and terminator must use the exit phi too.
-          for (LInsn &I : EB.Insns)
-            forEachOperand(I, [&](ValueId &V) {
-              if (V == P.Dst)
-                V = ExitPhi.Dst;
-            });
-          if (EB.Term.A == P.Dst)
-            EB.Term.A = ExitPhi.Dst;
-          if (EB.Term.B == P.Dst)
-            EB.Term.B = ExitPhi.Dst;
+          ExitPhi.In = {EntryMap(P.Dst), LatchMap(P.Dst)};
+          ToExit.set(P.Dst, ExitPhi.Dst);
           EB.Phis.push_back(std::move(ExitPhi));
         }
+        std::vector<bool> LoopBlocks(Fn.Blocks.size(), false);
+        for (uint32_t Id : L.Blocks)
+          LoopBlocks[Id] = true;
+        remapUsesOutside(Fn, ToExit, LoopBlocks, Exit);
       }
 
       // The old header is gone.
@@ -335,43 +364,31 @@ bool matchSelfLoop(const LFunction &Fn, uint32_t Id, SelfLoop &Out) {
 /// registering fresh destinations in \p Map. Returns the new block id. The
 /// terminator is cloned with substituted operands; successors are left for
 /// the caller to set.
-uint32_t cloneBody(LFunction &Fn, uint32_t B,
-                   std::map<ValueId, ValueId> &Map) {
+uint32_t cloneBody(LFunction &Fn, uint32_t B, DefMap &Map) {
   uint32_t NewId = static_cast<uint32_t>(Fn.Blocks.size());
   Fn.Blocks.emplace_back();
   // Note: Fn.Blocks may have reallocated; index afresh.
   for (const LInsn &Orig : Fn.Blocks[B].Insns) {
     LInsn Clone = Orig;
-    substInsn(Clone, Map);
+    Map.remapOperands(Clone);
     if (Clone.Dst != NoValue) {
       ValueId Fresh = Fn.newValue();
-      Map[Orig.Dst] = Fresh;
+      Map.set(Orig.Dst, Fresh);
       Clone.Dst = Fresh;
     }
     Fn.Blocks[NewId].Insns.push_back(std::move(Clone));
   }
   LTerminator Term = Fn.Blocks[B].Term;
-  Term.A = subst(Map, Term.A);
-  if (Term.B != NoValue)
-    Term.B = subst(Map, Term.B);
+  Term.A = Map(Term.A);
+  Term.B = Map(Term.B);
   Fn.Blocks[NewId].Term = Term;
   return NewId;
 }
 
-/// Values defined in block \p B (phis + instructions).
-std::vector<ValueId> blockDefs(const LFunction &Fn, uint32_t B) {
-  std::vector<ValueId> Defs;
-  for (const LPhi &P : Fn.Blocks[B].Phis)
-    Defs.push_back(P.Dst);
-  for (const LInsn &I : Fn.Blocks[B].Insns)
-    if (I.Dst != NoValue)
-      Defs.push_back(I.Dst);
-  return Defs;
-}
-
 } // namespace
 
-bool lir::loopUnroll(LFunction &Fn, int Factor, bool AssumeDivisible) {
+bool lir::loopUnroll(LFunction &Fn, int Factor, bool AssumeDivisible,
+                     FunctionAnalyses &Analyses) {
   if (Factor < 2)
     return false;
   bool Changed = false;
@@ -379,7 +396,7 @@ bool lir::loopUnroll(LFunction &Fn, int Factor, bool AssumeDivisible) {
   // The aggressive mode "helpfully" rotates first so more loops qualify —
   // and then miscompiles them (see below).
   if (AssumeDivisible)
-    loopRotate(Fn);
+    Changed = loopRotate(Fn, Analyses);
 
   size_t OriginalBlocks = Fn.Blocks.size();
   for (uint32_t Id = 0; Id != OriginalBlocks; ++Id) {
@@ -391,16 +408,17 @@ bool lir::loopUnroll(LFunction &Fn, int Factor, bool AssumeDivisible) {
 
     // Per-replica substitution maps; replica 1 is the original block.
     // Map_j sends original values to replica-j values.
-    std::map<ValueId, ValueId> PrevMap; // identity for replica 1
-    std::vector<std::map<ValueId, ValueId>> Maps; // for replicas 2..k
+    DefMap::Index Defs(Fn, B);
+    DefMap PrevMap(Defs); // identity for replica 1
+    std::vector<DefMap> Maps; // for replicas 2..k
     std::vector<uint32_t> Clones;
 
     for (int J = 2; J <= Factor; ++J) {
       // Seed: each phi value continues from the previous replica's image
       // of its latch input.
-      std::map<ValueId, ValueId> Map;
+      DefMap Map(Defs);
       for (const LPhi &P : Fn.Blocks[B].Phis)
-        Map[P.Dst] = subst(PrevMap, P.In[SL.SelfPredSlot]);
+        Map.set(P.Dst, PrevMap(P.In[SL.SelfPredSlot]));
       uint32_t Clone = cloneBody(Fn, B, Map);
       Clones.push_back(Clone);
       Maps.push_back(Map);
@@ -450,13 +468,13 @@ bool lir::loopUnroll(LFunction &Fn, int Factor, bool AssumeDivisible) {
       // aligned) instead of erasing and re-adding slots.
       EB.Preds[IdxE] = Clones.back();
       for (LPhi &P : EB.Phis)
-        P.In[IdxE] = subst(Maps.back(), P.In[IdxE]);
+        P.In[IdxE] = Maps.back()(P.In[IdxE]);
     } else {
       // Every replica keeps its exit test: one new pred slot per clone.
       for (size_t N = 0; N != Clones.size(); ++N) {
         EB.Preds.push_back(Clones[N]);
         for (LPhi &P : EB.Phis)
-          P.In.push_back(subst(Maps[N], P.In[IdxE]));
+          P.In.push_back(Maps[N](P.In[IdxE]));
       }
     }
 
@@ -470,29 +488,31 @@ bool lir::loopUnroll(LFunction &Fn, int Factor, bool AssumeDivisible) {
     uint32_t LastClone = Clones.back();
     Fn.Blocks[B].Preds[SL.SelfPredSlot] = LastClone;
     for (LPhi &P : Fn.Blocks[B].Phis)
-      P.In[SL.SelfPredSlot] =
-          subst(Maps.back(), P.In[SL.SelfPredSlot]);
+      P.In[SL.SelfPredSlot] = Maps.back()(P.In[SL.SelfPredSlot]);
 
     // Values defined in B and used beyond the loop need merge phis in E
     // (only possible when E's one pred was B).
     if (ExitWasSinglePred) {
-      std::set<uint32_t> Skip{B};
-      for (uint32_t C : Clones)
-        Skip.insert(C);
-      for (ValueId V : blockDefs(Fn, B)) {
+      DefMap ToExit(Defs);
+      for (ValueId V : Defs.defs()) {
         LPhi ExitPhi;
         ExitPhi.Dst = Fn.newValue();
         if (AssumeDivisible) {
           // Only the last replica reaches E: one input.
-          ExitPhi.In.push_back(subst(Maps.back(), V));
+          ExitPhi.In.push_back(Maps.back()(V));
         } else {
           ExitPhi.In.push_back(V); // from B
-          for (const auto &Map : Maps)
-            ExitPhi.In.push_back(subst(Map, V));
+          for (const DefMap &Map : Maps)
+            ExitPhi.In.push_back(Map(V));
         }
-        replaceUsesOutside(Fn, V, ExitPhi.Dst, Skip, E);
+        ToExit.set(V, ExitPhi.Dst);
         EB.Phis.push_back(std::move(ExitPhi));
       }
+      std::vector<bool> Skip(Fn.Blocks.size(), false);
+      Skip[B] = true;
+      for (uint32_t C : Clones)
+        Skip[C] = true;
+      remapUsesOutside(Fn, ToExit, Skip, E);
       // Dead exit phis are cheap; dce cleans them.
     }
     Changed = true;
@@ -518,17 +538,18 @@ bool lir::loopPeel(LFunction &Fn, int Count) {
     bool ExitWasSinglePred = Fn.Blocks[E].Preds.size() == 1;
 
     // Map_1: phi values take their entry inputs.
-    std::map<ValueId, ValueId> Map;
+    DefMap::Index Defs(Fn, B);
+    DefMap Map(Defs);
     for (const LPhi &P : Fn.Blocks[B].Phis)
-      Map[P.Dst] = P.In[SL.OutsidePredSlot];
+      Map.set(P.Dst, P.In[SL.OutsidePredSlot]);
 
     std::vector<uint32_t> Peels;
-    std::vector<std::map<ValueId, ValueId>> Maps;
+    std::vector<DefMap> Maps;
     for (int J = 0; J != Count; ++J) {
       if (J != 0) {
-        std::map<ValueId, ValueId> Next;
+        DefMap Next(Defs);
         for (const LPhi &P : Fn.Blocks[B].Phis)
-          Next[P.Dst] = subst(Map, P.In[SL.SelfPredSlot]);
+          Next.set(P.Dst, Map(P.In[SL.SelfPredSlot]));
         Map = Next;
       }
       uint32_t Clone = cloneBody(Fn, B, Map);
@@ -556,8 +577,7 @@ bool lir::loopPeel(LFunction &Fn, int Count) {
     // B's entry edge now comes from the last peel, carrying its values.
     Fn.Blocks[B].Preds[SL.OutsidePredSlot] = Peels.back();
     for (LPhi &P : Fn.Blocks[B].Phis)
-      P.In[SL.OutsidePredSlot] =
-          subst(Maps.back(), P.In[SL.SelfPredSlot]);
+      P.In[SL.OutsidePredSlot] = Maps.back()(P.In[SL.SelfPredSlot]);
 
     // Exit gains one pred per peel iteration.
     LBlock &EB = Fn.Blocks[E];
@@ -569,22 +589,25 @@ bool lir::loopPeel(LFunction &Fn, int Count) {
     for (size_t N = 0; N != Peels.size(); ++N) {
       EB.Preds.push_back(Peels[N]);
       for (LPhi &P : EB.Phis)
-        P.In.push_back(subst(Maps[N], P.In[IdxE]));
+        P.In.push_back(Maps[N](P.In[IdxE]));
     }
 
     if (ExitWasSinglePred) {
-      std::set<uint32_t> Skip{B};
-      for (uint32_t C : Peels)
-        Skip.insert(C);
-      for (ValueId V : blockDefs(Fn, B)) {
+      DefMap ToExit(Defs);
+      for (ValueId V : Defs.defs()) {
         LPhi ExitPhi;
         ExitPhi.Dst = Fn.newValue();
         ExitPhi.In.push_back(V);
-        for (const auto &M : Maps)
-          ExitPhi.In.push_back(subst(M, V));
-        replaceUsesOutside(Fn, V, ExitPhi.Dst, Skip, E);
+        for (const DefMap &M : Maps)
+          ExitPhi.In.push_back(M(V));
+        ToExit.set(V, ExitPhi.Dst);
         EB.Phis.push_back(std::move(ExitPhi));
       }
+      std::vector<bool> Skip(Fn.Blocks.size(), false);
+      Skip[B] = true;
+      for (uint32_t C : Peels)
+        Skip[C] = true;
+      remapUsesOutside(Fn, ToExit, Skip, E);
     }
     Changed = true;
   }
@@ -593,21 +616,22 @@ bool lir::loopPeel(LFunction &Fn, int Count) {
 
 // --- GC-safepoint elision ----------------------------------------------------------------
 
-bool lir::gcElide(LFunction &Fn, bool StripLoops) {
+bool lir::gcElide(LFunction &Fn, bool StripLoops,
+                  FunctionAnalyses &Analyses) {
   bool Changed = false;
-  DomTree DT = DomTree::compute(Fn);
-  LoopInfo LI = LoopInfo::compute(Fn, DT);
+  const LoopInfo &LI = Analyses.loopInfo(Fn);
 
-  std::set<uint32_t> Headers;
-  std::set<uint32_t> InLoop;
+  std::vector<bool> Headers(Fn.Blocks.size(), false);
+  std::vector<bool> InLoop(Fn.Blocks.size(), false);
   for (const Loop &L : LI.loops()) {
-    Headers.insert(L.Header);
-    InLoop.insert(L.Blocks.begin(), L.Blocks.end());
+    Headers[L.Header] = true;
+    for (uint32_t Id : L.Blocks)
+      InLoop[Id] = true;
   }
 
   for (uint32_t Id = 0; Id != Fn.Blocks.size(); ++Id) {
     LBlock &B = Fn.Blocks[Id];
-    bool KeepOne = !InLoop.count(Id) || (Headers.count(Id) && !StripLoops);
+    bool KeepOne = !InLoop[Id] || (Headers[Id] && !StripLoops);
     bool KeptFirst = false;
     for (LInsn &I : B.Insns) {
       if (I.Op != MOpcode::MSafepoint)
@@ -617,13 +641,15 @@ bool lir::gcElide(LFunction &Fn, bool StripLoops) {
         continue;
       }
       I = LInsn(); // nop
-      Changed = true;
     }
+    // Nops left by earlier passes go too, and that is a change.
+    size_t Before = B.Insns.size();
     B.Insns.erase(std::remove_if(B.Insns.begin(), B.Insns.end(),
                                  [](const LInsn &I) {
                                    return I.Op == MOpcode::MNop;
                                  }),
                   B.Insns.end());
+    Changed |= B.Insns.size() != Before;
   }
   return Changed;
 }

@@ -10,9 +10,12 @@
 #include <cassert>
 #include <cstring>
 #include <functional>
-#include <map>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <type_traits>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace ropt;
 using namespace ropt::lir;
@@ -86,25 +89,73 @@ std::string lir::passInstanceName(const PassInstance &P) {
 
 // --- Shared utilities -----------------------------------------------------------
 
-void lir::replaceAllUses(LFunction &Fn, ValueId Old, ValueId New) {
-  for (LBlock &B : Fn.Blocks) {
-    for (LPhi &P : B.Phis)
-      for (ValueId &V : P.In)
-        if (V == Old)
-          V = New;
-    for (LInsn &I : B.Insns)
-      forEachOperand(I, [Old, New](ValueId &V) {
-        if (V == Old)
-          V = New;
-      });
-    if (B.Term.A == Old)
-      B.Term.A = New;
-    if (B.Term.B == Old)
-      B.Term.B = New;
-  }
-}
-
 namespace {
+
+/// Deferred replace-all-uses. A pass records each Old -> New forward,
+/// resolves an instruction's operands when its walk reaches it, and
+/// rewrites every use left over in one sweep at the end. Every operand the
+/// walk reads goes through resolve(), so the walk sees exactly what an
+/// eager whole-function rewrite per forward would have left, and the
+/// final IR is the same.
+class UseForwarder {
+public:
+  explicit UseForwarder(const LFunction &Fn) : To(Fn.NumValues) {
+    std::iota(To.begin(), To.end(), ValueId(0));
+  }
+
+  /// What \p V reads as after the forwards so far.
+  ValueId resolve(ValueId V) {
+    ValueId R = V;
+    while (R < To.size() && To[R] != R)
+      R = To[R];
+    while (V < To.size() && To[V] != V) { // Path compression.
+      ValueId Next = To[V];
+      To[V] = R;
+      V = Next;
+    }
+    return R;
+  }
+
+  /// Every use of \p Old, a value that existed when the pass began, reads
+  /// \p New from now on. A value already forwarded has no uses left to
+  /// rewrite.
+  void forward(ValueId Old, ValueId New) {
+    assert(Old < To.size() && "forwarding a value the pass created");
+    New = resolve(New);
+    if (Old >= To.size() || To[Old] != Old || New == Old)
+      return;
+    To[Old] = New;
+    Pending = true;
+  }
+
+  void resolveOperands(LInsn &I) {
+    forEachOperand(I, [this](ValueId &V) { V = resolve(V); });
+  }
+  void resolveTerminator(LTerminator &T) {
+    T.A = resolve(T.A);
+    T.B = resolve(T.B);
+  }
+
+  /// Rewrites every use not yet resolved: phi inputs, instruction
+  /// operands and terminator operands.
+  void finish(LFunction &Fn) {
+    if (!Pending)
+      return;
+    for (LBlock &B : Fn.Blocks) {
+      for (LPhi &P : B.Phis)
+        for (ValueId &V : P.In)
+          V = resolve(V);
+      for (LInsn &I : B.Insns)
+        resolveOperands(I);
+      resolveTerminator(B.Term);
+    }
+    Pending = false;
+  }
+
+private:
+  std::vector<ValueId> To; ///< To[V] == V while V is not forwarded.
+  bool Pending = false;
+};
 
 /// Clears every block the entry cannot reach and removes their pred slots
 /// (with phi inputs) from reachable blocks.
@@ -167,24 +218,41 @@ void foldCondTerminator(LFunction &Fn, uint32_t Block, uint32_t Dest,
   T.Taken = Dest;
 }
 
-/// Integer constant map from MMovImmI defs.
-std::map<ValueId, int64_t> collectIntConsts(const LFunction &Fn) {
-  std::map<ValueId, int64_t> Consts;
-  for (const LBlock &B : Fn.Blocks)
-    for (const LInsn &I : B.Insns)
-      if (I.Op == MOpcode::MMovImmI && I.Dst != NoValue)
-        Consts[I.Dst] = I.ImmI;
-  return Consts;
-}
+/// The constant each value is defined to by an immediate move (MMovImmI
+/// for int64_t, MMovImmF for double), by value id; a value defined twice
+/// keeps its last definition.
+template <typename T> class ConstTable {
+public:
+  explicit ConstTable(const LFunction &Fn)
+      : Known(Fn.NumValues, false), Vals(Fn.NumValues) {
+    constexpr bool Int = std::is_same_v<T, int64_t>;
+    for (const LBlock &B : Fn.Blocks)
+      for (const LInsn &I : B.Insns) {
+        if (I.Op != (Int ? MOpcode::MMovImmI : MOpcode::MMovImmF) ||
+            I.Dst == NoValue)
+          continue;
+        if (I.Dst >= Known.size()) {
+          Known.resize(size_t(I.Dst) + 1, false);
+          Vals.resize(size_t(I.Dst) + 1);
+        }
+        Known[I.Dst] = true;
+        if constexpr (Int)
+          Vals[I.Dst] = I.ImmI;
+        else
+          Vals[I.Dst] = I.ImmF;
+      }
+  }
 
-std::map<ValueId, double> collectFloatConsts(const LFunction &Fn) {
-  std::map<ValueId, double> Consts;
-  for (const LBlock &B : Fn.Blocks)
-    for (const LInsn &I : B.Insns)
-      if (I.Op == MOpcode::MMovImmF && I.Dst != NoValue)
-        Consts[I.Dst] = I.ImmF;
-  return Consts;
-}
+  std::optional<T> operator()(ValueId V) const {
+    if (V >= Known.size() || !Known[V])
+      return std::nullopt;
+    return Vals[V];
+  }
+
+private:
+  std::vector<bool> Known;
+  std::vector<T> Vals;
+};
 
 /// Defining instruction per value (nullptr for params/phis).
 std::vector<const LInsn *> collectDefs(const LFunction &Fn) {
@@ -247,12 +315,15 @@ bool lir::simplifyCfg(LFunction &Fn) {
   bool Changed = pruneUnreachable(Fn);
 
   // Trivial phi elimination: single input, all-same input, or self + one.
+  UseForwarder Uses(Fn);
   bool Local = true;
   while (Local) {
     Local = false;
     for (LBlock &B : Fn.Blocks) {
       for (size_t N = B.Phis.size(); N-- > 0;) {
         LPhi &P = B.Phis[N];
+        for (ValueId &In : P.In)
+          In = Uses.resolve(In);
         ValueId Unique = NoValue;
         bool Simple = true;
         for (ValueId In : P.In) {
@@ -265,13 +336,14 @@ bool lir::simplifyCfg(LFunction &Fn) {
         }
         if (!Simple || Unique == NoValue)
           continue;
-        replaceAllUses(Fn, P.Dst, Unique);
+        Uses.forward(P.Dst, Unique);
         B.Phis.erase(B.Phis.begin() + N);
         Local = true;
         Changed = true;
       }
     }
   }
+  Uses.finish(Fn);
 
   // Goto threading through empty, phi-free blocks.
   for (uint32_t Id = 0; Id != Fn.Blocks.size(); ++Id) {
@@ -335,28 +407,18 @@ bool lir::simplifyCfg(LFunction &Fn) {
 
 bool lir::constProp(LFunction &Fn) {
   bool Changed = false;
+  UseForwarder Uses(Fn);
   for (int Round = 0; Round != 8; ++Round) {
     bool RoundChanged = false;
-    std::map<ValueId, int64_t> IConsts = collectIntConsts(Fn);
-    std::map<ValueId, double> FConsts = collectFloatConsts(Fn);
-    auto IC = [&IConsts](ValueId V) -> std::optional<int64_t> {
-      auto It = IConsts.find(V);
-      if (It == IConsts.end())
-        return std::nullopt;
-      return It->second;
-    };
-    auto FC = [&FConsts](ValueId V) -> std::optional<double> {
-      auto It = FConsts.find(V);
-      if (It == FConsts.end())
-        return std::nullopt;
-      return It->second;
-    };
+    ConstTable<int64_t> IC(Fn);
+    ConstTable<double> FC(Fn);
 
     for (LBlock &B : Fn.Blocks) {
       for (LInsn &I : B.Insns) {
+        Uses.resolveOperands(I);
         switch (I.Op) {
         case MOpcode::MMov:
-          replaceAllUses(Fn, I.Dst, I.A);
+          Uses.forward(I.Dst, I.A);
           toNop(I);
           RoundChanged = true;
           break;
@@ -423,6 +485,7 @@ bool lir::constProp(LFunction &Fn) {
       }
 
       LTerminator &T = B.Term;
+      Uses.resolveTerminator(T);
       if (T.K == LTerminator::Kind::Cond) {
         auto A = IC(T.A);
         std::optional<int64_t> Bc(0);
@@ -444,6 +507,7 @@ bool lir::constProp(LFunction &Fn) {
     if (!RoundChanged)
       break;
   }
+  Uses.finish(Fn);
   return Changed;
 }
 
@@ -451,20 +515,16 @@ bool lir::constProp(LFunction &Fn) {
 
 bool lir::instCombine(LFunction &Fn) {
   bool Changed = false;
-  std::map<ValueId, int64_t> IConsts = collectIntConsts(Fn);
+  ConstTable<int64_t> IC(Fn);
   std::vector<const LInsn *> Defs = collectDefs(Fn);
-  auto IC = [&IConsts](ValueId V) -> std::optional<int64_t> {
-    auto It = IConsts.find(V);
-    if (It == IConsts.end())
-      return std::nullopt;
-    return It->second;
-  };
 
+  UseForwarder Uses(Fn);
   for (LBlock &B : Fn.Blocks) {
     for (size_t Pos = 0; Pos < B.Insns.size(); ++Pos) {
       LInsn &I = B.Insns[Pos];
+      Uses.resolveOperands(I);
       auto Alias = [&](ValueId Src) {
-        replaceAllUses(Fn, I.Dst, Src);
+        Uses.forward(I.Dst, Src);
         toNop(B.Insns[Pos]);
         Changed = true;
       };
@@ -550,17 +610,17 @@ bool lir::instCombine(LFunction &Fn) {
       case MOpcode::MNegI:
         if (I.A < Defs.size() && Defs[I.A] &&
             Defs[I.A]->Op == MOpcode::MNegI)
-          Alias(Defs[I.A]->A);
+          Alias(Uses.resolve(Defs[I.A]->A));
         break;
       case MOpcode::MNegF:
         if (I.A < Defs.size() && Defs[I.A] &&
             Defs[I.A]->Op == MOpcode::MNegF)
-          Alias(Defs[I.A]->A);
+          Alias(Uses.resolve(Defs[I.A]->A));
         break;
       case MOpcode::MF2I:
         if (I.A < Defs.size() && Defs[I.A] &&
             Defs[I.A]->Op == MOpcode::MI2F)
-          Alias(Defs[I.A]->A);
+          Alias(Uses.resolve(Defs[I.A]->A));
         break;
       case MOpcode::MCheckNull:
         if (I.A < Defs.size() && Defs[I.A] &&
@@ -580,6 +640,7 @@ bool lir::instCombine(LFunction &Fn) {
 
     // Same-operand conditional terminators.
     LTerminator &T = B.Term;
+    Uses.resolveTerminator(T);
     if (T.K == LTerminator::Kind::Cond && T.B != NoValue && T.A == T.B) {
       uint32_t Id = static_cast<uint32_t>(&B - Fn.Blocks.data());
       bool Taken = evalCond(T.CondOp, 0, 0); // A==B: evaluate reflexively
@@ -589,27 +650,34 @@ bool lir::instCombine(LFunction &Fn) {
       Changed = true;
     }
   }
+  Uses.finish(Fn);
   return Changed;
 }
 
 // --- GVN --------------------------------------------------------------------------
 
-bool lir::gvn(LFunction &Fn) {
+bool lir::gvn(LFunction &Fn, FunctionAnalyses &Analyses) {
   struct Key {
     MOpcode Op;
     ValueId A, B;
     int64_t ImmI;
     uint64_t ImmF;
     uint32_t Idx;
-    bool operator<(const Key &O) const {
-      return std::tie(Op, A, B, ImmI, ImmF, Idx) <
-             std::tie(O.Op, O.A, O.B, O.ImmI, O.ImmF, O.Idx);
+    bool operator==(const Key &) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const {
+      uint64_t H = (uint64_t(K.Op) << 32) ^ K.Idx;
+      for (uint64_t V : {uint64_t(K.A) << 32 | K.B, uint64_t(K.ImmI), K.ImmF})
+        H = (H ^ V) * 0x9e3779b97f4a7c15ull + (H >> 29);
+      return static_cast<size_t>(H ^ (H >> 32));
     }
   };
 
   bool Changed = false;
-  DomTree DT = DomTree::compute(Fn);
-  std::map<Key, ValueId> Available;
+  const DomTree &DT = Analyses.domTree(Fn);
+  std::unordered_map<Key, ValueId, KeyHash> Available;
+  UseForwarder Uses(Fn);
 
   // Recursive dominator-tree walk with scope rollback.
   std::function<void(uint32_t)> Walk = [&](uint32_t Block) {
@@ -617,12 +685,13 @@ bool lir::gvn(LFunction &Fn) {
     for (LInsn &I : Fn.Blocks[Block].Insns) {
       if (!vm::isPureOp(I.Op) || I.Dst == NoValue)
         continue;
+      Uses.resolveOperands(I);
       uint64_t FBits;
       std::memcpy(&FBits, &I.ImmF, sizeof(FBits));
       Key K{I.Op, I.A, I.B, I.ImmI, FBits, I.Idx};
       auto It = Available.find(K);
       if (It != Available.end()) {
-        replaceAllUses(Fn, I.Dst, It->second);
+        Uses.forward(I.Dst, It->second);
         toNop(I);
         Changed = true;
         continue;
@@ -636,6 +705,7 @@ bool lir::gvn(LFunction &Fn) {
       Available.erase(K);
   };
   Walk(0);
+  Uses.finish(Fn);
   return Changed;
 }
 
@@ -664,17 +734,16 @@ bool lir::dce(LFunction &Fn, bool Aggressive) {
       MarkLive(B.Term.B);
     }
     // Propagate through phis: a live phi makes its inputs live.
-    std::map<ValueId, const LPhi *> PhiOf;
+    std::vector<const LPhi *> PhiOf(Fn.NumValues, nullptr);
     for (const LBlock &B : Fn.Blocks)
       for (const LPhi &P : B.Phis)
         PhiOf[P.Dst] = &P;
     while (!Work.empty()) {
       ValueId V = Work.back();
       Work.pop_back();
-      auto It = PhiOf.find(V);
-      if (It == PhiOf.end())
+      if (!PhiOf[V])
         continue;
-      for (ValueId In : It->second->In)
+      for (ValueId In : PhiOf[V]->In)
         MarkLive(In);
     }
     for (LBlock &B : Fn.Blocks) {
@@ -714,11 +783,14 @@ bool lir::dce(LFunction &Fn, bool Aggressive) {
           Local = true;
         }
       }
+      // Nops left by earlier passes go too, and that is a change.
+      size_t Before = B.Insns.size();
       B.Insns.erase(std::remove_if(B.Insns.begin(), B.Insns.end(),
                                    [](const LInsn &I) {
                                      return I.Op == MOpcode::MNop;
                                    }),
                     B.Insns.end());
+      Changed |= B.Insns.size() != Before;
     }
     Changed |= Local;
   }
@@ -899,7 +971,7 @@ std::vector<InductionRange>
 findInductionRanges(const LFunction &Fn, const DomTree &DT,
                     const LoopInfo &LI,
                     const std::vector<const LInsn *> &Defs,
-                    const std::map<ValueId, int64_t> &IConsts) {
+                    const ConstTable<int64_t> &IConsts) {
   std::vector<InductionRange> Ranges;
   for (const Loop &L : LI.loops()) {
     const LBlock &H = Fn.Blocks[L.Header];
@@ -914,8 +986,8 @@ findInductionRanges(const LFunction &Fn, const DomTree &DT,
         continue;
       ValueId Init = P.In[static_cast<size_t>(1 - LatchIdx)];
       ValueId Next = P.In[static_cast<size_t>(LatchIdx)];
-      auto InitC = IConsts.find(Init);
-      if (InitC == IConsts.end() || InitC->second < 0)
+      std::optional<int64_t> InitC = IConsts(Init);
+      if (!InitC || *InitC < 0)
         continue;
       if (Next >= Defs.size() || !Defs[Next] ||
           Defs[Next]->Op != MOpcode::MAddI)
@@ -924,9 +996,8 @@ findInductionRanges(const LFunction &Fn, const DomTree &DT,
       ValueId StepVal = Add.A == P.Dst   ? Add.B
                         : Add.B == P.Dst ? Add.A
                                          : NoValue;
-      auto StepC = StepVal == NoValue ? IConsts.end()
-                                      : IConsts.find(StepVal);
-      if (StepC == IConsts.end() || StepC->second <= 0)
+      std::optional<int64_t> StepC = IConsts(StepVal);
+      if (!StepC || *StepC <= 0)
         continue;
 
       InductionRange R;
@@ -968,12 +1039,13 @@ findInductionRanges(const LFunction &Fn, const DomTree &DT,
 
 } // namespace
 
-bool lir::boundsCheckElim(LFunction &Fn, bool Aggressive) {
+bool lir::boundsCheckElim(LFunction &Fn, bool Aggressive,
+                          FunctionAnalyses &Analyses) {
   bool Changed = false;
-  DomTree DT = DomTree::compute(Fn);
+  const DomTree &DT = Analyses.domTree(Fn);
   std::vector<const LInsn *> Defs = collectDefs(Fn);
-  std::map<ValueId, int64_t> IConsts = collectIntConsts(Fn);
-  LoopInfo LI = LoopInfo::compute(Fn, DT);
+  ConstTable<int64_t> IConsts(Fn);
+  const LoopInfo &LI = Analyses.loopInfo(Fn);
   std::vector<InductionRange> Ranges =
       findInductionRanges(Fn, DT, LI, Defs, IConsts);
 
@@ -993,13 +1065,13 @@ bool lir::boundsCheckElim(LFunction &Fn, bool Aggressive) {
           Defs[Array]->Op == MOpcode::MNewArray &&
           Defs[Array]->A == R.Limit)
         return true;
-      auto LimitC = IConsts.find(R.Limit);
-      if (LimitC == IConsts.end())
+      std::optional<int64_t> LimitC = IConsts(R.Limit);
+      if (!LimitC)
         continue;
       if (Array < Defs.size() && Defs[Array] &&
           Defs[Array]->Op == MOpcode::MNewArray) {
-        auto LenC = IConsts.find(Defs[Array]->A);
-        if (LenC != IConsts.end() && LimitC->second <= LenC->second)
+        std::optional<int64_t> LenC = IConsts(Defs[Array]->A);
+        if (LenC && *LimitC <= *LenC)
           return true;
       }
     }
@@ -1010,58 +1082,59 @@ bool lir::boundsCheckElim(LFunction &Fn, bool Aggressive) {
   // "induction variable" approximation the aggressive mode trusts. It is
   // exactly wrong for multiplicative updates (j = j * 2), matching the
   // motivating bug class.
-  std::set<ValueId> PhiDefined;
+  // Per-value flags over [0, NumValues) plus one slot for NoValue.
+  auto Slot = [N = Fn.NumValues](ValueId V) { return V < N ? V : N; };
+  std::vector<bool> PhiDefined(size_t(Fn.NumValues) + 1, false);
   for (const LBlock &B : Fn.Blocks)
     for (const LPhi &P : B.Phis)
-      PhiDefined.insert(P.Dst);
+      PhiDefined[Slot(P.Dst)] = true;
   auto LooksInductive = [&](ValueId V) {
-    if (PhiDefined.count(V))
+    if (PhiDefined[Slot(V)])
       return true;
     if (V < Defs.size() && Defs[V] &&
         (Defs[V]->Op == MOpcode::MAddI || Defs[V]->Op == MOpcode::MSubI))
-      return PhiDefined.count(Defs[V]->A) || PhiDefined.count(Defs[V]->B);
+      return PhiDefined[Slot(Defs[V]->A)] || PhiDefined[Slot(Defs[V]->B)];
     return false;
   };
 
-  std::set<std::pair<ValueId, ValueId>> Seen;
-  std::set<ValueId> NonNull;
+  std::unordered_set<uint64_t> Seen; ///< (array << 32 | index) checked.
+  std::vector<bool> NonNull(size_t(Fn.NumValues) + 1, false);
   std::function<void(uint32_t)> Walk = [&](uint32_t Block) {
-    std::vector<std::pair<ValueId, ValueId>> Inserted;
+    std::vector<uint64_t> Inserted;
     std::vector<ValueId> InsertedNull;
     for (LInsn &I : Fn.Blocks[Block].Insns) {
       // Null checks dominated by an identical check (or an allocation) are
       // redundant; SSA values never change, so dominance is sufficient.
       if (I.Op == MOpcode::MCheckNull) {
-        if (NonNull.count(I.A)) {
+        if (NonNull[Slot(I.A)]) {
           toNop(I);
           Changed = true;
         } else {
-          NonNull.insert(I.A);
+          NonNull[Slot(I.A)] = true;
           InsertedNull.push_back(I.A);
         }
         continue;
       }
       if ((I.Op == MOpcode::MNewInstance || I.Op == MOpcode::MNewArray) &&
-          I.Dst != NoValue && !NonNull.count(I.Dst)) {
-        NonNull.insert(I.Dst);
+          I.Dst != NoValue && !NonNull[Slot(I.Dst)]) {
+        NonNull[Slot(I.Dst)] = true;
         InsertedNull.push_back(I.Dst);
         continue;
       }
       if (I.Op != MOpcode::MCheckBounds)
         continue;
-      std::pair<ValueId, ValueId> K{I.A, I.B};
+      uint64_t K = uint64_t(I.A) << 32 | I.B;
       if (Seen.count(K)) {
         toNop(I);
         Changed = true;
         continue;
       }
       // Constant index against a constant-length fresh array.
-      auto IdxC = IConsts.find(I.B);
-      if (IdxC != IConsts.end() && I.A < Defs.size() && Defs[I.A] &&
+      std::optional<int64_t> IdxC = IConsts(I.B);
+      if (IdxC && I.A < Defs.size() && Defs[I.A] &&
           Defs[I.A]->Op == MOpcode::MNewArray) {
-        auto LenC = IConsts.find(Defs[I.A]->A);
-        if (LenC != IConsts.end() && IdxC->second >= 0 &&
-            IdxC->second < LenC->second) {
+        std::optional<int64_t> LenC = IConsts(Defs[I.A]->A);
+        if (LenC && *IdxC >= 0 && *IdxC < *LenC) {
           toNop(I);
           Changed = true;
           continue;
@@ -1083,10 +1156,10 @@ bool lir::boundsCheckElim(LFunction &Fn, bool Aggressive) {
     }
     for (uint32_t Child : DT.children(Block))
       Walk(Child);
-    for (const auto &K : Inserted)
+    for (uint64_t K : Inserted)
       Seen.erase(K);
     for (ValueId V : InsertedNull)
-      NonNull.erase(V);
+      NonNull[Slot(V)] = false;
   };
   Walk(0);
   return Changed;
@@ -1098,19 +1171,25 @@ bool lir::sinkCode(LFunction &Fn) {
   bool Changed = false;
   std::vector<uint32_t> DefBlock = computeDefBlocks(Fn);
 
-  // Use blocks per value (NoValue-safe).
-  std::vector<std::set<uint32_t>> UseBlocks(Fn.NumValues);
+  // The one block that uses each value; NoUse when none does, ManyUses
+  // when several do.
+  constexpr uint32_t NoUse = ~0u, ManyUses = ~1u;
+  std::vector<uint32_t> UseBlock(Fn.NumValues, NoUse);
+  auto NoteUse = [&UseBlock](ValueId V, uint32_t Block) {
+    uint32_t &U = UseBlock[V];
+    U = U == NoUse || U == Block ? Block : ManyUses;
+  };
   for (uint32_t Id = 0; Id != Fn.Blocks.size(); ++Id) {
     const LBlock &B = Fn.Blocks[Id];
     for (const LPhi &P : B.Phis)
       for (size_t N = 0; N != P.In.size(); ++N)
         if (P.In[N] != NoValue)
-          UseBlocks[P.In[N]].insert(B.Preds[N]); // used on the edge
+          NoteUse(P.In[N], B.Preds[N]); // used on the edge
     for (const LInsn &I : B.Insns)
-      forEachOperand(I, [&](ValueId V) { UseBlocks[V].insert(Id); });
+      forEachOperand(I, [&](ValueId V) { NoteUse(V, Id); });
     for (ValueId V : {B.Term.A, B.Term.B})
       if (V != NoValue)
-        UseBlocks[V].insert(Id);
+        NoteUse(V, Id);
   }
 
   for (uint32_t Id = 0; Id != Fn.Blocks.size(); ++Id) {
@@ -1121,11 +1200,8 @@ bool lir::sinkCode(LFunction &Fn) {
       LInsn &I = B.Insns[Pos];
       if (!vm::isPureOp(I.Op) || I.Dst == NoValue)
         continue;
-      const std::set<uint32_t> &UB = UseBlocks[I.Dst];
-      if (UB.size() != 1)
-        continue;
-      uint32_t Target = *UB.begin();
-      if (Target == Id)
+      uint32_t Target = UseBlock[I.Dst];
+      if (Target == NoUse || Target == ManyUses || Target == Id)
         continue;
       const LBlock &TB = Fn.Blocks[Target];
       bool IsSoleSucc = (B.Term.Taken == Target) != (B.Term.Fall == Target);
@@ -1143,8 +1219,10 @@ bool lir::sinkCode(LFunction &Fn) {
 
 // --- Driver --------------------------------------------------------------------------
 
-bool lir::applyPass(LFunction &Fn, const PassInstance &Pass,
-                    const PassContext &Ctx) {
+namespace {
+
+bool dispatchPass(LFunction &Fn, const PassInstance &Pass,
+                  const PassContext &Ctx, FunctionAnalyses &Analyses) {
   switch (Pass.Id) {
   case PassId::SimplifyCfg:
     return simplifyCfg(Fn);
@@ -1153,21 +1231,21 @@ bool lir::applyPass(LFunction &Fn, const PassInstance &Pass,
   case PassId::InstCombine:
     return instCombine(Fn);
   case PassId::Gvn:
-    return gvn(Fn);
+    return gvn(Fn, Analyses);
   case PassId::Dce:
     return dce(Fn, Pass.Aggressive);
   case PassId::Licm:
-    return licm(Fn, Pass.Aggressive);
+    return licm(Fn, Pass.Aggressive, Analyses);
   case PassId::Reassociate:
     return reassociate(Fn, Pass.Aggressive);
   case PassId::LoopRotate:
-    return loopRotate(Fn);
+    return loopRotate(Fn, Analyses);
   case PassId::LoopUnroll:
-    return loopUnroll(Fn, Pass.IntParam, Pass.Aggressive);
+    return loopUnroll(Fn, Pass.IntParam, Pass.Aggressive, Analyses);
   case PassId::LoopPeel:
     return loopPeel(Fn, Pass.IntParam);
   case PassId::GcElide:
-    return gcElide(Fn, Pass.Aggressive);
+    return gcElide(Fn, Pass.Aggressive, Analyses);
   case PassId::JniIntrinsics:
     assert(Ctx.File && "jni-intrinsics needs the dex file");
     return jniIntrinsics(Fn, *Ctx.File);
@@ -1176,12 +1254,12 @@ bool lir::applyPass(LFunction &Fn, const PassInstance &Pass,
       return false;
     return devirtualize(Fn, *Ctx.File, *Ctx.Profile, Pass.IntParam);
   case PassId::Inline:
-    assert(Ctx.File && "inline needs the dex file");
-    return inlineCalls(Fn, *Ctx.File, Pass.IntParam);
+    assert(Ctx.Callees && "inline needs callee SSA");
+    return inlineCalls(Fn, *Ctx.Callees, Pass.IntParam);
   case PassId::JumpThreading:
     return jumpThreading(Fn, Pass.Aggressive);
   case PassId::BoundsCheckElim:
-    return boundsCheckElim(Fn, Pass.Aggressive);
+    return boundsCheckElim(Fn, Pass.Aggressive, Analyses);
   case PassId::Sink:
     return sinkCode(Fn);
   case PassId::PassIdCount:
@@ -1190,11 +1268,26 @@ bool lir::applyPass(LFunction &Fn, const PassInstance &Pass,
   return false;
 }
 
+} // namespace
+
+bool lir::applyPass(LFunction &Fn, const PassInstance &Pass,
+                    const PassContext &Ctx, FunctionAnalyses &Analyses) {
+  bool Changed = dispatchPass(Fn, Pass, Ctx, Analyses);
+  if (Changed)
+    Analyses.invalidate();
+  return Changed;
+}
+
 bool lir::runPipeline(LFunction &Fn,
                       const std::vector<PassInstance> &Pipeline,
                       const PassContext &Ctx, size_t SizeBudget) {
+  std::optional<CalleeSsa> OwnCallees;
+  PassContext RunCtx = Ctx;
+  if (!RunCtx.Callees && RunCtx.File)
+    RunCtx.Callees = &OwnCallees.emplace(*RunCtx.File);
+  FunctionAnalyses Analyses;
   for (const PassInstance &Pass : Pipeline) {
-    applyPass(Fn, Pass, Ctx);
+    applyPass(Fn, Pass, RunCtx, Analyses);
     if (Fn.instructionCount() > SizeBudget)
       return false;
   }

@@ -19,10 +19,13 @@
 #ifndef ROPT_LIR_PASSES_H
 #define ROPT_LIR_PASSES_H
 
-#include "lir/Lir.h"
+#include "lir/Analysis.h"
 #include "lir/TypeProfile.h"
 
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace ropt {
@@ -95,17 +98,42 @@ bool parsePassInstance(const std::string &Spec, PassInstance &Out);
 /// Renders "name=K!" form.
 std::string passInstanceName(const PassInstance &P);
 
+/// The front end's SSA (bytecode -> HGraph -> SSA, default
+/// TranslateOptions) of the methods the inliner splices in, built once
+/// per method and kept for the provider's lifetime. Thread-safe: the
+/// compile memo shares one between its workers.
+class CalleeSsa {
+public:
+  explicit CalleeSsa(const dex::DexFile &File) : File(File) {}
+  CalleeSsa(const CalleeSsa &) = delete;
+  CalleeSsa &operator=(const CalleeSsa &) = delete;
+
+  /// The SSA of \p Method, which must be compilable.
+  const LFunction &get(dex::MethodId Method);
+  const dex::DexFile &file() const { return File; }
+
+private:
+  const dex::DexFile &File;
+  std::mutex Mutex;
+  std::unordered_map<dex::MethodId, std::unique_ptr<const LFunction>> Built;
+};
+
 /// External context passes may consult.
 struct PassContext {
   const dex::DexFile *File = nullptr;
   const TypeProfile *Profile = nullptr;
+  /// Callee SSA for inline; runPipeline makes one for its run when null.
+  CalleeSsa *Callees = nullptr;
 };
 
-/// Applies one pass. Returns true if the function changed. The result may
-/// be *invalid IR* when an unsound mode fires — callers must verify()
-/// before code generation (that is the "compiler crash" outcome).
+/// Applies one pass. Returns true if the function changed, and false only
+/// when it is byte-for-byte unchanged (the compile memo records such a
+/// pass as a self-transition). \p Analyses must hold \p Fn's analyses or
+/// none; they are dropped when the pass changed \p Fn. The result may be
+/// *invalid IR* when an unsound mode fires — callers must verify() before
+/// code generation (that is the "compiler crash" outcome).
 bool applyPass(LFunction &Fn, const PassInstance &Pass,
-               const PassContext &Ctx);
+               const PassContext &Ctx, FunctionAnalyses &Analyses);
 
 /// Runs a pipeline in order; stops early (returning false) if the function
 /// exceeds \p SizeBudget instructions (the "compiler timeout" outcome).
@@ -116,25 +144,23 @@ bool runPipeline(LFunction &Fn, const std::vector<PassInstance> &Pipeline,
 bool simplifyCfg(LFunction &Fn);
 bool constProp(LFunction &Fn);
 bool instCombine(LFunction &Fn);
-bool gvn(LFunction &Fn);
+bool gvn(LFunction &Fn, FunctionAnalyses &Analyses);
 bool dce(LFunction &Fn, bool Aggressive);
-bool licm(LFunction &Fn, bool SpeculateDiv);
+bool licm(LFunction &Fn, bool SpeculateDiv, FunctionAnalyses &Analyses);
 bool reassociate(LFunction &Fn, bool FastMath);
-bool loopRotate(LFunction &Fn);
-bool loopUnroll(LFunction &Fn, int Factor, bool AssumeDivisible = false);
+bool loopRotate(LFunction &Fn, FunctionAnalyses &Analyses);
+bool loopUnroll(LFunction &Fn, int Factor, bool AssumeDivisible,
+                FunctionAnalyses &Analyses);
 bool loopPeel(LFunction &Fn, int Count);
-bool gcElide(LFunction &Fn, bool StripLoops);
+bool gcElide(LFunction &Fn, bool StripLoops, FunctionAnalyses &Analyses);
 bool jniIntrinsics(LFunction &Fn, const dex::DexFile &File);
 bool devirtualize(LFunction &Fn, const dex::DexFile &File,
                   const TypeProfile &Profile, int MinPercent);
-bool inlineCalls(LFunction &Fn, const dex::DexFile &File, int Threshold);
+bool inlineCalls(LFunction &Fn, CalleeSsa &Callees, int Threshold);
 bool jumpThreading(LFunction &Fn, bool Aggressive);
-bool boundsCheckElim(LFunction &Fn, bool Aggressive);
+bool boundsCheckElim(LFunction &Fn, bool Aggressive,
+                     FunctionAnalyses &Analyses);
 bool sinkCode(LFunction &Fn);
-
-/// Replaces every use of \p Old with \p New across the function (shared
-/// pass utility).
-void replaceAllUses(LFunction &Fn, ValueId Old, ValueId New);
 
 } // namespace lir
 } // namespace ropt

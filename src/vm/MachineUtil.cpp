@@ -185,44 +185,42 @@ uint16_t vm::allocateRegistersLinearScan(MachineFunction &Fn) {
   if (Fn.NumRegs == 0)
     return 0;
 
-  // Instruction-level liveness over the linear code (each instruction is a
-  // one-node CFG block; branches add their target as a successor). A
-  // loop-carried value is genuinely live across the back edge and its
-  // live positions span the loop; an iteration-local value is not.
-  size_t Words = (static_cast<size_t>(Fn.NumRegs) + 63) / 64;
-  std::vector<uint64_t> LiveIn((N + 1) * Words, 0);
-  std::vector<uint64_t> Tmp(Words);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t Pc = N; Pc-- > 0;) {
-      const MInsn &I = Fn.Code[Pc];
-      // out = union of successors' live-in.
-      std::fill(Tmp.begin(), Tmp.end(), 0);
-      bool FallsThrough = I.Op != MOpcode::MGoto &&
-                          I.Op != MOpcode::MRet &&
-                          I.Op != MOpcode::MRetVoid;
-      if (FallsThrough)
-        for (size_t W = 0; W != Words; ++W)
-          Tmp[W] |= LiveIn[(Pc + 1) * Words + W];
-      if ((isMBranch(I.Op) || I.Op == MOpcode::MGuardClass) &&
-          I.Target >= 0)
-        for (size_t W = 0; W != Words; ++W)
-          Tmp[W] |= LiveIn[static_cast<size_t>(I.Target) * Words + W];
-      // in = (out - def) | use.
-      if (definesA(I) && I.A != MNoReg)
-        Tmp[I.A / 64] &= ~(1ULL << (I.A % 64));
-      forEachUse(I, [&](MRegIdx R) { Tmp[R / 64] |= 1ULL << (R % 64); });
-      for (size_t W = 0; W != Words; ++W) {
-        if (LiveIn[Pc * Words + W] != Tmp[W]) {
-          LiveIn[Pc * Words + W] = Tmp[W];
-          Changed = true;
-        }
-      }
-    }
+  // Liveness over the linear code's basic blocks. An instruction's
+  // successors are the next pc unless it is a goto or a return, and its
+  // target when it is a branch or a class guard; a successor at or past
+  // the end is the exit, where nothing is live. A loop-carried value is
+  // genuinely live across the back edge and its live positions span the
+  // loop; an iteration-local value is not.
+  auto FallsThrough = [](const MInsn &I) {
+    return I.Op != MOpcode::MGoto && I.Op != MOpcode::MRet &&
+           I.Op != MOpcode::MRetVoid;
+  };
+  auto TargetOf = [](const MInsn &I) -> int64_t {
+    return (isMBranch(I.Op) || I.Op == MOpcode::MGuardClass) && I.Target >= 0
+               ? I.Target
+               : -1;
+  };
+  std::vector<bool> Leader(N + 1, false);
+  Leader[0] = true;
+  for (size_t Pc = 0; Pc != N; ++Pc) {
+    int64_t T = TargetOf(Fn.Code[Pc]);
+    if (T >= 0 && static_cast<size_t>(T) < N)
+      Leader[static_cast<size_t>(T)] = true;
+    if (T >= 0 || !FallsThrough(Fn.Code[Pc]))
+      Leader[Pc + 1] = true;
   }
+  constexpr uint32_t Exit = ~0u;
+  std::vector<uint32_t> BlockStart, BlockAt(N + 1, Exit);
+  for (size_t Pc = 0; Pc != N; ++Pc)
+    if (Leader[Pc]) {
+      BlockAt[Pc] = static_cast<uint32_t>(BlockStart.size());
+      BlockStart.push_back(static_cast<uint32_t>(Pc));
+    }
+  size_t Blocks = BlockStart.size();
+  BlockStart.push_back(static_cast<uint32_t>(N));
 
-  // Live intervals [Start, End] from liveness plus def positions.
+  // Live intervals [Start, End] span a register's def and use positions
+  // and every pc where it is live.
   constexpr int64_t NoPos = -1;
   std::vector<int64_t> Start(Fn.NumRegs, NoPos), End(Fn.NumRegs, NoPos);
   auto Touch = [&](MRegIdx R, int64_t Pos) {
@@ -233,68 +231,133 @@ uint16_t vm::allocateRegistersLinearScan(MachineFunction &Fn) {
   };
   for (MRegIdx P = 0; P != Fn.ParamCount; ++P)
     Touch(P, 0);
-  // Only a register's first and last live pc can move its interval: scan
-  // the live words once forwards and once backwards and touch just the set
-  // bits not seen before, O(N * Words + NumRegs) instead of testing every
-  // register at every pc.
-  std::vector<uint64_t> Seen(Words);
-  auto TouchFirstSeen = [&](size_t Pc) {
-    for (size_t W = 0; W != Words; ++W) {
-      uint64_t New = LiveIn[Pc * Words + W] & ~Seen[W];
-      Seen[W] |= New;
-      for (; New; New &= New - 1)
-        Touch(static_cast<MRegIdx>(W * 64 + __builtin_ctzll(New)),
-              static_cast<int64_t>(Pc));
-    }
+
+  // Per block: upward-exposed uses (Gen) and definitions (Kill), touching
+  // every def and use; then the live-in/live-out fixpoint,
+  // in = Gen | (out - Kill).
+  size_t Words = (static_cast<size_t>(Fn.NumRegs) + 63) / 64;
+  auto Row = [Words](std::vector<uint64_t> &Sets, size_t Block) {
+    return Sets.data() + Block * Words;
   };
-  for (size_t Pc = 0; Pc != N; ++Pc)
-    TouchFirstSeen(Pc);
-  std::fill(Seen.begin(), Seen.end(), 0);
-  for (size_t Pc = N; Pc-- > 0;)
-    TouchFirstSeen(Pc);
-  for (size_t Pc = 0; Pc != N; ++Pc) {
-    const MInsn &I = Fn.Code[Pc];
-    if (definesA(I) && I.A != MNoReg)
-      Touch(I.A, static_cast<int64_t>(Pc));
-    forEachUse(I, [&](MRegIdx R) { Touch(R, static_cast<int64_t>(Pc)); });
+  auto Test = [](const uint64_t *Set, MRegIdx R) {
+    return (Set[R / 64] >> (R % 64)) & 1;
+  };
+  auto Add = [](uint64_t *Set, MRegIdx R) { Set[R / 64] |= 1ULL << (R % 64); };
+  std::vector<uint64_t> Gen(Blocks * Words, 0), Kill(Blocks * Words, 0);
+  std::vector<uint32_t> Succ(2 * Blocks, Exit);
+  for (size_t B = 0; B != Blocks; ++B) {
+    uint64_t *G = Row(Gen, B), *K = Row(Kill, B);
+    for (size_t Pc = BlockStart[B]; Pc != BlockStart[B + 1]; ++Pc) {
+      const MInsn &I = Fn.Code[Pc];
+      forEachUse(I, [&](MRegIdx R) {
+        if (!Test(K, R))
+          Add(G, R);
+        Touch(R, static_cast<int64_t>(Pc));
+      });
+      if (definesA(I) && I.A != MNoReg) {
+        Add(K, I.A);
+        Touch(I.A, static_cast<int64_t>(Pc));
+      }
+    }
+    const MInsn &Last = Fn.Code[BlockStart[B + 1] - 1];
+    if (FallsThrough(Last))
+      Succ[2 * B] = BlockAt[BlockStart[B + 1]];
+    if (int64_t T = TargetOf(Last); T >= 0 && static_cast<size_t>(T) < N)
+      Succ[2 * B + 1] = BlockAt[static_cast<size_t>(T)];
+  }
+  std::vector<uint64_t> LiveIn(Blocks * Words, 0), LiveOut(Blocks * Words, 0);
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (size_t B = Blocks; B-- > 0;) {
+      uint64_t *Out = Row(LiveOut, B), *In = Row(LiveIn, B);
+      const uint64_t *G = Row(Gen, B), *K = Row(Kill, B);
+      for (uint32_t S : {Succ[2 * B], Succ[2 * B + 1]})
+        if (S != Exit)
+          for (size_t W = 0; W != Words; ++W)
+            Out[W] |= Row(LiveIn, S)[W];
+      for (size_t W = 0; W != Words; ++W) {
+        uint64_t New = G[W] | (Out[W] & ~K[W]);
+        if (New != In[W]) {
+          In[W] = New;
+          Changed = true;
+        }
+      }
+    }
+  }
+
+  // Within a block, a register is live at some pc only between a def (or
+  // the block start, if live in) and a use (or the block end, if live
+  // out). So beyond its defs and uses, an interval needs only the block
+  // boundaries where the register is live.
+  auto TouchAll = [&](const uint64_t *Set, int64_t Pos) {
+    for (size_t W = 0; W != Words; ++W)
+      for (uint64_t Bits = Set[W]; Bits; Bits &= Bits - 1)
+        Touch(static_cast<MRegIdx>(W * 64 + __builtin_ctzll(Bits)), Pos);
+  };
+  for (size_t B = 0; B != Blocks; ++B) {
+    TouchAll(Row(LiveIn, B), BlockStart[B]);
+    TouchAll(Row(LiveOut, B), int64_t(BlockStart[B + 1]) - 1);
   }
 
   // Linear scan, lowest-free-register policy. Parameters are pre-colored
   // to their slots (the calling convention) and release them when dead.
-  std::vector<MRegIdx> Assign(Fn.NumRegs, MNoReg);
-  std::vector<MRegIdx> Order;
+  // Intervals go in start order, ties in register order: a counting sort
+  // over the positions.
+  size_t Positions = std::max<size_t>(N, 1);
+  std::vector<uint32_t> StartsBefore(Positions + 1, 0);
   for (MRegIdx R = 0; R != Fn.NumRegs; ++R)
     if (Start[R] != NoPos)
-      Order.push_back(R);
-  std::stable_sort(Order.begin(), Order.end(),
-                   [&](MRegIdx A, MRegIdx B) {
-                     return Start[A] < Start[B];
-                   });
+      ++StartsBefore[static_cast<size_t>(Start[R]) + 1];
+  for (size_t Pos = 0; Pos != Positions; ++Pos)
+    StartsBefore[Pos + 1] += StartsBefore[Pos];
+  std::vector<MRegIdx> Order(StartsBefore[Positions]);
+  for (MRegIdx R = 0; R != Fn.NumRegs; ++R)
+    if (Start[R] != NoPos)
+      Order[StartsBefore[static_cast<size_t>(Start[R])]++] = R;
 
-  std::vector<int64_t> FreeAt; // per physical register: end of last tenant
-  FreeAt.assign(Fn.ParamCount, -2); // param slots reserved from pos 0
+  // A physical register is free for an interval once its tenant's
+  // interval ends before the new one starts. Tenants wait in a list per
+  // end position; intervals arrive in start order, so each list is
+  // released once, and the lowest free register is the first set bit.
+  std::vector<MRegIdx> Assign(Fn.NumRegs, MNoReg);
+  std::vector<MRegIdx> EndingAt(Positions, MNoReg), NextEnding;
+  std::vector<uint64_t> Free;
+  auto Occupy = [&](MRegIdx Phys, int64_t EndPos) {
+    if (Phys >= NextEnding.size())
+      NextEnding.resize(size_t(Phys) + 1, MNoReg);
+    NextEnding[Phys] = EndingAt[static_cast<size_t>(EndPos)];
+    EndingAt[static_cast<size_t>(EndPos)] = Phys;
+  };
+  size_t Released = 0; // Tenants ending before this position are free.
+  MRegIdx PhysCount = Fn.ParamCount; // param slots reserved from pos 0
   MRegIdx MaxUsed = 0;
   for (MRegIdx P = 0; P != Fn.ParamCount; ++P) {
     Assign[P] = P;
-    FreeAt[P] = End[P] == NoPos ? -1 : End[P];
+    Occupy(P, End[P]);
   }
   for (MRegIdx V : Order) {
     if (V < Fn.ParamCount) {
       MaxUsed = std::max<MRegIdx>(MaxUsed, V);
       continue; // pre-colored
     }
-    MRegIdx Chosen = MNoReg;
-    for (MRegIdx Phys = 0; Phys != FreeAt.size(); ++Phys) {
-      if (FreeAt[Phys] < Start[V]) {
-        Chosen = Phys;
+    for (; Released < static_cast<size_t>(Start[V]); ++Released)
+      for (MRegIdx Phys = EndingAt[Released]; Phys != MNoReg;
+           Phys = NextEnding[Phys]) {
+        if (Phys / 64 >= Free.size())
+          Free.resize(Phys / 64 + 1, 0);
+        Free[Phys / 64] |= 1ULL << (Phys % 64);
+      }
+    MRegIdx Chosen = PhysCount;
+    for (size_t W = 0; W != Free.size(); ++W)
+      if (Free[W]) {
+        Chosen = static_cast<MRegIdx>(W * 64 + __builtin_ctzll(Free[W]));
+        Free[W] &= Free[W] - 1;
         break;
       }
-    }
-    if (Chosen == MNoReg) {
-      Chosen = static_cast<MRegIdx>(FreeAt.size());
-      FreeAt.push_back(-2);
-    }
-    FreeAt[Chosen] = End[V];
+    if (Chosen == PhysCount)
+      ++PhysCount;
+    Occupy(Chosen, End[V]);
     Assign[V] = Chosen;
     MaxUsed = std::max(MaxUsed, Chosen);
   }

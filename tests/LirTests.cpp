@@ -255,7 +255,8 @@ TEST(LirPasses, GvnAcrossBlocks) {
   DexFile File = B.build();
   LFunction Fn = buildLir(File, "g");
 
-  EXPECT_TRUE(gvn(Fn));
+  FunctionAnalyses Analyses;
+  EXPECT_TRUE(gvn(Fn, Analyses));
   EXPECT_EQ(countLOps(Fn, MOpcode::MAddI), 2u); // T2 collapsed into T1
 
   std::string Error;
@@ -299,7 +300,8 @@ TEST(LirPasses, JniIntrinsicsRewritesMathCalls) {
   LFunction Fn = buildLir(File, "mathMix");
   PassContext Ctx;
   Ctx.File = &File;
-  EXPECT_TRUE(applyPass(Fn, mk(PassId::JniIntrinsics), Ctx));
+  FunctionAnalyses Analyses;
+  EXPECT_TRUE(applyPass(Fn, mk(PassId::JniIntrinsics), Ctx, Analyses));
   EXPECT_EQ(countLOps(Fn, MOpcode::MCallNative), 0u);
   EXPECT_EQ(countLOps(Fn, MOpcode::MIntrinsic), 3u);
 }
@@ -322,7 +324,8 @@ TEST(LirPasses, GcElideRemovesDuplicatePolls) {
   DexFile File = B.build();
   LFunction Fn = buildLir(File, "sumTo");
   size_t Before = countLOps(Fn, MOpcode::MSafepoint);
-  EXPECT_TRUE(gcElide(Fn, /*StripLoops=*/false));
+  FunctionAnalyses Analyses;
+  EXPECT_TRUE(gcElide(Fn, /*StripLoops=*/false, Analyses));
   EXPECT_LT(countLOps(Fn, MOpcode::MSafepoint), Before);
   std::string Error;
   EXPECT_TRUE(Fn.verify(Error)) << Error;
@@ -392,7 +395,8 @@ TEST(LoopPasses, LicmHoistsInvariants) {
   ASSERT_EQ(LI.loops().size(), 1u);
   const Loop &L = LI.loops()[0];
 
-  EXPECT_TRUE(licm(Fn, /*SpeculateDiv=*/false));
+  FunctionAnalyses Analyses;
+  EXPECT_TRUE(licm(Fn, /*SpeculateDiv=*/false, Analyses));
   // The multiply no longer lives in the loop.
   for (uint32_t Id : L.Blocks)
     for (const LInsn &I2 : Fn.Blocks[Id].Insns)
@@ -412,7 +416,8 @@ TEST(LoopPasses, RotateProducesBottomTest) {
   DexFile File = B.build();
   LFunction Fn = buildLir(File, "sumTo");
   simplifyCfg(Fn);
-  EXPECT_TRUE(loopRotate(Fn));
+  FunctionAnalyses Analyses;
+  EXPECT_TRUE(loopRotate(Fn, Analyses));
   std::string Error;
   ASSERT_TRUE(Fn.verify(Error)) << Error;
 
@@ -517,7 +522,8 @@ TEST(InlinePass, InlinesSmallCallee) {
   DexFile File = B.build();
   LFunction Fn = buildLir(File, "callerFn");
 
-  EXPECT_TRUE(inlineCalls(Fn, File, /*Threshold=*/50));
+  CalleeSsa Callees(File);
+  EXPECT_TRUE(inlineCalls(Fn, Callees, /*Threshold=*/50));
   EXPECT_EQ(countLOps(Fn, MOpcode::MCallStatic), 0u);
   std::string Error;
   ASSERT_TRUE(Fn.verify(Error)) << Error;
@@ -554,7 +560,8 @@ TEST(InlinePass, InlineBranchyCallee) {
   DexFile File = B.build();
   LFunction Fn = buildLir(File, "sumAbs");
 
-  EXPECT_TRUE(inlineCalls(Fn, File, 50));
+  CalleeSsa Callees(File);
+  EXPECT_TRUE(inlineCalls(Fn, Callees, 50));
   std::string Error;
   ASSERT_TRUE(Fn.verify(Error)) << Error;
 
@@ -840,11 +847,13 @@ TEST(RangeBce, RemovesChecksInCountedLoops) {
   LFunction Fn = buildLir(File, "dot");
   simplifyCfg(Fn);
   constProp(Fn);
-  gvn(Fn);
+  FunctionAnalyses GvnAnalyses;
+  gvn(Fn, GvnAnalyses);
   dce(Fn, false);
   size_t Before = countLOps(Fn, MOpcode::MCheckBounds);
   ASSERT_GT(Before, 0u);
-  EXPECT_TRUE(boundsCheckElim(Fn, /*Aggressive=*/false));
+  FunctionAnalyses Analyses;
+  EXPECT_TRUE(boundsCheckElim(Fn, /*Aggressive=*/false, Analyses));
   EXPECT_EQ(countLOps(Fn, MOpcode::MCheckBounds), 0u);
   std::string Error;
   ASSERT_TRUE(Fn.verify(Error)) << Error;
@@ -885,7 +894,8 @@ TEST(RangeBce, KeepsChecksWhenBoundExceedsLength) {
 
   LFunction Fn = buildLir(File, "over");
   simplifyCfg(Fn);
-  boundsCheckElim(Fn, /*Aggressive=*/false);
+  FunctionAnalyses Analyses;
+  boundsCheckElim(Fn, /*Aggressive=*/false, Analyses);
   EXPECT_GT(countLOps(Fn, MOpcode::MCheckBounds), 0u);
 
   // And the compiled program still traps where the interpreter does.
@@ -927,7 +937,8 @@ TEST(RangeBce, DownwardLoopsAreLeftAlone) {
   LFunction Fn = buildLir(File, "down");
   simplifyCfg(Fn);
   size_t Before = countLOps(Fn, MOpcode::MCheckBounds);
-  boundsCheckElim(Fn, /*Aggressive=*/false);
+  FunctionAnalyses Analyses;
+  boundsCheckElim(Fn, /*Aggressive=*/false, Analyses);
   EXPECT_EQ(countLOps(Fn, MOpcode::MCheckBounds), Before);
   expectPipelineParity(File, "down", {vm::Value::fromI64(9)},
                        {mk(PassId::SimplifyCfg),
@@ -1092,6 +1103,33 @@ TEST(CompileMemo, MatchesReferenceOnEveryApp) {
   EXPECT_GT(Seen[CompileStatus::SizeBudget], 0);
 }
 
+TEST(CompileMemo, NoOpPassOnAnOversizedRootIsASizeBudgetFailure) {
+  // runPipeline tests the size budget after every pass, so a root already
+  // over it fails even when the pass changes nothing; the memo's
+  // self-transition must not skip that test.
+  std::vector<search::Genome> Genomes;
+  for (const char *Name : {"loop-peel=1", "jni-intrinsics", "sink"}) {
+    search::Genome G;
+    ASSERT_TRUE(search::parseGenome(Name, G));
+    Genomes.push_back(G);
+  }
+  for (const RegionFixture &F : tableOneRegions()) {
+    CompileMemo Memo(*F.App.File, F.Captures[0].Profile, /*SizeBudget=*/1);
+    for (const search::Genome &G : Genomes) {
+      CompileOptions Options;
+      Options.Pipeline = G.Passes;
+      Options.SizeBudget = 1;
+      Compiled Reference;
+      Reference.Status = compileAllLlvm(*F.App.File, F.Region.Methods,
+                                        Options, Reference.Code,
+                                        &F.Captures[0].Profile);
+      EXPECT_EQ(Reference.Status, CompileStatus::SizeBudget) << F.App.Name;
+      EXPECT_TRUE(sameCompile(memoCompile(Memo, F, G), Reference))
+          << F.App.Name << ": " << G.name();
+    }
+  }
+}
+
 TEST(CompileMemo, EvictsAndRecomputesPastTheBudget) {
   const std::vector<RegionFixture> &Regions = tableOneRegions();
   auto FFT = std::find_if(Regions.begin(), Regions.end(),
@@ -1142,16 +1180,78 @@ TEST(CompileMemo, ConcurrentWorkersShareOneMemo) {
   }
 }
 
+// --- The `changed` contract -------------------------------------------------------
+//
+// The compile memo records a pass that reports no change as a
+// self-transition, without encoding the IR again. So applyPass returning
+// false must mean the IR is byte-identical, for every pass and mode the
+// search can draw, on every Table-1 app's hot region.
+
+TEST(PassContract, UnchangedMeansByteIdentical) {
+  std::map<std::string, int> Lies; ///< Pass name -> false "unchanged".
+  size_t Unchanged = 0;
+  const std::vector<search::Genome> Genomes = memoTestGenomes(1, 30);
+  for (const RegionFixture &F : tableOneRegions()) {
+    const DexFile &File = *F.App.File;
+    CalleeSsa Callees(File);
+    PassContext Ctx{&File, &F.Captures[0].Profile, &Callees};
+    for (MethodId Id : F.Region.Methods) {
+      const Method &M = File.method(Id);
+      if (M.IsNative || M.isUncompilable())
+        continue;
+      const LFunction Root = fromHGraph(hgraph::buildHGraph(File, Id));
+      for (const search::Genome &G : Genomes) {
+        LFunction Fn = Root;
+        FunctionAnalyses Analyses;
+        for (const PassInstance &P : G.Passes) {
+          std::string Before = encodeIR(Fn);
+          if (!applyPass(Fn, P, Ctx, Analyses)) {
+            ++Unchanged;
+            if (encodeIR(Fn) != Before)
+              ++Lies[passInstanceName(P)];
+          }
+          if (Fn.instructionCount() > MemoTestBudget)
+            break; // Where runPipeline and the memo stop too.
+        }
+      }
+    }
+  }
+  std::string Report;
+  for (const auto &[Name, Count] : Lies)
+    Report += format(" %s x%d", Name.c_str(), Count);
+  EXPECT_TRUE(Lies.empty()) << "changed IR reported as unchanged:" << Report;
+  EXPECT_GT(Unchanged, 1000u);
+}
+
 // --- Golden binary hashes ------------------------------------------------------
 //
-// RegionEvaluator::compileGenome(G).BinaryHash for o3 plus ten seeded
-// genomes per Table-1 app, pinned when the compile memo landed. Any pass,
+// RegionEvaluator::compileGenome(G).BinaryHash for o3, ten seeded genomes
+// and six stress genomes per Table-1 app. The first eleven were pinned
+// when the compile memo landed, the stress genomes before the passes
+// learned to report no-ops and to rewrite uses in one sweep. Any pass,
 // codegen or register-allocation edit that changes emitted code changes a
-// hash here; such an edit must update this table on purpose.
+// hash here; such an edit must update this table on purpose. A failure
+// prints the app's measured row in table syntax.
 
 namespace {
 
-/// o3, then ten seeded random genomes with the default gene mix.
+/// Pipelines that stress the value-rewriting and loop-restructuring paths:
+/// unrolling and peeling at large factors, aggressive modes, inlining and
+/// repeated GVN.
+const char *const StressGenomes[] = {
+    "simplifycfg,loop-rotate,loop-unroll=64,gvn,dce,simplifycfg",
+    "loop-unroll=16!,gc-elide!,constprop,dce!,simplifycfg",
+    "loop-rotate,loop-peel=8,loop-unroll=8,constprop,instcombine,gvn,dce",
+    "inline=400,simplifycfg,constprop,instcombine,gvn,licm!,gvn,dce,"
+    "simplifycfg|ra=freq",
+    "gvn,instcombine,gvn,constprop,reassociate!,gvn,sink,jump-threading!,"
+    "boundscheck-elim!,dce",
+    "devirtualize=50,inline=200,loop-rotate,loop-unroll=32,loop-peel=4,gvn,"
+    "dce!,simplifycfg|ra=first-use",
+};
+
+/// o3, ten seeded random genomes with the default gene mix, then the
+/// stress genomes.
 std::vector<search::Genome> goldenGenomes() {
   std::vector<search::Genome> Genomes(1);
   Genomes[0].Passes = o3Pipeline();
@@ -1159,7 +1259,20 @@ std::vector<search::Genome> goldenGenomes() {
     Rng R(static_cast<uint64_t>(I) * 7919 + 101);
     Genomes.push_back(search::randomGenome(R, search::GenomeConfig()));
   }
+  for (const char *Name : StressGenomes) {
+    search::Genome G;
+    EXPECT_TRUE(search::parseGenome(Name, G)) << Name;
+    Genomes.push_back(std::move(G));
+  }
   return Genomes;
+}
+
+std::string hashRowText(const std::vector<uint64_t> &Hashes) {
+  std::string Out = "     {";
+  for (size_t N = 0; N != Hashes.size(); ++N)
+    Out += format("%s0x%016llxull", N == 0 ? "" : N % 3 ? ", " : ",\n      ",
+                  static_cast<unsigned long long>(Hashes[N]));
+  return Out + "}},\n";
 }
 
 } // namespace
@@ -1167,114 +1280,157 @@ std::vector<search::Genome> goldenGenomes() {
 TEST(GoldenBinaryHash, MatchesPinnedValues) {
   struct GoldenRow {
     const char *App;
-    std::vector<uint64_t> Hashes; ///< o3, then genomes 0..9; 0 = failed.
+    /// o3, then genomes 0..9, then the stress genomes; 0 = failed.
+    std::vector<uint64_t> Hashes;
   };
   const std::vector<GoldenRow> Golden = {
     {"FFT",
      {0xd4d846918cdc6216ull, 0x2a908166190c2879ull, 0x7cd88732f0286b3cull,
       0x9efc9b7cc859f285ull, 0xd14c9684fec81c00ull, 0x8a43d6560cc2835eull,
       0x4996a0624e438ffdull, 0x63d9cd60174828f6ull, 0x2a0a278f7d667cb1ull,
-      0x0000000000000000ull, 0x71fbd7c5411cc153ull}},
+      0x0000000000000000ull, 0x71fbd7c5411cc153ull, 0x0000000000000000ull,
+      0x3827698b83205a7bull, 0xda6e4a3f1467fa3cull, 0x4283216ac741526bull,
+      0x9bfa2cf819f092e5ull, 0x0000000000000000ull}},
     {"SOR",
      {0xe035b4fa433a919cull, 0x801eef2194fbaf29ull, 0x6a59015035247250ull,
       0xa11c9cb828664cb6ull, 0x6e176a7d77cde8a8ull, 0x5d372f5e3bc6052dull,
       0x8576046e0a92c4d4ull, 0xa7d80b231d3b6746ull, 0xc980326ad0d2bfdaull,
-      0x0000000000000000ull, 0xc6a9ec2e1aa1863dull}},
+      0x0000000000000000ull, 0xc6a9ec2e1aa1863dull, 0x0000000000000000ull,
+      0x13b862cb347f2cecull, 0x9f2b23180aeae9cfull, 0x54e88e437d8047baull,
+      0xd6c376ade1e5477bull, 0xc3e74b29c6718ffbull}},
     {"MonteCarlo",
      {0x3a64da4e4d0a0063ull, 0x089b26ca00546527ull, 0x9500024e8e53d909ull,
       0x7a729ed339f29586ull, 0x089b26ca00546527ull, 0xbf2f1cde262d2197ull,
       0x154c2dd5ce259afcull, 0x9500024e8e53d909ull, 0xa7d90da5be08aa88ull,
-      0x089b26ca00546527ull, 0x7ffa4438c50fffe3ull}},
+      0x089b26ca00546527ull, 0x7ffa4438c50fffe3ull, 0x3d9e1c66be0c55d6ull,
+      0xbf2f1cde262d2197ull, 0x3d9e1c66be0c55d6ull, 0x86d586ca33626eceull,
+      0xf1fbdf488f2b197full, 0xbefcad90ba49b79full}},
     {"Sparse matmult",
      {0xbba95c6b8e8661dcull, 0xc6df6211be142a7full, 0x233f2d86da9641f2ull,
       0x9c6ca92863b9e6f5ull, 0x4a224af4221435c6ull, 0xfd070493f8c1fc8bull,
       0x0eb6b1679236c0dbull, 0x233f2d86da9641f2ull, 0xeb7f7fcfa2435024ull,
-      0x0000000000000000ull, 0xd98b62211812733eull}},
+      0x0000000000000000ull, 0xd98b62211812733eull, 0x4a2f09826a5f4841ull,
+      0x8c1aa08756e6c0c0ull, 0x6a09a7972b550c3dull, 0xee0ac276bdd61436ull,
+      0x99340ef001bf04c4ull, 0x8e12f5fc530610e5ull}},
     {"LU",
      {0xb1590e40bac522c6ull, 0x093ea7163f4de83bull, 0xe20d59c8c2cb5421ull,
       0x5c5181a261f247d1ull, 0x8c39d2082886706eull, 0x0000000000000000ull,
       0x53018ee0d4bb66e7ull, 0xe20d59c8c2cb5421ull, 0xf895132409041dc9ull,
-      0x093ea7163f4de83bull, 0x0f723b412f5bf372ull}},
+      0x093ea7163f4de83bull, 0x0f723b412f5bf372ull, 0x0000000000000000ull,
+      0x9a4695d735cffc96ull, 0x70674587fb0f06eeull, 0x877fcf2dd171cd18ull,
+      0x0d9176d9d8394ba0ull, 0xa32e5d973eb8d5c9ull}},
     {"Sieve",
      {0xf2ff0174cae8631dull, 0x9c7d416228d2068eull, 0x5e49744330a02973ull,
       0xed2ec69ccf160cbdull, 0xf44812e1213b85eaull, 0x269a6849dda2f9a9ull,
       0xfd880285f0e75415ull, 0xbab2a870dd268007ull, 0xe244ca9129ce4befull,
-      0xe75622c70a2439adull, 0x20b69548425e7d43ull}},
+      0xe75622c70a2439adull, 0x20b69548425e7d43ull, 0x198d16087621fb52ull,
+      0x40cecce329289289ull, 0x78da61e389cd61ccull, 0xd2a8c281ac962b1bull,
+      0xafe0106ff881cdcaull, 0xc4983c71b723723dull}},
     {"BubbleSort",
      {0xe786f0a0596a9b6bull, 0x769cbc7199d18709ull, 0x8d957ecc3a94fb5dull,
       0xe9458598ac43f06full, 0x89676f45631b4ea7ull, 0x37ed2bfeb5c9c866ull,
       0x3200492a39d351f6ull, 0x8a91bef0953e8cbdull, 0x1fabb9b90af49636ull,
-      0x0000000000000000ull, 0x2e7a8f2cd12e4d23ull}},
+      0x0000000000000000ull, 0x2e7a8f2cd12e4d23ull, 0x09378c7462415732ull,
+      0xa9c8ebecf696ed48ull, 0xdd5b7e7caf39f429ull, 0x840df6910b493a4eull,
+      0xd8869f0d9c5cb66full, 0xd2b310830df9f6baull}},
     {"SelectionSort",
      {0x74a31b1b96ef72a7ull, 0x343ded9f5c8f3ef4ull, 0xbdebf36274f9ee8aull,
       0x92b2ee059fd96511ull, 0xfb170820902395aaull, 0xe54cad7db5adb384ull,
       0xc180896f3daf506dull, 0x1d557564ae0b5ec8ull, 0xe62f8d7a4339c311ull,
-      0xcac11b6aa5469c51ull, 0xc1227255bc608eedull}},
+      0xcac11b6aa5469c51ull, 0xc1227255bc608eedull, 0xc484a27412f450acull,
+      0x896406f7a6cbaaccull, 0xdb1be3d280e818c9ull, 0xdbbda449dd0dedd3ull,
+      0xd7521bbad8d1567bull, 0x21a0cf2d05bde638ull}},
     {"Linpack",
      {0xeb5f79b0580e5adfull, 0x3dae4622867284e2ull, 0xa92af86a6e0ff66dull,
       0x3c77a9096747001full, 0x16e5f5cea3306d69ull, 0x0000000000000000ull,
       0xc093435a12821ff8ull, 0x0f3cd818c113afd1ull, 0xd11c56d174cb3adeull,
-      0x9ab21ae011b8a3a6ull, 0x5242c9b0a45d5a82ull}},
+      0x9ab21ae011b8a3a6ull, 0x5242c9b0a45d5a82ull, 0x0000000000000000ull,
+      0x812771169eba4138ull, 0xa27869607e3948b4ull, 0x3c9715c820b20576ull,
+      0x256529f4b23c2f1dull, 0xe095357aead6f8e1ull}},
     {"Fibonacci.iter",
      {0xd514616dd7caf28cull, 0x16467cca6eb4dfd0ull, 0x0b620dba33c9722eull,
       0x5fcd2d8a62efb6a4ull, 0x16467cca6eb4dfd0ull, 0x78a228311e39644bull,
       0xb619cbe29e625118ull, 0x715874aec69581edull, 0x9336bc59faec7c13ull,
-      0x5fcd2d8a62efb6a4ull, 0x4484aa43f9d5a1d7ull}},
+      0x5fcd2d8a62efb6a4ull, 0x4484aa43f9d5a1d7ull, 0xe518d621f225e0c8ull,
+      0x7d395bf524915ba9ull, 0xf5b0f42265f9e342ull, 0x37a156c4ce44bef8ull,
+      0x4a66214f2ae3a8ebull, 0x9c974934a27d1d04ull}},
     {"Fibonacci.recv",
      {0xabd32c5200551790ull, 0xcf55ec024099cf7eull, 0xfdee02bd85631a37ull,
       0x569863f67573aba9ull, 0x8f54a94baceee230ull, 0x6f1eb64d2a09ffbbull,
       0xfdee02bd85631a37ull, 0xfd0498dca0c07a7bull, 0x0000000000000000ull,
-      0x91df4999e43cdabaull, 0x96372531a2b7e2e8ull}},
+      0x91df4999e43cdabaull, 0x96372531a2b7e2e8ull, 0xfd0498dca0c07a7bull,
+      0x0100b5c6f4af533cull, 0xfdee02bd85631a37ull, 0x0f273f7b6921608cull,
+      0x2b84f33fbc84181cull, 0x38db1b889d5b2faaull}},
     {"Dhrystone",
      {0xdbf646482c3e2143ull, 0xa26b05522b20cdabull, 0xbe6161ef58d1eeccull,
       0x733d972265b238c6ull, 0x1f3af1d91a98d2dfull, 0xfdad29bba95ee4ddull,
       0x40220deb6770c08dull, 0x5e6fdf1154fe9a0aull, 0xd545d1e958e71fb8ull,
-      0xc463c317feb925c9ull, 0x0fc36f974579662dull}},
+      0xc463c317feb925c9ull, 0x0fc36f974579662dull, 0x9c7c2d4db013dbfdull,
+      0xf8d3afdb48e9310eull, 0x123188512c00e435ull, 0xaa55c7e5c16a71bfull,
+      0x261cce7f7c31cf34ull, 0xae5e4780fa7ef0afull}},
     {"MaterialLife",
      {0x1fc734dc1144ed71ull, 0xf7701f880f780471ull, 0x478017e1d2a0b2e6ull,
       0x4dee173778e040c0ull, 0x46f77de7754ab355ull, 0xb88220e418dc6f38ull,
       0xf438a8f30e4fc4adull, 0xf94ef8f1fa0227dfull, 0x0110d6b8b8d541b2ull,
-      0x0000000000000000ull, 0x27b4e9c73f63686bull}},
+      0x0000000000000000ull, 0x27b4e9c73f63686bull, 0x3f2e1a0be40e87c9ull,
+      0x45b09e94a9e492d4ull, 0xd88079abdb70bc66ull, 0x7e0f78be3805e7b5ull,
+      0xda555b180af8afbaull, 0xc7f696c8e4a4cb1aull}},
     {"4inaRow",
      {0xdaab5b2c648e1f01ull, 0xfb15c125ed27f566ull, 0x928dc4659b0f2df8ull,
       0x353a6eee0826cfabull, 0x6e4eb1df3ab623edull, 0xb0ba0bd332ce7a69ull,
       0x1d6e349985ff3c49ull, 0x358d5a2cc56c38cfull, 0xa036c52dc249b593ull,
-      0x0000000000000000ull, 0x67f0d6c25330d4edull}},
+      0x0000000000000000ull, 0x67f0d6c25330d4edull, 0x1e0c5d43faff9107ull,
+      0x77854a38234ab716ull, 0x6fe47a4648478cfaull, 0xdab4c8363d654ad0ull,
+      0xcb8fd110d445f1c7ull, 0x90b64bad0f14ac2eull}},
     {"DroidFish",
      {0x033922d0da63e2ffull, 0x83ca94bc7c670ec1ull, 0x0bec94052617e41cull,
       0x2d99f47d5ffc1539ull, 0x4881f97746d6f6b6ull, 0xe97d1646b7bb6990ull,
       0x80b7b9e688c7006aull, 0xce909c89df0262deull, 0xf4249d7b47c0571full,
-      0x0000000000000000ull, 0xd847414a93102709ull}},
+      0x0000000000000000ull, 0xd847414a93102709ull, 0x50751bbba5f6800cull,
+      0x175afe48d99baee6ull, 0xc68b7adbfff4336cull, 0x2146e3c12781ddbfull,
+      0xacf5ecf8c7174053ull, 0x8c07be3182d7262aull}},
     {"ColorOverflow",
      {0x39ff1c81f2b71354ull, 0x4ac30216692a5f71ull, 0xe0393e963673b837ull,
       0xe2d96fab3e2e89d4ull, 0xf6cc7c416bfccc80ull, 0xec8ba333be3e9110ull,
       0x8e9b1aa0d349cf9cull, 0xa66ffd1535bd39b6ull, 0x433a91c251001b59ull,
-      0x0000000000000000ull, 0xe764d109b7d8e25bull}},
+      0x0000000000000000ull, 0xe764d109b7d8e25bull, 0xdaae5c86f524ca33ull,
+      0xadb3352f19d647d7ull, 0xa1b7cf6aa5d8a019ull, 0x75a7d80ec8d915b2ull,
+      0xc3c232b3fe7036ceull, 0xea121ddc2e26632aull}},
     {"Brainstonz",
      {0x5e252cb86e760e5cull, 0x447a46a67eba0033ull, 0xf6d0569efadfbab5ull,
       0xcbff06530e9d241eull, 0x8ee947c73e7ad7e2ull, 0x205e84085d80a93bull,
       0x7427c1e6dba26944ull, 0xd03d1054087cb930ull, 0x8b0e93544ffbcdf6ull,
-      0xfe43ba246dff366eull, 0x05eea186b4823222ull}},
+      0xfe43ba246dff366eull, 0x05eea186b4823222ull, 0x428451d2fb2cfb30ull,
+      0xe8a50aa560042bd5ull, 0xd89fc9486cd6fbd3ull, 0x4ab52c9596a3671bull,
+      0x70eae4a2bec7836full, 0x2e7ccb40386091bbull}},
     {"Blokish",
      {0x4ab2168561109187ull, 0xae369100bfefb996ull, 0x45e66b767eae3bb3ull,
       0x5abb8497f1a96d14ull, 0xae369100bfefb996ull, 0xd27a0c8f4950abcfull,
       0x8a1d9d938a0926beull, 0xa570bcecbe7c41e4ull, 0x36f761ffb034d648ull,
-      0x0000000000000000ull, 0x7c9bac01a03f9016ull}},
+      0x0000000000000000ull, 0x7c9bac01a03f9016ull, 0x54cacc04385b4423ull,
+      0x85bcd97e0c60dd32ull, 0x6e59d51fcd5e5958ull, 0x8c0c69eaecfb224eull,
+      0x5003ec6353a67c94ull, 0xe1ee1036383aa17cull}},
     {"Svarka Calculator",
      {0x77115da2e80beef7ull, 0x5a78aac780142575ull, 0xae0704ab04eaa627ull,
       0x929490e7e3729225ull, 0x844d560d5cfa9599ull, 0x0ea95924f276c06full,
       0x24447e53443deb72ull, 0xae0704ab04eaa627ull, 0x09083c80bd56cc58ull,
-      0x16d0671b0121f689ull, 0xdec9810dfe517d0cull}},
+      0x16d0671b0121f689ull, 0xdec9810dfe517d0cull, 0x7907d4cdd72f464full,
+      0xe18443bac8b12776ull, 0xa52b059c22fa26d6ull, 0x978233a8c617d4abull,
+      0x50dc611618745f47ull, 0x9621610ea743e9d4ull}},
     {"Reversi Android",
      {0xc1eb1451a6cf0047ull, 0x63400f829642fc44ull, 0x93e026464cb94807ull,
       0x106aeb81db3dbef0ull, 0x12dc1d4fd5c716dbull, 0x1963682d1fc6f670ull,
       0xc8c2937a076ebdddull, 0x73a4fee7e16bf963ull, 0x0000000000000000ull,
-      0x0000000000000000ull, 0xd52414f6a98bdf4bull}},
+      0x0000000000000000ull, 0xd52414f6a98bdf4bull, 0x4850794cae4d9453ull,
+      0xb7c9737ddb9c2db9ull, 0xe3bf94f47d7dd3cbull, 0x5aae935d6c67e9d3ull,
+      0xc6917f70fa771cfdull, 0x44842ff1fca6dc0full}},
     {"Poker Odds (Vitosha)",
      {0x5602087154a15b30ull, 0x8b46cc44cdafcc87ull, 0x95bcf4a5113cbf68ull,
       0xfd136f51eb568430ull, 0x14e9e741f4bfd063ull, 0xcc5cf021cc24bd0bull,
       0x0ecb794169a7f8d6ull, 0x95bcf4a5113cbf68ull, 0x5ee4870bf0fada78ull,
-      0x0000000000000000ull, 0xfaf880e87743ac7eull}},
+      0x0000000000000000ull, 0xfaf880e87743ac7eull, 0x0000000000000000ull,
+      0xdc34fac2d3a3258aull, 0x5f3a025e41369e5cull, 0x4145ca64ee9aebdeull,
+      0xf11402c2dfcb4daeull, 0x8407dc60c305ecdaull}},
   };
 
   core::PipelineConfig Config;
@@ -1286,10 +1442,11 @@ TEST(GoldenBinaryHash, MatchesPinnedValues) {
     const GoldenRow &Row = Golden[A];
     ASSERT_EQ(F.App.Name, Row.App);
     core::RegionEvaluator Eval(F.App, F.Region, F.Captures, Config);
-    ASSERT_EQ(Row.Hashes.size(), Genomes.size());
-    for (size_t N = 0; N != Genomes.size(); ++N)
-      EXPECT_EQ(Eval.compileGenome(Genomes[N]).BinaryHash, Row.Hashes[N])
-          << Row.App << " genome " << N << ": " << Genomes[N].name();
+    std::vector<uint64_t> Hashes;
+    for (const search::Genome &G : Genomes)
+      Hashes.push_back(Eval.compileGenome(G).BinaryHash);
+    EXPECT_TRUE(Hashes == Row.Hashes) << Row.App << " measured:\n"
+                                      << hashRowText(Hashes);
   }
 }
 
@@ -1298,11 +1455,12 @@ TEST(GoldenBinaryHash, MatchesPinnedValues) {
 // One verified replay of every binary GoldenBinaryHash pins, plus the
 // region's stock Android binary, for each Table-1 app; and one
 // AttributeCycles profiling run per app. Pinned before the VM kept its
-// counters frame-local: the replay hot path may get faster, but no
-// verdict, trap, return value, cycle or instruction count may move, and
-// neither may the per-method profile the counters also feed. An edit
-// that changes these on purpose must update the table; a failure prints
-// the app's measured rows in table syntax.
+// counters frame-local (the stress-genome rows with their hashes): the
+// replay hot path may get faster, but no verdict, trap, return value,
+// cycle or instruction count may move, and neither may the per-method
+// profile the counters also feed. An edit that changes these on purpose
+// must update the table; a failure prints the app's measured rows in
+// table syntax.
 
 namespace {
 
@@ -1363,7 +1521,8 @@ TEST(GoldenReplay, MatchesPinnedValues) {
   struct GoldenApp {
     const char *App;
     uint64_t ProfileHash; ///< Two AttributeCycles sessions, seed 1.
-    std::vector<ReplayRow> Rows; ///< Android, o3, then genomes 0..9.
+    /// Android, o3, then genomes 0..9, then the stress genomes.
+    std::vector<ReplayRow> Rows;
   };
   const std::vector<GoldenApp> Golden = {
     {"FFT", 0xcab68a975d79c009ull,
@@ -1380,6 +1539,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x000000000001faf9ull, 1384003ull, 337682ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x000000000001faf9ull, 1057545ull, 312437ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {3, 2, 0x0000000000000000ull, 448420ull, 198877ull},
+      {-1, 0, 0x000000000001faf9ull, 657953ull, 277735ull},
+      {-1, 0, 0x000000000001faf9ull, 1396981ull, 293706ull},
+      {-1, 0, 0x000000000001faf9ull, 497937ull, 234895ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
      }},
     {"SOR", 0x991e1dabeb2269dfull,
      {
@@ -1395,6 +1560,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {5, 0, 0x0000000000081029ull, 1008776ull, 327280ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x0000000000081029ull, 993943ull, 293229ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {3, 2, 0x0000000000000000ull, 155199ull, 66920ull},
+      {-1, 0, 0x0000000000081029ull, 633940ull, 283230ull},
+      {-1, 0, 0x0000000000081029ull, 1073933ull, 298397ull},
+      {5, 0, 0x0000000000081029ull, 539114ull, 239188ull},
+      {-1, 0, 0x0000000000081029ull, 1408153ull, 281751ull},
      }},
     {"MonteCarlo", 0xea3670f2da6f90a3ull,
      {
@@ -1410,6 +1581,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x00000000002fba4full, 638817ull, 302247ull},
       {-1, 0, 0x00000000002fba4full, 1044458ull, 302284ull},
       {-1, 0, 0x00000000002fba4full, 1115443ull, 344875ull},
+      {-1, 0, 0x00000000002fba4full, 390272ull, 224126ull},
+      {-1, 0, 0x00000000002fba4full, 376071ull, 238327ull},
+      {-1, 0, 0x00000000002fba4full, 390272ull, 224126ull},
+      {-1, 0, 0x00000000002fba4full, 753310ull, 195732ull},
+      {-1, 0, 0x00000000002fba4full, 390274ull, 224128ull},
+      {-1, 0, 0x00000000002fba4full, 838504ull, 224126ull},
      }},
     {"Sparse matmult", 0x94fbca34b4bf7d35ull,
      {
@@ -1425,6 +1602,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x000000000006e1fcull, 2010156ull, 515017ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x000000000006e1fcull, 1890212ull, 471843ull},
+      {-1, 0, 0x000000000006e1fcull, 1266726ull, 408092ull},
+      {3, 2, 0x0000000000000000ull, 345673ull, 127374ull},
+      {-1, 0, 0x000000000006e1fcull, 1206346ull, 408286ull},
+      {-1, 0, 0x000000000006e1fcull, 1588957ull, 460278ull},
+      {-1, 0, 0x000000000006e1fcull, 988581ull, 384078ull},
+      {-1, 0, 0x000000000006e1fcull, 1805181ull, 408119ull},
      }},
     {"LU", 0x6d52f1a07cee791eull,
      {
@@ -1440,6 +1623,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x00000000000ada88ull, 509909ull, 123682ull},
       {-1, 0, 0x00000000000ada88ull, 635590ull, 159386ull},
       {-1, 0, 0x00000000000ada88ull, 434614ull, 124619ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {3, 2, 0x0000000000000000ull, 15145ull, 9658ull},
+      {-1, 0, 0x00000000000ada88ull, 243882ull, 110763ull},
+      {-1, 0, 0x00000000000ada88ull, 394871ull, 122413ull},
+      {-1, 0, 0x00000000000ada88ull, 169206ull, 89857ull},
+      {-1, 0, 0x00000000000ada88ull, 544324ull, 109301ull},
      }},
     {"Sieve", 0xa3d04cb65ef122d8ull,
      {
@@ -1455,6 +1644,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x000000000000030full, 368054ull, 230162ull},
       {-1, 0, 0x000000000000030full, 496331ull, 281051ull},
       {-1, 0, 0x000000000000030full, 215371ull, 180871ull},
+      {-1, 0, 0x000000000000030full, 454432ull, 239152ull},
+      {-1, 0, 0x000000000000030full, 297449ull, 183963ull},
+      {-1, 0, 0x000000000000030full, 454147ull, 240465ull},
+      {-1, 0, 0x000000000000030full, 464842ull, 250998ull},
+      {-1, 0, 0x000000000000030full, 336443ull, 200149ull},
+      {-1, 0, 0x000000000000030full, 875222ull, 239340ull},
      }},
     {"BubbleSort", 0xd73d984998c24940ull,
      {
@@ -1470,6 +1665,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x0000000000005d48ull, 822004ull, 536181ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x0000000000005d48ull, 760642ull, 524017ull},
+      {-1, 0, 0x0000000000005d48ull, 1215961ull, 619506ull},
+      {3, 2, 0x0000000000000000ull, 1077432ull, 601788ull},
+      {-1, 0, 0x0000000000005d48ull, 1220217ull, 624162ull},
+      {-1, 0, 0x0000000000005d48ull, 1511282ull, 637253ull},
+      {-1, 0, 0x0000000000005d48ull, 743366ull, 457943ull},
+      {-1, 0, 0x0000000000005d48ull, 2627693ull, 620170ull},
      }},
     {"SelectionSort", 0xa0c7ed03ceb0eaaaull,
      {
@@ -1485,6 +1686,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x00000000389cd3aaull, 488906ull, 324408ull},
       {-1, 0, 0x00000000389cd3aaull, 612956ull, 372900ull},
       {-1, 0, 0x00000000389cd3aaull, 340723ull, 274343ull},
+      {-1, 0, 0x00000000389cd3aaull, 587464ull, 347408ull},
+      {3, 2, 0x0000000000000000ull, 3893ull, 2717ull},
+      {-1, 0, 0x00000000389cd3aaull, 585504ull, 345448ull},
+      {-1, 0, 0x00000000389cd3aaull, 688720ull, 346140ull},
+      {-1, 0, 0x00000000389cd3aaull, 461140ull, 296642ull},
+      {-1, 0, 0x00000000389cd3aaull, 1479131ull, 347429ull},
      }},
     {"Linpack", 0x3cc75e5616cfd07aull,
      {
@@ -1500,6 +1707,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x000000000009af6full, 394330ull, 107911ull},
       {-1, 0, 0x000000000009af6full, 262090ull, 131651ull},
       {-1, 0, 0x000000000009af6full, 163529ull, 100514ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {3, 2, 0x0000000000000000ull, 13432ull, 8471ull},
+      {-1, 0, 0x000000000009af6full, 199060ull, 89960ull},
+      {-1, 0, 0x000000000009af6full, 353892ull, 98531ull},
+      {-1, 0, 0x000000000009af6full, 146028ull, 79271ull},
+      {-1, 0, 0x000000000009af6full, 530424ull, 89415ull},
      }},
     {"Fibonacci.iter", 0xe27d7020e1a5d486ull,
      {
@@ -1515,6 +1728,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0xbdd7b17092f6e190ull, 273637ull, 205214ull},
       {-1, 0, 0xbdd7b17092f6e190ull, 239447ull, 171024ull},
       {-1, 0, 0xbdd7b17092f6e190ull, 136844ull, 136823ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 241538ull, 120783ull},
+      {5, 0, 0x51ffc910e8b7135bull, 39586ull, 39565ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 162486ull, 94063ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 222336ull, 153913ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 222336ull, 153913ull},
+      {-1, 0, 0xbdd7b17092f6e190ull, 494824ull, 121851ull},
      }},
     {"Fibonacci.recv", 0xf7a31bb75348ca93ull,
      {
@@ -1530,6 +1749,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x0000000000000179ull, 35351ull, 16466ull},
       {-1, 0, 0x0000000000000179ull, 31081ull, 14636ull},
+      {-1, 0, 0x0000000000000179ull, 30471ull, 11586ull},
+      {-1, 0, 0x0000000000000179ull, 25592ull, 9147ull},
+      {-1, 0, 0x0000000000000179ull, 29252ull, 10367ull},
+      {-1, 0, 0x0000000000000179ull, 29786ull, 10289ull},
+      {-1, 0, 0x0000000000000179ull, 28642ull, 9757ull},
+      {-1, 0, 0x0000000000000179ull, 31381ull, 11508ull},
      }},
     {"Dhrystone", 0x7c3e23b637c3f8bull,
      {
@@ -1545,6 +1770,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x000000000080580eull, 315818ull, 184522ull},
       {-1, 0, 0x000000000080580eull, 393737ull, 209141ull},
       {-1, 0, 0x000000000080580eull, 303534ull, 164040ull},
+      {-1, 0, 0x000000000080580eull, 549722ull, 164210ull},
+      {5, 0, 0x0000000000811898ull, 284866ull, 132628ull},
+      {-1, 0, 0x000000000080580eull, 337850ull, 153254ull},
+      {-1, 0, 0x000000000080580eull, 303516ull, 143518ull},
+      {-1, 0, 0x000000000080580eull, 311712ull, 139416ull},
+      {-1, 0, 0x000000000080580eull, 397813ull, 164015ull},
      }},
     {"MaterialLife", 0x3888b7f23d9a938cull,
      {
@@ -1560,6 +1791,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x00000000000000eaull, 1082382ull, 461157ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x00000000000000eaull, 1396260ull, 456861ull},
+      {-1, 0, 0x00000000000000eaull, 815534ull, 418509ull},
+      {3, 2, 0x0000000000000000ull, 746114ull, 407664ull},
+      {-1, 0, 0x00000000000000eaull, 806319ull, 415126ull},
+      {-1, 0, 0x00000000000000eaull, 1391395ull, 388372ull},
+      {-1, 0, 0x00000000000000eaull, 683048ull, 364263ull},
+      {-1, 0, 0x00000000000000eaull, 1588272ull, 418781ull},
      }},
     {"4inaRow", 0xf9fdf5aff6f5b8b1ull,
      {
@@ -1575,6 +1812,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x0000000000000ff6ull, 48054ull, 12863ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x0000000000000ff6ull, 57860ull, 12527ull},
+      {-1, 0, 0x0000000000000ff6ull, 31251ull, 10149ull},
+      {-1, 0, 0x0000000000000ff6ull, 28444ull, 8940ull},
+      {-1, 0, 0x0000000000000ff6ull, 30784ull, 9682ull},
+      {-1, 0, 0x0000000000000ff6ull, 41859ull, 8833ull},
+      {-1, 0, 0x0000000000000ff6ull, 30951ull, 9852ull},
+      {-1, 0, 0x0000000000000ff6ull, 45493ull, 10149ull},
      }},
     {"DroidFish", 0xb74a7ededa730811ull,
      {
@@ -1590,6 +1833,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x0000000000003010ull, 116626ull, 40777ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x0000000000003010ull, 141211ull, 34910ull},
+      {-1, 0, 0x0000000000003010ull, 92250ull, 36593ull},
+      {-1, 0, 0x0000000000003010ull, 75838ull, 29415ull},
+      {-1, 0, 0x0000000000003010ull, 89170ull, 34025ull},
+      {-1, 0, 0x0000000000003010ull, 116467ull, 34296ull},
+      {-1, 0, 0x0000000000003010ull, 85855ull, 32246ull},
+      {-1, 0, 0x0000000000003010ull, 123900ull, 36593ull},
      }},
     {"ColorOverflow", 0x27359fb2964263efull,
      {
@@ -1605,6 +1854,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x0000000000000002ull, 135605ull, 66564ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x0000000000000002ull, 152104ull, 50211ull},
+      {-1, 0, 0x0000000000000002ull, 116241ull, 58062ull},
+      {-1, 0, 0x0000000000000002ull, 60056ull, 34727ull},
+      {-1, 0, 0x0000000000000002ull, 117998ull, 59819ull},
+      {-1, 0, 0x0000000000000002ull, 165472ull, 74196ull},
+      {-1, 0, 0x0000000000000002ull, 99497ull, 65946ull},
+      {-1, 0, 0x0000000000000002ull, 170081ull, 58318ull},
      }},
     {"Brainstonz", 0x7207460719945782ull,
      {
@@ -1620,6 +1875,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x000000000000001full, 949396ull, 271209ull},
       {-1, 0, 0x000000000000001full, 645744ull, 287434ull},
       {-1, 0, 0x000000000000001full, 481892ull, 228861ull},
+      {-1, 0, 0x000000000000001full, 783728ull, 198302ull},
+      {3, 2, 0x0000000000000000ull, 1348ull, 393ull},
+      {-1, 0, 0x000000000000001full, 536099ull, 188527ull},
+      {-1, 0, 0x000000000000001full, 918827ull, 221703ull},
+      {-1, 0, 0x000000000000001full, 507147ull, 208124ull},
+      {-1, 0, 0x000000000000001full, 1078044ull, 197558ull},
      }},
     {"Blokish", 0x478e78405684ff5full,
      {
@@ -1635,6 +1896,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x00000000000004ddull, 388284ull, 177683ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x00000000000004ddull, 418529ull, 167466ull},
+      {-1, 0, 0x00000000000004ddull, 254996ull, 137797ull},
+      {-1, 0, 0x00000000000004ddull, 208626ull, 122821ull},
+      {-1, 0, 0x00000000000004ddull, 251833ull, 134650ull},
+      {-1, 0, 0x00000000000004ddull, 256607ull, 139374ull},
+      {-1, 0, 0x00000000000004ddull, 209124ull, 127521ull},
+      {-1, 0, 0x00000000000004ddull, 255084ull, 137797ull},
      }},
     {"Svarka Calculator", 0x3366c1f1be29f845ull,
      {
@@ -1650,6 +1917,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x0000000000006326ull, 202956ull, 66005ull},
       {-1, 0, 0x0000000000006326ull, 351188ull, 72059ull},
       {-1, 0, 0x0000000000006326ull, 326072ull, 61967ull},
+      {-1, 0, 0x0000000000006326ull, 185644ull, 61552ull},
+      {3, 2, 0x0000000000000000ull, 1287ull, 510ull},
+      {-1, 0, 0x0000000000006326ull, 177933ull, 53841ull},
+      {-1, 0, 0x0000000000006326ull, 164620ull, 45669ull},
+      {-1, 0, 0x0000000000006326ull, 156449ull, 46402ull},
+      {-1, 0, 0x0000000000006326ull, 384986ull, 61552ull},
      }},
     {"Reversi Android", 0x1c403fba1970b3cfull,
      {
@@ -1665,6 +1938,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x000000000000004dull, 171996ull, 43148ull},
+      {-1, 0, 0x000000000000004dull, 39448ull, 18022ull},
+      {-1, 0, 0x000000000000004dull, 34280ull, 16436ull},
+      {-1, 0, 0x000000000000004dull, 38732ull, 17306ull},
+      {-1, 0, 0x000000000000004dull, 51524ull, 16952ull},
+      {-1, 0, 0x000000000000004dull, 32855ull, 15359ull},
+      {-1, 0, 0x000000000000004dull, 63154ull, 18062ull},
      }},
     {"Poker Odds (Vitosha)", 0x7e994f15fbebbc4eull,
      {
@@ -1680,6 +1959,12 @@ TEST(GoldenReplay, MatchesPinnedValues) {
       {-1, 0, 0x0000000000005a7eull, 349947ull, 141920ull},
       {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
       {-1, 0, 0x0000000000005a7eull, 332538ull, 136301ull},
+      {-2, 0, 0x0000000000000000ull, 0ull, 0ull},
+      {3, 2, 0x0000000000000000ull, 192ull, 81ull},
+      {-1, 0, 0x0000000000005a7eull, 244212ull, 116878ull},
+      {-1, 0, 0x0000000000005a7eull, 341576ull, 120114ull},
+      {-1, 0, 0x0000000000005a7eull, 223183ull, 122798ull},
+      {-1, 0, 0x0000000000005a7eull, 504574ull, 120106ull},
      }},
   };
 

@@ -270,8 +270,9 @@ TEST(LoopEdgeCases, UnrollZeroAndOneTripCounts) {
     lir::LFunction Fn =
         lir::fromHGraph(hgraph::buildHGraph(File, Id));
     lir::simplifyCfg(Fn);
-    lir::loopRotate(Fn);
-    lir::loopUnroll(Fn, 8);
+    lir::FunctionAnalyses RotateAnalyses, UnrollAnalyses;
+    lir::loopRotate(Fn, RotateAnalyses);
+    lir::loopUnroll(Fn, 8, /*AssumeDivisible=*/false, UnrollAnalyses);
     std::string E;
     ASSERT_TRUE(Fn.verify(E)) << E;
     testprogs::Harness H(File);
@@ -289,7 +290,8 @@ TEST(LoopEdgeCases, PeelMoreThanTripCount) {
   lir::LFunction Fn = lir::fromHGraph(
       hgraph::buildHGraph(File, File.findMethod("sumTo")));
   lir::simplifyCfg(Fn);
-  lir::loopRotate(Fn);
+  lir::FunctionAnalyses Analyses;
+  lir::loopRotate(Fn, Analyses);
   lir::loopPeel(Fn, 8); // trip count will be 3
   std::string E;
   ASSERT_TRUE(Fn.verify(E)) << E;
@@ -327,7 +329,8 @@ TEST(LoopEdgeCases, LicmDoesNotHoistLoadsPastStores) {
 
   lir::LFunction Fn =
       lir::fromHGraph(hgraph::buildHGraph(File, M));
-  lir::licm(Fn, /*SpeculateDiv=*/false);
+  lir::FunctionAnalyses Analyses;
+  lir::licm(Fn, /*SpeculateDiv=*/false, Analyses);
   std::string E;
   ASSERT_TRUE(Fn.verify(E)) << E;
 
