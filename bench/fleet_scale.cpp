@@ -35,6 +35,14 @@ using namespace ropt::bench;
 
 int main(int Argc, char **Argv) {
   Options Opt = parseArgs(Argc, Argv);
+  if (Opt.AnalysisGuided >= 0) {
+    // A class searches only its detected hot region, which is always the
+    // slack-0 region, so guidance never changes a fleet run (DESIGN.md
+    // §13); refuse the flag rather than record a setting nothing reads.
+    std::fprintf(stderr, "error: --analysis-guided has no effect on a fleet "
+                         "run\n");
+    return 2;
+  }
   core::PipelineConfig BaseConfig = pipelineConfig(Opt);
   if (!Opt.Fast) {
     // Per-step search depth; the fleet steps multiply it back up.
@@ -63,7 +71,7 @@ int main(int Argc, char **Argv) {
     if (!Loaded.Warning.empty())
       std::fprintf(stderr, "warning: %s\n", Loaded.Warning.c_str());
     Warm.Used = Loaded.Found && Loaded.Warning.empty();
-    Warm.StoreSchema = Loaded.State.Schema;
+    Warm.StoreSchema = store::CurrentSchema;
     Warm.Nights = Loaded.State.Nights;
     for (const store::StoredApp &A : Loaded.State.Apps)
       for (const store::StoredEntry &E : A.Entries) {
@@ -128,7 +136,7 @@ int main(int Argc, char **Argv) {
       SweepStr += (I ? "," : "") + std::to_string(Sweep[I]);
     Summary.DeviceSweep = SweepStr;
   }
-  Summary.Rounds = Rounds;
+  Summary.Steps = Rounds;
   Summary.TopK = fleet::ServerOptions{}.TopK;
   Summary.DropProb = Defaults.Net.DropProb;
   Summary.ReorderProb = Defaults.Net.ReorderProb;

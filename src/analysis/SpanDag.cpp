@@ -102,9 +102,9 @@ support::Result<SpanDag> SpanDag::fromChromeJson(const std::string &Text) {
       continue;
     RawSpan S;
     S.Name = E.string("name");
-    S.StartUs = static_cast<uint64_t>(E.number("ts"));
-    S.DurUs = static_cast<uint64_t>(E.number("dur"));
-    S.ThreadId = static_cast<uint32_t>(E.number("tid"));
+    S.StartUs = E.integer<uint64_t>("ts");
+    S.DurUs = E.integer<uint64_t>("dur");
+    S.ThreadId = E.integer<uint32_t>("tid");
     Spans.push_back(std::move(S));
   }
   return build(std::move(Spans));

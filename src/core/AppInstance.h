@@ -55,7 +55,6 @@ public:
   os::Kernel &kernel() { return Kernel; }
   os::Process &process() { return *Proc; }
   const workloads::Application &app() const { return App; }
-  Rng &inputRng() { return InputRng; }
 
 private:
   workloads::Application App;

@@ -96,8 +96,10 @@ search::GaConfig scaledGaConfig(const search::GaConfig &Base, double Scale);
 /// The observability loop's allocation for one region (DESIGN.md §13):
 /// \p Base scaled by \p R's criticality (scaledGaConfig), with the genome
 /// arms R's bottleneck label rules out disabled unless R is the slack-0
-/// region. optimize() and the fleet classes search with this config when
-/// SearchOptions::AnalysisGuided is on.
+/// region. optimize() searches with this config when
+/// SearchOptions::AnalysisGuided is on; on the pipeline's own detected
+/// region (the slack-0 one) it returns \p Base unchanged, which is why
+/// fleet classes, which only search that region, never apply it.
 search::GaConfig guidedGaConfig(const search::GaConfig &Base,
                                 const analysis::RegionReport &R);
 

@@ -34,7 +34,7 @@ std::string FleetResult::digest() const {
       static_cast<unsigned long long>(VirtualDuration), BestSpeedup,
       BestDevice, BestGenome.c_str(), BestFromHint ? 1 : 0);
   for (const FleetStepLog &L : Log) {
-    const DeviceRound &O = L.Outcome;
+    const DeviceStep &O = L.Outcome;
     D += format("t=%llu s%d d%d drop=%d best=%.17g src=%s fromhint=%d "
                 "genome=%s prov=%016llx disc=d%d@%llu recv=%d adopt=%d "
                 "rej=%d evals=%d\n",
@@ -108,7 +108,7 @@ struct DeviceState {
   /// The newest step report that actually reached the server — the
   /// fleet best is a max over *delivered* reports, so a device whose
   /// last words were lost contributes its previous delivered state.
-  DeviceRound LastMerged;
+  DeviceStep LastMerged;
   int LastMergedStep = -1;
 };
 
@@ -285,7 +285,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
 
   // ReportArrive: merge at the server, then push the hint set as it
   // stands *at arrival time* back toward the device.
-  auto ReportArrive = [&](int Id, int StepIdx, DeviceRound DR) {
+  auto ReportArrive = [&](int Id, int StepIdx, DeviceStep DR) {
     return [&, Id, StepIdx, DR = std::move(DR)](EventLoop &L) mutable {
       VirtualTime T = L.now();
       Srv.merge(AppName, DR.Report, T);
@@ -323,7 +323,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
     VirtualTime T = L.now();
     VirtualTime StepStart = T - DS.Pending.Duration;
     int StepIdx = DS.StepsDone++;
-    DeviceRound DR = std::move(DS.Pending.Round);
+    DeviceStep DR = std::move(DS.Pending.Outcome);
 
     FleetStepLog Cell;
     Cell.Time = T;
@@ -367,10 +367,10 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
     }
 
     if (Report) {
-      report::FleetRoundRecord Rec;
+      report::FleetStepRecord Rec;
       Rec.App = AppName;
       Rec.FleetDevices = Total;
-      Rec.Round = StepIdx;
+      Rec.Step = StepIdx;
       Rec.Device = Id;
       Rec.VirtualTime = T;
       Rec.BestSpeedup = DR.BestSpeedup;
@@ -389,7 +389,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
       Rec.TransportDrops = Cell.ReportDelivery.Drops;
       Rec.TransportTicks = Cell.ReportDelivery.DelayTicks;
       Rec.Delivered = Cell.ReportDelivery.Delivered;
-      Report->onFleetRound(Rec);
+      Report->onFleetStep(Rec);
     }
 
     Cell.Outcome = std::move(DR);

@@ -150,7 +150,7 @@ struct FleetStepLog {
   VirtualTime Time = 0; ///< Virtual completion time of the step.
   int Step = 0;         ///< The device's step index (0-based).
   int Device = 0;
-  DeviceRound Outcome;
+  DeviceStep Outcome;
   SendOutcome ReportDelivery; ///< Device -> server (unplanned if Dropped).
   bool Dropped = false;       ///< Device died at this step (churn).
 };

@@ -101,18 +101,6 @@ bool DeviceClassState::setup() {
     return false;
   }
 
-  // Fleet steps inherit the observability loop's allocation: when the
-  // coordinator runs analysis-guided, each class derives its own
-  // criticality scale and bottleneck mask from its own profile, and every
-  // member step's GA (step() reads Config.Search.GA) searches under them.
-  if (Config.Search.AnalysisGuided) {
-    analysis::AppAnalysis Analysis =
-        analysis::analyzeApp(*App.File, Profiled.Profile, Profiled.RA);
-    if (const analysis::RegionReport *R =
-            Analysis.byRoot(Profiled.Region->Root))
-      Config.Search.GA = core::guidedGaConfig(Config.Search.GA, *R);
-  }
-
   // One compile memo per class, shared by its baselines and engine; all
   // class memos draw on one process-wide resident budget. The verdict
   // memo is the cell's: classes whose captures coincide replay each
@@ -184,10 +172,10 @@ GenomeReport Device::reportFor(const search::Scored &S, VirtualTime Now,
 StepResult Device::step(VirtualTime Now, int StepIndex,
                         const std::vector<Hint> &Hints) {
   StepResult Res;
-  DeviceRound &Out = Res.Round;
+  DeviceStep &Out = Res.Outcome;
   search::EvaluationEngine &Engine = Class->Search->Engine;
   Out.Report.Device = Prof.Id;
-  Out.Report.Round = StepIndex;
+  Out.Report.Step = StepIndex;
   Out.Report.DeviceClass = Prof.ClassId;
   int EvalsBefore = Engine.counters().total();
   search::EngineCacheStats CacheBefore = Engine.cacheStats();
@@ -274,7 +262,7 @@ StepResult Device::step(VirtualTime Now, int StepIndex,
     }
   }
 
-  // --- Package the round report: the device's best-so-far, plus the
+  // --- Package the step report: the device's best-so-far, plus the
   // step's own discovery when it differs (leaderboard diversity).
   if (Best) {
     Out.Report.Best.push_back(reportFor(*Best, Now, StepIndex));

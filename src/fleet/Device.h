@@ -32,7 +32,7 @@
 /// device, the fully-continuous population of the old round-based fleet.
 ///
 /// Devices are actors on the fleet EventLoop: `step()` runs one search
-/// round at a virtual instant and returns, with the round report, the
+/// step at a virtual instant and returns, with the step report, the
 /// *virtual duration* the step took on this device — derived from the
 /// evaluation work actually done (cache misses are compiles+replays,
 /// hits are table lookups) and the device's hardware cost scale. The
@@ -120,8 +120,8 @@ struct StepCosts {
 /// What one device did in one step (the unit the old fleet called a
 /// "round"; under the event loop steps self-schedule, so devices are
 /// usually at different step indices at the same virtual instant).
-struct DeviceRound {
-  RoundReport Report; ///< What goes to the server (best + rejections).
+struct DeviceStep {
+  StepReport Report; ///< What goes to the server (best + rejections).
   int HintsReceived = 0;
   int HintsAdopted = 0;  ///< Verified Ok locally, seeded into the GA.
   int HintsRejected = 0; ///< Failed local verification; reported back.
@@ -139,11 +139,11 @@ struct DeviceRound {
   std::vector<uint64_t> RejectedProvenance;
 };
 
-/// A completed step: the round report plus how long the step took in
+/// A completed step: the step report plus how long the step took in
 /// virtual time (the coordinator schedules the completion event at
 /// begin + Duration).
 struct StepResult {
-  DeviceRound Round;
+  DeviceStep Outcome;
   VirtualTime Duration = 1;
 };
 
@@ -225,7 +225,6 @@ public:
   const DeviceProfile &profile() const { return Prof; }
   double androidMedian() const { return Class->androidMedian(); }
   const std::optional<search::Scored> &best() const { return Best; }
-  const DeviceClassState &classState() const { return *Class; }
 
 private:
   /// Speedup of \p E over this device's class Android baseline.

@@ -98,7 +98,6 @@ public:
   // Introspection for tests and the coordinator's log.
   uint64_t eventsProcessed() const { return Processed; }
   uint64_t batches() const { return Batches; }
-  uint64_t maxBatchEvents() const { return MaxBatch; }
 
 private:
   struct Event {

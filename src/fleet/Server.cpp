@@ -47,7 +47,7 @@ Server::LeaderEntry &Server::entryFor(AppBoard &Board, const GenomeReport &G,
   return E;
 }
 
-void Server::merge(const std::string &App, const RoundReport &R,
+void Server::merge(const std::string &App, const StepReport &R,
                    VirtualTime Now) {
   AppBoard &Board = Boards[App];
   ++Stats.ReportsMerged;
@@ -194,7 +194,7 @@ void Server::injectHint(const std::string &App, const search::Genome &G,
   // Injected genomes still get a chain (so rejections and adoptions are
   // attributable) but no discovery time — Device -1 marks it synthetic.
   R.Prov = Provenance{mintProvenanceId(-1, 0, R.Key), -1, 0, 0};
-  RoundReport Injected;
+  StepReport Injected;
   Injected.Device = -1; // Not a real fleet member.
   Injected.DeviceClass = Class;
   Injected.Best.push_back(std::move(R));

@@ -68,10 +68,10 @@ struct HintRejection {
   uint64_t ProvenanceId = 0; ///< Chain the rejected hint carried.
 };
 
-/// Everything one device tells the server about one round.
-struct RoundReport {
+/// Everything one device tells the server about one step.
+struct StepReport {
   int Device = 0;
-  int Round = 0;
+  int Step = 0;
   /// Reporting device's hardware class (-1 = unknown/synthetic). Feeds
   /// the per-class leaderboards: an entry remembers which classes
   /// confirmed it, and class-local hint serving prefers those entries.
@@ -107,7 +107,7 @@ struct ServerOptions {
 };
 
 struct ServerStats {
-  uint64_t ReportsMerged = 0;   ///< RoundReports accepted.
+  uint64_t ReportsMerged = 0;   ///< StepReports accepted.
   uint64_t GenomesReported = 0; ///< GenomeReports seen (dups included).
   uint64_t Duplicates = 0;      ///< Folded into an existing entry.
   uint64_t Quarantined = 0;     ///< Entries retired by rejection reports.
@@ -151,12 +151,12 @@ public:
     Provenance Prov;
   };
 
-  /// Folds one device's round report into the app's leaderboard:
+  /// Folds one device's step report into the app's leaderboard:
   /// statistical merging (pooled speedup samples, median re-rank), dedup
   /// by binary hash / genome name, and quarantine of rejected hints.
   /// \p Now stamps the touched entries for TTL aging (and revives an
   /// expired entry the report re-confirms).
-  void merge(const std::string &App, const RoundReport &R,
+  void merge(const std::string &App, const StepReport &R,
              VirtualTime Now = 0);
 
   /// The current top-k hint set for \p App: non-quarantined, non-expired

@@ -116,7 +116,7 @@ void TelemetryHub::onHintArrival(int Device, const Provenance &P,
     Classes[static_cast<size_t>(Cls)].Sketches.HintLatency.observe(
         static_cast<double>(Lat));
     ROPT_METRIC_OBSERVE("fleet.hint_latency", static_cast<double>(Lat),
-                        ({2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}));
+                        (sketchBounds(SketchKind::HintLatency)));
   }
 }
 

@@ -23,8 +23,8 @@
 ///    is a pure function of the observations regardless of merge
 ///    grouping — the property `ropt-report validate` checks.
 ///
-/// Everything the report layer reads or writes (`Provenance`,
-/// `TelemetrySketch`, `ProvenanceChain`, `FleetTelemetry`) is defined
+/// Everything the report layer reads or writes (`Provenance`, the sketch
+/// bounds, writer and reader, `ProvenanceChain`, `FleetTelemetry`) is defined
 /// inline, following the `TransportStats` precedent, so `ropt_report`
 /// can persist and parse telemetry without linking `ropt_fleet`. Only
 /// `TelemetryHub` — the coordinator-side accumulator — lives in
@@ -40,8 +40,6 @@
 #include "support/Json.h"
 #include "support/Metrics.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -54,8 +52,8 @@ namespace fleet {
 
 /// Where a genome came from: minted once at the discovering device's
 /// evaluation and carried verbatim through server merge, hint delivery,
-/// re-verification and GA seeding. Id 0 means "no provenance" (pre-fleet
-/// code paths); Device -1 marks server-injected genomes (warm starts,
+/// re-verification and GA seeding. Id 0 means "no provenance" (code paths
+/// outside the fleet); Device -1 marks server-injected genomes (warm starts,
 /// safety tests) whose discovery time is unknown.
 struct Provenance {
   uint64_t Id = 0;
@@ -89,118 +87,69 @@ inline std::string provenanceHex(uint64_t Id) {
   return Buf;
 }
 
-/// A fixed-bucket mergeable histogram. The bucket bounds are a pure
-/// function of the Kind, so any two sketches of the same kind merge by
-/// bucket-wise addition — associative and commutative on the counts,
-/// which is what lets per-device sketches roll up to class, cell and
-/// fleet totals in any grouping.
-class TelemetrySketch {
-public:
-  enum class Kind {
-    Speedup,     ///< Per-step best speedup (x over Android baseline).
-    StepTicks,   ///< Virtual step duration in ticks.
-    HintLatency, ///< Discovery -> hint-arrival latency in ticks.
-  };
-
-  static std::vector<double> boundsFor(Kind K) {
-    switch (K) {
-    case Kind::Speedup:
-      return {0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0};
-    case Kind::StepTicks:
-      return {8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096};
-    case Kind::HintLatency:
-      return {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
-    }
-    return {};
-  }
-
-  explicit TelemetrySketch(Kind K)
-      : Bounds(boundsFor(K)), Counts(Bounds.size() + 1, 0) {}
-
-  void observe(double V) {
-    size_t I = 0;
-    while (I < Bounds.size() && V > Bounds[I])
-      ++I;
-    ++Counts[I];
-    Min = Count == 0 ? V : std::min(Min, V);
-    Max = Count == 0 ? V : std::max(Max, V);
-    ++Count;
-    Sum += V;
-  }
-
-  TelemetrySketch &operator+=(const TelemetrySketch &O) {
-    assert(Bounds == O.Bounds && "merging sketches of different kinds");
-    for (size_t I = 0; I < Counts.size(); ++I)
-      Counts[I] += O.Counts[I];
-    if (O.Count) {
-      Min = Count ? std::min(Min, O.Min) : O.Min;
-      Max = Count ? std::max(Max, O.Max) : O.Max;
-      Count += O.Count;
-      Sum += O.Sum;
-    }
-    return *this;
-  }
-
-  uint64_t count() const { return Count; }
-  double sum() const { return Sum; }
-  double min() const { return Min; }
-  double max() const { return Max; }
-  const std::vector<uint64_t> &counts() const { return Counts; }
-
-  /// View as a support::Histogram snapshot (for quantile()).
-  Histogram::Snapshot snapshot() const {
-    Histogram::Snapshot S;
-    S.Bounds = Bounds;
-    S.Counts = Counts;
-    S.Count = Count;
-    S.Sum = Sum;
-    S.Min = Min;
-    S.Max = Max;
-    return S;
-  }
-
-  /// `{"bounds":[...],"counts":[...],"count":N,"sum":S,"min":m,"max":M}`.
-  std::string json() const {
-    json::Builder B;
-    json::Builder Bo(/*Array=*/true);
-    for (double Bd : Bounds)
-      Bo.element(Bd);
-    B.fieldRaw("bounds", std::move(Bo).str());
-    json::Builder Co(/*Array=*/true);
-    for (uint64_t C : Counts)
-      Co.element(C);
-    B.fieldRaw("counts", std::move(Co).str());
-    B.field("count", Count)
-        .field("sum", Sum)
-        .field("min", Min)
-        .field("max", Max);
-    return std::move(B).str();
-  }
-
-private:
-  std::vector<double> Bounds;
-  std::vector<uint64_t> Counts;
-  uint64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
+/// The three canonical telemetry sketches. A sketch is a
+/// support::Histogram::Snapshot whose bucket bounds are a pure function
+/// of its kind, so any two sketches of the same kind merge by bucket-wise
+/// addition — which is what lets per-device sketches roll up to class,
+/// cell and fleet totals in any grouping.
+enum class SketchKind {
+  Speedup,     ///< Per-step best speedup (x over Android baseline).
+  StepTicks,   ///< Virtual step duration in ticks.
+  HintLatency, ///< Discovery -> hint-arrival latency in ticks.
 };
 
-/// Rebuilds a histogram snapshot from a sketch's JSON rendering (the
-/// report-reader half of TelemetrySketch::json()).
-inline Histogram::Snapshot
-sketchSnapshot(const json::Value &V) {
-  Histogram::Snapshot S;
+inline std::vector<double> sketchBounds(SketchKind K) {
+  switch (K) {
+  case SketchKind::Speedup:
+    return {0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0};
+  case SketchKind::StepTicks:
+    return {8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096};
+  case SketchKind::HintLatency:
+    return {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
+  }
+  return {};
+}
+
+/// A sketch as telemetry.json spells it:
+/// `{"bounds":[...],"counts":[...],"count":N,"sum":S,"min":m,"max":M}`.
+inline std::string sketchJson(const Histogram::Snapshot &S) {
+  json::Builder B;
+  json::Builder Bo(/*Array=*/true);
+  for (double Bd : S.Bounds)
+    Bo.element(Bd);
+  B.fieldRaw("bounds", std::move(Bo).str());
+  json::Builder Co(/*Array=*/true);
+  for (uint64_t C : S.Counts)
+    Co.element(C);
+  B.fieldRaw("counts", std::move(Co).str());
+  B.field("count", S.Count)
+      .field("sum", S.Sum)
+      .field("min", S.Min)
+      .field("max", S.Max);
+  return std::move(B).str();
+}
+
+/// The reader half of sketchJson(). A damaged sketch — counts that do not
+/// fit the bounds, or a minimum above the maximum — reads as an empty
+/// sketch over its bounds.
+inline Histogram::Snapshot sketchSnapshot(const json::Value &V) {
+  std::vector<double> Bounds;
   if (const json::Value *Bo = V.find("bounds"))
     for (const json::Value &E : Bo->elements())
-      S.Bounds.push_back(E.asNumber());
+      Bounds.push_back(E.asNumber());
+  Histogram::Snapshot S(std::move(Bounds));
+  std::vector<uint64_t> Counts;
   if (const json::Value *Co = V.find("counts"))
     for (const json::Value &E : Co->elements())
-      S.Counts.push_back(static_cast<uint64_t>(E.asNumber()));
-  S.Count = static_cast<uint64_t>(V.number("count"));
+      Counts.push_back(json::toInteger<uint64_t>(E.asNumber()));
+  double Min = V.number("min"), Max = V.number("max");
+  if (Counts.size() != S.Counts.size() || Min > Max)
+    return S;
+  S.Counts = std::move(Counts);
+  S.Count = V.integer<uint64_t>("count");
   S.Sum = V.number("sum");
-  S.Min = V.number("min");
-  S.Max = V.number("max");
+  S.Min = Min;
+  S.Max = Max;
   return S;
 }
 
@@ -247,9 +196,9 @@ struct ProvenanceChain {
 
 /// The three canonical sketches, bundled for each aggregation level.
 struct SketchSet {
-  TelemetrySketch Speedup{TelemetrySketch::Kind::Speedup};
-  TelemetrySketch StepTicks{TelemetrySketch::Kind::StepTicks};
-  TelemetrySketch HintLatency{TelemetrySketch::Kind::HintLatency};
+  Histogram::Snapshot Speedup{sketchBounds(SketchKind::Speedup)};
+  Histogram::Snapshot StepTicks{sketchBounds(SketchKind::StepTicks)};
+  Histogram::Snapshot HintLatency{sketchBounds(SketchKind::HintLatency)};
 
   SketchSet &operator+=(const SketchSet &O) {
     Speedup += O.Speedup;
@@ -258,11 +207,16 @@ struct SketchSet {
     return *this;
   }
 
+  /// Appends the three sketches to \p B as fields.
+  void emitJson(json::Builder &B) const {
+    B.fieldRaw("speedup", sketchJson(Speedup))
+        .fieldRaw("step_ticks", sketchJson(StepTicks))
+        .fieldRaw("hint_latency", sketchJson(HintLatency));
+  }
+
   std::string json() const {
     json::Builder B;
-    B.fieldRaw("speedup", Speedup.json())
-        .fieldRaw("step_ticks", StepTicks.json())
-        .fieldRaw("hint_latency", HintLatency.json());
+    emitJson(B);
     return std::move(B).str();
   }
 };
@@ -278,10 +232,8 @@ struct ClassTelemetry {
     json::Builder B;
     B.field("class", ClassId)
         .field("devices", Devices)
-        .field("quarantines", Quarantines)
-        .fieldRaw("speedup", Sketches.Speedup.json())
-        .fieldRaw("step_ticks", Sketches.StepTicks.json())
-        .fieldRaw("hint_latency", Sketches.HintLatency.json());
+        .field("quarantines", Quarantines);
+    Sketches.emitJson(B);
     return std::move(B).str();
   }
 };
@@ -332,11 +284,11 @@ public:
   void onJoin(int Device, VirtualTime At);
   /// A device died at \p At (its in-flight step was discarded).
   void onLeave(int Device, VirtualTime At);
-  /// A message (round report or hint set) left \p Device at \p Send and
+  /// A message (step report or hint set) left \p Device at \p Send and
   /// arrives at \p Arrive.
   void onDelivery(bool HintChannel, int Device, VirtualTime Send,
                   VirtualTime Arrive);
-  /// The server merged \p Device's round report at \p At: chains named in
+  /// The server merged \p Device's step report at \p At: chains named in
   /// it record their first merge time.
   void onMerge(int Device, VirtualTime At);
   /// A report entry with provenance \p P (genome \p Key) reached the

@@ -9,16 +9,6 @@
 using namespace ropt;
 using namespace ropt::lir;
 
-const char *lir::compileStatusName(CompileStatus Status) {
-  switch (Status) {
-  case CompileStatus::Ok: return "ok";
-  case CompileStatus::VerifierError: return "verifier-error";
-  case CompileStatus::SizeBudget: return "size-budget";
-  case CompileStatus::Unsupported: return "unsupported";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// compileMethodLlvm with the pass context given; \p Ctx.Callees is set.

@@ -33,8 +33,6 @@ enum class CompileStatus {
   Unsupported,   ///< Native or Android-uncompilable method.
 };
 
-const char *compileStatusName(CompileStatus Status);
-
 /// Everything that configures one compilation.
 struct CompileOptions {
   std::vector<PassInstance> Pipeline;

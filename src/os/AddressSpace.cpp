@@ -8,26 +8,6 @@
 using namespace ropt;
 using namespace ropt::os;
 
-const char *os::mappingKindName(MappingKind Kind) {
-  switch (Kind) {
-  case MappingKind::Code:
-    return "code";
-  case MappingKind::Data:
-    return "data";
-  case MappingKind::Heap:
-    return "heap";
-  case MappingKind::Stack:
-    return "stack";
-  case MappingKind::RuntimeImage:
-    return "runtime-image";
-  case MappingKind::FileMapped:
-    return "file";
-  case MappingKind::Anonymous:
-    return "anon";
-  }
-  return "unknown";
-}
-
 void AddressSpace::mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
                              MappingKind Kind, const std::string &Name) {
   assert(Size > 0 && "empty mapping");

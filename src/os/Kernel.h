@@ -102,7 +102,6 @@ public:
   void reap(Pid Id);
 
   Process *find(Pid Id);
-  size_t processCount() const { return Table.size(); }
 
   StorageDevice &storage() { return Disk; }
   const StorageDevice &storage() const { return Disk; }

@@ -60,9 +60,6 @@ enum class MappingKind {
   Anonymous,    ///< Other anonymous memory (loader scratch, buffers).
 };
 
-/// Returns a short human-readable name for \p Kind.
-const char *mappingKindName(MappingKind Kind);
-
 /// One /proc/self/maps-style entry.
 struct Mapping {
   uint64_t Start = 0; ///< Inclusive, page aligned.

@@ -8,17 +8,6 @@ using namespace ropt;
 using namespace ropt::dex;
 using namespace ropt::profiler;
 
-const char *profiler::methodCategoryName(MethodCategory C) {
-  switch (C) {
-  case MethodCategory::Compiled: return "Compiled";
-  case MethodCategory::Cold: return "Cold";
-  case MethodCategory::Jni: return "JNI";
-  case MethodCategory::Unreplayable: return "Unreplayable";
-  case MethodCategory::Uncompilable: return "Uncompilable";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Every implementation an invoke-virtual on \p Declared may dispatch to:
@@ -51,7 +40,6 @@ ReplayabilityAnalysis::analyze(const DexFile &File) {
   size_t N = File.methods().size();
   R.Replayable.assign(N, true);
   R.Compilable.assign(N, true);
-  R.Direct.assign(N, false);
 
   // Direct facts.
   for (const Method &M : File.methods()) {
@@ -73,10 +61,8 @@ ReplayabilityAnalysis::analyze(const DexFile &File) {
           Decl.IntrinsicKind.empty())
         Blocked = true;
     }
-    if (Blocked) {
-      R.Direct[M.Id] = true;
+    if (Blocked)
       R.Replayable[M.Id] = false;
-    }
   }
 
   // Propagate over the call graph to a fixpoint.

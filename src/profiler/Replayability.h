@@ -36,8 +36,6 @@ enum class MethodCategory {
   Uncompilable, ///< The Android backend cannot process it.
 };
 
-const char *methodCategoryName(MethodCategory C);
-
 /// Per-method replayability facts.
 class ReplayabilityAnalysis {
 public:
@@ -51,13 +49,9 @@ public:
   /// True when the stock compiler backend can process the method.
   bool isCompilable(dex::MethodId Id) const { return Compilable[Id]; }
 
-  /// Direct reason flags (non-transitive), for diagnostics.
-  bool directlyBlocked(dex::MethodId Id) const { return Direct[Id]; }
-
 private:
   std::vector<bool> Replayable;
   std::vector<bool> Compilable;
-  std::vector<bool> Direct;
 };
 
 } // namespace profiler

@@ -176,7 +176,6 @@ public:
   /// backends turn it on via SearchOptions::SessionBackends. Turning it
   /// off drops every live session.
   void setSessionMode(bool On);
-  bool sessionMode() const { return SessionMode; }
 
   /// Cross-replay session accounting (see LoaderStats for the
   /// per-replay/per-session split).
@@ -185,9 +184,6 @@ public:
   /// What every replay runs (a VerdictMemo checks its binding on these).
   const dex::DexFile &file() const { return File; }
   const vm::RuntimeConfig &config() const { return Config; }
-
-  /// Live sessions currently held (tests/benches).
-  size_t liveSessions() const { return Sessions.size(); }
 
   /// The pristine restored space of \p Cap's live session, or nullptr
   /// (tests).

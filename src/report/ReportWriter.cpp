@@ -55,7 +55,7 @@ void ReportWriter::appendGeneration(const std::string &Json) {
   appendLine(Gens, Json);
 }
 
-void ReportWriter::appendFleetRound(const std::string &Json) {
+void ReportWriter::appendFleetStep(const std::string &Json) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     if (!Fleet) {

@@ -4,7 +4,6 @@
 
 #include "analysis/SpanDag.h"
 #include "fleet/Telemetry.h"
-#include "report/ReportWriter.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -33,6 +32,16 @@ support::Result<std::string> slurp(const std::string &Path) {
   return Out.str();
 }
 
+/// Parses a whole-file JSON artifact; the error names the file.
+support::Result<json::Value> parseFile(const std::string &Path,
+                                       const std::string &Text) {
+  support::Result<json::Value> V = json::parse(Text);
+  if (!V)
+    return support::Error(support::ErrorCode::Unknown,
+                          Path + ": " + V.error().Message);
+  return V;
+}
+
 /// Applies \p Fn to each non-empty line of \p Path as parsed JSON.
 /// Returns an error naming the first bad line.
 template <typename Fn>
@@ -57,46 +66,69 @@ support::Result<bool> forEachJsonl(const std::string &Path, Fn &&F) {
   return true;
 }
 
+/// Reads an optional whole-file artifact: absence leaves \p Has false,
+/// an unparseable file is an error.
+support::Result<bool> loadOptional(const std::string &Path, json::Value &Into,
+                                   bool &Has) {
+  support::Result<std::string> Text = slurp(Path);
+  if (!Text)
+    return false;
+  support::Result<json::Value> V = parseFile(Path, Text.value());
+  if (!V)
+    return V.error();
+  Into = std::move(V).value();
+  Has = true;
+  return true;
+}
+
+uint64_t hexId(const std::string &Hex) {
+  return Hex.rfind("0x", 0) == 0 ? std::strtoull(Hex.c_str() + 2, nullptr, 16)
+                                 : 0;
+}
+
 } // namespace
 
 support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
   LoadedRun Run;
   Run.Dir = Dir;
 
-  support::Result<std::string> ManifestText =
-      slurp(Dir + "/" + ManifestFile);
+  std::string ManifestPath = Dir + "/" + ManifestFile;
+  support::Result<std::string> ManifestText = slurp(ManifestPath);
   if (!ManifestText)
     return ManifestText.error();
-  support::Result<json::Value> Manifest = json::parse(ManifestText.value());
+  support::Result<json::Value> Manifest =
+      parseFile(ManifestPath, ManifestText.value());
   if (!Manifest)
-    return support::Error(support::ErrorCode::Unknown,
-                          Dir + "/" + ManifestFile + ": " +
-                              Manifest.error().Message);
+    return Manifest.error();
   Run.Manifest = std::move(Manifest).value();
+  double Schema = Run.Manifest.number("schema");
+  if (Schema != CurrentSchema)
+    return support::Error(
+        support::ErrorCode::Unknown,
+        ManifestPath + format(": unsupported schema %g (this build reads %d)",
+                              Schema, CurrentSchema));
 
   support::Result<bool> Evals = forEachJsonl(
       Dir + "/" + EvaluationsFile, [&Run](const json::Value &V) {
         EvalRecord R;
-        R.Id = static_cast<uint64_t>(V.number("id"));
+        R.Id = V.integer<uint64_t>("id");
         R.App = V.string("app");
-        R.Generation = static_cast<int>(V.number("gen"));
+        R.Generation = V.integer<int>("gen");
         R.Genome = V.string("genome");
         if (const json::Value *P = V.find("parents"))
           for (const json::Value &E : P->elements())
-            R.Parents.push_back(static_cast<uint64_t>(E.asNumber()));
+            R.Parents.push_back(json::toInteger<uint64_t>(E.asNumber()));
         R.Verdict = V.string("verdict");
         R.Error = V.string("error");
         R.Cache = V.string("cache");
         R.MedianCycles = V.number("median_cycles");
         R.CiLow = V.number("ci_low");
         R.CiHigh = V.number("ci_high");
-        R.CodeSize = static_cast<uint64_t>(V.number("code_size"));
+        R.CodeSize = V.integer<uint64_t>("code_size");
         R.BinaryHash = V.string("binary_hash");
-        R.SamplesSpent = static_cast<int>(V.number("samples_spent"));
-        R.EscalationRounds =
-            static_cast<int>(V.number("escalation_rounds"));
-        if (const json::Value *ES = V.find("early_stop"))
-          R.EarlyStop = ES->asBool();
+        R.SamplesSpent = V.integer<int>("samples_spent");
+        R.EscalationRounds = V.integer<int>("escalation_rounds");
+        R.EarlyStop = V.flag("early_stop");
         Run.Evaluations.push_back(std::move(R));
       });
   if (!Evals)
@@ -106,9 +138,9 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
       Dir + "/" + GenerationsFile, [&Run](const json::Value &V) {
         GenRecord R;
         R.App = V.string("app");
-        R.Generation = static_cast<int>(V.number("gen"));
-        R.Evaluations = static_cast<int>(V.number("evaluations"));
-        R.Invalid = static_cast<int>(V.number("invalid"));
+        R.Generation = V.integer<int>("gen");
+        R.Evaluations = V.integer<int>("evaluations");
+        R.Invalid = V.integer<int>("invalid");
         R.BestCycles = V.number("best_cycles");
         R.WorstCycles = V.number("worst_cycles");
         R.MeanCycles = V.number("mean_cycles");
@@ -117,54 +149,43 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
   if (!Gens)
     return Gens.error();
 
-  // fleet.jsonl only exists for fleet runs (and only since schema 2);
-  // a missing stream is normal, a present-but-unparseable one is not.
+  // fleet.jsonl and analysis.jsonl exist only for the runs that produce
+  // them; a missing stream is normal, a present-but-unparseable one is
+  // not.
   std::string FleetPath = Dir + "/" + FleetFile;
   if (std::ifstream(FleetPath).good()) {
     Run.HasFleetLog = true;
     support::Result<bool> Fleet =
         forEachJsonl(FleetPath, [&Run](const json::Value &V) {
-          FleetRecord R;
+          FleetStepRecord R;
           R.App = V.string("app");
-          R.FleetDevices = static_cast<int>(V.number("devices"));
-          R.Round = static_cast<int>(V.number("round"));
-          R.Device = static_cast<int>(V.number("device"));
-          // Schema 4; absent (0) on older streams.
-          R.VirtualTime = static_cast<uint64_t>(V.number("virtual_time"));
+          R.FleetDevices = V.integer<int>("devices");
+          R.Step = V.integer<int>("round"); // Pinned pre-rename key.
+          R.Device = V.integer<int>("device");
+          R.VirtualTime = V.integer<uint64_t>("virtual_time");
           R.BestSpeedup = V.number("best_speedup");
           R.BestGenome = V.string("best_genome");
           R.BestSource = V.string("best_source");
-          if (const json::Value *F = V.find("best_from_hint"))
-            R.BestFromHint = F->asBool();
-          R.HintsReceived = static_cast<int>(V.number("hints_received"));
-          R.HintsAdopted = static_cast<int>(V.number("hints_adopted"));
-          R.HintsRejected = static_cast<int>(V.number("hints_rejected"));
-          R.Evaluations = static_cast<int>(V.number("evaluations"));
-          // Schema 5 provenance fields; defaults on older streams.
-          R.DeviceClass = static_cast<int>(V.number("device_class"));
-          std::string Prov = V.string("best_provenance");
-          if (Prov.rfind("0x", 0) == 0)
-            R.BestProvenance =
-                std::strtoull(Prov.c_str() + 2, nullptr, 16);
-          if (V.find("best_discovery_device"))
-            R.BestDiscoveryDevice =
-                static_cast<int>(V.number("best_discovery_device"));
-          R.BestDiscoveryTime =
-              static_cast<uint64_t>(V.number("best_discovery_time"));
-          R.TransportAttempts =
-              static_cast<int>(V.number("transport_attempts"));
-          R.TransportDrops = V.number("transport_drops");
-          R.TransportTicks = V.number("transport_ticks");
-          if (const json::Value *D = V.find("delivered"))
-            R.Delivered = D->asBool();
+          R.BestFromHint = V.flag("best_from_hint");
+          R.HintsReceived = V.integer<int>("hints_received");
+          R.HintsAdopted = V.integer<int>("hints_adopted");
+          R.HintsRejected = V.integer<int>("hints_rejected");
+          R.Evaluations = V.integer<int>("evaluations");
+          R.DeviceClass = V.integer<int>("device_class");
+          R.BestProvenance = hexId(V.string("best_provenance"));
+          R.BestDiscoveryDevice =
+              json::toInteger<int>(V.number("best_discovery_device", -1));
+          R.BestDiscoveryTime = V.integer<uint64_t>("best_discovery_time");
+          R.TransportAttempts = V.integer<int>("transport_attempts");
+          R.TransportDrops = V.integer<uint64_t>("transport_drops");
+          R.TransportTicks = V.integer<uint64_t>("transport_ticks");
+          R.Delivered = V.flag("delivered", true);
           Run.Fleet.push_back(std::move(R));
         });
     if (!Fleet)
       return Fleet.error();
   }
 
-  // analysis.jsonl only exists since schema 3 and only for runs whose
-  // pipeline produced a region analysis; absence is normal.
   std::string AnalysisPath = Dir + "/" + AnalysisFile;
   if (std::ifstream(AnalysisPath).good()) {
     Run.HasAnalysisLog = true;
@@ -172,7 +193,7 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
         forEachJsonl(AnalysisPath, [&Run](const json::Value &V) {
           AnalysisRecord R;
           R.App = V.string("app");
-          R.Root = static_cast<uint64_t>(V.number("root"));
+          R.Root = V.integer<uint64_t>("root");
           R.RootName = V.string("root_name");
           R.Label = V.string("label");
           if (const json::Value *F = V.find("features")) {
@@ -195,44 +216,27 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
           if (const json::Value *C = V.find("critical_chain"))
             for (const json::Value &E : C->elements())
               R.CriticalChain.push_back(
-                  static_cast<uint64_t>(E.asNumber()));
+                  json::toInteger<uint64_t>(E.asNumber()));
           R.Slack = V.number("slack");
           R.BudgetWeight = V.number("budget_weight");
           R.BudgetScale = V.number("budget_scale");
-          R.Methods = static_cast<int>(V.number("methods"));
+          R.Methods = V.integer<int>("methods");
           Run.Analysis.push_back(std::move(R));
         });
     if (!Analysis)
       return Analysis.error();
   }
 
-  // telemetry.json only exists since schema 5 and only for fleet runs;
-  // absence is normal, an unparseable one is not.
-  if (support::Result<std::string> TelemetryText =
-          slurp(Dir + "/" + TelemetryFile)) {
-    support::Result<json::Value> Telemetry =
-        json::parse(TelemetryText.value());
-    if (!Telemetry)
-      return support::Error(support::ErrorCode::Unknown,
-                            Dir + "/" + TelemetryFile + ": " +
-                                Telemetry.error().Message);
-    Run.Telemetry = std::move(Telemetry).value();
-    Run.HasTelemetry = true;
-  }
-
-  // metrics.json only exists for observability builds; absence is normal,
-  // an unparseable one is not.
-  if (support::Result<std::string> MetricsText =
-          slurp(Dir + "/" + MetricsFile)) {
-    support::Result<json::Value> Metrics = json::parse(MetricsText.value());
-    if (!Metrics)
-      return support::Error(support::ErrorCode::Unknown,
-                            Dir + "/" + MetricsFile + ": " +
-                                Metrics.error().Message);
-    Run.Metrics = std::move(Metrics).value();
-    Run.HasMetrics = true;
-  }
-
+  // telemetry.json exists only for fleet runs and metrics.json only for
+  // observability builds.
+  support::Result<bool> Telemetry = loadOptional(
+      Dir + "/" + TelemetryFile, Run.Telemetry, Run.HasTelemetry);
+  if (!Telemetry)
+    return Telemetry.error();
+  support::Result<bool> Metrics =
+      loadOptional(Dir + "/" + MetricsFile, Run.Metrics, Run.HasMetrics);
+  if (!Metrics)
+    return Metrics.error();
   return Run;
 }
 
@@ -251,61 +255,40 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
                           "config", "apps", "totals"})
     if (!Run.Manifest.find(Key))
       Problem(std::string("manifest.json: missing field \"") + Key + "\"");
-  // Schema 1 = pre-fleet runs, schema 2 added the optional fleet
-  // section, schema 3 the observability flag and region analysis,
-  // schema 4 virtual_time on fleet records, schema 5 per-record
-  // provenance plus telemetry.json, schema 6 session_backends and the
-  // replay_backend sections, schema 7 the persistent store (config.store,
-  // warm_start section, fleet class_leaderboards); all stay loadable so
-  // old baselines keep diffing against new runs.
-  double Schema = Run.Manifest.number("schema");
-  if (Run.Manifest.find("schema") && Schema != 1 && Schema != 2 &&
-      Schema != 3 && Schema != 4 && Schema != 5 && Schema != 6 &&
-      Schema != 7)
-    Problem("manifest.json: unknown schema version");
 
-  // Schema 7: a warm_start section only makes sense for a run that was
-  // pointed at a store directory.
+  // A warm_start section only makes sense for a run that was pointed at a
+  // store directory.
+  const json::Value *Config = Run.Manifest.find("config");
   if (const json::Value *W = Run.Manifest.find("warm_start")) {
-    const json::Value *Config = Run.Manifest.find("config");
-    std::string StoreDir = Config ? Config->string("store") : "";
-    if (StoreDir.empty())
+    if (!Config || Config->string("store").empty())
       Warning("manifest.json: warm_start section present but config.store "
               "is empty");
     if (W->number("entries_loaded") > 0 && !W->find("used"))
       Problem("manifest.json: warm_start section is missing \"used\"");
   }
 
-  // Schema 6 session accounting: a run that *claims* fresh (non-session)
+  // Session accounting: a run that *claims* fresh (non-session)
   // evaluation backends pays the loader on every replay, so a metrics
   // snapshot with replays but zero replay.pages_restored contradicts the
   // claim — loader stats were dropped somewhere (the exact bug session
   // mode's LoaderStats semantics were designed to avoid). Session runs
   // legitimately restore pages only once per session, so the check only
   // applies when session_backends is explicitly false.
-  if (Schema >= 6 && Run.HasMetrics) {
-    const json::Value *Config = Run.Manifest.find("config");
-    const json::Value *SessionB =
-        Config ? Config->find("session_backends") : nullptr;
-    if (SessionB && !SessionB->asBool()) {
-      if (const json::Value *Counters = Run.Metrics.find("counters")) {
-        double Replays = Counters->number("replay.replays");
-        double Restored = Counters->number("replay.pages_restored");
-        if (Replays > 0.0 && Restored == 0.0)
-          Warning("metrics.json: replay.pages_restored is zero in a "
-                  "schema-6 run claiming fresh (session_backends=false) "
-                  "backends — loader stats were lost");
-      }
-    }
-  }
+  const json::Value *Counters =
+      Run.HasMetrics ? Run.Metrics.find("counters") : nullptr;
+  if (Config && !Config->flag("session_backends", true) && Counters &&
+      Counters->number("replay.replays") > 0.0 &&
+      Counters->number("replay.pages_restored") == 0.0)
+    Warning("metrics.json: replay.pages_restored is zero in a run claiming "
+            "fresh (session_backends=false) backends — loader stats were "
+            "lost");
 
   // A run built without the tracing/metrics layer records
   // observability:false and legitimately has no trace.json/metrics.json;
   // that is worth a heads-up, never a gate failure.
-  if (const json::Value *Obs = Run.Manifest.find("observability"))
-    if (!Obs->asBool())
-      Warning("manifest.json: run built with ROPT_OBSERVABILITY=0 — "
-              "trace.json/metrics.json are intentionally absent");
+  if (!Run.Manifest.flag("observability", true))
+    Warning("manifest.json: run built with ROPT_OBSERVABILITY=0 — "
+            "trace.json/metrics.json are intentionally absent");
 
   static const std::set<std::string> Verdicts = {
       "ok", "compile-error", "runtime-crash", "runtime-timeout",
@@ -353,25 +336,23 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
     }
   }
 
-  // --- Fleet artifacts. Their absence is normal for pre-fleet and
-  // non-fleet runs, so presence mismatches are warnings; internally
-  // inconsistent records are problems.
+  // --- Fleet artifacts. Presence mismatches with the manifest are
+  // warnings; internally inconsistent records are problems.
   const json::Value *FleetM = Run.Manifest.find("fleet");
   if (FleetM && !Run.HasFleetLog)
     Warning("manifest.json has a fleet section but fleet.jsonl is "
             "missing (truncated run directory?)");
   if (!FleetM && Run.HasFleetLog)
-    Warning("fleet.jsonl present but manifest.json has no fleet section "
-            "(pre-fleet tool wrote the manifest?)");
+    Warning("fleet.jsonl present but manifest.json has no fleet section");
 
   static const std::set<std::string> Sources = {"random", "seeded", "bred",
                                                 "hill-climb"};
   uint64_t Adopted = 0, Rejected = 0;
-  // Schema 4 streams are written in event-commit order, so virtual times
-  // must be non-decreasing within one (app, device-count) run.
+  // The stream is written in event-commit order, so virtual times must be
+  // non-decreasing within one (app, device-count) run.
   std::map<std::pair<std::string, int>, uint64_t> LastVirtual;
   for (size_t I = 0; I < Run.Fleet.size(); ++I) {
-    const FleetRecord &R = Run.Fleet[I];
+    const FleetStepRecord &R = Run.Fleet[I];
     std::string Where = "fleet.jsonl line " + std::to_string(I + 1);
     if (!R.BestGenome.empty() && !Sources.count(R.BestSource))
       Problem(Where + ": unknown best_source \"" + R.BestSource + "\"");
@@ -391,23 +372,22 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
     Rejected += static_cast<uint64_t>(R.HintsRejected);
   }
   if (FleetM && Run.HasFleetLog) {
-    if (static_cast<uint64_t>(FleetM->number("hints_adopted")) != Adopted)
+    if (FleetM->integer<uint64_t>("hints_adopted") != Adopted)
       Problem("manifest.json fleet.hints_adopted disagrees with the "
-              "fleet.jsonl round log");
-    if (static_cast<uint64_t>(FleetM->number("hints_rejected")) != Rejected)
+              "fleet.jsonl step log");
+    if (FleetM->integer<uint64_t>("hints_rejected") != Rejected)
       Problem("manifest.json fleet.hints_rejected disagrees with the "
-              "fleet.jsonl round log");
+              "fleet.jsonl step log");
   }
 
-  // --- Fleet telemetry (schema 5). The sketch-merge law is checkable
+  // --- Fleet telemetry. The sketch-merge law is checkable
   // from the artifact alone: fixed bounds make the merge a bucket-wise
   // sum, so class sketches must sum exactly to their cell total and cell
   // totals to the fleet total. Chains must be causally ordered (nothing
   // merges or gets adopted before it was discovered), and every
   // fleet.jsonl best_provenance must resolve to a chain of its cell.
-  if (Schema >= 5 && Run.HasFleetLog && !Run.HasTelemetry)
-    Warning("schema-5 fleet run without telemetry.json (truncated run "
-            "directory?)");
+  if (Run.HasFleetLog && !Run.HasTelemetry)
+    Warning("fleet run without telemetry.json (truncated run directory?)");
   // Chain ids and (discovery time, restored flag) per (app, devices)
   // cell, for the record cross-check below.
   std::map<std::pair<std::string, int>,
@@ -420,7 +400,7 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
       if (S)
         if (const json::Value *Co = S->find("counts"))
           for (const json::Value &E : Co->elements())
-            C.push_back(static_cast<uint64_t>(E.asNumber()));
+            C.push_back(json::toInteger<uint64_t>(E.asNumber()));
       return C;
     };
     auto AddInto = [](std::vector<uint64_t> &Acc,
@@ -440,7 +420,7 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
         std::string Where =
             "telemetry.json cell " + std::to_string(CellNo);
         std::string App = Cell.string("app");
-        int Devices = static_cast<int>(Cell.number("devices"));
+        int Devices = Cell.integer<int>("devices");
         const json::Value *Total = Cell.find("total");
         for (const char *Key : SketchKeys) {
           std::vector<uint64_t> ClassSum;
@@ -458,21 +438,14 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
         if (const json::Value *Chains = Cell.find("chains"))
           for (const json::Value &Ch : Chains->elements()) {
             std::string Hex = Ch.string("id");
-            uint64_t Id = Hex.rfind("0x", 0) == 0
-                              ? std::strtoull(Hex.c_str() + 2, nullptr, 16)
-                              : 0;
-            uint64_t Disc =
-                static_cast<uint64_t>(Ch.number("discovery_time"));
-            uint64_t Merge =
-                static_cast<uint64_t>(Ch.number("first_merge_time"));
-            uint64_t Adopt =
-                static_cast<uint64_t>(Ch.number("first_adopt_time"));
-            // Schema 7: a chain restored from a persistent store was
-            // discovered on a prior run's virtual clock, so same-clock
-            // causality checks do not apply to its discovery time.
-            bool Restored = false;
-            if (const json::Value *R = Ch.find("restored"))
-              Restored = R->asBool();
+            uint64_t Id = hexId(Hex);
+            uint64_t Disc = Ch.integer<uint64_t>("discovery_time");
+            uint64_t Merge = Ch.integer<uint64_t>("first_merge_time");
+            uint64_t Adopt = Ch.integer<uint64_t>("first_adopt_time");
+            // A chain restored from a persistent store was discovered on
+            // a prior run's virtual clock, so same-clock causality checks
+            // do not apply to its discovery time.
+            bool Restored = Ch.flag("restored");
             std::string ChWhere = Where + " chain " + Hex;
             if (Id == 0)
               Problem(ChWhere + ": unparseable chain id");
@@ -496,7 +469,7 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
                 "(merge law violated)");
     }
     for (size_t I = 0; I < Run.Fleet.size(); ++I) {
-      const FleetRecord &R = Run.Fleet[I];
+      const FleetStepRecord &R = Run.Fleet[I];
       // Undelivered reports never reach the server, so their genomes'
       // chains legitimately may not exist — only delivered records must
       // resolve.
@@ -526,9 +499,9 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
     }
   }
 
-  // --- Region analysis (schema 3). Absence is normal (pre-analysis runs
-  // and harnesses whose pipeline never produced one); present records
-  // must satisfy the allocator's invariants.
+  // --- Region analysis. Absence is normal (harnesses whose pipeline
+  // never produced one); present records must satisfy the allocator's
+  // invariants.
   static const std::set<std::string> Labels = {
       "native_heavy", "memory_bound", "branchy", "compute", "balanced"};
   std::map<std::string, double> WeightSum;
@@ -576,8 +549,7 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
             "analysis.jsonl is missing (truncated run directory?)");
   if (!ManifestHasAnalysis && Run.HasAnalysisLog)
     Warning("analysis.jsonl present but manifest.json has no "
-            "region_analysis section (pre-analysis tool wrote the "
-            "manifest?)");
+            "region_analysis section");
   return Result;
 }
 
@@ -636,8 +608,8 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
   Out << H << "run " << Run.Dir << HEnd << "\n";
   Out << "tool: " << M.string("tool", "?") << "   git: "
       << M.string("git", "?") << "\n";
-  Out << "seed: " << static_cast<uint64_t>(M.number("seed")) << "   jobs: "
-      << static_cast<int>(M.number("jobs"))
+  Out << "seed: " << M.integer<uint64_t>("seed") << "   jobs: "
+      << M.integer<int>("jobs")
       << "   evaluations: " << Run.Evaluations.size() << "\n";
   // Compile-memo reuse (DESIGN.md §18). With --jobs > 1 the counts depend
   // on which worker computes a state first, so they exist only in
@@ -680,51 +652,41 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
         << format("%.1f", CacheTotal ? 100.0 * A.CacheHits / CacheTotal : 0.0)
         << "%)\n";
 
+    const json::Value *AppM = nullptr;
+    if (const json::Value *AppsV = M.find("apps"))
+      for (const json::Value &AppV : AppsV->elements())
+        if (!AppM && AppV.string("name") == Name)
+          AppM = &AppV;
+
     // Replay-budget accounting (manifest "racing" per app), present in
     // both modes: spent vs the fixed-budget equivalent of the same fresh
     // measurements.
-    if (const json::Value *AppsV = M.find("apps"))
-      for (const json::Value &AppV : AppsV->elements()) {
-        if (AppV.string("name") != Name)
-          continue;
-        const json::Value *R = AppV.find("racing");
-        if (!R || R->number("fixed_budget") <= 0.0)
-          break;
-        double Spent = R->number("replays_spent");
-        double Fixed = R->number("fixed_budget");
-        Out << "replay budget: " << format("%.0f", Spent) << " spent vs "
-            << format("%.0f", Fixed) << " fixed-budget equivalent ("
-            << format("%.1f", 100.0 * (Fixed - Spent) / Fixed)
-            << "% saved), early stops "
-            << format("%.0f", R->number("early_stops")) << ", escalations "
-            << format("%.0f", R->number("escalations")) << ", top-ups "
-            << format("%.0f", R->number("top_ups")) << "\n";
-        break;
-      }
+    const json::Value *R = AppM ? AppM->find("racing") : nullptr;
+    if (R && R->number("fixed_budget") > 0.0) {
+      double Spent = R->number("replays_spent");
+      double Fixed = R->number("fixed_budget");
+      Out << "replay budget: " << format("%.0f", Spent) << " spent vs "
+          << format("%.0f", Fixed) << " fixed-budget equivalent ("
+          << format("%.1f", 100.0 * (Fixed - Spent) / Fixed)
+          << "% saved), early stops "
+          << format("%.0f", R->number("early_stops")) << ", escalations "
+          << format("%.0f", R->number("escalations")) << ", top-ups "
+          << format("%.0f", R->number("top_ups")) << "\n";
+    }
 
-    // Fork-server session accounting (manifest "replay_backend" per app,
-    // schema 6): how the replays above were served.
-    if (const json::Value *AppsV = M.find("apps"))
-      for (const json::Value &AppV : AppsV->elements()) {
-        if (AppV.string("name") != Name)
-          continue;
-        const json::Value *RB = AppV.find("replay_backend");
-        if (!RB)
-          break;
-        double SessionReplays = RB->number("session_replays");
-        double FreshReplays = RB->number("fresh_replays");
-        if (SessionReplays + FreshReplays <= 0.0)
-          break;
-        Out << "replay backend: " << format("%.0f", SessionReplays)
-            << " session replays across "
-            << format("%.0f", RB->number("sessions_created"))
-            << " sessions, " << format("%.0f", RB->number("delta_resets"))
-            << " delta resets (" << format("%.1f", RB->number("pages_per_reset"))
-            << " pages/reset), " << format("%.0f", FreshReplays)
-            << " fresh, " << format("%.0f", RB->number("full_rebuilds"))
-            << " rebuilds\n";
-        break;
-      }
+    // Fork-server session accounting (manifest "replay_backend" per
+    // app): how the replays above were served.
+    const json::Value *RB = AppM ? AppM->find("replay_backend") : nullptr;
+    double SessionReplays = RB ? RB->number("session_replays") : 0.0;
+    double FreshReplays = RB ? RB->number("fresh_replays") : 0.0;
+    if (SessionReplays + FreshReplays > 0.0)
+      Out << "replay backend: " << format("%.0f", SessionReplays)
+          << " session replays across "
+          << format("%.0f", RB->number("sessions_created")) << " sessions, "
+          << format("%.0f", RB->number("delta_resets")) << " delta resets ("
+          << format("%.1f", RB->number("pages_per_reset"))
+          << " pages/reset), " << format("%.0f", FreshReplays) << " fresh, "
+          << format("%.0f", RB->number("full_rebuilds")) << " rebuilds\n";
 
     if (!A.ByError.empty()) {
       // Top rejection reasons, most frequent first.
@@ -770,14 +732,14 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
   }
 
   // Fleet section: manifest aggregate plus a per-(app, device-count)
-  // round digest. Pre-fleet runs simply have neither.
+  // step digest. Non-fleet runs have neither.
   const json::Value *F = M.find("fleet");
   if (F || Run.HasFleetLog) {
     Out << H << "fleet" << HEnd << "\n";
     if (F) {
       Out << "devices: " << F->string("devices", "?") << "   rounds: "
-          << static_cast<int>(F->number("rounds")) << "   top-k: "
-          << static_cast<int>(F->number("top_k")) << "\n";
+          << F->integer<int>("rounds") << "   top-k: "
+          << F->integer<int>("top_k") << "\n";
       Out << "hints: " << format("%.0f", F->number("hints_published"))
           << " published, " << format("%.0f", F->number("hints_adopted"))
           << " adopted, " << format("%.0f", F->number("hints_rejected"))
@@ -787,67 +749,64 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
           << " drops (p=" << format("%.2f", F->number("drop_prob"))
           << "), " << format("%.0f", F->number("deliveries_failed"))
           << " failed deliveries\n";
-      // TransportStats fields (schema 4); both default to 0 on old runs.
       Out << "reorders: " << format("%.0f", F->number("reorders"))
           << " drawn, " << format("%.0f", F->number("reorders_effective"))
           << " changed hint arrival order\n";
       Out << "best speedup: " << format("%.3f", F->number("best_speedup"))
           << "x\n";
-      // Schema 7: per-class leaderboard winners, one line per
+      // Per-class leaderboard winners, one line per
       // (app, devices, class) cell.
       if (const json::Value *Boards = F->find("class_leaderboards"))
         for (const json::Value &Row : Boards->elements())
           Out << "class board " << Row.string("app") << " x"
-              << static_cast<int>(Row.number("devices")) << " c"
-              << static_cast<int>(Row.number("class")) << ": "
+              << Row.integer<int>("devices") << " c"
+              << Row.integer<int>("class") << ": "
               << Row.string("genome") << " "
               << format("%.3f", Row.number("speedup")) << "x ("
-              << static_cast<int>(Row.number("reports")) << " reports"
-              << (Row.find("restored") && Row.find("restored")->asBool()
-                      ? ", restored"
-                      : "")
+              << Row.integer<int>("reports") << " reports"
+              << (Row.flag("restored") ? ", restored" : "")
               << ")\n";
     }
-    // Schema 7: the persistent-store warm start, if the run used one.
+    // The persistent-store warm start, if the run used one.
     if (const json::Value *W = Run.Manifest.find("warm_start")) {
       Out << "warm start: "
-          << (W->find("used") && W->find("used")->asBool() ? "yes" : "no")
-          << ", night " << static_cast<int>(W->number("nights")) << ", "
-          << static_cast<int>(W->number("entries_loaded")) << " entries ("
-          << static_cast<int>(W->number("quarantined_loaded"))
+          << (W->flag("used") ? "yes" : "no")
+          << ", night " << W->integer<int>("nights") << ", "
+          << W->integer<int>("entries_loaded") << " entries ("
+          << W->integer<int>("quarantined_loaded")
           << " quarantined) loaded, "
-          << static_cast<int>(W->number("hints_injected"))
+          << W->integer<int>("hints_injected")
           << " hints pre-seeded\n";
     }
     // Group the step log by (app, device count) in stream order.
     std::vector<std::pair<std::string, int>> Groups;
-    for (const FleetRecord &R : Run.Fleet) {
+    for (const FleetStepRecord &R : Run.Fleet) {
       std::pair<std::string, int> Key{R.App, R.FleetDevices};
       if (std::find(Groups.begin(), Groups.end(), Key) == Groups.end())
         Groups.push_back(Key);
     }
     for (const auto &G : Groups) {
       Out << G.first << " x" << G.second << " devices:";
-      std::map<int, double> BestByRound;
+      std::map<int, double> BestByStep;
       uint64_t EndTime = 0;
-      for (const FleetRecord &R : Run.Fleet)
+      for (const FleetStepRecord &R : Run.Fleet)
         if (R.App == G.first && R.FleetDevices == G.second) {
-          if (R.BestSpeedup > BestByRound[R.Round])
-            BestByRound[R.Round] = R.BestSpeedup;
+          if (R.BestSpeedup > BestByStep[R.Step])
+            BestByStep[R.Step] = R.BestSpeedup;
           EndTime = std::max(EndTime, R.VirtualTime);
         }
-      for (const auto &KV : BestByRound)
+      for (const auto &KV : BestByStep)
         Out << " s" << KV.first << ":" << format("%.3f", KV.second) << "x";
       if (EndTime)
         Out << "  (vt " << EndTime << ")";
       Out << "\n";
     }
-    // Per-device-class breakdown from the telemetry sketches (schema 5).
+    // Per-device-class breakdown from the telemetry sketches.
     if (Run.HasTelemetry)
       if (const json::Value *Cells = Run.Telemetry.find("cells"))
         for (const json::Value &Cell : Cells->elements()) {
           Out << Cell.string("app") << " x"
-              << static_cast<int>(Cell.number("devices"))
+              << Cell.integer<int>("devices")
               << " by device class:\n";
           Out << format("%8s %8s %10s %12s %10s %10s", "class", "devices",
                         "best", "quarantines", "lat p50", "lat p95")
@@ -865,8 +824,8 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
                    : Histogram::Snapshot();
             Out << format(
                        "%8d %8d %9.3fx %12.0f %10.1f %10.1f",
-                       static_cast<int>(Cl.number("class")),
-                       static_cast<int>(Cl.number("devices")), Best,
+                       Cl.integer<int>("class"),
+                       Cl.integer<int>("devices"), Best,
                        Cl.number("quarantines"),
                        Lat.Count ? Lat.quantile(0.5) : 0.0,
                        Lat.Count ? Lat.quantile(0.95) : 0.0)
@@ -909,15 +868,13 @@ std::string report::analyzeRun(const LoadedRun &Run,
 
   Out << "=== analysis " << Run.Dir << " ===\n";
   Out << "tool: " << M.string("tool", "?") << "   seed: "
-      << static_cast<uint64_t>(M.number("seed")) << "\n";
-  bool Guided = false;
-  if (const json::Value *C = M.find("config"))
-    if (const json::Value *G = C->find("analysis_guided"))
-      Guided = G->asBool();
+      << M.integer<uint64_t>("seed") << "\n";
+  const json::Value *C = M.find("config");
+  bool Guided = C && C->flag("analysis_guided");
   Out << "analysis-guided search: " << (Guided ? "on" : "off") << "\n\n";
 
   if (!Run.HasAnalysisLog) {
-    Out << "no analysis.jsonl — pre-analysis run directory\n";
+    Out << "no analysis.jsonl — no app produced a region analysis\n";
     return Out.str();
   }
 
@@ -976,7 +933,7 @@ namespace {
 std::vector<std::pair<std::pair<std::string, int>, double>>
 cellBests(const LoadedRun &Run) {
   std::vector<std::pair<std::pair<std::string, int>, double>> Cells;
-  for (const FleetRecord &R : Run.Fleet) {
+  for (const FleetStepRecord &R : Run.Fleet) {
     std::pair<std::string, int> Key{R.App, R.FleetDevices};
     auto It = std::find_if(Cells.begin(), Cells.end(),
                            [&Key](const auto &C) { return C.first == Key; });
@@ -1141,7 +1098,7 @@ DiffResult report::diffRuns(const LoadedRun &A, const LoadedRun &B,
     if (!RollA.count(Name))
       Text << Name << ": only in new run " << B.Dir << "\n";
 
-  // Fleet gate (schema 5): each (app, device-count) cell's final best
+  // Fleet gate: each (app, device-count) cell's final best
   // speedup, B against A (churned cells pair by app when the device
   // count shifted — see matchFleetCells).
   Out.FleetRegressions = gateFleetCells(cellBests(A), cellBests(B), A.Dir,
@@ -1175,15 +1132,16 @@ FleetDiffResult report::fleetReport(const LoadedRun &Run,
     Text << "--- " << App << " x" << Devices << " devices (best "
          << format("%.3f", Cell.second) << "x) ---\n";
 
-    // Round curves per device class: best speedup any class member had
+    // Step curves per device class: best speedup any class member had
     // reported by each step index.
-    std::map<int, std::map<int, double>> ByClass; // class -> round -> best
-    int Attempts = 0, Steps = 0, Delivered = 0;
+    std::map<int, std::map<int, double>> ByClass; // class -> step -> best
+    int64_t Attempts = 0; // Summed from the records: wider than each.
+    int Steps = 0, Delivered = 0;
     double Drops = 0.0, Ticks = 0.0;
-    for (const FleetRecord &R : Run.Fleet) {
+    for (const FleetStepRecord &R : Run.Fleet) {
       if (R.App != App || R.FleetDevices != Devices)
         continue;
-      double &Best = ByClass[R.DeviceClass][R.Round];
+      double &Best = ByClass[R.DeviceClass][R.Step];
       Best = std::max(Best, R.BestSpeedup);
       ++Steps;
       Attempts += R.TransportAttempts;
@@ -1213,15 +1171,12 @@ FleetDiffResult report::fleetReport(const LoadedRun &Run,
       continue;
     for (const json::Value &CellV : CellsV->elements()) {
       if (CellV.string("app") != App ||
-          static_cast<int>(CellV.number("devices")) != Devices)
+          CellV.integer<int>("devices") != Devices)
         continue;
       const json::Value *Chains = CellV.find("chains");
       if (!Chains)
         break;
-      auto Won = [](const json::Value &Ch) {
-        const json::Value *W = Ch.find("won");
-        return W && W->asBool();
-      };
+      auto Won = [](const json::Value &Ch) { return Ch.flag("won"); };
       std::vector<const json::Value *> Sorted;
       for (const json::Value &Ch : Chains->elements())
         Sorted.push_back(&Ch);
@@ -1241,7 +1196,7 @@ FleetDiffResult report::fleetReport(const LoadedRun &Run,
         double Arrivals = Ch.number("arrivals");
         Text << "  " << Ch.string("id") << " " << Ch.string("key")
              << ": discovered d"
-             << static_cast<int>(Ch.number("device")) << "@vt"
+             << Ch.integer<int>("device") << "@vt"
              << format("%.0f", Ch.number("discovery_time")) << ", merged@vt"
              << format("%.0f", Ch.number("first_merge_time")) << ", "
              << format("%.0f", Arrivals) << " arrivals";
@@ -1255,7 +1210,7 @@ FleetDiffResult report::fleetReport(const LoadedRun &Run,
              << " rejected";
         if (Ch.number("adoptions") > 0)
           Text << ", first adopter d"
-               << static_cast<int>(Ch.number("first_adopt_device")) << "@vt"
+               << Ch.integer<int>("first_adopt_device") << "@vt"
                << format("%.0f", Ch.number("first_adopt_time"));
         if (Won(Ch))
           Text << "  [winner]";

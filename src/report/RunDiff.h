@@ -17,6 +17,7 @@
 #ifndef ROPT_REPORT_RUN_DIFF_H
 #define ROPT_REPORT_RUN_DIFF_H
 
+#include "report/ReportWriter.h"
 #include "support/Json.h"
 #include "support/Result.h"
 
@@ -58,36 +59,8 @@ struct GenRecord {
   double MeanCycles = 0.0;
 };
 
-/// One fleet.jsonl record, parsed (schema 2; absent in pre-fleet runs).
-struct FleetRecord {
-  std::string App;
-  int FleetDevices = 0; ///< Device count of the coordinator run.
-  int Round = 0;        ///< The device's step index (async since schema 4).
-  int Device = 0;
-  /// Virtual completion time of the step (schema 4; 0 on older runs).
-  uint64_t VirtualTime = 0;
-  double BestSpeedup = 0.0;
-  std::string BestGenome;
-  std::string BestSource; ///< search::genomeSourceName spelling.
-  bool BestFromHint = false;
-  int HintsReceived = 0;
-  int HintsAdopted = 0;
-  int HintsRejected = 0;
-  int Evaluations = 0;
-  /// Schema 5 provenance fields; zero/-1 defaults on older streams.
-  int DeviceClass = 0;
-  uint64_t BestProvenance = 0; ///< Parsed from the "0x..." hex spelling.
-  int BestDiscoveryDevice = -1;
-  uint64_t BestDiscoveryTime = 0;
-  int TransportAttempts = 0;
-  double TransportDrops = 0.0;
-  double TransportTicks = 0.0;
-  bool Delivered = true;
-};
-
-/// One analysis.jsonl record, parsed (schema 3; absent in pre-analysis
-/// runs): a candidate region's feature vector, bottleneck label and
-/// budget allocation.
+/// One analysis.jsonl record, parsed: a candidate region's feature
+/// vector, bottleneck label and budget allocation.
 struct AnalysisRecord {
   std::string App;
   uint64_t Root = 0;
@@ -122,29 +95,31 @@ struct LoadedRun {
   json::Value Manifest;
   std::vector<EvalRecord> Evaluations;
   std::vector<GenRecord> Generations;
-  std::vector<FleetRecord> Fleet; ///< Empty when HasFleetLog is false.
+  std::vector<FleetStepRecord> Fleet; ///< Empty when HasFleetLog is false.
   bool HasFleetLog = false;       ///< fleet.jsonl existed and parsed.
   std::vector<AnalysisRecord> Analysis; ///< Empty without analysis.jsonl.
   bool HasAnalysisLog = false; ///< analysis.jsonl existed and parsed.
-  /// telemetry.json parsed wholesale (schema 5): per-class sketches, cell
-  /// and fleet totals, provenance chains. Absent in non-fleet runs.
+  /// telemetry.json parsed wholesale: per-class sketches, cell and fleet
+  /// totals, provenance chains. Absent in non-fleet runs.
   json::Value Telemetry;
   bool HasTelemetry = false;
   /// metrics.json, when the run was built with the observability layer
-  /// (schema-6 validation cross-checks replay counters against the
-  /// manifest's session_backends claim).
+  /// (validation cross-checks replay counters against the manifest's
+  /// session_backends claim).
   json::Value Metrics;
   bool HasMetrics = false;
 };
 
-/// Reads manifest.json + the JSONL streams. Fails on missing files or
-/// unparseable JSON (line number in the message). fleet.jsonl is
-/// optional — pre-fleet run directories load fine without one.
+/// Reads manifest.json + the JSONL streams. Fails on missing files,
+/// unparseable JSON (line number in the message), or a manifest whose
+/// schema is not CurrentSchema ("unsupported schema N (this build reads
+/// 7)"). The fleet, analysis, telemetry and metrics artifacts are
+/// optional: only the runs that produce them have them.
 support::Result<LoadedRun> loadRun(const std::string &Dir);
 
 /// Outcome of validateRun: problems fail the gate (ropt-report validate
-/// exits 1), warnings are reported but tolerated — e.g. a pre-fleet run
-/// directory missing the fleet section entirely.
+/// exits 1), warnings are reported but tolerated — e.g. a manifest fleet
+/// section whose fleet.jsonl is missing.
 struct ValidationResult {
   std::vector<std::string> Problems;
   std::vector<std::string> Warnings;
@@ -155,7 +130,7 @@ struct ValidationResult {
 /// Structural checks beyond parseability: manifest fields present, record
 /// ids dense and increasing, parent ids referencing earlier records,
 /// known verdict/cache spellings, and — when fleet artifacts are present
-/// — round-log consistency against the manifest's fleet section.
+/// — step-log consistency against the manifest's fleet section.
 ValidationResult validateRun(const LoadedRun &Run);
 
 /// Renders the run: manifest header, per-app verdict breakdown, cache
@@ -189,7 +164,7 @@ struct DiffOptions {
 struct DiffResult {
   int FitnessRegressions = 0;
   int VerdictShifts = 0;
-  /// Fleet gate (schema 5): per-(app, device-count) cells whose final
+  /// Fleet gate: per-(app, device-count) cells whose final
   /// best speedup regressed beyond DiffOptions::FleetThreshold.
   int FleetRegressions = 0;
   std::string Text; ///< Human-readable diff report.
@@ -204,7 +179,7 @@ DiffResult diffRuns(const LoadedRun &A, const LoadedRun &B,
                     const DiffOptions &Opt = DiffOptions());
 
 /// The fleet view of a run (`ropt-report fleet`): per-(app, device-class)
-/// round curves, top provenance chains (discovery -> merge -> adoption
+/// step curves, top provenance chains (discovery -> merge -> adoption
 /// with virtual-time latency), and transport health. With \p Baseline,
 /// applies the same best-speedup gate as diffRuns and counts regressed
 /// cells. A pure function of fleet.jsonl + telemetry.json.

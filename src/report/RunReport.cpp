@@ -49,7 +49,7 @@ std::string cacheJson(const search::EngineCacheStats &S) {
   return std::move(B).str();
 }
 
-/// Fork-server session accounting (schema 6, "replay_backend"). Session
+/// Fork-server session accounting ("replay_backend"). Session
 /// and backend counts depend on the worker count, so this section is
 /// jobs-variant — like wall_seconds — while every measurement stream
 /// stays byte-identical.
@@ -164,7 +164,8 @@ void RunReport::endApp(const AppOutcome &Outcome) {
   Apps.back().Outcome = Outcome;
   Apps.back().Ended = true;
   // One analysis.jsonl line per candidate region, hottest first (the
-  // stream opens lazily, so pre-analysis harnesses don't grow the file).
+  // stream opens lazily, so harnesses without an analysis don't grow the
+  // file).
   for (const analysis::RegionReport &R : Outcome.Analysis.Regions)
     Writer->appendAnalysis(regionStreamJson(Apps.back().Name, R));
 }
@@ -227,12 +228,13 @@ uint64_t RunReport::onEvaluation(const search::Genome &G,
   return Id;
 }
 
-void RunReport::onFleetRound(const FleetRoundRecord &R) {
+void RunReport::onFleetStep(const FleetStepRecord &R) {
   std::lock_guard<std::mutex> Lock(Mutex);
   json::Builder B;
   B.field("app", R.App);
   B.field("devices", R.FleetDevices);
-  B.field("round", R.Round);
+  // The key predates the step rename; fleet.jsonl's bytes are pinned.
+  B.field("round", R.Step);
   B.field("device", R.Device);
   B.field("virtual_time", R.VirtualTime);
   B.field("best_speedup", R.BestSpeedup);
@@ -243,7 +245,6 @@ void RunReport::onFleetRound(const FleetRoundRecord &R) {
   B.field("hints_adopted", R.HintsAdopted);
   B.field("hints_rejected", R.HintsRejected);
   B.field("evaluations", R.Evaluations);
-  // Schema 5: the device's class and the best genome's provenance chain.
   B.field("device_class", R.DeviceClass);
   B.field("best_provenance", hexHash(R.BestProvenance));
   B.field("best_discovery_device", R.BestDiscoveryDevice);
@@ -252,7 +253,7 @@ void RunReport::onFleetRound(const FleetRoundRecord &R) {
   B.field("transport_drops", R.TransportDrops);
   B.field("transport_ticks", R.TransportTicks);
   B.field("delivered", R.Delivered);
-  Writer->appendFleetRound(std::move(B).str());
+  Writer->appendFleetStep(std::move(B).str());
 }
 
 void RunReport::setFleetSummary(const FleetSummary &S) {
@@ -317,18 +318,7 @@ std::string RunReport::manifestJson() const {
   }
 
   json::Builder B;
-  // Schema 2 added the optional fleet section/stream; schema 3 the
-  // observability flag, the per-app region_analysis section and the
-  // analysis.jsonl stream; schema 4 the virtual_time field on fleet
-  // records and the TransportStats fleet-section fields; schema 5 the
-  // per-record provenance fields (device_class, best_provenance,
-  // best_discovery_*) plus the telemetry.json and fleet.trace.json
-  // artifacts; schema 6 the config session_backends flag and the
-  // per-app/totals "replay_backend" sections (fork-server replay
-  // sessions); schema 7 the config store field, the warm_start section
-  // and the fleet class_leaderboards snapshot (the persistent
-  // optimization service). Readers accept all seven.
-  B.field("schema", 7);
+  B.field("schema", CurrentSchema);
   B.field("tool", Info.Tool);
   B.field("git", ROPT_GIT_DESCRIBE);
   B.field("seed", Info.Seed);
@@ -396,8 +386,10 @@ std::string RunReport::manifestJson() const {
   }
   if (HasFleet) {
     json::Builder F;
+    // "rounds" predates the step rename; the key stays for byte-stable
+    // manifests.
     F.field("devices", Fleet.DeviceSweep)
-        .field("rounds", Fleet.Rounds)
+        .field("rounds", Fleet.Steps)
         .field("top_k", Fleet.TopK)
         .field("drop_prob", Fleet.DropProb)
         .field("reorder_prob", Fleet.ReorderProb)
@@ -450,6 +442,8 @@ bool RunReport::finish() {
   // at any --jobs.
   if (!TelemetryCells.empty()) {
     json::Builder B;
+    // telemetry.json's own format version, independent of the manifest's
+    // CurrentSchema; its bytes are pinned.
     B.field("schema", 5);
     uint64_t Dropped = 0;
     for (const fleet::FleetTelemetry &T : TelemetryCells)

@@ -55,10 +55,10 @@ struct RunInfo {
   int MaxReplaysPerEvaluation = 0; ///< Measurement budget per binary.
   int CapturesPerRegion = 0;
   bool AnalysisGuided = false; ///< Criticality-weighted search budget?
-  /// Schema 6: fork-server replay sessions in the evaluation backends?
+  /// Fork-server replay sessions in the evaluation backends?
   bool SessionBackends = true;
-  /// Schema 7: the persistent-store directory the run loaded/saved
-  /// (config.store; empty = no store, a cold one-night run).
+  /// The persistent-store directory the run loaded/saved (config.store;
+  /// empty = no store, a cold one-night run).
   std::string StoreDir;
 };
 
@@ -70,7 +70,7 @@ struct AppOutcome {
   search::EngineCounters Counters;  ///< GA + baseline verdict counts.
   search::EngineCacheStats Cache;   ///< The engine's memoization story.
   search::EngineRacingStats Racing; ///< Replay-budget accounting.
-  /// Schema 6: fork-server replay-session accounting over the app's
+  /// Fork-server replay-session accounting over the app's
   /// evaluation backends. Session/backend counts depend on worker count,
   /// so the manifest's "replay_backend" section is jobs-variant (like
   /// wall_seconds) — evaluations.jsonl stays byte-identical regardless.
@@ -90,43 +90,7 @@ struct AppOutcome {
   uint32_t AppliedPassMask = 0;
 };
 
-/// One completed device step of a fleet run — one fleet.jsonl line.
-/// Like evaluation records, it is a pure function of the run's results
-/// (virtual times are simulated, not wall-clock), so a seeded fleet
-/// run's step log is byte-identical at any `--jobs` value.
-struct FleetRoundRecord {
-  std::string App;
-  int FleetDevices = 0; ///< Device count of the coordinator run (a sweep
-                        ///< writes several runs into one stream).
-  int Round = 0; ///< The device's step index (steps are asynchronous).
-  int Device = 0;
-  /// Virtual completion time of the step on the fleet event loop
-  /// (schema 4; deterministic, unlike a wall clock).
-  uint64_t VirtualTime = 0;
-  double BestSpeedup = 0.0; ///< Device best-so-far vs its own baseline.
-  std::string BestGenome;
-  std::string BestSource; ///< search::genomeSourceName() spelling.
-  bool BestFromHint = false;
-  int HintsReceived = 0;
-  int HintsAdopted = 0;
-  int HintsRejected = 0;
-  int Evaluations = 0;
-  /// Schema 5: the device's hardware/user class and the provenance chain
-  /// of its best genome — which device discovered it, and when (virtual
-  /// time) the discovery happened.
-  int DeviceClass = 0;
-  uint64_t BestProvenance = 0; ///< 0 = no best yet.
-  int BestDiscoveryDevice = -1;
-  uint64_t BestDiscoveryTime = 0;
-  // Transport accounting for this cell (hints + report deliveries).
-  // Varies with injected network loss; everything above must not.
-  int TransportAttempts = 0;
-  uint64_t TransportDrops = 0;
-  uint64_t TransportTicks = 0;
-  bool Delivered = true; ///< The round report reached the server.
-};
-
-/// Schema 7: what the persistent optimization service contributed to
+/// What the persistent optimization service contributed to
 /// this run — the manifest's "warm_start" section. Written only when the
 /// harness ran with --store.
 struct WarmStartInfo {
@@ -138,7 +102,7 @@ struct WarmStartInfo {
   uint64_t HintsInjected = 0; ///< Warm-start hints pre-seeded to devices.
 };
 
-/// Schema 7: one per-class leaderboard row of the manifest's
+/// One per-class leaderboard row of the manifest's
 /// "fleet.class_leaderboards" snapshot (top entries per device class at
 /// the end of each sweep cell).
 struct ClassLeaderboardRow {
@@ -154,7 +118,7 @@ struct ClassLeaderboardRow {
 /// Run-level fleet aggregate for the manifest's "fleet" section.
 struct FleetSummary {
   std::string DeviceSweep; ///< Device counts run, e.g. "1,4,16".
-  int Rounds = 0;
+  int Steps = 0; ///< Search steps per device.
   int TopK = 0;
   double DropProb = 0.0;
   double ReorderProb = 0.0;
@@ -165,7 +129,7 @@ struct FleetSummary {
   /// JSON emitter with FleetResult — see fleet/Transport.h).
   fleet::TransportStats Transport;
   double BestSpeedup = 0.0; ///< Best across the whole sweep.
-  /// Schema 7: per-class leaderboard snapshot across the sweep cells.
+  /// Per-class leaderboard snapshot across the sweep cells.
   std::vector<ClassLeaderboardRow> ClassBoards;
 };
 
@@ -195,19 +159,19 @@ public:
                         const std::vector<uint64_t> &Parents) override;
   void onGenerationDone(const search::GenerationStats &S) override;
 
-  /// One fleet round cell, appended to fleet.jsonl. The coordinator
-  /// calls this serially in (round, device) order.
-  void onFleetRound(const FleetRoundRecord &R);
+  /// One fleet step, appended to fleet.jsonl. The coordinator calls
+  /// this serially in event-commit order.
+  void onFleetStep(const FleetStepRecord &R);
 
   /// Installs the run-level fleet aggregate; the manifest grows a
   /// "fleet" section (and bumps nothing else) only when this was called.
   void setFleetSummary(const FleetSummary &S);
 
   /// Installs the persistent-store contribution; the manifest grows a
-  /// "warm_start" section (schema 7) only when this was called.
+  /// "warm_start" section only when this was called.
   void setWarmStart(const WarmStartInfo &W);
 
-  /// One coordinator cell's merged telemetry (schema 5). finish() folds
+  /// One coordinator cell's merged telemetry. finish() folds
   /// every cell into telemetry.json: per-class sketches, the cell
   /// totals, a fleet-level merge, and all provenance chains.
   void onFleetCell(const fleet::FleetTelemetry &T);

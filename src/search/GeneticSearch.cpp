@@ -43,12 +43,6 @@ const char *search::cacheOriginName(CacheOrigin O) {
   return "unknown";
 }
 
-Evaluation BatchEvaluator::evaluateOne(const Genome &G) {
-  std::vector<Evaluation> Results = evaluateBatch({G});
-  assert(Results.size() == 1 && "evaluator broke the batch contract");
-  return std::move(Results.front());
-}
-
 std::vector<Evaluation>
 FunctionEvaluator::evaluateBatch(const std::vector<Genome> &Genomes) {
   std::vector<Evaluation> Out;

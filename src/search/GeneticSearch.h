@@ -113,9 +113,6 @@ public:
   /// must keep for the incumbent from here on. The default (and any
   /// fixed-budget evaluator) returns \p E unchanged.
   virtual Evaluation announceIncumbent(const Evaluation &E) { return E; }
-
-  /// Single-genome convenience (a batch of one).
-  Evaluation evaluateOne(const Genome &G);
 };
 
 /// Serial adapter over a per-genome callback, for synthetic landscapes
@@ -264,12 +261,6 @@ public:
   /// nullopt if every evaluation failed.
   std::optional<Scored> run(double AndroidCycles, double O3Cycles,
                             GaTrace *Trace = nullptr);
-
-  /// The per-generation log of the last run() (also copied into the
-  /// GaTrace when one is supplied).
-  const std::vector<GenerationStats> &generationStats() const {
-    return GenStats;
-  }
 
 private:
   /// Evaluates one batch and folds every result — in batch order — into

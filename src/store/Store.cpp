@@ -91,9 +91,9 @@ std::string classesJson(const StoredClassModel &M) {
 StoredProvenance decodeProv(const json::Value &V) {
   StoredProvenance P;
   P.Id = parseHex64(V.string("id", "0x0"));
-  P.Device = static_cast<int>(V.number("device", -1));
-  P.Step = static_cast<int>(V.number("step", 0));
-  P.Time = static_cast<uint64_t>(V.number("time", 0));
+  P.Device = json::toInteger<int>(V.number("device", -1));
+  P.Step = json::toInteger<int>(V.number("step", 0));
+  P.Time = json::toInteger<uint64_t>(V.number("time", 0));
   return P;
 }
 
@@ -101,22 +101,23 @@ StoredEntry decodeEntry(const json::Value &V) {
   StoredEntry E;
   E.Genome = V.string("genome");
   E.BinaryHash = parseHex64(V.string("hash", "0x0"));
-  E.CodeSize = static_cast<uint64_t>(V.number("code_size", 0));
+  E.CodeSize = json::toInteger<uint64_t>(V.number("code_size", 0));
   if (const json::Value *S = V.find("samples"))
     for (const json::Value &Elem : S->elements())
       E.Samples.push_back(Elem.asNumber());
   E.Speedup = V.number("speedup", 0.0);
   if (const json::Value *D = V.find("devices"))
     for (const json::Value &Elem : D->elements())
-      E.Devices.push_back(static_cast<int>(Elem.asNumber()));
+      E.Devices.push_back(json::toInteger<int>(Elem.asNumber()));
   if (const json::Value *C = V.find("classes"))
     for (const json::Value &Elem : C->elements())
-      E.Classes.push_back(static_cast<int>(Elem.asNumber()));
-  E.Reports = static_cast<int>(V.number("reports", 0));
+      E.Classes.push_back(json::toInteger<int>(Elem.asNumber()));
+  E.Reports = json::toInteger<int>(V.number("reports", 0));
   if (const json::Value *Q = V.find("quarantined"))
     E.Quarantined = Q->asBool();
   E.RejectVerdict = V.string("verdict");
-  E.LastReportTick = static_cast<uint64_t>(V.number("last_report_tick", 0));
+  E.LastReportTick =
+      json::toInteger<uint64_t>(V.number("last_report_tick", 0));
   if (const json::Value *X = V.find("expired"))
     E.Expired = X->asBool();
   if (const json::Value *P = V.find("prov"))
@@ -139,7 +140,7 @@ std::string store::serialize(const StoreState &S) {
                    });
 
   json::Builder B;
-  B.field("schema", S.Schema);
+  B.field("schema", CurrentSchema);
   B.field("tool", "ropt-store");
   B.field("nights", S.Nights);
   B.field("fleet_seed", S.FleetSeed);
@@ -173,28 +174,20 @@ DecodeResult store::deserialize(const std::string &Text) {
     Out.Warning = "store: document is not an object; starting cold";
     return Out;
   }
-  const json::Value *SchemaV = V.find("schema");
-  int Schema = SchemaV ? static_cast<int>(SchemaV->asNumber(-1)) : -1;
-  if (Schema < 1) {
-    Out.Warning = "store: missing or invalid schema; starting cold";
-    return Out;
-  }
-  if (Schema > CurrentSchema) {
-    Out.Warning = format("store: schema %d is newer than this build's %d; "
-                         "starting cold",
+  double Schema = V.number("schema");
+  if (Schema != CurrentSchema) {
+    Out.Warning = format("store: unsupported schema %g (this build reads "
+                         "%d); starting cold",
                          Schema, CurrentSchema);
     return Out;
   }
 
-  // Forward-tolerant reads from here on: an older-schema document simply
-  // lacks fields, and every absent field decodes to its default.
   StoreState &S = Out.State;
-  S.Schema = Schema;
-  S.Nights = static_cast<uint64_t>(V.number("nights", 0));
-  S.FleetSeed = static_cast<uint64_t>(V.number("fleet_seed", 0));
+  S.Nights = json::toInteger<uint64_t>(V.number("nights", 0));
+  S.FleetSeed = json::toInteger<uint64_t>(V.number("fleet_seed", 0));
   if (const json::Value *C = V.find("classes")) {
-    S.Classes.K = static_cast<int>(C->number("k", 0));
-    S.Classes.Dims = static_cast<int>(C->number("dims", 0));
+    S.Classes.K = json::toInteger<int>(C->number("k", 0));
+    S.Classes.Dims = json::toInteger<int>(C->number("dims", 0));
     if (const json::Value *Cen = C->find("centroids"))
       for (const json::Value &Row : Cen->elements()) {
         std::vector<double> R;
@@ -204,7 +197,8 @@ DecodeResult store::deserialize(const std::string &Text) {
       }
     if (const json::Value *A = C->find("assignments"))
       for (const json::Value &Elem : A->elements())
-        S.Classes.Assignments.push_back(static_cast<int>(Elem.asNumber()));
+        S.Classes.Assignments.push_back(
+            json::toInteger<int>(Elem.asNumber()));
   }
   if (const json::Value *Apps = V.find("apps")) {
     for (const json::Value &AV : Apps->elements()) {

@@ -46,9 +46,10 @@
 namespace ropt {
 namespace store {
 
-/// Current store schema. History:
-///   1  initial: apps/entries with pooled samples, quarantine, TTL ticks,
-///      provenance, device classes; k-means class model; night counter.
+/// The store schema this build writes, and the only one it reads: a
+/// document of any other schema starts cold. Schema 1: apps/entries with
+/// pooled samples, quarantine, TTL ticks, provenance, device classes;
+/// k-means class model; night counter.
 inline constexpr int CurrentSchema = 1;
 
 /// Provenance of a stored entry — the chain the genome rides on, carried
@@ -97,7 +98,6 @@ struct StoredClassModel {
 
 /// Everything one store file holds.
 struct StoreState {
-  int Schema = CurrentSchema;
   uint64_t Nights = 0; ///< Completed runs folded into this store.
   uint64_t FleetSeed = 0;
   StoredClassModel Classes;
@@ -107,8 +107,9 @@ struct StoreState {
 /// Renders \p S as the canonical store document (apps sorted by name).
 std::string serialize(const StoreState &S);
 
-/// Parses \p Text. On success Warning is empty; a corrupt or newer-schema
-/// document yields an empty state plus a warning (never an abort).
+/// Parses \p Text. On success Warning is empty; a corrupt document, or one
+/// of another schema than CurrentSchema, yields an empty state plus a
+/// warning (never an abort).
 struct DecodeResult {
   StoreState State;
   std::string Warning;
@@ -128,7 +129,7 @@ public:
   };
 
   /// Reads the store. Never fails: missing -> cold start (no warning);
-  /// unreadable/corrupt/newer schema -> cold start + warning.
+  /// unreadable/corrupt/other schema -> cold start + warning.
   LoadResult load() const;
 
   /// Atomically replaces the store document (tmp + rename), creating the

@@ -207,6 +207,11 @@ double Value::number(const std::string &Key, double Default) const {
   return V ? V->asNumber(Default) : Default;
 }
 
+bool Value::flag(const std::string &Key, bool Default) const {
+  const Value *V = find(Key);
+  return V ? V->asBool(Default) : Default;
+}
+
 std::string Value::string(const std::string &Key,
                           const std::string &Default) const {
   const Value *V = find(Key);

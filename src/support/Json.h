@@ -23,6 +23,7 @@
 #include "support/Result.h"
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,6 +81,15 @@ private:
   bool First = true;
 };
 
+/// \p D as integer type T. A number T cannot hold (NaN, out of range —
+/// damaged input) reads as 0 rather than as an undefined conversion.
+template <typename T> T toInteger(double D) {
+  if (!(D >= static_cast<double>(std::numeric_limits<T>::min()) &&
+        D < static_cast<double>(std::numeric_limits<T>::max())))
+    return 0;
+  return static_cast<T>(D);
+}
+
 /// One parsed JSON value.
 class Value {
 public:
@@ -109,8 +119,13 @@ public:
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value *find(const std::string &Key) const;
-  /// Shorthand: member number/string with a default.
+  /// Shorthand: member number/string/bool with a default.
   double number(const std::string &Key, double Default = 0.0) const;
+  bool flag(const std::string &Key, bool Default = false) const;
+  /// Member number as integer type T (see toInteger).
+  template <typename T> T integer(const std::string &Key) const {
+    return toInteger<T>(number(Key));
+  }
   std::string string(const std::string &Key,
                      const std::string &Default = "") const;
 

@@ -12,44 +12,57 @@ using namespace ropt;
 // --- Histogram ---------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> UpperBounds)
-    : Bounds(std::move(UpperBounds)), Counts(Bounds.size() + 1, 0) {
-  assert(std::is_sorted(Bounds.begin(), Bounds.end()) &&
+    : Value(std::move(UpperBounds)) {
+  assert(std::is_sorted(Value.Bounds.begin(), Value.Bounds.end()) &&
          "histogram bounds must ascend");
 }
 
-void Histogram::observe(double Value) {
-  size_t Bucket = 0;
-  while (Bucket < Bounds.size() && Value > Bounds[Bucket])
-    ++Bucket;
+void Histogram::observe(double V) {
+  // The bounds never change after construction (reset() keeps them), so
+  // the bucket search runs outside the lock.
+  size_t Bucket = Value.bucketOf(V);
   std::lock_guard<std::mutex> Lock(Mutex);
-  ++Counts[Bucket];
-  ++Count;
-  Sum += Value;
-  if (Count == 1) {
-    Min = Max = Value;
-  } else {
-    Min = std::min(Min, Value);
-    Max = std::max(Max, Value);
-  }
+  Value.add(Bucket, V);
 }
 
 void Histogram::reset() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  std::fill(Counts.begin(), Counts.end(), 0);
-  Count = 0;
-  Sum = Min = Max = 0.0;
+  std::fill(Value.Counts.begin(), Value.Counts.end(), 0);
+  Value.Count = 0;
+  Value.Sum = Value.Min = Value.Max = 0.0;
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  Snapshot S;
-  S.Bounds = Bounds;
-  S.Counts = Counts;
-  S.Count = Count;
-  S.Sum = Sum;
-  S.Min = Min;
-  S.Max = Max;
-  return S;
+  return Value;
+}
+
+size_t Histogram::Snapshot::bucketOf(double V) const {
+  size_t Bucket = 0;
+  while (Bucket < Bounds.size() && V > Bounds[Bucket])
+    ++Bucket;
+  return Bucket;
+}
+
+void Histogram::Snapshot::add(size_t Bucket, double V) {
+  ++Counts[Bucket];
+  Min = Count == 0 ? V : std::min(Min, V);
+  Max = Count == 0 ? V : std::max(Max, V);
+  ++Count;
+  Sum += V;
+}
+
+Histogram::Snapshot &Histogram::Snapshot::operator+=(const Snapshot &O) {
+  assert(Bounds == O.Bounds && "merging histograms of different bounds");
+  for (size_t I = 0; I < Counts.size(); ++I)
+    Counts[I] += O.Counts[I];
+  if (O.Count) {
+    Min = Count ? std::min(Min, O.Min) : O.Min;
+    Max = Count ? std::max(Max, O.Max) : O.Max;
+    Count += O.Count;
+    Sum += O.Sum;
+  }
+  return *this;
 }
 
 double Histogram::Snapshot::quantile(double Q) const {

@@ -63,20 +63,31 @@ private:
 /// the per-capture / per-replay rates it is used at.
 class Histogram {
 public:
-  /// \p UpperBounds must be sorted ascending; a value lands in the first
-  /// bucket whose bound is >= the value, or in the overflow bucket.
-  explicit Histogram(std::vector<double> UpperBounds);
-
-  void observe(double Value);
-  void reset();
-
+  /// The histogram's value, also usable on its own as an unlocked,
+  /// mergeable accumulator. Two snapshots with the same bounds merge by
+  /// bucket-wise addition, which is associative and commutative on the
+  /// counts.
   struct Snapshot {
+    /// \p UpperBounds must be sorted ascending; a value lands in the
+    /// first bucket whose bound is >= the value, or in the overflow
+    /// bucket.
+    explicit Snapshot(std::vector<double> UpperBounds = {})
+        : Bounds(std::move(UpperBounds)), Counts(Bounds.size() + 1, 0) {}
+
     std::vector<double> Bounds;   ///< Upper bounds, one per finite bucket.
     std::vector<uint64_t> Counts; ///< Bounds.size() + 1 entries (overflow).
     uint64_t Count = 0;
     double Sum = 0.0;
     double Min = 0.0; ///< 0 when Count == 0.
     double Max = 0.0;
+
+    /// Index into Counts of the bucket \p Value lands in.
+    size_t bucketOf(double Value) const;
+    void observe(double Value) { add(bucketOf(Value), Value); }
+    /// Records \p Value in bucket \p Bucket, which is bucketOf(Value).
+    void add(size_t Bucket, double Value);
+    /// Adds \p O's observations; \p O must have the same bounds.
+    Snapshot &operator+=(const Snapshot &O);
     double mean() const { return Count ? Sum / static_cast<double>(Count) : 0.0; }
     /// Estimated \p Q-quantile (Q in [0,1]) by linear interpolation
     /// inside the bucket holding the target rank — the Prometheus
@@ -85,16 +96,16 @@ public:
     /// observed Max, so estimates are always within [Min, Max].
     double quantile(double Q) const;
   };
+
+  explicit Histogram(std::vector<double> UpperBounds);
+
+  void observe(double Value);
+  void reset();
   Snapshot snapshot() const;
 
 private:
   mutable std::mutex Mutex;
-  std::vector<double> Bounds;
-  std::vector<uint64_t> Counts;
-  uint64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
+  Snapshot Value;
 };
 
 /// Point-in-time copy of every registered instrument, sorted by name.

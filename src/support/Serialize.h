@@ -46,7 +46,9 @@ public:
 
   void writeString(const std::string &S) {
     writeU32(static_cast<uint32_t>(S.size()));
-    Bytes.insert(Bytes.end(), S.begin(), S.end());
+    // A pointer range, not string iterators: GCC 12 at -O3 reports a
+    // false -Wstringop-overflow for an inlined empty iterator range.
+    writeBytes(reinterpret_cast<const uint8_t *>(S.data()), S.size());
   }
 
   void writeBytes(const uint8_t *Data, size_t Size) {

@@ -62,16 +62,6 @@ struct CycleCostModel {
 
   /// Cycles one GC pause costs when the poll triggers collection.
   uint64_t GcPauseCycles = 150000;
-
-  /// Simulated clock, cycles per microsecond (1 GHz).
-  double CyclesPerUs = 1000.0;
-
-  double cyclesToUs(uint64_t Cycles) const {
-    return static_cast<double>(Cycles) / CyclesPerUs;
-  }
-  double cyclesToMs(uint64_t Cycles) const {
-    return cyclesToUs(Cycles) / 1000.0;
-  }
 };
 
 /// A tiny direct-mapped L1D model: 512 lines x 64 B = 32 KiB. Determinism

@@ -126,8 +126,6 @@ public:
   /// Number of collections this heap has run (from the control block).
   uint64_t gcRuns();
 
-  uint64_t limitBytes() const { return LimitBytes; }
-
 private:
   uint64_t readControl(uint64_t Slot) {
     uint64_t Value = 0;

@@ -379,24 +379,3 @@ uint16_t vm::allocateRegistersLinearScan(MachineFunction &Fn) {
     compactRegistersByFrequency(Fn);
   return Fn.NumRegs;
 }
-
-std::string vm::formatMInsn(const MInsn &I) {
-  std::string Out = mopcodeName(I.Op);
-  auto Reg = [](MRegIdx R) {
-    return R == MNoReg ? std::string("_") : format("r%u", unsigned(R));
-  };
-  Out += " " + Reg(I.A) + ", " + Reg(I.B) + ", " + Reg(I.C);
-  if (I.Op == MOpcode::MMovImmI)
-    Out += format(" #%lld", static_cast<long long>(I.ImmI));
-  if (I.Op == MOpcode::MMovImmF)
-    Out += format(" #%g", I.ImmF);
-  if (I.Target >= 0)
-    Out += format(" ->%d", I.Target);
-  if (I.ArgCount) {
-    Out += " (";
-    for (unsigned N = 0; N != I.ArgCount; ++N)
-      Out += (N ? ", " : "") + Reg(I.Args[N]);
-    Out += ")";
-  }
-  return Out;
-}

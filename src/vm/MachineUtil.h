@@ -161,9 +161,6 @@ uint16_t compactRegistersByFirstUse(MachineFunction &Fn);
 /// Returns the new register count (the maximum live overlap).
 uint16_t allocateRegistersLinearScan(MachineFunction &Fn);
 
-/// Renders a one-line disassembly of \p I (debug aid).
-std::string formatMInsn(const MInsn &I);
-
 } // namespace vm
 } // namespace ropt
 

@@ -134,9 +134,7 @@ public:
   Heap &heap() { return TheHeap; }
   os::AddressSpace &space() { return Space; }
   const RuntimeConfig &config() const { return Config; }
-  const dex::DexFile &dexFile() const { return Dex; }
   CodeCache &codeCache() { return Cache; }
-  const CycleCostModel &costModel() const { return Costs; }
 
   void setMode(ExecMode M) { Mode = M; }
   ExecMode mode() const { return Mode; }
@@ -147,7 +145,6 @@ public:
   /// compiled binary serves any number of fresh Runtimes without per-replay
   /// install work. The caller guarantees \p Code outlives this Runtime.
   void setSharedCode(const CodeCache *Code) { SharedCode = Code; }
-  const CodeCache *sharedCode() const { return SharedCode; }
 
   void setObserver(ExecObserver *Obs) { Observer = Obs; }
 
@@ -171,7 +168,6 @@ public:
 
   /// Lifetime accounting.
   uint64_t totalCycles() const { return TotalCycles; }
-  uint64_t totalInsns() const { return TotalInsns; }
 
   /// Exclusive cycles per method id (only filled when AttributeCycles).
   /// Entries past the method table — [methods().size(),

@@ -253,6 +253,49 @@ TEST(RegionAnalysis, WeightInvariantsHoldOnRealProfiles) {
   EXPECT_EQ(analyzeOf("FFT").byRoot(dex::InvalidId), nullptr);
 }
 
+TEST(RegionAnalysis, DetectedRegionKeepsTheFullGaConfiguration) {
+  // The hot region detectHotRegion() picks is always the analysis's
+  // slack-0 region: both keep the first maximum in method-id order under
+  // the same filters. So the guided configuration of a pipeline's own
+  // region is its base configuration, field for field, on every app —
+  // which is why fleet classes (which only search their detected region)
+  // have no analysis-guided branch.
+  search::GaConfig Base;
+  for (const workloads::Application &App : workloads::buildSuite()) {
+    core::IterativeCompiler Pipeline(core::PipelineConfig::paperDefaults());
+    core::IterativeCompiler::ProfiledApp Profiled = Pipeline.profileApp(App);
+    ASSERT_TRUE(Profiled.Region.has_value()) << App.Name;
+    analysis::AppAnalysis A =
+        analysis::analyzeApp(*App.File, Profiled.Profile, Profiled.RA);
+    const analysis::RegionReport *R = A.byRoot(Profiled.Region->Root);
+    ASSERT_NE(R, nullptr) << App.Name;
+    EXPECT_EQ(R->Slack, 0u) << App.Name;
+    search::GaConfig Got = core::guidedGaConfig(Base, *R);
+    EXPECT_EQ(Got.Generations, Base.Generations) << App.Name;
+    EXPECT_EQ(Got.PopulationSize, Base.PopulationSize) << App.Name;
+    EXPECT_EQ(Got.GenomeMutationProb, Base.GenomeMutationProb) << App.Name;
+    EXPECT_EQ(Got.Genomes.MinLength, Base.Genomes.MinLength) << App.Name;
+    EXPECT_EQ(Got.Genomes.MaxInitialLength, Base.Genomes.MaxInitialLength)
+        << App.Name;
+    EXPECT_EQ(Got.Genomes.MaxLength, Base.Genomes.MaxLength) << App.Name;
+    EXPECT_EQ(Got.Genomes.AggressiveProb, Base.Genomes.AggressiveProb)
+        << App.Name;
+    EXPECT_EQ(Got.Genomes.GeneMutationProb, Base.Genomes.GeneMutationProb)
+        << App.Name;
+    EXPECT_EQ(Got.Genomes.DisabledPassMask, Base.Genomes.DisabledPassMask)
+        << App.Name;
+    EXPECT_EQ(Got.TournamentSize, Base.TournamentSize) << App.Name;
+    EXPECT_EQ(Got.TournamentProb, Base.TournamentProb) << App.Name;
+    EXPECT_EQ(Got.MaxIdenticalBinaries, Base.MaxIdenticalBinaries)
+        << App.Name;
+    EXPECT_EQ(Got.Gen0ReplacementRetries, Base.Gen0ReplacementRetries)
+        << App.Name;
+    EXPECT_EQ(Got.EliteCount, Base.EliteCount) << App.Name;
+    EXPECT_EQ(Got.HillClimbRounds, Base.HillClimbRounds) << App.Name;
+    EXPECT_EQ(Got.SignificanceAlpha, Base.SignificanceAlpha) << App.Name;
+  }
+}
+
 TEST(RegionAnalysis, DeterministicAcrossReruns) {
   // The analysis is a pure function of the deterministic profile, so two
   // independent profile-and-analyze passes agree exactly — the property

@@ -6,7 +6,7 @@
 #   3. abl_critical_path --fast --seed 1 --report C            (rerun)
 #   4. analysis.jsonl A == B == C     -> region analysis is jobs- and
 #                                        rerun-invariant
-#   5. ropt-report validate A         -> schema-3 artifacts check out
+#   5. ropt-report validate A         -> analysis artifacts check out
 #   6. ropt-report analyze A          -> renders labels + budget shares
 #   7. analyze A == analyze B == analyze C (modulo the run-dir path in
 #      the header) -> the rendered view is byte-identical too

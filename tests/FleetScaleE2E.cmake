@@ -3,16 +3,18 @@
 #
 #   1. fleet_scale --fast --seed 1 --report A                 (jobs 1)
 #   2. fleet_scale --fast --seed 1 --jobs 8 --report B
-#   3. the run directory grew fleet.jsonl (with schema-4 virtual times,
-#      schema-5 provenance fields), telemetry.json and fleet.trace.json,
+#   3. the run directory grew fleet.jsonl (with virtual times and
+#      provenance fields), telemetry.json and fleet.trace.json,
 #      and a manifest fleet section
 #   4. ropt-report validate A     -> fleet artifacts cross-check clean
-#      (including the schema-5 sketch merge law and chain causality)
+#      (including the sketch merge law and chain causality)
 #   5. ropt-report summarize A    -> renders the fleet section
 #      ropt-report fleet A        -> renders chains and class curves
 #   6. fleet.jsonl, telemetry.json and fleet.trace.json A == B
 #                                 -> all fleet artifacts are jobs-invariant
 #   7. the same invariance under 30% churn (C jobs 1 == D jobs 8)
+#   8. fleet_scale --analysis-guided on -> exit 2 (a fleet class only
+#      searches its slack-0 region, so the flag would change nothing)
 #
 # Inputs: -DFLEET_SCALE=..., -DROPT_REPORT=..., -DWORK_DIR=...
 
@@ -59,16 +61,16 @@ if(NOT Manifest MATCHES "\"fleet\"")
   message(FATAL_ERROR "manifest.json lacks the fleet section")
 endif()
 
-# Schema 4: every fleet.jsonl record carries the step's virtual
-# completion time on the event loop.
+# Every fleet.jsonl record carries the step's virtual completion time on
+# the event loop.
 file(READ "${RunA}/fleet.jsonl" FleetLog)
 if(NOT FleetLog MATCHES "\"virtual_time\"")
-  message(FATAL_ERROR "fleet.jsonl lacks virtual_time (schema 4)")
+  message(FATAL_ERROR "fleet.jsonl lacks virtual_time")
 endif()
-# Schema 5: records carry the best genome's provenance chain, and the
+# Records carry the best genome's provenance chain, and the
 # telemetry artifact carries the chains + mergeable sketches.
 if(NOT FleetLog MATCHES "\"best_provenance\"")
-  message(FATAL_ERROR "fleet.jsonl lacks best_provenance (schema 5)")
+  message(FATAL_ERROR "fleet.jsonl lacks best_provenance")
 endif()
 file(READ "${RunA}/telemetry.json" Telemetry)
 if(NOT Telemetry MATCHES "\"chains\"")
@@ -95,7 +97,7 @@ if(NOT Out MATCHES "fleet")
   message(FATAL_ERROR "summary lacks the fleet section:\n${Out}")
 endif()
 
-# The fleet view: per-device-class round curves and at least one
+# The fleet view: per-device-class step curves and at least one
 # complete provenance chain (discovery -> merge -> arrivals).
 execute_process(
   COMMAND ${ROPT_REPORT} fleet ${RunA}
@@ -104,7 +106,7 @@ if(NOT Rc EQUAL 0)
   message(FATAL_ERROR "ropt-report fleet failed (${Rc}):\n${Out}${Err}")
 endif()
 if(NOT Out MATCHES "class 0:")
-  message(FATAL_ERROR "fleet view lacks per-class round curves:\n${Out}")
+  message(FATAL_ERROR "fleet view lacks per-class step curves:\n${Out}")
 endif()
 if(NOT Out MATCHES "discovered d[0-9]+@vt[0-9]+, merged@vt[0-9]+")
   message(FATAL_ERROR "fleet view lacks a complete provenance chain:\n${Out}")
@@ -112,9 +114,8 @@ endif()
 
 # The fleet-scale determinism bar: the whole step log — virtual times,
 # device bests, hint adoption, even the seeded transport's retry
-# counters — is byte-identical at any --jobs value. Since schema 5 the
-# same holds for the merged telemetry sketches and the virtual-clock
-# trace.
+# counters — is byte-identical at any --jobs value. The same holds for
+# the merged telemetry sketches and the virtual-clock trace.
 foreach(Artifact fleet.jsonl telemetry.json fleet.trace.json)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -159,6 +160,14 @@ if(NOT Rc EQUAL 0)
                       "${Out}${Err}")
 endif()
 
+execute_process(
+  COMMAND ${FLEET_SCALE} --fast --analysis-guided on
+  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_VARIABLE Err)
+if(NOT Rc EQUAL 2 OR NOT Err MATCHES "no effect on a fleet run")
+  message(FATAL_ERROR "fleet_scale accepted --analysis-guided (${Rc}): ${Err}")
+endif()
+
 message(STATUS "fleet_scale_e2e: fleet artifacts valid, step log + "
                "telemetry + trace jobs-invariant (with and without "
-               "churn), summary and fleet views render")
+               "churn), summary and fleet views render, --analysis-guided "
+               "refused")

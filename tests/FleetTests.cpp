@@ -242,14 +242,14 @@ TEST(FleetServer, MergesDeduplicatesAndRanks) {
   G2.Passes.push_back(lir::PassInstance{lir::PassId::Sink, 0, false});
   G2.Passes.push_back(lir::PassInstance{lir::PassId::Dce, 0, false});
 
-  fleet::RoundReport R0;
+  fleet::StepReport R0;
   R0.Device = 0;
   R0.Best.push_back(genomeReport(G1, 0xaaa, {1.2, 1.3, 1.4}));
   Srv.merge("App", R0);
 
   // A second device reports the same binary hash: the entry is folded,
   // not duplicated, and the pooled samples re-rank the median.
-  fleet::RoundReport R1;
+  fleet::StepReport R1;
   R1.Device = 1;
   R1.Best.push_back(genomeReport(G1, 0xaaa, {1.6, 1.7, 1.8}));
   R1.Best.push_back(genomeReport(G2, 0xbbb, {2.0, 2.1, 2.2}));
@@ -271,7 +271,7 @@ TEST(FleetServer, MergesDeduplicatesAndRanks) {
 
   // A rejection report quarantines the genome: it leaves the hint set
   // for good, but stays on the leaderboard for the post-mortem.
-  fleet::RoundReport R2;
+  fleet::StepReport R2;
   R2.Device = 2;
   R2.Rejections.push_back(fleet::HintRejection{G2.name(), "wrong-output"});
   Srv.merge("App", R2);
@@ -294,7 +294,7 @@ TEST(FleetServer, LeaderboardTtlExpiresStaleEntries) {
 
   search::Genome G;
   G.Passes.push_back(lir::PassInstance{lir::PassId::Gvn, 0, false});
-  fleet::RoundReport R;
+  fleet::StepReport R;
   R.Device = 0;
   R.Best.push_back(genomeReport(G, 0xaaa, {1.5, 1.6, 1.7}));
   Srv.merge("App", R, /*Now=*/10);
@@ -329,7 +329,7 @@ TEST(FleetServer, InjectHintRespectsQuarantine) {
   ASSERT_EQ(Srv.hints("App").size(), 1u);
 
   // ...then a device's verification map rejects it and it's quarantined.
-  fleet::RoundReport R;
+  fleet::StepReport R;
   R.Device = 0;
   R.Rejections.push_back(fleet::HintRejection{G.name(), "wrong-output"});
   Srv.merge("App", R);
@@ -366,7 +366,7 @@ TEST(FleetServer, ClassLocalHintsServeClassTopKPlusExplorationTail) {
   };
   auto Report = [&](const search::Genome &G, uint64_t Hash, double Speedup,
                     int Device, int Class) {
-    fleet::RoundReport R;
+    fleet::StepReport R;
     R.Device = Device;
     R.DeviceClass = Class;
     R.Best.push_back(
@@ -475,41 +475,36 @@ TEST(FleetDevice, ClassedProfilesShareHardwareNotSeeds) {
 // --- One search setup: a fleet class searches what the pipeline searches ---
 
 TEST(FleetDevice, NeutralClassSetsUpThePipelinesSearch) {
-  for (bool Guided : {false, true}) {
-    SCOPED_TRACE(Guided ? "analysis-guided" : "paper configuration");
-    core::PipelineConfig Config = fleetBase(/*Seed=*/1);
-    Config.Search.AnalysisGuided = Guided;
-    core::OptimizationReport Report =
-        core::IterativeCompiler(Config).optimize(
-            workloads::buildByName("Sieve"));
-    ASSERT_TRUE(Report.Succeeded) << Report.FailureReason;
+  core::PipelineConfig Config = fleetBase(/*Seed=*/1);
+  core::OptimizationReport Report =
+      core::IterativeCompiler(Config).optimize(workloads::buildByName("Sieve"));
+  ASSERT_TRUE(Report.Succeeded) << Report.FailureReason;
 
-    // Stock hardware, stock input, the pipeline's own seed.
-    fleet::DeviceProfile Neutral;
-    Neutral.Seed = Config.Seed;
-    ASSERT_EQ(Neutral.CostScale, 1.0);
-    ASSERT_EQ(Neutral.NoiseScale, 1.0);
-    ASSERT_EQ(Neutral.SessionShift, 0);
-    fleet::DeviceClassState Class(workloads::buildByName("Sieve"), Config,
-                                  Neutral);
-    ASSERT_TRUE(Class.setup()) << Class.failureReason();
+  // Stock hardware, stock input, the pipeline's own seed.
+  fleet::DeviceProfile Neutral;
+  Neutral.Seed = Config.Seed;
+  ASSERT_EQ(Neutral.CostScale, 1.0);
+  ASSERT_EQ(Neutral.NoiseScale, 1.0);
+  ASSERT_EQ(Neutral.SessionShift, 0);
+  fleet::DeviceClassState Class(workloads::buildByName("Sieve"), Config,
+                                Neutral);
+  ASSERT_TRUE(Class.setup()) << Class.failureReason();
 
-    // The same baselines...
-    ASSERT_GT(Report.RegionO3, 0.0);
-    EXPECT_EQ(Class.androidMedian(), Report.RegionAndroid);
-    EXPECT_EQ(Class.o3Median(), Report.RegionO3);
+  // The same baselines...
+  ASSERT_GT(Report.RegionO3, 0.0);
+  EXPECT_EQ(Class.androidMedian(), Report.RegionAndroid);
+  EXPECT_EQ(Class.o3Median(), Report.RegionO3);
 
-    // ...and the same GA budget and pass mask.
-    search::GaConfig Expected =
-        core::scaledGaConfig(Config.Search.GA, Report.AppliedBudgetScale);
-    const search::GaConfig &Got = Class.gaConfig();
-    EXPECT_EQ(Got.Generations, Expected.Generations);
-    EXPECT_EQ(Got.PopulationSize, Expected.PopulationSize);
-    EXPECT_EQ(Got.TournamentSize, Expected.TournamentSize);
-    EXPECT_EQ(Got.EliteCount, Expected.EliteCount);
-    EXPECT_EQ(Got.HillClimbRounds, Expected.HillClimbRounds);
-    EXPECT_EQ(Got.Genomes.DisabledPassMask, Report.AppliedPassMask);
-  }
+  // ...and the same GA budget and pass mask.
+  search::GaConfig Expected =
+      core::scaledGaConfig(Config.Search.GA, Report.AppliedBudgetScale);
+  const search::GaConfig &Got = Class.gaConfig();
+  EXPECT_EQ(Got.Generations, Expected.Generations);
+  EXPECT_EQ(Got.PopulationSize, Expected.PopulationSize);
+  EXPECT_EQ(Got.TournamentSize, Expected.TournamentSize);
+  EXPECT_EQ(Got.EliteCount, Expected.EliteCount);
+  EXPECT_EQ(Got.HillClimbRounds, Expected.HillClimbRounds);
+  EXPECT_EQ(Got.Genomes.DisabledPassMask, Report.AppliedPassMask);
 }
 
 // --- (a) Determinism: bit-identical at any --jobs and across re-runs --------
@@ -703,10 +698,9 @@ TEST(FleetWarmStart, WarmStartedSearchIsNoWorseThanColdAtSameBudget) {
 // --- Telemetry: sketches, provenance chains, bounded buffers ----------------
 
 TEST(FleetTelemetry, SketchMergeIsAssociativeAndCommutative) {
-  using fleet::TelemetrySketch;
-  TelemetrySketch A(TelemetrySketch::Kind::Speedup);
-  TelemetrySketch B(TelemetrySketch::Kind::Speedup);
-  TelemetrySketch C(TelemetrySketch::Kind::Speedup);
+  using Sketch = Histogram::Snapshot;
+  std::vector<double> Bounds = fleet::sketchBounds(fleet::SketchKind::Speedup);
+  Sketch A(Bounds), B(Bounds), C(Bounds);
   for (double V : {0.4, 1.1, 2.2})
     A.observe(V);
   B.observe(1.6);
@@ -716,25 +710,49 @@ TEST(FleetTelemetry, SketchMergeIsAssociativeAndCommutative) {
   // (A + B) + C == A + (B + C) == C + B + A on the counts — fixed bounds
   // make the merge a plain bucket-wise sum, which is what lets device
   // sketches roll up to class, cell and fleet totals in any grouping.
-  TelemetrySketch L = A;
+  Sketch L = A;
   L += B;
   L += C;
-  TelemetrySketch BC = B;
+  Sketch BC = B;
   BC += C;
-  TelemetrySketch R = A;
+  Sketch R = A;
   R += BC;
-  TelemetrySketch Rev = C;
+  Sketch Rev = C;
   Rev += B;
   Rev += A;
-  EXPECT_EQ(L.counts(), R.counts());
-  EXPECT_EQ(L.counts(), Rev.counts());
-  EXPECT_EQ(L.count(), 6u);
-  EXPECT_EQ(L.min(), 0.4);
-  EXPECT_EQ(L.max(), 9.0);
-  EXPECT_DOUBLE_EQ(L.sum(), R.sum());
-  // The snapshot view powers the report layer's quantile tables.
-  EXPECT_GT(L.snapshot().quantile(0.5), 0.0);
-  EXPECT_LE(L.snapshot().quantile(0.5), L.snapshot().quantile(0.95));
+  EXPECT_EQ(L.Counts, R.Counts);
+  EXPECT_EQ(L.Counts, Rev.Counts);
+  EXPECT_EQ(L.Count, 6u);
+  EXPECT_EQ(L.Min, 0.4);
+  EXPECT_EQ(L.Max, 9.0);
+  EXPECT_DOUBLE_EQ(L.Sum, R.Sum);
+  // The quantile estimate powers the report layer's latency tables.
+  EXPECT_GT(L.quantile(0.5), 0.0);
+  EXPECT_LE(L.quantile(0.5), L.quantile(0.95));
+
+  // The telemetry.json spelling reads back to the same sketch.
+  Sketch Back = fleet::sketchSnapshot(
+      json::parse(fleet::sketchJson(L)).value());
+  EXPECT_EQ(Back.Bounds, L.Bounds);
+  EXPECT_EQ(Back.Counts, L.Counts);
+  EXPECT_EQ(Back.Count, L.Count);
+  EXPECT_EQ(Back.Sum, L.Sum);
+}
+
+TEST(FleetTelemetry, DamagedSketchReadsAsEmpty) {
+  // quantile() indexes Bounds by bucket and clamps into [Min, Max], so a
+  // damaged telemetry.json sketch — counts that do not fit its bounds
+  // (here a lost "bounds" key), or a minimum above the maximum — must
+  // read as an empty sketch rather than reach it.
+  for (const char *Text :
+       {"{\"counts\":[0,0,1],\"count\":1,\"min\":8,\"max\":8}",
+        "{\"bounds\":[2,4],\"counts\":[0,0,1],\"count\":1,\"min\":9,"
+        "\"max\":8}"}) {
+    Histogram::Snapshot S = fleet::sketchSnapshot(json::parse(Text).value());
+    EXPECT_EQ(S.Count, 0u) << Text;
+    EXPECT_EQ(S.Counts.size(), S.Bounds.size() + 1) << Text;
+    EXPECT_EQ(S.quantile(0.5), 0.0) << Text;
+  }
 }
 
 TEST(FleetTelemetry, TelemetryAndTraceAreIdenticalAcrossJobsAndReruns) {
@@ -750,7 +768,7 @@ TEST(FleetTelemetry, TelemetryAndTraceAreIdenticalAcrossJobsAndReruns) {
   // The rendered telemetry (sketches + chains) is a pure function of the
   // simulation: byte-identical at any --jobs and across reruns.
   EXPECT_FALSE(Serial.Telemetry.Chains.empty());
-  EXPECT_GT(Serial.Telemetry.Total.StepTicks.count(), 0u);
+  EXPECT_GT(Serial.Telemetry.Total.StepTicks.Count, 0u);
   EXPECT_EQ(Serial.Telemetry.json(), Parallel.Telemetry.json());
   EXPECT_EQ(Serial.Telemetry.json(), Rerun.Telemetry.json());
 
@@ -807,7 +825,7 @@ TEST(FleetTelemetry, ProvenanceChainFollowsTheWinningGenome) {
     EXPECT_GE(C.FirstAdoptDevice, 0);
   }
   EXPECT_TRUE(AnyAdopted);
-  EXPECT_GT(R.Telemetry.Total.HintLatency.count(), 0u);
+  EXPECT_GT(R.Telemetry.Total.HintLatency.Count, 0u);
 }
 
 TEST(FleetTelemetry, BoundedBuffersDropOldestWithoutChangingResults) {
@@ -833,8 +851,8 @@ TEST(FleetTelemetry, BoundedBuffersDropOldestWithoutChangingResults) {
   // not change a single search outcome, and the aggregate sketches and
   // chains (leaderboard-like state, not buffered events) stay complete.
   EXPECT_EQ(Wide.digest(), Tight.digest());
-  EXPECT_EQ(Wide.Telemetry.Total.Speedup.count(),
-            Tight.Telemetry.Total.Speedup.count());
+  EXPECT_EQ(Wide.Telemetry.Total.Speedup.Count,
+            Tight.Telemetry.Total.Speedup.Count);
   EXPECT_EQ(Wide.Telemetry.Chains.size(), Tight.Telemetry.Chains.size());
 }
 

@@ -10,6 +10,7 @@
 
 #include "report/RunDiff.h"
 #include "report/RunReport.h"
+#include "support/Format.h"
 #include "support/Json.h"
 
 #include "bench/BenchUtil.h"
@@ -381,11 +382,7 @@ TEST(RunDiff, FlagsVerdictMixShifts) {
   EXPECT_FALSE(D.regressed());
 }
 
-// --- Older-schema run directories -------------------------------------------
-//
-// Run directories written before measurement racing and the fleet layer
-// (manifest schema 1, no racing block, no fleet section, no fleet.jsonl)
-// must still load, validate without problems, summarize and diff.
+// --- The one schema, and damaged run directories ---------------------------
 
 namespace {
 
@@ -395,76 +392,208 @@ void writeRawFile(const std::string &Path, const std::string &Content) {
   ASSERT_TRUE(Out.good()) << "cannot write " << Path;
 }
 
-/// A minimal schema-1 run directory, as the pre-racing pre-fleet tool
-/// wrote them: evaluation records without racing provenance fields, app
-/// manifest entries without "racing", no fleet artifacts at all.
-void synthesizeSchema1Run(const std::string &Dir) {
-  std::filesystem::create_directories(Dir);
-  writeRawFile(
-      Dir + "/manifest.json",
-      "{\"schema\":1,\"tool\":\"synth_v1\",\"git\":\"deadbee\","
-      "\"seed\":1,\"jobs\":1,\"fast\":false,"
-      "\"config\":{\"generations\":2,\"population\":4},"
-      "\"wall_seconds\":0.5,\"evaluations\":2,"
-      "\"apps\":[{\"name\":\"Synth\",\"succeeded\":true,\"failure\":null,"
-      "\"verdicts\":{\"ok\":1,\"compile_error\":0,\"runtime_crash\":1,"
-      "\"runtime_timeout\":0,\"wrong_output\":0,\"total\":2},"
-      "\"cache\":{\"genome_hits\":0,\"binary_hits\":0,\"misses\":2,"
-      "\"hit_rate\":0},"
-      "\"region_android_cycles\":200,\"region_o3_cycles\":150,"
-      "\"region_best_cycles\":100,"
-      "\"speedup_ga_over_android\":2,\"speedup_ga_over_o3\":1.5}],"
-      "\"totals\":{\"verdicts\":{\"ok\":1,\"total\":2},"
-      "\"cache\":{\"misses\":2}}}");
-  writeRawFile(
-      Dir + "/evaluations.jsonl",
-      "{\"id\":1,\"app\":\"Synth\",\"gen\":0,\"genome\":\"g1\","
-      "\"parents\":[],\"verdict\":\"ok\",\"error\":null,"
-      "\"cache\":\"miss\",\"median_cycles\":100,\"ci_low\":99,"
-      "\"ci_high\":101,\"samples\":[100],\"code_size\":10,"
-      "\"binary_hash\":\"0x0000000000000001\"}\n"
-      "{\"id\":2,\"app\":\"Synth\",\"gen\":0,\"genome\":\"g2\","
-      "\"parents\":[1],\"verdict\":\"runtime-crash\","
-      "\"error\":\"replay-crash\",\"cache\":\"miss\","
-      "\"median_cycles\":0,\"ci_low\":0,\"ci_high\":0,\"samples\":[],"
-      "\"code_size\":0,\"binary_hash\":\"0x0000000000000000\"}\n");
-  writeRawFile(Dir + "/generations.jsonl",
-               "{\"app\":\"Synth\",\"gen\":0,\"evaluations\":2,"
-               "\"invalid\":1,\"best_cycles\":100,\"worst_cycles\":100,"
-               "\"mean_cycles\":100}\n");
+/// A current-schema fleet run directory with every artifact the writer
+/// knows — evaluations, generations, a region analysis, fleet steps, the
+/// fleet section, telemetry and the fleet trace — written through the
+/// RunReport API, consistent enough that validateRun finds no problem.
+void synthesizeFleetRun(const std::string &Dir) {
+  report::RunInfo Info;
+  Info.Tool = "synth_fleet";
+  support::Result<std::unique_ptr<report::RunReport>> Opened =
+      report::RunReport::open(Dir, Info);
+  ASSERT_TRUE(Opened.ok()) << Opened.error().Message;
+  report::RunReport &RR = *Opened.value();
+  RR.beginApp("Synth");
+  Rng R(5);
+  search::Evaluation Ok;
+  Ok.Kind = search::EvalKind::Ok;
+  Ok.Samples = {100.0, 102.0};
+  Ok.MedianCycles = 101.0;
+  Ok.BinaryHash = 0x1234;
+  uint64_t Id = RR.onEvaluation(search::randomGenome(R, {}), Ok, 0, {});
+  search::Evaluation Crash;
+  Crash.Kind = search::EvalKind::RuntimeCrash;
+  Crash.Error = support::ErrorCode::ReplayCrash;
+  RR.onEvaluation(search::randomGenome(R, {}), Crash, 1, {Id});
+  search::GenerationStats G;
+  G.Evaluations = 2;
+  G.Invalid = 1;
+  G.BestCycles = G.WorstCycles = G.MeanCycles = 101.0;
+  RR.onGenerationDone(G);
+
+  report::AppOutcome Out;
+  Out.Succeeded = true;
+  for (int I = 0; I != 2; ++I) {
+    analysis::RegionReport Region;
+    Region.Root = static_cast<dex::MethodId>(3 + I);
+    Region.RootName = I ? "cool" : "hot";
+    Region.Methods = {Region.Root};
+    Region.Features.Cycles = I ? 400 : 1000;
+    Region.Features.Insns = 500;
+    Region.Label = I ? analysis::Bottleneck::Branchy
+                     : analysis::Bottleneck::Compute;
+    Region.CriticalPathCycles = I ? 300 : 900;
+    Region.CriticalChain = {Region.Root};
+    Region.Slack = I ? 600 : 0;
+    Region.BudgetWeight = I ? 0.25 : 0.75;
+    Region.BudgetScale = I ? 1.0 / 3.0 : 1.0;
+    Out.Analysis.Regions.push_back(Region);
+  }
+  RR.endApp(Out);
+
+  // Two devices of two classes; device 1 adopts device 0's genome.
+  fleet::FleetTelemetry T;
+  T.App = "Synth";
+  T.Devices = 2;
+  fleet::ProvenanceChain Chain;
+  Chain.Id = 0xabc;
+  Chain.Key = "gvn,dce";
+  Chain.Device = 0;
+  Chain.DiscoveryTime = 10;
+  Chain.FirstMergeTime = 14;
+  Chain.Arrivals = 1;
+  Chain.LatencyTicksTotal = 8;
+  Chain.Adoptions = 1;
+  Chain.FirstAdoptDevice = 1;
+  Chain.FirstAdoptTime = 20;
+  Chain.Won = true;
+  T.Chains.push_back(Chain);
+  int Adopted = 0;
+  for (int D = 0; D != 2; ++D) {
+    fleet::ClassTelemetry C;
+    C.ClassId = D;
+    C.Devices = 1;
+    C.Sketches.Speedup.observe(1.5 + D);
+    C.Sketches.StepTicks.observe(40.0);
+    if (D == 1)
+      C.Sketches.HintLatency.observe(8.0);
+    T.Classes.push_back(C);
+    T.Total += C.Sketches;
+
+    report::FleetStepRecord S;
+    S.App = "Synth";
+    S.FleetDevices = 2;
+    S.Device = D;
+    S.VirtualTime = 20 + 10 * static_cast<uint64_t>(D);
+    S.BestSpeedup = 1.5 + D;
+    S.BestGenome = "gvn,dce";
+    S.BestSource = D ? "seeded" : "random";
+    S.BestFromHint = D == 1;
+    S.HintsReceived = D;
+    S.HintsAdopted = D;
+    S.Evaluations = 8;
+    S.DeviceClass = D;
+    S.BestProvenance = Chain.Id;
+    S.BestDiscoveryDevice = 0;
+    S.BestDiscoveryTime = Chain.DiscoveryTime;
+    S.TransportAttempts = 1;
+    S.TransportTicks = 4;
+    RR.onFleetStep(S);
+    Adopted += S.HintsAdopted;
+
+    analysis::FleetTraceEvent E;
+    E.Time = S.VirtualTime - 10;
+    E.Duration = 10;
+    E.Track = D;
+    E.Device = D;
+    E.Name = "step 0";
+    RR.onFleetTrace("Synth", 2, 2, {E});
+  }
+  RR.onFleetCell(T);
+  report::FleetSummary F;
+  F.DeviceSweep = "2";
+  F.Steps = 1;
+  F.HintsAdopted = static_cast<uint64_t>(Adopted);
+  F.BestSpeedup = 2.5;
+  RR.setFleetSummary(F);
+  EXPECT_TRUE(RR.finish());
 }
 
 } // namespace
 
-TEST(RunDiff, ToleratesPreFleetSchema1RunDirectories) {
-  TempRunDir Dir("ropt_schema1");
-  synthesizeSchema1Run(Dir.str());
+TEST(RunDiff, RefusesEveryOtherManifestSchema) {
+  TempRunDir Dir("ropt_other_schema");
+  synthesizeRun(Dir.str(), {100.0}, 1);
+  std::string Manifest = slurpFile(Dir.str() + "/manifest.json");
+  const std::string Current = "\"schema\":7,";
+  ASSERT_EQ(Manifest.rfind(Current, 1), 1u);
+  ASSERT_TRUE(report::loadRun(Dir.str()).ok());
+  for (int Schema : {1, 2, 3, 4, 5, 6, 8}) {
+    writeRawFile(Dir.str() + "/manifest.json",
+                 "{\"schema\":" + std::to_string(Schema) + "," +
+                     Manifest.substr(1 + Current.size()));
+    support::Result<report::LoadedRun> Run = report::loadRun(Dir.str());
+    ASSERT_FALSE(Run.ok()) << "schema " << Schema;
+    EXPECT_EQ(Run.error().Message,
+              Dir.str() + "/manifest.json: unsupported schema " +
+                  std::to_string(Schema) + " (this build reads 7)");
+  }
+}
 
-  support::Result<report::LoadedRun> Loaded = report::loadRun(Dir.str());
-  ASSERT_TRUE(Loaded.ok()) << Loaded.error().Message;
-  const report::LoadedRun &Run = Loaded.value();
-  EXPECT_FALSE(Run.HasFleetLog);
-  EXPECT_TRUE(Run.Fleet.empty());
+TEST(RunDiff, LoadAndValidateSurviveCorruptRunDirectories) {
+  TempRunDir Dir("ropt_corrupt_run");
+  synthesizeFleetRun(Dir.str());
+  support::Result<report::LoadedRun> Pristine = report::loadRun(Dir.str());
+  ASSERT_TRUE(Pristine.ok()) << Pristine.error().Message;
+  report::ValidationResult V = report::validateRun(Pristine.value());
+  ASSERT_TRUE(V.ok()) << V.Problems.front();
+  ASSERT_TRUE(Pristine.value().HasFleetLog);
+  ASSERT_TRUE(Pristine.value().HasAnalysisLog);
+  ASSERT_TRUE(Pristine.value().HasTelemetry);
 
-  // Missing racing/fleet sections are at most warnings, never problems.
-  report::ValidationResult V = report::validateRun(Run);
-  EXPECT_TRUE(V.ok()) << (V.Problems.empty() ? "" : V.Problems.front());
-  EXPECT_TRUE(V.Warnings.empty());
+  // Every artifact, each damaged many ways: truncated at a random length
+  // or with one random bit flipped. loadRun must return an error or a
+  // run, and every reader must take whatever loads without crashing
+  // (the ASan+UBSan build runs this too).
+  std::vector<std::pair<std::string, std::string>> Files;
+  for (const auto &E : std::filesystem::directory_iterator(Dir.str()))
+    Files.push_back({E.path().string(), slurpFile(E.path().string())});
+  ASSERT_GE(Files.size(), 7u);
+  Rng R(2024);
+  int Loaded = 0, Refused = 0;
+  for (const auto &[Path, Bytes] : Files) {
+    for (int Trial = 0; Trial != 60; ++Trial) {
+      std::string Damaged = Bytes;
+      if (Trial % 2 == 0 || Damaged.empty())
+        Damaged.resize(R.below(Damaged.size() + 1));
+      else
+        Damaged[R.below(Damaged.size())] ^=
+            static_cast<char>(1u << R.below(8));
+      writeRawFile(Path, Damaged);
+      support::Result<report::LoadedRun> Run = report::loadRun(Dir.str());
+      if (!Run) {
+        ++Refused;
+        continue;
+      }
+      ++Loaded;
+      const report::LoadedRun &L = Run.value();
+      report::validateRun(L);
+      report::summarize(L);
+      report::summarize(L, /*Markdown=*/true);
+      report::analyzeRun(L, &Pristine.value());
+      report::diffRuns(Pristine.value(), L);
+      report::diffRuns(L, Pristine.value());
+      report::fleetReport(L, &Pristine.value());
+    }
+    writeRawFile(Path, Bytes);
+  }
+  EXPECT_GT(Loaded, 0);
+  EXPECT_GT(Refused, 0);
 
-  // Summarize must not crash on the missing racing block or fleet data.
-  std::string Summary = report::summarize(Run);
-  EXPECT_NE(Summary.find("Synth"), std::string::npos);
-  EXPECT_EQ(Summary.find("replay budget"), std::string::npos);
-  EXPECT_EQ(Summary.find("fleet"), std::string::npos);
-
-  // Diffing a schema-1 baseline against a current-schema run works: the
-  // gate only needs the evaluation stream both schemas share.
-  TempRunDir NewDir("ropt_schema2_vs_1");
-  synthesizeRun(NewDir.str(), {100.0}, 1);
-  report::LoadedRun NewRun = report::loadRun(NewDir.str()).value();
-  report::DiffResult D = report::diffRuns(Run, NewRun);
-  EXPECT_FALSE(D.regressed());
-  EXPECT_FALSE(report::diffRuns(Run, Run).regressed());
+  // Numbers no span field can hold — negative, or past uint64_t — read
+  // as 0 in the summary's top spans rather than as undefined conversions.
+  writeRawFile(Dir.str() + "/trace.json",
+               "{\"traceEvents\":["
+               "{\"ph\":\"X\",\"name\":\"hostile\",\"ts\":-1,"
+               "\"dur\":1e30,\"tid\":-7},"
+               "{\"ph\":\"X\",\"name\":\"hostile\",\"ts\":1e30,"
+               "\"dur\":-2,\"tid\":1e30}]}");
+  support::Result<report::LoadedRun> Hostile = report::loadRun(Dir.str());
+  ASSERT_TRUE(Hostile.ok()) << Hostile.error().Message;
+  EXPECT_NE(report::summarize(Hostile.value())
+                .find(format("%-28s %8d %12.3f %12.3f", "hostile", 2, 0.0,
+                             0.0)),
+            std::string::npos);
 }
 
 TEST(RunDiff, RejectsEmptyAndOutOfOrderGenerationRecords) {
@@ -476,7 +605,7 @@ TEST(RunDiff, RejectsEmptyAndOutOfOrderGenerationRecords) {
   };
   auto Validate = [](const std::string &Name, const std::string &Gens) {
     TempRunDir Dir(Name);
-    synthesizeSchema1Run(Dir.str());
+    synthesizeRun(Dir.str(), {100.0}, 1);
     writeRawFile(Dir.str() + "/generations.jsonl", Gens);
     return report::validateRun(report::loadRun(Dir.str()).value());
   };
@@ -500,7 +629,7 @@ TEST(RunDiff, RejectsEmptyAndOutOfOrderGenerationRecords) {
 
 TEST(RunDiff, WarnsButDoesNotFailOnFleetArtifactMismatch) {
   TempRunDir Dir("ropt_fleet_mismatch");
-  synthesizeSchema1Run(Dir.str());
+  synthesizeRun(Dir.str(), {100.0}, 1);
   // A stray fleet.jsonl next to a manifest with no fleet section: the
   // validator flags it as a warning, not a gate failure.
   writeRawFile(Dir.str() + "/fleet.jsonl",
@@ -520,13 +649,15 @@ TEST(RunDiff, WarnsButDoesNotFailOnFleetArtifactMismatch) {
 
   report::ValidationResult V = report::validateRun(Run);
   EXPECT_TRUE(V.ok());
-  ASSERT_FALSE(V.Warnings.empty());
-  EXPECT_NE(V.Warnings.front().find("fleet"), std::string::npos);
+  bool Warned = false;
+  for (const std::string &W : V.Warnings)
+    Warned |= W.find("no fleet section") != std::string::npos;
+  EXPECT_TRUE(Warned);
 }
 
 TEST(RunDiff, FlagsInternallyInconsistentFleetRecords) {
   TempRunDir Dir("ropt_fleet_bad");
-  synthesizeSchema1Run(Dir.str());
+  synthesizeRun(Dir.str(), {100.0}, 1);
   // adopted + rejected exceeds received, and the source spelling is
   // unknown: both are validation problems.
   writeRawFile(Dir.str() + "/fleet.jsonl",
@@ -552,7 +683,7 @@ TEST(RunDiff, FleetGateFlagsBestSpeedupRegressions) {
     report::LoadedRun Run;
     Run.Dir = "synth";
     Run.HasFleetLog = true;
-    report::FleetRecord R;
+    report::FleetStepRecord R;
     R.App = "Synth";
     R.FleetDevices = 4;
     R.BestSpeedup = Best;
@@ -616,7 +747,7 @@ static bool hasLoaderWarning(const report::ValidationResult &V) {
 }
 
 TEST(RunDiff, WarnsWhenFreshBackendsLostLoaderStats) {
-  // A schema-6 run claiming fresh (session_backends=false) backends must
+  // A run claiming fresh (session_backends=false) backends must
   // show loader work in metrics.json: replays without pages_restored mean
   // the LoaderStats plumbing regressed (the pre-session-fix bug).
   auto MakeRun = [](TempRunDir &Dir, double PagesRestored) {

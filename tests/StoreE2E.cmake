@@ -7,7 +7,7 @@
 #   2. ropt-report store SA -> loads, validates the canonical fixed
 #      point, renders the class roster and per-app boards (exit 0)
 #   3. a second run against SA (the warm night): its report carries the
-#      schema-7 warm_start section with entries actually loaded, the
+#      warm_start section with entries actually loaded, the
 #      night counter advances, and the warm store stays canonical
 #   4. the warm night is itself jobs-invariant (SA jobs 1 == SC jobs 8,
 #      fed the same cold store)

@@ -6,8 +6,8 @@
 //       for current-schema documents — load -> save is a byte fixed
 //       point, so store bytes are comparable across --jobs and reruns;
 //   (b) load() never fails the caller: missing file -> silent cold
-//       start; corrupt/truncated/newer-schema -> cold start + warning;
-//       an older or sparse document decodes absent fields to defaults;
+//       start; corrupt/truncated/other-schema -> cold start + warning;
+//       a sparse document decodes absent fields to defaults;
 //   (c) the k-means device classing is a pure function of (points, K,
 //       seed) with stable lexicographic class ids and no empty classes;
 //   (d) Server::exportState/importState round-trip every board byte-for-
@@ -135,18 +135,24 @@ TEST(StoreFormat, CorruptAndTruncatedDocumentsColdStartWithWarning) {
   EXPECT_TRUE(NotObject.State.Apps.empty());
 }
 
-TEST(StoreFormat, NewerSchemaColdStartsWithWarning) {
-  store::DecodeResult D = store::deserialize(
-      "{\"schema\":99,\"apps\":[{\"name\":\"App\",\"entries\":[]}]}");
-  EXPECT_FALSE(D.Warning.empty());
-  EXPECT_NE(D.Warning.find("newer"), std::string::npos);
-  EXPECT_TRUE(D.State.Apps.empty());
+TEST(StoreFormat, OtherSchemaColdStartsWithWarning) {
+  // Only CurrentSchema loads: older, newer and missing schemas all start
+  // cold with the one warning.
+  for (const char *Schema : {"0", "2", "99"}) {
+    store::DecodeResult D = store::deserialize(
+        std::string("{\"schema\":") + Schema +
+        ",\"apps\":[{\"name\":\"App\",\"entries\":[]}]}");
+    EXPECT_EQ(D.Warning, std::string("store: unsupported schema ") + Schema +
+                             " (this build reads 1); starting cold");
+    EXPECT_TRUE(D.State.Apps.empty());
+  }
+  EXPECT_FALSE(store::deserialize("{\"apps\":[]}").Warning.empty());
 }
 
 TEST(StoreFormat, SparseDocumentDecodesMissingFieldsToDefaults) {
-  // A document from an older writer that predates most fields: every
-  // absent field decodes to its default (forward-tolerant reads), and
-  // entries without a genome key are skipped rather than trusted.
+  // A sparse (hand-written or damaged) document: every absent field
+  // decodes to its default, and entries without a genome key are skipped
+  // rather than trusted.
   store::DecodeResult D = store::deserialize(
       "{\"schema\":1,\"apps\":[{\"name\":\"App\",\"entries\":["
       "{\"genome\":\"gvn,dce\",\"speedup\":1.5},"
@@ -324,14 +330,14 @@ void populate(fleet::Server &Srv) {
   G3.Passes.push_back(lir::PassInstance{lir::PassId::Sink, 0, false});
   G3.Passes.push_back(lir::PassInstance{lir::PassId::Dce, 0, false});
 
-  fleet::RoundReport R0;
+  fleet::StepReport R0;
   R0.Device = 0;
   R0.DeviceClass = 0;
   R0.Best.push_back(storeGenomeReport(G1, 0xaaa, {1.2, 1.3, 1.4}));
   R0.Best.push_back(storeGenomeReport(G2, 0xbbb, {2.0, 2.1, 2.2}));
   Srv.merge("App", R0, /*Now=*/100);
 
-  fleet::RoundReport R1;
+  fleet::StepReport R1;
   R1.Device = 3;
   R1.DeviceClass = 1;
   R1.Best.push_back(storeGenomeReport(G1, 0xaaa, {1.5, 1.6, 1.7}));
@@ -340,7 +346,7 @@ void populate(fleet::Server &Srv) {
   Srv.merge("Other", R1, /*Now=*/150);
 
   // Quarantine G3: the reload must keep blocking it.
-  fleet::RoundReport Rej;
+  fleet::StepReport Rej;
   Rej.Device = 1;
   Rej.Rejections.push_back(
       fleet::HintRejection{G3.name(), "wrong-output", 0});

@@ -14,7 +14,7 @@
 //                                            shares; flags label changes
 //                                            against a baseline run
 //   ropt-report fleet DIR [--baseline OLD]   fleet view: per-device-class
-//                        [--threshold F]     round curves, provenance
+//                        [--threshold F]     step curves, provenance
 //                                            chains, transport health;
 //                                            with a baseline, gates on
 //                                            per-cell best-speedup
@@ -144,8 +144,8 @@ int runValidate(int Argc, char **Argv) {
     return usage(Argv[0]);
   report::LoadedRun Run = loadOrExit(Argv[2]);
   report::ValidationResult V = report::validateRun(Run);
-  // Warnings (e.g. a pre-fleet run directory without a fleet section)
-  // are reported but do not fail the gate.
+  // Warnings (e.g. a fleet section whose fleet.jsonl is missing) are
+  // reported but do not fail the gate.
   for (const std::string &W : V.Warnings)
     std::fprintf(stderr, "warning: %s\n", W.c_str());
   for (const std::string &P : V.Problems)
@@ -202,25 +202,17 @@ int runStore(int Argc, char **Argv) {
 
   const store::StoreState &S = L.State;
   std::printf("%s: schema %d, night %llu, fleet seed %llu\n",
-              St.path().c_str(), S.Schema,
+              St.path().c_str(), store::CurrentSchema,
               static_cast<unsigned long long>(S.Nights),
               static_cast<unsigned long long>(S.FleetSeed));
 
-  // Canonical fixed point: a current-schema document must re-serialize
-  // to the exact bytes on disk — the property that makes store bytes
-  // comparable across --jobs and load -> save a no-op.
-  if (L.Warning.empty()) {
-    if (S.Schema == store::CurrentSchema) {
-      if (store::serialize(S) != L.RawBytes) {
-        std::fprintf(stderr,
-                     "problem: store is not in canonical form "
-                     "(re-serialization differs from the on-disk bytes)\n");
-        ++Problems;
-      }
-    } else {
-      std::printf("  (older schema %d: canonical-form check skipped)\n",
-                  S.Schema);
-    }
+  // Canonical fixed point: a loaded document must re-serialize to the
+  // exact bytes on disk — the property that makes store bytes comparable
+  // across --jobs and load -> save a no-op.
+  if (L.Warning.empty() && store::serialize(S) != L.RawBytes) {
+    std::fprintf(stderr, "problem: store is not in canonical form "
+                         "(re-serialization differs from the on-disk bytes)\n");
+    ++Problems;
   }
 
   if (S.Classes.K > 0) {
