@@ -306,6 +306,26 @@ int main(int Argc, char **Argv) {
                     static_cast<unsigned long long>(R.Verdicts.Lookups),
                     static_cast<double>(R.Verdicts.HitInsns) / 1e6);
 
+      // The cell's compile memos (one per distinct merged type profile,
+      // DESIGN.md §18) and its setups (one per distinct session input
+      // when the witness allows, §23).
+      const lir::CompileMemoStats &CM = R.Compile;
+      uint64_t Passes = CM.TransitionHits + CM.TransitionMisses;
+      uint64_t Codegens = CM.CodegenHits + CM.CodegenMisses;
+      std::printf("           compile memo: %d memo%s, %.1f%% of %llu pass "
+                  "applications and %.1f%% of %llu codegens reused, %llu "
+                  "evictions\n",
+                  R.CompileMemos, R.CompileMemos == 1 ? "" : "s",
+                  Passes ? 100.0 * CM.TransitionHits / Passes : 0.0,
+                  static_cast<unsigned long long>(Passes),
+                  Codegens ? 100.0 * CM.CodegenHits / Codegens : 0.0,
+                  static_cast<unsigned long long>(Codegens),
+                  static_cast<unsigned long long>(CM.Evictions));
+      std::printf("           setup: %d class%s profiled and captured, %d "
+                  "shared a leader's inputs\n",
+                  R.SetupsOwn, R.SetupsOwn == 1 ? "" : "es",
+                  R.SetupsShared);
+
       Summary.HintsPublished += R.HintsPublished;
       Summary.HintsAdopted += R.HintsAdopted;
       Summary.HintsRejected += R.HintsRejected;

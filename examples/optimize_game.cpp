@@ -40,8 +40,14 @@ int main(int Argc, char **Argv) {
               Profiled.Region->EstimatedCycles / 1e6);
 
   std::printf("\n== one more round: a capture fires on region entry ==\n");
+  support::Result<core::SearchInputs> Inputs =
+      Pipeline.captureInputs(Profiled, *Profiled.Region);
+  if (!Inputs) {
+    std::fprintf(stderr, "%s\n", Inputs.error().Message.c_str());
+    return 1;
+  }
   support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
-      Pipeline.prepareSearch(App, *Profiled.Instance, *Profiled.Region);
+      Pipeline.prepareSearch(App, std::move(Inputs).value());
   if (!Prepared) {
     std::fprintf(stderr, "%s\n", Prepared.error().Message.c_str());
     return 1;

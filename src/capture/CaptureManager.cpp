@@ -187,7 +187,9 @@ std::string CaptureManager::spoolToStorage(const Capture &Cap,
   ROPT_TRACE_SPAN("capture.spool");
   os::StorageDevice &Disk = Kernel.storage();
 
-  // The per-boot common blob: runtime-image content, stored once.
+  // The per-boot common blob: runtime-image content, stored once. The
+  // device keeps the image's physical pages, which the copy-on-write
+  // kernel never changes in place, instead of a copy of their bytes.
   std::string CommonPath = format("boot/%llu/image.art",
                                   static_cast<unsigned long long>(
                                       Cap.BootId));
@@ -195,11 +197,13 @@ std::string CaptureManager::spoolToStorage(const Capture &Cap,
     for (const Mapping &M : Cap.Mappings) {
       if (M.Kind != MappingKind::RuntimeImage)
         continue;
-      std::vector<uint8_t> Blob(M.sizeBytes());
-      [[maybe_unused]] bool Ok =
-          App.space().peek(M.Start, Blob.data(), Blob.size());
-      assert(Ok && "runtime image unmapped");
-      Disk.writeFile(CommonPath, std::move(Blob));
+      std::vector<os::PhysPageRef> Pages;
+      Pages.reserve(M.pageCount());
+      for (uint64_t Addr = M.Start; Addr != M.End; Addr += PageSize) {
+        assert(App.space().isMapped(Addr) && "runtime image unmapped");
+        Pages.push_back(App.space().physicalPage(Addr));
+      }
+      Disk.writePages(CommonPath, std::move(Pages));
     }
   }
 

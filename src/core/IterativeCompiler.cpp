@@ -49,15 +49,48 @@ search::GaConfig core::guidedGaConfig(const search::GaConfig &Base,
 
 // --- RegionEvaluator ----------------------------------------------------------
 
+SearchInputs
+SearchInputs::withKernelCosts(const os::KernelCostModel &Costs) const {
+  SearchInputs Out = *this;
+  for (CapturedRegion &C : Out.Captures)
+    C.Cap.Overheads =
+        capture::CaptureOverheads::fromEvents(C.Cap.Events, Costs);
+  return Out;
+}
+
+lir::TypeProfile
+core::mergedTypeProfile(const std::vector<CapturedRegion> &Captures) {
+  lir::TypeProfile Merged;
+  for (const CapturedRegion &C : Captures)
+    Merged.merge(C.Profile);
+  return Merged;
+}
+
 std::shared_ptr<lir::CompileMemo>
 core::makeCompileMemo(const workloads::Application &App,
                       const std::vector<CapturedRegion> &Captures,
                       const PipelineConfig &Config) {
-  lir::TypeProfile Merged;
-  for (const CapturedRegion &C : Captures)
-    Merged.merge(C.Profile);
   return std::make_shared<lir::CompileMemo>(
-      *App.File, std::move(Merged), Config.Search.CompileSizeBudget);
+      *App.File, mergedTypeProfile(Captures),
+      Config.Search.CompileSizeBudget);
+}
+
+std::shared_ptr<lir::CompileMemo>
+CompileMemoTable::memoFor(const lir::TypeProfile &Profile,
+                          size_t SizeBudget) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (const std::shared_ptr<lir::CompileMemo> &M : Memos)
+    if (M->sizeBudget() == SizeBudget && M->profile() == Profile)
+      return M;
+  Memos.push_back(
+      std::make_shared<lir::CompileMemo>(File, Profile, SizeBudget));
+  return Memos.back();
+}
+
+std::vector<std::shared_ptr<lir::CompileMemo>>
+CompileMemoTable::memos() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Memos;
 }
 
 std::shared_ptr<replay::VerdictMemo>
@@ -275,17 +308,16 @@ search::EngineOptions engineOptions(const SearchOptions &S) {
 } // namespace
 
 RegionSearch::RegionSearch(const workloads::Application &App,
-                           profiler::HotRegion Region,
-                           std::vector<CapturedRegion> Captures,
-                           const PipelineConfig &Config,
-                           std::shared_ptr<replay::VerdictMemo> Verdicts)
-    : Config(Config), Region(std::move(Region)),
-      Captures(std::move(Captures)),
-      Memo(makeCompileMemo(App, this->Captures, this->Config)),
+                           SearchInputs Inputs, const PipelineConfig &Config,
+                           std::shared_ptr<replay::VerdictMemo> Verdicts,
+                           std::shared_ptr<lir::CompileMemo> Memo)
+    : Config(Config), Inputs(std::move(Inputs)),
+      Memo(Memo ? std::move(Memo)
+                : makeCompileMemo(App, this->Captures, this->Config)),
       Verdicts(!Config.Search.Memoize ? nullptr
                : Verdicts             ? std::move(Verdicts)
                                       : makeVerdictMemo(App)),
-      Baselines(App, this->Region, this->Captures, this->Config, Memo,
+      Baselines(App, this->Region, this->Captures, this->Config, this->Memo,
                 this->Verdicts),
       Engine(
           [this, &App]() {
@@ -386,6 +418,8 @@ IterativeCompiler::captureRegion(AppInstance &Instance,
     return std::nullopt;
   Out.Map = std::move(IR.value().Map);
   Out.Profile = std::move(IR.value().Profile);
+  Out.ReplayCycles = IR.value().Replay.Result.Cycles;
+  Out.ReplayInsns = IR.value().Replay.Result.Insns;
   return Out;
 }
 
@@ -404,18 +438,37 @@ IterativeCompiler::captureRegionMulti(AppInstance &Instance,
   return Out;
 }
 
-support::Result<std::unique_ptr<RegionSearch>>
-IterativeCompiler::prepareSearch(
-    const workloads::Application &App, AppInstance &Instance,
-    const profiler::HotRegion &Region,
-    std::shared_ptr<replay::VerdictMemo> Verdicts) {
-  std::vector<CapturedRegion> Captures = captureRegionMulti(
-      Instance, Region, std::max(1, Config.Capture.CapturesPerRegion));
-  if (Captures.empty())
+support::Result<SearchInputs>
+IterativeCompiler::captureInputs(ProfiledApp &Profiled,
+                                 const profiler::HotRegion &Region) {
+  SearchInputs Out;
+  Out.Region = Region;
+  Out.Captures = captureRegionMulti(
+      *Profiled.Instance, Region,
+      std::max(1, Config.Capture.CapturesPerRegion));
+  if (Out.Captures.empty())
     return support::Error(support::ErrorCode::CaptureFailed,
                           "capture failed");
+  // The instance booted, profiled and captured the app: its runtime saw
+  // every environment read and executed every session of the setup.
+  const vm::Runtime &RT = Profiled.Instance->runtime();
+  Out.EnvironmentReads = RT.environmentReads();
+  Out.SetupCycles = RT.totalCycles();
+  Out.SetupInsns = RT.totalInsns();
+  for (const CapturedRegion &C : Out.Captures) {
+    Out.SetupCycles += C.ReplayCycles;
+    Out.SetupInsns += C.ReplayInsns;
+  }
+  return Out;
+}
+
+support::Result<std::unique_ptr<RegionSearch>>
+IterativeCompiler::prepareSearch(const workloads::Application &App,
+                                 SearchInputs Inputs,
+                                 std::shared_ptr<replay::VerdictMemo> Verdicts,
+                                 std::shared_ptr<lir::CompileMemo> Memo) {
   auto Search = std::make_unique<RegionSearch>(
-      App, Region, std::move(Captures), Config, std::move(Verdicts));
+      App, std::move(Inputs), Config, std::move(Verdicts), std::move(Memo));
   ROPT_TRACE_SPAN("pipeline.baselines");
   Search->Android = Search->Baselines.evaluateAndroid();
   if (!Search->Android.ok())
@@ -468,8 +521,15 @@ IterativeCompiler::optimize(const workloads::Application &App) {
 
   // --- Phase 3: transparent capture + interpreted replay (3.2-3.4), and
   // phase 4's setup: the engine plus the serial baselines evaluator. ----
+  support::Result<SearchInputs> Inputs =
+      captureInputs(Profiled, Report.Region);
+  if (!Inputs) {
+    Report.FailureReason = Inputs.error().Message;
+    ROPT_METRIC_INC("pipeline.failures");
+    return Report;
+  }
   support::Result<std::unique_ptr<RegionSearch>> Prepared =
-      prepareSearch(App, *Profiled.Instance, Report.Region);
+      prepareSearch(App, std::move(Inputs).value());
   if (!Prepared) {
     Report.FailureReason = Prepared.error().Message;
     ROPT_METRIC_INC("pipeline.failures");

@@ -12,15 +12,19 @@
 /// binary -> measure whole-program speedups outside the replay
 /// environment.
 ///
-/// Phase 4 is set up in one place, IterativeCompiler::prepareSearch: it
-/// captures the region and returns a RegionSearch — one compile memo, one
-/// verdict memo, a serial RegionEvaluator for the baselines and the
-/// install, and a search::EvaluationEngine over one RegionEvaluator per
-/// worker (each with its own replay sandbox) that parallelizes and
-/// memoizes the GA's batches. optimize() and every fleet device class
-/// search through one; a fleet cell's classes share one verdict memo.
-/// The ablation harnesses call a RegionEvaluator's serial evaluatePipeline
-/// and evaluateAndroid directly.
+/// A search is set up in two steps. IterativeCompiler::captureInputs
+/// captures the profiled app's hot region into SearchInputs (captures,
+/// verification maps, type profiles, and the witness of what they depend
+/// on); IterativeCompiler::prepareSearch builds a RegionSearch from them —
+/// one compile memo, one verdict memo, a serial RegionEvaluator for the
+/// baselines and the install, and a search::EvaluationEngine over one
+/// RegionEvaluator per worker (each with its own replay sandbox) that
+/// parallelizes and memoizes the GA's batches. optimize() and every fleet
+/// device class go through both steps; a fleet cell's classes share one
+/// verdict memo, one CompileMemoTable and, where the witness allows, the
+/// inputs of one class per session input (DESIGN.md §23). The ablation
+/// harnesses call a RegionEvaluator's serial evaluatePipeline and
+/// evaluateAndroid directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +45,7 @@
 #include "support/Result.h"
 
 #include <memory>
+#include <mutex>
 #include <optional>
 
 namespace ropt {
@@ -149,7 +154,44 @@ struct CapturedRegion {
   replay::VerificationMap Map;
   lir::TypeProfile Profile;
   uint64_t Postponements = 0;
+  /// Simulated work of the interpreted replay that produced Map and
+  /// Profile.
+  uint64_t ReplayCycles = 0;
+  uint64_t ReplayInsns = 0;
 };
+
+/// Phases 1-3 of one search, what a RegionSearch is built from: the
+/// region and its captures with their verification maps and type
+/// profiles (IterativeCompiler::captureInputs).
+struct SearchInputs {
+  profiler::HotRegion Region;
+  std::vector<CapturedRegion> Captures;
+  /// The sharing witness: calls to natives that read the session
+  /// environment (readInput, randomInt, currentTimeMillis) while the app
+  /// was booted, profiled and captured. The seed reaches the app only
+  /// through those natives.
+  uint64_t EnvironmentReads = 0;
+  /// Simulated work of the boot, profile and capture sessions and the
+  /// interpreted replays: what a pipeline that adopts these inputs does
+  /// not execute.
+  uint64_t SetupCycles = 0;
+  uint64_t SetupInsns = 0;
+
+  /// True when no environment read happened: then the inputs are a
+  /// function of the DexFile, the runtime configuration, the session
+  /// parameter and the capture options — not of the seed — except for
+  /// the captures' Overheads, which the kernel cost model prices
+  /// (withKernelCosts).
+  bool seedIndependent() const { return EnvironmentReads == 0; }
+
+  /// A copy whose captures' Overheads are priced with \p Costs, as a
+  /// pipeline with those kernel costs would have recorded them.
+  SearchInputs withKernelCosts(const os::KernelCostModel &Costs) const;
+};
+
+/// The type profile merged across \p Captures: what a region's compile
+/// memo specializes on.
+lir::TypeProfile mergedTypeProfile(const std::vector<CapturedRegion> &Captures);
 
 /// The compile memo (DESIGN.md §18) for one optimized region: \p App's
 /// DexFile, the type profile merged across \p Captures, and the search's
@@ -159,6 +201,34 @@ std::shared_ptr<lir::CompileMemo>
 makeCompileMemo(const workloads::Application &App,
                 const std::vector<CapturedRegion> &Captures,
                 const PipelineConfig &Config);
+
+/// Compile memos keyed by content (DESIGN.md §18): one per distinct
+/// (merged type profile, size budget) over one DexFile. A fleet cell's
+/// classes take their memos from one table, so classes whose captures
+/// merge to equal profiles compile through one memo, and a pass
+/// application or a codegen one class paid for is a hit for the others.
+/// Thread-safe.
+class CompileMemoTable {
+public:
+  /// \p File must outlive the table and its memos.
+  explicit CompileMemoTable(const dex::DexFile &File) : File(File) {}
+
+  CompileMemoTable(const CompileMemoTable &) = delete;
+  CompileMemoTable &operator=(const CompileMemoTable &) = delete;
+
+  /// The memo for (\p Profile, \p SizeBudget), built on first request.
+  std::shared_ptr<lir::CompileMemo> memoFor(const lir::TypeProfile &Profile,
+                                            size_t SizeBudget);
+
+  /// Memos built so far, in build order.
+  std::vector<std::shared_ptr<lir::CompileMemo>> memos() const;
+
+private:
+  const dex::DexFile &File;
+  mutable std::mutex Mutex;
+  /// A cell holds a handful: a linear scan finds the match.
+  std::vector<std::shared_ptr<lir::CompileMemo>> Memos; ///< Guarded.
+};
 
 /// The verdict memo (DESIGN.md §22) for searches over \p App: bound to
 /// its DexFile and runtime configuration. One per RegionSearch, or one per
@@ -258,7 +328,7 @@ private:
   Counters Stats;
 };
 
-/// Phase 4 set up for one region (§3.6-3.7): its captures, one compile
+/// Phase 4 set up for one region (§3.6-3.7): its inputs, one compile
 /// memo and one verdict memo shared by a serial RegionEvaluator (the
 /// baselines and the install) and the evaluation engine's per-worker
 /// RegionEvaluators, and the stock Android and -O3 evaluations the GA's
@@ -268,18 +338,21 @@ private:
 struct RegionSearch {
   /// \p Verdicts is shared with other searches over \p App (a fleet
   /// cell's classes); null gives the search a private one. Without
-  /// SearchOptions::Memoize the search has none.
-  RegionSearch(const workloads::Application &App,
-               profiler::HotRegion Region,
-               std::vector<CapturedRegion> Captures,
+  /// SearchOptions::Memoize the search has none. \p Memo, when given,
+  /// must be bound to \p App's DexFile, the captures' merged type profile
+  /// and the search's CompileSizeBudget (a CompileMemoTable's); null
+  /// builds one with makeCompileMemo.
+  RegionSearch(const workloads::Application &App, SearchInputs Inputs,
                const PipelineConfig &Config,
-               std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr);
+               std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr,
+               std::shared_ptr<lir::CompileMemo> Memo = nullptr);
   RegionSearch(const RegionSearch &) = delete;
   RegionSearch &operator=(const RegionSearch &) = delete;
 
   const PipelineConfig Config; ///< What the evaluators were built with.
-  const profiler::HotRegion Region;
-  const std::vector<CapturedRegion> Captures;
+  const SearchInputs Inputs;   ///< What the search was built from.
+  const profiler::HotRegion &Region = Inputs.Region;
+  const std::vector<CapturedRegion> &Captures = Inputs.Captures;
   /// One compile memo for Baselines and every engine worker.
   const std::shared_ptr<lir::CompileMemo> Memo;
   /// The verdict memo under Baselines and every engine worker (null
@@ -378,15 +451,23 @@ public:
   captureRegionMulti(AppInstance &Instance,
                      const profiler::HotRegion &Region, int Count);
 
-  /// ...and set up its search (phase 4): take CapturesPerRegion captures,
-  /// wire the RegionSearch and measure the Android and -O3 baselines. On
+  /// ...and turn the captures of its region into the inputs of its
+  /// search: CapturesPerRegion captures of \p Region from \p Profiled's
+  /// instance, the sharing witness and the setup's simulated work. On
   /// failure the error's message is the pipeline's failure reason.
-  /// \p App must outlive the result. \p Verdicts is a verdict memo shared
-  /// with other searches over \p App; null gives the search its own.
+  support::Result<SearchInputs>
+  captureInputs(ProfiledApp &Profiled, const profiler::HotRegion &Region);
+
+  /// ...and set up its search (phase 4) from \p Inputs: wire the
+  /// RegionSearch and measure the Android and -O3 baselines. On failure
+  /// the error's message is the pipeline's failure reason. \p App must
+  /// outlive the result. \p Verdicts is a verdict memo shared with other
+  /// searches over \p App and \p Memo a compile memo from a
+  /// CompileMemoTable over its DexFile; null gives the search its own.
   support::Result<std::unique_ptr<RegionSearch>>
-  prepareSearch(const workloads::Application &App, AppInstance &Instance,
-                const profiler::HotRegion &Region,
-                std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr);
+  prepareSearch(const workloads::Application &App, SearchInputs Inputs,
+                std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr,
+                std::shared_ptr<lir::CompileMemo> Memo = nullptr);
 
   const PipelineConfig &config() const { return Config; }
 

@@ -54,8 +54,11 @@ std::string FleetResult::digest() const {
   }
   for (const Server::LeaderEntry &E : Leaderboard) {
     std::string Classes;
-    for (int C : E.Classes)
-      Classes += (Classes.empty() ? "" : ",") + std::to_string(C);
+    for (int C : E.Classes) {
+      if (!Classes.empty())
+        Classes += ',';
+      Classes += std::to_string(C);
+    }
     D += format("lb %s speedup=%.17g reports=%d devices=%d classes=%s q=%d "
                 "exp=%d verdict=%s hash=%016llx size=%llu prov=%016llx "
                 "disc=d%d@%llu\n",
@@ -70,8 +73,11 @@ std::string FleetResult::digest() const {
   }
   if (!ClassOf.empty()) {
     D += "kmeans assign=";
-    for (size_t I = 0; I != ClassOf.size(); ++I)
-      D += (I ? "," : "") + std::to_string(ClassOf[I]);
+    for (size_t I = 0; I != ClassOf.size(); ++I) {
+      if (I)
+        D += ',';
+      D += std::to_string(ClassOf[I]);
+    }
     D += format(" warm=%llu\n",
                 static_cast<unsigned long long>(WarmStartHintCount));
   }
@@ -140,10 +146,12 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
   bool UseKMeans = Opt.KMeansClasses && Opt.ProfileClasses > 0 &&
                    Classes < Total;
   // One app per cell: every class copies it, sharing its read-only
-  // DexFile, and one verdict memo bound to that DexFile answers the
-  // verified replays of every class (DESIGN.md §22).
+  // DexFile. One verdict memo bound to that DexFile answers the verified
+  // replays of every class (DESIGN.md §22), and one compile-memo table
+  // gives classes with equal merged type profiles one memo (§18).
   const workloads::Application App = workloads::buildByName(AppName);
   std::shared_ptr<replay::VerdictMemo> Verdicts = core::makeVerdictMemo(App);
+  auto Memos = std::make_shared<core::CompileMemoTable>(*App.File);
   std::vector<std::shared_ptr<DeviceClassState>> Class(
       static_cast<size_t>(Classes));
   std::vector<DeviceState> States(static_cast<size_t>(Total));
@@ -169,7 +177,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
       CP.NoiseScale = Cen[7];
       CP.SessionShift = static_cast<int64_t>(std::llround(Cen[9]));
       Class[static_cast<size_t>(C)] =
-          std::make_shared<DeviceClassState>(App, Base, CP, Verdicts);
+          std::make_shared<DeviceClassState>(App, Base, CP, Verdicts, Memos);
     }
     for (int I = 0; I != Total; ++I) {
       DeviceState &DS = States[static_cast<size_t>(I)];
@@ -187,7 +195,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
           App, Base,
           DeviceProfile::derive(Opt.Seed, C, Opt.CostJitter, Opt.NoiseJitter,
                                 Opt.SessionSpread),
-          Verdicts);
+          Verdicts, Memos);
     for (int I = 0; I != Total; ++I) {
       DeviceState &DS = States[static_cast<size_t>(I)];
       DS.Prof = DeviceProfile::deriveClassed(Opt.Seed, I, Opt.ProfileClasses,
@@ -206,14 +214,30 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
 
   ThreadPool Pool(static_cast<size_t>(std::max(0, Opt.Jobs)));
 
-  // Class setup (profile + capture + baselines) runs in parallel: the
-  // classes share only the read-only DexFile and the verdict memo, which
-  // locks itself.
+  // Class setup (profile + capture + baselines) runs in parallel, once
+  // per distinct session input (DESIGN.md §23): the first class with a
+  // session parameter leads, and the classes after it adopt its inputs
+  // when they are seed-independent. Leaders set up first, then
+  // followers; the classes share the read-only DexFile, the memos, which
+  // lock themselves, and the leaders' finished inputs.
   {
     ROPT_TRACE_SPAN("fleet.setup");
+    std::vector<size_t> Leaders, Followers;
+    std::vector<size_t> LeaderOf(static_cast<size_t>(Classes));
+    for (size_t C = 0; C != static_cast<size_t>(Classes); ++C) {
+      LeaderOf[C] = C;
+      for (size_t L : Leaders)
+        if (Class[L]->sessionParam() == Class[C]->sessionParam())
+          LeaderOf[C] = L;
+      (LeaderOf[C] == C ? Leaders : Followers).push_back(C);
+    }
     std::vector<char> SetupOk(static_cast<size_t>(Classes), 0);
-    Pool.parallelFor(static_cast<size_t>(Classes), [&](size_t I, size_t) {
-      SetupOk[I] = Class[I]->setup() ? 1 : 0;
+    Pool.parallelFor(Leaders.size(), [&](size_t I, size_t) {
+      SetupOk[Leaders[I]] = Class[Leaders[I]]->setup() ? 1 : 0;
+    });
+    Pool.parallelFor(Followers.size(), [&](size_t I, size_t) {
+      size_t C = Followers[I];
+      SetupOk[C] = Class[C]->setup(Class[LeaderOf[C]].get()) ? 1 : 0;
     });
     for (int C = 0; C != Classes; ++C)
       if (!SetupOk[static_cast<size_t>(C)]) {
@@ -482,8 +506,13 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
     Out.Racing.Escalations += CS.racingStats().Escalations;
     Out.Racing.TopUps += CS.racingStats().TopUps;
     Out.ReplayBackend += CS.replayBackendStats();
+    ++(CS.adoptedInputs() ? Out.SetupsShared : Out.SetupsOwn);
   }
   Out.Verdicts = Verdicts->stats();
+  for (const std::shared_ptr<lir::CompileMemo> &M : Memos->memos()) {
+    ++Out.CompileMemos;
+    Out.Compile += M->stats();
+  }
   for (int I = 0; I != Total; ++I) {
     const DeviceState &DS = States[static_cast<size_t>(I)];
     if (DS.LastMergedStep < 0)

@@ -197,6 +197,15 @@ struct FleetResult {
   /// how many another class had already replayed. The split depends on
   /// lane scheduling at --jobs > 1 (DESIGN.md §22).
   replay::VerdictMemoStats Verdicts;
+  /// The cell's compile memos (DESIGN.md §18): how many distinct ones the
+  /// classes compiled through, and their lookups summed. Like the verdict
+  /// split, the counts depend on lane scheduling at --jobs > 1.
+  int CompileMemos = 0;
+  lir::CompileMemoStats Compile;
+  /// Class setups (DESIGN.md §23): classes that profiled and captured
+  /// themselves, and classes that adopted their leader's inputs.
+  int SetupsOwn = 0;
+  int SetupsShared = 0;
   uint64_t HintsPublished = 0; ///< Hints sent to devices (pre-dedup).
   uint64_t HintsAdopted = 0;
   uint64_t HintsRejected = 0;

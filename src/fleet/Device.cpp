@@ -6,6 +6,7 @@
 #include "support/Statistics.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace ropt;
 using namespace ropt::fleet;
@@ -62,9 +63,10 @@ std::vector<double> fleet::profileVector(const DeviceProfile &P) {
 DeviceClassState::DeviceClassState(
     const workloads::Application &CellApp, const core::PipelineConfig &Base,
     const DeviceProfile &ClassProfile,
-    std::shared_ptr<replay::VerdictMemo> Verdicts)
+    std::shared_ptr<replay::VerdictMemo> Verdicts,
+    std::shared_ptr<core::CompileMemoTable> Memos)
     : App(CellApp), Config(Base), Prof(ClassProfile),
-      Verdicts(std::move(Verdicts)) {
+      Verdicts(std::move(Verdicts)), Memos(std::move(Memos)) {
   Config.Seed = Prof.Seed;
   // The event loop's lanes provide cross-class parallelism; a nested
   // single-job engine runs inline on the loop's worker (a multi-thread
@@ -93,21 +95,47 @@ DeviceClassState::DeviceClassState(
                                   App.MinParam, App.MaxParam);
 }
 
-bool DeviceClassState::setup() {
+bool DeviceClassState::setup(const DeviceClassState *Leader) {
   core::IterativeCompiler Pipeline(Config);
-  core::IterativeCompiler::ProfiledApp Profiled = Pipeline.profileApp(App);
-  if (!Profiled.Region) {
-    Failure = "no replayable hot region";
-    return false;
+  std::optional<core::SearchInputs> Inputs;
+  if (Leader && Leader->Search && Leader->Search->Inputs.seedIndependent()) {
+    // The leader profiled and captured the sessions this class would: no
+    // environment read let the seed in, and the kernel costs reach only
+    // the captures' overheads. The leader's work counts toward the cell's
+    // simulated work as if this class had executed it.
+    assert(Leader->sessionParam() == sessionParam() &&
+           "a leader must share the session input");
+    Inputs =
+        Leader->Search->Inputs.withKernelCosts(Config.Capture.KernelCosts);
+    Adopted = true;
+    ROPT_METRIC_ADD("fleet.setup_shared_cycles", Inputs->SetupCycles);
+    ROPT_METRIC_ADD("fleet.setup_shared_insns", Inputs->SetupInsns);
+  } else {
+    core::IterativeCompiler::ProfiledApp Profiled = Pipeline.profileApp(App);
+    if (!Profiled.Region) {
+      Failure = "no replayable hot region";
+      return false;
+    }
+    support::Result<core::SearchInputs> Captured =
+        Pipeline.captureInputs(Profiled, *Profiled.Region);
+    if (!Captured) {
+      Failure = Captured.error().Message;
+      return false;
+    }
+    Inputs = std::move(Captured).value();
   }
 
-  // One compile memo per class, shared by its baselines and engine; all
-  // class memos draw on one process-wide resident budget. The verdict
+  // The compile memo comes from the cell's table: classes whose captures
+  // merge to the same type profile compile through one memo. The verdict
   // memo is the cell's: classes whose captures coincide replay each
   // binary once between them.
+  std::shared_ptr<lir::CompileMemo> Memo;
+  if (Memos)
+    Memo = Memos->memoFor(core::mergedTypeProfile(Inputs->Captures),
+                          Config.Search.CompileSizeBudget);
   support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
-      Pipeline.prepareSearch(App, *Profiled.Instance, *Profiled.Region,
-                             Verdicts);
+      Pipeline.prepareSearch(App, std::move(*Inputs), Verdicts,
+                             std::move(Memo));
   if (!Prepared) {
     Failure = Prepared.error().Message;
     return false;

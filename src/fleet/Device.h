@@ -18,11 +18,14 @@
 /// app with the class's session input and the core::RegionSearch the
 /// paper pipeline also searches through (captures, baselines, memoized
 /// evaluation engine), set up by the same IterativeCompiler::
-/// prepareSearch, for one point in the heterogeneity space. The classes
-/// of one fleet cell share the app's read-only DexFile and one verdict
-/// memo (DESIGN.md §22), so a (capture, binary) pair is replayed once per
-/// cell, not once per class. A Device is one *member*: a private search
-/// seed, best-so-far and hint bookkeeping on top of its class's pipeline.
+/// captureInputs and prepareSearch, for one point in the heterogeneity
+/// space. The classes of one fleet cell share the app's read-only
+/// DexFile, one verdict memo (DESIGN.md §22), so a (capture, binary) pair
+/// is replayed once per cell, not once per class, and one compile-memo
+/// table (§18). Classes with equal session inputs share the profile and
+/// the captures as well when the sharing witness allows (§23). A Device
+/// is one *member*: a private search seed, best-so-far and hint
+/// bookkeeping on top of its class's pipeline.
 /// A real install base of 10k phones spans a few dozen SoC/OS/input
 /// classes, not 10k unique pipelines (the per-cluster
 /// population treatment in the marnaed exemplar); sharing the class
@@ -153,7 +156,8 @@ struct StepResult {
 /// afterwards only touched from Device::step, which the event loop
 /// serializes per class (one lane per class), so the engine never sees
 /// two concurrent members. What it shares with the other classes of its
-/// cell — the DexFile and the verdict memo — is read-only or locks itself.
+/// cell — the DexFile, the verdict memo, the compile-memo table and a
+/// leader's search inputs — is read-only or locks itself.
 class DeviceClassState {
 public:
   /// \p CellApp is the cell's application; the class keeps a copy that
@@ -162,18 +166,34 @@ public:
   /// session shift) and forces the evaluation engine to a single job —
   /// parallelism belongs to the event loop's lanes, and a nested
   /// single-thread engine runs inline on the loop's worker. \p Verdicts is
-  /// the cell's verdict memo (core::makeVerdictMemo over \p CellApp); null
-  /// gives the class its own.
+  /// the cell's verdict memo (core::makeVerdictMemo over \p CellApp) and
+  /// \p Memos its compile-memo table over \p CellApp's DexFile; null gives
+  /// the class its own.
   DeviceClassState(const workloads::Application &CellApp,
                    const core::PipelineConfig &Base,
                    const DeviceProfile &ClassProfile,
-                   std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr);
+                   std::shared_ptr<replay::VerdictMemo> Verdicts = nullptr,
+                   std::shared_ptr<core::CompileMemoTable> Memos = nullptr);
 
-  /// Phases 1-3 plus baselines, once per class: profile, then
-  /// IterativeCompiler::prepareSearch on the hot region, as optimize()
-  /// does. Returns false (see failureReason()) when the app yields no
-  /// replayable region on this class's hardware.
-  bool setup();
+  /// Phases 1-3 plus baselines, once per class, as optimize() does:
+  /// profile, IterativeCompiler::captureInputs on the hot region, then
+  /// IterativeCompiler::prepareSearch. \p Leader, when given, is a class
+  /// already set up with the same sessionParam(): if its inputs are
+  /// seed-independent (core::SearchInputs::seedIndependent) this class
+  /// adopts them, re-priced with its own kernel costs, instead of
+  /// profiling and capturing; otherwise it runs its own. The baselines are
+  /// always this class's own (its seed, its noise). Returns false (see
+  /// failureReason()) when the app yields no replayable region on this
+  /// class's hardware.
+  bool setup(const DeviceClassState *Leader = nullptr);
+
+  /// The class's clamped session parameter: classes with equal values
+  /// profile and capture the same sessions.
+  int64_t sessionParam() const { return App.DefaultParam; }
+  /// True when setup() adopted its leader's inputs.
+  bool adoptedInputs() const { return Adopted; }
+  /// The prepared search (after a successful setup()).
+  const core::RegionSearch &search() const { return *Search; }
 
   const std::string &failureReason() const { return Failure; }
   const DeviceProfile &profile() const { return Prof; }
@@ -199,8 +219,11 @@ private:
   core::PipelineConfig Config;
   DeviceProfile Prof; ///< The class's hardware/user point (Id = ClassId).
   std::string Failure;
-  /// The cell's verdict memo, handed to prepareSearch by setup().
+  /// The cell's verdict memo and compile-memo table, handed to
+  /// prepareSearch by setup().
   std::shared_ptr<replay::VerdictMemo> Verdicts;
+  std::shared_ptr<core::CompileMemoTable> Memos;
+  bool Adopted = false;
 
   /// The class's prepared search, built by setup().
   std::unique_ptr<core::RegionSearch> Search;

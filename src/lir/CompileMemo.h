@@ -58,6 +58,17 @@ struct CompileMemoStats {
   uint64_t Evictions = 0;        ///< IR states and functions dropped.
   uint64_t Recomputes = 0;       ///< Evicted states rebuilt from a walk.
   uint64_t ResidentBytes = 0;    ///< This memo's resident IR + code.
+
+  CompileMemoStats &operator+=(const CompileMemoStats &O) {
+    TransitionHits += O.TransitionHits;
+    TransitionMisses += O.TransitionMisses;
+    CodegenHits += O.CodegenHits;
+    CodegenMisses += O.CodegenMisses;
+    Evictions += O.Evictions;
+    Recomputes += O.Recomputes;
+    ResidentBytes += O.ResidentBytes;
+    return *this;
+  }
 };
 
 class CompileMemo {
@@ -82,6 +93,7 @@ public:
                            vm::CodeCache &Cache);
 
   const dex::DexFile &file() const { return File; }
+  const TypeProfile &profile() const { return Profile; }
   size_t sizeBudget() const { return SizeBudget; }
   CompileMemoStats stats() const;
 

@@ -32,6 +32,9 @@ struct CallSiteKey {
       return Method < O.Method;
     return Site < O.Site;
   }
+  bool operator==(const CallSiteKey &O) const {
+    return Method == O.Method && Site == O.Site;
+  }
 };
 
 /// Receiver-class frequency histograms per call site.
@@ -70,6 +73,10 @@ public:
       for (const auto &CC : KV.second)
         Sites[KV.first][CC.first] += CC.second;
   }
+
+  /// Equal histograms at equal sites: the devirtualization pass decides
+  /// identically under both profiles.
+  bool operator==(const TypeProfile &O) const { return Sites == O.Sites; }
 
   size_t siteCount() const { return Sites.size(); }
   bool empty() const { return Sites.empty(); }

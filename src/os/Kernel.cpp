@@ -3,6 +3,7 @@
 #include "os/Kernel.h"
 
 #include <cassert>
+#include <cstring>
 
 using namespace ropt;
 using namespace ropt::os;
@@ -10,13 +11,30 @@ using namespace ropt::os;
 void StorageDevice::writeFile(const std::string &Path,
                               std::vector<uint8_t> Bytes) {
   LifetimeBytesWritten += Bytes.size();
-  Files[Path] = std::move(Bytes);
+  Files[Path] = Blob{std::move(Bytes), {}};
+}
+
+void StorageDevice::writePages(const std::string &Path,
+                               std::vector<PhysPageRef> Pages) {
+  LifetimeBytesWritten += Pages.size() * PageSize;
+  Files[Path] = Blob{{}, std::move(Pages)};
 }
 
 const std::vector<uint8_t> *
 StorageDevice::readFile(const std::string &Path) const {
   auto It = Files.find(Path);
-  return It == Files.end() ? nullptr : &It->second;
+  if (It == Files.end())
+    return nullptr;
+  Blob &B = It->second;
+  if (!B.Pages.empty()) {
+    B.Bytes.assign(B.Pages.size() * PageSize, 0);
+    for (size_t I = 0; I != B.Pages.size(); ++I)
+      if (B.Pages[I])
+        std::memcpy(B.Bytes.data() + I * PageSize, B.Pages[I]->Data.data(),
+                    PageSize);
+    B.Pages.clear();
+  }
+  return &B.Bytes;
 }
 
 bool StorageDevice::removeFile(const std::string &Path) {

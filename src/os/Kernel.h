@@ -64,7 +64,16 @@ public:
   /// Writes (replacing) a named blob.
   void writeFile(const std::string &Path, std::vector<uint8_t> Bytes);
 
-  /// Returns the blob, or nullptr if absent.
+  /// Writes (replacing) a named blob whose content is \p Pages, PageSize
+  /// bytes each (a null entry is a zero page). The device keeps the
+  /// references instead of copying the bytes: a physical page it shares is
+  /// copied on the next write through any address space that maps it, so
+  /// the stored content never changes. Accounted as Pages.size() *
+  /// PageSize bytes.
+  void writePages(const std::string &Path, std::vector<PhysPageRef> Pages);
+
+  /// Returns the blob, or nullptr if absent. A page-backed blob is copied
+  /// out of its pages on its first read.
   const std::vector<uint8_t> *readFile(const std::string &Path) const;
 
   /// Removes a blob; returns true if it existed.
@@ -81,7 +90,15 @@ public:
   uint64_t lifetimeBytesWritten() const { return LifetimeBytesWritten; }
 
 private:
-  std::map<std::string, std::vector<uint8_t>> Files;
+  struct Blob {
+    std::vector<uint8_t> Bytes;
+    std::vector<PhysPageRef> Pages; ///< Unread page-backed content.
+    uint64_t size() const {
+      return Pages.empty() ? Bytes.size() : Pages.size() * PageSize;
+    }
+  };
+  /// Mutable so readFile() can turn pages into bytes on a first read.
+  mutable std::map<std::string, Blob> Files;
   uint64_t LifetimeBytesWritten = 0;
 };
 

@@ -8,8 +8,8 @@ using namespace ropt;
 using namespace ropt::vm;
 
 void NativeRegistry::add(const std::string &Name, NativeFn Fn,
-                         uint32_t WorkCycles) {
-  Impls[Name] = NativeImpl{std::move(Fn), WorkCycles};
+                         uint32_t WorkCycles, bool ReadsEnvironment) {
+  Impls[Name] = NativeImpl{std::move(Fn), WorkCycles, ReadsEnvironment};
 }
 
 const NativeImpl *NativeRegistry::lookup(const std::string &Name) const {
@@ -70,7 +70,7 @@ NativeRegistry NativeRegistry::standardLibrary() {
           }
           return Value::fromI64(-1);
         },
-        200);
+        200, /*ReadsEnvironment=*/true);
 
   // Heavyweight app natives: an external chess-engine probe and an asset
   // decoder. Both are opaque C/C++ the replay system blocklists (they are
@@ -95,7 +95,7 @@ NativeRegistry NativeRegistry::standardLibrary() {
         [](NativeContext &Ctx, const std::vector<Value> &) {
           return Value::fromI64(static_cast<int64_t>(Ctx.NowMillis));
         },
-        30);
+        30, /*ReadsEnvironment=*/true);
   R.add("randomInt",
         [](NativeContext &Ctx, const std::vector<Value> &Args) {
           int64_t Bound = Args[0].asI64();
@@ -104,6 +104,6 @@ NativeRegistry NativeRegistry::standardLibrary() {
           return Value::fromI64(static_cast<int64_t>(
               Ctx.EnvRng->below(static_cast<uint64_t>(Bound))));
         },
-        40);
+        40, /*ReadsEnvironment=*/true);
   return R;
 }

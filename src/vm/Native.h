@@ -45,6 +45,10 @@ struct NativeImpl {
   NativeFn Fn;
   /// Work cycles of the native body itself (on top of the JNI transition).
   uint32_t WorkCycles = 40;
+  /// The result depends on the session's environment — the scripted input
+  /// queue, the environment RNG or the clock — not only on the arguments.
+  /// Runtime::environmentReads() counts calls to such natives.
+  bool ReadsEnvironment = false;
 };
 
 /// Name-keyed registry the runtime resolves DexFile native declarations
@@ -52,7 +56,8 @@ struct NativeImpl {
 class NativeRegistry {
 public:
   /// Registers (or replaces) \p Name.
-  void add(const std::string &Name, NativeFn Fn, uint32_t WorkCycles = 40);
+  void add(const std::string &Name, NativeFn Fn, uint32_t WorkCycles = 40,
+           bool ReadsEnvironment = false);
 
   /// Returns the implementation or nullptr.
   const NativeImpl *lookup(const std::string &Name) const;

@@ -126,6 +126,7 @@ Value Runtime::callNative(dex::NativeId Id,
   flush(Body);
   if (Config.AttributeCycles)
     AttributionStack.pop_back();
+  EnvironmentReads += Impl->ReadsEnvironment;
   Env.IoLog = &IoLog;
   Env.InputQueue = &Inputs;
   // A coarse monotone clock: cycles at 1 GHz, rounded to milliseconds.

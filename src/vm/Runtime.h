@@ -168,6 +168,12 @@ public:
 
   /// Lifetime accounting.
   uint64_t totalCycles() const { return TotalCycles; }
+  uint64_t totalInsns() const { return TotalInsns; }
+  /// Calls to natives that read the session environment
+  /// (NativeImpl::ReadsEnvironment) over the runtime's lifetime. Zero
+  /// means no executed code observed the input queue, the environment RNG
+  /// or the clock.
+  uint64_t environmentReads() const { return EnvironmentReads; }
 
   /// Exclusive cycles per method id (only filled when AttributeCycles).
   /// Entries past the method table — [methods().size(),
@@ -309,6 +315,7 @@ private:
   // Lifetime accounting.
   uint64_t TotalCycles = 0;
   uint64_t TotalInsns = 0;
+  uint64_t EnvironmentReads = 0;
 
   // Profiling.
   std::vector<uint64_t> MethodCycles;

@@ -231,8 +231,11 @@ std::vector<std::string> verifyRaw(Method M, uint16_t NumStatics = 0) {
   DexBuilder B;
   // Provide a stub file context: one static field slot if needed.
   ClassId C = B.addClass("C");
-  for (uint16_t I = 0; I != NumStatics; ++I)
-    B.addStaticField(C, "s" + std::to_string(I), Type::I64);
+  for (uint16_t I = 0; I != NumStatics; ++I) {
+    std::string Name = "s";
+    Name += std::to_string(I);
+    B.addStaticField(C, Name, Type::I64);
+  }
   MethodId Stub = B.declareFunction(InvalidId, "stub", 0, false);
   FunctionBuilder F = B.beginBody(Stub);
   F.retVoid();

@@ -181,8 +181,9 @@ TEST(FleetTransport, PlanDeliveryAccumulatesRetriesAndLatency) {
     // Every attempt costs at least its latency tick; retries add backoff
     // on top — loss is paid in virtual time, not hidden by the retry.
     EXPECT_GE(S.DelayTicks, static_cast<uint64_t>(S.Attempts));
-    if (S.Attempts > 1)
+    if (S.Attempts > 1) {
       EXPECT_GT(S.DelayTicks, static_cast<uint64_t>(S.Attempts));
+    }
     TotalAttempts += S.Attempts;
   }
   EXPECT_GT(TotalAttempts, 32); // The loss was real: retries happened.
@@ -505,6 +506,126 @@ TEST(FleetDevice, NeutralClassSetsUpThePipelinesSearch) {
   EXPECT_EQ(Got.EliteCount, Expected.EliteCount);
   EXPECT_EQ(Got.HillClimbRounds, Expected.HillClimbRounds);
   EXPECT_EQ(Got.Genomes.DisabledPassMask, Report.AppliedPassMask);
+}
+
+// --- One setup per distinct session input (DESIGN.md §23) -----------------
+
+namespace {
+
+void expectSameEvaluation(const search::Evaluation &X,
+                          const search::Evaluation &Y, const char *What) {
+  EXPECT_EQ(X.Kind, Y.Kind) << What;
+  EXPECT_EQ(X.Error, Y.Error) << What;
+  EXPECT_EQ(X.BaseCycles, Y.BaseCycles) << What;
+  EXPECT_EQ(X.Samples, Y.Samples) << What;
+  EXPECT_EQ(X.MedianCycles, Y.MedianCycles) << What;
+  EXPECT_EQ(X.BinaryHash, Y.BinaryHash) << What;
+  EXPECT_EQ(X.CodeSize, Y.CodeSize) << What;
+}
+
+/// Field by field: what a class adopted against what it set up itself.
+void expectSameSetup(const core::RegionSearch &X, const core::RegionSearch &Y) {
+  EXPECT_EQ(X.Region.Root, Y.Region.Root);
+  EXPECT_EQ(X.Region.Methods, Y.Region.Methods);
+  EXPECT_EQ(X.Region.EstimatedCycles, Y.Region.EstimatedCycles);
+  EXPECT_EQ(X.Inputs.EnvironmentReads, Y.Inputs.EnvironmentReads);
+  EXPECT_EQ(X.Inputs.SetupCycles, Y.Inputs.SetupCycles);
+  EXPECT_EQ(X.Inputs.SetupInsns, Y.Inputs.SetupInsns);
+  ASSERT_EQ(X.Captures.size(), Y.Captures.size());
+  for (size_t I = 0; I != X.Captures.size(); ++I) {
+    const core::CapturedRegion &A = X.Captures[I], &B = Y.Captures[I];
+    EXPECT_EQ(A.Cap.Root, B.Cap.Root);
+    ASSERT_EQ(A.Cap.Args.size(), B.Cap.Args.size());
+    for (size_t J = 0; J != A.Cap.Args.size(); ++J)
+      EXPECT_EQ(A.Cap.Args[J].Raw, B.Cap.Args[J].Raw);
+    EXPECT_EQ(A.Cap.BootId, B.Cap.BootId);
+    ASSERT_EQ(A.Cap.Mappings.size(), B.Cap.Mappings.size());
+    for (size_t J = 0; J != A.Cap.Mappings.size(); ++J) {
+      EXPECT_EQ(A.Cap.Mappings[J].Start, B.Cap.Mappings[J].Start);
+      EXPECT_EQ(A.Cap.Mappings[J].End, B.Cap.Mappings[J].End);
+      EXPECT_EQ(A.Cap.Mappings[J].Kind, B.Cap.Mappings[J].Kind);
+      EXPECT_EQ(A.Cap.Mappings[J].Name, B.Cap.Mappings[J].Name);
+    }
+    ASSERT_EQ(A.Cap.Pages.size(), B.Cap.Pages.size());
+    for (size_t J = 0; J != A.Cap.Pages.size(); ++J) {
+      EXPECT_EQ(A.Cap.Pages[J].Addr, B.Cap.Pages[J].Addr);
+      EXPECT_EQ(A.Cap.Pages[J].Bytes, B.Cap.Pages[J].Bytes);
+    }
+    ASSERT_EQ(A.Cap.FileMaps.size(), B.Cap.FileMaps.size());
+    for (size_t J = 0; J != A.Cap.FileMaps.size(); ++J) {
+      EXPECT_EQ(A.Cap.FileMaps[J].Addr, B.Cap.FileMaps[J].Addr);
+      EXPECT_EQ(A.Cap.FileMaps[J].Path, B.Cap.FileMaps[J].Path);
+    }
+    EXPECT_EQ(A.Cap.CommonBytes, B.Cap.CommonBytes);
+    const capture::CaptureEvents &EA = A.Cap.Events, &EB = B.Cap.Events;
+    EXPECT_EQ(EA.MappedPagesAtFork, EB.MappedPagesAtFork);
+    EXPECT_EQ(EA.MappingsParsed, EB.MappingsParsed);
+    EXPECT_EQ(EA.ProtectCalls, EB.ProtectCalls);
+    EXPECT_EQ(EA.PagesProtected, EB.PagesProtected);
+    EXPECT_EQ(EA.ReadFaults, EB.ReadFaults);
+    EXPECT_EQ(EA.WriteFaults, EB.WriteFaults);
+    EXPECT_EQ(EA.CowCopies, EB.CowCopies);
+    EXPECT_EQ(A.Cap.Overheads.ForkMs, B.Cap.Overheads.ForkMs);
+    EXPECT_EQ(A.Cap.Overheads.PreparationMs, B.Cap.Overheads.PreparationMs);
+    EXPECT_EQ(A.Cap.Overheads.FaultCowMs, B.Cap.Overheads.FaultCowMs);
+    EXPECT_EQ(A.Map.Cells, B.Map.Cells);
+    EXPECT_EQ(A.Map.HasReturn, B.Map.HasReturn);
+    EXPECT_EQ(A.Map.ReturnBits, B.Map.ReturnBits);
+    EXPECT_TRUE(A.Profile == B.Profile);
+    EXPECT_EQ(A.Postponements, B.Postponements);
+    EXPECT_EQ(A.ReplayCycles, B.ReplayCycles);
+    EXPECT_EQ(A.ReplayInsns, B.ReplayInsns);
+  }
+  expectSameEvaluation(X.Android, Y.Android, "android baseline");
+  expectSameEvaluation(X.O3, Y.O3, "-O3 baseline");
+}
+
+} // namespace
+
+TEST(FleetSetup, SharedInputsEqualOwnSetup) {
+  // Two classes with one session input on different hardware, in
+  // different hands: the follower's seed, cost scale and noise scale all
+  // differ from its leader's.
+  fleet::DeviceProfile LeaderProf, FollowerProf;
+  LeaderProf.Seed = 11;
+  LeaderProf.CostScale = 0.8;
+  LeaderProf.NoiseScale = 1.3;
+  LeaderProf.SessionShift = 1;
+  FollowerProf.Id = FollowerProf.ClassId = 1;
+  FollowerProf.Seed = 29;
+  FollowerProf.CostScale = 1.2;
+  FollowerProf.NoiseScale = 0.7;
+  FollowerProf.SessionShift = 1;
+  core::PipelineConfig Base = fleetBase(/*Seed=*/1);
+
+  int Shared = 0, Own = 0;
+  for (const workloads::Application &App : workloads::buildSuite()) {
+    SCOPED_TRACE(App.Name);
+    fleet::DeviceClassState Leader(App, Base, LeaderProf);
+    fleet::DeviceClassState Follower(App, Base, FollowerProf);
+    fleet::DeviceClassState Alone(App, Base, FollowerProf);
+    ASSERT_EQ(Leader.sessionParam(), Follower.sessionParam());
+    bool Ok = Leader.setup();
+    ASSERT_EQ(Follower.setup(Ok ? &Leader : nullptr), Ok);
+    ASSERT_EQ(Alone.setup(), Ok) << Alone.failureReason();
+    EXPECT_FALSE(Leader.adoptedInputs());
+    EXPECT_FALSE(Alone.adoptedInputs());
+    if (!Ok) {
+      EXPECT_EQ(Follower.failureReason(), Alone.failureReason());
+      continue;
+    }
+    // The witness decides: a clean one shares, anything else sets up.
+    bool Clean = Leader.search().Inputs.seedIndependent();
+    EXPECT_EQ(Follower.adoptedInputs(), Clean);
+    ++(Clean ? Shared : Own);
+    expectSameSetup(Follower.search(), Alone.search());
+  }
+  // The suite exercises both paths: apps whose sessions never read the
+  // environment share, apps that read input set up their own.
+  EXPECT_GT(Shared, 0);
+  EXPECT_GT(Own, 0);
+  RecordProperty("apps_shared", Shared);
+  RecordProperty("apps_set_up", Own);
 }
 
 // --- (a) Determinism: bit-identical at any --jobs and across re-runs --------

@@ -277,6 +277,33 @@ TEST(Storage, AccountsBytes) {
   EXPECT_EQ(Files[0], "a");
 }
 
+TEST(Storage, PageBackedFilesKeepTheirContent) {
+  AddressSpace Space;
+  Space.mapRegion(0x10000, 2 * PageSize, ProtRead | ProtWrite,
+                  MappingKind::Anonymous, "buf");
+  uint64_t Word = 0x1234;
+  ASSERT_EQ(Space.storeU64(0x10000, Word), AccessResult::Ok);
+  StorageDevice Disk;
+  // Page one is materialized, page two is an untouched zero page.
+  Disk.writePages("image", {Space.physicalPage(0x10000),
+                            Space.physicalPage(0x10000 + PageSize)});
+  EXPECT_EQ(Disk.totalBytesStored(), 2 * PageSize);
+  EXPECT_EQ(Disk.lifetimeBytesWritten(), 2 * PageSize);
+
+  // The writer copies the shared page; the file keeps the old bytes.
+  ASSERT_EQ(Space.storeU64(0x10000, 0x5678), AccessResult::Ok);
+  ASSERT_EQ(Space.storeU64(0x10000 + PageSize, 0x9abc), AccessResult::Ok);
+  const std::vector<uint8_t> *Bytes = Disk.readFile("image");
+  ASSERT_NE(Bytes, nullptr);
+  ASSERT_EQ(Bytes->size(), 2 * PageSize);
+  uint64_t First = 0, Second = 0;
+  std::memcpy(&First, Bytes->data(), sizeof(First));
+  std::memcpy(&Second, Bytes->data() + PageSize, sizeof(Second));
+  EXPECT_EQ(First, 0x1234u);
+  EXPECT_EQ(Second, 0u);
+  EXPECT_EQ(Disk.totalBytesStored(), 2 * PageSize);
+}
+
 // --- Cost model ---------------------------------------------------------------
 
 TEST(CostModel, MonotoneInEventCounts) {

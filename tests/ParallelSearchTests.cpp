@@ -584,8 +584,9 @@ TEST(ParallelPipeline, SessionBackendsAreSemanticallyInvisible) {
 TEST(VerdictMemo, SharedAcrossThreadsMatchesPrivateMemos) {
   // Two searches over one app and one set of captures, as two fleet
   // device classes: different seeds, so different noise draws. Sharing a
-  // verdict memo while both run on their own threads must give every
-  // evaluation exactly what private memos give.
+  // verdict memo and a compile memo (one CompileMemoTable's) while both
+  // run on their own threads must give every evaluation exactly what
+  // private memos give.
   // SOR: aggressive genes give it verified binaries, crashes and output
   // mismatches alike.
   const workloads::Application App = workloads::buildByName("SOR");
@@ -612,12 +613,22 @@ TEST(VerdictMemo, SharedAcrossThreadsMatchesPrivateMemos) {
     std::vector<Evaluation> A, B;
     uint64_t Insns = 0; ///< Executed plus memoized.
   };
+  core::SearchInputs Inputs{*Profiled.Region, Captures};
+  core::CompileMemoTable Compiled(*App.File);
   auto RunPair = [&](std::shared_ptr<replay::VerdictMemo> MemoA,
-                     std::shared_ptr<replay::VerdictMemo> MemoB) {
-    core::RegionSearch SearchA(App, *Profiled.Region, Captures, ConfigA,
-                               std::move(MemoA));
-    core::RegionSearch SearchB(App, *Profiled.Region, Captures, ConfigB,
-                               std::move(MemoB));
+                     std::shared_ptr<replay::VerdictMemo> MemoB,
+                     bool ShareCompiles) {
+    auto CompileMemo = [&]() -> std::shared_ptr<lir::CompileMemo> {
+      if (!ShareCompiles)
+        return nullptr;
+      return Compiled.memoFor(core::mergedTypeProfile(Captures),
+                              ConfigA.Search.CompileSizeBudget);
+    };
+    core::RegionSearch SearchA(App, Inputs, ConfigA, std::move(MemoA),
+                               CompileMemo());
+    core::RegionSearch SearchB(App, Inputs, ConfigB, std::move(MemoB),
+                               CompileMemo());
+    EXPECT_EQ(SearchA.Memo == SearchB.Memo, ShareCompiles);
 #if ROPT_OBSERVABILITY
     MetricsSnapshot Before = Metrics::instance().snapshot();
 #endif
@@ -638,9 +649,9 @@ TEST(VerdictMemo, SharedAcrossThreadsMatchesPrivateMemos) {
 
   std::shared_ptr<replay::VerdictMemo> OwnA = core::makeVerdictMemo(App);
   std::shared_ptr<replay::VerdictMemo> OwnB = core::makeVerdictMemo(App);
-  Run Private = RunPair(OwnA, OwnB);
+  Run Private = RunPair(OwnA, OwnB, /*ShareCompiles=*/false);
   std::shared_ptr<replay::VerdictMemo> Shared = core::makeVerdictMemo(App);
-  Run Together = RunPair(Shared, Shared);
+  Run Together = RunPair(Shared, Shared, /*ShareCompiles=*/true);
 
   auto Same = [](const Evaluation &X, const Evaluation &Y) {
     return X.Kind == Y.Kind && X.Error == Y.Error &&

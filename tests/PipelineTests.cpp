@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace ropt;
 using namespace ropt::core;
 using namespace ropt::workloads;
@@ -196,6 +198,41 @@ TEST(MultiCapture, FullPipelineWithThreeCaptures) {
   OptimizationReport Report = Pipeline.optimize(buildByName("SOR"));
   ASSERT_TRUE(Report.Succeeded) << Report.FailureReason;
   EXPECT_GT(Report.speedupGaOverAndroid(), 1.0);
+}
+
+// --- Content-keyed compile memos (DESIGN.md §18) ---------------------------
+
+TEST(CompileMemoTable, SharesByContent) {
+  workloads::Application App = buildByName("Sieve");
+  CompileMemoTable Table(*App.File);
+  lir::TypeProfile Empty, Seen, SeenAgain, Other;
+  Seen.record(1, 4, 2);
+  SeenAgain.record(1, 4, 2);
+  Other.record(1, 4, 3);
+
+  // Equal keys give the same memo, whichever object carries the profile.
+  std::shared_ptr<lir::CompileMemo> A = Table.memoFor(Empty, 2000);
+  EXPECT_EQ(Table.memoFor(lir::TypeProfile(), 2000), A);
+  std::shared_ptr<lir::CompileMemo> B = Table.memoFor(Seen, 2000);
+  EXPECT_NE(B, A);
+  EXPECT_EQ(Table.memoFor(SeenAgain, 2000), B);
+  // A different profile or budget gives a different memo.
+  EXPECT_NE(Table.memoFor(Other, 2000), B);
+  EXPECT_NE(Table.memoFor(Seen, 1000), B);
+  ASSERT_EQ(Table.memos().size(), 4u);
+  for (const std::shared_ptr<lir::CompileMemo> &M : Table.memos())
+    EXPECT_EQ(&M->file(), App.File.get());
+
+  // Concurrent first requests for one key build one memo.
+  std::vector<std::shared_ptr<lir::CompileMemo>> Got(4);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I != Got.size(); ++I)
+    Threads.emplace_back([&, I] { Got[I] = Table.memoFor(Other, 500); });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const std::shared_ptr<lir::CompileMemo> &M : Got)
+    EXPECT_EQ(M, Got.front());
+  EXPECT_EQ(Table.memos().size(), 5u);
 }
 
 // --- Long-run soak after installing the GA winner --------------------------------

@@ -12,6 +12,7 @@
 #include "report/RunReport.h"
 #include "support/Format.h"
 #include "support/Json.h"
+#include "support/Random.h"
 
 #include "bench/BenchUtil.h"
 #include "core/IterativeCompiler.h"
@@ -107,6 +108,83 @@ TEST(Json, ParseRejectsGarbage) {
   EXPECT_FALSE(json::parse("[1,]").ok());
   EXPECT_FALSE(json::parse("").ok());
   EXPECT_FALSE(json::parse("\"unterminated").ok());
+}
+
+namespace {
+
+/// Seeded damage to a real document: a truncation, one to four bit
+/// flips, or both.
+std::string corrupt(const std::string &Doc, Rng &R) {
+  std::string Bad = Doc;
+  uint64_t Mode = R.below(3);
+  if (Mode != 1)
+    Bad.resize(R.below(Bad.size() + 1));
+  if (Mode != 0 && !Bad.empty())
+    for (uint64_t F = 0, N = 1 + R.below(4); F != N; ++F)
+      Bad[R.below(Bad.size())] ^= static_cast<char>(1u << R.below(8));
+  return Bad;
+}
+
+/// Visits every node of a parsed value; returns the node count.
+size_t walk(const json::Value &V) {
+  size_t Nodes = 1;
+  switch (V.kind()) {
+  case json::Value::Kind::Array:
+    for (const json::Value &E : V.elements())
+      Nodes += walk(E);
+    break;
+  case json::Value::Kind::Object:
+    for (const json::Value::Member &M : V.members()) {
+      EXPECT_NE(V.find(M.first), nullptr);
+      Nodes += walk(M.second);
+    }
+    break;
+  default:
+    EXPECT_TRUE(V.elements().empty() && V.members().empty());
+    break;
+  }
+  return Nodes;
+}
+
+} // namespace
+
+TEST(Json, ParseSurvivesRandomCorruption) {
+  // A real document: what the report writers emit, escapes and nesting
+  // included.
+  json::Builder B;
+  B.field("tool", "fig07 \"speedups\"\n\u00e9");
+  B.field("seed", uint64_t(18446744073709551615ull));
+  B.field("ratio", 0.1234567890123);
+  B.field("ok", true);
+  B.fieldNull("none");
+  {
+    json::Builder A(/*Array=*/true);
+    for (int I = 0; I != 8; ++I) {
+      json::Builder E;
+      E.field("gen", int64_t(I)).field("name", "licm!,loop-unroll=4|ra=freq");
+      A.elementRaw(std::move(E).str());
+    }
+    B.fieldRaw("records", std::move(A).str());
+  }
+  std::string Doc = std::move(B).str();
+  ASSERT_TRUE(json::parse(Doc).ok());
+
+  Rng R(0x15f0);
+  int Parsed = 0, Rejected = 0;
+  for (int I = 0; I != 4000; ++I) {
+    std::string Bad = corrupt(Doc, R);
+    support::Result<json::Value> V = json::parse(Bad);
+    if (!V.ok()) {
+      EXPECT_FALSE(V.error().Message.empty());
+      ++Rejected;
+      continue;
+    }
+    EXPECT_GE(walk(V.value()), 1u);
+    ++Parsed;
+  }
+  // Both outcomes happen: flips inside strings still parse.
+  EXPECT_GT(Parsed, 0);
+  EXPECT_GT(Rejected, 0);
 }
 
 // --- RunReport round trip ---------------------------------------------------

@@ -305,9 +305,10 @@ TEST(GeneticSearch, HaltsOnIdenticalBinaries) {
   int LoggedEvals = 0;
   for (size_t I = 0; I != Trace.Generations.size(); ++I) {
     EXPECT_GT(Trace.Generations[I].Evaluations, 0);
-    if (I)
+    if (I) {
       EXPECT_GT(Trace.Generations[I].Generation,
                 Trace.Generations[I - 1].Generation);
+    }
     LoggedEvals += Trace.Generations[I].Evaluations;
   }
   EXPECT_LT(Trace.Generations.size(), 11u);

@@ -135,6 +135,38 @@ TEST(StoreFormat, CorruptAndTruncatedDocumentsColdStartWithWarning) {
   EXPECT_TRUE(NotObject.State.Apps.empty());
 }
 
+TEST(StoreFormat, DeserializeSurvivesRandomCorruption) {
+  // Seeded truncations and bit flips of a real store document: each
+  // either starts cold with a warning or decodes to a state that is
+  // itself a valid store — its canonical form decodes back to itself.
+  std::string Doc = store::serialize(sampleState());
+  Rng R(0x5702e);
+  int Decoded = 0, Cold = 0;
+  for (int I = 0; I != 4000; ++I) {
+    std::string Bad = Doc;
+    uint64_t Mode = R.below(3);
+    if (Mode != 1)
+      Bad.resize(R.below(Bad.size() + 1));
+    if (Mode != 0 && !Bad.empty())
+      for (uint64_t F = 0, N = 1 + R.below(4); F != N; ++F)
+        Bad[R.below(Bad.size())] ^= static_cast<char>(1u << R.below(8));
+    store::DecodeResult D = store::deserialize(Bad);
+    if (!D.Warning.empty()) {
+      EXPECT_TRUE(D.State.Apps.empty());
+      EXPECT_EQ(D.State.Nights, 0u);
+      ++Cold;
+      continue;
+    }
+    std::string Canonical = store::serialize(D.State);
+    store::DecodeResult Again = store::deserialize(Canonical);
+    EXPECT_TRUE(Again.Warning.empty()) << Again.Warning << "\n" << Bad;
+    EXPECT_EQ(store::serialize(Again.State), Canonical);
+    ++Decoded;
+  }
+  EXPECT_GT(Decoded, 0);
+  EXPECT_GT(Cold, 0);
+}
+
 TEST(StoreFormat, OtherSchemaColdStartsWithWarning) {
   // Only CurrentSchema loads: older, newer and missing schemas all start
   // cold with the one warning.
