@@ -99,9 +99,12 @@ int main(int Argc, char **Argv) {
   std::printf("\n== morning: the winner is installed; the user plays ==\n");
   std::optional<vm::CodeCache> BestCode =
       Search.Baselines.compileRegion(Best->G);
-  core::AppInstance Fresh(App, Config.Seed + 100);
+  // Both installs start from one boot of the app, as processes do from
+  // Android's zygote.
+  core::BootImage Boot(App, Config.Seed + 100);
+  core::AppInstance Fresh(Boot, Config.Seed + 100);
   uint64_t Before = Fresh.runSessionBlock(3, App.DefaultParam);
-  core::AppInstance Tuned(App, Config.Seed + 100);
+  core::AppInstance Tuned(Boot, Config.Seed + 100);
   Tuned.overrideRegionCode(Profiled.Region->Methods, *BestCode);
   uint64_t After = Tuned.runSessionBlock(3, App.DefaultParam);
   std::printf("three game rounds: %.2fM cycles -> %.2fM cycles "

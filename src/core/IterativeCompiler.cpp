@@ -361,9 +361,16 @@ double OptimizationReport::speedupGaOverO3() const {
 
 IterativeCompiler::ProfiledApp
 IterativeCompiler::profileApp(const workloads::Application &App) {
+  BootImage Image(App, Config.Seed);
+  return profileApp(Image);
+}
+
+IterativeCompiler::ProfiledApp
+IterativeCompiler::profileApp(BootImage &Image) {
   ROPT_TRACE_SPAN("pipeline.profile");
+  const workloads::Application &App = Image.app();
   ProfiledApp Out{
-      std::make_unique<AppInstance>(App, Config.Seed,
+      std::make_unique<AppInstance>(Image, Config.Seed,
                                     /*AttributeCycles=*/true),
       profiler::ReplayabilityAnalysis::analyze(*App.File),
       {},
@@ -486,7 +493,15 @@ IterativeCompiler::optimize(const workloads::Application &App) {
   Report.AppName = App.Name;
 
   // --- Phases 1-2: online profile + hot region (Section 3.1). ----------
-  ProfiledApp Profiled = profileApp(App);
+  // The app boots once; the profile and every install measurement run in
+  // forks of that boot (DESIGN.md §24).
+  BootImage Image(App, Config.Seed);
+  if (!Image.init().ok()) {
+    Report.FailureReason = "app init trapped";
+    ROPT_METRIC_INC("pipeline.failures");
+    return Report;
+  }
+  ProfiledApp Profiled = profileApp(Image);
   Report.Breakdown = Profiled.Breakdown;
 
   // The observability loop's decision data: candidate regions, features,
@@ -587,9 +602,12 @@ IterativeCompiler::optimize(const workloads::Application &App) {
                       &Search.Captures.front().Profile);
 
   Rng NoiseRng(Config.Seed ^ 0x0911e);
+  const uint64_t MeasureSeed = Config.Seed + 7;
+  std::optional<BootImage> MeasureBoot;
+  BootImage &MeasureImage = Image.forSeed(MeasureSeed, MeasureBoot);
   auto MeasureVariant =
       [&](const vm::CodeCache *Override) -> std::vector<double> {
-    AppInstance Fresh(App, Config.Seed + 7);
+    AppInstance Fresh(MeasureImage, MeasureSeed);
     if (Override)
       Fresh.overrideRegionCode(Report.Region.Methods, *Override);
     uint64_t Block = Fresh.runSessionBlock(Config.Measure.FinalSessionBlock,

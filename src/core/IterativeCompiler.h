@@ -436,6 +436,9 @@ public:
     profiler::CodeBreakdown Breakdown;
   };
   ProfiledApp profileApp(const workloads::Application &App);
+  /// The same from a fork of \p Image, which must serve the pipeline's
+  /// seed.
+  ProfiledApp profileApp(BootImage &Image);
 
   /// ...and capture its hot region (phase 3), returning the capture plus
   /// the interpreted replay artifacts.

@@ -110,10 +110,12 @@ OnlineEvaluator::convergence(int MaxEvaluations) {
   std::optional<vm::CodeCache> O1Code = Evaluator->compileRegion(O1);
   assert(O0Code && O1Code && "preset compilation failed");
 
-  // Online: two app instances, each executing the hot region directly
-  // with freshly drawn inputs under online noise.
-  AppInstance Inst0(App, Config.Seed + 11);
-  AppInstance Inst1(App, Config.Seed + 12);
+  // Online: two app instances, forked from one boot, each executing the
+  // hot region directly with freshly drawn inputs under online noise.
+  BootImage Image(App, Config.Seed + 11);
+  std::optional<BootImage> Spare;
+  AppInstance Inst0(Image, Config.Seed + 11);
+  AppInstance Inst1(Image.forSeed(Config.Seed + 12, Spare), Config.Seed + 12);
   Inst0.overrideRegionCode(Region.Methods, *O0Code);
   Inst1.overrideRegionCode(Region.Methods, *O1Code);
 

@@ -113,9 +113,10 @@ void search::mutate(Genome &G, Rng &R, const GenomeConfig &Config) {
     case 1: // replace with a fresh gene
       P = randomGene(R, Config);
       break;
-    case 2: // toggle the aggressive flag where supported
+    case 2: // toggle the aggressive flag where supported; a sound-only
+            // search (AggressiveProb 0) may only clear it
       if (D.HasAggressive)
-        P.Aggressive = !P.Aggressive;
+        P.Aggressive = Config.AggressiveProb > 0 && !P.Aggressive;
       else
         P = randomGene(R, Config);
       break;

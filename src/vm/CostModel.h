@@ -89,6 +89,8 @@ public:
 
   CacheSim() { reset(); }
 
+  bool operator==(const CacheSim &) const = default;
+
 private:
   uint64_t Tags[NumLines];
 };
@@ -117,6 +119,8 @@ public:
   }
 
   BranchPredictor() { reset(); }
+
+  bool operator==(const BranchPredictor &) const = default;
 
 private:
   uint8_t Table[TableSize];

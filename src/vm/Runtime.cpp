@@ -222,6 +222,34 @@ void Runtime::resetProfile() {
   FeaturePredictor.reset();
 }
 
+BootState Runtime::bootState() const {
+  assert(Depth == 0 && "boot state read inside a call");
+  BootState S;
+  S.Code = Cache;
+  S.DCache = DCache;
+  S.Predictor = Predictor;
+  S.TotalCycles = TotalCycles;
+  S.TotalInsns = TotalInsns;
+  S.EnvironmentReads = EnvironmentReads;
+  S.IoLog = IoLog;
+  S.Inputs = Inputs;
+  S.NowMillis = Env.NowMillis;
+  return S;
+}
+
+void Runtime::adoptBootState(BootState S) {
+  assert(Depth == 0 && TotalInsns == 0 && "adopting into a used runtime");
+  Cache = std::move(S.Code);
+  DCache = S.DCache;
+  Predictor = S.Predictor;
+  TotalCycles = S.TotalCycles;
+  TotalInsns = S.TotalInsns;
+  EnvironmentReads = S.EnvironmentReads;
+  IoLog = std::move(S.IoLog);
+  Inputs = std::move(S.Inputs);
+  Env.NowMillis = S.NowMillis;
+}
+
 Value Runtime::readStatic(dex::StaticFieldId Id) {
   uint64_t Bits = 0;
   [[maybe_unused]] bool Ok =

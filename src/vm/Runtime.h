@@ -97,6 +97,23 @@ struct RegionHooks {
   std::function<void()> OnExit;
 };
 
+/// What a runtime carries between top-level calls outside simulated
+/// memory: installed code, the microarchitectural state, the lifetime
+/// counts and the session environment. A booted image hands it to every
+/// process forked from it (core::BootImage, DESIGN.md §24); the method
+/// profile is not part of it.
+struct BootState {
+  CodeCache Code;
+  CacheSim DCache;
+  BranchPredictor Predictor;
+  uint64_t TotalCycles = 0;
+  uint64_t TotalInsns = 0;
+  uint64_t EnvironmentReads = 0;
+  std::vector<int64_t> IoLog;
+  std::deque<int64_t> Inputs;
+  uint64_t NowMillis = 0;
+};
+
 /// Execution tier selection.
 enum class ExecMode {
   Mixed,         ///< Compiled code when available, interpreter otherwise.
@@ -185,6 +202,13 @@ public:
     return MethodFeatures;
   }
   void resetProfile();
+
+  /// This runtime's BootState, between top-level calls.
+  BootState bootState() const;
+  /// Takes over \p State, which a runtime over the address space this
+  /// runtime's space was forked from left behind. Call on a fresh runtime,
+  /// before its first call; the method profile stays empty.
+  void adoptBootState(BootState State);
 
   /// Static field cell address.
   static uint64_t staticSlotAddr(dex::StaticFieldId Id) {

@@ -6,13 +6,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "capture/CaptureManager.h"
 #include "core/IterativeCompiler.h"
 #include "core/OnlineEvaluator.h"
+#include "hgraph/AndroidCompiler.h"
 #include "support/Metrics.h"
 #include "support/Statistics.h"
+#include "tests/TestPrograms.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 using namespace ropt;
@@ -98,6 +102,261 @@ TEST(Pipeline, ReportsAreSeedDeterministic) {
     return R.Best.G.name() + "/" + std::to_string(R.RegionBest);
   };
   EXPECT_EQ(Digest(11), Digest(11));
+}
+
+// --- Boot images (DESIGN.md §24) -----------------------------------------------
+
+namespace {
+
+/// An app process booted and initialized in place, the way every instance
+/// booted before boot images: the oracle a fork must equal.
+struct FreshBoot {
+  Application App;
+  os::Kernel Kernel;
+  os::Process *Proc;
+  vm::NativeRegistry Natives = vm::NativeRegistry::standardLibrary();
+  std::unique_ptr<vm::Runtime> RT;
+  Rng InputRng, EnvRng;
+  vm::CallResult Init;
+
+  FreshBoot(const Application &A, uint64_t Seed, bool AttributeCycles,
+            BootCode Code)
+      : App(A), Proc(&Kernel.spawn()), InputRng(Seed ^ 0x5e551011),
+        EnvRng(Seed ^ 0xe417) {
+    vm::RuntimeConfig Config = App.RtConfig;
+    Config.AttributeCycles = AttributeCycles;
+    vm::Runtime::mapStandardLayout(Proc->space(), *App.File, Config);
+    RT = std::make_unique<vm::Runtime>(Proc->space(), *App.File, Natives,
+                                       Config);
+    RT->setEnvironmentRng(&EnvRng);
+    if (Code == BootCode::AndroidCompiled) {
+      std::vector<dex::MethodId> All;
+      for (const dex::Method &M : App.File->methods())
+        if (!M.IsNative && !M.isUncompilable())
+          All.push_back(M.Id);
+      hgraph::compileAllAndroid(*App.File, All, RT->codeCache());
+    }
+    Init = RT->call(App.InitEntry, App.argsFor(App.InitParam));
+    RT->resetProfile();
+  }
+
+  vm::CallResult runSession(int64_t Param) {
+    RT->inputQueue().push_back(static_cast<int64_t>(InputRng.below(4)));
+    return RT->call(App.SessionEntry, App.argsFor(Param));
+  }
+};
+
+std::string callText(const vm::CallResult &R) {
+  return std::string(vm::trapKindName(R.Trap)) + "/" +
+         std::to_string(R.Ret.Raw) + "/" + std::to_string(R.Cycles) + "/" +
+         std::to_string(R.Insns);
+}
+
+/// Everything a runtime keeps outside memory that a session can observe.
+void expectSameRuntime(vm::Runtime &Got, vm::Runtime &Want,
+                       const std::string &What) {
+  EXPECT_EQ(Got.totalCycles(), Want.totalCycles()) << What;
+  EXPECT_EQ(Got.totalInsns(), Want.totalInsns()) << What;
+  EXPECT_EQ(Got.environmentReads(), Want.environmentReads()) << What;
+  EXPECT_EQ(Got.ioLog(), Want.ioLog()) << What;
+  EXPECT_EQ(Got.inputQueue(), Want.inputQueue()) << What;
+  vm::BootState GotState = Got.bootState(), WantState = Want.bootState();
+  EXPECT_TRUE(GotState.DCache == WantState.DCache) << What << ": cache";
+  EXPECT_TRUE(GotState.Predictor == WantState.Predictor)
+      << What << ": branch predictor";
+  EXPECT_EQ(GotState.Code.size(), WantState.Code.size()) << What;
+  EXPECT_EQ(GotState.NowMillis, WantState.NowMillis) << What;
+  EXPECT_EQ(Got.methodCycles(), Want.methodCycles()) << What;
+  ASSERT_EQ(Got.methodFeatures().size(), Want.methodFeatures().size());
+  for (size_t I = 0; I != Got.methodFeatures().size(); ++I) {
+    const vm::MethodFeatureCounters &A = Got.methodFeatures()[I];
+    const vm::MethodFeatureCounters &B = Want.methodFeatures()[I];
+    EXPECT_TRUE(A.Insns == B.Insns && A.Branches == B.Branches &&
+                A.Mispredicts == B.Mispredicts && A.MemReads == B.MemReads &&
+                A.MemWrites == B.MemWrites &&
+                A.CacheMisses == B.CacheMisses && A.Allocs == B.Allocs &&
+                A.AllocSlots == B.AllocSlots &&
+                A.NativeCycles == B.NativeCycles)
+        << What << ": features of method " << I;
+  }
+}
+
+/// Every mapped page of \p Got holds \p Want's bytes.
+void expectSamePages(os::AddressSpace &Got, os::AddressSpace &Want,
+                     const std::string &What) {
+  static const std::array<uint8_t, os::PageSize> Zero{};
+  std::vector<os::Mapping> Maps = Got.procMaps();
+  std::vector<os::Mapping> WantMaps = Want.procMaps();
+  ASSERT_EQ(Maps.size(), WantMaps.size()) << What;
+  int Differing = 0;
+  for (size_t M = 0; M != Maps.size(); ++M) {
+    ASSERT_TRUE(Maps[M].Start == WantMaps[M].Start &&
+                Maps[M].End == WantMaps[M].End)
+        << What << ": mapping " << Maps[M].Name;
+    for (uint64_t Addr = Maps[M].Start; Addr != Maps[M].End;
+         Addr += os::PageSize) {
+      const uint8_t *A = nullptr, *B = nullptr;
+      ASSERT_TRUE(Got.pageBytes(Addr, A) && Want.pageBytes(Addr, B));
+      if (A != B && std::memcmp(A ? A : Zero.data(), B ? B : Zero.data(),
+                                os::PageSize) != 0)
+        ++Differing;
+    }
+  }
+  EXPECT_EQ(Differing, 0) << What << ": pages differ";
+}
+
+/// Captures the next session of \p App in \p Proc; the serialized
+/// capture, or the failure.
+template <typename Instance>
+std::vector<uint8_t> captureSession(Instance &Inst, os::Kernel &Kernel,
+                                    os::Process &Proc, vm::Runtime &RT,
+                                    const Application &App) {
+  capture::CaptureManager CM(Kernel, Proc, RT);
+  CM.armCapture(App.SessionEntry);
+  for (int Attempt = 0; Attempt != 4 && !CM.captureReady(); ++Attempt)
+    Inst.runSession(App.DefaultParam + 50 + Attempt);
+  support::Result<capture::Capture> Cap = CM.takeCapture();
+  if (!Cap)
+    return {};
+  return Cap.value().serialize();
+}
+
+/// Forks of \p Image, made one after another, against fresh boots at
+/// both seeds and both attribution settings: sessions, runtime state, a
+/// capture and every page must be equal.
+/// \p Inst runs like \p Fresh, a boot in place with the same seed,
+/// attribution and boot code: two sessions, the runtime state after each
+/// step, a capture of a third session and every page.
+void expectSameProcess(AppInstance &Inst, FreshBoot &Fresh,
+                       const std::string &What) {
+  const Application &App = Fresh.App;
+  expectSameRuntime(Inst.runtime(), *Fresh.RT, What + " after boot");
+  for (int I = 0; I != 2; ++I)
+    EXPECT_EQ(callText(Inst.runSession(App.DefaultParam + I)),
+              callText(Fresh.runSession(App.DefaultParam + I)))
+        << What << " session " << I;
+  expectSameRuntime(Inst.runtime(), *Fresh.RT, What);
+  std::vector<uint8_t> InstCap = captureSession(
+      Inst, Inst.kernel(), Inst.process(), Inst.runtime(), App);
+  std::vector<uint8_t> FreshCap =
+      captureSession(Fresh, Fresh.Kernel, *Fresh.Proc, *Fresh.RT, App);
+  EXPECT_FALSE(InstCap.empty()) << What;
+  EXPECT_TRUE(InstCap == FreshCap) << What << ": captures differ";
+  expectSamePages(Inst.process().space(), Fresh.Proc->space(), What);
+}
+
+std::string caseName(const Application &App, BootCode Code, uint64_t Seed,
+                     bool Attribute) {
+  return App.Name + " code=" + std::to_string(static_cast<int>(Code)) +
+         " seed=" + std::to_string(Seed) +
+         " attribute=" + std::to_string(Attribute);
+}
+
+/// Forks of \p Image, made one after another, against fresh boots at
+/// both seeds and both attribution settings.
+void expectForksEqualFreshBoots(BootImage &Image, const Application &App,
+                                BootCode Code, uint64_t Seed0,
+                                uint64_t Seed1) {
+  for (uint64_t Seed : {Seed0, Seed1}) {
+    for (bool Attribute : {false, true}) {
+      std::string What = caseName(App, Code, Seed, Attribute);
+      ASSERT_TRUE(Image.serves(Seed)) << What;
+      AppInstance Fork(Image, Seed, Attribute);
+      FreshBoot Fresh(App, Seed, Attribute, Code);
+      EXPECT_EQ(callText(Image.init()), callText(Fresh.Init)) << What;
+      expectSameProcess(Fork, Fresh, What);
+    }
+  }
+}
+
+} // namespace
+
+// A fork of a boot image is the process a fresh boot would have made, on
+// every Table-1 app and a fixture, with either boot code, with or without
+// attribution, at the image's own seed and another, for every fork an
+// image makes; and so is a single-use instance, which takes its image's
+// pages instead of sharing them.
+TEST(AppInstanceBoot, ForkEqualsFreshBoot) {
+  std::vector<Application> Apps = buildSuite();
+  // Table-1 inits leave the predictor as reset; the fixture's does not.
+  Apps.push_back(testprogs::fixtureApp(testprogs::FixtureInit::Plain));
+  for (const Application &App : Apps) {
+    for (BootCode Code : {BootCode::AndroidCompiled, BootCode::InterpretOnly}) {
+      BootImage Image(App, /*Seed=*/1, Code);
+      ASSERT_TRUE(Image.init().ok()) << App.Name;
+      ASSERT_TRUE(Image.serves(8)) << App.Name << " reads at boot";
+      expectForksEqualFreshBoots(Image, App, Code, 1, 8);
+      AppInstance Single(App, /*Seed=*/8, /*AttributeCycles=*/true, Code);
+      FreshBoot Fresh(App, 8, true, Code);
+      expectSameProcess(Single, Fresh, caseName(App, Code, 8, true) +
+                                           " single-use");
+    }
+  }
+}
+
+// An image whose init() read the environment serves its own seed only; a
+// fork at that seed continues the image's environment stream, and any
+// other seed needs an image of its own.
+TEST(AppInstanceBoot, EnvironmentReadAtBootPinsTheSeed) {
+  Application App = testprogs::fixtureApp(testprogs::FixtureInit::DrawsRandom);
+  BootImage Image(App, /*Seed=*/3);
+  ASSERT_TRUE(Image.init().ok());
+  EXPECT_TRUE(Image.serves(3));
+  EXPECT_FALSE(Image.serves(10));
+
+  std::optional<BootImage> Spare;
+  EXPECT_EQ(&Image.forSeed(3, Spare), &Image);
+  EXPECT_FALSE(Spare.has_value());
+  BootImage &Other = Image.forSeed(10, Spare);
+  ASSERT_TRUE(Spare.has_value());
+  EXPECT_EQ(&Other, &*Spare);
+  EXPECT_TRUE(Other.serves(10));
+  // The seeds draw different values at boot, so the session results tell
+  // the two images apart.
+  EXPECT_NE(Image.init().Ret.Raw, Other.init().Ret.Raw);
+
+  expectForksEqualFreshBoots(Image, App, BootCode::AndroidCompiled, 3, 3);
+  expectForksEqualFreshBoots(Other, App, BootCode::AndroidCompiled, 10, 10);
+
+  Application Plain = testprogs::fixtureApp(testprogs::FixtureInit::Plain);
+  BootImage Clean(Plain, /*Seed=*/3);
+  EXPECT_TRUE(Clean.serves(10));
+  expectForksEqualFreshBoots(Clean, Plain, BootCode::AndroidCompiled, 3, 10);
+}
+
+// optimize() boots once when init() reads nothing, and once more for the
+// install measurements when it does.
+TEST(AppInstanceBoot, OptimizeBootsOncePerServedSeed) {
+#if ROPT_OBSERVABILITY
+  auto Count = [](const char *Name) {
+    return Metrics::instance().snapshot().counter(Name);
+  };
+  for (auto [Init, Boots] :
+       {std::pair{testprogs::FixtureInit::Plain, 1u},
+        std::pair{testprogs::FixtureInit::DrawsRandom, 2u}}) {
+    uint64_t Before = Count("pipeline.boots");
+    uint64_t ForksBefore = Count("pipeline.boot_forks");
+    OptimizationReport Report = IterativeCompiler(fastConfig()).optimize(
+        testprogs::fixtureApp(Init));
+    ASSERT_TRUE(Report.Succeeded) << Report.FailureReason;
+    EXPECT_EQ(Count("pipeline.boots") - Before, Boots);
+    EXPECT_EQ(Count("pipeline.boot_forks") - ForksBefore, 4u);
+  }
+#else
+  GTEST_SKIP() << "needs the metrics registry (ROPT_OBSERVABILITY=1)";
+#endif
+}
+
+// A trapping init() fails the pipeline with a reason instead of running
+// sessions over a half-built heap.
+TEST(AppInstanceBoot, TrappingInitFailsTheOptimization) {
+  Application App =
+      testprogs::fixtureApp(testprogs::FixtureInit::DividesByZero);
+  BootImage Image(App, /*Seed=*/1);
+  EXPECT_EQ(Image.init().Trap, vm::TrapKind::DivByZero);
+  OptimizationReport Report = IterativeCompiler(fastConfig()).optimize(App);
+  EXPECT_FALSE(Report.Succeeded);
+  EXPECT_EQ(Report.FailureReason, "app init trapped");
 }
 
 TEST(Pipeline, ProfilePhaseFindsKernelsEverywhere) {

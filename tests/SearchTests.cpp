@@ -154,6 +154,28 @@ TEST(Genome, MutationKeepsLengthBounds) {
   }
 }
 
+TEST(Genome, SoundSearchMutationNeverSetsTheAggressiveFlag) {
+  // At AggressiveProb 0 a search is sound-only: mutation may clear the
+  // flag but never set it, whatever the gene or the draw.
+  GenomeConfig C = config();
+  C.AggressiveProb = 0.0;
+  C.GeneMutationProb = 0.5; // many flag toggles per genome
+  int Aggressive = 0, Mutated = 0;
+  for (uint64_t Seed = 0; Seed != 10000; ++Seed) {
+    Rng R(Seed);
+    Genome G = randomGenome(R, C);
+    for (const lir::PassInstance &P : G.Passes)
+      ASSERT_FALSE(P.Aggressive) << "unsound gene in a sound genome";
+    Genome Before = G;
+    mutate(G, R, C);
+    Mutated += !(G == Before);
+    for (const lir::PassInstance &P : G.Passes)
+      Aggressive += P.Aggressive;
+  }
+  EXPECT_EQ(Aggressive, 0);
+  EXPECT_GT(Mutated, 9000); // the mutations really ran
+}
+
 TEST(Genome, MutationChangesSomething) {
   Rng R(3);
   GenomeConfig C = config();

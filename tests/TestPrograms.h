@@ -15,6 +15,7 @@
 
 #include "dex/Builder.h"
 #include "vm/Runtime.h"
+#include "workloads/Workloads.h"
 
 #include <memory>
 #include <string>
@@ -214,6 +215,87 @@ inline dex::MethodId defineMatrixSum(dex::DexBuilder &B) {
   F.ret(Sum);
   B.endBody(F);
   return M;
+}
+
+/// What a fixture application's init() does before it returns.
+enum class FixtureInit {
+  Plain,         ///< Stores a constant in the static `state`.
+  DividesByZero, ///< Traps: divides its argument by zero.
+  DrawsRandom,   ///< Stores randomInt(1000), an environment read.
+};
+
+/// A one-class application: init() sets the static `state` as \p Init
+/// says, plus countUp(100 * param), and a session returns `state` +
+/// sumTo(param) + countUp(param). countUp is a bottom-tested loop: its
+/// back edge, taken on every iteration but the last, leaves the branch
+/// predictor in a state a reset predictor is not in, so a compiled init()
+/// leaves predictor state behind.
+inline workloads::Application fixtureApp(FixtureInit Init) {
+  using namespace dex;
+  DexBuilder B;
+  ClassId Main = B.addClass("Main");
+  StaticFieldId State = B.addStaticField(Main, "state", Type::I64);
+  NativeId Random =
+      B.addNative("randomInt", 1, true, false, /*NonDeterministic=*/true);
+  MethodId SumTo = defineSumTo(B);
+
+  MethodId CountUp = B.declareFunction(Main, "countUp", 1, true);
+  FunctionBuilder FC = B.beginBody(CountUp);
+  RegIdx I = FC.newReg(), One = FC.immI(1);
+  FC.constI(I, 0);
+  auto Loop = FC.newLabel();
+  FC.bind(Loop);
+  FC.addI(I, I, One);
+  FC.ifLt(I, FC.param(0), Loop);
+  FC.ret(I);
+  B.endBody(FC);
+
+  MethodId InitM = B.declareFunction(Main, "init", 1, true);
+  FunctionBuilder FI = B.beginBody(InitM);
+  RegIdx V = FI.newReg(), K = FI.newReg();
+  switch (Init) {
+  case FixtureInit::Plain:
+    FI.constI(V, 17);
+    break;
+  case FixtureInit::DividesByZero:
+    FI.constI(K, 0);
+    FI.divI(V, FI.param(0), K);
+    break;
+  case FixtureInit::DrawsRandom:
+    FI.constI(K, 1000);
+    FI.invokeNative(V, Random, {K});
+    break;
+  }
+  RegIdx Hundred = FI.immI(100), N = FI.newReg(), W = FI.newReg();
+  FI.mulI(N, FI.param(0), Hundred);
+  FI.invokeStatic(W, CountUp, {N});
+  FI.addI(V, V, W);
+  FI.putStatic(State, V);
+  FI.ret(V);
+  B.endBody(FI);
+
+  MethodId Session = B.declareFunction(Main, "session", 1, true);
+  FunctionBuilder FS = B.beginBody(Session);
+  RegIdx S = FS.newReg(), R = FS.newReg();
+  FS.getStatic(S, State);
+  FS.invokeStatic(R, SumTo, {FS.param(0)});
+  FS.addI(R, R, S);
+  FS.invokeStatic(S, CountUp, {FS.param(0)});
+  FS.addI(R, R, S);
+  FS.ret(R);
+  B.endBody(FS);
+
+  workloads::Application App;
+  App.Name = "Fixture";
+  App.Kind = workloads::Suite::Art;
+  App.File = std::make_shared<DexFile>(B.build());
+  App.InitEntry = InitM;
+  App.SessionEntry = Session;
+  App.InitParam = 5;
+  App.DefaultParam = 4000;
+  App.MinParam = 3000;
+  App.MaxParam = 5000;
+  return App;
 }
 
 /// A harness holding the file and a booted runtime.
