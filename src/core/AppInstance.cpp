@@ -50,23 +50,23 @@ BootImage &BootImage::forSeed(uint64_t Seed,
   return Spare.emplace(App, Seed, Code);
 }
 
-AppInstance::AppInstance(BootImage &Image, uint64_t Seed,
-                         bool AttributeCycles, bool TakeImage)
+AppInstance::AppInstance(const BootImage &Image, uint64_t Seed,
+                         bool AttributeCycles)
     : App(Image.App), Natives(vm::NativeRegistry::standardLibrary()),
       InputRng(inputRng(Seed)),
       EnvRng(Image.State.EnvironmentReads ? Image.EnvRng
                                           : environmentRng(Seed)) {
+  assert(Image.init().ok() && "application init trapped");
   assert(Image.serves(Seed) && "boot image booted with another seed");
   vm::RuntimeConfig Config = App.RtConfig;
   Config.AttributeCycles = AttributeCycles;
 
   Proc = &Kernel.spawn();
-  Proc->space() =
-      TakeImage ? std::move(Image.Space) : Image.Space.forkClone();
+  Proc->space() = Image.Space.forkClone();
   RT = std::make_unique<vm::Runtime>(Proc->space(), *App.File, Natives,
                                      Config);
   RT->setEnvironmentRng(&EnvRng);
-  RT->adoptBootState(TakeImage ? std::move(Image.State) : Image.State);
+  RT->adoptBootState(Image.State);
   // The profile should describe the user's sessions, not app startup —
   // otherwise a heavyweight init() masquerades as the hot region.
   RT->resetProfile();

@@ -80,22 +80,23 @@ private:
   vm::CallResult Init;
   /// Forks made so far. The first takes over the init() the image ran for
   /// it; each later one adopts that work (pipeline.boot_shared_*).
-  uint64_t Forks = 0;
+  mutable uint64_t Forks = 0;
 };
 
 class AppInstance {
 public:
   using BootCode = core::BootCode;
 
-  /// Forks \p Image, which must serve \p Seed: a fresh kernel process over
-  /// a copy-on-write clone of the image's pages, a runtime that takes over
-  /// the image's state, and input and environment streams seeded by
-  /// \p Seed. \p AttributeCycles turns on the per-method profile, which
-  /// starts empty.
-  AppInstance(BootImage &Image, uint64_t Seed, bool AttributeCycles = false)
-      : AppInstance(Image, Seed, AttributeCycles, /*TakeImage=*/false) {}
+  /// Forks \p Image, which must serve \p Seed and whose init() must not
+  /// have trapped: a fresh kernel process over a copy-on-write clone of
+  /// the image's pages, a runtime that takes over the image's state, and
+  /// input and environment streams seeded by \p Seed. \p AttributeCycles
+  /// turns on the per-method profile, which starts empty.
+  AppInstance(const BootImage &Image, uint64_t Seed,
+              bool AttributeCycles = false);
 
-  /// Boots \p App into a single-use image and forks it.
+  /// Boots \p App into a single-use image and forks it. The image dies
+  /// when this constructor returns, so the fork owns every page alone.
   AppInstance(const workloads::Application &App, uint64_t Seed,
               bool AttributeCycles = false,
               BootCode Boot = BootCode::AndroidCompiled);
@@ -121,13 +122,6 @@ public:
   const workloads::Application &app() const { return App; }
 
 private:
-  /// The fork; with \p TakeImage it moves the image's pages and state
-  /// instead of sharing them, for an image nothing forks again.
-  AppInstance(BootImage &Image, uint64_t Seed, bool AttributeCycles,
-              bool TakeImage);
-  AppInstance(BootImage &&Image, uint64_t Seed, bool AttributeCycles)
-      : AppInstance(Image, Seed, AttributeCycles, /*TakeImage=*/true) {}
-
   workloads::Application App;
   os::Kernel Kernel;
   os::Process *Proc = nullptr;

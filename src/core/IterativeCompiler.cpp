@@ -361,21 +361,27 @@ double OptimizationReport::speedupGaOverO3() const {
 
 IterativeCompiler::ProfiledApp
 IterativeCompiler::profileApp(const workloads::Application &App) {
-  BootImage Image(App, Config.Seed);
-  return profileApp(Image);
+  ROPT_TRACE_SPAN("pipeline.profile");
+  // A single-use boot: the instance owns its pages before any session runs.
+  return profile(std::make_unique<AppInstance>(App, Config.Seed,
+                                               /*AttributeCycles=*/true));
 }
 
 IterativeCompiler::ProfiledApp
-IterativeCompiler::profileApp(BootImage &Image) {
+IterativeCompiler::profileApp(const BootImage &Image) {
   ROPT_TRACE_SPAN("pipeline.profile");
-  const workloads::Application &App = Image.app();
-  ProfiledApp Out{
-      std::make_unique<AppInstance>(Image, Config.Seed,
-                                    /*AttributeCycles=*/true),
-      profiler::ReplayabilityAnalysis::analyze(*App.File),
-      {},
-      std::nullopt,
-      {}};
+  return profile(std::make_unique<AppInstance>(Image, Config.Seed,
+                                               /*AttributeCycles=*/true));
+}
+
+IterativeCompiler::ProfiledApp
+IterativeCompiler::profile(std::unique_ptr<AppInstance> Instance) {
+  const workloads::Application &App = Instance->app();
+  ProfiledApp Out{std::move(Instance),
+                  profiler::ReplayabilityAnalysis::analyze(*App.File),
+                  {},
+                  std::nullopt,
+                  {}};
   for (int I = 0; I != Config.Capture.ProfileSessions; ++I) {
     vm::CallResult R = Out.Instance->runSession(App.DefaultParam + I);
     assert(R.ok() && "profiling session trapped");
@@ -605,6 +611,11 @@ IterativeCompiler::optimize(const workloads::Application &App) {
   const uint64_t MeasureSeed = Config.Seed + 7;
   std::optional<BootImage> MeasureBoot;
   BootImage &MeasureImage = Image.forSeed(MeasureSeed, MeasureBoot);
+  if (!MeasureImage.init().ok()) {
+    Report.FailureReason = "app init trapped";
+    ROPT_METRIC_INC("pipeline.failures");
+    return Report;
+  }
   auto MeasureVariant =
       [&](const vm::CodeCache *Override) -> std::vector<double> {
     AppInstance Fresh(MeasureImage, MeasureSeed);

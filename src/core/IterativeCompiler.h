@@ -438,7 +438,7 @@ public:
   ProfiledApp profileApp(const workloads::Application &App);
   /// The same from a fork of \p Image, which must serve the pipeline's
   /// seed.
-  ProfiledApp profileApp(BootImage &Image);
+  ProfiledApp profileApp(const BootImage &Image);
 
   /// ...and capture its hot region (phase 3), returning the capture plus
   /// the interpreted replay artifacts.
@@ -475,6 +475,9 @@ public:
   const PipelineConfig &config() const { return Config; }
 
 private:
+  /// Runs the profile sessions on \p Instance and detects its region.
+  ProfiledApp profile(std::unique_ptr<AppInstance> Instance);
+
   PipelineConfig Config;
 };
 

@@ -221,9 +221,6 @@ std::vector<uint8_t> captureSession(Instance &Inst, os::Kernel &Kernel,
   return Cap.value().serialize();
 }
 
-/// Forks of \p Image, made one after another, against fresh boots at
-/// both seeds and both attribution settings: sessions, runtime state, a
-/// capture and every page must be equal.
 /// \p Inst runs like \p Fresh, a boot in place with the same seed,
 /// attribution and boot code: two sessions, the runtime state after each
 /// step, a capture of a third session and every page.
@@ -274,8 +271,7 @@ void expectForksEqualFreshBoots(BootImage &Image, const Application &App,
 // A fork of a boot image is the process a fresh boot would have made, on
 // every Table-1 app and a fixture, with either boot code, with or without
 // attribution, at the image's own seed and another, for every fork an
-// image makes; and so is a single-use instance, which takes its image's
-// pages instead of sharing them.
+// image makes; and so is a single-use instance.
 TEST(AppInstanceBoot, ForkEqualsFreshBoot) {
   std::vector<Application> Apps = buildSuite();
   // Table-1 inits leave the predictor as reset; the fixture's does not.
@@ -354,7 +350,24 @@ TEST(AppInstanceBoot, TrappingInitFailsTheOptimization) {
       testprogs::fixtureApp(testprogs::FixtureInit::DividesByZero);
   BootImage Image(App, /*Seed=*/1);
   EXPECT_EQ(Image.init().Trap, vm::TrapKind::DivByZero);
+#ifndef NDEBUG
+  // Paths that do not check first stop at the fork in a checked build.
+  EXPECT_DEATH({ AppInstance Fork(Image, 1); }, "application init trapped");
+#endif
   OptimizationReport Report = IterativeCompiler(fastConfig()).optimize(App);
+  EXPECT_FALSE(Report.Succeeded);
+  EXPECT_EQ(Report.FailureReason, "app init trapped");
+
+  // So does a trap in the install image's boot alone, which an init()
+  // that reads the environment gets at a seed of its own.
+  Application Drawing =
+      testprogs::fixtureApp(testprogs::FixtureInit::DividesByDraw);
+  uint64_t Seed = 1;
+  while (Seed != 64 && !(BootImage(Drawing, Seed).init().ok() &&
+                         !BootImage(Drawing, Seed + 7).init().ok()))
+    ++Seed;
+  ASSERT_NE(Seed, 64u) << "no seed whose install boot alone traps";
+  Report = IterativeCompiler(fastConfig(Seed)).optimize(Drawing);
   EXPECT_FALSE(Report.Succeeded);
   EXPECT_EQ(Report.FailureReason, "app init trapped");
 }

@@ -222,6 +222,8 @@ enum class FixtureInit {
   Plain,         ///< Stores a constant in the static `state`.
   DividesByZero, ///< Traps: divides its argument by zero.
   DrawsRandom,   ///< Stores randomInt(1000), an environment read.
+  DividesByDraw, ///< Divides its argument by randomInt(2): traps at the
+                 ///< seeds that draw 0.
 };
 
 /// A one-class application: init() sets the static `state` as \p Init
@@ -264,6 +266,11 @@ inline workloads::Application fixtureApp(FixtureInit Init) {
   case FixtureInit::DrawsRandom:
     FI.constI(K, 1000);
     FI.invokeNative(V, Random, {K});
+    break;
+  case FixtureInit::DividesByDraw:
+    FI.constI(K, 2);
+    FI.invokeNative(K, Random, {K});
+    FI.divI(V, FI.param(0), K);
     break;
   }
   RegIdx Hundred = FI.immI(100), N = FI.newReg(), W = FI.newReg();
