@@ -56,6 +56,7 @@ AppInstance::AppInstance(const BootImage &Image, uint64_t Seed,
       InputRng(inputRng(Seed)),
       EnvRng(Image.State.EnvironmentReads ? Image.EnvRng
                                           : environmentRng(Seed)) {
+  ROPT_TRACE_SPAN("pipeline.fork");
   assert(Image.init().ok() && "application init trapped");
   assert(Image.serves(Seed) && "boot image booted with another seed");
   vm::RuntimeConfig Config = App.RtConfig;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace ropt;
 using namespace ropt::os;
@@ -26,54 +27,91 @@ void AddressSpace::mapPages(uint64_t Start, uint64_t NumPages, uint8_t Prot,
                             const PhysPageRef *Backing, MappingKind Kind,
                             const std::string &Name) {
   assert(Start == pageBase(Start) && "mapping start must be page aligned");
-  uint64_t FirstPage = pageNumber(Start);
-  for (uint64_t I = 0; I != NumPages; ++I) {
-    assert(Pages.count(FirstPage + I) == 0 &&
-           "mapping overlaps existing pages");
-    PageEntry Entry;
-    // Without backing the page materializes lazily on first write; shared
-    // backing is copied by ensurePrivate on the first write while anyone
-    // else still holds the page.
-    if (Backing) {
+  Region R;
+  R.Map.Start = Start;
+  R.Map.End = Start + NumPages * PageSize;
+  R.Map.Kind = Kind;
+  R.Map.Name = Name;
+  size_t Pos = regionFrom(Start);
+  assert((Pos == Regions.size() || R.Map.End <= Regions[Pos].Map.Start) &&
+         "mapping overlaps existing pages");
+  // Without backing the page materializes lazily on first write; shared
+  // backing is copied by ensurePrivate on the first write while anyone
+  // else still holds the page.
+  if (Backing) {
+    R.Entries.reserve(NumPages);
+    for (uint64_t I = 0; I != NumPages; ++I) {
       assert(Backing[I] && "shared backing page is null");
-      Entry.Phys = Backing[I];
+      R.Entries.push_back({Backing[I], Prot});
     }
-    Entry.Prot = Prot;
-    Pages.emplace(FirstPage + I, std::move(Entry));
+  } else {
+    R.Entries.assign(NumPages, {nullptr, Prot});
   }
-  uint64_t Bytes = NumPages * PageSize;
-  Mapping M;
-  M.Start = Start;
-  M.End = Start + Bytes;
-  M.Kind = Kind;
-  M.Name = Name;
-  auto Pos = std::lower_bound(
-      Mappings.begin(), Mappings.end(), M,
-      [](const Mapping &A, const Mapping &B) { return A.Start < B.Start; });
-  Mappings.insert(Pos, std::move(M));
+  Regions.insert(Regions.begin() + Pos, std::move(R));
   invalidateTranslations();
   if (SnapshotArmed)
     StructuralChange = true; // the snapshot no longer describes this space
 }
 
+size_t AddressSpace::regionFrom(uint64_t Addr) const {
+  // Regions never overlap, so their ends are sorted like their starts.
+  return std::partition_point(Regions.begin(), Regions.end(),
+                              [Addr](const Region &R) {
+                                return R.Map.End <= Addr;
+                              }) -
+         Regions.begin();
+}
+
+size_t AddressSpace::regionAt(uint64_t Addr) const {
+  size_t Pos = regionFrom(Addr);
+  if (Pos != Regions.size() && !Regions[Pos].Map.contains(Addr))
+    return Regions.size();
+  return Pos;
+}
+
+const AddressSpace::PageEntry *
+AddressSpace::findEntry(uint64_t PageNum) const {
+  uint64_t Addr = PageNum * PageSize;
+  size_t Pos = regionAt(Addr);
+  if (Pos == Regions.size())
+    return nullptr;
+  const Region &R = Regions[Pos];
+  return &R.Entries[(Addr - R.Map.Start) / PageSize];
+}
+
 void AddressSpace::unmapRegion(uint64_t Start, uint64_t Size) {
-  uint64_t Bytes = roundUpToPage(Size);
-  uint64_t FirstPage = pageNumber(Start);
-  uint64_t NumPages = Bytes / PageSize;
-  for (uint64_t P = FirstPage; P != FirstPage + NumPages; ++P)
-    Pages.erase(P);
-  uint64_t End = Start + Bytes;
-  for (auto It = Mappings.begin(); It != Mappings.end();) {
-    if (It->Start >= Start && It->End <= End) {
-      It = Mappings.erase(It);
+  uint64_t Lo = pageBase(Start);
+  uint64_t Hi = Lo + roundUpToPage(Size);
+  for (size_t I = regionFrom(Lo);
+       I != Regions.size() && Regions[I].Map.Start < Hi;) {
+    Region &R = Regions[I];
+    uint64_t CutLo = std::max(Lo, R.Map.Start);
+    uint64_t CutHi = std::min(Hi, R.Map.End);
+    auto Entry = [&R](uint64_t Addr) {
+      return R.Entries.begin() + (Addr - R.Map.Start) / PageSize;
+    };
+    if (CutLo == R.Map.Start && CutHi == R.Map.End) {
+      Regions.erase(Regions.begin() + I);
       continue;
     }
-    // Partial overlap: shrink the bookkeeping range.
-    if (It->contains(Start) && It->End > End)
-      It->End = Start; // conservative: drop the tail record
-    else if (Start <= It->Start && It->contains(End - 1))
-      It->Start = End;
-    ++It;
+    if (CutLo == R.Map.Start) { // trim the head
+      R.Entries.erase(R.Entries.begin(), Entry(CutHi));
+      R.Map.Start = CutHi;
+    } else if (CutHi == R.Map.End) { // trim the tail
+      R.Entries.erase(Entry(CutLo), R.Entries.end());
+      R.Map.End = CutLo;
+    } else { // punch a hole: the pages above it become a mapping of their own
+      Region Tail;
+      Tail.Map = R.Map;
+      Tail.Map.Start = CutHi;
+      Tail.Entries.assign(std::make_move_iterator(Entry(CutHi)),
+                          std::make_move_iterator(R.Entries.end()));
+      R.Entries.erase(Entry(CutLo), R.Entries.end());
+      R.Map.End = CutLo;
+      Regions.insert(Regions.begin() + I + 1, std::move(Tail));
+      break; // the tail starts at Hi
+    }
+    ++I;
   }
   invalidateTranslations();
   if (SnapshotArmed)
@@ -82,42 +120,47 @@ void AddressSpace::unmapRegion(uint64_t Start, uint64_t Size) {
 
 void AddressSpace::protectRange(uint64_t Start, uint64_t Size, uint8_t Prot) {
   ++Stats.ProtectCalls;
-  uint64_t Bytes = roundUpToPage(Size);
-  uint64_t FirstPage = pageNumber(Start);
-  uint64_t NumPages = Bytes / PageSize;
-  for (uint64_t P = FirstPage; P != FirstPage + NumPages; ++P) {
-    auto It = Pages.find(P);
-    if (It == Pages.end())
-      continue;
-    if (It->second.Prot != Prot) {
-      It->second.Prot = Prot;
-      ++Stats.PagesProtected;
-      if (SnapshotArmed)
-        Dirty.insert(P); // reset must re-arm the snapshot protection
+  uint64_t Lo = pageBase(Start);
+  uint64_t Hi = Lo + roundUpToPage(Size);
+  for (size_t I = regionFrom(Lo);
+       I != Regions.size() && Regions[I].Map.Start < Hi; ++I) {
+    Region &R = Regions[I];
+    uint64_t From = std::max(Lo, R.Map.Start);
+    uint64_t To = std::min(Hi, R.Map.End);
+    for (uint64_t Addr = From; Addr != To; Addr += PageSize) {
+      PageEntry &E = R.Entries[(Addr - R.Map.Start) / PageSize];
+      if (E.Prot != Prot) {
+        E.Prot = Prot;
+        ++Stats.PagesProtected;
+        if (SnapshotArmed)
+          Dirty.insert(pageNumber(Addr)); // reset must re-arm the protection
+      }
     }
   }
 }
 
 uint8_t AddressSpace::protectionOf(uint64_t Addr) const {
-  auto It = Pages.find(pageNumber(Addr));
-  return It == Pages.end() ? static_cast<uint8_t>(ProtNone) : It->second.Prot;
+  const PageEntry *E = findEntry(pageNumber(Addr));
+  return E ? E->Prot : static_cast<uint8_t>(ProtNone);
 }
 
 std::vector<Mapping> AddressSpace::procMaps() {
   ++Stats.MapsEnumerations;
-  return Mappings;
+  std::vector<Mapping> Out;
+  Out.reserve(Regions.size());
+  for (const Region &R : Regions)
+    Out.push_back(R.Map);
+  return Out;
 }
 
 const Mapping *AddressSpace::findMapping(uint64_t Addr) const {
-  for (const Mapping &M : Mappings)
-    if (M.contains(Addr))
-      return &M;
-  return nullptr;
+  size_t Pos = regionAt(Addr);
+  return Pos == Regions.size() ? nullptr : &Regions[Pos].Map;
 }
 
 void AddressSpace::ensurePrivate(uint64_t PageNum, PageEntry &Entry) {
   // Every first write after takeSnapshot() lands here: the snapshot's
-  // page-table copy holds a reference to every materialized page (so
+  // entry arrays hold a reference to every materialized page (so
   // use_count > 1), and lazy-zero pages have no backing yet. A private
   // materialized page can only mean the dirty set already has this page.
   if (!Entry.Phys) {
@@ -143,12 +186,11 @@ uint64_t AddressSpace::accessChunk(uint64_t Addr, void *Buf, uint64_t Size,
   uint64_t PageNum = pageNumber(Addr);
   PageEntry *Entry = lookupTranslation(PageNum);
   if (!Entry) {
-    auto It = Pages.find(PageNum);
-    if (It == Pages.end()) {
+    Entry = findEntry(PageNum);
+    if (!Entry) {
       Result = AccessResult::Unmapped;
       return 0;
     }
-    Entry = &It->second;
     fillTranslation(PageNum, Entry);
   }
 
@@ -213,13 +255,13 @@ AccessResult AddressSpace::writeSlow(uint64_t Addr, const void *Data,
 bool AddressSpace::peek(uint64_t Addr, void *Out, uint64_t Size) const {
   uint8_t *Buf = static_cast<uint8_t *>(Out);
   while (Size > 0) {
-    auto It = Pages.find(pageNumber(Addr));
-    if (It == Pages.end())
+    const PageEntry *E = findEntry(pageNumber(Addr));
+    if (!E)
       return false;
     uint64_t Offset = Addr - pageBase(Addr);
     uint64_t Chunk = std::min(Size, PageSize - Offset);
-    if (It->second.Phys)
-      std::memcpy(Buf, It->second.Phys->Data.data() + Offset, Chunk);
+    if (E->Phys)
+      std::memcpy(Buf, E->Phys->Data.data() + Offset, Chunk);
     else
       std::memset(Buf, 0, Chunk);
     Addr += Chunk;
@@ -230,10 +272,10 @@ bool AddressSpace::peek(uint64_t Addr, void *Out, uint64_t Size) const {
 }
 
 bool AddressSpace::pageBytes(uint64_t Addr, const uint8_t *&Bytes) const {
-  auto It = Pages.find(pageNumber(Addr));
-  if (It == Pages.end())
+  const PageEntry *E = findEntry(pageNumber(Addr));
+  if (!E)
     return false;
-  Bytes = It->second.Phys ? It->second.Phys->Data.data() : nullptr;
+  Bytes = E->Phys ? E->Phys->Data.data() : nullptr;
   return true;
 }
 
@@ -241,13 +283,13 @@ bool AddressSpace::poke(uint64_t Addr, const void *Data, uint64_t Size) {
   const uint8_t *Buf = static_cast<const uint8_t *>(Data);
   while (Size > 0) {
     uint64_t PageNum = pageNumber(Addr);
-    auto It = Pages.find(PageNum);
-    if (It == Pages.end())
+    PageEntry *E = findEntry(PageNum);
+    if (!E)
       return false;
-    ensurePrivate(PageNum, It->second);
+    ensurePrivate(PageNum, *E);
     uint64_t Offset = Addr - pageBase(Addr);
     uint64_t Chunk = std::min(Size, PageSize - Offset);
-    std::memcpy(It->second.Phys->Data.data() + Offset, Buf, Chunk);
+    std::memcpy(E->Phys->Data.data() + Offset, Buf, Chunk);
     Addr += Chunk;
     Buf += Chunk;
     Size -= Chunk;
@@ -257,18 +299,28 @@ bool AddressSpace::poke(uint64_t Addr, const void *Data, uint64_t Size) {
 
 AddressSpace AddressSpace::forkClone() const {
   AddressSpace Child;
-  Child.Pages = Pages; // shares PhysicalPage refs -> CoW on either side
-  Child.Mappings = Mappings;
+  Child.Regions = Regions; // shares PhysicalPage refs -> CoW on either side
   return Child;
 }
 
+uint64_t AddressSpace::mappedPageCount() const {
+  uint64_t Pages = 0;
+  for (const Region &R : Regions)
+    Pages += R.Entries.size();
+  return Pages;
+}
+
 PhysPageRef AddressSpace::physicalPage(uint64_t Addr) const {
-  auto It = Pages.find(pageNumber(Addr));
-  return It == Pages.end() ? nullptr : It->second.Phys;
+  const PageEntry *E = findEntry(pageNumber(Addr));
+  return E ? E->Phys : nullptr;
 }
 
 void AddressSpace::takeSnapshot() {
-  SnapshotPages = Pages; // bumps every materialized page to shared
+  // Bumps every materialized page to shared; assigning over the arrays of
+  // an earlier snapshot reuses their storage.
+  SnapshotPages.resize(Regions.size());
+  for (size_t I = 0; I != Regions.size(); ++I)
+    SnapshotPages[I] = Regions[I].Entries;
   Dirty.clear();
   SnapshotArmed = true;
   StructuralChange = false;
@@ -278,17 +330,21 @@ void AddressSpace::takeSnapshot() {
 int64_t AddressSpace::resetToSnapshot() {
   if (!SnapshotArmed || StructuralChange)
     return -1;
+  // No map or unmap since the snapshot: every region sits at the index,
+  // and every page at the offset, that the snapshot recorded.
   int64_t Reverted = 0;
   for (uint64_t P : Dirty) {
-    auto It = Pages.find(P);
-    auto SIt = SnapshotPages.find(P);
-    if (It == Pages.end() || SIt == SnapshotPages.end()) {
+    uint64_t Addr = P * PageSize;
+    size_t Pos = regionAt(Addr);
+    if (Pos >= SnapshotPages.size() || Pos == Regions.size()) {
       // Unreachable while StructuralChange tracking is sound; degrade to
       // "snapshot invalid" rather than half-restoring silently.
       StructuralChange = true;
       return -1;
     }
-    It->second = SIt->second; // re-share the snapshot page, re-arm Prot
+    Region &R = Regions[Pos];
+    uint64_t Index = (Addr - R.Map.Start) / PageSize;
+    R.Entries[Index] = SnapshotPages[Pos][Index]; // re-share, re-arm Prot
     ++Reverted;
   }
   Dirty.clear();

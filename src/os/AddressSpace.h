@@ -11,16 +11,27 @@
 /// record first accesses, and let CoW preserve the pre-region state of any
 /// page the application writes.
 ///
+/// **Page table.** Each mapping owns its pages as one contiguous array of
+/// page entries, and the mappings sit in one vector sorted by start, so a
+/// space holds a handful of arrays however many pages it maps. Copying
+/// the table (forkClone, takeSnapshot) copies those arrays: an untouched
+/// lazy-zero page is a null reference and costs no atomic, so only
+/// materialized pages pay a reference-count bump. A lookup binary-searches
+/// the mappings (DESIGN.md §16).
+///
 /// Two performance features serve the replay fork-server (DESIGN.md §16):
 ///
 /// - **Snapshots.** `takeSnapshot()` freezes the current content as a
 ///   restore point; every page written afterwards is recorded in a dirty
 ///   set, and `resetToSnapshot()` reverts exactly those pages by dropping
 ///   their private copies and re-sharing the snapshot's physical pages
-///   (re-arming the snapshot protections with them). Dirty recording rides
-///   the existing CoW path: taking the snapshot bumps every materialized
-///   page to shared, so the first post-snapshot write necessarily transits
-///   `ensurePrivate`, which is the single recording point.
+///   (re-arming the snapshot protections with them). The snapshot is a copy
+///   of each mapping's entry array; since any map or unmap invalidates it,
+///   a dirty page sits at the same mapping index and offset in both.
+///   Dirty recording rides the existing CoW path: taking the snapshot bumps
+///   every materialized page to shared, so the first post-snapshot write
+///   necessarily transits `ensurePrivate`, which is the single recording
+///   point.
 ///
 /// - **Inline access fast path.** `read`/`write` handle the common case —
 ///   page-local access, permitted protection, (for writes) already-private
@@ -40,7 +51,6 @@
 #include <array>
 #include <cstring>
 #include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -82,6 +92,13 @@ public:
 
   AddressSpace() = default;
 
+  /// forkClone() is the only copy: a plain copy would carry a translation
+  /// cache pointing into the source's page entries.
+  AddressSpace(const AddressSpace &) = delete;
+  AddressSpace &operator=(const AddressSpace &) = delete;
+  AddressSpace(AddressSpace &&) = default;
+  AddressSpace &operator=(AddressSpace &&) = default;
+
   /// Maps \p Size bytes (rounded up to pages) at \p Start with \p Prot.
   /// The range must not overlap an existing mapping.
   void mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
@@ -96,8 +113,9 @@ public:
                  uint8_t Prot, MappingKind Kind, const std::string &Name);
 
   /// Unmaps every page in [Start, Start+Size). Pages outside any mapping
-  /// are ignored. Mappings fully contained in the range are removed;
-  /// partial overlap shrinks the mapping bookkeeping conservatively.
+  /// are ignored. Mappings fully contained in the range are removed; a
+  /// mapping the range overlaps at one end is trimmed, and one the range
+  /// punches a hole into is split into a head and a tail mapping.
   void unmapRegion(uint64_t Start, uint64_t Size);
 
   /// Changes the protection of all mapped pages in [Start, Start+Size).
@@ -177,7 +195,7 @@ public:
 
   /// True if the page containing \p Addr is mapped.
   bool isMapped(uint64_t Addr) const {
-    return Pages.count(pageNumber(Addr)) != 0;
+    return findEntry(pageNumber(Addr)) != nullptr;
   }
 
   /// Protection of the page containing \p Addr; ProtNone if unmapped.
@@ -199,7 +217,7 @@ public:
   PhysPageRef physicalPage(uint64_t Addr) const;
 
   /// Total number of mapped pages.
-  uint64_t mappedPageCount() const { return Pages.size(); }
+  uint64_t mappedPageCount() const;
 
   /// Freezes the current content and protections as the restore point for
   /// later resetToSnapshot() calls. Every materialized page becomes shared
@@ -220,7 +238,7 @@ public:
   bool hasValidSnapshot() const { return SnapshotArmed && !StructuralChange; }
 
   /// Forgets the restore point and the dirty set (frees the snapshot's
-  /// page-table copy; shared physical pages are released lazily by CoW).
+  /// entry arrays; shared physical pages are released lazily by CoW).
   void dropSnapshot();
 
   /// Pages written or re-protected since the last takeSnapshot().
@@ -237,11 +255,32 @@ private:
     uint8_t Prot = ProtNone;
   };
 
+  /// One mapping and its pages: Entries[I] backs the page at
+  /// Map.Start + I * PageSize.
+  struct Region {
+    Mapping Map;
+    std::vector<PageEntry> Entries;
+  };
+
   /// Maps \p NumPages pages at \p Start, backed by \p Backing (one ref
   /// per page) or, when null, by lazily materialized zero pages.
   void mapPages(uint64_t Start, uint64_t NumPages, uint8_t Prot,
                 const PhysPageRef *Backing, MappingKind Kind,
                 const std::string &Name);
+
+  /// Index of the first region that ends above \p Addr (Regions.size()
+  /// if none); the region holding \p Addr if any holds it.
+  size_t regionFrom(uint64_t Addr) const;
+
+  /// Index of the region holding \p Addr, or Regions.size() if none does.
+  size_t regionAt(uint64_t Addr) const;
+
+  /// The entry of page \p PageNum, or nullptr if it is unmapped.
+  const PageEntry *findEntry(uint64_t PageNum) const;
+  PageEntry *findEntry(uint64_t PageNum) {
+    return const_cast<PageEntry *>(
+        static_cast<const AddressSpace *>(this)->findEntry(PageNum));
+  }
 
   /// Ensures this space holds a private, materialized copy of page
   /// \p PageNum before writing; records it in the dirty set while a
@@ -258,9 +297,10 @@ private:
   AccessResult writeSlow(uint64_t Addr, const void *Data, uint64_t Size);
 
   // Direct-mapped translation cache in front of the page table, indexed
-  // by the low page-number bits: one compare per lookup. unordered_map
-  // never moves its nodes, so cached PageEntry pointers stay valid until a
-  // page is erased (unmapRegion invalidates the cache).
+  // by the low page-number bits: one compare per lookup. Entry arrays only
+  // move or shrink on a map or unmap, and both invalidate the cache, so a
+  // cached PageEntry pointer stays valid until then (a move of the whole
+  // space keeps the arrays where they are).
   static constexpr size_t TranslationSlots = 64;
   struct TranslationEntry {
     uint64_t PageNum = ~0ULL;
@@ -282,15 +322,15 @@ private:
 
   void invalidateTranslations() const { Translations.fill({}); }
 
-  std::unordered_map<uint64_t, PageEntry> Pages;
-  std::vector<Mapping> Mappings; ///< Kept sorted by Start.
+  std::vector<Region> Regions; ///< Sorted by start, never overlapping.
   FaultHandler OnFault;
   MemoryStats Stats;
 
   mutable std::array<TranslationEntry, TranslationSlots> Translations;
 
   // Snapshot/restore state (replay fork-server support).
-  std::unordered_map<uint64_t, PageEntry> SnapshotPages;
+  /// Each region's entries at takeSnapshot(), index for index.
+  std::vector<std::vector<PageEntry>> SnapshotPages;
   std::unordered_set<uint64_t> Dirty;
   bool SnapshotArmed = false;
   bool StructuralChange = false;

@@ -334,7 +334,10 @@ support::Result<ReplayResult> Replayer::replayImpl(
   ReplayResult Out;
 
   if (!SessionMode) {
-    support::Result<AddressSpace> Built = buildRestoredSpace(Cap, Out.Loader);
+    support::Result<AddressSpace> Built = [&] {
+      ROPT_TRACE_SPAN("replay.restore");
+      return buildRestoredSpace(Cap, Out.Loader);
+    }();
     if (!Built)
       return Built.error();
     AddressSpace &Space = Built.value();
@@ -360,11 +363,14 @@ support::Result<ReplayResult> Replayer::replayImpl(
   }
   if (It == Sessions.end()) {
     Session S;
-    support::Result<AddressSpace> Built = buildRestoredSpace(Cap, S.Loader);
-    if (!Built)
-      return Built.error();
-    S.Space = std::move(Built).value();
-    S.Space.takeSnapshot();
+    {
+      ROPT_TRACE_SPAN("replay.restore");
+      support::Result<AddressSpace> Built = buildRestoredSpace(Cap, S.Loader);
+      if (!Built)
+        return Built.error();
+      S.Space = std::move(Built).value();
+      S.Space.takeSnapshot();
+    }
     S.Fingerprint = Fp;
     It = Sessions.emplace(&Cap, std::move(S)).first;
     ++SessStats.SessionsCreated;

@@ -565,6 +565,8 @@ TEST(ObservabilityPipeline, SmokeCountersAndSpans) {
   EXPECT_TRUE(hasSpan(Events, "pipeline.capture"));
   EXPECT_TRUE(hasSpan(Events, "capture.spool"));
   EXPECT_TRUE(hasSpan(Events, "replay.run"));
+  EXPECT_TRUE(hasSpan(Events, "replay.restore"));
+  EXPECT_TRUE(hasSpan(Events, "pipeline.fork"));
   EXPECT_TRUE(hasSpan(Events, "search.generation"));
   EXPECT_TRUE(hasSpan(Events, "search.hillclimb"));
 

@@ -4,9 +4,19 @@
 #include "os/CostModel.h"
 #include "os/Kernel.h"
 
+#include "support/Random.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
 
 using namespace ropt;
 using namespace ropt::os;
@@ -527,4 +537,515 @@ TEST(PageBytes, ViewsBackingIgnoringProtection) {
   ASSERT_TRUE(Space.pageBytes(Base, Bytes));
   EXPECT_EQ(Bytes, nullptr);
   EXPECT_FALSE(Space.pageBytes(Base + 3 * PageSize, Bytes));
+}
+
+// --- Holes and the reference model --------------------------------------------
+
+TEST(AddressSpace, UnmapHoleKeepsBothHalves) {
+  AddressSpace Space = makeSpace(8);
+  uint64_t Head = 0x11, Tail = 0x77;
+  ASSERT_EQ(Space.write(Base, &Head, 8), AccessResult::Ok);
+  ASSERT_EQ(Space.write(Base + 7 * PageSize, &Tail, 8), AccessResult::Ok);
+
+  Space.unmapRegion(Base + 2 * PageSize, 3 * PageSize);
+
+  std::vector<Mapping> Maps = Space.procMaps();
+  ASSERT_EQ(Maps.size(), 2u);
+  EXPECT_EQ(Maps[0].Start, Base);
+  EXPECT_EQ(Maps[0].End, Base + 2 * PageSize);
+  EXPECT_EQ(Maps[1].Start, Base + 5 * PageSize);
+  EXPECT_EQ(Maps[1].End, Base + 8 * PageSize);
+  EXPECT_EQ(Maps[1].Name, "heap");
+  EXPECT_EQ(Maps[1].Kind, MappingKind::Heap);
+
+  const Mapping *M = Space.findMapping(Base + 6 * PageSize + 8);
+  ASSERT_NE(M, nullptr);
+  EXPECT_EQ(M->Start, Base + 5 * PageSize);
+  EXPECT_EQ(Space.findMapping(Base + 3 * PageSize), nullptr);
+  EXPECT_EQ(Space.mappedPageCount(), 5u);
+
+  uint64_t V = 0;
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, Head);
+  ASSERT_EQ(Space.read(Base + 7 * PageSize, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, Tail);
+  EXPECT_EQ(Space.read(Base + 2 * PageSize, &V, 8), AccessResult::Unmapped);
+  EXPECT_EQ(Space.write(Base + 5 * PageSize, &V, 8), AccessResult::Ok);
+}
+
+namespace {
+
+/// Physical pages of the reference model, named by id (0 is the lazy zero
+/// page), with the reference count every holder (a space, a snapshot, a
+/// shared-backing vector) contributes.
+struct RefStore {
+  std::map<int, std::array<uint8_t, PageSize>> Bytes;
+  std::map<int, long> Refs;
+  int NextId = 1;
+
+  int make(const std::array<uint8_t, PageSize> &From) {
+    int Id = NextId++;
+    Bytes[Id] = From;
+    Refs[Id] = 1;
+    return Id;
+  }
+  void hold(int Id) {
+    if (Id)
+      ++Refs[Id];
+  }
+  void release(int Id) {
+    if (Id && --Refs[Id] == 0) {
+      Refs.erase(Id);
+      Bytes.erase(Id);
+    }
+  }
+};
+
+struct RefPage {
+  int Phys = 0;
+  uint8_t Prot = ProtNone;
+};
+
+/// A naive AddressSpace: one std::map entry per page, every rule spelled
+/// out page by page.
+struct RefSpace {
+  RefStore &Store;
+  std::map<uint64_t, RefPage> Pages; ///< By page number.
+  std::vector<Mapping> Maps;         ///< Sorted by start.
+  std::map<uint64_t, RefPage> Snap;
+  std::set<uint64_t> Dirty;
+  bool Armed = false;
+  bool Structural = false;
+  MemoryStats Stats;
+  int Handler = 0; ///< 0: none; 1: unprotects and retries; 2: only retries.
+
+  explicit RefSpace(RefStore &Store) : Store(Store) {}
+  RefSpace(const RefSpace &) = delete;
+  ~RefSpace() {
+    for (auto &[P, Page] : Pages)
+      Store.release(Page.Phys);
+    dropSnapshot();
+  }
+
+  std::unique_ptr<RefSpace> fork() const {
+    auto Child = std::make_unique<RefSpace>(Store);
+    Child->Pages = Pages;
+    Child->Maps = Maps;
+    for (auto &[P, Page] : Pages)
+      Store.hold(Page.Phys);
+    return Child;
+  }
+
+  bool overlaps(uint64_t First, uint64_t Count) const {
+    auto It = Pages.lower_bound(First);
+    return It != Pages.end() && It->first < First + Count;
+  }
+
+  void map(uint64_t First, const std::vector<int> &Backing, uint8_t Prot,
+           MappingKind Kind, const std::string &Name) {
+    for (size_t I = 0; I != Backing.size(); ++I) {
+      Store.hold(Backing[I]);
+      Pages[First + I] = {Backing[I], Prot};
+    }
+    Mapping M;
+    M.Start = First * PageSize;
+    M.End = (First + Backing.size()) * PageSize;
+    M.Kind = Kind;
+    M.Name = Name;
+    Maps.push_back(M);
+    std::sort(Maps.begin(), Maps.end(),
+              [](const Mapping &A, const Mapping &B) {
+                return A.Start < B.Start;
+              });
+    Structural |= Armed;
+  }
+
+  void unmap(uint64_t First, uint64_t Count) {
+    for (uint64_t P = First; P != First + Count; ++P) {
+      auto It = Pages.find(P);
+      if (It == Pages.end())
+        continue;
+      Store.release(It->second.Phys);
+      Pages.erase(It);
+    }
+    uint64_t Lo = First * PageSize, Hi = (First + Count) * PageSize;
+    std::vector<Mapping> Kept;
+    for (const Mapping &M : Maps) {
+      if (M.End <= Lo || M.Start >= Hi) {
+        Kept.push_back(M);
+        continue;
+      }
+      if (M.Start < Lo) {
+        Mapping Head = M;
+        Head.End = Lo;
+        Kept.push_back(Head);
+      }
+      if (M.End > Hi) {
+        Mapping Tail = M;
+        Tail.Start = Hi;
+        Kept.push_back(Tail);
+      }
+    }
+    Maps = std::move(Kept);
+    Structural |= Armed;
+  }
+
+  void protect(uint64_t First, uint64_t Count, uint8_t Prot) {
+    ++Stats.ProtectCalls;
+    for (uint64_t P = First; P != First + Count; ++P) {
+      auto It = Pages.find(P);
+      if (It == Pages.end() || It->second.Prot == Prot)
+        continue;
+      It->second.Prot = Prot;
+      ++Stats.PagesProtected;
+      if (Armed)
+        Dirty.insert(P);
+    }
+  }
+
+  void makePrivate(uint64_t P) {
+    RefPage &Page = Pages.at(P);
+    if (!Page.Phys) {
+      Page.Phys = Store.make({});
+    } else if (Store.Refs.at(Page.Phys) > 1) {
+      int Copy = Store.make(Store.Bytes.at(Page.Phys));
+      Store.release(Page.Phys);
+      Page.Phys = Copy;
+      ++Stats.CowCopies;
+    } else {
+      return;
+    }
+    if (Armed)
+      Dirty.insert(P);
+  }
+
+  AccessResult access(uint64_t Addr, uint8_t *Buf, uint64_t Size,
+                      bool IsWrite) {
+    while (Size > 0) {
+      uint64_t P = pageNumber(Addr);
+      if (!Pages.count(P))
+        return AccessResult::Unmapped;
+      uint8_t Needed = IsWrite ? ProtWrite : ProtRead;
+      if (!(Pages[P].Prot & Needed)) {
+        ++(IsWrite ? Stats.WriteFaults : Stats.ReadFaults);
+        if (Handler == 1)
+          protect(P, 1, ProtRead | ProtWrite);
+        if (Handler == 0 || !(Pages[P].Prot & Needed))
+          return AccessResult::Violation;
+      }
+      Size -= copy(Addr, Buf, Size, IsWrite);
+    }
+    return AccessResult::Ok;
+  }
+
+  bool peekPoke(uint64_t Addr, uint8_t *Buf, uint64_t Size, bool IsWrite) {
+    while (Size > 0) {
+      if (!Pages.count(pageNumber(Addr)))
+        return false;
+      Size -= copy(Addr, Buf, Size, IsWrite);
+    }
+    return true;
+  }
+
+  /// One page-bounded chunk; advances \p Addr and \p Buf.
+  uint64_t copy(uint64_t &Addr, uint8_t *&Buf, uint64_t Size, bool IsWrite) {
+    uint64_t P = pageNumber(Addr);
+    uint64_t Offset = Addr - pageBase(Addr);
+    uint64_t Chunk = std::min(Size, PageSize - Offset);
+    if (IsWrite) {
+      makePrivate(P);
+      std::memcpy(Store.Bytes.at(Pages[P].Phys).data() + Offset, Buf, Chunk);
+    } else if (Pages[P].Phys) {
+      std::memcpy(Buf, Store.Bytes.at(Pages[P].Phys).data() + Offset, Chunk);
+    } else {
+      std::memset(Buf, 0, Chunk);
+    }
+    Addr += Chunk;
+    Buf += Chunk;
+    return Chunk;
+  }
+
+  void takeSnapshot() {
+    dropSnapshot();
+    Snap = Pages;
+    for (auto &[P, Page] : Snap)
+      Store.hold(Page.Phys);
+    Armed = true;
+    ++Stats.SnapshotsTaken;
+  }
+
+  int64_t reset() {
+    if (!Armed || Structural)
+      return -1;
+    for (uint64_t P : Dirty) {
+      Store.hold(Snap.at(P).Phys);
+      Store.release(Pages.at(P).Phys);
+      Pages[P] = Snap.at(P);
+    }
+    int64_t Reverted = static_cast<int64_t>(Dirty.size());
+    Dirty.clear();
+    ++Stats.SnapshotResets;
+    Stats.PagesReverted += static_cast<uint64_t>(Reverted);
+    return Reverted;
+  }
+
+  void dropSnapshot() {
+    for (auto &[P, Page] : Snap)
+      Store.release(Page.Phys);
+    Snap.clear();
+    Dirty.clear();
+    Armed = Structural = false;
+  }
+};
+
+constexpr uint64_t ModelFirstPage = pageNumber(Base);
+constexpr uint64_t ModelPages = 80; ///< Window the sequences work in.
+
+void expectSameStats(const MemoryStats &A, const MemoryStats &B) {
+  EXPECT_EQ(A.ProtectCalls, B.ProtectCalls);
+  EXPECT_EQ(A.PagesProtected, B.PagesProtected);
+  EXPECT_EQ(A.ReadFaults, B.ReadFaults);
+  EXPECT_EQ(A.WriteFaults, B.WriteFaults);
+  EXPECT_EQ(A.CowCopies, B.CowCopies);
+  EXPECT_EQ(A.MapsEnumerations, B.MapsEnumerations);
+  EXPECT_EQ(A.SnapshotsTaken, B.SnapshotsTaken);
+  EXPECT_EQ(A.SnapshotResets, B.SnapshotResets);
+  EXPECT_EQ(A.PagesReverted, B.PagesReverted);
+}
+
+/// Compares everything \p Space exposes with \p Ref: layout, protections,
+/// bytes, physical-page identity and reference counts, snapshot state and
+/// every counter. \p Ids maps the model's page ids to the pages they name,
+/// across every space of one sequence.
+void expectMatches(AddressSpace &Space, RefSpace &Ref,
+                   std::map<int, const PhysicalPage *> &Ids) {
+  std::vector<Mapping> Maps = Space.procMaps();
+  ++Ref.Stats.MapsEnumerations;
+  ASSERT_EQ(Maps.size(), Ref.Maps.size());
+  for (size_t I = 0; I != Maps.size(); ++I) {
+    EXPECT_EQ(Maps[I].Start, Ref.Maps[I].Start);
+    EXPECT_EQ(Maps[I].End, Ref.Maps[I].End);
+    EXPECT_EQ(Maps[I].Kind, Ref.Maps[I].Kind);
+    EXPECT_EQ(Maps[I].Name, Ref.Maps[I].Name);
+    const Mapping *Found = Space.findMapping(Maps[I].End - 1);
+    ASSERT_NE(Found, nullptr);
+    EXPECT_EQ(Found->Start, Maps[I].Start);
+  }
+  EXPECT_EQ(Space.mappedPageCount(), Ref.Pages.size());
+  for (uint64_t P = ModelFirstPage - 1; P != ModelFirstPage + ModelPages + 8;
+       ++P) {
+    uint64_t Addr = P * PageSize;
+    auto It = Ref.Pages.find(P);
+    ASSERT_EQ(Space.isMapped(Addr), It != Ref.Pages.end()) << "page " << P;
+    const uint8_t *Bytes = nullptr;
+    if (It == Ref.Pages.end()) {
+      EXPECT_EQ(Space.findMapping(Addr), nullptr);
+      EXPECT_FALSE(Space.pageBytes(Addr, Bytes));
+      continue;
+    }
+    EXPECT_EQ(Space.protectionOf(Addr), It->second.Prot) << "page " << P;
+    ASSERT_TRUE(Space.pageBytes(Addr, Bytes));
+    int Id = It->second.Phys;
+    ASSERT_EQ(Bytes == nullptr, Id == 0) << "page " << P;
+    if (!Id)
+      continue;
+    EXPECT_EQ(std::memcmp(Bytes, Ref.Store.Bytes.at(Id).data(), PageSize), 0)
+        << "page " << P;
+    PhysPageRef Phys = Space.physicalPage(Addr);
+    auto [Known, New] = Ids.emplace(Id, Phys.get());
+    EXPECT_EQ(Known->second, Phys.get()) << "page " << P << " id " << Id;
+    EXPECT_EQ(Phys.use_count() - 1, Ref.Store.Refs.at(Id)) << "page " << P;
+  }
+  EXPECT_EQ(Space.dirtyPageCount(), Ref.Dirty.size());
+  EXPECT_EQ(Space.hasValidSnapshot(), Ref.Armed && !Ref.Structural);
+  expectSameStats(Space.stats(), Ref.Stats);
+}
+
+/// One seeded sequence of random operations on a space, and on a fork of
+/// it while one lives, each mirrored on the reference model.
+void runModelSequence(uint64_t Seed) {
+  Rng R(Seed);
+  RefStore Store;
+  std::vector<std::vector<PhysPageRef>> Backings; // held like boot images
+  std::map<int, const PhysicalPage *> Ids;
+
+  struct Side {
+    std::optional<AddressSpace> Space;
+    std::unique_ptr<RefSpace> Ref;
+  };
+  std::array<Side, 2> Sides; // [0] the parent, [1] a live fork or empty
+  auto InstallHandler = [&R](Side &S) {
+    S.Ref->Handler = static_cast<int>(R.below(3));
+    if (S.Ref->Handler == 0)
+      return;
+    AddressSpace &Space = *S.Space;
+    bool Fixes = S.Ref->Handler == 1;
+    Space.setFaultHandler([&Space, Fixes](uint64_t Addr, bool) {
+      if (Fixes)
+        Space.protectRange(pageBase(Addr), PageSize, ProtRead | ProtWrite);
+      return true;
+    });
+  };
+  Sides[0].Space.emplace();
+  Sides[0].Ref = std::make_unique<RefSpace>(Store);
+  InstallHandler(Sides[0]);
+
+  const uint8_t Prots[] = {ProtNone, ProtRead, ProtRead | ProtWrite,
+                           ProtRead | ProtExec, ProtWrite};
+  const MappingKind Kinds[] = {MappingKind::Heap, MappingKind::Data,
+                               MappingKind::Anonymous};
+  const char *Names[] = {"heap", "statics", "staged"};
+  auto RandomAddr = [&R] {
+    return (ModelFirstPage + R.below(ModelPages)) * PageSize +
+           R.below(PageSize);
+  };
+  auto RandomSize = [&R] {
+    switch (R.below(4)) {
+    case 0:
+      return PageSize + R.below(PageSize); // spans two or three pages
+    case 1:
+      return 1 + R.below(64);
+    default:
+      return uint64_t(8);
+    }
+  };
+
+  const int Steps = 30 + static_cast<int>(R.below(30));
+  for (int Step = 0; Step != Steps; ++Step) {
+    SCOPED_TRACE("seed " + std::to_string(Seed) + " step " +
+                 std::to_string(Step));
+    uint64_t Op = R.below(16);
+    if (Op == 12) { // fork, or let the live fork exit
+      if (Sides[1].Space) {
+        Sides[1].Space.reset();
+        Sides[1].Ref.reset();
+      } else {
+        Sides[1].Space.emplace(Sides[0].Space->forkClone());
+        Sides[1].Ref = Sides[0].Ref->fork();
+        InstallHandler(Sides[1]);
+      }
+    }
+    Side &S = Sides[Sides[1].Space && R.chance(0.3) ? 1 : 0];
+    AddressSpace &Space = *S.Space;
+    RefSpace &Ref = *S.Ref;
+    switch (Op) {
+    case 0:
+    case 1:
+    case 2: { // map lazily, or share fresh backing pages
+      uint64_t First = ModelFirstPage + R.below(ModelPages);
+      uint64_t Count = R.chance(0.3) ? 1 : 1 + R.below(8);
+      if (Ref.overlaps(First, Count))
+        break;
+      uint8_t Prot = Prots[R.below(5)];
+      size_t K = R.below(3);
+      std::vector<int> Backing(Count, 0);
+      if (R.chance(0.3)) {
+        std::vector<PhysPageRef> Pages;
+        for (int &Id : Backing) {
+          auto Page = std::make_shared<PhysicalPage>();
+          Page->Data[R.below(PageSize)] = static_cast<uint8_t>(R.next());
+          Id = Store.make(Page->Data);
+          Pages.push_back(std::move(Page));
+        }
+        Space.mapShared(First * PageSize, Pages, Prot, Kinds[K], Names[K]);
+        Backings.push_back(std::move(Pages));
+      } else {
+        Space.mapRegion(First * PageSize, Count * PageSize, Prot, Kinds[K],
+                        Names[K]);
+      }
+      Ref.map(First, Backing, Prot, Kinds[K], Names[K]);
+      break;
+    }
+    case 3:
+    case 4: { // unmap: whole mappings, an end, a hole or nothing
+      uint64_t First = ModelFirstPage + R.below(ModelPages);
+      uint64_t Count = 1 + R.below(10);
+      Space.unmapRegion(First * PageSize, Count * PageSize);
+      Ref.unmap(First, Count);
+      break;
+    }
+    case 5: {
+      uint64_t First = ModelFirstPage + R.below(ModelPages);
+      uint64_t Count = 1 + R.below(10);
+      uint8_t Prot = Prots[R.below(5)];
+      Space.protectRange(First * PageSize, Count * PageSize, Prot);
+      Ref.protect(First, Count, Prot);
+      break;
+    }
+    case 6:
+    case 7:
+    case 8: { // write
+      uint64_t Addr = RandomAddr();
+      std::vector<uint8_t> Data(RandomSize());
+      for (uint8_t &B : Data)
+        B = static_cast<uint8_t>(R.next());
+      std::vector<uint8_t> Copy = Data;
+      EXPECT_EQ(Space.write(Addr, Data.data(), Data.size()),
+                Ref.access(Addr, Copy.data(), Copy.size(), true));
+      break;
+    }
+    case 9:
+    case 10: { // read
+      uint64_t Addr = RandomAddr();
+      uint64_t Size = RandomSize();
+      std::vector<uint8_t> Got(Size), Want(Size);
+      AccessResult Result = Space.read(Addr, Got.data(), Size);
+      ASSERT_EQ(Result, Ref.access(Addr, Want.data(), Size, false));
+      if (Result == AccessResult::Ok) {
+        EXPECT_EQ(Got, Want);
+      }
+      break;
+    }
+    case 11: { // kernel-style access
+      uint64_t Addr = RandomAddr();
+      uint64_t Size = RandomSize();
+      std::vector<uint8_t> Got(Size), Want(Size);
+      if (R.chance(0.5)) {
+        for (uint8_t &B : Want)
+          B = static_cast<uint8_t>(R.next());
+        Got = Want;
+        EXPECT_EQ(Space.poke(Addr, Got.data(), Size),
+                  Ref.peekPoke(Addr, Want.data(), Size, true));
+        break;
+      }
+      bool Ok = Space.peek(Addr, Got.data(), Size);
+      ASSERT_EQ(Ok, Ref.peekPoke(Addr, Want.data(), Size, false));
+      if (Ok) {
+        EXPECT_EQ(Got, Want);
+      }
+      break;
+    }
+    case 13:
+      Space.takeSnapshot();
+      Ref.takeSnapshot();
+      break;
+    case 14:
+      ASSERT_EQ(Space.resetToSnapshot(), Ref.reset());
+      break;
+    case 15:
+      if (R.chance(0.3)) {
+        Space.dropSnapshot();
+        Ref.dropSnapshot();
+      }
+      break;
+    }
+    EXPECT_EQ(Space.dirtyPageCount(), Ref.Dirty.size());
+    expectSameStats(Space.stats(), Ref.Stats);
+    if (Step % 8 == 7 || Step + 1 == Steps)
+      for (Side &Each : Sides)
+        if (Each.Space)
+          expectMatches(*Each.Space, *Each.Ref, Ids);
+    if (::testing::Test::HasFailure())
+      return;
+  }
+}
+
+} // namespace
+
+TEST(AddressSpace, MatchesReferenceModel) {
+  for (uint64_t Seed = 1; Seed <= 2000; ++Seed) {
+    runModelSequence(Seed);
+    if (::testing::Test::HasFailure())
+      return;
+  }
 }
