@@ -5,11 +5,14 @@
 #include "hgraph/AndroidCompiler.h"
 #include "support/Metrics.h"
 #include "support/Statistics.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <exception>
+#include <future>
 
 using namespace ropt;
 using namespace ropt::core;
@@ -616,24 +619,54 @@ IterativeCompiler::optimize(const workloads::Application &App) {
     ROPT_METRIC_INC("pipeline.failures");
     return Report;
   }
-  auto MeasureVariant =
-      [&](const vm::CodeCache *Override) -> std::vector<double> {
-    AppInstance Fresh(MeasureImage, MeasureSeed);
+  // The three whole-program blocks are independent forks of one image:
+  // fork them here, in order (forks count boot work, so they stay on this
+  // thread), run Android and -O3 on the engine's pool beside the GA block
+  // on this thread, and draw the noise in a fixed order afterwards.
+  enum Variant : int { Android, O3, Ga };
+  auto Fork = [&](const vm::CodeCache *Override) {
+    auto Fresh = std::make_unique<AppInstance>(MeasureImage, MeasureSeed);
     if (Override)
-      Fresh.overrideRegionCode(Report.Region.Methods, *Override);
-    uint64_t Block = Fresh.runSessionBlock(Config.Measure.FinalSessionBlock,
-                                           App.DefaultParam);
-    if (Block == 0)
-      return {};
-    std::vector<double> Samples;
-    for (int I = 0; I != Config.Measure.FinalMeasurementRuns; ++I)
-      Samples.push_back(Config.Measure.Noise.online(
-          NoiseRng, static_cast<double>(Block)));
-    return Samples;
+      Fresh->overrideRegionCode(Report.Region.Methods, *Override);
+    return Fresh;
   };
-  Report.WholeAndroid = MeasureVariant(nullptr);
-  Report.WholeO3 = MeasureVariant(&O3Code);
-  Report.WholeGa = MeasureVariant(&*BestCode);
+  std::unique_ptr<AppInstance> Instances[] = {Fork(nullptr), Fork(&O3Code),
+                                              Fork(&*BestCode)};
+  uint64_t Blocks[3] = {};
+  auto RunBlock = [&](Variant V) {
+    ROPT_TRACE_SPAN_V("pipeline.measure", V);
+    Blocks[V] = Instances[V]->runSessionBlock(
+        Config.Measure.FinalSessionBlock, App.DefaultParam);
+    Instances[V].reset();
+  };
+  ThreadPool &Pool = Search.Engine.pool();
+  std::future<void> Done[] = {Pool.submit([&] { RunBlock(Android); }),
+                              Pool.submit([&] { RunBlock(O3); })};
+  std::exception_ptr GaError;
+  try {
+    RunBlock(Ga);
+  } catch (...) {
+    GaError = std::current_exception();
+  }
+  for (std::future<void> &F : Done)
+    F.wait(); // the tasks use this frame
+  if (GaError)
+    std::rethrow_exception(GaError);
+  for (std::future<void> &F : Done)
+    F.get();
+
+  auto Samples = [&](Variant V) {
+    std::vector<double> Out;
+    if (Blocks[V] == 0)
+      return Out;
+    for (int I = 0; I != Config.Measure.FinalMeasurementRuns; ++I)
+      Out.push_back(Config.Measure.Noise.online(
+          NoiseRng, static_cast<double>(Blocks[V])));
+    return Out;
+  };
+  Report.WholeAndroid = Samples(Android);
+  Report.WholeO3 = Samples(O3);
+  Report.WholeGa = Samples(Ga);
 
   Report.Succeeded = !Report.WholeAndroid.empty() &&
                      !Report.WholeGa.empty();

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
 
 using namespace ropt;
 using namespace ropt::search;
@@ -114,21 +115,46 @@ EvaluationEngine::evaluateBatch(const std::vector<Genome> &Genomes) {
     CompileWork.push_back(I);
   }
 
-  // --- Compile stage (parallel). ------------------------------------------
+  // --- Compile and measure (parallel, dynamically scheduled): one task
+  // per compile. A task whose binary is fresh — not in BinaryCache, and
+  // not claimed by another task of this batch — claims its hash and
+  // measures it right away on the same backend: its racing seed block, or
+  // the whole fixed budget when racing is off. Claims decide only *where*
+  // a binary is measured; measurements are pure functions of (binary,
+  // noise seed), and the commit below decides what is recorded in batch
+  // order, so results stay bit-identical at any --jobs value. -------------
+  const size_t MaxReplays =
+      static_cast<size_t>(std::max(1, Options.MaxReplays));
+  const size_t SeedBlock =
+      Options.Racing
+          ? std::min(static_cast<size_t>(std::max(1, Options.MinReplays)),
+                     MaxReplays)
+          : MaxReplays;
   ensureBackends(std::min(Pool->size(), CompileWork.size()));
   std::vector<CompiledBinary> Compiled(CompileWork.size());
+  std::vector<Evaluation> Measured(CompileWork.size());
+  std::mutex ClaimMutex;
+  std::unordered_map<uint64_t, size_t> Claimed; // hash -> measuring task
   Pool->parallelFor(CompileWork.size(), [&](size_t W, size_t Slot) {
     Compiled[W] = Backends[Slot]->compileGenome(Genomes[CompileWork[W]]);
+    const CompiledBinary &B = Compiled[W];
+    // BinaryCache is only written by the calling thread, after the sweep.
+    if (!B.Ok || (Options.Memoize && BinaryCache.count(B.BinaryHash)))
+      return;
+    {
+      std::lock_guard<std::mutex> Lock(ClaimMutex);
+      if (!Claimed.emplace(B.BinaryHash, W).second)
+        return;
+    }
+    Measured[W] = Backends[Slot]->measureBinary(B, noiseSeed(B.BinaryHash),
+                                                SeedBlock);
   });
 
-  // --- Commit compiles (serial, batch order) and plan the measure stage:
-  // one measurement per distinct fresh binary. -----------------------------
-  struct MeasureTask {
-    size_t WorkIndex;   // into Compiled
-    uint64_t NoiseSeed;
-  };
-  std::vector<MeasureTask> MeasureWork;
-  std::unordered_map<uint64_t, size_t> MeasureOf; // hash -> MeasureWork idx
+  // --- Commit compiles (serial, batch order). The first compile in batch
+  // order with a fresh hash pays for its measurement, whichever task ran
+  // it. ------------------------------------------------------------------
+  std::vector<size_t> MeasureWork; // paying work indices, in batch order
+  std::unordered_map<uint64_t, size_t> MeasureOf; // hash -> paying index
 
   for (size_t W = 0; W != Compiled.size(); ++W) {
     const CompiledBinary &B = Compiled[W];
@@ -139,52 +165,19 @@ EvaluationEngine::evaluateBatch(const std::vector<Genome> &Genomes) {
       continue;
     bool Known = Options.Memoize && BinaryCache.count(B.BinaryHash);
     if (!Known && !MeasureOf.count(B.BinaryHash)) {
-      MeasureOf.emplace(B.BinaryHash, MeasureWork.size());
-      MeasureWork.push_back(MeasureTask{W, noiseSeed(B.BinaryHash)});
+      MeasureOf.emplace(B.BinaryHash, W);
+      MeasureWork.push_back(W);
+      size_t Ran = Claimed.at(B.BinaryHash);
+      if (Ran != W)
+        Measured[W] = std::move(Measured[Ran]);
     }
   }
-
-  // --- Measure stage (parallel): every distinct fresh binary draws its
-  // racing seed block, or the whole fixed budget when racing is off.
-  // Same-binary batching: tasks are partitioned over backend lanes by
-  // binary hash, so a binary measured again later (memoization off, or a
-  // re-compiled duplicate) lands on the backend whose replay sessions and
-  // verify cache already hold its state, and all of one binary's verified
-  // replays run back-to-back on one backend under one shared code install.
-  // The lane of a task is a pure function of the binary hash and the lane
-  // count, never of scheduling — measurements themselves are pure
-  // functions of (noise seed, index), so results stay bit-identical at
-  // any --jobs value. ------------------------------------------------------
-  const size_t MaxReplays =
-      static_cast<size_t>(std::max(1, Options.MaxReplays));
-  const size_t SeedBlock =
-      Options.Racing
-          ? std::min(static_cast<size_t>(std::max(1, Options.MinReplays)),
-                     MaxReplays)
-          : MaxReplays;
-  std::vector<Evaluation> Measured(MeasureWork.size());
-  const size_t LaneCount =
-      std::max<size_t>(1, std::min(Pool->size(), MeasureWork.size()));
-  ensureBackends(LaneCount);
-  std::vector<std::vector<size_t>> Lanes(LaneCount);
-  for (size_t M = 0; M != MeasureWork.size(); ++M) {
-    uint64_t Hash = Compiled[MeasureWork[M].WorkIndex].BinaryHash;
-    Lanes[Hash % LaneCount].push_back(M);
-  }
-  Pool->parallelFor(LaneCount, [&](size_t Lane, size_t Slot) {
-    (void)Slot; // one task per lane: Backends[Lane] is single-threaded
-    for (size_t M : Lanes[Lane]) {
-      const MeasureTask &T = MeasureWork[M];
-      Measured[M] = Backends[Lane]->measureBinary(Compiled[T.WorkIndex],
-                                                  T.NoiseSeed, SeedBlock);
-    }
-  });
 
   // --- Commit the raw seed samples (serial, batch order) and collect the
   // racers. ----------------------------------------------------------------
   std::vector<Evaluation *> Racers;
-  for (size_t M = 0; M != MeasureWork.size(); ++M) {
-    Evaluation &E = Measured[M];
+  for (size_t W : MeasureWork) {
+    Evaluation &E = Measured[W];
     if (!E.ok())
       continue;
     RawSamples[E.BinaryHash] = E.Samples; // raw; cleaned view built below
@@ -209,9 +202,8 @@ EvaluationEngine::evaluateBatch(const std::vector<Genome> &Genomes) {
                       MaxReplays - static_cast<size_t>(E->SamplesSpent));
   }
   if (Options.Memoize)
-    for (size_t M = 0; M != MeasureWork.size(); ++M)
-      BinaryCache.emplace(Compiled[MeasureWork[M].WorkIndex].BinaryHash,
-                          Measured[M]);
+    for (size_t W : MeasureWork)
+      BinaryCache.emplace(Compiled[W].BinaryHash, Measured[W]);
 
   // --- Assemble results in genome order, classifying each answer as a
   // genome hit, binary hit, or miss. ---------------------------------------
@@ -247,8 +239,7 @@ EvaluationEngine::evaluateBatch(const std::vector<Genome> &Genomes) {
       // earlier same-hash compile in this one) it is a binary-level hit.
       const CompiledBinary &B = Compiled[WorkOf[I]];
       auto MIt = B.Ok ? MeasureOf.find(B.BinaryHash) : MeasureOf.end();
-      bool PaidMeasure = MIt != MeasureOf.end() &&
-                         MeasureWork[MIt->second].WorkIndex == WorkOf[I];
+      bool PaidMeasure = MIt != MeasureOf.end() && MIt->second == WorkOf[I];
       if (B.Ok && !PaidMeasure) {
         ++Cache.BinaryHits;
         Results[I].Origin = CacheOrigin::BinaryHit;

@@ -11,10 +11,12 @@
 /// binaries — an admission that the search keeps recompiling and
 /// re-replaying duplicates. The engine removes both costs:
 ///
-///  - **Parallelism.** Each batch is split into a compile stage and a
-///    measure (replay) stage, both fanned out over a fixed ThreadPool.
-///    Every worker slot owns its own EvalBackend — its own replay sandbox
-///    and RNGs — so no VM or kernel state is ever shared between threads.
+///  - **Parallelism.** Each batch is one dynamically scheduled sweep
+///    over a fixed ThreadPool: a task compiles one genome and, when the
+///    binary is fresh and no other task of the batch has claimed it,
+///    measures it right away on the same backend. Every worker slot owns
+///    its own EvalBackend — its own replay sandbox and RNGs — so no VM or
+///    kernel state is ever shared between threads.
 ///
 ///  - **Memoization.** A two-level cache: canonicalized genome -> compile
 ///    outcome (so textually equal pipelines compile once), and binary
@@ -36,9 +38,11 @@
 ///
 ///  - **Determinism.** Work lists, cache commits and every racing
 ///    decision happen in batch order on the calling thread; workers only
-///    fill pre-assigned slots. Measurement noise is seeded from (engine
-///    seed, binary hash, sample index), never from scheduling order. A
-///    seeded run is therefore bit-identical at any `--jobs` value.
+///    fill pre-assigned slots. Claims decide where a binary is measured,
+///    batch order decides what is recorded. Measurement noise is seeded
+///    from (engine seed, binary hash, sample index), never from
+///    scheduling order. A seeded run is therefore bit-identical at any
+///    `--jobs` value.
 ///
 /// Replay failures surface as typed support::Error values; the engine
 /// maps them onto EvalKind in exactly one place (evalKindForError).
@@ -228,6 +232,10 @@ public:
 
   /// Worker threads the engine schedules over.
   size_t jobs() const;
+  /// The engine's worker pool, for work that runs between batches (the
+  /// pipeline's install measurements). Never call evaluateBatch() from a
+  /// task on it.
+  ThreadPool &pool() { return *Pool; }
 
   const EngineCounters &counters() const { return Stats; }
   const EngineCacheStats &cacheStats() const { return Cache; }

@@ -21,6 +21,8 @@
 #include <cctype>
 #include <cstring>
 #include <map>
+#include <set>
+#include <string>
 #include <thread>
 
 using namespace ropt;
@@ -569,6 +571,29 @@ TEST(ObservabilityPipeline, SmokeCountersAndSpans) {
   EXPECT_TRUE(hasSpan(Events, "pipeline.fork"));
   EXPECT_TRUE(hasSpan(Events, "search.generation"));
   EXPECT_TRUE(hasSpan(Events, "search.hillclimb"));
+
+  // One pipeline.measure span per whole-program block (value 0 android,
+  // 1 -O3, 2 GA), each inside the install phase.
+  const TraceEvent *Install = nullptr;
+  std::vector<const TraceEvent *> Measures;
+  for (const TraceEvent &E : Events) {
+    if (E.Ph != TraceEvent::Phase::Complete)
+      continue;
+    if (std::string(E.Name) == "pipeline.install_measure")
+      Install = &E;
+    else if (std::string(E.Name) == "pipeline.measure")
+      Measures.push_back(&E);
+  }
+  ASSERT_NE(Install, nullptr);
+  ASSERT_EQ(Measures.size(), 3u);
+  std::set<int64_t> Variants;
+  for (const TraceEvent *M : Measures) {
+    EXPECT_TRUE(M->HasValue);
+    Variants.insert(M->Value);
+    EXPECT_GE(M->StartUs, Install->StartUs);
+    EXPECT_LE(M->StartUs + M->DurUs, Install->StartUs + Install->DurUs);
+  }
+  EXPECT_EQ(Variants, (std::set<int64_t>{0, 1, 2}));
 
   // And the export of a real pipeline trace is valid JSON.
   EXPECT_TRUE(jsonValid(TraceRecorder::instance().toChromeJson()));

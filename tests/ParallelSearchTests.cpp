@@ -20,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -400,6 +403,173 @@ TEST(EvaluationEngine, MemoizeOffReplaysEveryBatch) {
   EXPECT_EQ(Engine.cacheStats().GenomeHits, 0u);
 }
 
+// --- EvaluationEngine: dynamic scheduling ------------------------------------
+
+namespace {
+
+/// SyntheticBackend's binaries behind controllable compile delays, so a
+/// later genome can finish compiling before an earlier one. Records whose
+/// compile each measurement measured.
+class DelayedBackend : public EvalBackend {
+public:
+  struct Shared {
+    std::atomic<int> Compiles{0}, Measures{0};
+    /// Compile delay per genome name (absent: none).
+    std::map<std::string, std::chrono::microseconds> Delays;
+    /// A genome whose compile waits, at most a few seconds, until some
+    /// measurement finished: with two or more workers, that is a later
+    /// genome's.
+    std::string WaitsForMeasure;
+    std::mutex Mutex;
+    std::condition_variable Measured;
+    std::vector<std::string> MeasuredNames; // in completion order
+  };
+
+  explicit DelayedBackend(Shared &S)
+      : S(S), Inner(S.Compiles, S.Measures) {}
+
+  CompiledBinary compileGenome(const Genome &G) override {
+    auto It = S.Delays.find(G.name());
+    if (It != S.Delays.end())
+      std::this_thread::sleep_for(It->second);
+    if (G.name() == S.WaitsForMeasure) {
+      std::unique_lock<std::mutex> Lock(S.Mutex);
+      S.Measured.wait_for(Lock, std::chrono::seconds(5),
+                          [&] { return !S.MeasuredNames.empty(); });
+    }
+    CompiledBinary B = Inner.compileGenome(G);
+    if (B.Ok)
+      B.Artifact = std::make_shared<const std::string>(G.name());
+    return B;
+  }
+
+  Evaluation measureBinary(const CompiledBinary &B, uint64_t NoiseSeed,
+                           size_t SampleCount) override {
+    Evaluation E = Inner.measureBinary(B, NoiseSeed, SampleCount);
+    {
+      std::lock_guard<std::mutex> Lock(S.Mutex);
+      S.MeasuredNames.push_back(
+          *static_cast<const std::string *>(B.Artifact.get()));
+    }
+    S.Measured.notify_all();
+    return E;
+  }
+
+  std::vector<double> extendSamples(const Evaluation &E, uint64_t NoiseSeed,
+                                    size_t Begin, size_t Count) override {
+    return Inner.extendSamples(E, NoiseSeed, Begin, Count);
+  }
+
+private:
+  Shared &S;
+  SyntheticBackend Inner;
+};
+
+/// Two distinct genomes (distinct names) that SyntheticBackend compiles to
+/// one binary: same passes, different parameters.
+std::pair<Genome, Genome> sameBinaryPair(uint64_t Seed) {
+  Rng R(Seed);
+  GenomeConfig GC;
+  Genome A = randomGenome(R, GC);
+  while (A.Passes.empty() ||
+         !lir::passDescriptor(A.Passes[0].Id).HasIntParam)
+    A = randomGenome(R, GC);
+  Genome B = A;
+  B.Passes[0].IntParam = A.Passes[0].IntParam > 1
+                             ? A.Passes[0].IntParam - 1
+                             : A.Passes[0].IntParam + 1;
+  return {A, B};
+}
+
+} // namespace
+
+TEST(EvaluationEngine, ClaimsDecideWhereBatchOrderDecidesWhat) {
+  // The later genome B finishes compiling first and measures the shared
+  // binary; the earlier genome A still paid for it: A is the miss, B the
+  // binary hit, and the binary was measured once.
+  auto [A, B] = sameBinaryPair(17);
+  ASSERT_NE(A.name(), B.name());
+  for (int Jobs : {1, 2, 4}) {
+    DelayedBackend::Shared S;
+    if (Jobs > 1)
+      S.WaitsForMeasure = A.name();
+    EngineOptions Opts;
+    Opts.Jobs = Jobs;
+    EvaluationEngine Engine(
+        [&]() { return std::make_unique<DelayedBackend>(S); }, Opts, 1);
+    std::vector<Evaluation> Out = Engine.evaluateBatch({A, B});
+    ASSERT_EQ(Out.size(), 2u);
+    EXPECT_EQ(S.Compiles.load(), 2) << "jobs " << Jobs;
+    EXPECT_EQ(S.Measures.load(), 1) << "jobs " << Jobs;
+    ASSERT_EQ(S.MeasuredNames.size(), 1u);
+    EXPECT_EQ(S.MeasuredNames[0], Jobs > 1 ? B.name() : A.name())
+        << "jobs " << Jobs;
+    EXPECT_EQ(Out[0].Origin, CacheOrigin::Fresh) << "jobs " << Jobs;
+    EXPECT_EQ(Out[1].Origin, CacheOrigin::BinaryHit) << "jobs " << Jobs;
+    EXPECT_TRUE(sameEvaluation(Out[0], Out[1]));
+    EXPECT_EQ(Engine.cacheStats().Misses, 1u);
+    EXPECT_EQ(Engine.cacheStats().BinaryHits, 1u);
+  }
+}
+
+TEST(EvaluationEngine, DynamicSchedulingIsJobsInvariant) {
+  // A batch with in-batch duplicates and shared binaries, whose compile
+  // delays fall with batch position so later genomes tend to finish
+  // first, and whose same-binary neighbours finish in reverse: every
+  // evaluation, every cache origin and the measurement count (one per
+  // distinct fresh binary per batch) match at 1, 2 and 4 jobs, with
+  // memoization on and off.
+  std::vector<Genome> Batch = randomBatch(29, 24);
+  std::set<std::string> SlowFirst;
+  for (uint64_t Seed : {3, 10, 17}) {
+    auto [A, B] = sameBinaryPair(Seed);
+    Batch.insert(Batch.begin() + static_cast<long>(Seed), {A, B});
+    SlowFirst.insert(A.name());
+  }
+  Batch.push_back(Batch[0]);
+  Batch.push_back(Batch[4]);
+  std::set<uint64_t> Binaries;
+  {
+    std::atomic<int> C{0}, M{0};
+    SyntheticBackend Probe(C, M);
+    for (const Genome &G : Batch)
+      if (CompiledBinary Bin = Probe.compileGenome(G); Bin.Ok)
+        Binaries.insert(Bin.BinaryHash);
+  }
+
+  for (bool Memoize : {true, false}) {
+    std::vector<std::vector<Evaluation>> Runs;
+    for (int Jobs : {1, 2, 4}) {
+      DelayedBackend::Shared S;
+      for (size_t I = 0; I != Batch.size(); ++I)
+        S.Delays[Batch[I].name()] = std::chrono::microseconds(
+            SlowFirst.count(Batch[I].name()) ? 3000
+                                              : 50 * (Batch.size() - I));
+      EngineOptions Opts;
+      Opts.Jobs = Jobs;
+      Opts.Memoize = Memoize;
+      EvaluationEngine Engine(
+          [&]() { return std::make_unique<DelayedBackend>(S); }, Opts, 9);
+      std::vector<Evaluation> First = Engine.evaluateBatch(Batch);
+      std::vector<Evaluation> Second = Engine.evaluateBatch(Batch);
+      EXPECT_EQ(S.Measures.load(),
+                static_cast<int>(Binaries.size()) * (Memoize ? 1 : 2))
+          << "jobs " << Jobs << " memoize " << Memoize;
+      First.insert(First.end(), Second.begin(), Second.end());
+      Runs.push_back(std::move(First));
+    }
+    for (size_t R = 1; R != Runs.size(); ++R) {
+      ASSERT_EQ(Runs[R].size(), Runs[0].size());
+      for (size_t I = 0; I != Runs[0].size(); ++I) {
+        EXPECT_TRUE(sameEvaluation(Runs[R][I], Runs[0][I]))
+            << "run " << R << ", answer " << I << ", memoize " << Memoize;
+        EXPECT_EQ(Runs[R][I].Origin, Runs[0][I].Origin)
+            << "run " << R << ", answer " << I << ", memoize " << Memoize;
+      }
+    }
+  }
+}
+
 #if ROPT_OBSERVABILITY
 TEST(EvaluationEngine, CacheMetricsArePublished) {
   Metrics::instance().reset();
@@ -482,33 +652,52 @@ core::PipelineConfig fastPipelineConfig(int Jobs) {
 } // namespace
 
 TEST(ParallelPipeline, OptimizeIsBitIdenticalAcrossJobCounts) {
-  auto RunOnce = [](int Jobs) {
-    core::IterativeCompiler Pipeline(fastPipelineConfig(Jobs));
-    return Pipeline.optimize(workloads::buildByName("Sieve"));
-  };
-  core::OptimizationReport Serial = RunOnce(1);
-  core::OptimizationReport Wide = RunOnce(4);
-  ASSERT_TRUE(Serial.Succeeded) << Serial.FailureReason;
-  ASSERT_TRUE(Wide.Succeeded) << Wide.FailureReason;
+  // One app per suite (kernel, benchmark, interactive). The search
+  // schedules compiles and measurements dynamically and the install runs
+  // its three whole-program blocks side by side on the engine's pool;
+  // neither may change a recorded byte.
+  for (const char *Name : {"Sieve", "FFT", "4inaRow"}) {
+    SCOPED_TRACE(Name);
+    const workloads::Application App = workloads::buildByName(Name);
+    auto RunOnce = [&](int Jobs) {
+      core::IterativeCompiler Pipeline(fastPipelineConfig(Jobs));
+      return Pipeline.optimize(App);
+    };
+    core::OptimizationReport Serial = RunOnce(1);
+    ASSERT_TRUE(Serial.Succeeded) << Serial.FailureReason;
+    // The GA revisits genomes/binaries, so the memoization layer must
+    // have fired on a default seeded run.
+    EXPECT_GT(Serial.CacheStats.hits(), 0u);
+    for (int Jobs : {2, 4}) {
+      SCOPED_TRACE(Jobs);
+      core::OptimizationReport Wide = RunOnce(Jobs);
+      EXPECT_EQ(Serial.Succeeded, Wide.Succeeded);
+      EXPECT_EQ(Serial.FailureReason, Wide.FailureReason);
 
-  // The search walked the same path...
-  EXPECT_EQ(Serial.Best.G.name(), Wide.Best.G.name());
-  EXPECT_EQ(Serial.RegionBest, Wide.RegionBest);
-  EXPECT_EQ(Serial.Best.E.Samples, Wide.Best.E.Samples);
-  ASSERT_EQ(Serial.Trace.Evaluations.size(), Wide.Trace.Evaluations.size());
-  for (size_t I = 0; I != Serial.Trace.Evaluations.size(); ++I) {
-    EXPECT_EQ(Serial.Trace.Evaluations[I].MedianCycles,
-              Wide.Trace.Evaluations[I].MedianCycles);
-    EXPECT_EQ(Serial.Trace.Evaluations[I].Valid,
-              Wide.Trace.Evaluations[I].Valid);
+      // The search walked the same path...
+      EXPECT_EQ(Serial.Best.G.name(), Wide.Best.G.name());
+      EXPECT_EQ(Serial.RegionBest, Wide.RegionBest);
+      EXPECT_EQ(Serial.Best.E.Samples, Wide.Best.E.Samples);
+      EXPECT_EQ(Serial.CacheStats.Misses, Wide.CacheStats.Misses);
+      EXPECT_EQ(Serial.CacheStats.BinaryHits, Wide.CacheStats.BinaryHits);
+      EXPECT_EQ(Serial.CacheStats.GenomeHits, Wide.CacheStats.GenomeHits);
+      ASSERT_EQ(Serial.Trace.Evaluations.size(),
+                Wide.Trace.Evaluations.size());
+      for (size_t I = 0; I != Serial.Trace.Evaluations.size(); ++I) {
+        EXPECT_EQ(Serial.Trace.Evaluations[I].Generation,
+                  Wide.Trace.Evaluations[I].Generation);
+        EXPECT_EQ(Serial.Trace.Evaluations[I].MedianCycles,
+                  Wide.Trace.Evaluations[I].MedianCycles);
+        EXPECT_EQ(Serial.Trace.Evaluations[I].Valid,
+                  Wide.Trace.Evaluations[I].Valid);
+      }
+      EXPECT_EQ(Serial.Trace.IdenticalBinaries, Wide.Trace.IdenticalBinaries);
+      // ...and the three install blocks measure identically.
+      EXPECT_EQ(Serial.WholeAndroid, Wide.WholeAndroid);
+      EXPECT_EQ(Serial.WholeO3, Wide.WholeO3);
+      EXPECT_EQ(Serial.WholeGa, Wide.WholeGa);
+    }
   }
-  // ...and the installed binary measures identically.
-  EXPECT_EQ(Serial.WholeGa, Wide.WholeGa);
-
-  // The GA revisits genomes/binaries, so the memoization layer must have
-  // fired on a default seeded run.
-  EXPECT_GT(Serial.CacheStats.hits(), 0u);
-  EXPECT_GT(Wide.CacheStats.hits(), 0u);
 }
 
 TEST(ParallelPipeline, RacingOptimizeIsBitIdenticalAcrossJobCounts) {
