@@ -188,8 +188,10 @@ std::string CaptureManager::spoolToStorage(const Capture &Cap,
   os::StorageDevice &Disk = Kernel.storage();
 
   // The per-boot common blob: runtime-image content, stored once. The
-  // device keeps the image's physical pages, which the copy-on-write
-  // kernel never changes in place, instead of a copy of their bytes.
+  // device keeps the mapping's pages by reference — the image source's
+  // for pages the app never fetched, the app's own where it holds one —
+  // instead of a copy of their bytes, so storing it generates no image
+  // page.
   std::string CommonPath = format("boot/%llu/image.art",
                                   static_cast<unsigned long long>(
                                       Cap.BootId));
@@ -197,12 +199,10 @@ std::string CaptureManager::spoolToStorage(const Capture &Cap,
     for (const Mapping &M : Cap.Mappings) {
       if (M.Kind != MappingKind::RuntimeImage)
         continue;
-      std::vector<os::PhysPageRef> Pages;
-      Pages.reserve(M.pageCount());
-      for (uint64_t Addr = M.Start; Addr != M.End; Addr += PageSize) {
-        assert(App.space().isMapped(Addr) && "runtime image unmapped");
-        Pages.push_back(App.space().physicalPage(Addr));
-      }
+      std::shared_ptr<const os::PageSource> Pages =
+          App.space().mappingPages(M.Start);
+      assert(Pages && Pages->pageCount() == M.pageCount() &&
+             "runtime image unmapped");
       Disk.writePages(CommonPath, std::move(Pages));
     }
   }

@@ -172,9 +172,10 @@ uint64_t hashCodeCache(const vm::CodeCache &Code) {
 } // namespace
 
 bool RegionEvaluator::verifyCache(const vm::CodeCache &Code,
+                                  uint64_t BinaryHash,
                                   search::Evaluation &E) {
   E.CodeSize = Code.totalSizeBytes();
-  E.BinaryHash = hashCodeCache(Code);
+  E.BinaryHash = BinaryHash;
   replay::ContentKey BinKey;
   if (Verdicts)
     BinKey = replay::ContentKey{E.BinaryHash, replay::codeDigest(Code)};
@@ -207,7 +208,7 @@ bool RegionEvaluator::verifyCache(const vm::CodeCache &Code,
 search::Evaluation RegionEvaluator::evaluateCache(const vm::CodeCache &Code,
                                                   Rng &Noise) {
   search::Evaluation E;
-  if (!verifyCache(Code, E))
+  if (!verifyCache(Code, hashCodeCache(Code), E))
     return E;
   E.Samples = Config.Measure.Noise.offlineSamples(
       Noise, E.BaseCycles,
@@ -249,7 +250,7 @@ RegionEvaluator::measureBinary(const search::CompiledBinary &B,
   const vm::CodeCache &Code =
       *static_cast<const vm::CodeCache *>(B.Artifact.get());
   search::Evaluation E;
-  if (!verifyCache(Code, E))
+  if (!verifyCache(Code, B.BinaryHash, E))
     return E;
   // Raw samples, indexed draws: the engine owns outlier removal and may
   // extend the block later without re-verifying.

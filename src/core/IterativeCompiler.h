@@ -304,10 +304,12 @@ public:
 private:
   search::Evaluation evaluateCache(const vm::CodeCache &Code, Rng &Noise);
   /// Verified replay against every capture, through the verdict memo
-  /// when there is one; fills Kind/Error, hash, size and BaseCycles (the
-  /// deterministic cycle sum noise samples around). Returns true when
-  /// the binary is Ok.
-  bool verifyCache(const vm::CodeCache &Code, search::Evaluation &E);
+  /// when there is one; fills Kind/Error, size and BaseCycles (the
+  /// deterministic cycle sum noise samples around) and records
+  /// \p BinaryHash, hashCodeCache(Code), which the caller already has.
+  /// Returns true when the binary is Ok.
+  bool verifyCache(const vm::CodeCache &Code, uint64_t BinaryHash,
+                   search::Evaluation &E);
 
   struct CaptureRef {
     const capture::Capture *Cap;

@@ -9,6 +9,29 @@
 using namespace ropt;
 using namespace ropt::os;
 
+namespace {
+
+/// A mapping's pages as one space held them (mappingPages): the held
+/// pages, and the source's where the space had fetched none.
+class HeldPages final : public PageSource {
+public:
+  HeldPages(std::vector<PhysPageRef> Held,
+            std::shared_ptr<const PageSource> Source, uint64_t SourceFirst)
+      : PageSource(Held.size()), Held(std::move(Held)),
+        Source(std::move(Source)), SourceFirst(SourceFirst) {}
+
+  const PhysPageRef &page(uint64_t I) const override {
+    return Held[I] || !Source ? Held[I] : Source->page(SourceFirst + I);
+  }
+
+private:
+  std::vector<PhysPageRef> Held;
+  std::shared_ptr<const PageSource> Source;
+  uint64_t SourceFirst;
+};
+
+} // namespace
+
 void AddressSpace::mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
                              MappingKind Kind, const std::string &Name) {
   assert(Size > 0 && "empty mapping");
@@ -16,16 +39,17 @@ void AddressSpace::mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
 }
 
 void AddressSpace::mapShared(uint64_t Start,
-                             const std::vector<PhysPageRef> &Backing,
+                             std::shared_ptr<const PageSource> Source,
                              uint8_t Prot, MappingKind Kind,
                              const std::string &Name) {
-  assert(!Backing.empty() && "empty mapping");
-  mapPages(Start, Backing.size(), Prot, Backing.data(), Kind, Name);
+  assert(Source && Source->pageCount() > 0 && "empty mapping");
+  uint64_t NumPages = Source->pageCount();
+  mapPages(Start, NumPages, Prot, std::move(Source), Kind, Name);
 }
 
 void AddressSpace::mapPages(uint64_t Start, uint64_t NumPages, uint8_t Prot,
-                            const PhysPageRef *Backing, MappingKind Kind,
-                            const std::string &Name) {
+                            std::shared_ptr<const PageSource> Source,
+                            MappingKind Kind, const std::string &Name) {
   assert(Start == pageBase(Start) && "mapping start must be page aligned");
   Region R;
   R.Map.Start = Start;
@@ -35,18 +59,11 @@ void AddressSpace::mapPages(uint64_t Start, uint64_t NumPages, uint8_t Prot,
   size_t Pos = regionFrom(Start);
   assert((Pos == Regions.size() || R.Map.End <= Regions[Pos].Map.Start) &&
          "mapping overlaps existing pages");
-  // Without backing the page materializes lazily on first write; shared
-  // backing is copied by ensurePrivate on the first write while anyone
-  // else still holds the page.
-  if (Backing) {
-    R.Entries.reserve(NumPages);
-    for (uint64_t I = 0; I != NumPages; ++I) {
-      assert(Backing[I] && "shared backing page is null");
-      R.Entries.push_back({Backing[I], Prot});
-    }
-  } else {
-    R.Entries.assign(NumPages, {nullptr, Prot});
-  }
+  // Nothing is fetched or allocated yet: a source page is fetched on first
+  // touch (and copied by ensurePrivate on the first write, since the
+  // source still holds it), a zero page materializes on first write.
+  R.Entries.assign(NumPages, {nullptr, Prot});
+  R.Source = std::move(Source);
   Regions.insert(Regions.begin() + Pos, std::move(R));
   invalidateTranslations();
   if (SnapshotArmed)
@@ -69,14 +86,44 @@ size_t AddressSpace::regionAt(uint64_t Addr) const {
   return Pos;
 }
 
-const AddressSpace::PageEntry *
-AddressSpace::findEntry(uint64_t PageNum) const {
+const AddressSpace::Region *AddressSpace::findRegion(uint64_t PageNum,
+                                                     uint64_t &Index) const {
   uint64_t Addr = PageNum * PageSize;
   size_t Pos = regionAt(Addr);
   if (Pos == Regions.size())
     return nullptr;
   const Region &R = Regions[Pos];
-  return &R.Entries[(Addr - R.Map.Start) / PageSize];
+  Index = (Addr - R.Map.Start) / PageSize;
+  return &R;
+}
+
+const AddressSpace::PageEntry *
+AddressSpace::findEntry(uint64_t PageNum) const {
+  uint64_t Index = 0;
+  const Region *R = findRegion(PageNum, Index);
+  return R ? &R->Entries[Index] : nullptr;
+}
+
+AddressSpace::PageEntry *AddressSpace::fetchEntry(uint64_t PageNum) {
+  uint64_t Index = 0;
+  Region *R = const_cast<Region *>(findRegion(PageNum, Index));
+  if (!R)
+    return nullptr;
+  PageEntry &E = R->Entries[Index];
+  if (!E.Phys && R->Source)
+    E.Phys = R->Source->page(R->SourceFirst + Index);
+  return &E;
+}
+
+const PhysPageRef *AddressSpace::currentPage(uint64_t PageNum) const {
+  uint64_t Index = 0;
+  const Region *R = findRegion(PageNum, Index);
+  if (!R)
+    return nullptr;
+  const PageEntry &E = R->Entries[Index];
+  if (E.Phys || !R->Source)
+    return &E.Phys;
+  return &R->Source->page(R->SourceFirst + Index);
 }
 
 void AddressSpace::unmapRegion(uint64_t Start, uint64_t Size) {
@@ -96,6 +143,7 @@ void AddressSpace::unmapRegion(uint64_t Start, uint64_t Size) {
     }
     if (CutLo == R.Map.Start) { // trim the head
       R.Entries.erase(R.Entries.begin(), Entry(CutHi));
+      R.SourceFirst += (CutHi - R.Map.Start) / PageSize;
       R.Map.Start = CutHi;
     } else if (CutHi == R.Map.End) { // trim the tail
       R.Entries.erase(Entry(CutLo), R.Entries.end());
@@ -104,6 +152,8 @@ void AddressSpace::unmapRegion(uint64_t Start, uint64_t Size) {
       Region Tail;
       Tail.Map = R.Map;
       Tail.Map.Start = CutHi;
+      Tail.Source = R.Source;
+      Tail.SourceFirst = R.SourceFirst + (CutHi - R.Map.Start) / PageSize;
       Tail.Entries.assign(std::make_move_iterator(Entry(CutHi)),
                           std::make_move_iterator(R.Entries.end()));
       R.Entries.erase(Entry(CutLo), R.Entries.end());
@@ -161,8 +211,9 @@ const Mapping *AddressSpace::findMapping(uint64_t Addr) const {
 void AddressSpace::ensurePrivate(uint64_t PageNum, PageEntry &Entry) {
   // Every first write after takeSnapshot() lands here: the snapshot's
   // entry arrays hold a reference to every materialized page (so
-  // use_count > 1), and lazy-zero pages have no backing yet. A private
-  // materialized page can only mean the dirty set already has this page.
+  // use_count > 1), a fetched source page is also held by its source,
+  // and lazy-zero pages have no backing yet. A private materialized page
+  // can only mean the dirty set already has this page.
   if (!Entry.Phys) {
     Entry.Phys = std::make_shared<PhysicalPage>();
     if (SnapshotArmed)
@@ -186,7 +237,7 @@ uint64_t AddressSpace::accessChunk(uint64_t Addr, void *Buf, uint64_t Size,
   uint64_t PageNum = pageNumber(Addr);
   PageEntry *Entry = lookupTranslation(PageNum);
   if (!Entry) {
-    Entry = findEntry(PageNum);
+    Entry = fetchEntry(PageNum);
     if (!Entry) {
       Result = AccessResult::Unmapped;
       return 0;
@@ -217,7 +268,7 @@ uint64_t AddressSpace::accessChunk(uint64_t Addr, void *Buf, uint64_t Size,
   else if (Entry->Phys)
     std::memcpy(Buf, Entry->Phys->Data.data() + Offset, Chunk);
   else
-    std::memset(Buf, 0, Chunk); // untouched page reads as zeros
+    std::memset(Buf, 0, Chunk); // untouched zero page
   Result = AccessResult::Ok;
   return Chunk;
 }
@@ -255,13 +306,13 @@ AccessResult AddressSpace::writeSlow(uint64_t Addr, const void *Data,
 bool AddressSpace::peek(uint64_t Addr, void *Out, uint64_t Size) const {
   uint8_t *Buf = static_cast<uint8_t *>(Out);
   while (Size > 0) {
-    const PageEntry *E = findEntry(pageNumber(Addr));
-    if (!E)
+    const PhysPageRef *Phys = currentPage(pageNumber(Addr));
+    if (!Phys)
       return false;
     uint64_t Offset = Addr - pageBase(Addr);
     uint64_t Chunk = std::min(Size, PageSize - Offset);
-    if (E->Phys)
-      std::memcpy(Buf, E->Phys->Data.data() + Offset, Chunk);
+    if (*Phys)
+      std::memcpy(Buf, (*Phys)->Data.data() + Offset, Chunk);
     else
       std::memset(Buf, 0, Chunk);
     Addr += Chunk;
@@ -272,10 +323,10 @@ bool AddressSpace::peek(uint64_t Addr, void *Out, uint64_t Size) const {
 }
 
 bool AddressSpace::pageBytes(uint64_t Addr, const uint8_t *&Bytes) const {
-  const PageEntry *E = findEntry(pageNumber(Addr));
-  if (!E)
+  const PhysPageRef *Phys = currentPage(pageNumber(Addr));
+  if (!Phys)
     return false;
-  Bytes = E->Phys ? E->Phys->Data.data() : nullptr;
+  Bytes = *Phys ? (*Phys)->Data.data() : nullptr;
   return true;
 }
 
@@ -283,7 +334,7 @@ bool AddressSpace::poke(uint64_t Addr, const void *Data, uint64_t Size) {
   const uint8_t *Buf = static_cast<const uint8_t *>(Data);
   while (Size > 0) {
     uint64_t PageNum = pageNumber(Addr);
-    PageEntry *E = findEntry(PageNum);
+    PageEntry *E = fetchEntry(PageNum);
     if (!E)
       return false;
     ensurePrivate(PageNum, *E);
@@ -311,8 +362,22 @@ uint64_t AddressSpace::mappedPageCount() const {
 }
 
 PhysPageRef AddressSpace::physicalPage(uint64_t Addr) const {
-  const PageEntry *E = findEntry(pageNumber(Addr));
-  return E ? E->Phys : nullptr;
+  const PhysPageRef *Phys = currentPage(pageNumber(Addr));
+  return Phys ? *Phys : nullptr;
+}
+
+std::shared_ptr<const PageSource>
+AddressSpace::mappingPages(uint64_t Addr) const {
+  size_t Pos = regionAt(Addr);
+  if (Pos == Regions.size())
+    return nullptr;
+  const Region &R = Regions[Pos];
+  std::vector<PhysPageRef> Held;
+  Held.reserve(R.Entries.size());
+  for (const PageEntry &E : R.Entries)
+    Held.push_back(E.Phys);
+  return std::make_shared<HeldPages>(std::move(Held), R.Source,
+                                     R.SourceFirst);
 }
 
 void AddressSpace::takeSnapshot() {

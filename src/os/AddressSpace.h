@@ -19,6 +19,15 @@
 /// materialized pages pay a reference-count bump. A lookup binary-searches
 /// the mappings (DESIGN.md §16).
 ///
+/// **Demand paging.** A shared mapping reads a PageSource. Its null
+/// entries mean "not fetched yet", not "zero page": the slow access path
+/// fetches the source's page into the entry before it fills the
+/// translation cache (so the inline path only ever sees fetched pages),
+/// and poke fetches before Copy-on-Write, so a write copies the source's
+/// bytes. peek, pageBytes and physicalPage read the source's page without
+/// installing it. A page no access touched costs the space nothing but its
+/// null entry (DESIGN.md §19).
+///
 /// Two performance features serve the replay fork-server (DESIGN.md §16):
 ///
 /// - **Snapshots.** `takeSnapshot()` freezes the current content as a
@@ -104,12 +113,12 @@ public:
   void mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
                  MappingKind Kind, const std::string &Name);
 
-  /// Maps one page per entry of \p Backing at \p Start, sharing those
-  /// physical pages instead of allocating new ones — the same sharing
-  /// forkClone() sets up, so the first write to a page copies it through
-  /// the Copy-on-Write path as long as someone else still holds it. The
-  /// range must not overlap an existing mapping.
-  void mapShared(uint64_t Start, const std::vector<PhysPageRef> &Backing,
+  /// Maps one page per page of \p Source at \p Start, fetching each from
+  /// the source on first touch and sharing it instead of allocating a new
+  /// one — the same sharing forkClone() sets up, so the first write to a
+  /// page copies it through the Copy-on-Write path (the source itself
+  /// still holds it). The range must not overlap an existing mapping.
+  void mapShared(uint64_t Start, std::shared_ptr<const PageSource> Source,
                  uint8_t Prot, MappingKind Kind, const std::string &Name);
 
   /// Unmaps every page in [Start, Start+Size). Pages outside any mapping
@@ -138,7 +147,7 @@ public:
           if (E->Phys)
             std::memcpy(Out, E->Phys->Data.data() + Offset, Size);
           else
-            std::memset(Out, 0, Size); // untouched page reads as zeros
+            std::memset(Out, 0, Size); // a zero page: shared ones are fetched
           return AccessResult::Ok;
         }
       }
@@ -185,8 +194,8 @@ public:
   /// Kernel-style view of the page containing \p Addr, ignoring
   /// protection, for in-place comparisons: false if the page is unmapped;
   /// otherwise \p Bytes points at its PageSize bytes, or is null for an
-  /// untouched page (which reads as zeros). Valid until the page is next
-  /// written, unmapped or reset.
+  /// untouched zero page. Valid until the page is next written, unmapped
+  /// or reset.
   bool pageBytes(uint64_t Addr, const uint8_t *&Bytes) const;
 
   /// Writes bytes ignoring protection, still honouring CoW so snapshots
@@ -213,8 +222,16 @@ public:
   /// The clone starts without a snapshot or dirty set of its own.
   AddressSpace forkClone() const;
 
-  /// Returns the physical page ref for tests/capture; nullptr if unmapped.
+  /// Returns the physical page ref for tests/capture; nullptr if unmapped
+  /// or an untouched zero page.
   PhysPageRef physicalPage(uint64_t Addr) const;
+
+  /// The pages of the mapping holding \p Addr as this space reads them
+  /// now, by reference: the pages it holds (its private copies included)
+  /// and, for the ones it never fetched, its source's. Writes the space
+  /// makes later copy the held pages rather than change them, so the
+  /// content never changes. Nullptr if \p Addr is unmapped.
+  std::shared_ptr<const PageSource> mappingPages(uint64_t Addr) const;
 
   /// Total number of mapped pages.
   uint64_t mappedPageCount() const;
@@ -248,24 +265,30 @@ public:
   void resetStats() { Stats = MemoryStats(); }
 
 private:
-  /// Physical backing is allocated lazily: a null Phys reads as zeros and
-  /// materializes on first write (the zero-page trick real kernels use).
+  /// Physical backing is allocated lazily: outside a shared mapping a
+  /// null Phys reads as zeros and materializes on first write (the
+  /// zero-page trick real kernels use); inside one it is a source page
+  /// not fetched yet.
   struct PageEntry {
     PhysPageRef Phys;
     uint8_t Prot = ProtNone;
   };
 
   /// One mapping and its pages: Entries[I] backs the page at
-  /// Map.Start + I * PageSize.
+  /// Map.Start + I * PageSize. In a shared mapping, page SourceFirst + I
+  /// of Source is what a null Entries[I] reads; an unmap that trims or
+  /// splits the region moves SourceFirst with its first entry.
   struct Region {
     Mapping Map;
     std::vector<PageEntry> Entries;
+    std::shared_ptr<const PageSource> Source;
+    uint64_t SourceFirst = 0;
   };
 
-  /// Maps \p NumPages pages at \p Start, backed by \p Backing (one ref
-  /// per page) or, when null, by lazily materialized zero pages.
+  /// Maps \p NumPages pages at \p Start, backed by \p Source's pages or,
+  /// when null, by lazily materialized zero pages.
   void mapPages(uint64_t Start, uint64_t NumPages, uint8_t Prot,
-                const PhysPageRef *Backing, MappingKind Kind,
+                std::shared_ptr<const PageSource> Source, MappingKind Kind,
                 const std::string &Name);
 
   /// Index of the first region that ends above \p Addr (Regions.size()
@@ -275,17 +298,28 @@ private:
   /// Index of the region holding \p Addr, or Regions.size() if none does.
   size_t regionAt(uint64_t Addr) const;
 
+  /// The region holding page \p PageNum, with the page's index in it
+  /// stored to \p Index, or nullptr if the page is unmapped.
+  const Region *findRegion(uint64_t PageNum, uint64_t &Index) const;
+
   /// The entry of page \p PageNum, or nullptr if it is unmapped.
   const PageEntry *findEntry(uint64_t PageNum) const;
-  PageEntry *findEntry(uint64_t PageNum) {
-    return const_cast<PageEntry *>(
-        static_cast<const AddressSpace *>(this)->findEntry(PageNum));
-  }
+
+  /// The entry of page \p PageNum with its source page fetched, or
+  /// nullptr if it is unmapped. Every path that installs a translation or
+  /// writes a page goes through here.
+  PageEntry *fetchEntry(uint64_t PageNum);
+
+  /// The page that page \p PageNum reads now — its entry's page or, if
+  /// not fetched, its source's, which is not installed — or nullptr if it
+  /// is unmapped. The reference is null for an untouched zero page.
+  const PhysPageRef *currentPage(uint64_t PageNum) const;
 
   /// Ensures this space holds a private, materialized copy of page
-  /// \p PageNum before writing; records it in the dirty set while a
-  /// snapshot is armed. This is the single point every first-after-
-  /// snapshot write passes through (see the header comment invariant).
+  /// \p PageNum (already fetched, in a shared mapping) before writing;
+  /// records it in the dirty set while a snapshot is armed. This is the
+  /// single point every first-after-snapshot write passes through (see
+  /// the header comment invariant).
   void ensurePrivate(uint64_t PageNum, PageEntry &Entry);
 
   /// One page-bounded access step. Returns the number of bytes handled or

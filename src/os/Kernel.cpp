@@ -15,8 +15,9 @@ void StorageDevice::writeFile(const std::string &Path,
 }
 
 void StorageDevice::writePages(const std::string &Path,
-                               std::vector<PhysPageRef> Pages) {
-  LifetimeBytesWritten += Pages.size() * PageSize;
+                               std::shared_ptr<const PageSource> Pages) {
+  assert(Pages && "page-backed blob without a source");
+  LifetimeBytesWritten += Pages->pageCount() * PageSize;
   Files[Path] = Blob{{}, std::move(Pages)};
 }
 
@@ -26,13 +27,13 @@ StorageDevice::readFile(const std::string &Path) const {
   if (It == Files.end())
     return nullptr;
   Blob &B = It->second;
-  if (!B.Pages.empty()) {
-    B.Bytes.assign(B.Pages.size() * PageSize, 0);
-    for (size_t I = 0; I != B.Pages.size(); ++I)
-      if (B.Pages[I])
-        std::memcpy(B.Bytes.data() + I * PageSize, B.Pages[I]->Data.data(),
+  if (B.Pages) {
+    B.Bytes.assign(B.Pages->pageCount() * PageSize, 0);
+    for (uint64_t I = 0; I != B.Pages->pageCount(); ++I)
+      if (const PhysPageRef &Page = B.Pages->page(I))
+        std::memcpy(B.Bytes.data() + I * PageSize, Page->Data.data(),
                     PageSize);
-    B.Pages.clear();
+    B.Pages.reset();
   }
   return &B.Bytes;
 }

@@ -64,16 +64,16 @@ public:
   /// Writes (replacing) a named blob.
   void writeFile(const std::string &Path, std::vector<uint8_t> Bytes);
 
-  /// Writes (replacing) a named blob whose content is \p Pages, PageSize
-  /// bytes each (a null entry is a zero page). The device keeps the
-  /// references instead of copying the bytes: a physical page it shares is
-  /// copied on the next write through any address space that maps it, so
-  /// the stored content never changes. Accounted as Pages.size() *
-  /// PageSize bytes.
-  void writePages(const std::string &Path, std::vector<PhysPageRef> Pages);
+  /// Writes (replacing) a named blob whose content is the pages of
+  /// \p Pages, PageSize bytes each. The device keeps the source instead of
+  /// copying its bytes; a source's pages never change (an address space
+  /// that maps one copies a page before writing it), so neither does the
+  /// stored content. Accounted as pageCount() * PageSize bytes.
+  void writePages(const std::string &Path,
+                  std::shared_ptr<const PageSource> Pages);
 
   /// Returns the blob, or nullptr if absent. A page-backed blob is copied
-  /// out of its pages on its first read.
+  /// out of its source on its first read.
   const std::vector<uint8_t> *readFile(const std::string &Path) const;
 
   /// Removes a blob; returns true if it existed.
@@ -92,9 +92,9 @@ public:
 private:
   struct Blob {
     std::vector<uint8_t> Bytes;
-    std::vector<PhysPageRef> Pages; ///< Unread page-backed content.
+    std::shared_ptr<const PageSource> Pages; ///< Unread page-backed content.
     uint64_t size() const {
-      return Pages.empty() ? Bytes.size() : Pages.size() * PageSize;
+      return Pages ? Pages->pageCount() * PageSize : Bytes.size();
     }
   };
   /// Mutable so readFile() can turn pages into bytes on a first read.

@@ -80,6 +80,26 @@ struct PhysicalPage {
 
 using PhysPageRef = std::shared_ptr<PhysicalPage>;
 
+/// The content behind a shared mapping (AddressSpace::mapShared) or a
+/// page-backed file (StorageDevice::writePages): a fixed number of pages,
+/// each produced when first asked for. page(I) returns the same reference
+/// on every call and is safe to call from any thread; the source holds
+/// each page it produced for its whole life, so a space that maps one
+/// copies it on write instead of changing it. A null page reads as zeros.
+class PageSource {
+public:
+  explicit PageSource(uint64_t Pages) : Pages(Pages) {}
+  virtual ~PageSource() = default;
+
+  uint64_t pageCount() const { return Pages; }
+
+  /// Page \p I, for I < pageCount().
+  virtual const PhysPageRef &page(uint64_t I) const = 0;
+
+private:
+  uint64_t Pages;
+};
+
 } // namespace os
 } // namespace ropt
 

@@ -223,8 +223,8 @@ Replayer::buildRestoredSpace(const capture::Capture &Cap,
 
   for (const Mapping &M : Cap.Mappings) {
     if (M.Kind == MappingKind::RuntimeImage) {
-      // The boot's shared image pages, never copied (checkLayout pinned
-      // the range to the image's size).
+      // The boot's shared image, fetched page by page on first touch and
+      // never copied (checkLayout pinned the range to the image's size).
       Space.mapShared(M.Start, vm::Runtime::runtimeImage(Cap.BootId),
                       os::ProtRead, M.Kind, M.Name);
       Loader.CommonPagesMapped += M.pageCount();

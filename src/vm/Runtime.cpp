@@ -5,6 +5,7 @@
 #include "support/Metrics.h"
 #include "support/Random.h"
 
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -62,29 +63,72 @@ void Runtime::mapStandardLayout(os::AddressSpace &Space,
   H.initialize();
 }
 
-const std::vector<os::PhysPageRef> &Runtime::runtimeImage(uint64_t BootId) {
-  // Node-based map: a returned vector never moves, and it is complete
-  // before the lock that built it is released.
-  static std::mutex Lock;
-  static std::map<uint64_t, std::vector<os::PhysPageRef>> Images;
-  std::lock_guard<std::mutex> Guard(Lock);
-  auto [It, Inserted] = Images.try_emplace(BootId);
-  std::vector<os::PhysPageRef> &Image = It->second;
-  if (!Inserted)
-    return Image;
+namespace {
 
-  // Consecutive words of the boot's stream fill the image front to back.
-  ROPT_METRIC_INC("vm.runtime_image_builds");
-  Rng ImageRng(0xb007ULL * 2654435761ULL + BootId);
-  Image.reserve(Layout::RuntimeImageSize / os::PageSize);
-  for (uint64_t Page = 0; Page != Layout::RuntimeImageSize / os::PageSize;
-       ++Page) {
+/// The runtime image of one boot, generated page by page on demand.
+/// Consecutive words of the boot's stream fill the image front to back;
+/// the source keeps a copy of the stream taken at the start of each page
+/// up to the highest page asked for, so it generates page K from
+/// checkpoint K whatever order pages are asked in.
+class RuntimeImageSource final : public os::PageSource {
+public:
+  explicit RuntimeImageSource(uint64_t BootId)
+      : PageSource(Layout::RuntimeImageSize / os::PageSize),
+        Pages(pageCount()), Ready(pageCount()) {
+    Checkpoints.emplace_back(0xb007ULL * 2654435761ULL + BootId);
+  }
+
+  const os::PhysPageRef &page(uint64_t I) const override {
+    assert(I < pageCount() && "image page out of range");
+    if (!Ready[I].load(std::memory_order_acquire))
+      generate(I);
+    return Pages[I];
+  }
+
+private:
+  static constexpr uint64_t WordsPerPage = os::PageSize / 8;
+
+  void generate(uint64_t I) const {
+    std::lock_guard<std::mutex> Guard(Lock);
+    if (Ready[I].load(std::memory_order_relaxed))
+      return;
+    while (Checkpoints.size() <= I) {
+      Rng Next = Checkpoints.back();
+      for (uint64_t W = 0; W != WordsPerPage; ++W)
+        Next.next();
+      Checkpoints.push_back(Next);
+    }
+    Rng PageRng = Checkpoints[I];
     auto Phys = std::make_shared<os::PhysicalPage>();
     for (size_t Offset = 0; Offset != os::PageSize; Offset += 8) {
-      uint64_t Word = ImageRng.next();
+      uint64_t Word = PageRng.next();
       std::memcpy(Phys->Data.data() + Offset, &Word, sizeof(Word));
     }
-    Image.push_back(std::move(Phys));
+    Pages[I] = std::move(Phys);
+    ROPT_METRIC_INC("vm.runtime_image_pages");
+    Ready[I].store(true, std::memory_order_release);
+  }
+
+  mutable std::mutex Lock;
+  /// Checkpoints[K]: the stream at the first word of page K.
+  mutable std::vector<Rng> Checkpoints;
+  /// Pages[K] is written once, under Lock, before Ready[K] is set.
+  mutable std::vector<os::PhysPageRef> Pages;
+  mutable std::vector<std::atomic<bool>> Ready;
+};
+
+} // namespace
+
+const std::shared_ptr<const os::PageSource> &
+Runtime::runtimeImage(uint64_t BootId) {
+  // Node-based map: a returned pointer never moves.
+  static std::mutex Lock;
+  static std::map<uint64_t, std::shared_ptr<const os::PageSource>> Images;
+  std::lock_guard<std::mutex> Guard(Lock);
+  std::shared_ptr<const os::PageSource> &Image = Images[BootId];
+  if (!Image) {
+    ROPT_METRIC_INC("vm.runtime_image_builds");
+    Image = std::make_shared<RuntimeImageSource>(BootId);
   }
   return Image;
 }

@@ -137,12 +137,15 @@ public:
 
   /// The runtime image of boot \p BootId: Layout::RuntimeImageSize bytes
   /// of immutable objects, a deterministic function of the boot id and
-  /// identical for every process of that boot. Built once per boot id on
-  /// first use (thread-safe) and kept for the life of the program; every
-  /// address space maps these same physical pages (AddressSpace::
-  /// mapShared). The table's own reference keeps each page shared, so a
-  /// write from any process copies the page instead of changing it.
-  static const std::vector<os::PhysPageRef> &runtimeImage(uint64_t BootId);
+  /// identical for every process of that boot. One source per boot id,
+  /// created on first use (thread-safe) and kept for the life of the
+  /// program; each page is generated the first time anyone asks for it
+  /// (counted by vm.runtime_image_pages), and every address space maps
+  /// these same physical pages (AddressSpace::mapShared). The source's
+  /// own reference keeps each page shared, so a write from any process
+  /// copies the page instead of changing it.
+  static const std::shared_ptr<const os::PageSource> &
+  runtimeImage(uint64_t BootId);
 
   /// Invokes \p Method with \p Args. Resets the per-call budget; cycle and
   /// instruction counts accumulate into the lifetime totals too.

@@ -1289,14 +1289,13 @@ TEST(SharedRuntimeImage, ProcessesAndReplayerSessionsSharePages) {
   ASSERT_NE(Session, nullptr);
 
   ASSERT_EQ(Sieve.RtConfig.BootId, Cap.BootId);
-  const std::vector<os::PhysPageRef> &Image =
-      vm::Runtime::runtimeImage(Cap.BootId);
+  const os::PageSource &Image = *vm::Runtime::runtimeImage(Cap.BootId);
   for (uint64_t K : {0u, 1u, 511u, 1500u, 3071u}) {
     SCOPED_TRACE(K);
     uint64_t Addr = vm::Layout::RuntimeImageBase + K * os::PageSize;
-    EXPECT_EQ(A.process().space().physicalPage(Addr), Image[K]);
-    EXPECT_EQ(B.process().space().physicalPage(Addr), Image[K]);
-    EXPECT_EQ(Session->physicalPage(Addr), Image[K]);
-    EXPECT_EQ(Env.Proc.space().physicalPage(Addr), Image[K]);
+    EXPECT_EQ(A.process().space().physicalPage(Addr), Image.page(K));
+    EXPECT_EQ(B.process().space().physicalPage(Addr), Image.page(K));
+    EXPECT_EQ(Session->physicalPage(Addr), Image.page(K));
+    EXPECT_EQ(Env.Proc.space().physicalPage(Addr), Image.page(K));
   }
 }

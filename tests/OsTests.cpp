@@ -32,6 +32,29 @@ AddressSpace makeSpace(uint64_t Pages = 4,
   return Space;
 }
 
+/// A page source over pages that already exist.
+class VectorPageSource final : public PageSource {
+public:
+  explicit VectorPageSource(std::vector<PhysPageRef> Pages)
+      : PageSource(Pages.size()), Pages(std::move(Pages)) {}
+  const PhysPageRef &page(uint64_t I) const override { return Pages.at(I); }
+
+private:
+  std::vector<PhysPageRef> Pages;
+};
+
+/// \p Count fresh pages, page K holding K + 1 in its first word.
+std::shared_ptr<const PageSource> numberedPages(uint64_t Count) {
+  std::vector<PhysPageRef> Pages;
+  for (uint64_t K = 0; K != Count; ++K) {
+    auto Page = std::make_shared<PhysicalPage>();
+    uint64_t Word = K + 1;
+    std::memcpy(Page->Data.data(), &Word, sizeof(Word));
+    Pages.push_back(std::move(Page));
+  }
+  return std::make_shared<VectorPageSource>(std::move(Pages));
+}
+
 } // namespace
 
 // --- Page math ----------------------------------------------------------------
@@ -295,8 +318,10 @@ TEST(Storage, PageBackedFilesKeepTheirContent) {
   ASSERT_EQ(Space.storeU64(0x10000, Word), AccessResult::Ok);
   StorageDevice Disk;
   // Page one is materialized, page two is an untouched zero page.
-  Disk.writePages("image", {Space.physicalPage(0x10000),
-                            Space.physicalPage(0x10000 + PageSize)});
+  Disk.writePages("image", std::make_shared<VectorPageSource>(
+                               std::vector<PhysPageRef>{
+                                   Space.physicalPage(0x10000),
+                                   Space.physicalPage(0x10000 + PageSize)}));
   EXPECT_EQ(Disk.totalBytesStored(), 2 * PageSize);
   EXPECT_EQ(Disk.lifetimeBytesWritten(), 2 * PageSize);
 
@@ -312,6 +337,39 @@ TEST(Storage, PageBackedFilesKeepTheirContent) {
   EXPECT_EQ(First, 0x1234u);
   EXPECT_EQ(Second, 0u);
   EXPECT_EQ(Disk.totalBytesStored(), 2 * PageSize);
+}
+
+// A spooled mapping keeps the bytes the space held when it was stored —
+// its private copy of a page, the source's page elsewhere — without
+// fetching a page the space never touched.
+TEST(Storage, MappingPagesKeepTheSpacesBytes) {
+  std::shared_ptr<const PageSource> Source = numberedPages(4);
+  AddressSpace Space;
+  Space.mapShared(Base, Source, ProtRead | ProtWrite, MappingKind::RuntimeImage,
+                  "boot.art");
+  uint64_t Word = 0;
+  ASSERT_EQ(Space.loadU64(Base + PageSize, Word), AccessResult::Ok);
+  EXPECT_EQ(Word, 2u);
+  uint64_t Poked = 0x77;
+  ASSERT_TRUE(Space.poke(Base + 2 * PageSize, &Poked, sizeof(Poked)));
+  EXPECT_EQ(Source->page(3).use_count(), 1); // never fetched
+
+  StorageDevice Disk;
+  Disk.writePages("image", Space.mappingPages(Base + 3 * PageSize));
+  EXPECT_EQ(Source->page(3).use_count(), 1);
+  EXPECT_EQ(Disk.lifetimeBytesWritten(), 4 * PageSize);
+  EXPECT_EQ(Space.mappingPages(Base + 4 * PageSize), nullptr);
+
+  // Later writes copy the pages the file holds instead of changing them.
+  for (uint64_t K = 0; K != 4; ++K)
+    ASSERT_EQ(Space.storeU64(Base + K * PageSize, 0xdead), AccessResult::Ok);
+  const std::vector<uint8_t> *Bytes = Disk.readFile("image");
+  ASSERT_NE(Bytes, nullptr);
+  ASSERT_EQ(Bytes->size(), 4 * PageSize);
+  for (uint64_t K = 0; K != 4; ++K) {
+    std::memcpy(&Word, Bytes->data() + K * PageSize, sizeof(Word));
+    EXPECT_EQ(Word, K == 2 ? Poked : K + 1) << "page " << K;
+  }
 }
 
 // --- Cost model ---------------------------------------------------------------
@@ -577,7 +635,7 @@ namespace {
 
 /// Physical pages of the reference model, named by id (0 is the lazy zero
 /// page), with the reference count every holder (a space, a snapshot, a
-/// shared-backing vector) contributes.
+/// page source) contributes.
 struct RefStore {
   std::map<int, std::array<uint8_t, PageSize>> Bytes;
   std::map<int, long> Refs;
@@ -604,6 +662,9 @@ struct RefStore {
 struct RefPage {
   int Phys = 0;
   uint8_t Prot = ProtNone;
+  /// False for a source page the space has not fetched: it names the page
+  /// it reads but holds no reference to it.
+  bool Fetched = true;
 };
 
 /// A naive AddressSpace: one std::map entry per page, every rule spelled
@@ -623,8 +684,25 @@ struct RefSpace {
   RefSpace(const RefSpace &) = delete;
   ~RefSpace() {
     for (auto &[P, Page] : Pages)
-      Store.release(Page.Phys);
+      release(Page);
     dropSnapshot();
+  }
+
+  void hold(const RefPage &Page) {
+    if (Page.Fetched)
+      Store.hold(Page.Phys);
+  }
+  void release(const RefPage &Page) {
+    if (Page.Fetched)
+      Store.release(Page.Phys);
+  }
+  /// Installs page \p P's source page, if it has one not yet fetched.
+  void fetch(uint64_t P) {
+    RefPage &Page = Pages.at(P);
+    if (!Page.Fetched) {
+      Page.Fetched = true;
+      Store.hold(Page.Phys);
+    }
   }
 
   std::unique_ptr<RefSpace> fork() const {
@@ -632,7 +710,7 @@ struct RefSpace {
     Child->Pages = Pages;
     Child->Maps = Maps;
     for (auto &[P, Page] : Pages)
-      Store.hold(Page.Phys);
+      Child->hold(Page);
     return Child;
   }
 
@@ -641,15 +719,15 @@ struct RefSpace {
     return It != Pages.end() && It->first < First + Count;
   }
 
-  void map(uint64_t First, const std::vector<int> &Backing, uint8_t Prot,
+  /// Maps one page per id of \p Source at \p First: a source page, or
+  /// a lazy zero page for id 0. Nothing is fetched yet.
+  void map(uint64_t First, const std::vector<int> &Source, uint8_t Prot,
            MappingKind Kind, const std::string &Name) {
-    for (size_t I = 0; I != Backing.size(); ++I) {
-      Store.hold(Backing[I]);
-      Pages[First + I] = {Backing[I], Prot};
-    }
+    for (size_t I = 0; I != Source.size(); ++I)
+      Pages[First + I] = {Source[I], Prot, /*Fetched=*/Source[I] == 0};
     Mapping M;
     M.Start = First * PageSize;
-    M.End = (First + Backing.size()) * PageSize;
+    M.End = (First + Source.size()) * PageSize;
     M.Kind = Kind;
     M.Name = Name;
     Maps.push_back(M);
@@ -665,7 +743,7 @@ struct RefSpace {
       auto It = Pages.find(P);
       if (It == Pages.end())
         continue;
-      Store.release(It->second.Phys);
+      release(It->second);
       Pages.erase(It);
     }
     uint64_t Lo = First * PageSize, Hi = (First + Count) * PageSize;
@@ -725,6 +803,7 @@ struct RefSpace {
       uint64_t P = pageNumber(Addr);
       if (!Pages.count(P))
         return AccessResult::Unmapped;
+      fetch(P); // before the protection check, as the translation fill
       uint8_t Needed = IsWrite ? ProtWrite : ProtRead;
       if (!(Pages[P].Prot & Needed)) {
         ++(IsWrite ? Stats.WriteFaults : Stats.ReadFaults);
@@ -753,6 +832,7 @@ struct RefSpace {
     uint64_t Offset = Addr - pageBase(Addr);
     uint64_t Chunk = std::min(Size, PageSize - Offset);
     if (IsWrite) {
+      fetch(P);
       makePrivate(P);
       std::memcpy(Store.Bytes.at(Pages[P].Phys).data() + Offset, Buf, Chunk);
     } else if (Pages[P].Phys) {
@@ -769,7 +849,7 @@ struct RefSpace {
     dropSnapshot();
     Snap = Pages;
     for (auto &[P, Page] : Snap)
-      Store.hold(Page.Phys);
+      hold(Page);
     Armed = true;
     ++Stats.SnapshotsTaken;
   }
@@ -778,8 +858,8 @@ struct RefSpace {
     if (!Armed || Structural)
       return -1;
     for (uint64_t P : Dirty) {
-      Store.hold(Snap.at(P).Phys);
-      Store.release(Pages.at(P).Phys);
+      hold(Snap.at(P));
+      release(Pages.at(P));
       Pages[P] = Snap.at(P);
     }
     int64_t Reverted = static_cast<int64_t>(Dirty.size());
@@ -791,7 +871,7 @@ struct RefSpace {
 
   void dropSnapshot() {
     for (auto &[P, Page] : Snap)
-      Store.release(Page.Phys);
+      release(Page);
     Snap.clear();
     Dirty.clear();
     Armed = Structural = false;
@@ -866,7 +946,7 @@ void expectMatches(AddressSpace &Space, RefSpace &Ref,
 void runModelSequence(uint64_t Seed) {
   Rng R(Seed);
   RefStore Store;
-  std::vector<std::vector<PhysPageRef>> Backings; // held like boot images
+  std::vector<std::shared_ptr<const PageSource>> Sources; // live like images
   std::map<int, const PhysicalPage *> Ids;
 
   struct Side {
@@ -931,29 +1011,32 @@ void runModelSequence(uint64_t Seed) {
     switch (Op) {
     case 0:
     case 1:
-    case 2: { // map lazily, or share fresh backing pages
+    case 2: { // map lazily, or map a fresh page source
       uint64_t First = ModelFirstPage + R.below(ModelPages);
       uint64_t Count = R.chance(0.3) ? 1 : 1 + R.below(8);
       if (Ref.overlaps(First, Count))
         break;
       uint8_t Prot = Prots[R.below(5)];
       size_t K = R.below(3);
-      std::vector<int> Backing(Count, 0);
-      if (R.chance(0.3)) {
+      std::vector<int> Ids(Count, 0);
+      if (R.chance(0.4)) {
         std::vector<PhysPageRef> Pages;
-        for (int &Id : Backing) {
+        for (int &Id : Ids) {
           auto Page = std::make_shared<PhysicalPage>();
-          Page->Data[R.below(PageSize)] = static_cast<uint8_t>(R.next());
-          Id = Store.make(Page->Data);
+          uint64_t Word = R.next();
+          std::memcpy(Page->Data.data() + R.below(PageSize / 8) * 8, &Word,
+                      sizeof(Word));
+          Id = Store.make(Page->Data); // the source's reference
           Pages.push_back(std::move(Page));
         }
-        Space.mapShared(First * PageSize, Pages, Prot, Kinds[K], Names[K]);
-        Backings.push_back(std::move(Pages));
+        Sources.push_back(std::make_shared<VectorPageSource>(std::move(Pages)));
+        Space.mapShared(First * PageSize, Sources.back(), Prot, Kinds[K],
+                        Names[K]);
       } else {
         Space.mapRegion(First * PageSize, Count * PageSize, Prot, Kinds[K],
                         Names[K]);
       }
-      Ref.map(First, Backing, Prot, Kinds[K], Names[K]);
+      Ref.map(First, Ids, Prot, Kinds[K], Names[K]);
       break;
     }
     case 3:

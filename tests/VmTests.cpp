@@ -1261,11 +1261,19 @@ TEST(SharedRuntimeImage, BytesMatchThePrivateCopyGoldens) {
   DexFile File = emptyDex();
   for (auto [Boot, Golden] : {std::pair{1ULL, Boot1ImageHash},
                                std::pair{2ULL, Boot2ImageHash}}) {
-    const std::vector<os::PhysPageRef> &Image = Runtime::runtimeImage(Boot);
-    ASSERT_EQ(Image.size() * os::PageSize, Layout::RuntimeImageSize);
+    const os::PageSource &Image = *Runtime::runtimeImage(Boot);
+    ASSERT_EQ(Image.pageCount() * os::PageSize, Layout::RuntimeImageSize);
+    // Boot 2's pages are generated last to first: each page comes from
+    // its own checkpoint of the stream, so the order does not matter.
+    if (Boot == 2) {
+      for (uint64_t K = Image.pageCount(); K-- != 0;) {
+        ASSERT_NE(Image.page(K), nullptr);
+      }
+    }
     std::vector<uint8_t> Bytes;
-    for (const os::PhysPageRef &Page : Image)
-      Bytes.insert(Bytes.end(), Page->Data.begin(), Page->Data.end());
+    for (uint64_t K = 0; K != Image.pageCount(); ++K)
+      Bytes.insert(Bytes.end(), Image.page(K)->Data.begin(),
+                   Image.page(K)->Data.end());
     EXPECT_EQ(fnv1a(Bytes.data(), Bytes.size()), Golden);
 
     os::AddressSpace Space;
@@ -1274,8 +1282,38 @@ TEST(SharedRuntimeImage, BytesMatchThePrivateCopyGoldens) {
     Runtime::mapStandardLayout(Space, File, Config);
     EXPECT_EQ(mappedImageHash(Space), Golden);
   }
-  // One table entry per boot: asking again returns the same pages.
+  // One source per boot: asking again returns the same pages.
   EXPECT_EQ(&Runtime::runtimeImage(1), &Runtime::runtimeImage(1));
+}
+
+// Mapping, forking and snapshotting a process generates no image page;
+// reading one fetches exactly that page.
+TEST(SharedRuntimeImage, PagesAreGeneratedOnFirstTouch) {
+#if ROPT_OBSERVABILITY
+  auto Generated = [] {
+    return Metrics::instance().snapshot().counter("vm.runtime_image_pages");
+  };
+  DexFile File = emptyDex();
+  RuntimeConfig Config;
+  Config.BootId = 0x1a2e; // no other test of this binary maps this boot
+  uint64_t Before = Generated();
+  os::AddressSpace Space;
+  Runtime::mapStandardLayout(Space, File, Config);
+  os::AddressSpace Child = Space.forkClone();
+  Child.takeSnapshot();
+  EXPECT_EQ(Child.resetToSnapshot(), 0);
+  EXPECT_EQ(Generated(), Before);
+
+  uint64_t Word = 0;
+  uint64_t Addr = Layout::RuntimeImageBase + 9 * os::PageSize;
+  ASSERT_EQ(Child.loadU64(Addr, Word), os::AccessResult::Ok);
+  ASSERT_EQ(Space.loadU64(Addr, Word), os::AccessResult::Ok);
+  EXPECT_EQ(Generated(), Before + 1);
+  EXPECT_EQ(Space.physicalPage(Addr),
+            Runtime::runtimeImage(Config.BootId)->page(9));
+#else
+  GTEST_SKIP() << "needs the metrics registry (ROPT_OBSERVABILITY=1)";
+#endif
 }
 
 TEST(SharedRuntimeImage, PokeCopiesOnlyThatPage) {
@@ -1284,13 +1322,12 @@ TEST(SharedRuntimeImage, PokeCopiesOnlyThatPage) {
   os::AddressSpace A, B;
   Runtime::mapStandardLayout(A, File, Config);
   Runtime::mapStandardLayout(B, File, Config);
-  const std::vector<os::PhysPageRef> &Image =
-      Runtime::runtimeImage(Config.BootId);
+  const os::PageSource &Image = *Runtime::runtimeImage(Config.BootId);
 
   constexpr uint64_t Page = 5;
   uint64_t Addr = Layout::RuntimeImageBase + Page * os::PageSize + 16;
   uint64_t Old = 0;
-  std::memcpy(&Old, Image[Page]->Data.data() + 16, sizeof(Old));
+  std::memcpy(&Old, Image.page(Page)->Data.data() + 16, sizeof(Old));
   uint64_t CowBefore = A.stats().CowCopies;
   uint64_t New = ~Old;
   ASSERT_TRUE(A.poke(Addr, &New, sizeof(New)));
@@ -1301,35 +1338,53 @@ TEST(SharedRuntimeImage, PokeCopiesOnlyThatPage) {
   EXPECT_EQ(Seen, New);
   ASSERT_TRUE(B.peek(Addr, &Seen, sizeof(Seen)));
   EXPECT_EQ(Seen, Old);
-  std::memcpy(&Seen, Image[Page]->Data.data() + 16, sizeof(Seen));
+  std::memcpy(&Seen, Image.page(Page)->Data.data() + 16, sizeof(Seen));
   EXPECT_EQ(Seen, Old);
 
   // Only the written page left the shared image.
-  for (uint64_t K = 0; K != Image.size(); ++K) {
+  for (uint64_t K = 0; K != Image.pageCount(); ++K) {
     uint64_t PageAddr = Layout::RuntimeImageBase + K * os::PageSize;
-    EXPECT_EQ(B.physicalPage(PageAddr), Image[K]);
+    EXPECT_EQ(B.physicalPage(PageAddr), Image.page(K));
     if (K == Page)
-      EXPECT_NE(A.physicalPage(PageAddr), Image[K]);
+      EXPECT_NE(A.physicalPage(PageAddr), Image.page(K));
     else
-      EXPECT_EQ(A.physicalPage(PageAddr), Image[K]);
+      EXPECT_EQ(A.physicalPage(PageAddr), Image.page(K));
   }
 }
 
-// Eight address spaces map and read the image concurrently while one of
-// them writes its own copy; the ctest entry running this case carries the
-// `parallel` label, so the ThreadSanitizer job checks that the shared
+// Eight address spaces map the image of a boot nobody has touched and
+// race to fetch the same pages first, while one of them writes its own
+// copy; the ctest entry running this case carries the `parallel` label,
+// so the ThreadSanitizer job checks page generation and that the shared
 // pages are only ever read.
-TEST(SharedRuntimeImageParallel, EightThreadsMapReadAndOneWrites) {
+TEST(SharedRuntimeImageParallel, EightThreadsFirstTouchAndOneWrites) {
   DexFile File = emptyDex();
+  RuntimeConfig Config;
+  Config.BootId = 0x9a7a11e1; // no other test of this binary maps this boot
+#if ROPT_OBSERVABILITY
+  uint64_t Before =
+      Metrics::instance().snapshot().counter("vm.runtime_image_pages");
+#endif
   constexpr int Threads = 8;
+  constexpr uint64_t Pages = Layout::RuntimeImageSize / os::PageSize;
   std::latch Start(Threads);
-  std::vector<uint64_t> Hashes(Threads);
+  std::vector<uint64_t> Hashes(Threads), Sums(Threads);
   std::vector<std::thread> Pool;
   for (int T = 0; T != Threads; ++T)
     Pool.emplace_back([&, T] {
       Start.arrive_and_wait();
       os::AddressSpace Space;
-      Runtime::mapStandardLayout(Space, File, RuntimeConfig());
+      Runtime::mapStandardLayout(Space, File, Config);
+      // Every thread reads the same pages, highest first, so the first
+      // read generates the stream's checkpoints up to the last page.
+      for (uint64_t K = Pages; K >= 64; K -= 64) {
+        uint64_t Word = 0;
+        EXPECT_EQ(Space.loadU64(Layout::RuntimeImageBase +
+                                    (K - 1) * os::PageSize,
+                                Word),
+                  os::AccessResult::Ok);
+        Sums[T] = Sums[T] * 31 + Word;
+      }
       if (T == 0) {
         uint64_t Word = 0x5eedULL;
         for (uint64_t K = 0; K != 8; ++K)
@@ -1341,10 +1396,18 @@ TEST(SharedRuntimeImageParallel, EightThreadsMapReadAndOneWrites) {
   for (std::thread &Th : Pool)
     Th.join();
 
-  EXPECT_NE(Hashes[0], Boot1ImageHash);
-  for (int T = 1; T != Threads; ++T)
-    EXPECT_EQ(Hashes[T], Boot1ImageHash) << "thread " << T;
+  for (int T = 1; T != Threads; ++T) {
+    EXPECT_EQ(Sums[T], Sums[0]) << "thread " << T;
+    EXPECT_EQ(Hashes[T], Hashes[1]) << "thread " << T;
+  }
+  EXPECT_NE(Hashes[0], Hashes[1]);
   os::AddressSpace After;
-  Runtime::mapStandardLayout(After, File, RuntimeConfig());
-  EXPECT_EQ(mappedImageHash(After), Boot1ImageHash);
+  Runtime::mapStandardLayout(After, File, Config);
+  EXPECT_EQ(mappedImageHash(After), Hashes[1]);
+#if ROPT_OBSERVABILITY
+  // Every page was generated exactly once, whoever asked first.
+  EXPECT_EQ(Metrics::instance().snapshot().counter("vm.runtime_image_pages") -
+                Before,
+            Pages);
+#endif
 }
