@@ -161,14 +161,11 @@ int main(int Argc, char **Argv) {
       FO.ProfileClasses = Opt.Classes >= 0 ? Opt.Classes
                                            : (N >= 100 ? 24 : 0);
       if (St) {
-        // Store mode: classes come from seeded k-means over the
-        // continuous profile vectors (per-class leaderboards need real
-        // hardware classes), and devices warm-start from the restored
-        // hint set. Small cells still get a few classes by default so
-        // the class boards are populated.
+        // Store mode: devices warm-start from the restored hint set.
+        // Small cells still get a few classes by default so the class
+        // boards are populated.
         if (Opt.Classes < 0)
           FO.ProfileClasses = N >= 100 ? 24 : (N >= 4 ? 4 : 0);
-        FO.KMeansClasses = true;
         FO.WarmStartHints = Warm.EntriesLoaded > 0;
       }
 
@@ -196,9 +193,9 @@ int main(int Argc, char **Argv) {
             8;
         FO.Population.HorizonTicks =
             static_cast<fleet::VirtualTime>(Rounds) *
-            (FO.Costs.BaseTicks +
-             FO.Costs.MissTicks * static_cast<uint64_t>(EvalsPerStep) +
-             FO.IdleTicks);
+            (fleet::StepBaseTicks +
+             fleet::StepMissTicks * static_cast<uint64_t>(EvalsPerStep) +
+             fleet::IdleTicks);
         // With members coming and going, leaderboard entries nobody
         // re-confirms within a device lifetime age out.
         SrvOpt.TtlTicks = FO.Population.HorizonTicks;

@@ -61,7 +61,6 @@ public:
   void divI(RegIdx D, RegIdx A, RegIdx B) { emit3(Opcode::DivI, D, A, B); }
   void remI(RegIdx D, RegIdx A, RegIdx B) { emit3(Opcode::RemI, D, A, B); }
   void andI(RegIdx D, RegIdx A, RegIdx B) { emit3(Opcode::AndI, D, A, B); }
-  void orI(RegIdx D, RegIdx A, RegIdx B) { emit3(Opcode::OrI, D, A, B); }
   void xorI(RegIdx D, RegIdx A, RegIdx B) { emit3(Opcode::XorI, D, A, B); }
   void shlI(RegIdx D, RegIdx A, RegIdx B) { emit3(Opcode::ShlI, D, A, B); }
   void shrI(RegIdx D, RegIdx A, RegIdx B) { emit3(Opcode::ShrI, D, A, B); }

@@ -10,6 +10,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -86,6 +87,11 @@ std::string FleetResult::digest() const {
 
 namespace {
 
+/// \p T rounded up to the step-start grid.
+VirtualTime onGrid(VirtualTime T) {
+  return (T + StepGridTicks - 1) / StepGridTicks * StepGridTicks;
+}
+
 /// Per-device actor state the event handlers thread through the loop.
 /// Everything here is mutated only from commits or from the device's own
 /// (lane-serialized) step computes, so no locking is needed.
@@ -120,6 +126,35 @@ struct DeviceState {
 
 } // namespace
 
+CellClasses fleet::formClasses(const FleetOptions &Opt, int Total) {
+  CellClasses Out;
+  for (int I = 0; I != Total; ++I)
+    Out.Devices.push_back(DeviceProfile::derive(
+        Opt.Seed, I, Opt.CostJitter, Opt.NoiseJitter, Opt.SessionSpread));
+  if (Opt.ProfileClasses <= 0 || Opt.ProfileClasses >= Total) {
+    Out.Classes = Out.Devices;
+    return Out;
+  }
+  std::vector<std::vector<double>> Points;
+  for (const DeviceProfile &P : Out.Devices)
+    Points.push_back(profileVector(P));
+  store::KMeansResult KM = store::kmeans(Points, Opt.ProfileClasses, Opt.Seed);
+  for (int I = 0; I != Total; ++I)
+    Out.Devices[static_cast<size_t>(I)].ClassId =
+        KM.Assignment[static_cast<size_t>(I)];
+  for (size_t C = 0; C != KM.Centroids.size(); ++C) {
+    const std::vector<double> &Cen = KM.Centroids[C];
+    DeviceProfile CP =
+        DeviceProfile::derive(Opt.Seed, static_cast<int>(C), 0, 0, 0);
+    CP.CostScale = Cen[0];
+    CP.NoiseScale = Cen[7];
+    CP.SessionShift = static_cast<int64_t>(std::llround(Cen[9]));
+    Out.Classes.push_back(CP);
+  }
+  Out.Centroids = std::move(KM.Centroids);
+  return Out;
+}
+
 FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
                              Transport &Net, report::RunReport *Report) {
   ROPT_TRACE_SPAN("fleet.run");
@@ -134,17 +169,16 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
   int Total = N + JoinCount;
   Out.Devices = Total;
   Out.DevicesJoined = JoinCount;
-  int Classes = Opt.ProfileClasses <= 0 ? Total
-                                        : std::min(Opt.ProfileClasses, Total);
 
-  // --- Build the class pipelines and the device actors on top of them.
-  // Two class models: the historical modulo quantization (class members
-  // *are* the class hardware), and seeded k-means over the continuous
-  // profile vectors (devices keep their own axes; the class pipeline is
-  // the cluster centroid's hardware). Both run in this serial context,
-  // so the clustering — like everything else — is --jobs-independent.
-  bool UseKMeans = Opt.KMeansClasses && Opt.ProfileClasses > 0 &&
-                   Classes < Total;
+  // --- Build the class pipelines and the device actors on top of them,
+  // in this serial context, so the classes — like everything else — are
+  // --jobs-independent. A clustered cell serves hints class-locally (the
+  // class's top-k plus the cross-class exploration tail); an unclustered
+  // one keeps the global ranking, since one class per device would
+  // otherwise kill crowd-sourcing outright.
+  CellClasses Cell = formClasses(Opt, Total);
+  bool Clustered = Cell.clustered();
+  int Classes = static_cast<int>(Cell.Classes.size());
   // One app per cell: every class copies it, sharing its read-only
   // DexFile. One verdict memo bound to that DexFile answers the verified
   // replays of every class (DESIGN.md §22), and one compile-memo table
@@ -152,65 +186,23 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
   const workloads::Application App = workloads::buildByName(AppName);
   std::shared_ptr<replay::VerdictMemo> Verdicts = core::makeVerdictMemo(App);
   auto Memos = std::make_shared<core::CompileMemoTable>(*App.File);
-  std::vector<std::shared_ptr<DeviceClassState>> Class(
-      static_cast<size_t>(Classes));
+  std::vector<std::shared_ptr<DeviceClassState>> Class;
+  for (const DeviceProfile &CP : Cell.Classes)
+    Class.push_back(
+        std::make_shared<DeviceClassState>(App, Base, CP, Verdicts, Memos));
   std::vector<DeviceState> States(static_cast<size_t>(Total));
-  if (UseKMeans) {
-    std::vector<DeviceProfile> Profs;
-    std::vector<std::vector<double>> Points;
-    for (int I = 0; I != Total; ++I) {
-      Profs.push_back(DeviceProfile::derive(Opt.Seed, I, Opt.CostJitter,
-                                            Opt.NoiseJitter,
-                                            Opt.SessionSpread));
-      Points.push_back(profileVector(Profs.back()));
-    }
-    store::KMeansResult KM = store::kmeans(Points, Classes, Opt.Seed);
-    Classes = static_cast<int>(KM.Centroids.size());
-    for (int C = 0; C != Classes; ++C) {
-      // The class pipeline lives at the cluster centroid: representative
-      // hardware axes, class-stream seed (same stream as the modulo
-      // model, so class configs stay comparable across modes).
-      DeviceProfile CP = DeviceProfile::derive(Opt.Seed, C, 0, 0, 0);
-      CP.ClassId = C;
-      const std::vector<double> &Cen = KM.Centroids[static_cast<size_t>(C)];
-      CP.CostScale = Cen[0];
-      CP.NoiseScale = Cen[7];
-      CP.SessionShift = static_cast<int64_t>(std::llround(Cen[9]));
-      Class[static_cast<size_t>(C)] =
-          std::make_shared<DeviceClassState>(App, Base, CP, Verdicts, Memos);
-    }
-    for (int I = 0; I != Total; ++I) {
-      DeviceState &DS = States[static_cast<size_t>(I)];
-      DS.Prof = Profs[static_cast<size_t>(I)];
-      DS.Prof.ClassId = KM.Assignment[static_cast<size_t>(I)];
-      DS.Dev = std::make_unique<Device>(
-          Class[static_cast<size_t>(DS.Prof.ClassId)], DS.Prof, Opt.Costs);
-      DS.Joiner = I >= N;
-    }
-    Out.ClassOf = std::move(KM.Assignment);
-    Out.ClassCentroids = std::move(KM.Centroids);
-  } else {
-    for (int C = 0; C != Classes; ++C)
-      Class[static_cast<size_t>(C)] = std::make_shared<DeviceClassState>(
-          App, Base,
-          DeviceProfile::derive(Opt.Seed, C, Opt.CostJitter, Opt.NoiseJitter,
-                                Opt.SessionSpread),
-          Verdicts, Memos);
-    for (int I = 0; I != Total; ++I) {
-      DeviceState &DS = States[static_cast<size_t>(I)];
-      DS.Prof = DeviceProfile::deriveClassed(Opt.Seed, I, Opt.ProfileClasses,
-                                             Opt.CostJitter, Opt.NoiseJitter,
-                                             Opt.SessionSpread);
-      DS.Dev = std::make_unique<Device>(
-          Class[static_cast<size_t>(DS.Prof.ClassId % Classes)], DS.Prof,
-          Opt.Costs);
-      DS.Joiner = I >= N;
-    }
+  for (int I = 0; I != Total; ++I) {
+    DeviceState &DS = States[static_cast<size_t>(I)];
+    DS.Prof = Cell.Devices[static_cast<size_t>(I)];
+    assert(DS.Prof.ClassId >= 0 && DS.Prof.ClassId < Classes &&
+           "every device belongs to one of the cell's classes");
+    DS.Dev = std::make_unique<Device>(
+        Class[static_cast<size_t>(DS.Prof.ClassId)], DS.Prof);
+    DS.Joiner = I >= N;
+    if (Clustered)
+      Out.ClassOf.push_back(DS.Prof.ClassId);
   }
-  // Class-local hint serving only makes sense when classes are genuine
-  // profile clusters; the modulo model keeps the global ranking (one
-  // class per device would otherwise kill crowd-sourcing outright).
-  bool ClassHints = UseKMeans;
+  Out.ClassCentroids = std::move(Cell.Centroids);
 
   ThreadPool Pool(static_cast<size_t>(std::max(0, Opt.Jobs)));
 
@@ -250,8 +242,6 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
 
   uint64_t AppId = appKey(AppName);
   EventLoop Loop(Pool);
-  VirtualTime Idle = std::max<VirtualTime>(1, Opt.IdleTicks);
-  VirtualTime Grid = std::max<VirtualTime>(1, Opt.StepGridTicks);
 
   // Telemetry: per-class sketches, provenance chains and the bounded
   // per-device trace buffers. All hub calls below happen in commits (or
@@ -259,8 +249,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
   // function of the event schedule — byte-identical at any --jobs.
   TelemetryHub Hub(AppName, Total, Classes, Opt.TelemetryEventsPerDevice);
   for (int I = 0; I != Total; ++I)
-    Hub.setDeviceClass(I, States[static_cast<size_t>(I)].Prof.ClassId %
-                              Classes);
+    Hub.setDeviceClass(I, States[static_cast<size_t>(I)].Prof.ClassId);
   // Chains restored from a persistent store carry a *prior run's*
   // discovery clock: register them up front so telemetry never compares
   // their timestamps against this run's, and validators can skip
@@ -323,8 +312,8 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
       }
       if (DS.Left)
         return;
-      std::vector<Hint> Hints = Srv.hints(
-          AppName, T, ClassHints ? DS.Prof.ClassId % Classes : -1);
+      std::vector<Hint> Hints =
+          Srv.hints(AppName, T, Clustered ? DS.Prof.ClassId : -1);
       if (Hints.empty())
         return;
       MessageKey Key{AppId, Channel::Hints, StepIdx, Id, 0};
@@ -387,7 +376,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
       // A lost report costs its retry time, not the device's life: the
       // next step happens regardless (its report re-carries the best).
       if (DS.StepsDone < Steps)
-        StartStep(L, Id, T + Idle);
+        StartStep(L, Id, T + IdleTicks);
     }
 
     if (Report) {
@@ -405,7 +394,7 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
       Rec.HintsAdopted = DR.HintsAdopted;
       Rec.HintsRejected = DR.HintsRejected;
       Rec.Evaluations = DR.Evaluations;
-      Rec.DeviceClass = DS.Prof.ClassId % Classes;
+      Rec.DeviceClass = DS.Prof.ClassId;
       Rec.BestProvenance = DR.BestProv.Id;
       Rec.BestDiscoveryDevice = DR.BestProv.Device;
       Rec.BestDiscoveryTime = DR.BestProv.Time;
@@ -427,11 +416,11 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
   // are aligned up to the grid: devices due within the same grid slot
   // compute in one parallel batch.
   StartStep = [&](EventLoop &L, int Id, VirtualTime At) {
-    At = (At + Grid - 1) / Grid * Grid;
+    At = onGrid(At);
     DeviceState &DS = States[static_cast<size_t>(Id)];
     DS.NextStepAt = At;
     L.schedule(
-        At, DS.Prof.ClassId % Classes,
+        At, DS.Prof.ClassId,
         [&States, Id, At]() {
           DeviceState &DS = States[static_cast<size_t>(Id)];
           std::vector<Hint> Hints = std::move(DS.Mailbox);
@@ -456,8 +445,8 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
       // device still re-verifies them against its own verification map.
       // Serial context, so the pre-seed is deterministic at any --jobs.
       if (Opt.WarmStartHints) {
-        std::vector<Hint> WH = Srv.hints(
-            AppName, 0, ClassHints ? DS.Prof.ClassId % Classes : -1);
+        std::vector<Hint> WH =
+            Srv.hints(AppName, 0, Clustered ? DS.Prof.ClassId : -1);
         Out.WarmStartHintCount += WH.size();
         for (Hint &H : WH)
           DS.Mailbox.push_back(std::move(H));
@@ -469,9 +458,9 @@ FleetResult Coordinator::run(const std::string &AppName, Server &Srv,
                     Opt.Population.HorizonTicks, 1));
         // The joiner's first step lands on the grid — mark the join
         // instant where its track actually lights up.
-        Hub.onJoin(I, (Start + Grid - 1) / Grid * Grid);
+        Hub.onJoin(I, onGrid(Start));
       } else {
-        Start = 1 + R.below(Opt.StartSpreadTicks + 1);
+        Start = 1 + R.below(StartSpreadTicks + 1);
         if (Opt.Population.LeaveFraction > 0.0 &&
             R.chance(Opt.Population.LeaveFraction)) {
           VirtualTime H = std::max<VirtualTime>(Opt.Population.HorizonTicks,

@@ -75,12 +75,25 @@ struct Churn {
   VirtualTime HorizonTicks = 1500;
 };
 
+/// Idle ticks between a step's completion and the next step's start (the
+/// user's next app session). Covers a healthy round trip, so a timely
+/// hint response seeds the next step and a retried or reordered one
+/// deterministically misses it.
+inline constexpr VirtualTime IdleTicks = 16;
+/// Devices start their first step at a seeded tick in
+/// [1, 1 + StartSpreadTicks] — an install base never starts in phase.
+inline constexpr VirtualTime StartSpreadTicks = 8;
+/// Step starts are rounded up to this grid so device computes share ticks
+/// and batch on the event loop (see EventLoop.h: parallelism comes from
+/// the schedule, the loop itself is strictly ordered).
+inline constexpr VirtualTime StepGridTicks = 32;
+
 /// The one fleet-layer configuration aggregate (mirrors
 /// core::PipelineConfig): population shape, heterogeneity, network
-/// degradation, retry policy, step cost model and churn, with
-/// paperDefaults() as the deployment-realistic baseline. The transport
-/// itself is still injected into run() — Net describes the network a
-/// SimTransport caller should build.
+/// degradation, retry policy and churn, with paperDefaults() as the
+/// deployment-realistic baseline. The transport itself is still injected
+/// into run() — Net describes the network a SimTransport caller should
+/// build.
 struct FleetOptions {
   int Devices = 4;
   /// Search steps each device runs (the old synchronous "rounds").
@@ -94,19 +107,15 @@ struct FleetOptions {
   double CostJitter = 0.25;
   double NoiseJitter = 0.5;
   int64_t SessionSpread = 2;
-  /// Quantize the population into this many hardware/user classes that
-  /// share one pipeline + evaluation engine (see DeviceClassState).
-  /// 0 = one class per device (the fully-continuous small-fleet mode).
+  /// Group the population into this many hardware/user classes that
+  /// share one pipeline + evaluation engine (see DeviceClassState): seeded
+  /// k-means over each device's profile vector (store::kmeans over
+  /// fleet::profileVector), each class pipeline built at its cluster
+  /// centroid, hints served class-locally (per-class top-k + cross-class
+  /// exploration tail). 0, or at least as many as devices, = one class
+  /// per device with the global hint ranking (the fully-continuous
+  /// small-fleet mode).
   int ProfileClasses = 0;
-  /// Derive classes by seeded k-means over each device's *continuous*
-  /// cost-model profile vector (store::kmeans over fleet::profileVector)
-  /// instead of the modulo quantization: devices keep their own hardware
-  /// axes, cluster membership follows actual profile similarity, and the
-  /// class pipeline is built from the cluster centroid. Hints are then
-  /// served class-locally (per-class top-k + cross-class exploration
-  /// tail). Only meaningful with ProfileClasses > 0 and fewer classes
-  /// than devices.
-  bool KMeansClasses = false;
   /// Pre-seed every device's mailbox with the server's hint set before
   /// its first step — the cross-run warm start. The server is expected
   /// to hold restored leaderboards (Server::importState /
@@ -116,21 +125,6 @@ struct FleetOptions {
 
   TransportOptions Net; ///< For the caller's SimTransport.
   RetryPolicy Retry;
-
-  StepCosts Costs; ///< Virtual duration model of one search step.
-  /// Idle ticks between a step's completion and the next step's start
-  /// (the user's next app session). Covers a healthy round trip, so a
-  /// timely hint response seeds the next step and a retried or reordered
-  /// one deterministically misses it.
-  VirtualTime IdleTicks = 16;
-  /// Devices start their first step at a seeded tick in
-  /// [1, 1 + StartSpreadTicks] — an install base never starts in phase.
-  VirtualTime StartSpreadTicks = 8;
-  /// Step starts are rounded up to this grid so device computes share
-  /// ticks and batch on the event loop (see EventLoop.h: parallelism
-  /// comes from the schedule, the loop itself is strictly ordered).
-  /// 0 or 1 = no alignment, fully spread starts.
-  VirtualTime StepGridTicks = 32;
 
   /// Per-device cap on buffered fleet-trace events (drop-oldest past it,
   /// counted by `fleet.telemetry_dropped`) — the PR 6 TraceRecorder
@@ -143,6 +137,25 @@ struct FleetOptions {
   /// (15% drop, 10% reorder) over the default heterogeneity spread.
   static FleetOptions paperDefaults();
 };
+
+/// How a cell's devices form hardware/user classes (DESIGN.md §17).
+struct CellClasses {
+  /// Every device's own profile (DeviceProfile::derive), with ClassId set.
+  std::vector<DeviceProfile> Devices;
+  /// The profile each class pipeline is built with.
+  std::vector<DeviceProfile> Classes;
+  /// The k-means centroids of a clustered cell; empty otherwise.
+  std::vector<std::vector<double>> Centroids;
+
+  bool clustered() const { return !Centroids.empty(); }
+};
+
+/// Forms the classes of a cell of \p Total devices. With
+/// Opt.ProfileClasses in (0, Total) the cell is clustered: store::kmeans
+/// over the devices' profile vectors, K = ProfileClasses, and each class
+/// pipeline sits at its centroid's hardware axes with the class-stream
+/// seed. Otherwise every device is its own class.
+CellClasses formClasses(const FleetOptions &Opt, int Total);
 
 /// One completed device step in commit `(time, seq)` order — the
 /// substrate of the report layer's fleet.jsonl.
@@ -179,9 +192,10 @@ struct FleetResult {
   int DevicesLeft = 0;   ///< Churn: devices that died mid-run.
   int DevicesJoined = 0; ///< Churn: late joiners.
 
-  /// KMeansClasses run: per-device class assignment and the centroids
-  /// (profile-vector space, stable lexicographic id order) — what the
-  /// store persists as the night's class model. Empty otherwise.
+  /// Clustered cell (fewer classes than devices): per-device class
+  /// assignment and the centroids (profile-vector space, stable
+  /// lexicographic id order) — what the store persists as the night's
+  /// class model. Empty otherwise.
   std::vector<int> ClassOf;
   std::vector<std::vector<double>> ClassCentroids;
   /// Warm-start hints pre-seeded into device mailboxes (WarmStartHints).

@@ -29,26 +29,6 @@ DeviceProfile DeviceProfile::derive(uint64_t FleetSeed, int Id,
   return P;
 }
 
-DeviceProfile DeviceProfile::deriveClassed(uint64_t FleetSeed, int Id,
-                                           int Classes, double CostJitter,
-                                           double NoiseJitter,
-                                           int64_t SessionSpread) {
-  if (Classes <= 0)
-    return derive(FleetSeed, Id, CostJitter, NoiseJitter, SessionSpread);
-  int ClassId = Id % Classes;
-  // Hardware/user axes from the class stream: all members of a class are
-  // the same phone model in the same hands.
-  DeviceProfile P =
-      derive(FleetSeed, ClassId, CostJitter, NoiseJitter, SessionSpread);
-  P.Id = Id;
-  P.ClassId = ClassId;
-  // Search seed from the device stream: class members explore differently.
-  Rng R(FleetSeed ^ (0x9e3779b97f4a7c15ull *
-                     (static_cast<uint64_t>(Id) + 1)));
-  P.Seed = R.next();
-  return P;
-}
-
 std::vector<double> fleet::profileVector(const DeviceProfile &P) {
   std::vector<double> V;
   V.reserve(ProfileVectorDims);
@@ -161,8 +141,8 @@ search::ReplayBackendStats DeviceClassState::replayBackendStats() const {
 }
 
 Device::Device(std::shared_ptr<DeviceClassState> Class,
-               const DeviceProfile &Prof, const StepCosts &Costs)
-    : Class(std::move(Class)), Prof(Prof), Costs(Costs) {}
+               const DeviceProfile &Prof)
+    : Class(std::move(Class)), Prof(Prof) {}
 
 double Device::speedupOf(const search::Evaluation &E) const {
   return E.MedianCycles > 0.0 ? Class->androidMedian() / E.MedianCycles
@@ -315,8 +295,8 @@ StepResult Device::step(VirtualTime Now, int StepIndex,
   search::EngineCacheStats CacheAfter = Engine.cacheStats();
   uint64_t Misses = CacheAfter.Misses - CacheBefore.Misses;
   uint64_t Hits = CacheAfter.hits() - CacheBefore.hits();
-  double Ticks = static_cast<double>(Costs.BaseTicks + Costs.MissTicks * Misses +
-                                     Costs.HitTicks * Hits) *
+  double Ticks = static_cast<double>(StepBaseTicks + StepMissTicks * Misses +
+                                     StepHitTicks * Hits) *
                  Prof.CostScale;
   Res.Duration = std::max<VirtualTime>(1, static_cast<VirtualTime>(Ticks));
   return Res;

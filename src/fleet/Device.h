@@ -27,12 +27,14 @@
 /// is one *member*: a private search seed, best-so-far and hint
 /// bookkeeping on top of its class's pipeline.
 /// A real install base of 10k phones spans a few dozen SoC/OS/input
-/// classes, not 10k unique pipelines (the per-cluster
-/// population treatment in the marnaed exemplar); sharing the class
-/// engine is also what makes the simulation scale — class members hit
-/// each other's memoized evaluations, so per-device wall-clock *falls*
-/// as the population grows. `ProfileClasses = 0` keeps one class per
-/// device, the fully-continuous population of the old round-based fleet.
+/// classes, not 10k unique pipelines (the per-cluster population
+/// treatment in the marnaed exemplar), so the coordinator clusters the
+/// devices' profile vectors by seeded k-means (DESIGN.md §17). Sharing
+/// the class engine is also what makes the simulation scale — class
+/// members hit each other's memoized evaluations, so per-device
+/// wall-clock *falls* as the population grows. `ProfileClasses = 0`
+/// keeps one class per device, the fully-continuous population of the
+/// old round-based fleet.
 ///
 /// Devices are actors on the fleet EventLoop: `step()` runs one search
 /// step at a virtual instant and returns, with the step report, the
@@ -82,20 +84,10 @@ struct DeviceProfile {
   /// \p CostJitter / \p NoiseJitter bound the uniform scale perturbation
   /// (e.g. 0.25 -> scales in [0.75, 1.25]); \p SessionSpread bounds the
   /// absolute session-parameter shift. Zeros give a homogeneous fleet.
-  /// ClassId = Id (one class per device).
+  /// ClassId = Id (one class per device) until the coordinator clusters
+  /// the population.
   static DeviceProfile derive(uint64_t FleetSeed, int Id, double CostJitter,
                               double NoiseJitter, int64_t SessionSpread);
-
-  /// The classed variant: quantizes the population into \p Classes
-  /// hardware/user classes (ClassId = Id % Classes). The hardware axes
-  /// (cost, noise, session) are drawn from the *class* stream — every
-  /// member of a class is the same phone model in the same hands — while
-  /// Seed stays the *device* stream, so class members still explore
-  /// different search trajectories. \p Classes <= 0 falls back to
-  /// derive() (one class per device).
-  static DeviceProfile deriveClassed(uint64_t FleetSeed, int Id, int Classes,
-                                     double CostJitter, double NoiseJitter,
-                                     int64_t SessionSpread);
 };
 
 /// A device's cost-model profile as a clustering feature vector
@@ -109,16 +101,14 @@ inline constexpr int ProfileVectorDims = 10;
 std::vector<double> profileVector(const DeviceProfile &P);
 
 /// Virtual-cost model of one search step, in event-loop ticks. A step's
-/// duration is (Base + Misses*Miss + Hits*Hit) * CostScale: a cache miss
-/// pays a compile plus replays, a hit pays a lookup, and the whole step
-/// scales with the device's hardware speed. The defaults make one fresh
-/// evaluation ~3x the transport latency ceiling, so a round's search
-/// dominates its messaging — the paper's regime.
-struct StepCosts {
-  uint64_t BaseTicks = 40; ///< Fixed per-step overhead (GA bookkeeping).
-  uint64_t MissTicks = 12; ///< Per evaluation paid with a fresh compile.
-  uint64_t HitTicks = 1;   ///< Per evaluation answered from the cache.
-};
+/// duration is (StepBaseTicks + Misses*StepMissTicks + Hits*StepHitTicks)
+/// * CostScale: a cache miss pays a compile plus replays, a hit pays a
+/// lookup, and the whole step scales with the device's hardware speed.
+/// One fresh evaluation costs ~3x the transport latency ceiling, so a
+/// round's search dominates its messaging — the paper's regime.
+inline constexpr uint64_t StepBaseTicks = 40; ///< Fixed per-step overhead.
+inline constexpr uint64_t StepMissTicks = 12; ///< Per fresh evaluation.
+inline constexpr uint64_t StepHitTicks = 1;   ///< Per cache answer.
 
 /// What one device did in one step (the unit the old fleet called a
 /// "round"; under the event loop steps self-schedule, so devices are
@@ -234,8 +224,7 @@ private:
 class Device {
 public:
   /// \p Class must outlive the device and must already be set up.
-  Device(std::shared_ptr<DeviceClassState> Class, const DeviceProfile &Prof,
-         const StepCosts &Costs);
+  Device(std::shared_ptr<DeviceClassState> Class, const DeviceProfile &Prof);
 
   /// One resumable search step at virtual instant \p Now: re-verify the
   /// hints delivered since the last step, warm-start the GA from the
@@ -260,7 +249,6 @@ private:
 
   std::shared_ptr<DeviceClassState> Class;
   DeviceProfile Prof;
-  StepCosts Costs;
 
   std::optional<search::Scored> Best; ///< Best-so-far across steps.
   bool BestIsForeign = false;

@@ -40,7 +40,7 @@
 ///
 /// Parallelism at 10k-device scale therefore comes from the *schedule*:
 /// the coordinator aligns step starts to a coarse grid
-/// (FleetOptions::StepGridTicks), so thousands of device computes share
+/// (fleet::StepGridTicks), so thousands of device computes share
 /// a tick and batch together.
 ///
 /// Warm starts (DESIGN.md §17) happen strictly *before* run(): the

@@ -75,7 +75,7 @@ void Server::merge(const std::string &App, const StepReport &R,
     // MaxPooledSamples survive — deterministic, arrival-ordered by the
     // coordinator's serialized commits) and re-rank by pooled median.
     for (double S : G.SpeedupSamples) {
-      if (E.Samples.size() >= Opt.MaxPooledSamples)
+      if (E.Samples.size() >= MaxPooledSamples)
         break;
       E.Samples.push_back(S);
     }

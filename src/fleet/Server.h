@@ -89,6 +89,9 @@ struct Hint {
   Provenance Prov;      ///< Discovery provenance (first reporter's).
 };
 
+/// Per-entry cap on pooled speedup samples.
+inline constexpr size_t MaxPooledSamples = 96;
+
 struct ServerOptions {
   int TopK = 4;                 ///< Hint-set size.
   /// Class-local hint serving (hints() with Class >= 0) appends up to
@@ -97,7 +100,6 @@ struct ServerOptions {
   /// mostly follows its own winners but still occasionally re-verifies a
   /// fast-SoC discovery on its own hardware.
   int ExplorationTail = 2;
-  size_t MaxPooledSamples = 96; ///< Per-entry speedup-sample cap.
   /// Leaderboard entry time-to-live in virtual ticks (0 = entries never
   /// age out). Under churn, a device that left the fleet stops renewing
   /// its entries; once no report has confirmed an entry for TtlTicks it

@@ -38,12 +38,11 @@ Delivery SimTransport::attempt(const MessageKey &Key) {
   Rng R(Seed ^ Key.mix());
   Delivery D;
   D.Delivered = !R.chance(Opt.DropProb);
-  uint64_t Lo = Opt.MinLatencyTicks;
-  uint64_t Hi = std::max(Opt.MaxLatencyTicks, Lo);
-  D.LatencyTicks = Lo + (Hi > Lo ? R.below(Hi - Lo + 1) : 0);
+  D.LatencyTicks =
+      MinLatencyTicks + R.below(MaxLatencyTicks - MinLatencyTicks + 1);
   D.Reordered = D.Delivered && R.chance(Opt.ReorderProb);
   if (D.Reordered)
-    D.ReorderTicks = 1 + R.below(std::max<uint64_t>(2 * Hi, 1));
+    D.ReorderTicks = 1 + R.below(2 * MaxLatencyTicks);
   return D;
 }
 
@@ -66,9 +65,9 @@ SendOutcome fleet::planDelivery(Transport &T, MessageKey Key,
     // before the retransmit. All of it lands in the arrival delay.
     ++Out.Drops;
     Out.DelayTicks += D.LatencyTicks;
-    uint64_t Backoff = Policy.BackoffBaseTicks
+    uint64_t Backoff = BackoffBaseTicks
                        << std::min<uint64_t>(static_cast<uint64_t>(A), 16);
-    Out.DelayTicks += std::min(Backoff, Policy.BackoffCapTicks);
+    Out.DelayTicks += std::min(Backoff, BackoffCapTicks);
   }
   return Out;
 }

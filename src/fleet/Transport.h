@@ -87,9 +87,11 @@ public:
 struct TransportOptions {
   double DropProb = 0.0;    ///< Per-attempt loss probability.
   double ReorderProb = 0.0; ///< Per-delivery overtaking probability.
-  uint64_t MinLatencyTicks = 1;
-  uint64_t MaxLatencyTicks = 4;
 };
+
+/// Per-attempt in-flight latency range of the simulated network.
+inline constexpr uint64_t MinLatencyTicks = 1;
+inline constexpr uint64_t MaxLatencyTicks = 4;
 
 /// Seeded lossy transport: drop/latency/reorder drawn from a stream
 /// keyed on (seed, attempt identity), independent of call order. A
@@ -114,9 +116,11 @@ private:
 /// to the message's arrival delay, shifting when the payload lands.
 struct RetryPolicy {
   int MaxAttempts = 64;
-  uint64_t BackoffBaseTicks = 1; ///< Wait before attempt n: base << (n-1).
-  uint64_t BackoffCapTicks = 16;
 };
+
+/// Wait before retransmit n: BackoffBaseTicks << (n-1), capped.
+inline constexpr uint64_t BackoffBaseTicks = 1;
+inline constexpr uint64_t BackoffCapTicks = 16;
 
 /// What one planned send looks like to the event queue: whether the
 /// payload ever lands and, if so, after how many virtual ticks. Drops and

@@ -180,12 +180,6 @@ public:
   AccessResult storeU64(uint64_t Addr, uint64_t Value) {
     return write(Addr, &Value, sizeof(Value));
   }
-  AccessResult loadF64(uint64_t Addr, double &Out) {
-    return read(Addr, &Out, sizeof(Out));
-  }
-  AccessResult storeF64(uint64_t Addr, double Value) {
-    return write(Addr, &Value, sizeof(Value));
-  }
 
   /// Reads bytes ignoring protection (kernel-style access for capture and
   /// snapshot tooling). Returns false if any page is unmapped.

@@ -103,7 +103,6 @@ public:
   bool isObject() const { return K == Kind::Object; }
   bool isArray() const { return K == Kind::Array; }
   bool isString() const { return K == Kind::String; }
-  bool isNumber() const { return K == Kind::Number; }
 
   /// Typed accessors with defaults (no throwing on a kind mismatch —
   /// callers validate shape separately).

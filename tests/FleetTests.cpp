@@ -16,7 +16,7 @@
 // Plus unit coverage of the event loop's (time, seq) commit order, the
 // transport's pure-function verdicts and delivery planning, the server's
 // statistical merging/dedup/quarantine/TTL, device-profile derivation
-// (per-device and classed), and the core warm-start hook.
+// and class formation, and the core warm-start hook.
 //
 //===----------------------------------------------------------------------===//
 
@@ -446,33 +446,6 @@ TEST(FleetDevice, ProfileDerivationIsDeterministicAndBounded) {
   EXPECT_EQ(H.SessionShift, 0);
 }
 
-TEST(FleetDevice, ClassedProfilesShareHardwareNotSeeds) {
-  // Device 7 of a 4-class fleet lands in class 3 and inherits class 3's
-  // hardware axes (that is what lets class members share one pipeline
-  // state)...
-  fleet::DeviceProfile D7 =
-      fleet::DeviceProfile::deriveClassed(42, 7, 4, 0.25, 0.5, 2);
-  fleet::DeviceProfile C3 = fleet::DeviceProfile::derive(42, 3, 0.25, 0.5, 2);
-  EXPECT_EQ(D7.Id, 7);
-  EXPECT_EQ(D7.ClassId, 3);
-  EXPECT_EQ(D7.CostScale, C3.CostScale);
-  EXPECT_EQ(D7.NoiseScale, C3.NoiseScale);
-  EXPECT_EQ(D7.SessionShift, C3.SessionShift);
-
-  // ...but searches from its own seed: class siblings explore distinct
-  // trajectories.
-  fleet::DeviceProfile D3 =
-      fleet::DeviceProfile::deriveClassed(42, 3, 4, 0.25, 0.5, 2);
-  EXPECT_EQ(D3.ClassId, D7.ClassId);
-  EXPECT_NE(D3.Seed, D7.Seed);
-
-  // Classes = 0 degenerates to the historical per-device derivation.
-  fleet::DeviceProfile Solo =
-      fleet::DeviceProfile::deriveClassed(42, 3, 0, 0.25, 0.5, 2);
-  EXPECT_EQ(Solo.Seed, C3.Seed);
-  EXPECT_EQ(Solo.ClassId, 3);
-}
-
 // --- One search setup: a fleet class searches what the pipeline searches ---
 
 TEST(FleetDevice, NeutralClassSetsUpThePipelinesSearch) {
@@ -646,6 +619,40 @@ TEST(FleetCoordinator, ResultsAreIdenticalAcrossJobsAndReruns) {
   EXPECT_EQ(Serial.BestSpeedup, Parallel.BestSpeedup);
   EXPECT_EQ(Serial.BestGenome, Parallel.BestGenome);
   EXPECT_GT(Serial.VirtualDuration, 0u);
+}
+
+TEST(FleetCoordinator, ClassedCellClustersByProfile) {
+  // A classed cell without a store forms its classes the way a store run
+  // does: seeded k-means over the devices' profile vectors, each class
+  // pipeline at its centroid.
+  auto Options = [](int Jobs) {
+    fleet::FleetOptions FO = fleetOptions(12, 1, Jobs, /*Seed=*/1);
+    FO.ProfileClasses = 3;
+    return FO;
+  };
+  auto Run = [&](int Jobs) {
+    fleet::PerfectTransport Net;
+    return runFleet(Options(Jobs), Net);
+  };
+  fleet::FleetResult Serial = Run(1);
+  ASSERT_TRUE(Serial.Succeeded) << Serial.FailureReason;
+  ASSERT_EQ(Serial.ClassOf.size(), 12u);
+  for (int C : Serial.ClassOf) {
+    EXPECT_GE(C, 0);
+    EXPECT_LT(C, 3);
+  }
+  ASSERT_EQ(Serial.ClassCentroids.size(), 3u);
+  for (const std::vector<double> &Cen : Serial.ClassCentroids)
+    EXPECT_EQ(Cen.size(), static_cast<size_t>(fleet::ProfileVectorDims));
+
+  fleet::CellClasses Cell = fleet::formClasses(Options(1), 12);
+  ASSERT_EQ(Cell.Classes.size(), 3u);
+  for (size_t C = 0; C != 3; ++C)
+    EXPECT_EQ(Cell.Classes[C].CostScale, Serial.ClassCentroids[C][0]);
+  for (size_t I = 0; I != 12; ++I)
+    EXPECT_EQ(Cell.Devices[I].ClassId, Serial.ClassOf[I]);
+
+  EXPECT_EQ(Serial.digest(), Run(4).digest());
 }
 
 // --- (b) Crowd-sourcing pays: more devices, no worse a best -----------------
