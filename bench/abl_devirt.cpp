@@ -23,18 +23,24 @@ int main(int Argc, char **Argv) {
   workloads::Application App = workloads::buildByName("Reversi Android");
   core::IterativeCompiler Pipeline(Config);
   core::IterativeCompiler::ProfiledApp P = Pipeline.profileApp(App);
-  std::vector<core::CapturedRegion> Captures =
-      Pipeline.captureRegionMulti(*P.Instance, *P.Region, 1);
-  if (Captures.empty()) {
-    std::fprintf(stderr, "capture failed\n");
+  support::Result<core::SearchInputs> Inputs =
+      Pipeline.captureInputs(P, *P.Region);
+  if (!Inputs) {
+    std::fprintf(stderr, "%s\n", Inputs.error().Message.c_str());
     return 1;
   }
+  support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
+      Pipeline.prepareSearch(App, std::move(Inputs).value());
+  if (!Prepared) {
+    std::fprintf(stderr, "%s\n", Prepared.error().Message.c_str());
+    return 1;
+  }
+  core::RegionSearch &Search = *Prepared.value();
   std::printf("type-profile sites recorded by the interpreted replay: "
               "%zu\n\n",
-              Captures.front().Profile.siteCount());
+              Search.Captures.front().Profile.siteCount());
 
-  core::RegionEvaluator Eval(App, *P.Region, Captures, Config);
-  double Android = Eval.evaluateAndroid().MedianCycles;
+  double Android = Search.Android.MedianCycles;
 
   auto Mk = [](lir::PassId Id, int Param = 0) {
     lir::PassInstance X;
@@ -44,7 +50,7 @@ int main(int Argc, char **Argv) {
   };
   auto Show = [&](const char *Name,
                   const std::vector<lir::PassInstance> &Pipe) {
-    search::Evaluation E = Eval.evaluatePipeline(Pipe);
+    search::Evaluation E = Search.Baselines.evaluatePipeline(Pipe);
     if (E.ok())
       std::printf("%-34s %12.0f cycles  %6.2fx vs Android\n", Name,
                   E.MedianCycles, Android / E.MedianCycles);

@@ -38,29 +38,29 @@ int main(int Argc, char **Argv) {
     core::IterativeCompiler::ProfiledApp P = Pipeline.profileApp(App);
     if (!P.Region)
       continue;
-    std::vector<core::CapturedRegion> Captures =
-        Pipeline.captureRegionMulti(*P.Instance, *P.Region, 1);
-    if (Captures.empty())
+    support::Result<core::SearchInputs> Inputs =
+        Pipeline.captureInputs(P, *P.Region);
+    if (!Inputs)
       continue;
-    core::RegionEvaluator Eval(App, *P.Region, Captures, Config);
-    double Android = Eval.evaluateAndroid().MedianCycles;
-    double O3 = Eval.evaluatePipeline(lir::o3Pipeline()).MedianCycles;
+    support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
+        Pipeline.prepareSearch(App, std::move(Inputs).value());
+    if (!Prepared)
+      continue;
+    core::RegionSearch &Search = *Prepared.value();
+    double Android = Search.Android.MedianCycles;
 
     // --- The GA, tracing so we know its true evaluation count. --------
     Report.beginApp(Name);
     search::GaTrace Trace;
-    search::FunctionEvaluator GaEval(
-        [&](const search::Genome &G) {
-          return Eval.evaluatePipeline(G.Passes, G.RegAlloc);
-        });
     search::GeneticSearch GA(Config.Search.GA, Config.Seed ^ 0x6a5e,
-                             GaEval, Report.report());
-    std::optional<search::Scored> Best = GA.run(Android, O3, &Trace);
+                             Search.Engine, Report.report());
+    std::optional<search::Scored> Best =
+        GA.run(Android, Search.o3Bar(), &Trace);
     if (report::RunReport *RR = Report.report()) {
       report::AppOutcome O;
       O.Succeeded = Best.has_value();
       O.RegionAndroid = Android;
-      O.RegionO3 = O3;
+      O.RegionO3 = Search.O3.ok() ? Search.O3.MedianCycles : 0.0;
       O.RegionBest = Best ? Best->E.MedianCycles : 0.0;
       RR->endApp(O);
     }
@@ -77,7 +77,8 @@ int main(int Argc, char **Argv) {
     int RndValid = 0;
     for (int I = 0; I != Budget; ++I) {
       search::Genome G = search::randomGenome(R, Config.Search.GA.Genomes);
-      search::Evaluation E = Eval.evaluatePipeline(G.Passes, G.RegAlloc);
+      search::Evaluation E =
+          Search.Baselines.evaluatePipeline(G.Passes, G.RegAlloc);
       if (!E.ok())
         continue;
       ++RndValid;

@@ -22,34 +22,42 @@ int main(int Argc, char **Argv) {
   workloads::Application App = workloads::buildByName("FFT");
   core::IterativeCompiler Pipeline(Config);
   core::IterativeCompiler::ProfiledApp P = Pipeline.profileApp(App);
-  std::vector<core::CapturedRegion> Captures =
-      Pipeline.captureRegionMulti(*P.Instance, *P.Region, 1);
-  if (Captures.empty()) {
-    std::fprintf(stderr, "capture failed\n");
+  support::Result<core::SearchInputs> Inputs =
+      Pipeline.captureInputs(P, *P.Region);
+  if (!Inputs) {
+    std::fprintf(stderr, "%s\n", Inputs.error().Message.c_str());
     return 1;
   }
-  core::RegionEvaluator Eval(App, *P.Region, Captures, Config);
+  support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
+      Pipeline.prepareSearch(App, std::move(Inputs).value());
+  if (!Prepared) {
+    std::fprintf(stderr, "%s\n", Prepared.error().Message.c_str());
+    return 1;
+  }
+  core::RegionSearch &Search = *Prepared.value();
 
-  double Android = Eval.evaluateAndroid().MedianCycles;
+  double Android = Search.Android.MedianCycles;
   auto Mk = [](lir::PassId Id, int Param = 0) {
     lir::PassInstance X;
     X.Id = Id;
     X.IntParam = Param;
     return X;
   };
-  auto Show = [&](const char *Name,
-                  const std::vector<lir::PassInstance> &Pipe) {
-    search::Evaluation E = Eval.evaluatePipeline(Pipe);
+  auto Print = [&](const char *Name, const search::Evaluation &E) {
     if (E.ok())
       std::printf("%-26s %12.0f cycles  %6.2fx vs Android\n", Name,
                   E.MedianCycles, Android / E.MedianCycles);
     else
       std::printf("%-26s %s\n", Name, search::evalKindName(E.Kind));
   };
+  auto Show = [&](const char *Name,
+                  const std::vector<lir::PassInstance> &Pipe) {
+    Print(Name, Search.Baselines.evaluatePipeline(Pipe));
+  };
 
   std::printf("%-26s %12.0f cycles  %6.2fx\n", "Android compiler", Android,
               1.0);
-  Show("LLVM -O3 (stock)", lir::o3Pipeline());
+  Print("LLVM -O3 (stock)", Search.O3);
   {
     auto Pipe = lir::o3Pipeline();
     Pipe.push_back(Mk(lir::PassId::GcElide));

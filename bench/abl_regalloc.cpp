@@ -42,18 +42,22 @@ int main(int Argc, char **Argv) {
     core::IterativeCompiler::ProfiledApp P = Pipeline.profileApp(App);
     if (!P.Region)
       continue;
-    std::vector<core::CapturedRegion> Captures =
-        Pipeline.captureRegionMulti(*P.Instance, *P.Region, 1);
-    if (Captures.empty())
+    support::Result<core::SearchInputs> Inputs =
+        Pipeline.captureInputs(P, *P.Region);
+    if (!Inputs)
       continue;
-    core::RegionEvaluator Eval(App, *P.Region, Captures, Config);
-    double Android = Eval.evaluateAndroid().MedianCycles;
+    support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
+        Pipeline.prepareSearch(App, std::move(Inputs).value());
+    if (!Prepared)
+      continue;
+    core::RegionSearch &Search = *Prepared.value();
+    double Android = Search.Android.MedianCycles;
 
     std::printf("%s (android region median %.0f cycles)\n", Name.c_str(),
                 Android);
     for (const Strategy &S : Strategies) {
       search::Evaluation E =
-          Eval.evaluatePipeline(lir::o2Pipeline(), S.Kind);
+          Search.Baselines.evaluatePipeline(lir::o2Pipeline(), S.Kind);
       if (E.ok())
         std::printf("  -O2 + %-16s %12.0f cycles  %6.2fx vs Android\n",
                     S.Name, E.MedianCycles, Android / E.MedianCycles);

@@ -110,8 +110,7 @@ RegionEvaluator::RegionEvaluator(
       Memo(Memo ? std::move(Memo) : makeCompileMemo(App, Captures, Config)),
       Verdicts(std::move(Verdicts)),
       Natives(vm::NativeRegistry::standardLibrary()),
-      Rep(*App.File, Natives, App.RtConfig, Config.Seed ^ 0xa51f),
-      NoiseRng(Config.Seed ^ 0x90153) {
+      Rep(*App.File, Natives, App.RtConfig, Config.Seed ^ 0xa51f) {
   assert(!Captures.empty() && "need at least one capture");
   assert(&this->Memo->file() == App.File.get() &&
          this->Memo->sizeBudget() == Config.Search.CompileSizeBudget &&
@@ -169,6 +168,15 @@ uint64_t hashCodeCache(const vm::CodeCache &Code) {
   return H;
 }
 
+search::CompiledBinary binaryOf(vm::CodeCache Code) {
+  search::CompiledBinary B;
+  B.Ok = true;
+  B.BinaryHash = hashCodeCache(Code);
+  B.CodeSize = Code.totalSizeBytes();
+  B.Artifact = std::make_shared<const vm::CodeCache>(std::move(Code));
+  return B;
+}
+
 } // namespace
 
 bool RegionEvaluator::verifyCache(const vm::CodeCache &Code,
@@ -205,20 +213,6 @@ bool RegionEvaluator::verifyCache(const vm::CodeCache &Code,
   return true;
 }
 
-search::Evaluation RegionEvaluator::evaluateCache(const vm::CodeCache &Code,
-                                                  Rng &Noise) {
-  search::Evaluation E;
-  if (!verifyCache(Code, hashCodeCache(Code), E))
-    return E;
-  E.Samples = Config.Measure.Noise.offlineSamples(
-      Noise, E.BaseCycles,
-      static_cast<size_t>(Config.Search.MaxReplaysPerEvaluation));
-  E.SamplesSpent = static_cast<int>(E.Samples.size());
-  E.Samples = removeOutliersMAD(E.Samples);
-  E.MedianCycles = median(E.Samples);
-  return E;
-}
-
 std::optional<vm::CodeCache>
 RegionEvaluator::compileRegion(const search::Genome &G) {
   ROPT_TRACE_SPAN("compile.region");
@@ -232,15 +226,8 @@ RegionEvaluator::compileRegion(const search::Genome &G) {
 
 search::CompiledBinary
 RegionEvaluator::compileGenome(const search::Genome &G) {
-  search::CompiledBinary B;
   std::optional<vm::CodeCache> Code = compileRegion(G);
-  if (!Code)
-    return B;
-  B.Ok = true;
-  B.BinaryHash = hashCodeCache(*Code);
-  B.CodeSize = Code->totalSizeBytes();
-  B.Artifact = std::make_shared<const vm::CodeCache>(std::move(*Code));
-  return B;
+  return Code ? binaryOf(std::move(*Code)) : search::CompiledBinary{};
 }
 
 search::Evaluation
@@ -271,27 +258,36 @@ RegionEvaluator::extendSamples(const search::Evaluation &E,
                                                  Begin, Count);
 }
 
-search::Evaluation RegionEvaluator::evaluatePipeline(
-    const std::vector<lir::PassInstance> &Pipeline,
-    hgraph::RegAllocKind RegAlloc) {
-  search::Genome G;
-  G.Passes = Pipeline;
-  G.RegAlloc = RegAlloc;
-  std::optional<vm::CodeCache> Code = compileRegion(G);
-  if (!Code) {
+search::Evaluation
+RegionEvaluator::measure(const search::CompiledBinary &B) {
+  if (!B.Ok) {
     search::Evaluation E;
     E.Kind = search::EvalKind::CompileError;
     E.Error = support::ErrorCode::CompileFailed;
     Stats.count(E.Kind);
     return E;
   }
-  return evaluateCache(*Code, NoiseRng);
+  // What the engine records for a fresh binary when racing is off.
+  search::Evaluation E = measureBinary(
+      B, search::binaryNoiseSeed(Config.Seed, B.BinaryHash),
+      static_cast<size_t>(std::max(1, Config.Search.MaxReplaysPerEvaluation)));
+  E.Samples = removeOutliersMAD(E.Samples);
+  return E;
+}
+
+search::Evaluation RegionEvaluator::evaluatePipeline(
+    const std::vector<lir::PassInstance> &Pipeline,
+    hgraph::RegAllocKind RegAlloc) {
+  search::Genome G;
+  G.Passes = Pipeline;
+  G.RegAlloc = RegAlloc;
+  return measure(compileGenome(G));
 }
 
 search::Evaluation RegionEvaluator::evaluateAndroid() {
   vm::CodeCache Code;
   hgraph::compileAllAndroid(*App.File, Region.Methods, Code);
-  return evaluateCache(Code, NoiseRng);
+  return measure(binaryOf(std::move(Code)));
 }
 
 // --- RegionSearch -----------------------------------------------------------
@@ -604,12 +600,13 @@ IterativeCompiler::optimize(const workloads::Application &App) {
   std::optional<vm::CodeCache> BestCode =
       Search.Baselines.compileRegion(Best->G);
   assert(BestCode && "winning genome stopped compiling");
-
-  lir::CompileOptions O3Options;
-  O3Options.Pipeline = lir::o3Pipeline();
-  vm::CodeCache O3Code;
-  lir::compileAllLlvm(*App.File, Report.Region.Methods, O3Options, O3Code,
-                      &Search.Captures.front().Profile);
+  // The -O3 binary the search measured; none when -O3 failed there.
+  std::optional<vm::CodeCache> O3Code;
+  if (Search.O3.ok()) {
+    search::Genome O3;
+    O3.Passes = lir::o3Pipeline();
+    O3Code = Search.Baselines.compileRegion(O3);
+  }
 
   Rng NoiseRng(Config.Seed ^ 0x0911e);
   const uint64_t MeasureSeed = Config.Seed + 7;
@@ -620,8 +617,8 @@ IterativeCompiler::optimize(const workloads::Application &App) {
     ROPT_METRIC_INC("pipeline.failures");
     return Report;
   }
-  // The three whole-program blocks are independent forks of one image:
-  // fork them here, in order (forks count boot work, so they stay on this
+  // The whole-program blocks are independent forks of one image: fork
+  // them here, in order (forks count boot work, so they stay on this
   // thread), run Android and -O3 on the engine's pool beside the GA block
   // on this thread, and draw the noise in a fixed order afterwards.
   enum Variant : int { Android, O3, Ga };
@@ -631,10 +628,12 @@ IterativeCompiler::optimize(const workloads::Application &App) {
       Fresh->overrideRegionCode(Report.Region.Methods, *Override);
     return Fresh;
   };
-  std::unique_ptr<AppInstance> Instances[] = {Fork(nullptr), Fork(&O3Code),
-                                              Fork(&*BestCode)};
+  std::unique_ptr<AppInstance> Instances[] = {
+      Fork(nullptr), O3Code ? Fork(&*O3Code) : nullptr, Fork(&*BestCode)};
   uint64_t Blocks[3] = {};
   auto RunBlock = [&](Variant V) {
+    if (!Instances[V])
+      return;
     ROPT_TRACE_SPAN_V("pipeline.measure", V);
     Blocks[V] = Instances[V]->runSessionBlock(
         Config.Measure.FinalSessionBlock, App.DefaultParam);

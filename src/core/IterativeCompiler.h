@@ -19,12 +19,13 @@
 /// one compile memo, one verdict memo, a serial RegionEvaluator for the
 /// baselines and the install, and a search::EvaluationEngine over one
 /// RegionEvaluator per worker (each with its own replay sandbox) that
-/// parallelizes and memoizes the GA's batches. optimize() and every fleet
-/// device class go through both steps; a fleet cell's classes share one
-/// verdict memo, one CompileMemoTable and, where the witness allows, the
-/// inputs of one class per session input (DESIGN.md §23). The ablation
-/// harnesses call a RegionEvaluator's serial evaluatePipeline and
-/// evaluateAndroid directly.
+/// parallelizes and memoizes the GA's batches. optimize(), every fleet
+/// device class and the experiment harnesses go through both steps; a
+/// fleet cell's classes share one verdict memo, one CompileMemoTable and,
+/// where the witness allows, the inputs of one class per session input
+/// (DESIGN.md §23). A binary draws the same samples wherever it is
+/// measured: the serial calls and the engine both seed its noise stream
+/// with search::binaryNoiseSeed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -282,9 +283,8 @@ public:
 
   /// Serial evaluation of an explicit pipeline (an -O preset, or a
   /// genome's passes and allocator): compile + verify + sample in one
-  /// call, drawing noise from this evaluator's own stream. The GA's
-  /// baseline bars come from this stream, so its draws are part of every
-  /// search digest.
+  /// call. The result is what the engine records for the same binary
+  /// with racing off, whatever this evaluator measured before.
   search::Evaluation
   evaluatePipeline(const std::vector<lir::PassInstance> &Pipeline,
                    hgraph::RegAllocKind RegAlloc =
@@ -302,7 +302,9 @@ public:
   const Counters &counters() const { return Stats; }
 
 private:
-  search::Evaluation evaluateCache(const vm::CodeCache &Code, Rng &Noise);
+  /// The full fixed-budget measurement of \p B on its binaryNoiseSeed
+  /// stream, outliers removed; a failed compile is a CompileError.
+  search::Evaluation measure(const search::CompiledBinary &B);
   /// Verified replay against every capture, through the verdict memo
   /// when there is one; fills Kind/Error, size and BaseCycles (the
   /// deterministic cycle sum noise samples around) and records
@@ -326,7 +328,6 @@ private:
   std::shared_ptr<replay::VerdictMemo> Verdicts; ///< May be null.
   vm::NativeRegistry Natives;
   replay::Replayer Rep;
-  Rng NoiseRng; ///< Serial-path noise stream (evaluatePipeline/Android).
   Counters Stats;
 };
 

@@ -43,23 +43,13 @@ struct MeasurementModel {
     return Noisy;
   }
 
-  /// Draws \p Count offline samples around a deterministic cycle count —
-  /// equivalent to performing that many replays, since replays of the same
-  /// capture are cycle-exact (documented substitution, DESIGN.md §2).
-  std::vector<double> offlineSamples(Rng &R, double Cycles,
-                                     size_t Count) const {
-    std::vector<double> Out;
-    Out.reserve(Count);
-    for (size_t I = 0; I != Count; ++I)
-      Out.push_back(offline(R, Cycles));
-    return Out;
-  }
-
   /// Offline sample \p Index of the stream identified by \p NoiseSeed — a
-  /// pure function of (NoiseSeed, Index, Cycles), unlike the sequential
-  /// offlineSamples() stream. The racing engine relies on this to extend
-  /// a binary's sample block later (or from another worker) and get
-  /// exactly the values a single up-front draw would have produced.
+  /// pure function of (NoiseSeed, Index, Cycles), equivalent to one more
+  /// replay, since replays of the same capture are cycle-exact
+  /// (documented substitution, DESIGN.md §2). The racing engine relies on
+  /// this to extend a binary's sample block later (or from another
+  /// worker) and get exactly the values a single up-front draw would have
+  /// produced.
   double offlineSampleAt(uint64_t NoiseSeed, size_t Index,
                          double Cycles) const {
     Rng R(NoiseSeed +

@@ -16,22 +16,23 @@ OnlineEvaluator::OnlineEvaluator(const workloads::Application &App,
   IterativeCompiler::ProfiledApp Profiled = Pipeline.profileApp(App);
   if (!Profiled.Region)
     return;
-  Region = *Profiled.Region;
-  Captures = Pipeline.captureRegionMulti(*Profiled.Instance, Region, 1);
-  if (Captures.empty())
+  support::Result<SearchInputs> Inputs =
+      Pipeline.captureInputs(Profiled, *Profiled.Region);
+  if (!Inputs)
     return;
-  Evaluator = std::make_unique<RegionEvaluator>(this->App, Region, Captures,
-                                                this->Config);
-  Ready = true;
+  support::Result<std::unique_ptr<RegionSearch>> Prepared =
+      Pipeline.prepareSearch(this->App, std::move(Inputs).value());
+  if (Prepared)
+    Search = std::move(Prepared).value();
 }
 
 OutcomeHistogram OnlineEvaluator::classifyRandomSequences(int Count) {
-  assert(Ready && "setup failed");
+  assert(ready() && "setup failed");
   OutcomeHistogram H;
   for (int I = 0; I != Count; ++I) {
     search::Genome G = search::randomGenome(R, Config.Search.GA.Genomes);
     search::Evaluation E =
-        Evaluator->evaluatePipeline(G.Passes, G.RegAlloc);
+        Search->Baselines.evaluatePipeline(G.Passes, G.RegAlloc);
     switch (E.Kind) {
     case search::EvalKind::Ok: ++H.Correct; break;
     case search::EvalKind::CompileError: ++H.CompilerError; break;
@@ -46,10 +47,7 @@ OutcomeHistogram OnlineEvaluator::classifyRandomSequences(int Count) {
 
 std::vector<double>
 OnlineEvaluator::randomCorrectSpeedups(int Count, int MaxAttempts) {
-  assert(Ready && "setup failed");
-  search::Evaluation Android = Evaluator->evaluateAndroid();
-  assert(Android.ok() && "android baseline failed");
-
+  assert(ready() && "setup failed");
   std::vector<double> Speedups;
   for (int Attempt = 0;
        Attempt != MaxAttempts &&
@@ -57,9 +55,9 @@ OnlineEvaluator::randomCorrectSpeedups(int Count, int MaxAttempts) {
        ++Attempt) {
     search::Genome G = search::randomGenome(R, Config.Search.GA.Genomes);
     search::Evaluation E =
-        Evaluator->evaluatePipeline(G.Passes, G.RegAlloc);
+        Search->Baselines.evaluatePipeline(G.Passes, G.RegAlloc);
     if (E.ok())
-      Speedups.push_back(Android.MedianCycles / E.MedianCycles);
+      Speedups.push_back(Search->Android.MedianCycles / E.MedianCycles);
   }
   return Speedups;
 }
@@ -99,15 +97,16 @@ ConvergencePoint pointAt(const std::vector<double> &T0,
 
 OnlineEvaluator::Convergence
 OnlineEvaluator::convergence(int MaxEvaluations) {
-  assert(Ready && "setup failed");
+  assert(ready() && "setup failed");
   Convergence Out;
+  const profiler::HotRegion &Region = Search->Region;
 
   // Region code at -O0 and -O1.
   search::Genome O0, O1;
   O0.Passes = lir::o0Pipeline();
   O1.Passes = lir::o1Pipeline();
-  std::optional<vm::CodeCache> O0Code = Evaluator->compileRegion(O0);
-  std::optional<vm::CodeCache> O1Code = Evaluator->compileRegion(O1);
+  std::optional<vm::CodeCache> O0Code = Search->Baselines.compileRegion(O0);
+  std::optional<vm::CodeCache> O1Code = Search->Baselines.compileRegion(O1);
   assert(O0Code && O1Code && "preset compilation failed");
 
   // Online: two app instances, forked from one boot, each executing the
@@ -138,7 +137,7 @@ OnlineEvaluator::convergence(int MaxEvaluations) {
   vm::NativeRegistry Natives = vm::NativeRegistry::standardLibrary();
   replay::Replayer Rep(*App.File, Natives, App.RtConfig,
                        Config.Seed ^ 0x0ff1);
-  const capture::Capture &Cap = Captures.front().Cap;
+  const capture::Capture &Cap = Search->Captures.front().Cap;
   double Off0 = static_cast<double>(
       Rep.replay(Cap, replay::ReplayCode::Compiled, &*O0Code).Result.Cycles);
   double Off1 = static_cast<double>(

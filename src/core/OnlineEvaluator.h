@@ -48,8 +48,9 @@ public:
   OnlineEvaluator(const workloads::Application &App,
                   PipelineConfig Config);
 
-  /// True when setup (profile, capture, interpreted replay) succeeded.
-  bool ready() const { return Ready; }
+  /// True when setup (profile, capture, interpreted replay, baselines)
+  /// succeeded.
+  bool ready() const { return Search != nullptr; }
 
   /// Figure 1: classify \p Count random optimization sequences.
   OutcomeHistogram classifyRandomSequences(int Count);
@@ -73,11 +74,8 @@ public:
 private:
   workloads::Application App;
   PipelineConfig Config;
-  profiler::HotRegion Region;
-  std::vector<CapturedRegion> Captures; ///< The one capture.
-  std::unique_ptr<RegionEvaluator> Evaluator;
+  std::unique_ptr<RegionSearch> Search; ///< Null when setup failed.
   Rng R;
-  bool Ready = false;
 };
 
 } // namespace core

@@ -38,18 +38,6 @@ StorageDevice::readFile(const std::string &Path) const {
   return &B.Bytes;
 }
 
-bool StorageDevice::removeFile(const std::string &Path) {
-  return Files.erase(Path) != 0;
-}
-
-std::vector<std::string> StorageDevice::listFiles() const {
-  std::vector<std::string> Paths;
-  Paths.reserve(Files.size());
-  for (const auto &KV : Files)
-    Paths.push_back(KV.first);
-  return Paths;
-}
-
 uint64_t StorageDevice::totalBytesStored() const {
   uint64_t Total = 0;
   for (const auto &KV : Files)

@@ -76,15 +76,9 @@ public:
   /// out of its source on its first read.
   const std::vector<uint8_t> *readFile(const std::string &Path) const;
 
-  /// Removes a blob; returns true if it existed.
-  bool removeFile(const std::string &Path);
-
   bool exists(const std::string &Path) const {
     return Files.count(Path) != 0;
   }
-
-  /// Paths currently stored, sorted.
-  std::vector<std::string> listFiles() const;
 
   uint64_t totalBytesStored() const;
   uint64_t lifetimeBytesWritten() const { return LifetimeBytesWritten; }

@@ -55,10 +55,10 @@ void EvaluationEngine::ensureBackends(size_t Count) {
     Backends.push_back(Factory());
 }
 
-uint64_t EvaluationEngine::noiseSeed(uint64_t BinaryHash) const {
-  // splitmix64 finalizer over (engine seed, binary hash): measurement
-  // noise becomes a pure function of binary identity, so samples do not
-  // depend on scheduling order or worker count.
+uint64_t search::binaryNoiseSeed(uint64_t Seed, uint64_t BinaryHash) {
+  // splitmix64 finalizer over (seed, binary hash): measurement noise
+  // becomes a pure function of binary identity, so samples do not depend
+  // on scheduling order, worker count or what was measured before.
   uint64_t Z = Seed ^ (BinaryHash + 0x9e3779b97f4a7c15ull);
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
@@ -146,8 +146,8 @@ EvaluationEngine::evaluateBatch(const std::vector<Genome> &Genomes) {
       if (!Claimed.emplace(B.BinaryHash, W).second)
         return;
     }
-    Measured[W] = Backends[Slot]->measureBinary(B, noiseSeed(B.BinaryHash),
-                                                SeedBlock);
+    Measured[W] = Backends[Slot]->measureBinary(
+        B, binaryNoiseSeed(Seed, B.BinaryHash), SeedBlock);
   });
 
   // --- Commit compiles (serial, batch order). The first compile in batch
@@ -354,7 +354,8 @@ void EvaluationEngine::raceFreshBinaries(
     Pool->parallelFor(Extensions.size(), [&](size_t X, size_t Slot) {
       Extension &Ext = Extensions[X];
       Ext.Drawn = Backends[Slot]->extendSamples(
-          *Ext.E, noiseSeed(Ext.E->BinaryHash), Ext.Begin, Ext.Count);
+          *Ext.E, binaryNoiseSeed(Seed, Ext.E->BinaryHash), Ext.Begin,
+          Ext.Count);
     });
 
     // Commit (serial, batch order).
@@ -385,7 +386,7 @@ Evaluation EvaluationEngine::announceIncumbent(const Evaluation &E) {
     // samples are as tight as a fixed-budget run's.
     ensureBackends(1);
     std::vector<double> Drawn = Backends[0]->extendSamples(
-        Updated, noiseSeed(E.BinaryHash), It->second.size(),
+        Updated, binaryNoiseSeed(Seed, E.BinaryHash), It->second.size(),
         Max - It->second.size());
     It->second.insert(It->second.end(), Drawn.begin(), Drawn.end());
     Racing.ReplaysSpent += Drawn.size();

@@ -55,6 +55,7 @@
 #include "search/GeneticSearch.h"
 #include "support/Result.h"
 
+#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -148,6 +149,12 @@ public:
 /// outcome classification.
 EvalKind evalKindForError(support::ErrorCode Code);
 
+/// The noise seed of a binary's measurement stream: a pure function of
+/// (\p Seed, \p BinaryHash), so a binary draws the same samples wherever
+/// it is measured — on any engine worker, at any --jobs, or through a
+/// backend's serial calls.
+uint64_t binaryNoiseSeed(uint64_t Seed, uint64_t BinaryHash);
+
 struct EngineOptions {
   int Jobs = 0;        ///< Worker threads; 0 = hardware concurrency.
   bool Memoize = true; ///< The two-level genome/binary cache.
@@ -217,8 +224,8 @@ class EvaluationEngine : public BatchEvaluator {
 public:
   using BackendFactory = std::function<std::unique_ptr<EvalBackend>()>;
 
-  /// \p Seed feeds per-binary measurement-noise streams; pass the
-  /// pipeline seed so runs stay reproducible.
+  /// \p Seed feeds per-binary measurement-noise streams (binaryNoiseSeed);
+  /// pass the pipeline seed so runs stay reproducible.
   EvaluationEngine(BackendFactory Factory, EngineOptions Options,
                    uint64_t Seed);
   ~EvaluationEngine() override;
@@ -251,7 +258,6 @@ private:
 
   /// Lazily constructs backends for slots [0, Count).
   void ensureBackends(size_t Count);
-  uint64_t noiseSeed(uint64_t BinaryHash) const;
   /// Rebuilds the public (outlier-cleaned) sample view of \p E from the
   /// raw samples stored for its binary hash.
   void finalizeFromRaw(Evaluation &E) const;

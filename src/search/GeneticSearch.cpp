@@ -43,15 +43,6 @@ const char *search::cacheOriginName(CacheOrigin O) {
   return "unknown";
 }
 
-std::vector<Evaluation>
-FunctionEvaluator::evaluateBatch(const std::vector<Genome> &Genomes) {
-  std::vector<Evaluation> Out;
-  Out.reserve(Genomes.size());
-  for (const Genome &G : Genomes)
-    Out.push_back(Fn(G));
-  return Out;
-}
-
 GeneticSearch::GeneticSearch(GaConfig Config, uint64_t Seed,
                              BatchEvaluator &Evaluator,
                              ProvenanceSink *Sink)

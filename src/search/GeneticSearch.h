@@ -30,7 +30,6 @@
 #include "search/Genome.h"
 #include "support/Result.h"
 
-#include <functional>
 #include <optional>
 #include <set>
 
@@ -113,20 +112,6 @@ public:
   /// must keep for the incumbent from here on. The default (and any
   /// fixed-budget evaluator) returns \p E unchanged.
   virtual Evaluation announceIncumbent(const Evaluation &E) { return E; }
-};
-
-/// Serial adapter over a per-genome callback, for synthetic landscapes
-/// and tests. Evaluates strictly in batch order on the calling thread.
-class FunctionEvaluator : public BatchEvaluator {
-public:
-  explicit FunctionEvaluator(std::function<Evaluation(const Genome &)> Fn)
-      : Fn(std::move(Fn)) {}
-
-  std::vector<Evaluation>
-  evaluateBatch(const std::vector<Genome> &Genomes) override;
-
-private:
-  std::function<Evaluation(const Genome &)> Fn;
 };
 
 /// GA parameters (paper values, Section 4).

@@ -37,15 +37,3 @@ std::string ropt::join(const std::vector<std::string> &Parts,
   }
   return Out;
 }
-
-std::string ropt::padLeft(const std::string &S, size_t Width) {
-  if (S.size() >= Width)
-    return S;
-  return std::string(Width - S.size(), ' ') + S;
-}
-
-std::string ropt::padRight(const std::string &S, size_t Width) {
-  if (S.size() >= Width)
-    return S;
-  return S + std::string(Width - S.size(), ' ');
-}

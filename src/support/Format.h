@@ -31,12 +31,6 @@ std::string formatV(const char *Fmt, va_list Args);
 std::string join(const std::vector<std::string> &Parts,
                  const std::string &Sep);
 
-/// Left-pads \p S with spaces to at least \p Width characters.
-std::string padLeft(const std::string &S, size_t Width);
-
-/// Right-pads \p S with spaces to at least \p Width characters.
-std::string padRight(const std::string &S, size_t Width);
-
 } // namespace ropt
 
 #endif // ROPT_SUPPORT_FORMAT_H

@@ -99,7 +99,6 @@ public:
   Value() = default;
 
   Kind kind() const { return K; }
-  bool isNull() const { return K == Kind::Null; }
   bool isObject() const { return K == Kind::Object; }
   bool isArray() const { return K == Kind::Array; }
   bool isString() const { return K == Kind::String; }

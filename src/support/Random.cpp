@@ -86,20 +86,3 @@ double Rng::gaussian() {
 double Rng::logNormal(double Mu, double Sigma) {
   return std::exp(gaussian(Mu, Sigma));
 }
-
-size_t Rng::weightedIndex(const std::vector<double> &Weights) {
-  double Total = 0.0;
-  for (double W : Weights) {
-    assert(W >= 0.0 && "negative weight");
-    Total += W;
-  }
-  assert(Total > 0.0 && "weights must not all be zero");
-  double Draw = uniform() * Total;
-  double Acc = 0.0;
-  for (size_t I = 0; I != Weights.size(); ++I) {
-    Acc += Weights[I];
-    if (Draw < Acc)
-      return I;
-  }
-  return Weights.size() - 1;
-}

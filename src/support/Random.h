@@ -65,10 +65,6 @@ public:
   /// Returns exp(N(Mu, Sigma)); used to model skewed latency noise.
   double logNormal(double Mu, double Sigma);
 
-  /// Returns an index into [0, Weights.size()) with probability
-  /// proportional to the weights. Weights must be non-negative and sum > 0.
-  size_t weightedIndex(const std::vector<double> &Weights);
-
   /// Fisher-Yates shuffles \p Values in place.
   template <typename T> void shuffle(std::vector<T> &Values) {
     for (size_t I = Values.size(); I > 1; --I) {

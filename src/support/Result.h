@@ -76,10 +76,6 @@ public:
     return std::move(std::get<T>(Storage));
   }
 
-  T valueOr(T Default) const & {
-    return ok() ? std::get<T>(Storage) : std::move(Default);
-  }
-
   const Error &error() const {
     assert(!ok() && "error() on successful Result");
     return std::get<Error>(Storage);

@@ -36,14 +36,6 @@ public:
       Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
   }
 
-  void writeI64(int64_t V) { writeU64(static_cast<uint64_t>(V)); }
-
-  void writeF64(double V) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof(Bits));
-    writeU64(Bits);
-  }
-
   void writeString(const std::string &S) {
     writeU32(static_cast<uint32_t>(S.size()));
     // A pointer range, not string iterators: GCC 12 at -O3 reports a
@@ -97,15 +89,6 @@ public:
     return V;
   }
 
-  int64_t readI64() { return static_cast<int64_t>(readU64()); }
-
-  double readF64() {
-    uint64_t Bits = readU64();
-    double V;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
-
   std::string readString() {
     uint32_t Len = readU32();
     if (!take(Len))
@@ -125,7 +108,6 @@ public:
   }
 
   size_t remaining() const { return Size - Pos; }
-  bool atEnd() const { return Pos == Size; }
   /// True once any read ran past the end of the buffer.
   bool failed() const { return Failed; }
 

@@ -178,15 +178,6 @@ bool ropt::significantlyLess(const std::vector<double> &A,
   return compareSamples(A, B, Alpha) == SampleOrder::Less;
 }
 
-const char *ropt::sampleOrderName(SampleOrder O) {
-  switch (O) {
-  case SampleOrder::Less: return "less";
-  case SampleOrder::Indistinguishable: return "indistinguishable";
-  case SampleOrder::Greater: return "greater";
-  }
-  return "unknown";
-}
-
 SampleOrder ropt::compareSamples(const std::vector<double> &A,
                                  const std::vector<double> &B,
                                  double Alpha) {
@@ -240,18 +231,6 @@ static BootstrapInterval percentileInterval(std::vector<double> Stats,
   Interval.Low = Stats[std::min(LoIdx, N - 1)];
   Interval.High = Stats[std::min(HiIdx, N - 1)];
   return Interval;
-}
-
-BootstrapInterval ropt::bootstrapMeanCI(const std::vector<double> &Values,
-                                        double Confidence, Rng &R,
-                                        size_t Resamples) {
-  if (Values.empty())
-    return {};
-  std::vector<double> Stats;
-  Stats.reserve(Resamples);
-  for (size_t I = 0; I != Resamples; ++I)
-    Stats.push_back(resampleMean(Values, R));
-  return percentileInterval(std::move(Stats), Confidence);
 }
 
 BootstrapInterval ropt::bootstrapRatioCI(const std::vector<double> &A,

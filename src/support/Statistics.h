@@ -69,8 +69,6 @@ enum class SampleOrder {
   Greater,           ///< A is significantly larger than B.
 };
 
-const char *sampleOrderName(SampleOrder O);
-
 /// Three-way comparison of two samples at level \p Alpha, computing the
 /// rank statistic once. Exactly equivalent to the pair
 /// (significantlyLess(A,B), significantlyLess(B,A)) — which can never
@@ -101,12 +99,6 @@ struct BootstrapInterval {
   double Low = 0.0;
   double High = 0.0;
 };
-
-/// Percentile bootstrap CI for the mean of \p Values at the given
-/// \p Confidence (e.g. 0.95), using \p Resamples resamples drawn from \p R.
-BootstrapInterval bootstrapMeanCI(const std::vector<double> &Values,
-                                  double Confidence, Rng &R,
-                                  size_t Resamples = 1000);
 
 /// Percentile bootstrap CI for the ratio mean(A)/mean(B) — the speedup
 /// estimator Figure 3 tracks as evaluations accumulate.

@@ -1,7 +1,6 @@
 //===- tests/DexTests.cpp - dex/ unit tests ---------------------------------===//
 
 #include "dex/Builder.h"
-#include "dex/Disassembler.h"
 #include "dex/Verifier.h"
 
 #include <gtest/gtest.h>
@@ -323,40 +322,3 @@ TEST(Verifier, WholeFileVerifies) {
   EXPECT_TRUE(verify(File).empty());
 }
 
-// --- Disassembler ----------------------------------------------------------------
-
-TEST(Disassembler, RendersListing) {
-  DexFile File = buildAddFile();
-  const Method &M = File.method(File.findMethod("add"));
-  std::string Text = disassemble(File, M);
-  EXPECT_NE(Text.find("add-i"), std::string::npos);
-  EXPECT_NE(Text.find("ret"), std::string::npos);
-  EXPECT_NE(Text.find("r2"), std::string::npos);
-}
-
-TEST(Disassembler, RendersCallsWithNames) {
-  DexBuilder B;
-  NativeId Sin = B.addNative("sin", 1, true);
-  MethodId Callee = B.declareFunction(InvalidId, "callee", 0, true);
-  MethodId Caller = B.declareFunction(InvalidId, "caller", 0, true);
-  {
-    FunctionBuilder F = B.beginBody(Callee);
-    RegIdx R = F.immI(1);
-    F.ret(R);
-    B.endBody(F);
-  }
-  {
-    FunctionBuilder F = B.beginBody(Caller);
-    RegIdx R = F.newReg();
-    F.invokeStatic(R, Callee, {});
-    RegIdx D = F.newReg();
-    F.constF(D, 0.5);
-    F.invokeNative(D, Sin, {D});
-    F.ret(R);
-    B.endBody(F);
-  }
-  DexFile File = B.build();
-  std::string Text = disassemble(File, File.method(Caller));
-  EXPECT_NE(Text.find("callee"), std::string::npos);
-  EXPECT_NE(Text.find("native:sin"), std::string::npos);
-}

@@ -475,6 +475,58 @@ TEST(MultiCapture, FullPipelineWithThreeCaptures) {
   EXPECT_GT(Report.speedupGaOverAndroid(), 1.0);
 }
 
+// --- One sampler (DESIGN.md §9) ----------------------------------------------
+
+TEST(RegionSearch, SerialAndEngineDrawTheSameSamples) {
+  auto ExpectSame = [](const search::Evaluation &A,
+                       const search::Evaluation &B) {
+    EXPECT_EQ(A.Kind, B.Kind);
+    EXPECT_EQ(A.BinaryHash, B.BinaryHash);
+    EXPECT_EQ(A.BaseCycles, B.BaseCycles);
+    EXPECT_EQ(A.Samples, B.Samples);
+    EXPECT_EQ(A.MedianCycles, B.MedianCycles);
+    EXPECT_EQ(A.SamplesSpent, B.SamplesSpent);
+  };
+  for (const char *Name : {"FFT", "Sieve"}) {
+    SCOPED_TRACE(Name);
+    workloads::Application App = buildByName(Name);
+    IterativeCompiler Pipeline(fastConfig());
+    IterativeCompiler::ProfiledApp Profiled = Pipeline.profileApp(App);
+    ASSERT_TRUE(Profiled.Region.has_value());
+    support::Result<SearchInputs> Inputs =
+        Pipeline.captureInputs(Profiled, *Profiled.Region);
+    ASSERT_TRUE(Inputs.ok());
+    support::Result<std::unique_ptr<RegionSearch>> Prepared =
+        Pipeline.prepareSearch(App, std::move(Inputs).value());
+    ASSERT_TRUE(Prepared.ok());
+    RegionSearch &Search = *Prepared.value();
+    ASSERT_TRUE(Search.O3.ok());
+
+    // The engine records for the -O3 binary what the serial baseline drew.
+    search::Genome O3;
+    O3.Passes = lir::o3Pipeline();
+    search::Evaluation Engine = Search.Engine.evaluateBatch({O3})[0];
+    EXPECT_EQ(Engine.BinaryHash, Search.O3.BinaryHash);
+    EXPECT_EQ(Engine.Samples, Search.O3.Samples);
+    EXPECT_EQ(Engine.MedianCycles, Search.O3.MedianCycles);
+
+    // A serial evaluation does not depend on what its evaluator measured
+    // before it: two fresh evaluators measure Android and -O2 in opposite
+    // orders.
+    RegionEvaluator A(App, Search.Region, Search.Captures, Search.Config);
+    RegionEvaluator B(App, Search.Region, Search.Captures, Search.Config);
+    search::Evaluation AndroidA = A.evaluateAndroid();
+    search::Evaluation O2A = A.evaluatePipeline(lir::o2Pipeline());
+    search::Evaluation O2B = B.evaluatePipeline(lir::o2Pipeline());
+    search::Evaluation AndroidB = B.evaluateAndroid();
+    ASSERT_TRUE(AndroidA.ok());
+    ASSERT_TRUE(O2A.ok());
+    ExpectSame(AndroidA, AndroidB);
+    ExpectSame(O2A, O2B);
+    ExpectSame(AndroidA, Search.Android);
+  }
+}
+
 // --- Content-keyed compile memos (DESIGN.md §18) ---------------------------
 
 TEST(CompileMemoTable, SharesByContent) {

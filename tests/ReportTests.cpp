@@ -99,7 +99,7 @@ TEST(Json, ParseHandlesEscapesAndNesting) {
   ASSERT_NE(Arr, nullptr);
   ASSERT_EQ(Arr->elements().size(), 3u);
   EXPECT_EQ(Arr->elements()[1].elements()[1].asNumber(), 3.0);
-  EXPECT_TRUE(Arr->elements()[2].find("k")->isNull());
+  EXPECT_EQ(Arr->elements()[2].find("k")->kind(), json::Value::Kind::Null);
 }
 
 TEST(Json, ParseRejectsGarbage) {

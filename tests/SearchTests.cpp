@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -14,6 +15,26 @@ using namespace ropt;
 using namespace ropt::search;
 
 namespace {
+
+/// Serial adapter over a per-genome callback, for synthetic landscapes.
+/// Evaluates strictly in batch order on the calling thread.
+class FunctionEvaluator : public BatchEvaluator {
+public:
+  explicit FunctionEvaluator(std::function<Evaluation(const Genome &)> Fn)
+      : Fn(std::move(Fn)) {}
+
+  std::vector<Evaluation>
+  evaluateBatch(const std::vector<Genome> &Genomes) override {
+    std::vector<Evaluation> Out;
+    Out.reserve(Genomes.size());
+    for (const Genome &G : Genomes)
+      Out.push_back(Fn(G));
+    return Out;
+  }
+
+private:
+  std::function<Evaluation(const Genome &)> Fn;
+};
 
 GenomeConfig config() { return GenomeConfig(); }
 

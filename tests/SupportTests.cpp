@@ -31,12 +31,6 @@ TEST(Format, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
 }
 
-TEST(Format, Pad) {
-  EXPECT_EQ(padLeft("ab", 5), "   ab");
-  EXPECT_EQ(padRight("ab", 5), "ab   ");
-  EXPECT_EQ(padLeft("abcdef", 3), "abcdef");
-}
-
 // --- Random -----------------------------------------------------------------
 
 TEST(Random, Deterministic) {
@@ -114,17 +108,6 @@ TEST(Random, LogNormalPositive) {
   Rng R(19);
   for (int I = 0; I != 100; ++I)
     EXPECT_GT(R.logNormal(0.0, 0.5), 0.0);
-}
-
-TEST(Random, WeightedIndexRespectsWeights) {
-  Rng R(23);
-  std::vector<double> W = {0.0, 1.0, 3.0};
-  int Counts[3] = {0, 0, 0};
-  for (int I = 0; I != 8000; ++I)
-    ++Counts[R.weightedIndex(W)];
-  EXPECT_EQ(Counts[0], 0);
-  EXPECT_GT(Counts[2], Counts[1] * 2);
-  EXPECT_LT(Counts[2], Counts[1] * 4);
 }
 
 TEST(Random, SplitStreamsIndependent) {
@@ -250,8 +233,6 @@ TEST(Statistics, CompareSamplesThreeWay) {
   // Degenerate inputs are never "different".
   EXPECT_EQ(compareSamples({}, Slow), SampleOrder::Indistinguishable);
   EXPECT_EQ(compareSamples(Fast, {}), SampleOrder::Indistinguishable);
-  EXPECT_STREQ(sampleOrderName(SampleOrder::Less), "less");
-  EXPECT_STREQ(sampleOrderName(SampleOrder::Greater), "greater");
 }
 
 TEST(Statistics, CompareSamplesMatchesSignificantlyLessPair) {
@@ -350,29 +331,6 @@ TEST(Statistics, RacingPowerUnderKnownGap) {
   EXPECT_GT(static_cast<double>(Stopped) / Trials, 0.95);
 }
 
-TEST(Statistics, BootstrapMeanCIContainsTruth) {
-  Rng R(101);
-  std::vector<double> Xs;
-  for (int I = 0; I != 200; ++I)
-    Xs.push_back(R.gaussian(10.0, 1.0));
-  BootstrapInterval CI = bootstrapMeanCI(Xs, 0.95, R);
-  EXPECT_LT(CI.Low, 10.0);
-  EXPECT_GT(CI.High, 10.0);
-  EXPECT_LT(CI.High - CI.Low, 1.0);
-}
-
-TEST(Statistics, BootstrapCIWidthShrinksWithN) {
-  Rng R(103);
-  std::vector<double> Small, Large;
-  for (int I = 0; I != 10; ++I)
-    Small.push_back(R.gaussian(5.0, 2.0));
-  for (int I = 0; I != 1000; ++I)
-    Large.push_back(R.gaussian(5.0, 2.0));
-  auto CIS = bootstrapMeanCI(Small, 0.95, R);
-  auto CIL = bootstrapMeanCI(Large, 0.95, R);
-  EXPECT_GT(CIS.High - CIS.Low, CIL.High - CIL.Low);
-}
-
 TEST(Statistics, BootstrapRatioCI) {
   Rng R(107);
   std::vector<double> A, B;
@@ -392,18 +350,14 @@ TEST(Serialize, RoundTripScalars) {
   W.writeU8(0xab);
   W.writeU32(0xdeadbeef);
   W.writeU64(0x0123456789abcdefULL);
-  W.writeI64(-42);
-  W.writeF64(3.14159);
   W.writeString("hello");
 
   ByteReader R(W.bytes());
   EXPECT_EQ(R.readU8(), 0xab);
   EXPECT_EQ(R.readU32(), 0xdeadbeefu);
   EXPECT_EQ(R.readU64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(R.readI64(), -42);
-  EXPECT_DOUBLE_EQ(R.readF64(), 3.14159);
   EXPECT_EQ(R.readString(), "hello");
-  EXPECT_TRUE(R.atEnd());
+  EXPECT_EQ(R.remaining(), 0u);
 }
 
 TEST(Serialize, RoundTripBytes) {
@@ -433,15 +387,4 @@ TEST(Serialize, Remaining) {
   EXPECT_EQ(R.remaining(), 8u);
   R.readU32();
   EXPECT_EQ(R.remaining(), 4u);
-}
-
-TEST(Serialize, NegativeDoubleAndSpecials) {
-  ByteWriter W;
-  W.writeF64(-0.0);
-  W.writeF64(1e308);
-  ByteReader R(W.bytes());
-  double NegZero = R.readF64();
-  EXPECT_EQ(NegZero, 0.0);
-  EXPECT_TRUE(std::signbit(NegZero));
-  EXPECT_DOUBLE_EQ(R.readF64(), 1e308);
 }
