@@ -55,9 +55,9 @@ search::GaConfig core::guidedGaConfig(const search::GaConfig &Base,
 SearchInputs
 SearchInputs::withKernelCosts(const os::KernelCostModel &Costs) const {
   SearchInputs Out = *this;
-  for (CapturedRegion &C : Out.Captures)
-    C.Cap.Overheads =
-        capture::CaptureOverheads::fromEvents(C.Cap.Events, Costs);
+  for (size_t I = 0; I != Captures->size(); ++I)
+    Out.Overheads[I] = capture::CaptureOverheads::fromEvents(
+        (*Captures)[I].Cap.Events, Costs);
   return Out;
 }
 
@@ -454,24 +454,27 @@ IterativeCompiler::captureRegionMulti(AppInstance &Instance,
 support::Result<SearchInputs>
 IterativeCompiler::captureInputs(ProfiledApp &Profiled,
                                  const profiler::HotRegion &Region) {
-  SearchInputs Out;
-  Out.Region = Region;
-  Out.Captures = captureRegionMulti(
+  std::vector<CapturedRegion> Captures = captureRegionMulti(
       *Profiled.Instance, Region,
       std::max(1, Config.Capture.CapturesPerRegion));
-  if (Out.Captures.empty())
+  if (Captures.empty())
     return support::Error(support::ErrorCode::CaptureFailed,
                           "capture failed");
+  SearchInputs Out;
+  Out.Region = Region;
   // The instance booted, profiled and captured the app: its runtime saw
   // every environment read and executed every session of the setup.
   const vm::Runtime &RT = Profiled.Instance->runtime();
   Out.EnvironmentReads = RT.environmentReads();
   Out.SetupCycles = RT.totalCycles();
   Out.SetupInsns = RT.totalInsns();
-  for (const CapturedRegion &C : Out.Captures) {
+  for (const CapturedRegion &C : Captures) {
+    Out.Overheads.push_back(C.Cap.Overheads);
     Out.SetupCycles += C.ReplayCycles;
     Out.SetupInsns += C.ReplayInsns;
   }
+  Out.Captures =
+      std::make_shared<const std::vector<CapturedRegion>>(std::move(Captures));
   return Out;
 }
 

@@ -166,7 +166,13 @@ struct CapturedRegion {
 /// profiles (IterativeCompiler::captureInputs).
 struct SearchInputs {
   profiler::HotRegion Region;
-  std::vector<CapturedRegion> Captures;
+  /// Never changed once captured, so every search that adopts these
+  /// inputs holds the same captures, maps and profiles (DESIGN.md §23).
+  std::shared_ptr<const std::vector<CapturedRegion>> Captures;
+  /// Overheads[I] is (*Captures)[I]'s capture overhead as this pipeline's
+  /// kernel cost model prices it: its Cap.Overheads where this pipeline
+  /// captured it, its own pricing where it adopted it (withKernelCosts).
+  std::vector<capture::CaptureOverheads> Overheads;
   /// The sharing witness: calls to natives that read the session
   /// environment (readInput, randomInt, currentTimeMillis) while the app
   /// was booted, profiled and captured. The seed reaches the app only
@@ -181,12 +187,12 @@ struct SearchInputs {
   /// True when no environment read happened: then the inputs are a
   /// function of the DexFile, the runtime configuration, the session
   /// parameter and the capture options — not of the seed — except for
-  /// the captures' Overheads, which the kernel cost model prices
-  /// (withKernelCosts).
+  /// Overheads, which the kernel cost model prices (withKernelCosts).
   bool seedIndependent() const { return EnvironmentReads == 0; }
 
-  /// A copy whose captures' Overheads are priced with \p Costs, as a
-  /// pipeline with those kernel costs would have recorded them.
+  /// These inputs with Overheads priced by \p Costs, as a pipeline with
+  /// those kernel costs would have recorded them. The captures are
+  /// shared, not copied.
   SearchInputs withKernelCosts(const os::KernelCostModel &Costs) const;
 };
 
@@ -355,7 +361,7 @@ struct RegionSearch {
   const PipelineConfig Config; ///< What the evaluators were built with.
   const SearchInputs Inputs;   ///< What the search was built from.
   const profiler::HotRegion &Region = Inputs.Region;
-  const std::vector<CapturedRegion> &Captures = Inputs.Captures;
+  const std::vector<CapturedRegion> &Captures = *Inputs.Captures;
   /// One compile memo for Baselines and every engine worker.
   const std::shared_ptr<lir::CompileMemo> Memo;
   /// The verdict memo under Baselines and every engine worker (null

@@ -81,8 +81,9 @@ bool DeviceClassState::setup(const DeviceClassState *Leader) {
   if (Leader && Leader->Search && Leader->Search->Inputs.seedIndependent()) {
     // The leader profiled and captured the sessions this class would: no
     // environment read let the seed in, and the kernel costs reach only
-    // the captures' overheads. The leader's work counts toward the cell's
-    // simulated work as if this class had executed it.
+    // the captures' overheads. This class holds the leader's captures and
+    // prices their overheads itself. The leader's work counts toward the
+    // cell's simulated work as if this class had executed it.
     assert(Leader->sessionParam() == sessionParam() &&
            "a leader must share the session input");
     Inputs =
@@ -111,7 +112,7 @@ bool DeviceClassState::setup(const DeviceClassState *Leader) {
   // binary once between them.
   std::shared_ptr<lir::CompileMemo> Memo;
   if (Memos)
-    Memo = Memos->memoFor(core::mergedTypeProfile(Inputs->Captures),
+    Memo = Memos->memoFor(core::mergedTypeProfile(*Inputs->Captures),
                           Config.Search.CompileSizeBudget);
   support::Result<std::unique_ptr<core::RegionSearch>> Prepared =
       Pipeline.prepareSearch(App, std::move(*Inputs), Verdicts,

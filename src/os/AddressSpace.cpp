@@ -211,9 +211,10 @@ const Mapping *AddressSpace::findMapping(uint64_t Addr) const {
 void AddressSpace::ensurePrivate(uint64_t PageNum, PageEntry &Entry) {
   // Every first write after takeSnapshot() lands here: the snapshot's
   // entry arrays hold a reference to every materialized page (so
-  // use_count > 1), a fetched source page is also held by its source,
-  // and lazy-zero pages have no backing yet. A private materialized page
-  // can only mean the dirty set already has this page.
+  // use_count > 1), a fetched source page is also held by its source, the
+  // zero page is held by zeroPage(), and lazy-zero pages have no backing
+  // yet. A private materialized page can only mean the dirty set already
+  // has this page.
   if (!Entry.Phys) {
     Entry.Phys = std::make_shared<PhysicalPage>();
     if (SnapshotArmed)
@@ -299,6 +300,39 @@ AccessResult AddressSpace::writeSlow(uint64_t Addr, const void *Data,
     Addr += Done;
     Buf += Done;
     Size -= Done;
+  }
+  return AccessResult::Ok;
+}
+
+const PhysPageRef &AddressSpace::zeroPage() {
+  static const PhysPageRef Zero = std::make_shared<PhysicalPage>();
+  return Zero;
+}
+
+AccessResult AddressSpace::zeroFill(uint64_t Addr, uint64_t Size,
+                                    uint64_t &ZeroPages) {
+  static const uint8_t Zeros[PageSize] = {};
+  while (Size > 0) {
+    uint64_t PageNum = pageNumber(Addr);
+    uint64_t Chunk = std::min(Size, PageSize - (Addr - pageBase(Addr)));
+    uint64_t Index = 0;
+    Region *R = OnFault ? nullptr
+                        : const_cast<Region *>(findRegion(PageNum, Index));
+    PageEntry *E = R ? &R->Entries[Index] : nullptr;
+    if (E && !R->Source && !E->Phys && (E->Prot & ProtWrite)) {
+      E->Phys = zeroPage();
+      if (SnapshotArmed)
+        Dirty.insert(PageNum);
+      ++ZeroPages;
+    } else {
+      AccessResult Result;
+      Chunk = accessChunk(Addr, const_cast<uint8_t *>(Zeros), Chunk,
+                          /*IsWrite=*/true, Result);
+      if (Result != AccessResult::Ok)
+        return Result;
+    }
+    Addr += Chunk;
+    Size -= Chunk;
   }
   return AccessResult::Ok;
 }

@@ -19,6 +19,11 @@
 /// materialized pages pay a reference-count bump. A lookup binary-searches
 /// the mappings (DESIGN.md §16).
 ///
+/// **Zero fill.** zeroFill points a page nobody wrote at one shared zero
+/// page rather than materializing zeros: the page stays unmaterialized,
+/// yet it is backed like a forked page, so its first write pays the same
+/// Copy-on-Write copy a zeroed page shared with a capture child pays.
+///
 /// **Demand paging.** A shared mapping reads a PageSource. Its null
 /// entries mean "not fetched yet", not "zero page": the slow access path
 /// fetches the source's page into the entry before it fills the
@@ -172,6 +177,21 @@ public:
     return writeSlow(Addr, Data, Size);
   }
 
+  /// Writes \p Size zero bytes at \p Addr. A page outside a capture window
+  /// (no fault handler installed) that is writable and has no backing yet
+  /// is pointed at the shared zero page instead of getting a zeroed copy
+  /// of its own, joins the dirty set while a snapshot is armed, and is
+  /// counted in \p ZeroPages. Every other page — materialized, protected
+  /// or source-backed, or any page while a handler is installed — takes
+  /// write()'s path, so a capture window sees today's faults and copies
+  /// (DESIGN.md §16).
+  AccessResult zeroFill(uint64_t Addr, uint64_t Size, uint64_t &ZeroPages);
+
+  /// The one all-zero page zeroFill shares. This reference keeps it shared
+  /// for the life of the process, so every write to it copies it first
+  /// and its bytes never change.
+  static const PhysPageRef &zeroPage();
+
   /// Typed helpers; assert on unaligned page-spanning is not required —
   /// they go through read()/write().
   AccessResult loadU64(uint64_t Addr, uint64_t &Out) {
@@ -217,7 +237,7 @@ public:
   AddressSpace forkClone() const;
 
   /// Returns the physical page ref for tests/capture; nullptr if unmapped
-  /// or an untouched zero page.
+  /// or an untouched zero page, zeroPage() for a zero-filled one.
   PhysPageRef physicalPage(uint64_t Addr) const;
 
   /// The pages of the mapping holding \p Addr as this space reads them

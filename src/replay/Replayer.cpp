@@ -136,8 +136,7 @@ public:
 
 // Cells is address-ordered, so runs of cells on one page share one
 // page-table lookup.
-bool replay::cellsMatch(const AddressSpace &Space,
-                        const std::map<uint64_t, uint64_t> &Cells) {
+bool replay::cellsMatch(const AddressSpace &Space, const CellList &Cells) {
   uint64_t Page = ~0ULL;
   bool Mapped = false;
   const uint8_t *Bytes = nullptr;
@@ -438,10 +437,12 @@ Replayer::interpretedReplay(const capture::Capture &Cap) {
       Cap, ReplayCode::Interpreter, nullptr, &Obs,
       [&Obs, &Out](AddressSpace &Space, const vm::CallResult &Result) {
         (void)Result;
+        // The write set is ordered, so Cells comes out sorted.
+        Out.Map.Cells.reserve(Obs.WrittenCells.size());
         for (uint64_t Addr : Obs.WrittenCells) {
           uint64_t Bits = 0;
           if (Space.peek(Addr, &Bits, sizeof(Bits)))
-            Out.Map.Cells[Addr] = Bits;
+            Out.Map.Cells.emplace_back(Addr, Bits);
         }
       });
   if (!Replay)

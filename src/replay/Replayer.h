@@ -47,6 +47,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 namespace ropt {
 namespace replay {
@@ -101,11 +103,17 @@ struct SessionStats {
   }
 };
 
+/// (address, bits) per cell, sorted by address, one entry per address.
+using CellList = std::vector<std::pair<uint64_t, uint64_t>>;
+
 /// Externally visible behaviour of one region execution: the final values
 /// of every heap/static cell the interpreted replay wrote, plus the return
-/// value (Section 3.4's verification map).
+/// value (Section 3.4's verification map). The cells are one flat array,
+/// built once from the interpreted replay's ordered write set: 16 bytes a
+/// cell, walked in address order by the compare and the verdict memo's
+/// key alike.
 struct VerificationMap {
-  std::map<uint64_t, uint64_t> Cells;
+  CellList Cells;
   bool HasReturn = false;
   uint64_t ReturnBits = 0;
 
@@ -116,8 +124,7 @@ struct VerificationMap {
 /// (an unmapped cell never does). The verified replay's compare: it reads
 /// each page's backing bytes in place, one page-table lookup per page,
 /// and stops at the first mismatch.
-bool cellsMatch(const os::AddressSpace &Space,
-                const std::map<uint64_t, uint64_t> &Cells);
+bool cellsMatch(const os::AddressSpace &Space, const CellList &Cells);
 
 /// Result of one replay.
 struct ReplayResult {

@@ -238,11 +238,13 @@ public:
   Evaluation announceIncumbent(const Evaluation &E) override;
 
   /// Worker threads the engine schedules over.
-  size_t jobs() const;
+  size_t jobs() const { return Jobs; }
   /// The engine's worker pool, for work that runs between batches (the
   /// pipeline's install measurements). Never call evaluateBatch() from a
-  /// task on it.
-  ThreadPool &pool() { return *Pool; }
+  /// task on it. The threads start on the first call, or on the first
+  /// batch step with work for more than one of them: an engine whose
+  /// sweeps all run inline never starts any.
+  ThreadPool &pool();
 
   const EngineCounters &counters() const { return Stats; }
   const EngineCacheStats &cacheStats() const { return Cache; }
@@ -258,6 +260,9 @@ private:
 
   /// Lazily constructs backends for slots [0, Count).
   void ensureBackends(size_t Count);
+  /// ThreadPool::parallelFor over pool(), run inline when it would use
+  /// one runner.
+  void sweep(size_t N, const std::function<void(size_t, size_t)> &Body);
   /// Rebuilds the public (outlier-cleaned) sample view of \p E from the
   /// raw samples stored for its binary hash.
   void finalizeFromRaw(Evaluation &E) const;
@@ -269,7 +274,8 @@ private:
   BackendFactory Factory;
   EngineOptions Options;
   uint64_t Seed;
-  std::unique_ptr<ThreadPool> Pool;
+  size_t Jobs;
+  std::unique_ptr<ThreadPool> Pool; ///< Built by pool().
   std::vector<std::unique_ptr<EvalBackend>> Backends;
 
   /// Level 1: canonical genome key -> compile outcome.

@@ -30,6 +30,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #if !defined(__GNUC__) && !defined(__clang__)
 #error "the executor dispatches by computed goto (GCC or Clang)"
@@ -347,14 +348,19 @@ Value Runtime::execMachine(const DecodedFunction &Fn,
   assert(Args.size() == Src.ParamCount && "argument count mismatch");
 
   // Frames overwhelmingly fit the inline buffer, so a call costs no
-  // allocation; only pathological register counts spill to the heap.
+  // allocation; only pathological register counts spill to the heap. The
+  // buffer is left uninitialized and only the frame's own registers are
+  // zeroed: the decoder faults every operand past NumRegs.
   const size_t FrameRegs = std::max<size_t>(Src.NumRegs, Args.size());
-  Value StackRegs[48];
+  union InlineRegs {
+    InlineRegs() {}
+    Value Regs[48];
+  } Stack;
   std::vector<Value> HeapRegs;
   Value *R;
   if (FrameRegs <= 48) {
-    std::fill_n(StackRegs, FrameRegs, Value());
-    R = StackRegs;
+    std::uninitialized_value_construct_n(Stack.Regs, FrameRegs);
+    R = Stack.Regs;
   } else {
     HeapRegs.resize(FrameRegs);
     R = HeapRegs.data(); // never resized below

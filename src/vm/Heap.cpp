@@ -41,24 +41,20 @@ uint64_t Heap::allocate(ObjKind Kind, uint32_t ClassOrElem, uint64_t Count,
     return 0;
   }
   // Fresh pages are zeroed by the simulated kernel, but a recycled replay
-  // space may hold stale bytes; zero the payload explicitly.
-  static const uint8_t Zeros[256] = {};
-  uint64_t Remaining = Bytes - sizeof(ObjectHeader);
-  uint64_t At = Ref + sizeof(ObjectHeader);
-  while (Remaining > 0) {
-    uint64_t Chunk = Remaining < sizeof(Zeros) ? Remaining : sizeof(Zeros);
-    if (Space.write(At, Zeros, Chunk) != os::AccessResult::Ok) {
-      Trap = TrapKind::MemoryFault;
-      return 0;
-    }
-    At += Chunk;
-    Remaining -= Chunk;
+  // space may hold stale bytes; zero the payload explicitly. A page nobody
+  // wrote yet shares the zero page instead of getting zeros of its own.
+  uint64_t ZeroPages = 0;
+  if (Space.zeroFill(Ref + sizeof(ObjectHeader), Bytes - sizeof(ObjectHeader),
+                     ZeroPages) != os::AccessResult::Ok) {
+    Trap = TrapKind::MemoryFault;
+    return 0;
   }
 
   writeControl(BumpOffsetSlot, Bump + Bytes);
   writeControl(BytesSinceGcSlot, readControl(BytesSinceGcSlot) + Bytes);
   ROPT_METRIC_INC("vm.heap_allocs");
   ROPT_METRIC_ADD("vm.heap_bytes", Bytes);
+  ROPT_METRIC_ADD("vm.heap_zero_fill_pages", ZeroPages);
   return Ref;
 }
 

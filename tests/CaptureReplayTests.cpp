@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -161,6 +162,45 @@ TEST(Capture, EventsAndOverheadsPopulated) {
   EXPECT_GT(Cap.Overheads.PreparationMs, 0.5);
   EXPECT_GT(Cap.Overheads.FaultCowMs, 0.0);
   EXPECT_LT(Cap.Overheads.totalMs(), 60.0);
+}
+
+// init() allocates a 16-page array and never writes it; the region writes
+// a word on each of its pages and allocates three pages of its own. The
+// window's events are the ones the allocator gave when it materialized
+// every zeroed page (these values were measured with that allocator): a
+// page left on the shared zero page pays the Copy-on-Write copy a zeroed
+// page shared with the capture child paid, and an allocation inside the
+// window faults and materializes its pages as before.
+TEST(Capture, UnwrittenAllocationsKeepTheWindowsEvents) {
+  workloads::Application App =
+      testprogs::fixtureApp(testprogs::FixtureInit::AllocatesCold);
+  core::IterativeCompiler Pipeline(core::PipelineConfig{});
+  core::AppInstance Instance(App, /*Seed=*/1);
+  int ZeroBacked = 0;
+  os::AddressSpace &Space = Instance.process().space();
+  for (uint64_t P = 0; P != 20; ++P)
+    ZeroBacked += Space.physicalPage(vm::Layout::HeapBase + P * os::PageSize) ==
+                  os::AddressSpace::zeroPage();
+  EXPECT_GE(ZeroBacked, 15); // the array's pages but its header's
+
+  profiler::HotRegion Region;
+  Region.Root = App.SessionEntry;
+  std::optional<core::CapturedRegion> C =
+      Pipeline.captureRegion(Instance, Region);
+  ASSERT_TRUE(C.has_value());
+  const CaptureEvents &E = C->Cap.Events;
+  EXPECT_EQ(E.MappedPagesAtFork, 10560u);
+  EXPECT_EQ(E.PagesProtected, 6485u);
+  EXPECT_EQ(E.ReadFaults, 2u);
+  EXPECT_EQ(E.WriteFaults, 19u);
+  EXPECT_EQ(E.CowCopies, 17u);
+  EXPECT_EQ(C->Cap.Pages.size(), 21u);
+  // The array's pages and the region's fresh ones are captured as zeros.
+  int ZeroPagesCaptured = 0;
+  for (const PageRecord &P : C->Cap.Pages)
+    ZeroPagesCaptured += std::all_of(P.Bytes.begin(), P.Bytes.end(),
+                                     [](uint8_t B) { return B == 0; });
+  EXPECT_EQ(ZeroPagesCaptured, 19);
 }
 
 TEST(Capture, CapturedBytesAreThePreRegionState) {
@@ -741,25 +781,31 @@ TEST(Replay, InPlaceCompareMatchesReferenceMap) {
     EXPECT_NE(os::pageNumber(Map.Cells.begin()->first),
               os::pageNumber(Map.Cells.rbegin()->first));
 
+    // The variants are built on a std::map model of the cells and handed
+    // to the compare as the flat list a verification map holds.
+    const std::map<uint64_t, uint64_t> Model(Map.Cells.begin(),
+                                             Map.Cells.end());
+    EXPECT_EQ(CellList(Model.begin(), Model.end()), Map.Cells)
+        << "cells not sorted by address, or repeated";
     std::vector<std::pair<std::string, std::map<uint64_t, uint64_t>>>
         Variants;
-    Variants.emplace_back("map", Map.Cells);
+    Variants.emplace_back("map", Model);
     Variants.emplace_back("empty", std::map<uint64_t, uint64_t>());
     std::vector<uint64_t> Addrs;
-    for (const auto &KV : Map.Cells)
+    for (const auto &KV : Model)
       Addrs.push_back(KV.first);
     const size_t Picks[] = {0, 1, Addrs.size() / 2, Addrs.size() - 1};
     for (size_t K : Picks) {
       for (unsigned Bit : {0u, 31u, 63u}) {
-        auto Cells = Map.Cells;
+        auto Cells = Model;
         Cells[Addrs[K]] ^= 1ULL << Bit;
         Variants.emplace_back(format("flip cell %zu bit %u", K, Bit),
                               std::move(Cells));
       }
-      auto Dropped = Map.Cells;
+      auto Dropped = Model;
       Dropped.erase(Addrs[K]);
       Variants.emplace_back(format("drop cell %zu", K), std::move(Dropped));
-      auto Moved = Map.Cells;
+      auto Moved = Model;
       uint64_t Bits = Moved[Addrs[K]];
       Moved.erase(Addrs[K]);
       Moved[0xdead0000ULL + 8 * K] = Bits;
@@ -767,7 +813,7 @@ TEST(Replay, InPlaceCompareMatchesReferenceMap) {
                             std::move(Moved));
     }
     for (uint64_t Unmapped : {0x0ULL, 0xdead0000ULL, 0xfffffff8ULL}) {
-      auto Cells = Map.Cells;
+      auto Cells = Model;
       Cells[Unmapped] = 0;
       Variants.emplace_back(format("add unmapped %#llx",
                                    static_cast<unsigned long long>(Unmapped)),
@@ -779,19 +825,20 @@ TEST(Replay, InPlaceCompareMatchesReferenceMap) {
     uint64_t Straddle = os::pageBase(Addrs[0]) + os::PageSize - 4;
     uint64_t StraddleBits = 0;
     ASSERT_TRUE(After.peek(Straddle, &StraddleBits, sizeof(StraddleBits)));
-    auto Straddled = Map.Cells;
+    auto Straddled = Model;
     Straddled[Straddle] = StraddleBits;
     Variants.emplace_back("straddle", Straddled);
     Straddled[Straddle] ^= 1ULL << 40;
     Variants.emplace_back("straddle flipped", std::move(Straddled));
-    auto IntoUnmapped = Map.Cells;
+    auto IntoUnmapped = Model;
     IntoUnmapped[vm::Layout::DataBase + vm::Layout::DataSize - 4] = 0;
     Variants.emplace_back("straddle into unmapped", std::move(IntoUnmapped));
 
     int Matching = 0, Mismatching = 0;
-    for (const auto &[Label, Cells] : Variants) {
+    for (const auto &[Label, ModelCells] : Variants) {
       SCOPED_TRACE(Label);
-      bool Reference = referenceCellsMatch(After, Cells);
+      const CellList Cells(ModelCells.begin(), ModelCells.end());
+      bool Reference = referenceCellsMatch(After, ModelCells);
       EXPECT_EQ(cellsMatch(After, Cells), Reference);
       (Reference ? Matching : Mismatching)++;
       // End to end, with the true return value, none, and a wrong one.

@@ -505,6 +505,8 @@ void expectSameSetup(const core::RegionSearch &X, const core::RegionSearch &Y) {
   EXPECT_EQ(X.Inputs.SetupCycles, Y.Inputs.SetupCycles);
   EXPECT_EQ(X.Inputs.SetupInsns, Y.Inputs.SetupInsns);
   ASSERT_EQ(X.Captures.size(), Y.Captures.size());
+  ASSERT_EQ(X.Inputs.Overheads.size(), X.Captures.size());
+  ASSERT_EQ(Y.Inputs.Overheads.size(), Y.Captures.size());
   for (size_t I = 0; I != X.Captures.size(); ++I) {
     const core::CapturedRegion &A = X.Captures[I], &B = Y.Captures[I];
     EXPECT_EQ(A.Cap.Root, B.Cap.Root);
@@ -538,9 +540,11 @@ void expectSameSetup(const core::RegionSearch &X, const core::RegionSearch &Y) {
     EXPECT_EQ(EA.ReadFaults, EB.ReadFaults);
     EXPECT_EQ(EA.WriteFaults, EB.WriteFaults);
     EXPECT_EQ(EA.CowCopies, EB.CowCopies);
-    EXPECT_EQ(A.Cap.Overheads.ForkMs, B.Cap.Overheads.ForkMs);
-    EXPECT_EQ(A.Cap.Overheads.PreparationMs, B.Cap.Overheads.PreparationMs);
-    EXPECT_EQ(A.Cap.Overheads.FaultCowMs, B.Cap.Overheads.FaultCowMs);
+    const capture::CaptureOverheads &OA = X.Inputs.Overheads[I],
+                                    &OB = Y.Inputs.Overheads[I];
+    EXPECT_EQ(OA.ForkMs, OB.ForkMs);
+    EXPECT_EQ(OA.PreparationMs, OB.PreparationMs);
+    EXPECT_EQ(OA.FaultCowMs, OB.FaultCowMs);
     EXPECT_EQ(A.Map.Cells, B.Map.Cells);
     EXPECT_EQ(A.Map.HasReturn, B.Map.HasReturn);
     EXPECT_EQ(A.Map.ReturnBits, B.Map.ReturnBits);
@@ -599,6 +603,48 @@ TEST(FleetSetup, SharedInputsEqualOwnSetup) {
   EXPECT_GT(Own, 0);
   RecordProperty("apps_shared", Shared);
   RecordProperty("apps_set_up", Own);
+}
+
+TEST(FleetSetup, FollowersShareTheLeadersCaptures) {
+  // A follower holds its leader's captures, verification maps and type
+  // profiles themselves, not copies; only the overheads its own kernel
+  // costs price are its own.
+  fleet::DeviceProfile LeaderProf, FollowerProf;
+  LeaderProf.CostScale = 0.8;
+  FollowerProf.Id = FollowerProf.ClassId = 1;
+  FollowerProf.Seed = 29;
+  FollowerProf.CostScale = 1.2;
+  core::PipelineConfig Base = fleetBase(/*Seed=*/1);
+  workloads::Application App = workloads::buildByName("Sieve");
+  fleet::DeviceClassState Leader(App, Base, LeaderProf);
+  fleet::DeviceClassState Follower(App, Base, FollowerProf);
+  ASSERT_TRUE(Leader.setup()) << Leader.failureReason();
+  ASSERT_TRUE(Follower.setup(&Leader)) << Follower.failureReason();
+  ASSERT_TRUE(Follower.adoptedInputs());
+
+  const core::RegionSearch &L = Leader.search(), &F = Follower.search();
+  EXPECT_EQ(F.Inputs.Captures, L.Inputs.Captures);
+  ASSERT_FALSE(F.Captures.empty());
+  const core::CapturedRegion &FC = F.Captures.front(),
+                             &LC = L.Captures.front();
+  EXPECT_EQ(&FC.Cap, &LC.Cap);
+  ASSERT_FALSE(LC.Cap.Pages.empty());
+  EXPECT_EQ(FC.Cap.Pages.front().Bytes.data(),
+            LC.Cap.Pages.front().Bytes.data());
+  EXPECT_EQ(&FC.Map, &LC.Map);
+  ASSERT_FALSE(LC.Map.Cells.empty());
+  EXPECT_EQ(FC.Map.Cells.data(), LC.Map.Cells.data());
+  EXPECT_EQ(&FC.Profile, &LC.Profile);
+
+  // The overheads are the follower's: its costs, the leader's events.
+  ASSERT_EQ(F.Inputs.Overheads.size(), F.Captures.size());
+  capture::CaptureOverheads Own = capture::CaptureOverheads::fromEvents(
+      LC.Cap.Events, F.Config.Capture.KernelCosts);
+  EXPECT_EQ(F.Inputs.Overheads.front().ForkMs, Own.ForkMs);
+  EXPECT_EQ(F.Inputs.Overheads.front().FaultCowMs, Own.FaultCowMs);
+  EXPECT_NE(F.Inputs.Overheads.front().ForkMs,
+            L.Inputs.Overheads.front().ForkMs);
+  EXPECT_EQ(L.Inputs.Overheads.front().ForkMs, LC.Cap.Overheads.ForkMs);
 }
 
 // --- (a) Determinism: bit-identical at any --jobs and across re-runs --------

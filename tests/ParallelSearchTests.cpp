@@ -22,11 +22,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 using namespace ropt;
@@ -192,6 +194,42 @@ bool sameEvaluation(const Evaluation &A, const Evaluation &B) {
 }
 
 } // namespace
+
+// --- EvaluationEngine: worker threads start with the first parallel sweep ----
+
+namespace {
+
+/// Threads of this process (Linux /proc), or -1 where that is unreadable.
+int processThreads() {
+  std::ifstream Status("/proc/self/status");
+  std::string Line;
+  while (std::getline(Status, Line))
+    if (Line.rfind("Threads:", 0) == 0)
+      return std::stoi(Line.substr(8));
+  return -1;
+}
+
+} // namespace
+
+TEST(EvaluationEngine, StartsItsThreadsOnTheFirstParallelBatch) {
+  int Before = processThreads();
+  if (Before < 0)
+    GTEST_SKIP() << "no /proc/self/status";
+  std::atomic<int> Compiles{0}, Measures{0};
+  EngineOptions Opts;
+  Opts.Jobs = 4;
+  EvaluationEngine Engine(
+      [&]() { return std::make_unique<SyntheticBackend>(Compiles, Measures); },
+      Opts, /*Seed=*/9);
+  EXPECT_EQ(Engine.jobs(), 4u);
+  EXPECT_EQ(processThreads(), Before);
+  // One genome is one compile: the sweep runs inline.
+  Engine.evaluateBatch(randomBatch(5, 1));
+  EXPECT_EQ(processThreads(), Before);
+  Engine.evaluateBatch(randomBatch(6, 16));
+  EXPECT_EQ(processThreads(), Before + 4);
+  EXPECT_EQ(Engine.jobs(), 4u);
+}
 
 // --- EvaluationEngine: determinism across worker counts ----------------------
 
@@ -800,7 +838,10 @@ TEST(VerdictMemo, SharedAcrossThreadsMatchesPrivateMemos) {
     std::vector<Evaluation> A, B;
     uint64_t Insns = 0; ///< Executed plus memoized.
   };
-  core::SearchInputs Inputs{*Profiled.Region, Captures};
+  core::SearchInputs Inputs;
+  Inputs.Region = *Profiled.Region;
+  Inputs.Captures =
+      std::make_shared<const std::vector<core::CapturedRegion>>(Captures);
   core::CompileMemoTable Compiled(*App.File);
   auto RunPair = [&](std::shared_ptr<replay::VerdictMemo> MemoA,
                      std::shared_ptr<replay::VerdictMemo> MemoB,

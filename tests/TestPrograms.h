@@ -224,6 +224,10 @@ enum class FixtureInit {
   DrawsRandom,   ///< Stores randomInt(1000), an environment read.
   DividesByDraw, ///< Divides its argument by randomInt(2): traps at the
                  ///< seeds that draw 0.
+  AllocatesCold, ///< Stores a constant, and allocates the 16-page i64 array
+                 ///< `cold` it never writes. A session then writes one
+                 ///< word on each of its pages and allocates a 3-page
+                 ///< array it drops.
 };
 
 /// A one-class application: init() sets the static `state` as \p Init
@@ -237,6 +241,9 @@ inline workloads::Application fixtureApp(FixtureInit Init) {
   DexBuilder B;
   ClassId Main = B.addClass("Main");
   StaticFieldId State = B.addStaticField(Main, "state", Type::I64);
+  const bool Cold = Init == FixtureInit::AllocatesCold;
+  StaticFieldId ColdArray =
+      Cold ? B.addStaticField(Main, "cold", Type::Ref) : StaticFieldId();
   NativeId Random =
       B.addNative("randomInt", 1, true, false, /*NonDeterministic=*/true);
   MethodId SumTo = defineSumTo(B);
@@ -272,6 +279,12 @@ inline workloads::Application fixtureApp(FixtureInit Init) {
     FI.invokeNative(K, Random, {K});
     FI.divI(V, FI.param(0), K);
     break;
+  case FixtureInit::AllocatesCold:
+    FI.constI(K, 16 * 512);
+    FI.newArray(K, K, Type::I64);
+    FI.putStatic(ColdArray, K);
+    FI.constI(V, 17);
+    break;
   }
   RegIdx Hundred = FI.immI(100), N = FI.newReg(), W = FI.newReg();
   FI.mulI(N, FI.param(0), Hundred);
@@ -289,6 +302,22 @@ inline workloads::Application fixtureApp(FixtureInit Init) {
   FS.addI(R, R, S);
   FS.invokeStatic(S, CountUp, {FS.param(0)});
   FS.addI(R, R, S);
+  if (Cold) {
+    RegIdx Arr = FS.newReg(), Len = FS.newReg(), I = FS.newReg(),
+           PageWords = FS.immI(512), Dropped = FS.newReg();
+    FS.getStatic(Arr, ColdArray);
+    FS.arrayLen(Len, Arr);
+    FS.constI(I, 0);
+    auto Head = FS.newLabel(), Done = FS.newLabel();
+    FS.bind(Head);
+    FS.ifGe(I, Len, Done);
+    FS.astore(Arr, I, FS.param(0), Type::I64);
+    FS.addI(I, I, PageWords);
+    FS.jump(Head);
+    FS.bind(Done);
+    FS.constI(I, 3 * 512);
+    FS.newArray(Dropped, I, Type::I64);
+  }
   FS.ret(R);
   B.endBody(FS);
 
