@@ -52,15 +52,6 @@ search::GaConfig core::guidedGaConfig(const search::GaConfig &Base,
 
 // --- RegionEvaluator ----------------------------------------------------------
 
-SearchInputs
-SearchInputs::withKernelCosts(const os::KernelCostModel &Costs) const {
-  SearchInputs Out = *this;
-  for (size_t I = 0; I != Captures->size(); ++I)
-    Out.Overheads[I] = capture::CaptureOverheads::fromEvents(
-        (*Captures)[I].Cap.Events, Costs);
-  return Out;
-}
-
 lir::TypeProfile
 core::mergedTypeProfile(const std::vector<CapturedRegion> &Captures) {
   lir::TypeProfile Merged;
@@ -469,7 +460,6 @@ IterativeCompiler::captureInputs(ProfiledApp &Profiled,
   Out.SetupCycles = RT.totalCycles();
   Out.SetupInsns = RT.totalInsns();
   for (const CapturedRegion &C : Captures) {
-    Out.Overheads.push_back(C.Cap.Overheads);
     Out.SetupCycles += C.ReplayCycles;
     Out.SetupInsns += C.ReplayInsns;
   }

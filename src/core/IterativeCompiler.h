@@ -168,11 +168,9 @@ struct SearchInputs {
   profiler::HotRegion Region;
   /// Never changed once captured, so every search that adopts these
   /// inputs holds the same captures, maps and profiles (DESIGN.md §23).
+  /// Their Cap.Overheads are priced by the capturing pipeline's kernel
+  /// costs.
   std::shared_ptr<const std::vector<CapturedRegion>> Captures;
-  /// Overheads[I] is (*Captures)[I]'s capture overhead as this pipeline's
-  /// kernel cost model prices it: its Cap.Overheads where this pipeline
-  /// captured it, its own pricing where it adopted it (withKernelCosts).
-  std::vector<capture::CaptureOverheads> Overheads;
   /// The sharing witness: calls to natives that read the session
   /// environment (readInput, randomInt, currentTimeMillis) while the app
   /// was booted, profiled and captured. The seed reaches the app only
@@ -187,13 +185,8 @@ struct SearchInputs {
   /// True when no environment read happened: then the inputs are a
   /// function of the DexFile, the runtime configuration, the session
   /// parameter and the capture options — not of the seed — except for
-  /// Overheads, which the kernel cost model prices (withKernelCosts).
+  /// the captures' Overheads, which the kernel cost model prices.
   bool seedIndependent() const { return EnvironmentReads == 0; }
-
-  /// These inputs with Overheads priced by \p Costs, as a pipeline with
-  /// those kernel costs would have recorded them. The captures are
-  /// shared, not copied.
-  SearchInputs withKernelCosts(const os::KernelCostModel &Costs) const;
 };
 
 /// The type profile merged across \p Captures: what a region's compile

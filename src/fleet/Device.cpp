@@ -81,13 +81,12 @@ bool DeviceClassState::setup(const DeviceClassState *Leader) {
   if (Leader && Leader->Search && Leader->Search->Inputs.seedIndependent()) {
     // The leader profiled and captured the sessions this class would: no
     // environment read let the seed in, and the kernel costs reach only
-    // the captures' overheads. This class holds the leader's captures and
-    // prices their overheads itself. The leader's work counts toward the
-    // cell's simulated work as if this class had executed it.
+    // the captures' overheads, which no search reads. This class holds
+    // the leader's captures. The leader's work counts toward the cell's
+    // simulated work as if this class had executed it.
     assert(Leader->sessionParam() == sessionParam() &&
            "a leader must share the session input");
-    Inputs =
-        Leader->Search->Inputs.withKernelCosts(Config.Capture.KernelCosts);
+    Inputs = Leader->Search->Inputs;
     Adopted = true;
     ROPT_METRIC_ADD("fleet.setup_shared_cycles", Inputs->SetupCycles);
     ROPT_METRIC_ADD("fleet.setup_shared_insns", Inputs->SetupInsns);

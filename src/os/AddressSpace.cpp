@@ -319,10 +319,15 @@ AccessResult AddressSpace::zeroFill(uint64_t Addr, uint64_t Size,
     Region *R = OnFault ? nullptr
                         : const_cast<Region *>(findRegion(PageNum, Index));
     PageEntry *E = R ? &R->Entries[Index] : nullptr;
-    if (E && !R->Source && !E->Phys && (E->Prot & ProtWrite)) {
-      E->Phys = zeroPage();
-      if (SnapshotArmed)
-        Dirty.insert(PageNum);
+    if (E && !R->Source && (E->Prot & ProtWrite) &&
+        (!E->Phys || E->Phys == zeroPage())) {
+      // A page already on the zero page holds these bytes: the snapshot
+      // shares it, or its first fill after takeSnapshot() made it dirty.
+      if (!E->Phys) {
+        E->Phys = zeroPage();
+        if (SnapshotArmed)
+          Dirty.insert(PageNum);
+      }
       ++ZeroPages;
     } else {
       AccessResult Result;

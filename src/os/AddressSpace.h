@@ -181,7 +181,8 @@ public:
   /// (no fault handler installed) that is writable and has no backing yet
   /// is pointed at the shared zero page instead of getting a zeroed copy
   /// of its own, joins the dirty set while a snapshot is armed, and is
-  /// counted in \p ZeroPages. Every other page — materialized, protected
+  /// counted in \p ZeroPages; one already on the zero page is left there
+  /// and counted. Every other page — materialized, protected
   /// or source-backed, or any page while a handler is installed — takes
   /// write()'s path, so a capture window sees today's faults and copies
   /// (DESIGN.md §16).

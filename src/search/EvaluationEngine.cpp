@@ -37,30 +37,16 @@ EvalKind search::evalKindForError(support::ErrorCode Code) {
 EvaluationEngine::EvaluationEngine(BackendFactory Factory,
                                    EngineOptions Options, uint64_t Seed)
     : Factory(std::move(Factory)), Options(Options), Seed(Seed) {
-  Jobs = Options.Jobs > 0 ? static_cast<size_t>(Options.Jobs)
-                          : ThreadPool::defaultThreadCount();
+  size_t Jobs = Options.Jobs > 0 ? static_cast<size_t>(Options.Jobs)
+                                 : ThreadPool::defaultThreadCount();
+  Pool = std::make_unique<ThreadPool>(Jobs);
   ROPT_METRIC_GAUGE_SET("search.parallel_workers",
                         static_cast<double>(Jobs));
 }
 
 EvaluationEngine::~EvaluationEngine() = default;
 
-ThreadPool &EvaluationEngine::pool() {
-  if (!Pool)
-    Pool = std::make_unique<ThreadPool>(Jobs);
-  return *Pool;
-}
-
-void EvaluationEngine::sweep(size_t N,
-                             const std::function<void(size_t, size_t)> &Body) {
-  // What parallelFor does with one runner, without starting the pool.
-  if (std::min(Jobs, N) <= 1) {
-    for (size_t I = 0; I != N; ++I)
-      Body(I, 0);
-    return;
-  }
-  pool().parallelFor(N, Body);
-}
+size_t EvaluationEngine::jobs() const { return Pool->size(); }
 
 void EvaluationEngine::ensureBackends(size_t Count) {
   // Backends are built serially on the calling thread so any RNG draws in
@@ -144,12 +130,12 @@ EvaluationEngine::evaluateBatch(const std::vector<Genome> &Genomes) {
           ? std::min(static_cast<size_t>(std::max(1, Options.MinReplays)),
                      MaxReplays)
           : MaxReplays;
-  ensureBackends(std::min(Jobs, CompileWork.size()));
+  ensureBackends(std::min(Pool->size(), CompileWork.size()));
   std::vector<CompiledBinary> Compiled(CompileWork.size());
   std::vector<Evaluation> Measured(CompileWork.size());
   std::mutex ClaimMutex;
   std::unordered_map<uint64_t, size_t> Claimed; // hash -> measuring task
-  sweep(CompileWork.size(), [&](size_t W, size_t Slot) {
+  Pool->parallelFor(CompileWork.size(), [&](size_t W, size_t Slot) {
     Compiled[W] = Backends[Slot]->compileGenome(Genomes[CompileWork[W]]);
     const CompiledBinary &B = Compiled[W];
     // BinaryCache is only written by the calling thread, after the sweep.
@@ -364,8 +350,8 @@ void EvaluationEngine::raceFreshBinaries(
 
     // Draw the granted blocks (parallel): sample i is a pure function of
     // (noise seed, i), so values are independent of scheduling.
-    ensureBackends(std::min(Jobs, Extensions.size()));
-    sweep(Extensions.size(), [&](size_t X, size_t Slot) {
+    ensureBackends(std::min(Pool->size(), Extensions.size()));
+    Pool->parallelFor(Extensions.size(), [&](size_t X, size_t Slot) {
       Extension &Ext = Extensions[X];
       Ext.Drawn = Backends[Slot]->extendSamples(
           *Ext.E, binaryNoiseSeed(Seed, Ext.E->BinaryHash), Ext.Begin,

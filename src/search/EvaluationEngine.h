@@ -237,14 +237,13 @@ public:
   /// its samples up to the full budget (no-op when racing is off).
   Evaluation announceIncumbent(const Evaluation &E) override;
 
-  /// Worker threads the engine schedules over.
-  size_t jobs() const { return Jobs; }
+  /// Worker threads the engine schedules over. They start on the first
+  /// sweep with work for more than one of them (ThreadPool).
+  size_t jobs() const;
   /// The engine's worker pool, for work that runs between batches (the
   /// pipeline's install measurements). Never call evaluateBatch() from a
-  /// task on it. The threads start on the first call, or on the first
-  /// batch step with work for more than one of them: an engine whose
-  /// sweeps all run inline never starts any.
-  ThreadPool &pool();
+  /// task on it.
+  ThreadPool &pool() { return *Pool; }
 
   const EngineCounters &counters() const { return Stats; }
   const EngineCacheStats &cacheStats() const { return Cache; }
@@ -260,9 +259,6 @@ private:
 
   /// Lazily constructs backends for slots [0, Count).
   void ensureBackends(size_t Count);
-  /// ThreadPool::parallelFor over pool(), run inline when it would use
-  /// one runner.
-  void sweep(size_t N, const std::function<void(size_t, size_t)> &Body);
   /// Rebuilds the public (outlier-cleaned) sample view of \p E from the
   /// raw samples stored for its binary hash.
   void finalizeFromRaw(Evaluation &E) const;
@@ -274,8 +270,7 @@ private:
   BackendFactory Factory;
   EngineOptions Options;
   uint64_t Seed;
-  size_t Jobs;
-  std::unique_ptr<ThreadPool> Pool; ///< Built by pool().
+  std::unique_ptr<ThreadPool> Pool;
   std::vector<std::unique_ptr<EvalBackend>> Backends;
 
   /// Level 1: canonical genome key -> compile outcome.

@@ -14,21 +14,25 @@ size_t ThreadPool::defaultThreadCount() {
   return N ? N : 1;
 }
 
-ThreadPool::ThreadPool(size_t Threads) {
-  if (Threads == 0)
-    Threads = defaultThreadCount();
-  Workers.reserve(Threads);
-  // Every worker has registered its name before the constructor returns,
-  // so a trace written right after a short parallelFor still names them.
-  std::latch Named(static_cast<std::ptrdiff_t>(Threads));
-  for (size_t I = 0; I != Threads; ++I)
-    Workers.emplace_back([this, I, &Named] {
-      TraceRecorder::instance().setCurrentThreadName(
-          "worker-" + std::to_string(I));
-      Named.count_down();
-      workerMain();
-    });
-  Named.wait();
+ThreadPool::ThreadPool(size_t Threads)
+    : Threads(Threads ? Threads : defaultThreadCount()) {}
+
+void ThreadPool::start() {
+  std::call_once(Started, [this] {
+    Workers.reserve(Threads);
+    // Every worker has registered its name before the first task is
+    // queued, so a trace written right after a short parallelFor still
+    // names them.
+    std::latch Named(static_cast<std::ptrdiff_t>(Threads));
+    for (size_t I = 0; I != Threads; ++I)
+      Workers.emplace_back([this, I, &Named] {
+        TraceRecorder::instance().setCurrentThreadName(
+            "worker-" + std::to_string(I));
+        Named.count_down();
+        workerMain();
+      });
+    Named.wait();
+  });
 }
 
 ThreadPool::~ThreadPool() {
@@ -58,6 +62,7 @@ void ThreadPool::workerMain() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> Task) {
+  start();
   std::packaged_task<void()> Packaged(std::move(Task));
   std::future<void> Future = Packaged.get_future();
   {

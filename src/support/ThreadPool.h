@@ -10,7 +10,9 @@
 /// carries exceptions), and `parallelFor()` for index-space fan-out with a
 /// stable *worker slot* id — each slot is only ever driven by one thread
 /// at a time, so callers can keep per-slot mutable state (replay
-/// sandboxes, RNGs) without any synchronization.
+/// sandboxes, RNGs) without any synchronization. The threads start on the
+/// first submit() or multi-runner parallelFor(), so a pool whose sweeps
+/// all run inline never starts any.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +41,10 @@ public:
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  size_t size() const { return Workers.size(); }
+  /// The configured thread count, whether or not the threads started.
+  size_t size() const { return Threads; }
+  /// Whether the threads started. Ask from the thread that uses the pool.
+  bool started() const { return !Workers.empty(); }
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static size_t defaultThreadCount();
@@ -57,8 +62,12 @@ public:
                    const std::function<void(size_t, size_t)> &Body);
 
 private:
+  /// Starts the threads once; returns when every one has its name.
+  void start();
   void workerMain();
 
+  size_t Threads;
+  std::once_flag Started;
   std::vector<std::thread> Workers;
   std::mutex Mutex;
   std::condition_variable Cv;

@@ -30,7 +30,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #if !defined(__GNUC__) && !defined(__clang__)
 #error "the executor dispatches by computed goto (GCC or Clang)"
@@ -348,19 +347,14 @@ Value Runtime::execMachine(const DecodedFunction &Fn,
   assert(Args.size() == Src.ParamCount && "argument count mismatch");
 
   // Frames overwhelmingly fit the inline buffer, so a call costs no
-  // allocation; only pathological register counts spill to the heap. The
-  // buffer is left uninitialized and only the frame's own registers are
-  // zeroed: the decoder faults every operand past NumRegs.
+  // allocation; only pathological register counts spill to the heap.
   const size_t FrameRegs = std::max<size_t>(Src.NumRegs, Args.size());
-  union InlineRegs {
-    InlineRegs() {}
-    Value Regs[48];
-  } Stack;
+  Value StackRegs[48];
   std::vector<Value> HeapRegs;
   Value *R;
   if (FrameRegs <= 48) {
-    std::uninitialized_value_construct_n(Stack.Regs, FrameRegs);
-    R = Stack.Regs;
+    std::fill_n(StackRegs, FrameRegs, Value());
+    R = StackRegs;
   } else {
     HeapRegs.resize(FrameRegs);
     R = HeapRegs.data(); // never resized below

@@ -505,8 +505,6 @@ void expectSameSetup(const core::RegionSearch &X, const core::RegionSearch &Y) {
   EXPECT_EQ(X.Inputs.SetupCycles, Y.Inputs.SetupCycles);
   EXPECT_EQ(X.Inputs.SetupInsns, Y.Inputs.SetupInsns);
   ASSERT_EQ(X.Captures.size(), Y.Captures.size());
-  ASSERT_EQ(X.Inputs.Overheads.size(), X.Captures.size());
-  ASSERT_EQ(Y.Inputs.Overheads.size(), Y.Captures.size());
   for (size_t I = 0; I != X.Captures.size(); ++I) {
     const core::CapturedRegion &A = X.Captures[I], &B = Y.Captures[I];
     EXPECT_EQ(A.Cap.Root, B.Cap.Root);
@@ -540,11 +538,8 @@ void expectSameSetup(const core::RegionSearch &X, const core::RegionSearch &Y) {
     EXPECT_EQ(EA.ReadFaults, EB.ReadFaults);
     EXPECT_EQ(EA.WriteFaults, EB.WriteFaults);
     EXPECT_EQ(EA.CowCopies, EB.CowCopies);
-    const capture::CaptureOverheads &OA = X.Inputs.Overheads[I],
-                                    &OB = Y.Inputs.Overheads[I];
-    EXPECT_EQ(OA.ForkMs, OB.ForkMs);
-    EXPECT_EQ(OA.PreparationMs, OB.PreparationMs);
-    EXPECT_EQ(OA.FaultCowMs, OB.FaultCowMs);
+    // Not Cap.Overheads: the capturing pipeline's kernel costs price
+    // them, so a follower holds its leader's.
     EXPECT_EQ(A.Map.Cells, B.Map.Cells);
     EXPECT_EQ(A.Map.HasReturn, B.Map.HasReturn);
     EXPECT_EQ(A.Map.ReturnBits, B.Map.ReturnBits);
@@ -607,8 +602,7 @@ TEST(FleetSetup, SharedInputsEqualOwnSetup) {
 
 TEST(FleetSetup, FollowersShareTheLeadersCaptures) {
   // A follower holds its leader's captures, verification maps and type
-  // profiles themselves, not copies; only the overheads its own kernel
-  // costs price are its own.
+  // profiles themselves, not copies.
   fleet::DeviceProfile LeaderProf, FollowerProf;
   LeaderProf.CostScale = 0.8;
   FollowerProf.Id = FollowerProf.ClassId = 1;
@@ -635,16 +629,6 @@ TEST(FleetSetup, FollowersShareTheLeadersCaptures) {
   ASSERT_FALSE(LC.Map.Cells.empty());
   EXPECT_EQ(FC.Map.Cells.data(), LC.Map.Cells.data());
   EXPECT_EQ(&FC.Profile, &LC.Profile);
-
-  // The overheads are the follower's: its costs, the leader's events.
-  ASSERT_EQ(F.Inputs.Overheads.size(), F.Captures.size());
-  capture::CaptureOverheads Own = capture::CaptureOverheads::fromEvents(
-      LC.Cap.Events, F.Config.Capture.KernelCosts);
-  EXPECT_EQ(F.Inputs.Overheads.front().ForkMs, Own.ForkMs);
-  EXPECT_EQ(F.Inputs.Overheads.front().FaultCowMs, Own.FaultCowMs);
-  EXPECT_NE(F.Inputs.Overheads.front().ForkMs,
-            L.Inputs.Overheads.front().ForkMs);
-  EXPECT_EQ(L.Inputs.Overheads.front().ForkMs, LC.Cap.Overheads.ForkMs);
 }
 
 // --- (a) Determinism: bit-identical at any --jobs and across re-runs --------

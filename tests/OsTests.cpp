@@ -677,6 +677,7 @@ struct RefSpace {
   bool Structural = false;
   MemoryStats Stats;
   int Handler = 0; ///< 0: none; 1: unprotects and retries; 2: only retries.
+  uint64_t ZeroRefills = 0; ///< Pages zeroFill found on the zero page.
 
   explicit RefSpace(RefStore &Store) : Store(Store) {}
   RefSpace(const RefSpace &) = delete;
@@ -796,19 +797,25 @@ struct RefSpace {
   }
 
   /// zeroFill: outside a capture window (no handler), a writable lazy
-  /// zero page takes the shared zero page; any other page is written.
+  /// zero page takes the shared zero page, and one already on it stays
+  /// there untouched (counted in ZeroRefills); any other page is written.
   AccessResult zeroFill(uint64_t Addr, uint64_t Size, uint64_t &ZeroPages) {
     std::array<uint8_t, PageSize> Zeros{};
     while (Size > 0) {
       uint64_t P = pageNumber(Addr);
       uint64_t Chunk = std::min(Size, PageSize - (Addr - pageBase(Addr)));
       auto It = Pages.find(P);
-      if (Handler == 0 && It != Pages.end() && It->second.Phys == 0 &&
+      if (Handler == 0 && It != Pages.end() &&
+          (It->second.Phys == 0 || It->second.Phys == Store.ZeroId) &&
           (It->second.Prot & ProtWrite)) {
-        It->second.Phys = Store.ZeroId;
-        Store.hold(Store.ZeroId);
-        if (Armed)
-          Dirty.insert(P);
+        if (It->second.Phys == Store.ZeroId) {
+          ++ZeroRefills;
+        } else {
+          It->second.Phys = Store.ZeroId;
+          Store.hold(Store.ZeroId);
+          if (Armed)
+            Dirty.insert(P);
+        }
         ++ZeroPages;
       } else if (AccessResult Result = access(Addr, Zeros.data(), Chunk,
                                               /*IsWrite=*/true);
@@ -969,6 +976,7 @@ void expectMatches(AddressSpace &Space, RefSpace &Ref,
 /// page, and fills inside a capture window (a handler installed).
 struct ZeroFillCounts {
   uint64_t SharedPages = 0;
+  uint64_t Refills = 0; ///< Of SharedPages, those already on the zero page.
   uint64_t WindowFills = 0;
 };
 
@@ -1153,10 +1161,11 @@ void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts) {
         Addr = It->first * PageSize + R.below(PageSize);
       }
       uint64_t Size = R.chance(0.5) ? RandomSize() : 1 + R.below(4 * PageSize);
-      uint64_t Got = 0, Want = 0;
+      uint64_t Got = 0, Want = 0, Refills = Ref.ZeroRefills;
       EXPECT_EQ(Space.zeroFill(Addr, Size, Got), Ref.zeroFill(Addr, Size, Want));
       EXPECT_EQ(Got, Want);
       Counts.SharedPages += Got;
+      Counts.Refills += Ref.ZeroRefills - Refills;
       Counts.WindowFills += Ref.Handler != 0;
       break;
     }
@@ -1189,7 +1198,12 @@ TEST(AddressSpace, MatchesReferenceModel) {
     if (::testing::Test::HasFailure())
       return;
   }
-  // Both sides of the rule ran (563 and 2,435 of them when written).
+  RecordProperty("shared_pages", std::to_string(Counts.SharedPages));
+  RecordProperty("refills", std::to_string(Counts.Refills));
+  RecordProperty("window_fills", std::to_string(Counts.WindowFills));
+  // Both sides of the rule ran, and fills found pages already on the
+  // zero page (611, 48 and 2,435 when written).
   EXPECT_GT(Counts.SharedPages, 250u);
+  EXPECT_GT(Counts.Refills, 20u);
   EXPECT_GT(Counts.WindowFills, 1000u);
 }

@@ -22,13 +22,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <thread>
 
 using namespace ropt;
@@ -97,6 +95,21 @@ TEST(ThreadPool, CleanShutdownWithQueuedWork) {
   SUCCEED();
 }
 
+TEST(ThreadPool, StartsItsThreadsOnFirstUse) {
+  ThreadPool Pool(4);
+  EXPECT_EQ(Pool.size(), 4u);
+  EXPECT_FALSE(Pool.started());
+  Pool.parallelFor(1, [](size_t, size_t) {}); // one runner: inline
+  EXPECT_FALSE(Pool.started());
+  Pool.parallelFor(8, [](size_t, size_t) {});
+  EXPECT_TRUE(Pool.started());
+  EXPECT_EQ(Pool.size(), 4u);
+
+  ThreadPool Submitted(2);
+  Submitted.submit([] {}).get();
+  EXPECT_TRUE(Submitted.started());
+}
+
 TEST(ThreadPool, SingleThreadPoolRunsInline) {
   ThreadPool Pool(1);
   std::thread::id Caller = std::this_thread::get_id();
@@ -108,6 +121,7 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   ASSERT_EQ(Seen.size(), 5u);
   for (std::thread::id Id : Seen)
     EXPECT_EQ(Id, Caller);
+  EXPECT_FALSE(Pool.started());
 }
 
 // --- A deterministic synthetic backend for engine tests ----------------------
@@ -197,24 +211,7 @@ bool sameEvaluation(const Evaluation &A, const Evaluation &B) {
 
 // --- EvaluationEngine: worker threads start with the first parallel sweep ----
 
-namespace {
-
-/// Threads of this process (Linux /proc), or -1 where that is unreadable.
-int processThreads() {
-  std::ifstream Status("/proc/self/status");
-  std::string Line;
-  while (std::getline(Status, Line))
-    if (Line.rfind("Threads:", 0) == 0)
-      return std::stoi(Line.substr(8));
-  return -1;
-}
-
-} // namespace
-
 TEST(EvaluationEngine, StartsItsThreadsOnTheFirstParallelBatch) {
-  int Before = processThreads();
-  if (Before < 0)
-    GTEST_SKIP() << "no /proc/self/status";
   std::atomic<int> Compiles{0}, Measures{0};
   EngineOptions Opts;
   Opts.Jobs = 4;
@@ -222,12 +219,12 @@ TEST(EvaluationEngine, StartsItsThreadsOnTheFirstParallelBatch) {
       [&]() { return std::make_unique<SyntheticBackend>(Compiles, Measures); },
       Opts, /*Seed=*/9);
   EXPECT_EQ(Engine.jobs(), 4u);
-  EXPECT_EQ(processThreads(), Before);
+  EXPECT_FALSE(Engine.pool().started());
   // One genome is one compile: the sweep runs inline.
   Engine.evaluateBatch(randomBatch(5, 1));
-  EXPECT_EQ(processThreads(), Before);
+  EXPECT_FALSE(Engine.pool().started());
   Engine.evaluateBatch(randomBatch(6, 16));
-  EXPECT_EQ(processThreads(), Before + 4);
+  EXPECT_TRUE(Engine.pool().started());
   EXPECT_EQ(Engine.jobs(), 4u);
 }
 
@@ -838,10 +835,9 @@ TEST(VerdictMemo, SharedAcrossThreadsMatchesPrivateMemos) {
     std::vector<Evaluation> A, B;
     uint64_t Insns = 0; ///< Executed plus memoized.
   };
-  core::SearchInputs Inputs;
-  Inputs.Region = *Profiled.Region;
-  Inputs.Captures =
-      std::make_shared<const std::vector<core::CapturedRegion>>(Captures);
+  core::SearchInputs Inputs{
+      *Profiled.Region,
+      std::make_shared<const std::vector<core::CapturedRegion>>(Captures)};
   core::CompileMemoTable Compiled(*App.File);
   auto RunPair = [&](std::shared_ptr<replay::VerdictMemo> MemoA,
                      std::shared_ptr<replay::VerdictMemo> MemoB,
