@@ -40,7 +40,7 @@ std::vector<uint8_t> Capture::serialize() const {
   W.writeU32(static_cast<uint32_t>(Pages.size()));
   for (const PageRecord &P : Pages) {
     W.writeU64(P.Addr);
-    W.writeBytes(P.Bytes.data(), P.Bytes.size());
+    W.writeBytes(P.Page->Data.data(), os::PageSize);
   }
   W.writeU32(static_cast<uint32_t>(FileMaps.size()));
   for (const FileMapRecord &F : FileMaps) {
@@ -87,10 +87,11 @@ bool Capture::deserialize(const std::vector<uint8_t> &Bytes, Capture &Out) {
   for (uint32_t I = 0; I != NumPages; ++I) {
     PageRecord P;
     P.Addr = R.readU64();
-    P.Bytes.resize(os::PageSize);
     if (R.remaining() < os::PageSize)
       return false;
-    R.readBytes(P.Bytes.data(), P.Bytes.size());
+    auto Page = std::make_shared<os::PhysicalPage>();
+    R.readBytes(Page->Data.data(), os::PageSize);
+    P.Page = std::move(Page);
     Out.Pages.push_back(std::move(P));
   }
   uint32_t NumFiles = R.readU32();

@@ -55,7 +55,11 @@ struct CaptureOverheads {
 /// One captured page (pre-region-execution content).
 struct PageRecord {
   uint64_t Addr = 0;
-  std::vector<uint8_t> Bytes; ///< os::PageSize bytes.
+  /// The page's bytes, built once when the capture is collected or read
+  /// back and never changed after: replay sessions map this very page
+  /// (DESIGN.md §16), so an edit replaces it with a new one. Copies of
+  /// the capture share it.
+  std::shared_ptr<const os::PhysicalPage> Page;
 };
 
 /// A file-backed mapping reference: never captured, only logged.

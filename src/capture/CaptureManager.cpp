@@ -119,12 +119,13 @@ void CaptureManager::onRegionExit() {
   Cap.BootId = RT.config().BootId;
   Cap.Mappings = SavedMappings;
   for (uint64_t Addr : AccessedPages) {
+    auto Page = std::make_shared<os::PhysicalPage>();
+    [[maybe_unused]] bool Ok =
+        Child->space().peek(Addr, Page->Data.data(), PageSize);
+    assert(Ok && "accessed page missing from the forked snapshot");
     PageRecord P;
     P.Addr = Addr;
-    P.Bytes.resize(PageSize);
-    [[maybe_unused]] bool Ok =
-        Child->space().peek(Addr, P.Bytes.data(), PageSize);
-    assert(Ok && "accessed page missing from the forked snapshot");
+    P.Page = std::move(Page);
     Cap.Pages.push_back(std::move(P));
   }
   for (const Mapping &M : SavedMappings) {

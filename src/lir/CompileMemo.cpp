@@ -436,8 +436,11 @@ struct CompileMemo::Impl {
       return R;
     }
     L.unlock();
-    LFunction Fn = fromHGraph(hgraph::buildHGraph(Owner.File, Id),
-                              TranslateOptions());
+    LFunction Fn = [&] {
+      ROPT_TRACE_SPAN("compile.frontend");
+      return fromHGraph(hgraph::buildHGraph(Owner.File, Id),
+                        TranslateOptions());
+    }();
     bool Over = Fn.instructionCount() > Owner.SizeBudget;
     std::string Bytes = encodeIR(Fn);
     uint64_t Hash = hashBytes(Bytes);
@@ -494,7 +497,11 @@ struct CompileMemo::Impl {
       return Decoded;
     MachinePtr Fn = E.Fn;
     L.unlock();
-    DecodedPtr Decoded = vm::decodeMachineFunction(Fn);
+    DecodedPtr Decoded;
+    {
+      ROPT_TRACE_SPAN("compile.codegen");
+      Decoded = vm::decodeMachineFunction(Fn);
+    }
     L.lock();
     // The entry may have been evicted meanwhile, or decoded by another
     // thread; then only the sharing of this decoding is lost.
@@ -568,7 +575,11 @@ struct CompileMemo::Impl {
         materialize(L, Walk, Pipeline, Work);
       L.unlock();
       std::string Error;
-      bool Valid = Work->Fn.verify(Error);
+      bool Valid;
+      {
+        ROPT_TRACE_SPAN("compile.verify");
+        Valid = Work->Fn.verify(Error);
+      }
       L.lock();
       States[Final].Verified = Valid ? 1 : 0;
     }
@@ -587,8 +598,13 @@ struct CompileMemo::Impl {
     if (!Work)
       materialize(L, Walk, Pipeline, Work);
     L.unlock();
-    MachinePtr Fn = emitMachine(std::move(Work->Fn), RegAlloc);
-    DecodedPtr Decoded = vm::decodeMachineFunction(Fn);
+    MachinePtr Fn;
+    DecodedPtr Decoded;
+    {
+      ROPT_TRACE_SPAN("compile.codegen");
+      Fn = emitMachine(std::move(Work->Fn), RegAlloc);
+      Decoded = vm::decodeMachineFunction(Fn);
+    }
     L.lock();
     if (auto It = Codes.find(Key); It != Codes.end())
       return {CompileStatus::Ok, decodedCode(L, Key, It->second)}; // Identical.

@@ -59,10 +59,12 @@ void AddressSpace::mapPages(uint64_t Start, uint64_t NumPages, uint8_t Prot,
   size_t Pos = regionFrom(Start);
   assert((Pos == Regions.size() || R.Map.End <= Regions[Pos].Map.Start) &&
          "mapping overlaps existing pages");
-  // Nothing is fetched or allocated yet: a source page is fetched on first
-  // touch (and copied by ensurePrivate on the first write, since the
-  // source still holds it), a zero page materializes on first write.
-  R.Entries.assign(NumPages, {nullptr, Prot});
+  // Nothing is fetched or allocated yet, not even a chunk: a source page
+  // is fetched on first touch (and copied by ensurePrivate on the first
+  // write, since the source still holds it), a zero page materializes on
+  // first write.
+  R.Default.Prot = Prot;
+  R.Chunks.resize((NumPages + ChunkPages - 1) / ChunkPages);
   R.Source = std::move(Source);
   Regions.insert(Regions.begin() + Pos, std::move(R));
   invalidateTranslations();
@@ -97,19 +99,57 @@ const AddressSpace::Region *AddressSpace::findRegion(uint64_t PageNum,
   return &R;
 }
 
+AddressSpace::PageEntry &AddressSpace::Region::materialize(uint64_t Index) {
+  std::unique_ptr<EntryChunk> &C = Chunks[Index / ChunkPages];
+  if (!C) {
+    C = std::make_unique<EntryChunk>();
+    C->fill(Default);
+  }
+  return (*C)[Index % ChunkPages];
+}
+
+AddressSpace::ChunkTable AddressSpace::Region::slice(uint64_t First,
+                                                     uint64_t Count) {
+  ChunkTable Out((Count + ChunkPages - 1) / ChunkPages);
+  for (uint64_t I = 0; I != Count; ++I) {
+    std::unique_ptr<EntryChunk> &From = Chunks[(First + I) / ChunkPages];
+    if (!From)
+      continue;
+    std::unique_ptr<EntryChunk> &To = Out[I / ChunkPages];
+    if (!To) {
+      To = std::make_unique<EntryChunk>();
+      To->fill(Default);
+    }
+    (*To)[I % ChunkPages] = std::move((*From)[(First + I) % ChunkPages]);
+  }
+  return Out;
+}
+
+void AddressSpace::copyChunks(const ChunkTable &From, ChunkTable &To) {
+  To.resize(From.size());
+  for (size_t I = 0; I != From.size(); ++I) {
+    if (!From[I])
+      To[I].reset();
+    else if (To[I])
+      *To[I] = *From[I];
+    else
+      To[I] = std::make_unique<EntryChunk>(*From[I]);
+  }
+}
+
 const AddressSpace::PageEntry *
 AddressSpace::findEntry(uint64_t PageNum) const {
   uint64_t Index = 0;
   const Region *R = findRegion(PageNum, Index);
-  return R ? &R->Entries[Index] : nullptr;
+  return R ? &R->entry(Index) : nullptr;
 }
 
 AddressSpace::PageEntry *AddressSpace::fetchEntry(uint64_t PageNum) {
   uint64_t Index = 0;
-  Region *R = const_cast<Region *>(findRegion(PageNum, Index));
+  Region *R = findRegion(PageNum, Index);
   if (!R)
     return nullptr;
-  PageEntry &E = R->Entries[Index];
+  PageEntry &E = R->materialize(Index);
   if (!E.Phys && R->Source)
     E.Phys = R->Source->page(R->SourceFirst + Index);
   return &E;
@@ -120,7 +160,7 @@ const PhysPageRef *AddressSpace::currentPage(uint64_t PageNum) const {
   const Region *R = findRegion(PageNum, Index);
   if (!R)
     return nullptr;
-  const PageEntry &E = R->Entries[Index];
+  const PageEntry &E = R->entry(Index);
   if (E.Phys || !R->Source)
     return &E.Phys;
   return &R->Source->page(R->SourceFirst + Index);
@@ -134,29 +174,31 @@ void AddressSpace::unmapRegion(uint64_t Start, uint64_t Size) {
     Region &R = Regions[I];
     uint64_t CutLo = std::max(Lo, R.Map.Start);
     uint64_t CutHi = std::min(Hi, R.Map.End);
-    auto Entry = [&R](uint64_t Addr) {
-      return R.Entries.begin() + (Addr - R.Map.Start) / PageSize;
+    auto Index = [&R](uint64_t Addr) {
+      return (Addr - R.Map.Start) / PageSize;
     };
     if (CutLo == R.Map.Start && CutHi == R.Map.End) {
       Regions.erase(Regions.begin() + I);
       continue;
     }
+    // What stays is re-chunked from its own first page. Only the loader
+    // trims or splits a mapping, a few times per restored space.
     if (CutLo == R.Map.Start) { // trim the head
-      R.Entries.erase(R.Entries.begin(), Entry(CutHi));
-      R.SourceFirst += (CutHi - R.Map.Start) / PageSize;
+      R.Chunks = R.slice(Index(CutHi), Index(R.Map.End) - Index(CutHi));
+      R.SourceFirst += Index(CutHi);
       R.Map.Start = CutHi;
     } else if (CutHi == R.Map.End) { // trim the tail
-      R.Entries.erase(Entry(CutLo), R.Entries.end());
+      R.Chunks = R.slice(0, Index(CutLo));
       R.Map.End = CutLo;
     } else { // punch a hole: the pages above it become a mapping of their own
       Region Tail;
       Tail.Map = R.Map;
       Tail.Map.Start = CutHi;
+      Tail.Default = R.Default;
       Tail.Source = R.Source;
-      Tail.SourceFirst = R.SourceFirst + (CutHi - R.Map.Start) / PageSize;
-      Tail.Entries.assign(std::make_move_iterator(Entry(CutHi)),
-                          std::make_move_iterator(R.Entries.end()));
-      R.Entries.erase(Entry(CutLo), R.Entries.end());
+      Tail.SourceFirst = R.SourceFirst + Index(CutHi);
+      Tail.Chunks = R.slice(Index(CutHi), Index(R.Map.End) - Index(CutHi));
+      R.Chunks = R.slice(0, Index(CutLo));
       R.Map.End = CutLo;
       Regions.insert(Regions.begin() + I + 1, std::move(Tail));
       break; // the tail starts at Hi
@@ -178,9 +220,9 @@ void AddressSpace::protectRange(uint64_t Start, uint64_t Size, uint8_t Prot) {
     uint64_t From = std::max(Lo, R.Map.Start);
     uint64_t To = std::min(Hi, R.Map.End);
     for (uint64_t Addr = From; Addr != To; Addr += PageSize) {
-      PageEntry &E = R.Entries[(Addr - R.Map.Start) / PageSize];
-      if (E.Prot != Prot) {
-        E.Prot = Prot;
+      uint64_t Index = (Addr - R.Map.Start) / PageSize;
+      if (R.entry(Index).Prot != Prot) {
+        R.materialize(Index).Prot = Prot;
         ++Stats.PagesProtected;
         if (SnapshotArmed)
           Dirty.insert(pageNumber(Addr)); // reset must re-arm the protection
@@ -210,7 +252,7 @@ const Mapping *AddressSpace::findMapping(uint64_t Addr) const {
 
 void AddressSpace::ensurePrivate(uint64_t PageNum, PageEntry &Entry) {
   // Every first write after takeSnapshot() lands here: the snapshot's
-  // entry arrays hold a reference to every materialized page (so
+  // chunks hold a reference to every materialized page (so
   // use_count > 1), a fetched source page is also held by its source, the
   // zero page is held by zeroPage(), and lazy-zero pages have no backing
   // yet. A private materialized page can only mean the dirty set already
@@ -316,15 +358,14 @@ AccessResult AddressSpace::zeroFill(uint64_t Addr, uint64_t Size,
     uint64_t PageNum = pageNumber(Addr);
     uint64_t Chunk = std::min(Size, PageSize - (Addr - pageBase(Addr)));
     uint64_t Index = 0;
-    Region *R = OnFault ? nullptr
-                        : const_cast<Region *>(findRegion(PageNum, Index));
-    PageEntry *E = R ? &R->Entries[Index] : nullptr;
+    Region *R = OnFault ? nullptr : findRegion(PageNum, Index);
+    const PageEntry *E = R ? &R->entry(Index) : nullptr;
     if (E && !R->Source && (E->Prot & ProtWrite) &&
         (!E->Phys || E->Phys == zeroPage())) {
       // A page already on the zero page holds these bytes: the snapshot
       // shares it, or its first fill after takeSnapshot() made it dirty.
       if (!E->Phys) {
-        E->Phys = zeroPage();
+        R->materialize(Index).Phys = zeroPage();
         if (SnapshotArmed)
           Dirty.insert(PageNum);
       }
@@ -387,17 +428,50 @@ bool AddressSpace::poke(uint64_t Addr, const void *Data, uint64_t Size) {
   return true;
 }
 
+bool AddressSpace::sharePage(uint64_t Addr,
+                             std::shared_ptr<const PhysicalPage> Page) {
+  uint64_t PageNum = pageNumber(Addr);
+  uint64_t Index = 0;
+  Region *R = findRegion(PageNum, Index);
+  if (!R)
+    return false;
+  // Held as writable like every entry: ensurePrivate copies it before any
+  // write while another reference to it lives.
+  R->materialize(Index).Phys = std::const_pointer_cast<PhysicalPage>(
+      std::move(Page));
+  if (SnapshotArmed)
+    Dirty.insert(PageNum);
+  return true;
+}
+
 AddressSpace AddressSpace::forkClone() const {
   AddressSpace Child;
-  Child.Regions = Regions; // shares PhysicalPage refs -> CoW on either side
+  Child.Regions.reserve(Regions.size());
+  for (const Region &R : Regions) {
+    Region &C = Child.Regions.emplace_back();
+    C.Map = R.Map;
+    C.Default = R.Default;
+    C.Source = R.Source;
+    C.SourceFirst = R.SourceFirst;
+    // Shares PhysicalPage refs -> CoW on either side.
+    copyChunks(R.Chunks, C.Chunks);
+  }
   return Child;
 }
 
 uint64_t AddressSpace::mappedPageCount() const {
   uint64_t Pages = 0;
   for (const Region &R : Regions)
-    Pages += R.Entries.size();
+    Pages += R.Map.pageCount();
   return Pages;
+}
+
+uint64_t AddressSpace::pageTableEntries() const {
+  uint64_t Entries = 0;
+  for (const Region &R : Regions)
+    for (const std::unique_ptr<EntryChunk> &C : R.Chunks)
+      Entries += C ? ChunkPages : 0;
+  return Entries;
 }
 
 PhysPageRef AddressSpace::physicalPage(uint64_t Addr) const {
@@ -412,19 +486,19 @@ AddressSpace::mappingPages(uint64_t Addr) const {
     return nullptr;
   const Region &R = Regions[Pos];
   std::vector<PhysPageRef> Held;
-  Held.reserve(R.Entries.size());
-  for (const PageEntry &E : R.Entries)
-    Held.push_back(E.Phys);
+  Held.reserve(R.Map.pageCount());
+  for (uint64_t I = 0; I != R.Map.pageCount(); ++I)
+    Held.push_back(R.entry(I).Phys);
   return std::make_shared<HeldPages>(std::move(Held), R.Source,
                                      R.SourceFirst);
 }
 
 void AddressSpace::takeSnapshot() {
-  // Bumps every materialized page to shared; assigning over the arrays of
+  // Bumps every materialized page to shared; copying over the chunks of
   // an earlier snapshot reuses their storage.
-  SnapshotPages.resize(Regions.size());
+  SnapshotChunks.resize(Regions.size());
   for (size_t I = 0; I != Regions.size(); ++I)
-    SnapshotPages[I] = Regions[I].Entries;
+    copyChunks(Regions[I].Chunks, SnapshotChunks[I]);
   Dirty.clear();
   SnapshotArmed = true;
   StructuralChange = false;
@@ -440,7 +514,7 @@ int64_t AddressSpace::resetToSnapshot() {
   for (uint64_t P : Dirty) {
     uint64_t Addr = P * PageSize;
     size_t Pos = regionAt(Addr);
-    if (Pos >= SnapshotPages.size() || Pos == Regions.size()) {
+    if (Pos >= SnapshotChunks.size() || Pos == Regions.size()) {
       // Unreachable while StructuralChange tracking is sound; degrade to
       // "snapshot invalid" rather than half-restoring silently.
       StructuralChange = true;
@@ -448,7 +522,11 @@ int64_t AddressSpace::resetToSnapshot() {
     }
     Region &R = Regions[Pos];
     uint64_t Index = (Addr - R.Map.Start) / PageSize;
-    R.Entries[Index] = SnapshotPages[Pos][Index]; // re-share, re-arm Prot
+    // Re-share, re-arm Prot. A chunk the snapshot lacks read as defaults
+    // then; the live one is present, since the page changed since.
+    const std::unique_ptr<EntryChunk> &Snap =
+        SnapshotChunks[Pos][Index / ChunkPages];
+    R.materialize(Index) = Snap ? (*Snap)[Index % ChunkPages] : R.Default;
     ++Reverted;
   }
   Dirty.clear();
@@ -459,7 +537,7 @@ int64_t AddressSpace::resetToSnapshot() {
 }
 
 void AddressSpace::dropSnapshot() {
-  SnapshotPages.clear();
+  SnapshotChunks.clear();
   Dirty.clear();
   SnapshotArmed = false;
   StructuralChange = false;

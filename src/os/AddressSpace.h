@@ -11,13 +11,18 @@
 /// record first accesses, and let CoW preserve the pre-region state of any
 /// page the application writes.
 ///
-/// **Page table.** Each mapping owns its pages as one contiguous array of
-/// page entries, and the mappings sit in one vector sorted by start, so a
-/// space holds a handful of arrays however many pages it maps. Copying
-/// the table (forkClone, takeSnapshot) copies those arrays: an untouched
-/// lazy-zero page is a null reference and costs no atomic, so only
-/// materialized pages pay a reference-count bump. A lookup binary-searches
-/// the mappings (DESIGN.md §16).
+/// **Page table.** The mappings sit in one vector sorted by start, and
+/// each keeps its pages in 64-page chunks (1.5 KiB of entries each),
+/// allocated only when one of their entries must change. An absent chunk
+/// reads as 64 entries of {no page, the mapping's protection}: lazy-zero
+/// pages, or source pages not fetched yet. So a space pays for the pages
+/// something touched, not for its layout: a replay session over a
+/// 7,488-page layout holds a few chunks. Copying the table (forkClone,
+/// takeSnapshot) copies the present chunks only, and a lookup
+/// binary-searches the mappings (DESIGN.md §16). Chunks belong to one
+/// space or snapshot and never move, which is what lets the inline write
+/// path read use_count() == 1 as "only this space holds the page" and
+/// keeps cached translations valid.
 ///
 /// **Zero fill.** zeroFill points a page nobody wrote at one shared zero
 /// page rather than materializing zeros: the page stays unmaterialized,
@@ -40,8 +45,10 @@
 ///   set, and `resetToSnapshot()` reverts exactly those pages by dropping
 ///   their private copies and re-sharing the snapshot's physical pages
 ///   (re-arming the snapshot protections with them). The snapshot is a copy
-///   of each mapping's entry array; since any map or unmap invalidates it,
-///   a dirty page sits at the same mapping index and offset in both.
+///   of each mapping's present chunks; since any map or unmap invalidates
+///   it, a dirty page sits at the same mapping index and offset in both,
+///   and a page whose chunk the snapshot lacks reverts to its mapping's
+///   default entry.
 ///   Dirty recording rides the existing CoW path: taking the snapshot bumps
 ///   every materialized page to shared, so the first post-snapshot write
 ///   necessarily transits `ensurePrivate`, which is the single recording
@@ -217,6 +224,14 @@ public:
   /// stay intact. Returns false if any page is unmapped.
   bool poke(uint64_t Addr, const void *Data, uint64_t Size);
 
+  /// Maps \p Page by reference as the page containing \p Addr, keeping
+  /// the page's protection; returns false if \p Addr is unmapped. The
+  /// space never writes a page another reference can see: while the
+  /// caller holds \p Page, the first write copies it through
+  /// Copy-on-Write, as a forked page's, so \p Page's bytes never change.
+  /// Joins the dirty set while a snapshot is armed.
+  bool sharePage(uint64_t Addr, std::shared_ptr<const PhysicalPage> Page);
+
   /// True if the page containing \p Addr is mapped.
   bool isMapped(uint64_t Addr) const {
     return findEntry(pageNumber(Addr)) != nullptr;
@@ -250,6 +265,10 @@ public:
 
   /// Total number of mapped pages.
   uint64_t mappedPageCount() const;
+
+  /// Page entries the table holds: 64 for every present chunk. The
+  /// snapshot's chunks are not counted.
+  uint64_t pageTableEntries() const;
 
   /// Freezes the current content and protections as the restore point for
   /// later resetToSnapshot() calls. Every materialized page becomes shared
@@ -289,16 +308,45 @@ private:
     uint8_t Prot = ProtNone;
   };
 
-  /// One mapping and its pages: Entries[I] backs the page at
+  /// Pages per chunk of a mapping's page table. A constant: lookups
+  /// divide by it.
+  static constexpr uint64_t ChunkPages = 64;
+  using EntryChunk = std::array<PageEntry, ChunkPages>;
+  /// Chunk I holds pages [I * ChunkPages, (I + 1) * ChunkPages) of a
+  /// mapping, or is null while all of them read as the default entry.
+  using ChunkTable = std::vector<std::unique_ptr<EntryChunk>>;
+
+  /// One mapping and its pages: entry I backs the page at
   /// Map.Start + I * PageSize. In a shared mapping, page SourceFirst + I
-  /// of Source is what a null Entries[I] reads; an unmap that trims or
+  /// of Source is what a null entry I reads; an unmap that trims or
   /// splits the region moves SourceFirst with its first entry.
   struct Region {
     Mapping Map;
-    std::vector<PageEntry> Entries;
+    /// What every entry of an absent chunk reads: no page, and the
+    /// protection the mapping was made with.
+    PageEntry Default;
+    ChunkTable Chunks;
     std::shared_ptr<const PageSource> Source;
     uint64_t SourceFirst = 0;
+
+    /// Entry \p Index as it reads now, without allocating its chunk.
+    const PageEntry &entry(uint64_t Index) const {
+      const std::unique_ptr<EntryChunk> &C = Chunks[Index / ChunkPages];
+      return C ? (*C)[Index % ChunkPages] : Default;
+    }
+
+    /// Entry \p Index, ready to change: an absent chunk is allocated
+    /// first, as 64 default entries.
+    PageEntry &materialize(uint64_t Index);
+
+    /// Entries [First, First + Count) as a table of their own, moved out
+    /// of this one: a new chunk is present if a chunk it draws from is.
+    ChunkTable slice(uint64_t First, uint64_t Count);
   };
+
+  /// Copies the present chunks of \p From into \p To, reusing the
+  /// storage of the chunks \p To already has.
+  static void copyChunks(const ChunkTable &From, ChunkTable &To);
 
   /// Maps \p NumPages pages at \p Start, backed by \p Source's pages or,
   /// when null, by lazily materialized zero pages.
@@ -316,13 +364,18 @@ private:
   /// The region holding page \p PageNum, with the page's index in it
   /// stored to \p Index, or nullptr if the page is unmapped.
   const Region *findRegion(uint64_t PageNum, uint64_t &Index) const;
+  Region *findRegion(uint64_t PageNum, uint64_t &Index) {
+    return const_cast<Region *>(
+        static_cast<const AddressSpace *>(this)->findRegion(PageNum, Index));
+  }
 
-  /// The entry of page \p PageNum, or nullptr if it is unmapped.
+  /// The entry of page \p PageNum as it reads now, or nullptr if it is
+  /// unmapped. Its chunk is left absent.
   const PageEntry *findEntry(uint64_t PageNum) const;
 
-  /// The entry of page \p PageNum with its source page fetched, or
-  /// nullptr if it is unmapped. Every path that installs a translation or
-  /// writes a page goes through here.
+  /// The entry of page \p PageNum with its chunk materialized and its
+  /// source page fetched, or nullptr if it is unmapped. Every path that
+  /// installs a translation or writes a page goes through here.
   PageEntry *fetchEntry(uint64_t PageNum);
 
   /// The page that page \p PageNum reads now — its entry's page or, if
@@ -346,10 +399,10 @@ private:
   AccessResult writeSlow(uint64_t Addr, const void *Data, uint64_t Size);
 
   // Direct-mapped translation cache in front of the page table, indexed
-  // by the low page-number bits: one compare per lookup. Entry arrays only
-  // move or shrink on a map or unmap, and both invalidate the cache, so a
-  // cached PageEntry pointer stays valid until then (a move of the whole
-  // space keeps the arrays where they are).
+  // by the low page-number bits: one compare per lookup. Only a present
+  // chunk's entry is cached; chunks never move, and only an unmap frees
+  // or re-chunks them, which invalidates the cache, so a cached PageEntry
+  // pointer stays valid until then.
   static constexpr size_t TranslationSlots = 64;
   struct TranslationEntry {
     uint64_t PageNum = ~0ULL;
@@ -378,8 +431,8 @@ private:
   mutable std::array<TranslationEntry, TranslationSlots> Translations;
 
   // Snapshot/restore state (replay fork-server support).
-  /// Each region's entries at takeSnapshot(), index for index.
-  std::vector<std::vector<PageEntry>> SnapshotPages;
+  /// Each region's chunks at takeSnapshot(), index for index.
+  std::vector<ChunkTable> SnapshotChunks;
   std::unordered_set<uint64_t> Dirty;
   bool SnapshotArmed = false;
   bool StructuralChange = false;

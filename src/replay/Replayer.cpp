@@ -109,8 +109,7 @@ std::optional<support::Error> checkLayout(const capture::Capture &Cap,
     bool Inside =
         std::any_of(Cap.Mappings.begin(), Cap.Mappings.end(),
                     [&P](const Mapping &M) { return M.contains(P.Addr); });
-    if (P.Addr != os::pageBase(P.Addr) || P.Bytes.size() != PageSize ||
-        !Inside)
+    if (P.Addr != os::pageBase(P.Addr) || !P.Page || !Inside)
       return Fail(format("captured page %#llx is not one whole page inside "
                          "a capture mapping",
                          static_cast<unsigned long long>(P.Addr)));
@@ -164,10 +163,12 @@ bool replay::cellsMatch(const AddressSpace &Space, const CellList &Cells) {
 }
 
 uint64_t Replayer::captureFingerprint(const capture::Capture &Cap) {
-  // FNV-1a over the capture's structure plus a light content sample: a
-  // capture mutated in place under a live session must not replay against
-  // stale session memory. Cost is O(pages) with a small constant — paid
-  // once per session replay, not per instruction.
+  // FNV-1a over the capture's structure and its pages' identities: a
+  // capture changed under a live session must not replay against stale
+  // session memory. A captured page never changes, so an edit replaces
+  // it, and the session still holds the page it mapped, so the new one
+  // cannot have the old one's address: the check is exact. Cost is
+  // O(pages), paid once per session replay, not per instruction.
   uint64_t H = 1469598103934665603ULL;
   auto Mix = [&H](uint64_t V) {
     H ^= V;
@@ -187,14 +188,7 @@ uint64_t Replayer::captureFingerprint(const capture::Capture &Cap) {
   Mix(Cap.Pages.size());
   for (const capture::PageRecord &P : Cap.Pages) {
     Mix(P.Addr);
-    Mix(P.Bytes.size());
-    if (P.Bytes.size() >= 8) {
-      uint64_t First = 0, Last = 0;
-      std::memcpy(&First, P.Bytes.data(), 8);
-      std::memcpy(&Last, P.Bytes.data() + P.Bytes.size() - 8, 8);
-      Mix(First);
-      Mix(Last);
-    }
+    Mix(reinterpret_cast<uintptr_t>(P.Page.get()));
   }
   return H;
 }
@@ -260,10 +254,11 @@ Replayer::buildRestoredSpace(const capture::Capture &Cap,
     return PageAddr;
   };
 
-  // Captured (process-specific) pages.
+  // Captured (process-specific) pages, mapped by reference: the session
+  // shares the capture's own page until it writes it, and a reset
+  // re-shares it.
   for (const capture::PageRecord &P : Cap.Pages) {
-    [[maybe_unused]] bool Ok =
-        Space.poke(TargetAddr(P.Addr), P.Bytes.data(), P.Bytes.size());
+    [[maybe_unused]] bool Ok = Space.sharePage(TargetAddr(P.Addr), P.Page);
     assert(Ok && "captured page has no mapping");
     ++Loader.PagesRestored;
   }
@@ -271,9 +266,8 @@ Replayer::buildRestoredSpace(const capture::Capture &Cap,
   // --- Stages 2+3: break-free — drop the loader, relocate staged pages. -
   Space.unmapRegion(LoaderBase, LoaderPages * PageSize);
   for (const auto &[Final, Temp] : Staged) {
-    std::vector<uint8_t> Bytes(PageSize);
-    [[maybe_unused]] bool Ok = Space.peek(Temp, Bytes.data(), PageSize);
-    assert(Ok && "staged page vanished");
+    os::PhysPageRef Page = Space.physicalPage(Temp);
+    assert(Space.isMapped(Temp) && "staged page vanished");
     const Mapping *Owner = nullptr;
     for (const Mapping &Candidate : Cap.Mappings)
       if (Candidate.contains(Final))
@@ -281,7 +275,9 @@ Replayer::buildRestoredSpace(const capture::Capture &Cap,
     assert(Owner && "staged page outside every mapping");
     Space.mapRegion(Final, PageSize, os::ProtRead | os::ProtWrite,
                     Owner->Kind, Owner->Name);
-    (void)Space.poke(Final, Bytes.data(), PageSize);
+    // A staged page nothing was captured into stays a lazy zero page.
+    if (Page)
+      Space.sharePage(Final, std::move(Page));
     Space.unmapRegion(Temp, PageSize);
   }
   return Space;
@@ -370,6 +366,11 @@ support::Result<ReplayResult> Replayer::replayImpl(
       S.Space = std::move(Built).value();
       S.Space.takeSnapshot();
     }
+    // The session's page-table footprint against its layout (CI's fleet
+    // job bounds the ratio).
+    ROPT_METRIC_ADD("replay.session_table_entries",
+                    S.Space.pageTableEntries());
+    ROPT_METRIC_ADD("replay.session_mapped_pages", S.Space.mappedPageCount());
     S.Fingerprint = Fp;
     It = Sessions.emplace(&Cap, std::move(S)).first;
     ++SessStats.SessionsCreated;

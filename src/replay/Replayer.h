@@ -22,7 +22,9 @@
 /// **Replay sessions (fork-server mode, DESIGN.md §16).** With
 /// `setSessionMode(true)`, the Replayer keeps one pristine restored
 /// address space per capture: the loader runs once, and a snapshot is
-/// taken of the final restored layout. Every replay then executes directly against that space and is
+/// taken of the final restored layout. The space maps the capture's
+/// pages by reference and copies one only when the region writes it.
+/// Every replay then executes directly against that space and is
 /// followed by a dirty-page delta reset (`os::AddressSpace::
 /// resetToSnapshot`) that reverts exactly the pages the region wrote.
 /// Because the reset restores bit-identical pre-region memory and every
@@ -229,8 +231,8 @@ private:
                  ReplayCode Mode, const vm::CodeCache *Code,
                  vm::ExecObserver *Observer, ReplayResult &Out);
 
-  /// Cheap content signature used to notice a capture changing in place
-  /// under a live session.
+  /// Signature of the capture's structure and page identities, used to
+  /// notice a capture changing under a live session.
   static uint64_t captureFingerprint(const capture::Capture &Cap);
 
   const dex::DexFile &File;

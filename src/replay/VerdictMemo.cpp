@@ -58,7 +58,9 @@ ContentKey replay::captureKey(const capture::Capture &Cap,
   H.word(Cap.Pages.size());
   for (const capture::PageRecord &P : Cap.Pages) {
     H.word(P.Addr);
-    H.bytes(P.Bytes.data(), P.Bytes.size());
+    H.word(P.Page != nullptr);
+    if (P.Page)
+      H.bytes(P.Page->Data.data(), os::PageSize);
   }
   H.word(Map.Cells.size());
   for (const auto &[Addr, Bits] : Map.Cells) {

@@ -128,6 +128,15 @@ Capture captureStep(const StatefulApp &App, AppEnv &Env, int64_t N,
   return CM.takeCapture().value();
 }
 
+/// Replaces \p P's page with a copy \p Edit changed: a captured page
+/// never changes, so an edit is a new page.
+void editPage(PageRecord &P,
+              const std::function<void(os::PhysicalPage &)> &Edit) {
+  auto Copy = std::make_shared<os::PhysicalPage>(*P.Page);
+  Edit(*Copy);
+  P.Page = std::move(Copy);
+}
+
 } // namespace
 
 // --- Capture mechanics ------------------------------------------------------------
@@ -198,7 +207,7 @@ TEST(Capture, UnwrittenAllocationsKeepTheWindowsEvents) {
   // The array's pages and the region's fresh ones are captured as zeros.
   int ZeroPagesCaptured = 0;
   for (const PageRecord &P : C->Cap.Pages)
-    ZeroPagesCaptured += std::all_of(P.Bytes.begin(), P.Bytes.end(),
+    ZeroPagesCaptured += std::all_of(P.Page->Data.begin(), P.Page->Data.end(),
                                      [](uint8_t B) { return B == 0; });
   EXPECT_EQ(ZeroPagesCaptured, 19);
 }
@@ -216,9 +225,9 @@ TEST(Capture, CapturedBytesAreThePreRegionState) {
   for (const PageRecord &P : Cap.Pages) {
     if (P.Addr < vm::Layout::HeapBase)
       continue;
-    for (size_t Off = 0; Off + 32 <= P.Bytes.size(); Off += 8) {
+    for (size_t Off = 0; Off + 32 <= os::PageSize; Off += 8) {
       const uint64_t *Words =
-          reinterpret_cast<const uint64_t *>(P.Bytes.data() + Off);
+          reinterpret_cast<const uint64_t *>(P.Page->Data.data() + Off);
       if (Words[0] == 0 && Words[1] == 1 && Words[2] == 4 && Words[3] == 9)
         FoundOriginal = true;
     }
@@ -281,7 +290,7 @@ TEST(Capture, SerializationRoundTrip) {
   EXPECT_EQ(Out.CommonBytes, Cap.CommonBytes);
   for (size_t I = 0; I != Cap.Pages.size(); ++I) {
     EXPECT_EQ(Out.Pages[I].Addr, Cap.Pages[I].Addr);
-    EXPECT_EQ(Out.Pages[I].Bytes, Cap.Pages[I].Bytes);
+    EXPECT_EQ(Out.Pages[I].Page->Data, Cap.Pages[I].Page->Data);
   }
   EXPECT_FALSE(Capture::deserialize({1, 2, 3}, Out));
 }
@@ -429,11 +438,12 @@ TEST(Replay, CorruptedPageContentsFailSafely) {
   int Diverged = 0;
   for (int Trial = 0; Trial != 24; ++Trial) {
     Capture Bad = Cap;
-    // Flip a few bytes in random captured pages.
+    // Flip a few bytes in random captured pages, replacing each page.
     for (int F = 0; F != 4; ++F) {
       PageRecord &P = Bad.Pages[Rand.below(Bad.Pages.size())];
-      P.Bytes[Rand.below(P.Bytes.size())] ^=
-          static_cast<uint8_t>(1u << Rand.below(8));
+      uint8_t Flip = static_cast<uint8_t>(1u << Rand.below(8));
+      uint64_t Byte = Rand.below(os::PageSize);
+      editPage(P, [&](os::PhysicalPage &Page) { Page.Data[Byte] ^= Flip; });
     }
     Replayer R(App.File, Env.Natives, Env.Config);
     ReplayResult Rep = R.replay(Bad, ReplayCode::Interpreter, nullptr);
@@ -598,14 +608,15 @@ TEST(VerdictMemo, CaptureKeyCoversWhatTheReplayReads) {
   // Every single-bit flip of a captured page gives its own key.
   std::set<std::pair<uint64_t, uint64_t>> Seen{{Key.A, Key.B}};
   Capture Flipped = Cap;
-  std::vector<uint8_t> &Bytes = Flipped.Pages.front().Bytes;
-  for (size_t Byte = 0; Byte < Bytes.size(); Byte += 61)
+  for (size_t Byte = 0; Byte < os::PageSize; Byte += 61)
     for (int Bit = 0; Bit != 8; ++Bit) {
-      Bytes[Byte] ^= static_cast<uint8_t>(1u << Bit);
+      editPage(Flipped.Pages.front(), [&](os::PhysicalPage &Page) {
+        Page.Data[Byte] ^= static_cast<uint8_t>(1u << Bit);
+      });
       ContentKey K = captureKey(Flipped, IR.Map);
       EXPECT_TRUE(Seen.insert({K.A, K.B}).second)
           << "byte " << Byte << " bit " << Bit;
-      Bytes[Byte] ^= static_cast<uint8_t>(1u << Bit);
+      Flipped.Pages.front() = Cap.Pages.front();
     }
 }
 
@@ -687,11 +698,11 @@ TEST(VerdictMemo, AnyChangedInputIsAMiss) {
   Capture Poked = Cap;
   bool Changed = false;
   for (PageRecord &P : Poked.Pages)
-    for (size_t I = 0; I + 8 <= P.Bytes.size() && !Changed; I += 8) {
+    for (size_t I = 0; I + 8 <= os::PageSize && !Changed; I += 8) {
       uint64_t Word;
-      std::memcpy(&Word, P.Bytes.data() + I, 8);
+      std::memcpy(&Word, P.Page->Data.data() + I, 8);
       if (Word == 49 * 49) { // init(50) stored i*i; the last is 2401
-        P.Bytes[I] ^= 1;
+        editPage(P, [I](os::PhysicalPage &Page) { Page.Data[I] ^= 1; });
         Changed = true;
       }
     }
@@ -982,7 +993,7 @@ TEST(Replay, HostileLayoutsFailWithTypedError) {
        "below 4 GiB"},
       {"page outside every mapping",
        [](Capture &C) { C.Pages[0].Addr = 0x90000000; }, "captured page"},
-      {"short page", [](Capture &C) { C.Pages[0].Bytes.resize(100); },
+      {"missing page", [](Capture &C) { C.Pages[0].Page = nullptr; },
        "captured page"},
   };
   Replayer R(App.File, Env.Natives, Env.Config);
@@ -1260,6 +1271,92 @@ TEST(Session, CaptureChangeForcesFullRebuild) {
   EXPECT_EQ(Again.value().Map.Cells, After.value().Map.Cells);
   EXPECT_EQ(Again.value().Replay.Result.Cycles,
             After.value().Replay.Result.Cycles);
+}
+
+// A captured page edited in the middle under a live session: the next
+// session replay sees the new bytes, as a fresh replay does.
+TEST(Session, MidPageEditUnderALiveSessionIsSeen) {
+  StatefulApp App;
+  AppEnv Env(App.File);
+  Capture Cap = captureStep(App, Env, 300, 9);
+
+  Replayer Session(App.File, Env.Natives, Env.Config);
+  Session.setSessionMode(true);
+  ReplayResult Before = Session.replay(Cap, ReplayCode::Interpreter, nullptr);
+  ASSERT_TRUE(Before.Result.ok());
+
+  // init(300) stored i*i: bump one of them, away from either end of its
+  // page.
+  bool Changed = false;
+  for (PageRecord &P : Cap.Pages)
+    for (size_t I = 64; I + 64 <= os::PageSize && !Changed; I += 8) {
+      uint64_t Word;
+      std::memcpy(&Word, P.Page->Data.data() + I, 8);
+      if (Word == 150 * 150) {
+        editPage(P, [I](os::PhysicalPage &Page) { Page.Data[I] ^= 1; });
+        Changed = true;
+      }
+    }
+  ASSERT_TRUE(Changed);
+
+  ReplayResult After = Session.replay(Cap, ReplayCode::Interpreter, nullptr);
+  Replayer Fresh(App.File, Env.Natives, Env.Config);
+  ReplayResult Want = Fresh.replay(Cap, ReplayCode::Interpreter, nullptr);
+  ASSERT_TRUE(Want.Result.ok());
+  EXPECT_NE(Want.Result.Ret.Raw, Before.Result.Ret.Raw);
+  EXPECT_EQ(After.Result.Ret.Raw, Want.Result.Ret.Raw);
+  EXPECT_EQ(Session.sessionStats().FullRebuilds, 1u);
+}
+
+// A session maps the capture's own pages: a page is the capture's object
+// until the region writes it, the write copies it, and the capture's
+// bytes never change.
+TEST(Session, MapsCapturedPagesUntilWritten) {
+  StatefulApp App;
+  AppEnv Env(App.File);
+  Capture Cap = captureStep(App, Env, 300, 9);
+  std::vector<os::PhysicalPage> Original;
+  for (const PageRecord &P : Cap.Pages)
+    Original.push_back(*P.Page);
+
+  Replayer R(App.File, Env.Natives, Env.Config);
+  R.setSessionMode(true);
+  ASSERT_TRUE(R.replay(Cap, ReplayCode::Interpreter, nullptr).Result.ok());
+  const os::AddressSpace *Space = R.sessionSpace(Cap);
+  ASSERT_NE(Space, nullptr);
+  auto CapturesOwn = [&] {
+    size_t Own = 0;
+    for (const PageRecord &P : Cap.Pages)
+      Own += Space->physicalPage(P.Addr).get() == P.Page.get();
+    return Own;
+  };
+  // The reset after the first replay re-shared every page it wrote.
+  EXPECT_EQ(CapturesOwn(), Cap.Pages.size());
+
+  // Every write to a captured page lands in a copy of it.
+  struct WriteCheck : vm::ExecObserver {
+    const os::AddressSpace *Space = nullptr;
+    std::map<uint64_t, const os::PhysicalPage *> Captured;
+    size_t Writes = 0, Copied = 0;
+    void onCellWrite(uint64_t Addr) override {
+      auto It = Captured.find(os::pageBase(Addr));
+      if (It == Captured.end())
+        return;
+      ++Writes;
+      Copied += Space->physicalPage(Addr).get() != It->second;
+    }
+  } Check;
+  Check.Space = Space;
+  for (const PageRecord &P : Cap.Pages)
+    Check.Captured[P.Addr] = P.Page.get();
+  ASSERT_TRUE(
+      R.replay(Cap, ReplayCode::Interpreter, nullptr, &Check).Result.ok());
+  EXPECT_GT(Check.Writes, 0u);
+  EXPECT_EQ(Check.Copied, Check.Writes);
+
+  EXPECT_EQ(CapturesOwn(), Cap.Pages.size());
+  for (size_t I = 0; I != Cap.Pages.size(); ++I)
+    EXPECT_EQ(Cap.Pages[I].Page->Data, Original[I].Data) << "page " << I;
 }
 
 TEST(Session, TurningSessionModeOffDropsSessions) {

@@ -522,7 +522,7 @@ void expectSameSetup(const core::RegionSearch &X, const core::RegionSearch &Y) {
     ASSERT_EQ(A.Cap.Pages.size(), B.Cap.Pages.size());
     for (size_t J = 0; J != A.Cap.Pages.size(); ++J) {
       EXPECT_EQ(A.Cap.Pages[J].Addr, B.Cap.Pages[J].Addr);
-      EXPECT_EQ(A.Cap.Pages[J].Bytes, B.Cap.Pages[J].Bytes);
+      EXPECT_EQ(A.Cap.Pages[J].Page->Data, B.Cap.Pages[J].Page->Data);
     }
     ASSERT_EQ(A.Cap.FileMaps.size(), B.Cap.FileMaps.size());
     for (size_t J = 0; J != A.Cap.FileMaps.size(); ++J) {
@@ -623,8 +623,7 @@ TEST(FleetSetup, FollowersShareTheLeadersCaptures) {
                              &LC = L.Captures.front();
   EXPECT_EQ(&FC.Cap, &LC.Cap);
   ASSERT_FALSE(LC.Cap.Pages.empty());
-  EXPECT_EQ(FC.Cap.Pages.front().Bytes.data(),
-            LC.Cap.Pages.front().Bytes.data());
+  EXPECT_EQ(FC.Cap.Pages.front().Page, LC.Cap.Pages.front().Page);
   EXPECT_EQ(&FC.Map, &LC.Map);
   ASSERT_FALSE(LC.Map.Cells.empty());
   EXPECT_EQ(FC.Map.Cells.data(), LC.Map.Cells.data());

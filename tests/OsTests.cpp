@@ -665,13 +665,29 @@ struct RefPage {
   bool Fetched = true;
 };
 
+constexpr uint64_t ChunkPages = 64; ///< AddressSpace's page-table chunk.
+
+/// How often the model took each branch of the chunked page table.
+struct ChunkCounts {
+  uint64_t ResetsFromAbsent = 0;  ///< Reverted pages the snapshot lacked.
+  uint64_t ResetsFromPresent = 0; ///< Reverted pages the snapshot held.
+  uint64_t Rechunks = 0;   ///< Unmap pieces re-chunked from mid-chunk.
+  uint64_t OddMappings = 0; ///< Mappings of more than 64 pages, no multiple.
+};
+
 /// A naive AddressSpace: one std::map entry per page, every rule spelled
-/// out page by page.
+/// out page by page. Chunks names the first page of every page-table
+/// chunk the space holds: a chunk appears when one of its entries first
+/// changes, and an unmap re-chunks what stays of a mapping from its own
+/// first page.
 struct RefSpace {
   RefStore &Store;
+  ChunkCounts &Counts;
   std::map<uint64_t, RefPage> Pages; ///< By page number.
   std::vector<Mapping> Maps;         ///< Sorted by start.
+  std::set<uint64_t> Chunks;
   std::map<uint64_t, RefPage> Snap;
+  std::set<uint64_t> SnapChunks;
   std::set<uint64_t> Dirty;
   bool Armed = false;
   bool Structural = false;
@@ -679,7 +695,8 @@ struct RefSpace {
   int Handler = 0; ///< 0: none; 1: unprotects and retries; 2: only retries.
   uint64_t ZeroRefills = 0; ///< Pages zeroFill found on the zero page.
 
-  explicit RefSpace(RefStore &Store) : Store(Store) {}
+  RefSpace(RefStore &Store, ChunkCounts &Counts)
+      : Store(Store), Counts(Counts) {}
   RefSpace(const RefSpace &) = delete;
   ~RefSpace() {
     for (auto &[P, Page] : Pages)
@@ -695,8 +712,22 @@ struct RefSpace {
     if (Page.Fetched)
       Store.release(Page.Phys);
   }
+  /// First page of the chunk holding mapped page \p P.
+  uint64_t chunkOf(uint64_t P) const {
+    for (const Mapping &M : Maps)
+      if (M.contains(P * PageSize)) {
+        uint64_t First = pageNumber(M.Start);
+        return First + (P - First) / ChunkPages * ChunkPages;
+      }
+    ADD_FAILURE() << "page " << P << " is unmapped";
+    return 0;
+  }
+  /// Page \p P's entry changes: its chunk must be held.
+  void touch(uint64_t P) { Chunks.insert(chunkOf(P)); }
+
   /// Installs page \p P's source page, if it has one not yet fetched.
   void fetch(uint64_t P) {
+    touch(P);
     RefPage &Page = Pages.at(P);
     if (!Page.Fetched) {
       Page.Fetched = true;
@@ -705,9 +736,10 @@ struct RefSpace {
   }
 
   std::unique_ptr<RefSpace> fork() const {
-    auto Child = std::make_unique<RefSpace>(Store);
+    auto Child = std::make_unique<RefSpace>(Store, Counts);
     Child->Pages = Pages;
     Child->Maps = Maps;
+    Child->Chunks = Chunks;
     for (auto &[P, Page] : Pages)
       Child->hold(Page);
     return Child;
@@ -724,6 +756,8 @@ struct RefSpace {
            MappingKind Kind, const std::string &Name) {
     for (size_t I = 0; I != Source.size(); ++I)
       Pages[First + I] = {Source[I], Prot, /*Fetched=*/Source[I] == 0};
+    Counts.OddMappings +=
+        Source.size() > ChunkPages && Source.size() % ChunkPages != 0;
     Mapping M;
     M.Start = First * PageSize;
     M.End = (First + Source.size()) * PageSize;
@@ -737,7 +771,37 @@ struct RefSpace {
     Structural |= Armed;
   }
 
+  /// Re-chunks [Lo, Hi), what stays of a mapping starting at page
+  /// \p MapFirst, whose chunks were \p Old: a new chunk is held if an
+  /// old one it draws pages from was.
+  void rechunk(uint64_t MapFirst, const std::set<uint64_t> &Old,
+               uint64_t Lo, uint64_t Hi) {
+    bool MidChunk = (Lo - MapFirst) % ChunkPages != 0;
+    for (uint64_t C = Lo; C < Hi; C += ChunkPages) {
+      uint64_t End = std::min(C + ChunkPages, Hi);
+      for (uint64_t K : Old)
+        if (K < End && C < K + ChunkPages) {
+          Chunks.insert(C);
+          Counts.Rechunks += MidChunk;
+          break;
+        }
+    }
+  }
+
   void unmap(uint64_t First, uint64_t Count) {
+    for (const Mapping &M : Maps) {
+      uint64_t MapFirst = pageNumber(M.Start), MapEnd = pageNumber(M.End);
+      if (MapEnd <= First || MapFirst >= First + Count)
+        continue;
+      std::set<uint64_t> Old(Chunks.lower_bound(MapFirst),
+                             Chunks.lower_bound(MapEnd));
+      for (uint64_t K : Old)
+        Chunks.erase(K);
+      if (MapFirst < First)
+        rechunk(MapFirst, Old, MapFirst, First);
+      if (MapEnd > First + Count)
+        rechunk(MapFirst, Old, First + Count, MapEnd);
+    }
     for (uint64_t P = First; P != First + Count; ++P) {
       auto It = Pages.find(P);
       if (It == Pages.end())
@@ -773,6 +837,7 @@ struct RefSpace {
       auto It = Pages.find(P);
       if (It == Pages.end() || It->second.Prot == Prot)
         continue;
+      touch(P);
       It->second.Prot = Prot;
       ++Stats.PagesProtected;
       if (Armed)
@@ -811,6 +876,7 @@ struct RefSpace {
         if (It->second.Phys == Store.ZeroId) {
           ++ZeroRefills;
         } else {
+          touch(P);
           It->second.Phys = Store.ZeroId;
           Store.hold(Store.ZeroId);
           if (Armed)
@@ -876,9 +942,25 @@ struct RefSpace {
     return Chunk;
   }
 
+  /// sharePage: the space holds \p Id in place of whatever backed \p P.
+  bool share(uint64_t P, int Id) {
+    auto It = Pages.find(P);
+    if (It == Pages.end())
+      return false;
+    touch(P);
+    release(It->second);
+    It->second.Phys = Id;
+    It->second.Fetched = true;
+    Store.hold(Id);
+    if (Armed)
+      Dirty.insert(P);
+    return true;
+  }
+
   void takeSnapshot() {
     dropSnapshot();
     Snap = Pages;
+    SnapChunks = Chunks;
     for (auto &[P, Page] : Snap)
       hold(Page);
     Armed = true;
@@ -889,6 +971,10 @@ struct RefSpace {
     if (!Armed || Structural)
       return -1;
     for (uint64_t P : Dirty) {
+      // Every change that dirties a page first made its chunk present.
+      EXPECT_TRUE(Chunks.count(chunkOf(P))) << "page " << P;
+      ++(SnapChunks.count(chunkOf(P)) ? Counts.ResetsFromPresent
+                                      : Counts.ResetsFromAbsent);
       hold(Snap.at(P));
       release(Pages.at(P));
       Pages[P] = Snap.at(P);
@@ -904,13 +990,14 @@ struct RefSpace {
     for (auto &[P, Page] : Snap)
       release(Page);
     Snap.clear();
+    SnapChunks.clear();
     Dirty.clear();
     Armed = Structural = false;
   }
 };
 
 constexpr uint64_t ModelFirstPage = pageNumber(Base);
-constexpr uint64_t ModelPages = 80; ///< Window the sequences work in.
+constexpr uint64_t ModelPages = 200; ///< Window the sequences work in.
 
 void expectSameStats(const MemoryStats &A, const MemoryStats &B) {
   EXPECT_EQ(A.ProtectCalls, B.ProtectCalls);
@@ -943,6 +1030,7 @@ void expectMatches(AddressSpace &Space, RefSpace &Ref,
     EXPECT_EQ(Found->Start, Maps[I].Start);
   }
   EXPECT_EQ(Space.mappedPageCount(), Ref.Pages.size());
+  EXPECT_EQ(Space.pageTableEntries(), Ref.Chunks.size() * ChunkPages);
   for (uint64_t P = ModelFirstPage - 1; P != ModelFirstPage + ModelPages + 8;
        ++P) {
     uint64_t Addr = P * PageSize;
@@ -982,10 +1070,12 @@ struct ZeroFillCounts {
 
 /// One seeded sequence of random operations on a space, and on a fork of
 /// it while one lives, each mirrored on the reference model.
-void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts) {
+void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts,
+                      ChunkCounts &Chunks) {
   Rng R(Seed);
   RefStore Store;
   std::vector<std::shared_ptr<const PageSource>> Sources; // live like images
+  std::vector<PhysPageRef> Shared; // held like a capture's pages
   std::map<int, const PhysicalPage *> Ids;
   // Nothing outside this sequence holds the zero page.
   ASSERT_EQ(AddressSpace::zeroPage().use_count(), 1);
@@ -1009,7 +1099,7 @@ void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts) {
     });
   };
   Sides[0].Space.emplace();
-  Sides[0].Ref = std::make_unique<RefSpace>(Store);
+  Sides[0].Ref = std::make_unique<RefSpace>(Store, Chunks);
   InstallHandler(Sides[0]);
 
   const uint8_t Prots[] = {ProtNone, ProtRead, ProtRead | ProtWrite,
@@ -1036,7 +1126,7 @@ void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts) {
   for (int Step = 0; Step != Steps; ++Step) {
     SCOPED_TRACE("seed " + std::to_string(Seed) + " step " +
                  std::to_string(Step));
-    uint64_t Op = R.below(18);
+    uint64_t Op = R.below(19);
     if (Op == 12) { // fork, or let the live fork exit
       if (Sides[1].Space) {
         Sides[1].Space.reset();
@@ -1055,7 +1145,9 @@ void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts) {
     case 1:
     case 2: { // map lazily, or map a fresh page source
       uint64_t First = ModelFirstPage + R.below(ModelPages);
-      uint64_t Count = R.chance(0.3) ? 1 : 1 + R.below(8);
+      uint64_t Count = R.chance(0.25) ? 40 + R.below(140)
+                       : R.chance(0.3) ? 1
+                                       : 1 + R.below(8);
       if (Ref.overlaps(First, Count))
         break;
       uint8_t Prot = Prots[R.below(5)];
@@ -1084,14 +1176,14 @@ void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts) {
     case 3:
     case 4: { // unmap: whole mappings, an end, a hole or nothing
       uint64_t First = ModelFirstPage + R.below(ModelPages);
-      uint64_t Count = 1 + R.below(10);
+      uint64_t Count = 1 + R.below(R.chance(0.2) ? 100 : 10);
       Space.unmapRegion(First * PageSize, Count * PageSize);
       Ref.unmap(First, Count);
       break;
     }
     case 5: {
       uint64_t First = ModelFirstPage + R.below(ModelPages);
-      uint64_t Count = 1 + R.below(10);
+      uint64_t Count = 1 + R.below(R.chance(0.2) ? 100 : 10);
       uint8_t Prot = Prots[R.below(5)];
       Space.protectRange(First * PageSize, Count * PageSize, Prot);
       Ref.protect(First, Count, Prot);
@@ -1177,6 +1269,17 @@ void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts) {
         InstallHandler(S);
       }
       break;
+    case 18: { // map a page by reference, as a replay session maps a capture's
+      auto Page = std::make_shared<PhysicalPage>();
+      uint64_t Word = R.next();
+      std::memcpy(Page->Data.data() + R.below(PageSize / 8) * 8, &Word,
+                  sizeof(Word));
+      int Id = Store.make(Page->Data); // the holder's reference
+      Shared.push_back(Page);
+      uint64_t Addr = RandomAddr();
+      EXPECT_EQ(Space.sharePage(Addr, Page), Ref.share(pageNumber(Addr), Id));
+      break;
+    }
     }
     EXPECT_EQ(Space.dirtyPageCount(), Ref.Dirty.size());
     expectSameStats(Space.stats(), Ref.Stats);
@@ -1193,17 +1296,30 @@ void runModelSequence(uint64_t Seed, ZeroFillCounts &Counts) {
 
 TEST(AddressSpace, MatchesReferenceModel) {
   ZeroFillCounts Counts;
+  ChunkCounts Chunks;
   for (uint64_t Seed = 1; Seed <= 2000; ++Seed) {
-    runModelSequence(Seed, Counts);
+    runModelSequence(Seed, Counts, Chunks);
     if (::testing::Test::HasFailure())
       return;
   }
   RecordProperty("shared_pages", std::to_string(Counts.SharedPages));
   RecordProperty("refills", std::to_string(Counts.Refills));
   RecordProperty("window_fills", std::to_string(Counts.WindowFills));
+  RecordProperty("resets_from_absent", std::to_string(Chunks.ResetsFromAbsent));
+  RecordProperty("resets_from_present",
+                 std::to_string(Chunks.ResetsFromPresent));
+  RecordProperty("rechunks", std::to_string(Chunks.Rechunks));
+  RecordProperty("odd_mappings", std::to_string(Chunks.OddMappings));
   // Both sides of the rule ran, and fills found pages already on the
-  // zero page (611, 48 and 2,435 when written).
+  // zero page (721, 21 and 2,245 when written).
   EXPECT_GT(Counts.SharedPages, 250u);
   EXPECT_GT(Counts.Refills, 20u);
   EXPECT_GT(Counts.WindowFills, 1000u);
+  // Resets reverted pages whose chunk the snapshot lacked and pages whose
+  // chunk it held, unmaps re-chunked from mid-chunk, and mappings were no
+  // multiple of a chunk (99, 190, 981 and 1,067 when written).
+  EXPECT_GT(Chunks.ResetsFromAbsent, 40u);
+  EXPECT_GT(Chunks.ResetsFromPresent, 80u);
+  EXPECT_GT(Chunks.Rechunks, 400u);
+  EXPECT_GT(Chunks.OddMappings, 400u);
 }
